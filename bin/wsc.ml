@@ -211,8 +211,8 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Print the scheduler counters and the per-PE busy/blocked summary \
-           after the run.")
+          "Print the scheduler counters (including the peak number of live \
+           send records) and the per-PE busy/blocked summary after the run.")
 
 let time_arg =
   Arg.(
@@ -230,7 +230,7 @@ let sim_json_arg =
     & info [ "json" ] ~docv:"FILE"
         ~doc:
           "Write a machine-readable run summary (simulated cycles, wall_s, \
-           driver, domains, reference divergence).")
+           driver, domains, reference divergence, peak live send records).")
 
 let simulate_cmd =
   let run bench input size iterations machine stats driver_kind domains time
@@ -267,9 +267,10 @@ let simulate_cmd =
         if stats then begin
           let k = F.sched_stats h.sim in
           Printf.printf
-            "  scheduler: scans=%d probes=%d wakeups=%d parks=%d \
-             max_queue_depth=%d\n"
-            k.scans k.probes k.wakeups k.parks k.max_queue_depth;
+            "  scheduler: scans=%d probes=%d wakeups=%d parks=%d holds=%d \
+             max_queue_depth=%d peak_sends_live=%d\n"
+            k.scans k.probes k.wakeups k.parks k.holds k.max_queue_depth
+            k.peak_sends_live;
           print_string
             (Wsc_trace.Aggregate.busy_blocked_table (F.pe_summaries h.sim))
         end;
@@ -307,6 +308,8 @@ let simulate_cmd =
                          );
                          ("domains_requested", J.Int (F.driver_domains driver));
                          ("max_diff", J.Float maxd);
+                         ( "peak_sends_live",
+                           J.Int (F.sched_stats h.sim).peak_sends_live );
                        ];
                    ]));
         if maxd >= 1e-4 then exit 1;

@@ -30,27 +30,64 @@ exception Sim_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
 
-(** {1 Communicate-call configuration (parsed from the config attr)} *)
+(** {1 Communicate-call configuration}
 
-type input_cfg = {
-  send_ptr : string;
-  swaps : Dmp.swap_desc list;
-  rcv_bufs : (Dmp.direction * string) list;
+    Each [communicate] call's config attr is decoded once per program
+    ({!create}) into the exchange it registers: the source slots a
+    receiver reads, in delivery order (input, swap, depth — the order
+    the promoted reductions accumulate in, so FP results do not move),
+    the distinct sender offsets, and the per-chunk wavelet counts. *)
+
+let dir_vector = function
+  | Dmp.East -> (1, 0)
+  | Dmp.West -> (-1, 0)
+  | Dmp.North -> (0, 1)
+  | Dmp.South -> (0, -1)
+
+(** One column a receiver takes in an exchange: input [sl_input] from
+    the sender [sl_d] hops along [sl_dir], at offset ([sl_dx], [sl_dy])
+    from the receiver. *)
+type slot = {
+  sl_input : int;
+  sl_dir : Dmp.direction;
+  sl_d : int;
+  sl_dx : int;
+  sl_dy : int;
+  sl_rcv : string;  (** receive buffer *)
+  sl_coeff : float;  (** promoted coefficient (0.0 when none applies) *)
+  sl_halo : int;  (** state slot of the host-resident boundary column *)
 }
 
-type comm_cfg = {
+type comm = {
   apply_id : int;
-  inputs : input_cfg list;
-  coeffs : (int * int * int * float) list;
   z_base : int;
   c_nz : int;
   num_chunks : int;
   chunk_size : int;
   chunk_cb : string;
   done_cb : string;
+  promoted : bool;  (** coefficients are applied at delivery (§5.7) *)
+  send_ptrs : string array;  (** per input *)
+  slots : slot array;
+  peers : (int * int) array;
+      (** distinct sender offsets (dx, dy), in slot order: a receiver at
+          (x, y) reads the senders at (x + dx, y + dy), so a sender at
+          (x, y) is read by the in-grid receivers at (x - dx, y - dy) *)
+  rcv_names : string array;  (** distinct receive buffers *)
+  total_dirs : int;  (** directions a send is injected into *)
+  incoming : int;  (** wavelets drained per chunk *)
+  self_loopback : int;  (** looped-back wavelets per chunk (WSE2 self-send) *)
 }
 
-let parse_comm_cfg (a : attr) : comm_cfg =
+(** State slot a communicated input corresponds to, for boundary-column
+    lookup: the Dirichlet halo is the initial value of that logical grid. *)
+let halo_slot (send_ptr : string) : int =
+  let p = send_ptr in
+  if String.length p > 9 && String.sub p 0 9 = "ptr_state" then
+    Option.value (int_of_string_opt (String.sub p 9 (String.length p - 9))) ~default:0
+  else 0
+
+let decode_comm (a : attr) : comm =
   let dict = match a with Dict_attr d -> d | _ -> fail "communicate: bad config" in
   let geti k =
     match List.assoc_opt k dict with Some (Int_attr i) -> i | _ -> fail "cfg int %s" k
@@ -60,6 +97,7 @@ let parse_comm_cfg (a : attr) : comm_cfg =
     | Some (String_attr s) -> s
     | _ -> fail "cfg string %s" k
   in
+  (* per input: send pointer, swaps, and each swap's receive buffer *)
   let inputs =
     match List.assoc_opt "inputs" dict with
     | Some (Array_attr l) ->
@@ -79,15 +117,12 @@ let parse_comm_cfg (a : attr) : comm_cfg =
                 let rcv_bufs =
                   match List.assoc_opt "rcv_bufs" d with
                   | Some (Array_attr bl) ->
-                      List.map2
-                        (fun (sw : Dmp.swap_desc) b ->
-                          match b with
-                          | String_attr s -> (sw.dir, s)
-                          | _ -> fail "cfg rcv buf")
-                        swaps bl
+                      List.map
+                        (function String_attr s -> s | _ -> fail "cfg rcv buf")
+                        bl
                   | _ -> fail "cfg rcv_bufs"
                 in
-                { send_ptr; swaps; rcv_bufs }
+                (send_ptr, List.combine swaps rcv_bufs)
             | _ -> fail "cfg input")
           l
     | _ -> fail "cfg inputs"
@@ -110,17 +145,73 @@ let parse_comm_cfg (a : attr) : comm_cfg =
           l
     | _ -> []
   in
+  let cs = geti "chunk_size" in
+  let slots =
+    List.concat
+      (List.mapi
+         (fun i (send_ptr, swaps) ->
+           List.concat_map
+             (fun ((sw : Dmp.swap_desc), rcv) ->
+               let vx, vy = dir_vector sw.dir in
+               List.init sw.depth (fun k ->
+                   let d = k + 1 in
+                   let dx = vx * d and dy = vy * d in
+                   {
+                     sl_input = i;
+                     sl_dir = sw.dir;
+                     sl_d = d;
+                     sl_dx = dx;
+                     sl_dy = dy;
+                     sl_rcv = rcv;
+                     sl_coeff =
+                       (match
+                          List.find_opt
+                            (fun (ci, cdx, cdy, _) -> ci = i && cdx = dx && cdy = dy)
+                            coeffs
+                        with
+                       | Some (_, _, _, c) -> c
+                       | None -> 0.0);
+                     sl_halo = halo_slot send_ptr;
+                   }))
+             swaps)
+         inputs)
+  in
+  let dedup l =
+    List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+  in
+  let swaps = List.concat_map (fun (_, s) -> List.map fst s) inputs in
   {
     apply_id = geti "apply_id";
-    inputs;
-    coeffs;
     z_base = geti "z_base";
     c_nz = geti "nz";
     num_chunks = geti "num_chunks";
-    chunk_size = geti "chunk_size";
+    chunk_size = cs;
     chunk_cb = gets "chunk_cb";
     done_cb = gets "done_cb";
+    promoted = coeffs <> [];
+    send_ptrs = Array.of_list (List.map fst inputs);
+    slots = Array.of_list slots;
+    peers = Array.of_list (dedup (List.map (fun s -> (s.sl_dx, s.sl_dy)) slots));
+    rcv_names =
+      Array.of_list (dedup (List.concat_map (fun (_, s) -> List.map snd s) inputs));
+    total_dirs = List.length swaps;
+    incoming = List.fold_left (fun a (sw : Dmp.swap_desc) -> a + (sw.depth * cs)) 0 swaps;
+    self_loopback = List.length swaps * cs;
   }
+
+(** Every [communicate] call of a program, decoded once and looked up by
+    the call op itself (physical identity: a program has one call per
+    apply, so the list is a handful long). *)
+let decode_comms (program : op) : (op * comm) list =
+  find_ops
+    (fun o ->
+      o.opname = "csl.member_call"
+      &&
+      match attr o "field" with
+      | Some (String_attr "communicate") -> true
+      | _ -> false)
+    program
+  |> List.map (fun o -> (o, decode_comm (attr_exn o "config")))
 
 (** {1 PE state} *)
 
@@ -167,14 +258,33 @@ let stats_equal (a : pe_stats) (b : pe_stats) : bool = stats_diff a b = None
 
 type send_record = {
   sr_chunk_ready : float array;  (** completion time of each chunk injection *)
-  sr_data : float array list;  (** snapshot of the sent z-range, per input *)
+  sr_data : float array array;  (** snapshot of the sent z-range, per input *)
+  sr_peers : (int * int) array;  (** the sending config's {!comm.peers} *)
+  mutable sr_pending : int;
+      (** receivers of the table holding this record that have not yet
+          completed the exchange; the record leaves the table at zero.
+          Each table holds its own record object (the parallel driver
+          files a copy sharing the payload arrays), so a count is only
+          ever touched by the domain that owns the table. *)
 }
 
 type waiting = {
-  w_cfg : comm_cfg;
+  w_comm : comm;
   w_seq : int;
   w_registered_at : float;
 }
+
+(** A PE's pending task activations, ordered by (activation time,
+    insertion stamp): dispatch takes the earliest activation, and ties
+    resolve in insertion order. *)
+module Task_queue = Set.Make (struct
+  type t = float * int * string
+
+  let compare (a, i, _) (b, j, _) =
+    match Float.compare a b with 0 -> Int.compare i j | c -> c
+end)
+
+type task_queue = Task_queue.t
 
 type pe = {
   px : int;
@@ -184,11 +294,21 @@ type pe = {
   ptrs : (string, string ref) Hashtbl.t;
   mutable clock : float;
   mutable finished : bool;
-  mutable task_queue : (float * string) list;  (** activation time, task name *)
+  mutable task_queue : task_queue;
+  mutable task_stamps : int;  (** insertion stamps handed out so far *)
   mutable waiting : waiting option;
   mutable seq : (int, int) Hashtbl.t;  (** apply_id -> communicate count *)
   stats : pe_stats;
+  mutable live_sends : int;
+      (** this PE's records still in its own view's send table *)
+  mutable held : bool;
+      (** parked by the event driver at the live-record window, until a
+          receiver frees one of its records *)
 }
+
+let queue_task (pe : pe) ~(at : float) (task : string) : unit =
+  pe.task_queue <- Task_queue.add (at, pe.task_stamps, task) pe.task_queue;
+  pe.task_stamps <- pe.task_stamps + 1
 
 (** {1 Scheduler core}
 
@@ -210,6 +330,10 @@ module Sched = struct
     mutable wakeups : int;  (** parked PEs re-enqueued by a landing send *)
     mutable parks : int;  (** times a PE was parked on a wake list *)
     mutable max_queue_depth : int;  (** high-water mark of the ready queue *)
+    mutable peak_sends_live : int;
+        (** high-water mark of the send table: records registered and
+            not yet consumed by all their receivers *)
+    mutable holds : int;  (** times a PE was held at the live-record window *)
   }
 
   type t = {
@@ -236,7 +360,16 @@ module Sched = struct
 
   let create ~(width : int) ~(height : int) =
     {
-      stats = { scans = 0; probes = 0; wakeups = 0; parks = 0; max_queue_depth = 0 };
+      stats =
+        {
+          scans = 0;
+          probes = 0;
+          wakeups = 0;
+          parks = 0;
+          max_queue_depth = 0;
+          peak_sends_live = 0;
+          holds = 0;
+        };
       ring = Array.make (max 1 (width * height)) 0;
       head = 0;
       count = 0;
@@ -339,6 +472,15 @@ type t = {
           a record is stored: the parallel driver exports boundary sends
           to its per-edge mailboxes through it.  [None] (the sequential
           drivers) costs one branch per send. *)
+  comms : (op * comm) list;  (** the program's decoded communicate calls *)
+  recv_x0 : int;
+  recv_x1 : int;
+      (** columns whose receivers consume from this view's send table:
+          the whole grid, or one strip of the parallel driver *)
+  mutable window : bool;
+      (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
+          live records; lifted for the rest of the run if the fabric goes
+          quiescent with PEs held (see {!lift_window}) *)
 }
 
 let new_pe (program : op) x y : pe =
@@ -373,9 +515,12 @@ let new_pe (program : op) x y : pe =
     ptrs;
     clock = 0.0;
     finished = false;
-    task_queue = [];
+    task_queue = Task_queue.empty;
+    task_stamps = 0;
     waiting = None;
     seq = Hashtbl.create 4;
+    live_sends = 0;
+    held = false;
     stats =
       {
         compute_cycles = 0.0;
@@ -394,6 +539,31 @@ let new_pe (program : op) x y : pe =
     [Wsc_perf.Wse_perf] instead of being simulated whole. *)
 let max_simulated_pes = 64 * 1024
 
+(** Live send records a PE may hold before the scheduler stops
+    advancing it ({!at_window}).  A record leaves the send table once
+    all its receivers have consumed it, so this caps a PE's run-ahead
+    over its slowest receiver and the table at this many records per PE,
+    whatever the iteration count; see DESIGN.md, "Send-record
+    lifecycle".  Two is the least window that cannot deadlock: with one,
+    neighbours that read each other would each wait for the other to
+    consume first. *)
+let max_live_sends_per_pe = 2
+
+(** Largest simulation, in estimated bytes, {!create} instantiates:
+    every PE's program memory plus the send-table bound.  1 GiB admits
+    every grid up to the benchmarks' Small size (100x100 PEs). *)
+let max_simulated_bytes = 1 lsl 30
+
+(** Bytes of one live send record: its column snapshots and chunk
+    times as host floats, plus the table entry, key and headers. *)
+let record_bytes (c : comm) : int =
+  (8 * ((Array.length c.send_ptrs * c.c_nz) + c.num_chunks)) + 128
+
+(** Estimated memory of simulating [program] on [pes] PEs. *)
+let estimate_bytes ~(pes : int) ~(memory_bytes : int) (comms : (op * comm) list) : int =
+  let record = List.fold_left (fun acc (_, c) -> max acc (record_bytes c)) 0 comms in
+  pes * (memory_bytes + (max_live_sends_per_pe * record))
+
 let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     (program : op) : t =
   let width = int_attr_exn program "width" in
@@ -410,6 +580,14 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
   if mem > machine.pe_memory_bytes then
     fail "program needs %d bytes per PE; %s provides %d" mem machine.name
       machine.pe_memory_bytes;
+  let comms = decode_comms program in
+  let estimate = estimate_bytes ~pes:(width * height) ~memory_bytes:mem comms in
+  if estimate > max_simulated_bytes then
+    fail
+      "PE grid %dx%d needs an estimated %d bytes to simulate (%d bytes of \
+       program memory per PE plus the send-table bound), over the limit of %d \
+       bytes; use a smaller proxy grid"
+      width height estimate mem max_simulated_bytes;
   let funcs = Hashtbl.create 16 and tasks = Hashtbl.create 4 in
   List.iter
     (fun o ->
@@ -444,6 +622,10 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     trace;
     faults;
     on_send = None;
+    comms;
+    recv_x0 = 0;
+    recv_x1 = width - 1;
+    window = true;
   }
 
 (** {1 Trace emission}
@@ -641,9 +823,10 @@ let deref (pe : pe) ptr : float array =
   | None -> fail "PE(%d,%d): no pointer %s" pe.px pe.py ptr
 
 (** Execute a function/task body; accumulates cycle cost on the PE.
-    Returns the communicate configs encountered (registered by caller). *)
-let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : block) :
-    comm_cfg list =
+    Conses the communicate calls encountered onto [comms], newest first
+    (the caller registers them). *)
+let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : block)
+    (comms : comm list ref) : unit =
   let m = sim.machine in
   let lookup v =
     match Hashtbl.find_opt env v.vid with
@@ -674,7 +857,6 @@ let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : bloc
        for the arithmetic builtins; a move reads one and writes one *)
     pe.stats.mem_bytes <- pe.stats.mem_bytes +. (bytes_per_elem *. float_of_int len)
   in
-  let comms = ref [] in
   List.iter
     (fun o ->
       match o.opname with
@@ -781,16 +963,16 @@ let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : bloc
           cost 2.0;
           let c = as_int (operand o 0) in
           let r = region o (if c <> 0 then 0 else 1) in
-          comms := !comms @ exec_block sim pe env (entry_block r)
+          exec_block sim pe env (entry_block r) comms
       | "csl.call" ->
           cost (float_of_int m.call_cycles);
-          comms := !comms @ exec_func sim pe (string_attr_exn o "callee") []
+          exec_into sim pe (string_attr_exn o "callee") [] comms
       | "csl.activate" ->
           cost 2.0;
           pe.stats.task_activations <- pe.stats.task_activations + 1;
-          pe.task_queue <-
-            pe.task_queue
-            @ [ (pe.clock +. float_of_int m.task_activate_cycles, string_attr_exn o "task") ]
+          queue_task pe
+            ~at:(pe.clock +. float_of_int m.task_activate_cycles)
+            (string_attr_exn o "task")
       | "csl.assign_ptrs" ->
           cost 4.0;
           let dests = Csl.string_list_attr o "dests" in
@@ -801,15 +983,15 @@ let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : bloc
           match string_attr_exn o "field" with
           | "communicate" ->
               cost (float_of_int m.call_cycles);
-              comms := !comms @ [ parse_comm_cfg (attr_exn o "config") ]
+              comms := List.assq o sim.comms :: !comms
           | f -> fail "member_call: unknown library function %s" f)
       | "csl.unblock_cmd_stream" -> pe.finished <- true
       | "csl.return" -> ()
       | name -> fail "exec: unsupported op %s" name)
-    blk.bops;
-  !comms
+    blk.bops
 
-and exec_func (sim : t) (pe : pe) (name : string) (args : cell list) : comm_cfg list =
+and exec_into (sim : t) (pe : pe) (name : string) (args : cell list)
+    (comms : comm list ref) : unit =
   let f =
     match Hashtbl.find_opt sim.funcs name with
     | Some f -> f
@@ -826,63 +1008,90 @@ and exec_func (sim : t) (pe : pe) (name : string) (args : cell list) : comm_cfg 
       | Some c -> Hashtbl.replace env a.vid c
       | None -> fail "missing argument %d of %s" i name)
     blk.bargs;
-  exec_block sim pe env blk
+  exec_block sim pe env blk comms
 
-(** {1 Communication engine} *)
+(** Run a function or task; returns the communicate calls it made, in
+    program order. *)
+let exec_func (sim : t) (pe : pe) (name : string) (args : cell list) : comm list =
+  let comms = ref [] in
+  exec_into sim pe name args comms;
+  List.rev !comms
 
-let dir_vector = function
-  | Dmp.East -> (1, 0)
-  | Dmp.West -> (-1, 0)
-  | Dmp.North -> (0, 1)
-  | Dmp.South -> (0, -1)
+(** {1 Communication engine}
+
+    Send-record lifecycle: a send is filed under (apply, seq, x, y) with
+    the number of receivers that will read it from this table, and each
+    receiver drops its claim once it has completed the exchange; the
+    last one removes the record.  A blocked receiver therefore always
+    finds every record it has not consumed yet, and "sent" is simply
+    table membership for the exchange it waits on.  Receivers that halt
+    never drop their claims, so records they would have read stay until
+    the end of the run. *)
 
 let in_grid sim x y = x >= 0 && x < sim.width && y >= 0 && y < sim.height
 
+(** Receivers in this view's columns that read the send of the PE at
+    ([sx], [sy]): the in-grid PEs at the sender minus each peer offset. *)
+let receivers_of (sim : t) (peers : (int * int) array) (sx : int) (sy : int) : int =
+  let n = ref 0 in
+  for i = 0 to Array.length peers - 1 do
+    let dx, dy = peers.(i) in
+    let rx = sx - dx and ry = sy - dy in
+    if rx >= sim.recv_x0 && rx <= sim.recv_x1 && ry >= 0 && ry < sim.height then
+      incr n
+  done;
+  !n
+
+(** File a record that has receivers in this view, tracking the table's
+    high-water mark. *)
+let store_send (sim : t) (key : Sched.key) (record : send_record) : unit =
+  Hashtbl.replace sim.sends key record;
+  let st = sim.sched.Sched.stats in
+  let live = Hashtbl.length sim.sends in
+  if live > st.Sched.peak_sends_live then st.Sched.peak_sends_live <- live
+
 (** Register this PE's send for an exchange: snapshot the z range of each
     send buffer, charge injection cost, record chunk completion times. *)
-let register_send (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) : unit =
+let register_send (sim : t) (pe : pe) (c : comm) (seq : int) : unit =
   let m = sim.machine in
   let data =
-    List.map
-      (fun inp ->
-        let buf = deref pe inp.send_ptr in
-        Array.sub buf cfg.z_base cfg.c_nz)
-      cfg.inputs
+    Array.map (fun ptr -> Array.sub (deref pe ptr) c.z_base c.c_nz) c.send_ptrs
   in
-  let dirs_per_input =
-    List.map (fun inp -> List.length inp.swaps) cfg.inputs
-  in
-  let total_dirs = List.fold_left ( + ) 0 dirs_per_input in
   let self_mul = if m.self_send then 2.0 else 1.0 in
   let chunk_cost =
-    float_of_int (total_dirs * cfg.chunk_size) *. m.send_cycles_per_elem *. self_mul
+    float_of_int (c.total_dirs * c.chunk_size) *. m.send_cycles_per_elem *. self_mul
   in
   let ready =
-    Array.init cfg.num_chunks (fun k ->
+    Array.init c.num_chunks (fun k ->
         pe.clock +. (float_of_int (k + 1) *. chunk_cost))
   in
-  pe.stats.send_cycles <- pe.stats.send_cycles +. (float_of_int cfg.num_chunks *. chunk_cost);
+  pe.stats.send_cycles <- pe.stats.send_cycles +. (float_of_int c.num_chunks *. chunk_cost);
   pe.stats.elems_sent <-
-    pe.stats.elems_sent + (total_dirs * cfg.num_chunks * cfg.chunk_size);
+    pe.stats.elems_sent + (c.total_dirs * c.num_chunks * c.chunk_size);
   (* injection overlaps with waiting: model sender as busy for the first
      chunk only; the rest stream out asynchronously *)
   let inject_start = pe.clock in
   pe.clock <- pe.clock +. chunk_cost;
   if Trace.enabled sim.trace then
     trace_span sim pe ~cat:"send"
-      ~name:(Printf.sprintf "inject a%d#%d" cfg.apply_id seq)
+      ~name:(Printf.sprintf "inject a%d#%d" c.apply_id seq)
       inject_start pe.clock;
-  let record = { sr_chunk_ready = ready; sr_data = data } in
-  Hashtbl.replace sim.sends (cfg.apply_id, seq, pe.px, pe.py) record;
-  (match sim.on_send with
-  | None -> ()
-  | Some export -> export (cfg.apply_id, seq, pe.px, pe.py) record);
+  let key = (c.apply_id, seq, pe.px, pe.py) in
+  let pending = receivers_of sim c.peers pe.px pe.py in
+  let record =
+    { sr_chunk_ready = ready; sr_data = data; sr_peers = c.peers; sr_pending = pending }
+  in
+  if pending > 0 then begin
+    store_send sim key record;
+    pe.live_sends <- pe.live_sends + 1
+  end;
+  (match sim.on_send with None -> () | Some export -> export key record);
   (* taint propagation: data computed from substituted or unrecoverable
      inputs invalidates every receiver that reduces this send *)
   if Faults.enabled sim.faults && Faults.is_tainted sim.faults ~x:pe.px ~y:pe.py
-  then Faults.taint_send sim.faults ~apply:cfg.apply_id ~seq ~x:pe.px ~y:pe.py;
+  then Faults.taint_send sim.faults ~apply:c.apply_id ~seq ~x:pe.px ~y:pe.py;
   (* wake any neighbour parked on this send *)
-  let woken = Sched.notify sim.sched (cfg.apply_id, seq, pe.px, pe.py) in
+  let woken = Sched.notify sim.sched key in
   if Trace.enabled sim.trace then
     List.iter
       (fun idx ->
@@ -890,13 +1099,54 @@ let register_send (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) : unit =
         trace_instant sim wpe ~cat:"sched" ~name:"wake" wpe.clock)
       woken
 
-(** State slot a communicated input corresponds to, for boundary-column
-    lookup: the Dirichlet halo is the initial value of that logical grid. *)
-let halo_slot (inp : input_cfg) : int =
-  let p = inp.send_ptr in
-  if String.length p > 9 && String.sub p 0 9 = "ptr_state" then
-    Option.value (int_of_string_opt (String.sub p 9 (String.length p - 9))) ~default:0
-  else 0
+(** Whether the sender at offset ([dx], [dy]) has made exchange [seq]
+    available: a boundary column always is; a fabric neighbour once its
+    record is filed, or once the resilience layer skipped it. *)
+let sender_ready (sim : t) (pe : pe) (apply : int) (seq : int) (dx : int) (dy : int) :
+    bool =
+  let sx = pe.px + dx and sy = pe.py + dy in
+  (not (in_grid sim sx sy))
+  || Hashtbl.mem sim.sends (apply, seq, sx, sy)
+  || (Faults.enabled sim.faults && Faults.is_skipped sim.faults ~apply ~seq ~x:sx ~y:sy)
+
+(** Check whether all senders this PE depends on have registered. *)
+let exchange_ready (sim : t) (pe : pe) (w : waiting) : bool =
+  let peers = w.w_comm.peers and apply = w.w_comm.apply_id in
+  let rec go i =
+    i >= Array.length peers
+    ||
+    let dx, dy = peers.(i) in
+    sender_ready sim pe apply w.w_seq dx dy && go (i + 1)
+  in
+  go 0
+
+(** The PE has consumed exchange [w]: drop its claim on each in-grid
+    sender's record, removing a record once its last receiver is done. *)
+let release_sends (sim : t) (pe : pe) (w : waiting) : unit =
+  let peers = w.w_comm.peers and apply = w.w_comm.apply_id in
+  for i = 0 to Array.length peers - 1 do
+    let dx, dy = peers.(i) in
+    let sx = pe.px + dx and sy = pe.py + dy in
+    if in_grid sim sx sy then begin
+      let key = (apply, w.w_seq, sx, sy) in
+      match Hashtbl.find sim.sends key with
+      | r ->
+          r.sr_pending <- r.sr_pending - 1;
+          if r.sr_pending = 0 then begin
+            Hashtbl.remove sim.sends key;
+            (* the sender's own count lives with the view that owns it *)
+            if sx >= sim.recv_x0 && sx <= sim.recv_x1 then begin
+              let spe = sim.pes.(sx).(sy) in
+              spe.live_sends <- spe.live_sends - 1;
+              if spe.held then begin
+                spe.held <- false;
+                Sched.enqueue sim.sched sx sy
+              end
+            end
+          end
+      | exception Not_found -> () (* a halted sender the run degraded past *)
+    end
+  done
 
 (** Where a receiver's column comes from. *)
 type source =
@@ -907,152 +1157,108 @@ type source =
       (** the sender halted and the resilience layer degraded past it:
           receivers substitute zeroes and mark their data invalid *)
 
-(** The column a receiver gets from offset (dx, dy): either a fabric
-    neighbour's snapshot or the host-resident boundary column. *)
-let source_column (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) ~(input : int)
-    ~(dx : int) ~(dy : int) : source option =
-  let sx = pe.px + dx and sy = pe.py + dy in
+(** The column a receiver gets for slot [sl] of a ready exchange: a
+    fabric neighbour's snapshot or the host-resident boundary column. *)
+let source_column (sim : t) (pe : pe) (c : comm) (seq : int) (sl : slot) : source =
+  let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
   if in_grid sim sx sy then
-    match Hashtbl.find_opt sim.sends (cfg.apply_id, seq, sx, sy) with
-    | Some sr -> Some (Src_fabric (List.nth sr.sr_data input, sr.sr_chunk_ready))
+    match Hashtbl.find_opt sim.sends (c.apply_id, seq, sx, sy) with
+    | Some sr -> Src_fabric (sr.sr_data.(sl.sl_input), sr.sr_chunk_ready)
     | None ->
         if
           Faults.enabled sim.faults
-          && Faults.is_skipped sim.faults ~apply:cfg.apply_id ~seq ~x:sx ~y:sy
-        then Some Src_skipped
-        else None (* sender not ready: caller retries later *)
+          && Faults.is_skipped sim.faults ~apply:c.apply_id ~seq ~x:sx ~y:sy
+        then Src_skipped
+        else fail "complete_exchange: sender disappeared"
   else begin
     (* boundary: Dirichlet column held host-side, always available *)
-    let slot = halo_slot (List.nth cfg.inputs input) in
     match Hashtbl.find_opt sim.halo (sx, sy) with
     | Some col ->
-        Some (Src_halo (Array.sub col ((slot * sim.zfull) + cfg.z_base) cfg.c_nz))
+        Src_halo (Array.sub col ((sl.sl_halo * sim.zfull) + c.z_base) c.c_nz)
     | None -> fail "no boundary column for (%d,%d)" sx sy
   end
-
-(** Check whether all senders this PE depends on have registered. *)
-let exchange_ready (sim : t) (pe : pe) (w : waiting) : bool =
-  List.for_all
-    (fun (i, inp) ->
-      List.for_all
-        (fun (sw : Dmp.swap_desc) ->
-          let vx, vy = dir_vector sw.dir in
-          List.for_all
-            (fun d ->
-              source_column sim pe w.w_cfg w.w_seq ~input:i ~dx:(vx * d) ~dy:(vy * d)
-              <> None)
-            (List.init sw.depth (fun k -> k + 1)))
-        inp.swaps)
-    (List.mapi (fun i inp -> (i, inp)) w.w_cfg.inputs)
 
 (** Deliver all chunks and run the callbacks; assumes {!exchange_ready}. *)
 let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
   let m = sim.machine in
-  let cfg = w.w_cfg in
-  let cs = cfg.chunk_size in
-  let promoted = cfg.coeffs <> [] in
-  for k = 0 to cfg.num_chunks - 1 do
+  let c = w.w_comm in
+  let cs = c.chunk_size in
+  let sources = Array.map (source_column sim pe c w.w_seq) c.slots in
+  for k = 0 to c.num_chunks - 1 do
     let off = k * cs in
     let arrival = ref w.w_registered_at in
     (* promoted staging buffers accumulate; clear once per chunk (with
        the one-shot reduction several directions share one buffer) *)
-    if promoted then begin
-      let seen = Hashtbl.create 4 in
-      List.iter
-        (fun inp ->
-          List.iter
-            (fun (_, name) ->
-              if not (Hashtbl.mem seen name) then begin
-                Hashtbl.replace seen name ();
-                let rcv = buffer_of pe name in
-                Array.fill rcv 0 (Array.length rcv) 0.0
-              end)
-            inp.rcv_bufs)
-        cfg.inputs
-    end;
+    if c.promoted then
+      Array.iter
+        (fun name ->
+          let rcv = buffer_of pe name in
+          Array.fill rcv 0 (Array.length rcv) 0.0)
+        c.rcv_names;
     (* deliver into receive buffers *)
-    List.iteri
-      (fun i inp ->
-        List.iter
-          (fun (sw : Dmp.swap_desc) ->
-            let vx, vy = dir_vector sw.dir in
-            let rcv = buffer_of pe (List.assoc sw.dir inp.rcv_bufs) in
-            for d = 1 to sw.depth do
-              (* write [col] into this source's slot of the receive
-                 buffer, as damaged (or lost) by the link's outcome *)
-              let deliver (col : float array) (outcome : delivery) : unit =
-                if promoted then begin
-                  let c =
-                    match
-                      List.find_opt
-                        (fun (ci, cdx, cdy, _) ->
-                          ci = i && cdx = vx * d && cdy = vy * d)
-                        cfg.coeffs
-                    with
-                    | Some (_, _, _, c) -> c
-                    | None -> 0.0
-                  in
-                  match outcome with
-                  | Lost -> () (* the missing contribution reads as zero *)
-                  | Clean ->
-                      for z = 0 to cs - 1 do
-                        rcv.(z) <- rcv.(z) +. (c *. col.(off + z))
-                      done
-                  | Damaged (idx, noise) ->
-                      for z = 0 to cs - 1 do
-                        let v = col.(off + z) in
-                        let v = if z = idx then v +. noise else v in
-                        rcv.(z) <- rcv.(z) +. (c *. v)
-                      done
-                end
-                else
-                  match outcome with
-                  | Lost -> Array.fill rcv ((d - 1) * cs) cs 0.0
-                  | Clean -> Array.blit col off rcv ((d - 1) * cs) cs
-                  | Damaged (idx, noise) ->
-                      Array.blit col off rcv ((d - 1) * cs) cs;
-                      rcv.(((d - 1) * cs) + idx) <-
-                        rcv.(((d - 1) * cs) + idx) +. noise
-              in
-              match
-                source_column sim pe cfg w.w_seq ~input:i ~dx:(vx * d) ~dy:(vy * d)
-              with
-              | Some (Src_halo col) ->
-                  (* host links are outside the fault model *)
-                  deliver col Clean
-              | Some (Src_fabric (col, r)) ->
-                  let sx = pe.px + (vx * d) and sy = pe.py + (vy * d) in
-                  let at0 = r.(k) +. float_of_int (d * m.hop_cycles) in
-                  let at, outcome =
-                    if Faults.enabled sim.faults then
-                      link_outcome sim pe ~apply:cfg.apply_id ~seq:w.w_seq
-                        ~chunk:k ~input:i ~sx ~sy ~d ~col ~off ~cs at0
-                    else (at0, Clean)
-                  in
-                  arrival := Float.max !arrival at;
-                  trace_link sim ~src:sim.pes.(sx).(sy) ~dst:pe ~dir:sw.dir
-                    ~chunk:k ~elems:cs ~ready:r.(k) ~arrival:at;
-                  if
-                    Faults.enabled sim.faults
-                    && Faults.is_tainted_send sim.faults ~apply:cfg.apply_id
-                         ~seq:w.w_seq ~x:sx ~y:sy
-                  then Faults.taint sim.faults ~x:pe.px ~y:pe.py;
-                  deliver col outcome
-              | Some Src_skipped ->
-                  (* sender halted: the receiver waited out the halt
-                     timeout, substitutes zeroes and marks itself *)
-                  (match (Faults.config sim.faults).resilience with
-                  | Some r ->
-                      arrival :=
-                        Float.max !arrival
-                          (w.w_registered_at +. r.Faults.halt_timeout_cycles)
-                  | None -> ());
-                  Faults.taint sim.faults ~x:pe.px ~y:pe.py;
-                  deliver [||] Lost
-              | None -> fail "complete_exchange: sender disappeared"
-            done)
-          inp.swaps)
-      cfg.inputs;
+    Array.iteri
+      (fun j sl ->
+        let rcv = buffer_of pe sl.sl_rcv in
+        let d = sl.sl_d in
+        (* write [col] into this source's slot of the receive buffer, as
+           damaged (or lost) by the link's outcome *)
+        let deliver (col : float array) (outcome : delivery) : unit =
+          if c.promoted then begin
+            let coeff = sl.sl_coeff in
+            match outcome with
+            | Lost -> () (* the missing contribution reads as zero *)
+            | Clean ->
+                for z = 0 to cs - 1 do
+                  rcv.(z) <- rcv.(z) +. (coeff *. col.(off + z))
+                done
+            | Damaged (idx, noise) ->
+                for z = 0 to cs - 1 do
+                  let v = col.(off + z) in
+                  let v = if z = idx then v +. noise else v in
+                  rcv.(z) <- rcv.(z) +. (coeff *. v)
+                done
+          end
+          else
+            match outcome with
+            | Lost -> Array.fill rcv ((d - 1) * cs) cs 0.0
+            | Clean -> Array.blit col off rcv ((d - 1) * cs) cs
+            | Damaged (idx, noise) ->
+                Array.blit col off rcv ((d - 1) * cs) cs;
+                rcv.(((d - 1) * cs) + idx) <- rcv.(((d - 1) * cs) + idx) +. noise
+        in
+        match sources.(j) with
+        | Src_halo col ->
+            (* host links are outside the fault model *)
+            deliver col Clean
+        | Src_fabric (col, r) ->
+            let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
+            let at0 = r.(k) +. float_of_int (d * m.hop_cycles) in
+            let at, outcome =
+              if Faults.enabled sim.faults then
+                link_outcome sim pe ~apply:c.apply_id ~seq:w.w_seq ~chunk:k
+                  ~input:sl.sl_input ~sx ~sy ~d ~col ~off ~cs at0
+              else (at0, Clean)
+            in
+            arrival := Float.max !arrival at;
+            trace_link sim ~src:sim.pes.(sx).(sy) ~dst:pe ~dir:sl.sl_dir ~chunk:k
+              ~elems:cs ~ready:r.(k) ~arrival:at;
+            if
+              Faults.enabled sim.faults
+              && Faults.is_tainted_send sim.faults ~apply:c.apply_id ~seq:w.w_seq
+                   ~x:sx ~y:sy
+            then Faults.taint sim.faults ~x:pe.px ~y:pe.py;
+            deliver col outcome
+        | Src_skipped ->
+            (* sender halted: the receiver waited out the halt timeout,
+               substitutes zeroes and marks itself *)
+            (match (Faults.config sim.faults).resilience with
+            | Some r ->
+                arrival :=
+                  Float.max !arrival (w.w_registered_at +. r.Faults.halt_timeout_cycles)
+            | None -> ());
+            Faults.taint sim.faults ~x:pe.px ~y:pe.py;
+            deliver [||] Lost)
+      c.slots;
     (* run the chunk callback once data for this chunk has arrived *)
     if !arrival > pe.clock then begin
       trace_span sim pe ~cat:"wait" ~name:"parked-on-exchange" pe.clock !arrival;
@@ -1063,54 +1269,42 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
        promoted coefficients, reduced) from the input queue to memory by
        the communication library; on the WSE2 the self-send workaround
        makes the PE drain its own looped-back wavelets as well *)
-    let incoming =
-      List.fold_left
-        (fun acc inp ->
-          List.fold_left (fun a (sw : Dmp.swap_desc) -> a + (sw.depth * cs)) acc
-            inp.swaps)
-        0 cfg.inputs
-    in
-    let self_loopback =
-      if m.self_send then
-        List.fold_left
-          (fun acc inp -> acc + (List.length inp.swaps * cs))
-          0 cfg.inputs
-      else 0
-    in
-    let drain =
-      float_of_int (incoming + self_loopback) *. m.drain_cycles_per_elem
-    in
+    let self_loopback = if m.self_send then c.self_loopback else 0 in
+    let drain = float_of_int (c.incoming + self_loopback) *. m.drain_cycles_per_elem in
     trace_span sim pe ~cat:"recv" ~name:"drain" pe.clock (pe.clock +. drain);
     pe.clock <- pe.clock +. drain;
     pe.stats.compute_cycles <- pe.stats.compute_cycles +. drain;
-    pe.stats.elems_drained <- pe.stats.elems_drained + incoming;
+    pe.stats.elems_drained <- pe.stats.elems_drained + c.incoming;
     (* with promoted coefficients the drain IS the algorithmic multiply
        and accumulate (@fmacs off the fabric queue, SS5.7) *)
-    if promoted then pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int incoming);
+    if c.promoted then
+      pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int c.incoming);
     pe.stats.task_activations <- pe.stats.task_activations + 1;
     pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
     let cb_start = pe.clock in
-    ignore (exec_func sim pe cfg.chunk_cb [ Cint off ]);
-    trace_span sim pe ~cat:"compute" ~name:cfg.chunk_cb cb_start pe.clock
+    ignore (exec_func sim pe c.chunk_cb [ Cint off ]);
+    trace_span sim pe ~cat:"compute" ~name:c.chunk_cb cb_start pe.clock
   done;
+  release_sends sim pe w;
   (* done callback: one final task activation *)
   pe.stats.task_activations <- pe.stats.task_activations + 1;
   pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
   let done_start = pe.clock in
-  let new_comms = exec_func sim pe cfg.done_cb [] in
-  trace_span sim pe ~cat:"compute" ~name:cfg.done_cb done_start pe.clock;
+  let new_comms = exec_func sim pe c.done_cb [] in
+  trace_span sim pe ~cat:"compute" ~name:c.done_cb done_start pe.clock;
   (* the done callback may start the next exchange *)
   List.iter (start_exchange sim pe) new_comms
 
-and start_exchange (sim : t) (pe : pe) (cfg : comm_cfg) : unit =
+and start_exchange (sim : t) (pe : pe) (c : comm) : unit =
+  let apply = c.apply_id in
   let seq =
-    let s = Option.value (Hashtbl.find_opt pe.seq cfg.apply_id) ~default:0 in
-    Hashtbl.replace pe.seq cfg.apply_id (s + 1);
+    let s = Option.value (Hashtbl.find_opt pe.seq apply) ~default:0 in
+    Hashtbl.replace pe.seq apply (s + 1);
     s
   in
-  register_send sim pe cfg seq;
+  register_send sim pe c seq;
   if pe.waiting <> None then fail "PE(%d,%d): overlapping exchanges" pe.px pe.py;
-  pe.waiting <- Some { w_cfg = cfg; w_seq = seq; w_registered_at = pe.clock }
+  pe.waiting <- Some { w_comm = c; w_seq = seq; w_registered_at = pe.clock }
 
 (** {1 Driver} *)
 
@@ -1119,60 +1313,58 @@ and start_exchange (sim : t) (pe : pe) (cfg : comm_cfg) : unit =
     recently queued one, so pop the entry with the smallest activation
     timestamp (ties resolve in insertion order). *)
 let run_tasks (sim : t) (pe : pe) : bool =
-  match pe.task_queue with
-  | [] -> false
-  | q ->
-      let earliest = List.fold_left (fun acc (t, _) -> Float.min acc t) infinity q in
-      let rec extract acc = function
-        | (t, name) :: rest when t = earliest -> ((t, name), List.rev_append acc rest)
-        | e :: rest -> extract (e :: acc) rest
-        | [] ->
-            fail
-              "PE(%d,%d): task-queue invariant violated: earliest activation \
-               %g vanished while dispatching (queue: [%s])"
-              pe.px pe.py earliest
-              (String.concat "; "
-                 (List.map (fun (at, n) -> Printf.sprintf "%s@%g" n at) q))
-      in
-      (* fault injection at the dispatch point: the hardware scheduler is
-         where a stuck or dead PE stops taking work *)
-      let halted =
-        Faults.enabled sim.faults
-        && begin
-             let n = Faults.next_dispatch sim.faults ~x:pe.px ~y:pe.py in
-             if Faults.halt_here sim.faults ~x:pe.px ~y:pe.py ~activation:n
-             then begin
-               Faults.record_halt sim.faults ~x:pe.px ~y:pe.py;
-               trace_fault sim pe ~name:"halt" pe.clock;
-               true
-             end
-             else begin
-               if Faults.stall_here sim.faults ~x:pe.px ~y:pe.py ~activation:n
-               then begin
-                 let cycles = (Faults.config sim.faults).stall_cycles in
-                 Faults.locked sim.faults (fun () ->
-                     let st = Faults.stats sim.faults in
-                     st.stalls <- st.stalls + 1);
-                 trace_span sim pe ~cat:"fault" ~name:"stall" pe.clock
-                   (pe.clock +. cycles);
-                 pe.clock <- pe.clock +. cycles;
-                 pe.stats.wait_cycles <- pe.stats.wait_cycles +. cycles
-               end;
-               false
-             end
+  if Task_queue.is_empty pe.task_queue then false
+  else begin
+    (* fault injection at the dispatch point: the hardware scheduler is
+       where a stuck or dead PE stops taking work *)
+    let halted =
+      Faults.enabled sim.faults
+      && begin
+           let n = Faults.next_dispatch sim.faults ~x:pe.px ~y:pe.py in
+           if Faults.halt_here sim.faults ~x:pe.px ~y:pe.py ~activation:n
+           then begin
+             Faults.record_halt sim.faults ~x:pe.px ~y:pe.py;
+             trace_fault sim pe ~name:"halt" pe.clock;
+             true
            end
-      in
-      if halted then false
-      else begin
-        let (t, name), rest = extract [] q in
-        pe.task_queue <- rest;
-        pe.clock <- Float.max pe.clock t;
-        let task_start = pe.clock in
-        let comms = exec_func sim pe name [] in
-        trace_span sim pe ~cat:"compute" ~name task_start pe.clock;
-        List.iter (start_exchange sim pe) comms;
-        true
-      end
+           else begin
+             if Faults.stall_here sim.faults ~x:pe.px ~y:pe.py ~activation:n
+             then begin
+               let cycles = (Faults.config sim.faults).stall_cycles in
+               Faults.locked sim.faults (fun () ->
+                   let st = Faults.stats sim.faults in
+                   st.stalls <- st.stalls + 1);
+               trace_span sim pe ~cat:"fault" ~name:"stall" pe.clock
+                 (pe.clock +. cycles);
+               pe.clock <- pe.clock +. cycles;
+               pe.stats.wait_cycles <- pe.stats.wait_cycles +. cycles
+             end;
+             false
+           end
+         end
+    in
+    if halted then false
+    else begin
+      let ((at, _, name) as next) = Task_queue.min_elt pe.task_queue in
+      pe.task_queue <- Task_queue.remove next pe.task_queue;
+      pe.clock <- Float.max pe.clock at;
+      let task_start = pe.clock in
+      let comms = exec_func sim pe name [] in
+      trace_span sim pe ~cat:"compute" ~name task_start pe.clock;
+      List.iter (start_exchange sim pe) comms;
+      true
+    end
+  end
+
+let queued_tasks (pe : pe) : (float * string) list =
+  List.map (fun (at, _, task) -> (at, task)) (Task_queue.elements pe.task_queue)
+
+(** Whether the scheduler holds [pe]: it has [max_live_sends_per_pe]
+    records its receivers have not consumed yet.  Holding a PE changes
+    only when the host executes it, never what it computes, so results
+    are bit-identical with or without the window. *)
+let at_window (sim : t) (pe : pe) : bool =
+  sim.window && pe.live_sends >= max_live_sends_per_pe
 
 (** Advance one PE as far as possible; returns true on progress. *)
 let step_pe (sim : t) (pe : pe) : bool =
@@ -1184,7 +1376,9 @@ let step_pe (sim : t) (pe : pe) : bool =
   else begin
     let progressed = ref false in
     let continue_ = ref true in
-    while !continue_ do
+    (* each pass registers at most one send, so checking the window
+       here keeps the PE at or below it *)
+    while !continue_ && not (at_window sim pe) do
       continue_ := false;
       (match pe.waiting with
       | Some w when exchange_ready sim pe w ->
@@ -1220,29 +1414,16 @@ let launch (sim : t) : unit = launch_cols sim 0 (sim.width - 1)
 
 (** {2 Deadlock diagnostics} *)
 
-(** In-grid senders of [w] that have not registered their send yet. *)
+(** In-grid senders of [w] that have not registered their send yet.
+    Records are only freed once every receiver has consumed them, so a
+    sender whose record is absent while [pe] still waits has never sent. *)
 let missing_senders (sim : t) (pe : pe) (w : waiting) : (int * int) list =
-  let missing = ref [] in
-  List.iter
-    (fun inp ->
-      List.iter
-        (fun (sw : Dmp.swap_desc) ->
-          let vx, vy = dir_vector sw.dir in
-          for d = 1 to sw.depth do
-            let sx = pe.px + (vx * d) and sy = pe.py + (vy * d) in
-            if
-              in_grid sim sx sy
-              && (not (Hashtbl.mem sim.sends (w.w_cfg.apply_id, w.w_seq, sx, sy)))
-              && (not
-                    (Faults.enabled sim.faults
-                    && Faults.is_skipped sim.faults ~apply:w.w_cfg.apply_id
-                         ~seq:w.w_seq ~x:sx ~y:sy))
-              && not (List.mem (sx, sy) !missing)
-            then missing := (sx, sy) :: !missing
-          done)
-        inp.swaps)
-    w.w_cfg.inputs;
-  List.rev !missing
+  let apply = w.w_comm.apply_id in
+  Array.fold_right
+    (fun (dx, dy) acc ->
+      if sender_ready sim pe apply w.w_seq dx dy then acc
+      else (pe.px + dx, pe.py + dy) :: acc)
+    w.w_comm.peers []
 
 (** Quiescence sweep; probes finished flags until the first unfinished
     PE, counting each probe — the polling driver pays this sweep every
@@ -1300,7 +1481,7 @@ let deadlock_report (sim : t) : string =
                     (Printf.sprintf
                        "  PE(%d,%d) blocked on exchange (apply_id=%d, seq=%d): \
                         missing sender%s %s\n"
-                       pe.px pe.py w.w_cfg.apply_id w.w_seq
+                       pe.px pe.py w.w_comm.apply_id w.w_seq
                        (if List.length miss = 1 then "" else "s")
                        (if miss = [] then "<none: exchange ready but unscheduled>"
                         else
@@ -1337,6 +1518,37 @@ let deadlock_report (sim : t) : string =
          halted
          (if halted = 1 then "" else "s"));
   Buffer.contents buf
+
+(** Lift the live-record window of [sim]'s view for the rest of the run
+    if the fabric went quiescent with some of its PEs held at it, and
+    re-enqueue them; returns whether any was held.  When every PE
+    performs every exchange this never fires: a held PE's oldest record
+    waits on a receiver strictly behind it, which is either runnable or
+    waits on a PE further behind still, so some PE can always progress.
+    It fires when a receiver halted or finished without consuming. *)
+let lift_window (sim : t) : bool =
+  let held = ref false in
+  if sim.window then
+    for x = sim.recv_x0 to sim.recv_x1 do
+      Array.iter
+        (fun pe ->
+          if
+            (not pe.finished)
+            && pe.live_sends >= max_live_sends_per_pe
+            && not
+                 (Faults.enabled sim.faults
+                 && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)
+          then begin
+            held := true;
+            if pe.held then begin
+              pe.held <- false;
+              Sched.enqueue sim.sched pe.px pe.py
+            end
+          end)
+        sim.pes.(x)
+    done;
+  if !held then sim.window <- false;
+  !held
 
 (** Graceful degradation past halted PEs, run when the fabric has gone
     quiescent without finishing: every live receiver blocked on a sender
@@ -1378,7 +1590,7 @@ let degrade ?notify (sim : t) : bool =
                       List.iter
                         (fun (sx, sy) ->
                           if Faults.is_halted f ~x:sx ~y:sy then begin
-                            Faults.skip_send f ~apply:w.w_cfg.apply_id
+                            Faults.skip_send f ~apply:w.w_comm.apply_id
                               ~seq:w.w_seq ~x:sx ~y:sy;
                             Faults.locked f (fun () ->
                                 let st = Faults.stats f in
@@ -1389,7 +1601,7 @@ let degrade ?notify (sim : t) : bool =
                             trace_fault sim pe ~name:"halt-timeout"
                               (w.w_registered_at +. r.Faults.halt_timeout_cycles);
                             marked := true;
-                            notify (w.w_cfg.apply_id, w.w_seq, sx, sy)
+                            notify (w.w_comm.apply_id, w.w_seq, sx, sy)
                           end)
                         (missing_senders sim pe w))
               col)
@@ -1421,8 +1633,9 @@ let run_polling ~(max_rounds : int) (sim : t) : unit =
         sim.pes
     done;
     if not (all_done sim) then
-      (* quiescent but unfinished: degrade past halted PEs and rerun *)
-      if degrade sim then drive ()
+      (* quiescent but unfinished: release held PEs or degrade past
+         halted ones, and rerun *)
+      if lift_window sim || degrade sim then drive ()
       else raise (Sim_error (deadlock_report sim))
   in
   drive ()
@@ -1469,21 +1682,29 @@ let drain_ready ~(budget : int Atomic.t) (sim : t) : unit =
         Faults.enabled sim.faults && Faults.is_halted sim.faults ~x ~y
       in
       if (not pe.finished) && not halted then begin
-        match pe.waiting with
-        | Some w -> (
-            match missing_senders sim pe w with
-            | (sx, sy) :: _ ->
-                trace_instant sim pe ~cat:"sched" ~name:"park" pe.clock;
-                Sched.park s (w.w_cfg.apply_id, w.w_seq, sx, sy) idx
-            | [] ->
-                (* all senders landed between the readiness check and
-                   here; cannot normally happen, but never strand it *)
-                Sched.enqueue s x y)
-        | None ->
-            (* no pending exchange: runnable iff tasks remain (step_pe
-               drains them, so this is defensive); otherwise the PE is
-               terminally idle and is diagnosed at the end *)
-            if pe.task_queue <> [] then Sched.enqueue s x y
+        if at_window sim pe then begin
+          (* re-enqueued by [release_sends] when a record frees *)
+          trace_instant sim pe ~cat:"sched" ~name:"hold" pe.clock;
+          s.Sched.stats.holds <- s.Sched.stats.holds + 1;
+          pe.held <- true
+        end
+        else begin
+          match pe.waiting with
+          | Some w -> (
+              match missing_senders sim pe w with
+              | (sx, sy) :: _ ->
+                  trace_instant sim pe ~cat:"sched" ~name:"park" pe.clock;
+                  Sched.park s (w.w_comm.apply_id, w.w_seq, sx, sy) idx
+              | [] ->
+                  (* all senders landed between the readiness check and
+                     here; cannot normally happen, but never strand it *)
+                  Sched.enqueue s x y)
+          | None ->
+              (* no pending exchange: runnable iff tasks remain (step_pe
+                 drains them, so this is defensive); otherwise the PE is
+                 terminally idle and is diagnosed at the end *)
+              if not (Task_queue.is_empty pe.task_queue) then Sched.enqueue s x y
+        end
       end;
       loop ()
     end
@@ -1492,8 +1713,8 @@ let drain_ready ~(budget : int Atomic.t) (sim : t) : unit =
 
 (** Event-driven driver.  Execution order differs from the polling
     driver but per-PE results are identical: a PE's behaviour depends
-    only on its own state and on send records, which are immutable once
-    registered. *)
+    only on its own state and on the contents of send records, which are
+    immutable once registered. *)
 let run_event ~(max_rounds : int) (sim : t) : unit =
   (* same divergence guard as the polling driver: it allowed up to
      [max_rounds] whole-grid rescans *)
@@ -1504,9 +1725,10 @@ let run_event ~(max_rounds : int) (sim : t) : unit =
   let rec drive () =
     drain_ready ~budget sim;
     if not (all_done sim) then
-      (* the queue drained but PEs are still blocked: degrade past any
-         halted senders (which wakes their parked receivers) and rerun *)
-      if degrade sim then drive ()
+      (* the queue drained but PEs are still blocked: release held PEs
+         or degrade past any halted senders (which wakes their parked
+         receivers) and rerun *)
+      if lift_window sim || degrade sim then drive ()
       else raise (Sim_error (deadlock_report sim))
   in
   drive ()
@@ -1557,24 +1779,9 @@ let run_event ~(max_rounds : int) (sim : t) : unit =
 (** Farthest hop distance any communicate config of the program reaches:
     the lookahead of the round barrier. *)
 let max_swap_depth (sim : t) : int =
-  find_ops
-    (fun o ->
-      o.opname = "csl.member_call"
-      &&
-      match attr o "field" with
-      | Some (String_attr "communicate") -> true
-      | _ -> false)
-    sim.program
-  |> List.fold_left
-       (fun acc o ->
-         let cfg = parse_comm_cfg (attr_exn o "config") in
-         List.fold_left
-           (fun acc inp ->
-             List.fold_left
-               (fun acc (sw : Dmp.swap_desc) -> max acc sw.depth)
-               acc inp.swaps)
-           acc cfg.inputs)
-       1
+  List.fold_left
+    (fun acc (_, c) -> Array.fold_left (fun acc sl -> max acc sl.sl_d) acc c.slots)
+    1 sim.comms
 
 (* Test-visible count of worker domains ever spawned by [run_parallel]:
    the regression test asserts one run raises it by exactly the domain
@@ -1625,6 +1832,8 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
                 (if Trace.enabled sim.trace then Trace.collector ()
                  else Trace.null);
               on_send = None;
+              recv_x0 = x0;
+              recv_x1 = x1;
             }
           in
           {
@@ -1675,7 +1884,10 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
        send table.  Delivery is exactly-once by construction (a sender
        posts a record to each reachable strip exactly once, and the
        left/right sweeps cover disjoint strips), so there is no
-       per-entry membership probe.  Returns whether any parked PE woke. *)
+       per-entry membership probe.  Each strip files its own copy of the
+       record, counting only its own receivers: the payload arrays are
+       shared read-only, the pending count never crosses a domain.
+       Returns whether any parked PE woke. *)
     let drain_inbox (tl : tile) : bool =
       Mutex.lock tl.t_inbox_lock;
       let batch = tl.t_inbox in
@@ -1683,8 +1895,9 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
       Mutex.unlock tl.t_inbox_lock;
       let woke = ref false in
       List.iter
-        (fun (k, r) ->
-          Hashtbl.replace tl.t_sim.sends k r;
+        (fun (((_, _, sx, sy) as k), r) ->
+          let pending = receivers_of tl.t_sim r.sr_peers sx sy in
+          if pending > 0 then store_send tl.t_sim k { r with sr_pending = pending };
           if Sched.notify tl.t_sim.sched k <> [] then woke := true)
         batch;
       !woke
@@ -1815,7 +2028,10 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
     let rec finish () =
       merge_sends ();
       if not (all_done sim) then
-        if degrade ~notify:notify_tiles sim then begin
+        let lifted =
+          Array.fold_left (fun acc tl -> lift_window tl.t_sim || acc) false tiles
+        in
+        if lifted || degrade ~notify:notify_tiles sim then begin
           rounds ();
           finish ()
         end
@@ -1842,8 +2058,13 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
         mst.Sched.probes <- mst.Sched.probes + st.Sched.probes;
         mst.Sched.wakeups <- mst.Sched.wakeups + st.Sched.wakeups;
         mst.Sched.parks <- mst.Sched.parks + st.Sched.parks;
+        mst.Sched.holds <- mst.Sched.holds + st.Sched.holds;
         if st.Sched.max_queue_depth > mst.Sched.max_queue_depth then
-          mst.Sched.max_queue_depth <- st.Sched.max_queue_depth)
+          mst.Sched.max_queue_depth <- st.Sched.max_queue_depth;
+        (* strip tables peak at different moments and a record near a
+           strip edge lives in more than one of them, so the sum bounds
+           the run's live records from above *)
+        mst.Sched.peak_sends_live <- mst.Sched.peak_sends_live + st.Sched.peak_sends_live)
       tiles
   end
 

@@ -5,24 +5,6 @@
 
 exception Sim_error of string
 
-type input_cfg = {
-  send_ptr : string;
-  swaps : Wsc_dialects.Dmp.swap_desc list;
-  rcv_bufs : (Wsc_dialects.Dmp.direction * string) list;
-}
-
-type comm_cfg = {
-  apply_id : int;
-  inputs : input_cfg list;
-  coeffs : (int * int * int * float) list;
-  z_base : int;
-  c_nz : int;
-  num_chunks : int;
-  chunk_size : int;
-  chunk_cb : string;
-  done_cb : string;
-}
-
 type pe_stats = {
   mutable compute_cycles : float;
   mutable send_cycles : float;
@@ -63,6 +45,12 @@ module Sched : sig
     mutable wakeups : int;  (** parked PEs re-enqueued by a landing send *)
     mutable parks : int;  (** times a PE was parked on a wake list *)
     mutable max_queue_depth : int;  (** ready-queue high-water mark *)
+    mutable peak_sends_live : int;
+        (** send-table high-water mark: records registered and not yet
+            consumed by all their receivers (under [Parallel n], the sum
+            of the strips' peaks — an upper bound) *)
+    mutable holds : int;
+        (** times the event driver held a PE at the live-record window *)
   }
 
   type t
@@ -82,12 +70,19 @@ type pe = {
   ptrs : (string, string ref) Hashtbl.t;
   mutable clock : float;  (** local cycle count *)
   mutable finished : bool;
-  mutable task_queue : (float * string) list;
+  mutable task_queue : task_queue;
+      (** pending task activations; see {!queue_task}, {!queued_tasks} *)
+  mutable task_stamps : int;
   mutable waiting : waiting option;
   mutable seq : (int, int) Hashtbl.t;
   stats : pe_stats;
+  mutable live_sends : int;
+      (** this PE's records still in its own view's send table *)
+  mutable held : bool;
+      (** parked by the event driver at the live-record window *)
 }
 
+and task_queue
 and waiting
 
 type t = {
@@ -118,13 +113,41 @@ type t = {
           a record is stored: the parallel driver streams boundary sends
           into neighbouring strips' inboxes through it.  [None] (the
           sequential drivers) costs one branch per send. *)
+  comms : (Wsc_ir.Ir.op * comm) list;
+      (** the program's communicate calls, decoded once by {!create} *)
+  recv_x0 : int;
+  recv_x1 : int;
+      (** columns whose receivers consume from this view's send table *)
+  mutable window : bool;
+      (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
+          live records (lifted if the fabric goes quiescent with PEs
+          held, i.e. a receiver halted or finished without consuming) *)
 }
 
 and send_record
+(** One registered send.  It carries a count of the receivers that
+    still have to consume it and leaves [sends] when the last one has;
+    receivers that halt never consume, so their records stay until the
+    end of the run. *)
+
+and comm
 
 (** Largest PE grid the simulator instantiates in one process; full
     wafers are measured via proxy-grid extrapolation. *)
 val max_simulated_pes : int
+
+(** Live send records a PE may hold before the scheduler stops
+    advancing it until a receiver has consumed one.  Records are freed
+    once consumed, so this caps the run-ahead of a PE over its slowest
+    receiver, and the send table holds at most this many records per
+    PE however many iterations run.  Holding a PE only changes when the
+    host runs it, never what it computes. *)
+val max_live_sends_per_pe : int
+
+(** Largest estimated simulation size, in bytes, {!create} accepts:
+    PEs x per-PE program memory, plus {!max_live_sends_per_pe} send
+    records per PE. *)
+val max_simulated_bytes : int
 
 (** Instantiate the PE grid for a program module.  [trace] (default
     {!Wsc_trace.Trace.null}) receives per-PE spans (compute, send,
@@ -135,7 +158,9 @@ val max_simulated_pes : int
     resilience — drives the detection & recovery protocol of the
     simulated comms layer.
     @raise Sim_error when the grid exceeds the fabric, is too large to
-    simulate in-process, or the program's per-PE memory exceeds 48 kB. *)
+    simulate in-process (over {!max_simulated_pes} PEs or an estimated
+    {!max_simulated_bytes}; the message names the estimate and the
+    limit), or the program's per-PE memory exceeds 48 kB. *)
 val create :
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
@@ -153,6 +178,14 @@ val deref : pe -> string -> float array
     false when the queue is empty.  Exposed for scheduler tests. *)
 val run_tasks : t -> pe -> bool
 
+(** Queue a task activation at cycle [at] on a PE, as [csl.activate]
+    does.  Exposed for scheduler tests. *)
+val queue_task : pe -> at:float -> string -> unit
+
+(** A PE's queued activations in dispatch order: earliest activation
+    first, ties in insertion order. *)
+val queued_tasks : pe -> (float * string) list
+
 (** How {!run_to_completion} drives the grid: [Polling] is the seed
     driver (rescan every PE each round); [Event_driven] (the default) is
     the ready-queue/wake-list scheduler; [Parallel n] cuts the grid into
@@ -162,10 +195,11 @@ val run_tasks : t -> pe -> bool
     and a reusable barrier whose lookahead is the program's maximum
     exchange hop distance.  Elapsed cycles, per-PE statistics, drained
     fields and fault reports are bit-identical across all three — a
-    PE's behaviour depends only on its own state and on immutable send
-    records, whose arrival times are computed from record contents
-    rather than from when the driver made them visible.  [Parallel n]
-    with [n <= 1] (or a one-column grid) falls back to [Event_driven]. *)
+    PE's behaviour depends only on its own state and on the immutable
+    contents of send records, whose arrival times are computed from
+    record contents rather than from when the driver made them visible.
+    [Parallel n] with [n <= 1] (or a one-column grid) falls back to
+    [Event_driven]. *)
 type driver = Polling | Event_driven | Parallel of int
 
 (** ["polling"], ["event"] or ["parallel"], for reports and JSON
@@ -194,8 +228,9 @@ val domains_spawned : unit -> int
     neighbour never sent. *)
 val run_to_completion : ?max_rounds:int -> ?driver:driver -> t -> unit
 
-(** Scheduler counters of the last run (scans, wakeups, parks, queue
-    depth); the polling driver only advances [scans]. *)
+(** Scheduler counters of the last run (scans, wakeups, parks, holds,
+    queue depth, peak live send records); the polling driver advances
+    only [scans], [probes] and [peak_sends_live]. *)
 val sched_stats : t -> Sched.stats
 
 (** Fault and recovery counters of the last run (all zero with the null

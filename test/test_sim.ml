@@ -243,13 +243,42 @@ let test_task_activations_positive () =
 (* scheduler: driver equivalence, deadlock diagnostics, task order     *)
 (* ------------------------------------------------------------------ *)
 
-(* run one benchmark under a given driver and return everything the
-   equivalence check compares; the host handle stays local so the PE
-   grid is collectable between runs *)
-let run_with_driver driver (p : P.t) =
+(* per-PE statistics of a finished run, column-major *)
+let per_pe_stats (sim : Fabric.t) =
+  Array.to_list sim.Fabric.pes
+  |> List.concat_map (fun col ->
+         Array.to_list (Array.map (fun pe -> pe.Fabric.stats) col))
+
+(* Bound on live send records: the scheduler holds a PE once it has
+   [c = Fabric.max_live_sends_per_pe] records its receivers have not
+   consumed, so under the sequential drivers the table never holds more
+   than c records per PE, whatever the iteration count.  (Under
+   [Parallel] the peak is a sum over strip tables and the window only
+   sees same-strip receivers, so only results are compared there.) *)
+let live_bound (sim : Fabric.t) = Fabric.max_live_sends_per_pe * sim.width * sim.height
+
+(* run one program under a given driver: (cycles, per-PE stats, fields),
+   peak live send records, records left at the end, and the bound; the
+   host handle stays local so the PE grid is collectable between runs *)
+let run_with_driver ?(machine = Machine.wse3) driver (p : P.t) =
   let compiled = Core.Pipeline.compile (P.compile p) in
-  let h = Host.simulate ~driver Machine.wse3 compiled (init_grids p) in
-  (Fabric.elapsed_cycles h.sim, Fabric.total_stats h.sim, Host.read_all h)
+  let h = Host.simulate ~driver machine compiled (init_grids p) in
+  let sim = h.Host.sim in
+  ( (Fabric.elapsed_cycles sim, per_pe_stats sim, Host.read_all h),
+    (Fabric.sched_stats sim).peak_sends_live,
+    Hashtbl.length sim.sends,
+    live_bound sim )
+
+let assert_same_run name (c1, s1, o1) (c2, s2, o2) =
+  check (name ^ ": elapsed cycles bit-identical") true (c1 = c2);
+  List.iteri
+    (fun i (a, b) ->
+      match Fabric.stats_diff a b with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: PE %d stats differ: %s" name i msg)
+    (List.combine s1 s2);
+  let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff o1 o2) in
+  check (name ^ ": outputs bit-identical") true (maxd = 0.0)
 
 (* every driver the equivalence checks sweep: both sequential drivers
    and the domain-parallel driver at 1, 2 and 4 domains (1 exercises
@@ -267,17 +296,11 @@ let driver_label d =
   Printf.sprintf "%s/%d" (Fabric.driver_name d) (Fabric.driver_domains d)
 
 let assert_drivers_agree name (p : P.t) =
-  let ce, se, oe = run_with_driver Fabric.Event_driven p in
+  let reference, _, _, _ = run_with_driver Fabric.Event_driven p in
   List.iter
     (fun driver ->
-      let c, s, o = run_with_driver driver p in
-      let name = name ^ " [" ^ driver_label driver ^ "]" in
-      check (name ^ ": elapsed cycles bit-identical") true (c = ce);
-      (match Fabric.stats_diff se s with
-      | None -> ()
-      | Some msg -> Alcotest.failf "%s: aggregated pe_stats differ: %s" name msg);
-      let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff oe o) in
-      check (name ^ ": outputs bit-identical") true (maxd = 0.0))
+      let run, _, _, _ = run_with_driver driver p in
+      assert_same_run (name ^ " [" ^ driver_label driver ^ "]") reference run)
     all_drivers
 
 let test_driver_equivalence_tiny () =
@@ -325,6 +348,156 @@ let test_deadlock_diagnostic () =
           check "report names the silent sender" true
             (contains msg "missing sender PE(1,0)"))
     [ Fabric.Polling; Fabric.Event_driven; Fabric.Parallel 2 ]
+
+(* the byte-estimate guard refuses a grid within the PE limit whose
+   program memory plus send-table bound exceeds the byte limit, before
+   allocating any PE, and says how much it would have needed *)
+let test_memory_guard () =
+  let p = (B.find "jacobian").make_n (B.Proxy (256, 256)) 1 in
+  let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
+  check "within the PE limit" true (256 * 256 <= Fabric.max_simulated_pes);
+  match Fabric.create Machine.wse3 program with
+  | _ -> Alcotest.fail "expected the memory guard to refuse 256x256 PEs"
+  | exception Fabric.Sim_error msg ->
+      let key = "needs an estimated " in
+      let rec find i =
+        if i + String.length key > String.length msg then
+          Alcotest.failf "no estimate in %S" msg
+        else if String.sub msg i (String.length key) = key then i
+        else find (i + 1)
+      in
+      let i = find 0 + String.length key in
+      let estimate =
+        Scanf.sscanf (String.sub msg i (String.length msg - i)) "%d" Fun.id
+      in
+      check "estimate exceeds the limit" true (estimate > Fabric.max_simulated_bytes);
+      check "message names the limit" true
+        (contains msg (Printf.sprintf "limit of %d bytes" Fabric.max_simulated_bytes))
+
+(* the deadlock strikes after earlier exchanges were consumed and their
+   records freed: PE(1,0) runs two exchanges and then finishes early, so
+   its neighbours block on the third.  The report must still tell the
+   freed records (sent, consumed) from the one that was never sent *)
+let test_deadlock_after_frees () =
+  let n = 6 in
+  let p = (B.find "jacobian").make_n B.Tiny n in
+  let compiled = Core.Pipeline.compile (P.compile p) in
+  let _, program = Core.Pipeline.modules_of compiled in
+  List.iter
+    (fun driver ->
+      let name = driver_label driver in
+      let h = Host.load Machine.wse3 program (init_grids p) in
+      Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := n - 2;
+      match Fabric.run_to_completion ~driver h.Host.sim with
+      | () -> Alcotest.failf "%s: expected a deadlock" name
+      | exception Fabric.Sim_error msg ->
+          (* PE(1,0)'s three grid neighbours consumed exchanges 0 and 1
+             and wait on exchange 2, which only PE(1,0) never sent *)
+          List.iter
+            (fun (x, y) ->
+              let line =
+                Printf.sprintf
+                  "PE(%d,%d) blocked on exchange (apply_id=0, seq=2): missing \
+                   sender PE(1,0)\n"
+                  x y
+              in
+              if not (contains msg line) then
+                Alcotest.failf "%s: report lacks %S:\n%s" name line msg)
+            [ (0, 0); (2, 0); (1, 1) ];
+          (* nothing is reported blocked on the exchanges whose
+             records were consumed and freed *)
+          check (name ^ ": freed exchanges are not reported") true
+            (not (contains msg "seq=0") && not (contains msg "seq=1")))
+    [ Fabric.Polling; Fabric.Event_driven; Fabric.Parallel 2 ]
+
+let test_peak_live_bounded () =
+  let check_bound name (peak, left, bound) =
+    if peak > bound then Alcotest.failf "%s: peak %d live records > %d" name peak bound;
+    if left <> 0 then Alcotest.failf "%s: %d records never freed" name left
+  in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (d : B.descr) ->
+          let peak_of n =
+            let p = d.make_n (B.Proxy (8, 8)) n in
+            let tag = Printf.sprintf "%s %s n=%d" machine.Machine.name d.id n in
+            let reference, peak, left, bound =
+              run_with_driver ~machine Fabric.Event_driven p
+            in
+            check_bound (tag ^ " [event]") (peak, left, bound);
+            List.iter
+              (fun driver ->
+                let name = tag ^ " [" ^ driver_label driver ^ "]" in
+                let run, peak, left, bound = run_with_driver ~machine driver p in
+                assert_same_run name reference run;
+                if driver = Fabric.Polling then check_bound name (peak, left, bound))
+              [ Fabric.Polling; Fabric.Parallel 2 ];
+            peak
+          in
+          let p8 = peak_of 8 and p32 = peak_of 32 in
+          (* a table that never frees gains one record per PE per
+             iteration, 24 x 64 more from n=8 to n=32; the peak may move
+             by less than one iteration's worth (it settles within the
+             first dozen exchanges) *)
+          if p32 - p8 >= 64 then
+            Alcotest.failf "%s %s: peak grew from %d (n=8) to %d (n=32)"
+              machine.Machine.name d.id p8 p32)
+        B.all)
+    [ Machine.wse3; Machine.wse2 ]
+
+(* qcheck: on fuzzer-generated programs, however many iterations run,
+   the send table stays within the per-PE bound and is empty at the end *)
+let prop_live_sends_bounded =
+  QCheck.Test.make ~name:"live send records bounded on fuzzed programs"
+    ~count:12
+    QCheck.(pair small_nat (int_range 1 24))
+    (fun (index, iterations) ->
+      let p = { (Wsc_harden.Fuzz.generate ~seed:29 ~index) with P.iterations } in
+      List.iter
+        (fun driver ->
+          let _, peak, left, bound = run_with_driver driver p in
+          if peak > bound || left <> 0 then
+            QCheck.Test.fail_reportf "%s n=%d [%s]: peak %d (bound %d), %d left"
+              (Wsc_harden.Fuzz.describe p) iterations (driver_label driver) peak
+              bound left)
+        [ Fabric.Event_driven; Fabric.Polling ];
+      true)
+
+(* a halted PE never consumes: with resilience its neighbours degrade
+   past it, and records only it would have read stay in the table until
+   the end of the run.  The run must still replay bit-identically, under
+   every driver *)
+let test_halt_replay_with_freeing () =
+  let module Faults = Wsc_faults.Faults in
+  let p = (B.find "jacobian").make B.Tiny in
+  let compiled = Core.Pipeline.compile (P.compile p) in
+  List.iter
+    (fun seed ->
+      let cfg = Faults.config_for Faults.Halt ~rate:0.05 ~seed ~resilient:true in
+      let run driver =
+        let faults = Faults.create cfg in
+        let h = Host.simulate ~driver ~faults Machine.wse3 compiled (init_grids p) in
+        let st = Faults.stats faults in
+        ( (Fabric.elapsed_cycles h.sim, per_pe_stats h.sim, Host.read_all h),
+          (Host.fault_report h, Host.validity h),
+          (st.Faults.halts, st.Faults.halt_timeouts),
+          Hashtbl.length h.sim.sends )
+      in
+      let tag = Printf.sprintf "halt seed %d" seed in
+      let re, fe, ke, left = run Fabric.Event_driven in
+      check (tag ^ ": the run degraded past a halted PE") true (snd ke > 0);
+      check (tag ^ ": records only halted PEs would read are kept") true (left > 0);
+      (* a second run replays the first exactly, and so do the others *)
+      List.iter
+        (fun driver ->
+          let name = tag ^ " [" ^ driver_label driver ^ "]" in
+          let r, f, k, _ = run driver in
+          assert_same_run name re r;
+          check (name ^ ": fault report and validity identical") true (f = fe);
+          check (name ^ ": halt counters identical") true (k = ke))
+        [ Fabric.Event_driven; Fabric.Polling; Fabric.Parallel 2 ])
+    [ 1; 4 ]
 
 (* a fault campaign cell must replay bit-identically under the parallel
    driver: same injection decisions, same integer recovery bookkeeping,
@@ -430,10 +603,9 @@ let prop_budget_trips_identically =
         [ Fabric.Polling; Fabric.Parallel 2; Fabric.Parallel 4 ];
       true)
 
-let test_task_order_earliest_first () =
-  (* regression for the dispatch-order bug: the hardware scheduler runs
-     the queued task with the earliest activation time, not the one that
-     was queued first *)
+(* a 1x1 program of two local tasks, "early" and "late", each storing
+   its own mark (7 and 8) into the scalar "mark" *)
+let task_order_sim () =
   let module Csl = Core.Csl in
   let module Bld = Wsc_ir.Builder in
   let open Wsc_ir.Ir in
@@ -458,17 +630,42 @@ let test_task_order_earliest_first () =
     ];
   let sim = Fabric.create Machine.wse3 program in
   let pe = sim.Fabric.pes.(0).(0) in
-  let mark () = !(Hashtbl.find pe.Fabric.scalars "mark") in
+  (sim, pe, fun () -> !(Hashtbl.find pe.Fabric.scalars "mark"))
+
+let test_task_order_earliest_first () =
+  (* regression for the dispatch-order bug: the hardware scheduler runs
+     the queued task with the earliest activation time, not the one that
+     was queued first *)
+  let sim, pe, mark = task_order_sim () in
   (* two activations queued out of insertion order: "late" was inserted
      first but activates at t=100, "early" second but activates at t=50 *)
-  pe.Fabric.task_queue <- [ (100.0, "late"); (50.0, "early") ];
+  Fabric.queue_task pe ~at:100.0 "late";
+  Fabric.queue_task pe ~at:50.0 "early";
   check "first pop ran" true (Fabric.run_tasks sim pe);
   check "earliest activation dispatched first" true (mark () = 7);
   check "clock did not jump to the later activation" true (pe.Fabric.clock < 100.0);
   check "second pop ran" true (Fabric.run_tasks sim pe);
   check "later activation dispatched second" true (mark () = 8);
-  check "queue drained" true (pe.Fabric.task_queue = []);
+  check "queue drained" true (Fabric.queued_tasks pe = []);
   check "empty queue pops nothing" true (not (Fabric.run_tasks sim pe))
+
+let test_task_order_ties () =
+  (* equal activation times dispatch in insertion order, including
+     behind an earlier activation queued last *)
+  let sim, pe, mark = task_order_sim () in
+  List.iter
+    (fun (at, task) -> Fabric.queue_task pe ~at task)
+    [ (40.0, "late"); (40.0, "early"); (40.0, "late"); (10.0, "early") ];
+  check "dispatch order listed" true
+    (Fabric.queued_tasks pe
+    = [ (10.0, "early"); (40.0, "late"); (40.0, "early"); (40.0, "late") ]);
+  let marks =
+    List.init 4 (fun _ ->
+        ignore (Fabric.run_tasks sim pe);
+        mark ())
+  in
+  check "earliest first, then ties in insertion order" true (marks = [ 7; 8; 7; 8 ]);
+  check "queue drained" true (Fabric.queued_tasks pe = [])
 
 (* ------------------------------------------------------------------ *)
 (* custom initial data (host interface)                                *)
@@ -505,6 +702,7 @@ let () =
         [
           Alcotest.test_case "grid too large" `Quick test_grid_too_large;
           Alcotest.test_case "wrong state count" `Quick test_wrong_state_count;
+          Alcotest.test_case "memory estimate too large" `Quick test_memory_guard;
         ] );
       ( "timing",
         [
@@ -520,14 +718,26 @@ let () =
         :: Alcotest.test_case "driver equivalence (small)" `Slow
              test_driver_equivalence_small
         :: Alcotest.test_case "deadlock diagnostic" `Quick test_deadlock_diagnostic
+        :: Alcotest.test_case "deadlock after freed exchanges" `Quick
+             test_deadlock_after_frees
+        :: Alcotest.test_case "peak live send records bounded" `Slow
+             test_peak_live_bounded
+        :: Alcotest.test_case "halted-PE replay with record freeing" `Quick
+             test_halt_replay_with_freeing
         :: Alcotest.test_case "fault replay across drivers" `Quick
              test_fault_replay_parallel
         :: Alcotest.test_case "worker pool spawns once" `Quick
              test_worker_pool_spawns_once
         :: Alcotest.test_case "earliest activation first" `Quick
              test_task_order_earliest_first
+        :: Alcotest.test_case "equal activations in insertion order" `Quick
+             test_task_order_ties
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_drivers_agree_on_fuzzed; prop_budget_trips_identically ] );
+             [
+               prop_drivers_agree_on_fuzzed;
+               prop_budget_trips_identically;
+               prop_live_sends_bounded;
+             ] );
       ( "host",
         [ Alcotest.test_case "custom initial data" `Quick test_custom_initial_data ] );
     ]
