@@ -4,7 +4,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig4    -- one experiment
      experiments: fig4 fig5 fig6 fig7 tab1 tflops ablations weak sched
-                  par serve perfsmoke trace micro multiwafer mwfaults tune
+                  serve trace micro multiwafer mwfaults tune
 
    Absolute numbers come from the fabric simulator and the calibrated
    machine models (see DESIGN.md); the claims under reproduction are the
@@ -287,200 +287,12 @@ let sched () =
     exit 1
   end
 
-(* ------------------------------------------------------------------ *)
-(* Parallel driver: domain-decomposed event-driven simulation          *)
-(* ------------------------------------------------------------------ *)
-
 (** Elapsed wall-clock of [f], via [Unix.gettimeofday] — [Sys.time] is
     CPU time summed over domains, which would hide any speedup. *)
 let wall (f : unit -> 'a) : 'a * float =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-(** Exact equality of the drained state grids of two finished runs. *)
-let grids_equal (a : Wsc_dialects.Interp.grid list)
-    (b : Wsc_dialects.Interp.grid list) : bool =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ga : Wsc_dialects.Interp.grid) (gb : Wsc_dialects.Interp.grid) ->
-         Array.length ga.gdata = Array.length gb.gdata
-         && (let ok = ref true in
-             Array.iteri
-               (fun i v ->
-                 if not (Int64.equal (Int64.bits_of_float v)
-                           (Int64.bits_of_float gb.gdata.(i)))
-                 then ok := false)
-               ga.gdata;
-             !ok))
-       a b
-
-let par () =
-  header
-    "Parallel driver: domain-decomposed discrete-event simulation\n\
-     bit-identity of elapsed cycles, aggregate stats and drained fields\n\
-     is asserted against the event driver on every run; speedup is wall\n\
-     clock, and its verdict is only counted on legs with domains <= cores";
-  let module J = Wsc_trace.Json in
-  let machine = Machine.wse3 in
-  let iters = 8 in
-  let cores = Domain.recommended_domain_count () in
-  let mismatches = ref 0 in
-  let rows = ref [] in
-  Printf.printf "%d core(s) available (Domain.recommended_domain_count)\n" cores;
-  if cores < 2 then
-    Printf.printf
-      "WARNING: single-core host — every multi-domain leg below is\n\
-       oversubscribed; wall-clock ratios measure scheduling overhead, not\n\
-       parallel speedup, and their verdicts are skipped (marked n/a)\n";
-  Printf.printf "\n%-10s %6s %-9s %7s %5s %9s %12s %8s %9s\n" "benchmark"
-    "extent" "driver" "domains" "cores" "wall s" "cycles" "speedup" "identical";
-  List.iter
-    (fun id ->
-      let d = B.find id in
-      List.iter
-        (fun extent ->
-          let (h0, _), w0 =
-            wall (fun () ->
-                WP.simulate_proxy ~driver:F.Event_driven ~extent d ~machine
-                  ~iters)
-          in
-          let c0 = F.elapsed_cycles h0.sim in
-          let s0 = F.total_stats h0.sim in
-          let g0 = Wsc_wse.Host.read_all h0 in
-          (* one leg of the table + one JSON row.  [cores] rides along on
-             every leg, and any leg with more domains than cores carries
-             an explicit oversubscription flag and no speedup verdict —
-             its wall-clock ratio is still recorded, but marked
-             meaningless *)
-          let row driver domains wall_s cycles identical =
-            let oversubscribed = domains > cores in
-            let speedup = w0 /. wall_s in
-            Printf.printf "%-10s %6d %-9s %7d %5d %9.3f %12.0f %8s %9s\n" id
-              extent driver domains cores wall_s cycles
-              (if oversubscribed then Printf.sprintf "(%.2fx)" speedup
-               else Printf.sprintf "%.2fx" speedup)
-              (if identical then "yes" else "NO");
-            if oversubscribed then
-              Printf.printf
-                "    note: %d domains > %d cores — oversubscribed, speedup \
-                 verdict skipped\n"
-                domains cores;
-            rows :=
-              J.Obj
-                [
-                  ("benchmark", J.String id);
-                  ("extent", J.Int extent);
-                  ("driver", J.String driver);
-                  ("domains", J.Int domains);
-                  ("cores", J.Int cores);
-                  ("oversubscribed", J.Bool oversubscribed);
-                  ("wall_s", J.Float wall_s);
-                  ("cycles", J.Float cycles);
-                  ("speedup", J.Float speedup);
-                  ("speedup_meaningful", J.Bool (not oversubscribed));
-                  ("identical", J.Bool identical);
-                ]
-              :: !rows
-          in
-          row "event" 0 w0 c0 true;
-          List.iter
-            (fun n ->
-              let (h, _), w =
-                wall (fun () ->
-                    WP.simulate_proxy ~driver:(F.Parallel n) ~extent d ~machine
-                      ~iters)
-              in
-              let c = F.elapsed_cycles h.sim in
-              let sdiff = F.stats_diff s0 (F.total_stats h.sim) in
-              let fields_ok = grids_equal g0 (Wsc_wse.Host.read_all h) in
-              let identical = c = c0 && sdiff = None && fields_ok in
-              if not identical then begin
-                incr mismatches;
-                if c <> c0 then
-                  Printf.printf "    cycles: %.17g <> %.17g\n" c0 c;
-                (match sdiff with
-                | Some m -> Printf.printf "    stats: %s\n" m
-                | None -> ());
-                if not fields_ok then
-                  Printf.printf "    drained fields differ\n"
-              end;
-              let eff = F.effective_domains (F.Parallel n) ~width:h.sim.width in
-              row "parallel" eff w c identical)
-            [ 1; 2; 4 ])
-        [ 8; 16; 32 ])
-    [ "jacobian"; "seismic" ];
-  let doc =
-    J.summary ~tool:"bench-par"
-      ~config:
-        [
-          ("machine", J.String machine.Machine.name);
-          ("iterations", J.Int iters);
-          ("cores", J.Int cores);
-        ]
-      ~results:(List.rev !rows)
-  in
-  let oc = open_out "BENCH_PR6.json" in
-  J.to_channel oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_PR6.json\n";
-  if !mismatches = 0 then
-    Printf.printf
-      "all runs: cycles, aggregate stats and drained fields bit-identical\n"
-  else begin
-    Printf.printf "MISMATCH on %d run(s)\n" !mismatches;
-    exit 1
-  end
-
-(** CI perf gate: the 2-domain extent-32 jacobian must not be slower
-    than the sequential event driver when the runner actually has 2
-    cores to run it on; on a single-core runner the verdict is skipped
-    (the run still checks bit-identity).  Exits non-zero on a perf
-    regression or any identity mismatch. *)
-let perfsmoke () =
-  header
-    "Perf smoke: parallel (2 domains) vs event driver, jacobian extent 32\n\
-     fails if parallel wall-clock < 1.0x event on a multi-core runner";
-  let machine = Machine.wse3 in
-  let iters = 8 and extent = 32 in
-  let cores = Domain.recommended_domain_count () in
-  let d = B.find "jacobian" in
-  let (h0, _), w0 =
-    wall (fun () ->
-        WP.simulate_proxy ~driver:F.Event_driven ~extent d ~machine ~iters)
-  in
-  let (h1, _), w1 =
-    wall (fun () ->
-        WP.simulate_proxy ~driver:(F.Parallel 2) ~extent d ~machine ~iters)
-  in
-  let c0 = F.elapsed_cycles h0.sim and c1 = F.elapsed_cycles h1.sim in
-  let sdiff = F.stats_diff (F.total_stats h0.sim) (F.total_stats h1.sim) in
-  let fields_ok =
-    grids_equal (Wsc_wse.Host.read_all h0) (Wsc_wse.Host.read_all h1)
-  in
-  let speedup = w0 /. w1 in
-  Printf.printf "event    %9.3f s\nparallel %9.3f s  (%d domains, %d cores)\n"
-    w0 w1 2 cores;
-  Printf.printf "speedup  %9.2fx\n" speedup;
-  if c0 <> c1 || sdiff <> None || not fields_ok then begin
-    Printf.printf "FAIL: parallel run not bit-identical to event driver\n";
-    (match sdiff with Some m -> Printf.printf "  stats: %s\n" m | None -> ());
-    exit 1
-  end;
-  if cores < 2 then
-    Printf.printf
-      "SKIP verdict: only %d core(s) — 2 domains oversubscribed, wall-clock \
-       ratio not meaningful\n"
-      cores
-  else if speedup < 1.0 then begin
-    Printf.printf
-      "FAIL: parallel driver slower than the event driver (%.2fx) on a \
-       %d-core runner\n"
-      speedup cores;
-    exit 1
-  end
-  else Printf.printf "PASS: parallel >= 1.0x event on %d cores\n" cores
 
 (* ------------------------------------------------------------------ *)
 (* Compile service: throughput and cache hit-rate (BENCH_PR7.json)     *)
@@ -492,9 +304,8 @@ let perfsmoke () =
     not just measured: every warm response must be a cache hit whose
     rendered payload is byte-identical to the cold compile of the same
     source, and warm throughput must beat cold throughput.  The
-    wall-clock speedup across domain counts carries the same
-    oversubscription honesty as the [par] experiment: legs with more
-    domains than cores get no verdict. *)
+    wall-clock speedup across domain counts is only given a verdict on
+    legs with no more domains than cores. *)
 let serve_bench () =
   header
     "Compile service: cold vs warm throughput over a fuzzer corpus at\n\
@@ -771,7 +582,6 @@ let json_summary (path : string) : unit =
       [
         ("benchmark", J.String d.id);
         ("driver", J.String (F.driver_name driver));
-        ("domains", J.Int (F.effective_domains driver ~width:h.sim.width));
         ("cycles", J.Float (F.elapsed_cycles h.sim));
         ("wall_s", J.Float wall_s);
         ("chunks", J.Int chunks);
@@ -801,7 +611,7 @@ let json_summary (path : string) : unit =
       ~results:
         (List.concat_map
            (fun d ->
-             [ entry d F.Polling; entry d F.Event_driven; entry d (F.Parallel 2) ])
+             [ entry d F.Polling; entry d F.Event_driven ])
            B.all)
   in
   let oc = open_out path in
@@ -1353,9 +1163,7 @@ let experiments =
     ("ablations", ablations);
     ("weak", weak);
     ("sched", sched);
-    ("par", par);
     ("serve", serve_bench);
-    ("perfsmoke", perfsmoke);
     ("trace", trace_exp);
     ("micro", micro);
     ("multiwafer", multiwafer);

@@ -124,51 +124,31 @@ let write_json (path : string) (doc : Wsc_trace.Json.t) : unit =
 
 (* ---------------- fabric driver selection ---------------- *)
 
-let driver_kind_conv =
+let driver_conv =
   let parse = function
-    | "polling" -> Ok `Polling
-    | "sched" | "event" -> Ok `Event
-    | "parallel" -> Ok `Parallel
+    | "polling" -> Ok F.Polling
+    | "sched" | "event" -> Ok F.Event_driven
     | s ->
         Error
           (`Msg
             (Printf.sprintf
-               "unknown driver '%s': accepted drivers are polling, sched, parallel"
-               s))
+               "unknown driver '%s': accepted drivers are polling, sched, event" s))
   in
-  let print fmt k =
+  let print fmt d =
     Format.pp_print_string fmt
-      (match k with `Polling -> "polling" | `Event -> "sched" | `Parallel -> "parallel")
+      (match d with F.Polling -> "polling" | F.Event_driven -> "sched")
   in
   Arg.conv (parse, print)
 
 let driver_arg =
   Arg.(
-    value & opt driver_kind_conv `Event
+    value & opt driver_conv F.Event_driven
     & info [ "driver" ] ~docv:"DRIVER"
         ~doc:
-          "Fabric driver: $(b,polling) (rescan every PE each round), \
-           $(b,sched) (event-driven ready queue, the default; $(b,event) is \
-           an alias), or $(b,parallel) (domain-decomposed event-driven \
-           execution, see --domains).  Results are bit-identical across all \
-           three.")
-
-let domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Domain count for --driver parallel: the grid is cut into N \
-           vertical strips, each simulated on its own core.  0 (the \
-           default) uses the runtime's recommended count.")
-
-let resolve_driver kind domains : F.driver =
-  match kind with
-  | `Polling -> F.Polling
-  | `Event -> F.Event_driven
-  | `Parallel ->
-      F.Parallel
-        (if domains <= 0 then Domain.recommended_domain_count () else domains)
+          "Fabric driver: $(b,sched) (event-driven ready queue, the default; \
+           $(b,event) is an alias) or $(b,polling) (rescan every PE each \
+           round, the reference scheduler).  Results are bit-identical \
+           across both.")
 
 (** Freshly initialized state grids for a frontend program. *)
 let init_grids_of (p : P.t) : I.grid list =
@@ -219,9 +199,10 @@ let time_arg =
     value & flag
     & info [ "time" ]
         ~doc:
-          "Also report the simulator's own wall-clock time (seconds), the \
-           driver and the domain count — the host-side cost of the run, as \
-           opposed to the simulated cycles.")
+          "Also report the host-side wall-clock time (seconds) of every \
+           phase — compile, init, simulate (load and run), readback, \
+           reference, compare — and the driver, as opposed to the \
+           simulated cycles.")
 
 let sim_json_arg =
   Arg.(
@@ -230,28 +211,42 @@ let sim_json_arg =
     & info [ "json" ] ~docv:"FILE"
         ~doc:
           "Write a machine-readable run summary (simulated cycles, wall_s, \
-           driver, domains, reference divergence, peak live send records).")
+           per-phase wall times, driver, reference divergence, peak live \
+           send records).")
 
 let simulate_cmd =
-  let run bench input size iterations machine stats driver_kind domains time
-      json_out =
-    let* prog, m = program_of ~bench ~input ~size ~iterations in
-    let compiled = Wsc_core.Pipeline.compile ~options:pipeline_options m in
+  let run bench input size iterations machine stats driver time json_out =
+    (* host wall time of each phase, in run order *)
+    let phases = ref [] in
+    let timed name f =
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      phases := (name, Unix.gettimeofday () -. t0) :: !phases;
+      r
+    in
+    let* prog, compiled =
+      timed "compile" (fun () ->
+          let* prog, m = program_of ~bench ~input ~size ~iterations in
+          Ok (prog, Wsc_core.Pipeline.compile ~options:pipeline_options m))
+    in
     match prog with
     | None -> Error (`Msg "simulate: reference check needs --bench")
     | Some p ->
-        let driver = resolve_driver driver_kind domains in
-        let init = init_grids_of p in
+        let init = timed "init" (fun () -> init_grids_of p) in
         (* simulate first: the fabric guards (grid size, per-PE memory)
            reject oversized runs before the expensive reference pass *)
-        let t0 = Unix.gettimeofday () in
-        let h = Wsc_wse.Host.simulate ~driver machine compiled init in
-        let wall_s = Unix.gettimeofday () -. t0 in
-        let out = Wsc_wse.Host.read_all h in
-        let ref_grids = P.run_reference p in
-        let maxd =
-          List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids out)
+        let h =
+          timed "simulate" (fun () -> Wsc_wse.Host.simulate ~driver machine compiled init)
         in
+        let out = timed "readback" (fun () -> Wsc_wse.Host.read_all h) in
+        let ref_grids = timed "reference" (fun () -> P.run_reference p) in
+        let maxd =
+          timed "compare" (fun () ->
+              List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids out))
+        in
+        let phases = List.rev !phases in
+        let wall_s = List.assoc "simulate" phases in
+        let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases in
         let st = F.total_stats h.sim in
         Printf.printf "simulated %s on %s: %dx%d PEs, %.0f cycles (%.3f ms)\n"
           p.P.pname machine.name h.sim.width h.sim.height
@@ -260,10 +255,10 @@ let simulate_cmd =
         Printf.printf "  flops=%.3e  sent=%d elems  tasks=%d\n" st.flops
           st.elems_sent st.task_activations;
         if time then
-          Printf.printf "  wall %.3f s  (driver=%s domains=%d requested=%d)\n"
-            wall_s (F.driver_name driver)
-            (F.effective_domains driver ~width:h.sim.width)
-            (F.driver_domains driver);
+          Printf.printf "  wall %s  total %.3f s  (driver=%s)\n"
+            (String.concat "  "
+               (List.map (fun (name, s) -> Printf.sprintf "%s %.3f s" name s) phases))
+            total (F.driver_name driver);
         if stats then begin
           let k = F.sched_stats h.sim in
           Printf.printf
@@ -298,15 +293,11 @@ let simulate_cmd =
                          ("cycles", J.Float (F.elapsed_cycles h.sim));
                          ("seconds", J.Float (F.elapsed_seconds h.sim));
                          ("wall_s", J.Float wall_s);
+                         ( "phase_wall_s",
+                           J.Obj
+                             (List.map (fun (name, s) -> (name, J.Float s)) phases
+                             @ [ ("total", J.Float total) ]) );
                          ("driver", J.String (F.driver_name driver));
-                         (* effective worker count after clamping, not
-                            the request: --domains 0 expands to the
-                            runtime's recommended count and N > width
-                            clamps, so artifacts must not echo the ask *)
-                         ( "domains",
-                           J.Int (F.effective_domains driver ~width:h.sim.width)
-                         );
-                         ("domains_requested", J.Int (F.driver_domains driver));
                          ("max_diff", J.Float maxd);
                          ( "peak_sends_live",
                            J.Int (F.sched_stats h.sim).peak_sends_live );
@@ -321,7 +312,7 @@ let simulate_cmd =
     Term.(
       term_result
         (const run $ bench_arg $ input_arg $ size_arg $ iters_arg $ machine_arg
-       $ stats_arg $ driver_arg $ domains_arg $ time_arg $ sim_json_arg))
+       $ stats_arg $ driver_arg $ time_arg $ sim_json_arg))
 
 (* ---------------- trace ---------------- *)
 
@@ -459,15 +450,14 @@ let faults_trace_arg =
            one shared timeline and export it as Chrome-trace JSON.")
 
 let faults_cmd =
-  let run bench size iterations machine driver_kind domains kinds rates seeds
-      no_resilience json_out trace_out =
+  let run bench size iterations machine driver kinds rates seeds no_resilience
+      json_out trace_out =
     match bench with
     | None -> Error (`Msg "faults: --bench required")
     | Some id -> (
         match B.find id with
         | exception Invalid_argument msg -> Error (`Msg msg)
         | _ ->
-            let driver = resolve_driver driver_kind domains in
             let sink = Option.map (fun _ -> T.collector ()) trace_out in
             let report =
               Campaign.run ~driver ~machine ?iterations ~kinds ?trace:sink
@@ -499,7 +489,7 @@ let faults_cmd =
     Term.(
       term_result
         (const run $ bench_arg $ size_arg $ iters_arg $ machine_arg $ driver_arg
-       $ domains_arg $ kinds_arg $ rates_arg $ seeds_arg $ no_resilience_arg
+       $ kinds_arg $ rates_arg $ seeds_arg $ no_resilience_arg
        $ faults_json_arg $ faults_trace_arg))
 
 (* ---------------- fuzz / reduce ---------------- *)

@@ -110,11 +110,6 @@ let fresh_stats () =
 type injector = {
   cfg : config;
   st : stats;
-  lock : Mutex.t;
-      (** serializes the mutable bookkeeping tables below (and, via
-          {!locked}, the stats counters): the parallel fabric driver
-          reaches them from several domains at once.  Decisions stay
-          lock-free — they are pure hashes of seed and site. *)
   dispatches : (int * int, int ref) Hashtbl.t;  (** per-PE dispatch counts *)
   halted : (int * int, unit) Hashtbl.t;
   tainted : (int * int, unit) Hashtbl.t;
@@ -131,7 +126,6 @@ let create (cfg : config) : t =
     {
       cfg;
       st = fresh_stats ();
-      lock = Mutex.create ();
       dispatches = Hashtbl.create 64;
       halted = Hashtbl.create 8;
       tainted = Hashtbl.create 8;
@@ -146,13 +140,6 @@ let config = function
   | Injector i -> i.cfg
 
 let stats = function Null -> fresh_stats () | Injector i -> i.st
-
-(** Run [f] under the injector's bookkeeping lock ([f ()] directly on
-    [Null]).  The fabric simulator wraps its fault-counter updates in
-    this so the parallel driver's domains never race on them; [f] must
-    not call back into the locking accessors below. *)
-let locked (t : t) (f : unit -> 'a) : 'a =
-  match t with Null -> f () | Injector i -> Mutex.protect i.lock f
 
 (* ------------------------------------------------------------------ *)
 (* SplitMix64 site hashing                                             *)
@@ -191,17 +178,16 @@ let next_dispatch (t : t) ~x ~y : int =
   match t with
   | Null -> 0
   | Injector i ->
-      Mutex.protect i.lock (fun () ->
-          let r =
-            match Hashtbl.find_opt i.dispatches (x, y) with
-            | Some r -> r
-            | None ->
-                let r = ref 0 in
-                Hashtbl.replace i.dispatches (x, y) r;
-                r
-          in
-          incr r;
-          !r)
+      let r =
+        match Hashtbl.find_opt i.dispatches (x, y) with
+        | Some r -> r
+        | None ->
+            let r = ref 0 in
+            Hashtbl.replace i.dispatches (x, y) r;
+            r
+      in
+      incr r;
+      !r
 
 let stall_here (t : t) ~x ~y ~activation : bool =
   match t with
@@ -279,58 +265,49 @@ let record_halt (t : t) ~x ~y : unit =
   match t with
   | Null -> ()
   | Injector i ->
-      Mutex.protect i.lock (fun () ->
-          if not (Hashtbl.mem i.halted (x, y)) then begin
-            Hashtbl.replace i.halted (x, y) ();
-            i.st.halts <- i.st.halts + 1
-          end)
+      if not (Hashtbl.mem i.halted (x, y)) then begin
+        Hashtbl.replace i.halted (x, y) ();
+        i.st.halts <- i.st.halts + 1
+      end
 
 let is_halted (t : t) ~x ~y : bool =
   match t with
   | Null -> false
-  | Injector i -> Mutex.protect i.lock (fun () -> Hashtbl.mem i.halted (x, y))
+  | Injector i -> Hashtbl.mem i.halted (x, y)
 
 let halted_count = function
   | Null -> 0
-  | Injector i -> Mutex.protect i.lock (fun () -> Hashtbl.length i.halted)
+  | Injector i -> Hashtbl.length i.halted
 
 let taint (t : t) ~x ~y : unit =
   match t with
   | Null -> ()
-  | Injector i ->
-      Mutex.protect i.lock (fun () -> Hashtbl.replace i.tainted (x, y) ())
+  | Injector i -> Hashtbl.replace i.tainted (x, y) ()
 
 let is_tainted (t : t) ~x ~y : bool =
   match t with
   | Null -> false
-  | Injector i -> Mutex.protect i.lock (fun () -> Hashtbl.mem i.tainted (x, y))
+  | Injector i -> Hashtbl.mem i.tainted (x, y)
 
 let skip_send (t : t) ~apply ~seq ~x ~y : unit =
   match t with
   | Null -> ()
-  | Injector i ->
-      Mutex.protect i.lock (fun () ->
-          Hashtbl.replace i.skipped (apply, seq, x, y) ())
+  | Injector i -> Hashtbl.replace i.skipped (apply, seq, x, y) ()
 
 let is_skipped (t : t) ~apply ~seq ~x ~y : bool =
   match t with
   | Null -> false
-  | Injector i ->
-      Mutex.protect i.lock (fun () -> Hashtbl.mem i.skipped (apply, seq, x, y))
+  | Injector i -> Hashtbl.mem i.skipped (apply, seq, x, y)
 
 let taint_send (t : t) ~apply ~seq ~x ~y : unit =
   match t with
   | Null -> ()
-  | Injector i ->
-      Mutex.protect i.lock (fun () ->
-          Hashtbl.replace i.tainted_sends (apply, seq, x, y) ())
+  | Injector i -> Hashtbl.replace i.tainted_sends (apply, seq, x, y) ()
 
 let is_tainted_send (t : t) ~apply ~seq ~x ~y : bool =
   match t with
   | Null -> false
-  | Injector i ->
-      Mutex.protect i.lock (fun () ->
-          Hashtbl.mem i.tainted_sends (apply, seq, x, y))
+  | Injector i -> Hashtbl.mem i.tainted_sends (apply, seq, x, y)
 
 (* ------------------------------------------------------------------ *)
 (* Wafer-granularity sites                                             *)

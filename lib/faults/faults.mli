@@ -13,9 +13,10 @@
     retransmission attempt, ...) — there is no mutable PRNG stream — so
     decisions are independent of the order in which the driver visits
     PEs.  A campaign therefore replays bit-identically from its seed
-    under the polling, event-driven and domain-parallel fabric drivers
-    (the bookkeeping tables are mutex-protected so the parallel
-    driver's domains can share one injector). *)
+    under both fabric drivers.  An injector belongs to one simulation
+    and is not shared between domains, so its bookkeeping takes no
+    lock ({!Wafer} keeps its own: the co-simulation's wafer domains
+    share one). *)
 
 (** Which fault mechanism a decision or an event belongs to. *)
 type kind =
@@ -93,14 +94,6 @@ val enabled : t -> bool
 val config : t -> config  (** @raise Invalid_argument on [Null] *)
 
 val stats : t -> stats  (** zeroes on [Null] *)
-
-(** Run [f] under the injector's bookkeeping lock (on [Null], just
-    [f ()]).  The fabric simulator wraps its updates of the {!stats}
-    counters in this so the parallel driver's domains never race on
-    them.  [f] must not call back into the locking bookkeeping
-    accessors below (the lock is not reentrant).  Decisions need no
-    lock — they are pure in seed and site. *)
-val locked : t -> (unit -> 'a) -> 'a
 
 (** {1 Decisions (pure in seed and site coordinates)} *)
 

@@ -1,12 +1,3 @@
 (** Stable content hashing of modules — see the interface. *)
 
 let digest_hex (s : string) : string = Digest.to_hex (Digest.string s)
-
-let op (m : Ir.op) : string = digest_hex (Printer.op_to_string m)
-
-let source ~(extra : string) (s : string) : string * string =
-  let m = Parser.parse_string s in
-  let canonical = Printer.op_to_string m in
-  (* '\x00' cannot appear in printed IR or in an options string, so the
-     concatenation is unambiguous *)
-  (digest_hex (canonical ^ "\x00" ^ extra), canonical)

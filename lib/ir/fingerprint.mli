@@ -13,13 +13,3 @@
     across runs and platforms — unlike [Hashtbl.hash], which is neither
     guaranteed across versions nor wide enough for an address space. *)
 val digest_hex : string -> string
-
-(** [op m] — digest of the canonical printed form of [m]. *)
-val op : Ir.op -> string
-
-(** [source ~extra s] — parse [s], print the resulting module back into
-    canonical form, and digest that together with [extra] (the pipeline
-    configuration string, see [Pipeline.options_to_string]).  Raises
-    {!Parser.Parse_error} on malformed input.  Returns the key and the
-    canonical text (callers cache the latter's length as a stat). *)
-val source : extra:string -> string -> string * string

@@ -44,7 +44,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Cosim_error s)) fmt
 
 (* one domain per wafer, spawned once per co-simulation through the
    serve pool — this counter pins the discipline in a regression test,
-   like Fabric.domains_spawned and Pool.domains_spawned *)
+   like Pool.domains_spawned *)
 let spawned = Atomic.make 0
 let domains_spawned () = Atomic.get spawned
 
@@ -101,12 +101,12 @@ let grids_bit_identical (a : I.grid list) (b : I.grid list) : bool =
          !ok)
        a b
 
-(** The undecomposed single-wafer run under the same pipeline options
-    and fabric driver — the bit-identity baseline. *)
-let reference ?driver ?(machine = Machine.wse3)
-    ?(options = Pipeline.default_options) (p : P.t) : I.grid list =
+(** The undecomposed single-wafer run under the same pipeline options —
+    the bit-identity baseline. *)
+let reference ?(machine = Machine.wse3) ?(options = Pipeline.default_options)
+    (p : P.t) : I.grid list =
   let compiled = Pipeline.compile ~options (P.compile p) in
-  let h = Host.simulate ?driver machine compiled (init_grids p) in
+  let h = Host.simulate machine compiled (init_grids p) in
   Host.read_all h
 
 (* ------------------------------------------------------------------ *)
@@ -202,7 +202,7 @@ let corrupt_strip (view : I.grid list) (cells : (int * int) list) ~(idx : int)
 type status = Healthy | Crashed | Lost_now | Halo_bad
 
 let run ?engine ?(interconnect = Interconnect.default)
-    ?(machine = Machine.wse3) ?driver ?(faults = Wf.null)
+    ?(machine = Machine.wse3) ?(faults = Wf.null)
     ~(wafers : int * int) (p : P.t) : t =
   let t0 = Unix.gettimeofday () in
   let pl = Decompose.plan ~wafers p in
@@ -375,7 +375,7 @@ let run ?engine ?(interconnect = Interconnect.default)
               s.Decompose.swaps;
           if statuses.(i) = Healthy then begin
             let h = Host.load machine (program i) view in
-            Host.run ?driver h;
+            Host.run h;
             outs.(i) <- Host.read_all h;
             cycles.(i) <- Fabric.elapsed_cycles h.Host.sim
           end

@@ -29,7 +29,7 @@ exception Cosim_error of string
 
 (** Worker domains ever spawned by co-simulations — exactly one per
     wafer per run; pinned by a regression test (the
-    [Fabric.domains_spawned] / [Pool.domains_spawned] discipline). *)
+    [Pool.domains_spawned] discipline). *)
 val domains_spawned : unit -> int
 
 (** What recovery did during a faulted run. *)
@@ -67,16 +67,14 @@ val grids_bit_identical : I.grid list -> I.grid list -> bool
 (** The undecomposed single-wafer simulation of [p] — the baseline the
     co-simulation must match bit for bit. *)
 val reference :
-  ?driver:Wsc_wse.Fabric.driver ->
   ?machine:Wsc_wse.Machine.t ->
   ?options:Wsc_core.Pipeline.options ->
   P.t ->
   I.grid list
 
 (** Run the co-simulation.  [engine] defaults to a fresh compile
-    engine (pass a shared one to reuse its cache across runs);
-    [driver] is the within-wafer fabric driver (default event-driven —
-    wafers already occupy one domain each).  [faults] defaults to
+    engine (pass a shared one to reuse its cache across runs).  Each
+    wafer runs on the event-driven fabric driver.  [faults] defaults to
     [Faults.Wafer.null]: the fault-free path takes exactly one extra
     branch per decision point and stays bit-identical.
     @raise Decompose.Decompose_error when [p] cannot be decomposed
@@ -87,7 +85,6 @@ val run :
   ?engine:Wsc_serve.Engine.t ->
   ?interconnect:Interconnect.t ->
   ?machine:Wsc_wse.Machine.t ->
-  ?driver:Wsc_wse.Fabric.driver ->
   ?faults:Wsc_faults.Faults.Wafer.t ->
   wafers:int * int ->
   P.t ->

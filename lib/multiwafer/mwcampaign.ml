@@ -71,7 +71,7 @@ let max_abs_diff (a : I.grid list) (b : I.grid list) : float =
       end)
     0.0 a b
 
-let run ?engine ?(machine = Machine.wse3) ?driver ?iterations
+let run ?engine ?(machine = Machine.wse3) ?iterations
     ?(kinds = Wf.all_kinds) ?(resilience = Wf.default_resilience)
     ~(bench : string) ~(size : B.size) ~(wafers : int * int)
     ~(resilient : bool) ~(rates : float list) ~(seeds : int list) () : report
@@ -82,16 +82,16 @@ let run ?engine ?(machine = Machine.wse3) ?driver ?iterations
   in
   let engine = match engine with Some e -> e | None -> Engine.create () in
   (* the bit-identity yardstick: the undecomposed single-wafer run *)
-  let reference = Cosim.reference ?driver ~machine p in
+  let reference = Cosim.reference ~machine p in
   (* fault-free co-simulation under the same plan: recovery overhead is
      measured in device cycles against it *)
-  let baseline = Cosim.run ~engine ~machine ?driver ~wafers p in
+  let baseline = Cosim.run ~engine ~machine ~wafers p in
   let run_cell kind rate seed : cell =
     let cfg = Wf.config_for kind ~rate ~seed ~resilient in
     let cfg = { cfg with Wf.resilience = Option.map (fun _ -> resilience) cfg.Wf.resilience } in
     let faults = Wf.create cfg in
     let outcome =
-      match Cosim.run ~engine ~machine ?driver ~faults ~wafers p with
+      match Cosim.run ~engine ~machine ~faults ~wafers p with
       | r -> Ok r
       | exception Cosim.Cosim_error msg -> Error msg
       | exception Fabric.Sim_error msg -> Error msg
@@ -168,8 +168,7 @@ let run ?engine ?(machine = Machine.wse3) ?driver ?iterations
     size = B.size_to_string size;
     iterations = p.P.iterations;
     wafers = (wx, wy);
-    driver =
-      Fabric.driver_name (Option.value driver ~default:Fabric.Event_driven);
+    driver = Fabric.driver_name Fabric.Event_driven;
     resilient;
     cadence = resilience.Wf.checkpoint_cadence;
     max_retries = resilience.Wf.max_retries;

@@ -61,7 +61,6 @@ val survival_rate : report -> float
 val run :
   ?engine:Wsc_serve.Engine.t ->
   ?machine:Wsc_wse.Machine.t ->
-  ?driver:Wsc_wse.Fabric.driver ->
   ?iterations:int ->
   ?kinds:Wf.kind list ->
   ?resilience:Wf.resilience ->

@@ -86,12 +86,9 @@ let simulate_proxy ?(pipeline_options = Wsc_core.Pipeline.default_options)
 (** Simulate for [iters] timesteps on the proxy grid; returns elapsed
     cycles and aggregate stats.  The raw primitive behind {!measure} and
     the autotuner's memoized candidate evaluation. *)
-let simulate_iters ?pipeline_options ?driver ?extent (d : B.descr)
-    ~(machine : Machine.t) ~(iters : int) :
-    float * Wsc_wse.Fabric.pe_stats * int =
-  let h, chunks =
-    simulate_proxy ?pipeline_options ?driver ?extent d ~machine ~iters
-  in
+let simulate_iters ?pipeline_options ?extent (d : B.descr) ~(machine : Machine.t)
+    ~(iters : int) : float * Wsc_wse.Fabric.pe_stats * int =
+  let h, chunks = simulate_proxy ?pipeline_options ?extent d ~machine ~iters in
   (Wsc_wse.Fabric.elapsed_cycles h.sim, Wsc_wse.Fabric.total_stats h.sim, chunks)
 
 (** Analytic cycle prediction for a full run at [size]: steady-state
@@ -101,8 +98,8 @@ let simulate_iters ?pipeline_options ?driver ?extent (d : B.descr)
     prediction is directly comparable with a simulation of that exact
     grid — the basis of the trace deviation report. *)
 let predict_cycles ?(pipeline_options = Wsc_core.Pipeline.default_options)
-    ?driver (d : B.descr) ~(machine : Machine.t) ~(size : B.size)
-    ~(iterations : int) : float =
+    (d : B.descr) ~(machine : Machine.t) ~(size : B.size) ~(iterations : int) :
+    float =
   let run iters =
     let p = d.make_n size iters in
     let m = Wsc_core.Pipeline.compile ~options:pipeline_options (P.compile p) in
@@ -115,7 +112,7 @@ let predict_cycles ?(pipeline_options = Wsc_core.Pipeline.default_options)
           I.retensorize_grid g3)
         p.P.state
     in
-    let h = Wsc_wse.Host.simulate ?driver machine m init in
+    let h = Wsc_wse.Host.simulate machine m init in
     Wsc_wse.Fabric.elapsed_cycles h.sim
   in
   let i1 = 2 and i2 = 4 in
@@ -126,16 +123,14 @@ let predict_cycles ?(pipeline_options = Wsc_core.Pipeline.default_options)
     (c2 -. c1) /. float_of_int (i2 - i1) *. float_of_int iterations
 
 (** Steady-state measurement via two runs. *)
-let measure ?(pipeline_options = Wsc_core.Pipeline.default_options) ?driver
+let measure ?(pipeline_options = Wsc_core.Pipeline.default_options)
     ~(machine : Machine.t) ~(size : B.size) (d : B.descr) : measurement =
   let nx, ny = B.xy_extents size in
   let nz = match size with B.Tiny -> 6 | _ -> d.z_extent in
   let iterations = d.default_iterations in
   let i1 = 2 and i2 = 4 in
-  let c1, _, _ = simulate_iters ~pipeline_options ?driver d ~machine ~iters:i1 in
-  let c2, stats2, chunks =
-    simulate_iters ~pipeline_options ?driver d ~machine ~iters:i2
-  in
+  let c1, _, _ = simulate_iters ~pipeline_options d ~machine ~iters:i1 in
+  let c2, stats2, chunks = simulate_iters ~pipeline_options d ~machine ~iters:i2 in
   let cycles_per_iter = (c2 -. c1) /. float_of_int (i2 - i1) in
   (* handle single-shot benchmarks (UVKBE): startup-inclusive cost *)
   let cycles_per_iter =

@@ -49,7 +49,6 @@ val simulate_proxy :
     once per tuning session. *)
 val simulate_iters :
   ?pipeline_options:Wsc_core.Pipeline.options ->
-  ?driver:Wsc_wse.Fabric.driver ->
   ?extent:int ->
   B.descr ->
   machine:Machine.t ->
@@ -62,12 +61,10 @@ val simulate_iters :
     feeds the trace deviation report. *)
 val predict_cycles :
   ?pipeline_options:Wsc_core.Pipeline.options ->
-  ?driver:Wsc_wse.Fabric.driver ->
   B.descr -> machine:Machine.t -> size:B.size -> iterations:int -> float
 
 val measure :
   ?pipeline_options:Wsc_core.Pipeline.options ->
-  ?driver:Wsc_wse.Fabric.driver ->
   machine:Machine.t -> size:B.size -> B.descr -> measurement
 
 val pp_measurement : Format.formatter -> measurement -> unit

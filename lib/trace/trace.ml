@@ -14,9 +14,8 @@
     convention pid {!fabric_pid} carries one track per PE (timestamps in
     simulated cycles), pid {!compiler_pid} carries the pass pipeline
     (timestamps in wall-clock microseconds), pid {!host_pid} the
-    host-runtime markers (simulated cycles), and pid {!driver_pid} the
-    parallel fabric driver's per-round counters (timestamps are round
-    numbers). *)
+    host-runtime markers (simulated cycles), and pid {!serve_pid} the
+    compile service's workers (wall-clock microseconds). *)
 
 type phase =
   | Span_begin
@@ -54,7 +53,6 @@ let fabric_pid = 0
 
 let compiler_pid = 1
 let host_pid = 2
-let driver_pid = 3
 let serve_pid = 4
 
 let null : sink = Null
@@ -211,9 +209,7 @@ let counter (s : sink) ~pid ~tid ~name ~(values : (string * float) list) (ts : f
     Emission order is preserved within each source; flow ids are
     renumbered from [into]'s counter so pairs from different sources
     never collide.  The result is deterministic in (sources, their
-    contents): merging the per-domain collectors of a parallel
-    simulation in tile order therefore yields the same trace on every
-    run.  Null sinks (on either side) contribute nothing. *)
+    contents).  Null sinks (on either side) contribute nothing. *)
 let merge_into ~(into : sink) (sources : sink list) : unit =
   match into with
   | Null -> ()

@@ -31,15 +31,12 @@ type collector
 type sink = Null | Collector of collector
 
 (** Track-group conventions (Chrome "processes"): one track per PE under
-    [fabric_pid], the pass pipeline under [compiler_pid], host-runtime
-    markers under [host_pid], and the parallel fabric driver's per-round
-    counters (scans per round, barrier backlog) under [driver_pid] with
-    round numbers as timestamps. *)
+    [fabric_pid], the pass pipeline under [compiler_pid] and
+    host-runtime markers under [host_pid]. *)
 val fabric_pid : int
 
 val compiler_pid : int
 val host_pid : int
-val driver_pid : int
 
 (** The compile service: one track per worker domain, request phases
     (queue wait, parse, per-pass compile, emit) as spans in wall-clock
@@ -97,9 +94,8 @@ val counter :
     into [into], in list order, preserving each source's emission order
     and renumbering flow ids so pairs from different sources never
     collide.  Deterministic in the sources and their contents — this is
-    how the parallel fabric driver folds its per-domain collectors into
-    the caller's sink (tile order), so a traced parallel run exports the
-    same timeline every time.  Null sinks contribute nothing. *)
+    how the compile service folds its per-worker collectors into the
+    caller's sink.  Null sinks contribute nothing. *)
 val merge_into : into:sink -> sink list -> unit
 
 val track_names : sink -> ((int * int) * string) list

@@ -259,13 +259,9 @@ let stats_equal (a : pe_stats) (b : pe_stats) : bool = stats_diff a b = None
 type send_record = {
   sr_chunk_ready : float array;  (** completion time of each chunk injection *)
   sr_data : float array array;  (** snapshot of the sent z-range, per input *)
-  sr_peers : (int * int) array;  (** the sending config's {!comm.peers} *)
   mutable sr_pending : int;
-      (** receivers of the table holding this record that have not yet
-          completed the exchange; the record leaves the table at zero.
-          Each table holds its own record object (the parallel driver
-          files a copy sharing the payload arrays), so a count is only
-          ever touched by the domain that owns the table. *)
+      (** receivers that have not yet completed the exchange; the record
+          leaves the table at zero *)
 }
 
 type waiting = {
@@ -299,8 +295,7 @@ type pe = {
   mutable waiting : waiting option;
   mutable seq : (int, int) Hashtbl.t;  (** apply_id -> communicate count *)
   stats : pe_stats;
-  mutable live_sends : int;
-      (** this PE's records still in its own view's send table *)
+  mutable live_sends : int;  (** this PE's records still in the send table *)
   mutable held : bool;
       (** parked by the event driver at the live-record window, until a
           receiver frees one of its records *)
@@ -352,10 +347,6 @@ module Sched = struct
             on every enqueue and pop *)
     waiters : (key, int list) Hashtbl.t;
         (** per-send wake lists of parked PE indices *)
-    mutable quota : int;
-        (** scan allowance pre-acquired from the run's shared divergence
-            budget, so the hot loop touches the shared atomic only once
-            per {!budget_batch} scans *)
   }
 
   let create ~(width : int) ~(height : int) =
@@ -376,7 +367,6 @@ module Sched = struct
       width;
       enqueued = Bytes.make (((width * height) + 7) / 8) '\000';
       waiters = Hashtbl.create 64;
-      quota = 0;
     }
 
   let stats (s : t) = s.stats
@@ -417,8 +407,6 @@ module Sched = struct
       clear_mem_idx s i;
       i
     end
-
-  let is_empty (s : t) : bool = s.count = 0
 
   let park (s : t) (k : key) (idx : int) : unit =
     s.stats.parks <- s.stats.parks + 1;
@@ -467,16 +455,7 @@ type t = {
       (** fault-injection schedule and resilience bookkeeping; with
           {!Faults.null} (the default) every injection site is a dead
           branch, exactly like the trace sink *)
-  mutable on_send : (Sched.key -> send_record -> unit) option;
-      (** observation hook run by the send-registration path right after
-          a record is stored: the parallel driver exports boundary sends
-          to its per-edge mailboxes through it.  [None] (the sequential
-          drivers) costs one branch per send. *)
   comms : (op * comm) list;  (** the program's decoded communicate calls *)
-  recv_x0 : int;
-  recv_x1 : int;
-      (** columns whose receivers consume from this view's send table:
-          the whole grid, or one strip of the parallel driver *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records; lifted for the rest of the run if the fabric goes
@@ -621,10 +600,7 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     sched = Sched.create ~width ~height;
     trace;
     faults;
-    on_send = None;
     comms;
-    recv_x0 = 0;
-    recv_x1 = width - 1;
     window = true;
   }
 
@@ -713,11 +689,8 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
   let m = sim.machine in
   let dx = pe.px and dy = pe.py in
   let at = ref at in
-  (* the counters in [st] are shared by every domain of the parallel
-     driver, so every update goes through the injector's lock; the
-     decisions themselves are pure and need none *)
   if Faults.backpressure_here f ~apply ~seq ~chunk ~input ~sx ~sy ~dx ~dy then begin
-    Faults.locked f (fun () -> st.backpressures <- st.backpressures + 1);
+    st.backpressures <- st.backpressures + 1;
     at := !at +. (Faults.config f).backpressure_cycles;
     trace_fault sim pe ~name:"backpressure" !at
   end;
@@ -740,11 +713,11 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
       match fault 0 with
       | None -> (!at, Clean)
       | Some Lost ->
-          Faults.locked f (fun () -> st.drops <- st.drops + 1);
+          st.drops <- st.drops + 1;
           trace_fault sim pe ~name:"drop" !at;
           (!at, Lost)
       | Some (Damaged _ as dmg) ->
-          Faults.locked f (fun () -> st.corrupts <- st.corrupts + 1);
+          st.corrupts <- st.corrupts + 1;
           trace_fault sim pe ~name:"corrupt" !at;
           (!at, dmg)
       | Some Clean -> assert false)
@@ -762,13 +735,13 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
             let detected =
               match outcome with
               | Lost ->
-                  Faults.locked f (fun () -> st.drops <- st.drops + 1);
+                  st.drops <- st.drops + 1;
                   trace_fault sim pe ~name:"drop" !at;
                   (* loss is always detected: the sequence number never
                      arrives and the receiver timeout fires *)
                   true
               | Damaged (idx, noise) ->
-                  Faults.locked f (fun () -> st.corrupts <- st.corrupts + 1);
+                  st.corrupts <- st.corrupts + 1;
                   trace_fault sim pe ~name:"corrupt" !at;
                   (* receiver-side integrity check: recompute the
                      checksum over the damaged copy and compare against
@@ -783,7 +756,7 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
             if not detected then
               (!at, outcome) (* undetected corruption: delivered as-is *)
             else if a >= r.Faults.max_retries then begin
-              Faults.locked f (fun () -> st.giveups <- st.giveups + 1);
+              st.giveups <- st.giveups + 1;
               Faults.taint f ~x:pe.px ~y:pe.py;
               trace_fault sim pe ~name:"giveup" !at;
               (!at, Lost)
@@ -799,9 +772,8 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
               in
               let cost = wait +. rtt +. reinject in
               at := !at +. cost;
-              Faults.locked f (fun () ->
-                  st.retries <- st.retries + 1;
-                  st.recovery_cycles <- st.recovery_cycles +. cost);
+              st.retries <- st.retries + 1;
+              st.recovery_cycles <- st.recovery_cycles +. cost;
               trace_fault sim pe ~name:"retry" !at;
               attempt (a + 1)
             end
@@ -1030,20 +1002,18 @@ let exec_func (sim : t) (pe : pe) (name : string) (args : cell list) : comm list
 
 let in_grid sim x y = x >= 0 && x < sim.width && y >= 0 && y < sim.height
 
-(** Receivers in this view's columns that read the send of the PE at
-    ([sx], [sy]): the in-grid PEs at the sender minus each peer offset. *)
+(** Receivers that read the send of the PE at ([sx], [sy]): the in-grid
+    PEs at the sender minus each peer offset. *)
 let receivers_of (sim : t) (peers : (int * int) array) (sx : int) (sy : int) : int =
   let n = ref 0 in
   for i = 0 to Array.length peers - 1 do
     let dx, dy = peers.(i) in
-    let rx = sx - dx and ry = sy - dy in
-    if rx >= sim.recv_x0 && rx <= sim.recv_x1 && ry >= 0 && ry < sim.height then
-      incr n
+    if in_grid sim (sx - dx) (sy - dy) then incr n
   done;
   !n
 
-(** File a record that has receivers in this view, tracking the table's
-    high-water mark. *)
+(** File a record that has receivers, tracking the table's high-water
+    mark. *)
 let store_send (sim : t) (key : Sched.key) (record : send_record) : unit =
   Hashtbl.replace sim.sends key record;
   let st = sim.sched.Sched.stats in
@@ -1078,14 +1048,10 @@ let register_send (sim : t) (pe : pe) (c : comm) (seq : int) : unit =
       inject_start pe.clock;
   let key = (c.apply_id, seq, pe.px, pe.py) in
   let pending = receivers_of sim c.peers pe.px pe.py in
-  let record =
-    { sr_chunk_ready = ready; sr_data = data; sr_peers = c.peers; sr_pending = pending }
-  in
   if pending > 0 then begin
-    store_send sim key record;
+    store_send sim key { sr_chunk_ready = ready; sr_data = data; sr_pending = pending };
     pe.live_sends <- pe.live_sends + 1
   end;
-  (match sim.on_send with None -> () | Some export -> export key record);
   (* taint propagation: data computed from substituted or unrecoverable
      inputs invalidates every receiver that reduces this send *)
   if Faults.enabled sim.faults && Faults.is_tainted sim.faults ~x:pe.px ~y:pe.py
@@ -1134,14 +1100,11 @@ let release_sends (sim : t) (pe : pe) (w : waiting) : unit =
           r.sr_pending <- r.sr_pending - 1;
           if r.sr_pending = 0 then begin
             Hashtbl.remove sim.sends key;
-            (* the sender's own count lives with the view that owns it *)
-            if sx >= sim.recv_x0 && sx <= sim.recv_x1 then begin
-              let spe = sim.pes.(sx).(sy) in
-              spe.live_sends <- spe.live_sends - 1;
-              if spe.held then begin
-                spe.held <- false;
-                Sched.enqueue sim.sched sx sy
-              end
+            let spe = sim.pes.(sx).(sy) in
+            spe.live_sends <- spe.live_sends - 1;
+            if spe.held then begin
+              spe.held <- false;
+              Sched.enqueue sim.sched sx sy
             end
           end
       | exception Not_found -> () (* a halted sender the run degraded past *)
@@ -1331,9 +1294,8 @@ let run_tasks (sim : t) (pe : pe) : bool =
              if Faults.stall_here sim.faults ~x:pe.px ~y:pe.py ~activation:n
              then begin
                let cycles = (Faults.config sim.faults).stall_cycles in
-               Faults.locked sim.faults (fun () ->
-                   let st = Faults.stats sim.faults in
-                   st.stalls <- st.stalls + 1);
+               let st = Faults.stats sim.faults in
+               st.stalls <- st.stalls + 1;
                trace_span sim pe ~cat:"fault" ~name:"stall" pe.clock
                  (pe.clock +. cycles);
                pe.clock <- pe.clock +. cycles;
@@ -1396,21 +1358,15 @@ let step_pe (sim : t) (pe : pe) : bool =
     !progressed
   end
 
-(** Start the program on the PEs of columns [x0..x1] (the parallel
-    driver launches each strip from its own domain). *)
-let launch_cols (sim : t) (x0 : int) (x1 : int) : unit =
-  for x = x0 to x1 do
-    Array.iter
-      (fun pe ->
-        let run_start = pe.clock in
-        let comms = exec_func sim pe "run" [] in
-        trace_span sim pe ~cat:"compute" ~name:"run" run_start pe.clock;
-        List.iter (start_exchange sim pe) comms)
-      sim.pes.(x)
-  done
-
 (** Start the program on every PE (host calls the exported [run]). *)
-let launch (sim : t) : unit = launch_cols sim 0 (sim.width - 1)
+let launch (sim : t) : unit =
+  Array.iter
+    (Array.iter (fun pe ->
+         let run_start = pe.clock in
+         let comms = exec_func sim pe "run" [] in
+         trace_span sim pe ~cat:"compute" ~name:"run" run_start pe.clock;
+         List.iter (start_exchange sim pe) comms))
+    sim.pes
 
 (** {2 Deadlock diagnostics} *)
 
@@ -1519,9 +1475,8 @@ let deadlock_report (sim : t) : string =
          (if halted = 1 then "" else "s"));
   Buffer.contents buf
 
-(** Lift the live-record window of [sim]'s view for the rest of the run
-    if the fabric went quiescent with some of its PEs held at it, and
-    re-enqueue them; returns whether any was held.  When every PE
+(** Lift the live-record window for the rest of the run if the fabric
+    went quiescent with some PEs held at it, and re-enqueue them; returns whether any was held.  When every PE
     performs every exchange this never fires: a held PE's oldest record
     waits on a receiver strictly behind it, which is either runnable or
     waits on a PE further behind still, so some PE can always progress.
@@ -1529,24 +1484,22 @@ let deadlock_report (sim : t) : string =
 let lift_window (sim : t) : bool =
   let held = ref false in
   if sim.window then
-    for x = sim.recv_x0 to sim.recv_x1 do
-      Array.iter
-        (fun pe ->
-          if
-            (not pe.finished)
-            && pe.live_sends >= max_live_sends_per_pe
-            && not
-                 (Faults.enabled sim.faults
-                 && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)
-          then begin
-            held := true;
-            if pe.held then begin
-              pe.held <- false;
-              Sched.enqueue sim.sched pe.px pe.py
-            end
-          end)
-        sim.pes.(x)
-    done;
+    Array.iter
+      (Array.iter (fun pe ->
+           if
+             (not pe.finished)
+             && pe.live_sends >= max_live_sends_per_pe
+             && not
+                  (Faults.enabled sim.faults
+                  && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)
+           then begin
+             held := true;
+             if pe.held then begin
+               pe.held <- false;
+               Sched.enqueue sim.sched pe.px pe.py
+             end
+           end))
+      sim.pes;
   if !held then sim.window <- false;
   !held
 
@@ -1559,16 +1512,8 @@ let lift_window (sim : t) : bool =
     drivers alternate run / degrade rounds until either everything
     finishes or degradation stops making progress (a true deadlock).
     Without resilience (or with no injector) this is a no-op and the
-    quiescent fabric is reported as deadlocked, as in the seed.
-    [notify] overrides where wakes are delivered: the parallel driver
-    passes a broadcast into its per-strip schedulers, since that is
-    where the receivers are parked. *)
-let degrade ?notify (sim : t) : bool =
-  let notify =
-    match notify with
-    | Some f -> f
-    | None -> fun k -> ignore (Sched.notify sim.sched k)
-  in
+    quiescent fabric is reported as deadlocked, as in the seed. *)
+let degrade (sim : t) : bool =
   let f = sim.faults in
   if not (Faults.enabled f) then false
   else
@@ -1592,16 +1537,16 @@ let degrade ?notify (sim : t) : bool =
                           if Faults.is_halted f ~x:sx ~y:sy then begin
                             Faults.skip_send f ~apply:w.w_comm.apply_id
                               ~seq:w.w_seq ~x:sx ~y:sy;
-                            Faults.locked f (fun () ->
-                                let st = Faults.stats f in
-                                st.halt_timeouts <- st.halt_timeouts + 1;
-                                st.recovery_cycles <-
-                                  st.recovery_cycles
-                                  +. r.Faults.halt_timeout_cycles);
+                            let st = Faults.stats f in
+                            st.halt_timeouts <- st.halt_timeouts + 1;
+                            st.recovery_cycles <-
+                              st.recovery_cycles +. r.Faults.halt_timeout_cycles;
                             trace_fault sim pe ~name:"halt-timeout"
                               (w.w_registered_at +. r.Faults.halt_timeout_cycles);
                             marked := true;
-                            notify (w.w_comm.apply_id, w.w_seq, sx, sy)
+                            ignore
+                              (Sched.notify sim.sched
+                                 (w.w_comm.apply_id, w.w_seq, sx, sy))
                           end)
                         (missing_senders sim pe w))
               col)
@@ -1610,11 +1555,12 @@ let degrade ?notify (sim : t) : bool =
 
 (** {2 Drivers} *)
 
-type driver = Polling | Event_driven | Parallel of int
+type driver = Polling | Event_driven
 
 (** The seed driver: rescan every PE of the grid each round until no PE
-    makes progress.  Kept for scheduler-equivalence testing and the
-    [sched] microbenchmark; the event-driven driver below is the default. *)
+    makes progress.  Kept as the reference the scheduler-equivalence
+    tests and the [sched] microbenchmark compare against; the
+    event-driven driver below is the default. *)
 let run_polling ~(max_rounds : int) (sim : t) : unit =
   let rounds = ref 0 in
   let rec drive () =
@@ -1640,43 +1586,27 @@ let run_polling ~(max_rounds : int) (sim : t) : unit =
   in
   drive ()
 
-(** Scans a scheduler pre-acquires from the run's shared divergence
-    budget in one atomic operation: large enough that the shared counter
-    stays off the hot path, small enough (versus any realistic budget of
-    [max_rounds * width * height]) that the guard still trips within a
-    sliver of the sequential bound. *)
-let budget_batch = 256
-
-(** Charge one PE scan against the run-wide budget shared by every
-    strip of the parallel driver (and trivially owned by the sequential
-    event driver).  Refills the scheduler's local quota in batches so a
-    livelocked program fails at (essentially) the same scan bound under
-    every driver, instead of each strip separately enjoying the whole
-    grid's allowance. *)
-let charge_scan (s : Sched.t) (budget : int Atomic.t) : unit =
-  if s.Sched.quota <= 0 then begin
-    if Atomic.fetch_and_add budget (-budget_batch) <= 0 then
-      fail "simulation did not converge";
-    s.Sched.quota <- budget_batch
-  end;
-  s.Sched.quota <- s.Sched.quota - 1
-
-(** Pop runnable PEs off [sim]'s ready ring until it drains; a PE that
-    blocks on an exchange parks on the wake list of its first missing
-    sender and is re-enqueued by that sender's [register_send] (see
-    {!Sched}).  Shared by the event-driven driver (whole grid) and the
-    parallel driver (per strip, interleaved with inbox deliveries).
-    [budget] is the run-wide scan allowance; see {!charge_scan}. *)
-let drain_ready ~(budget : int Atomic.t) (sim : t) : unit =
+(** Event-driven driver: pop runnable PEs off the ready ring until it
+    drains; a PE that blocks on an exchange parks on the wake list of
+    its first missing sender and is re-enqueued by that sender's
+    [register_send] (see {!Sched}).  Execution order differs from the
+    polling driver but per-PE results are identical: a PE's behaviour
+    depends only on its own state and on the contents of send records,
+    which are immutable once registered. *)
+let run_event ~(max_rounds : int) (sim : t) : unit =
   let s = sim.sched in
   let width = sim.width in
-  let rec loop () =
+  (* same divergence guard as the polling driver, which allows up to
+     [max_rounds] whole-grid rescans: the first scan beyond that fails *)
+  let budget = ref (max_rounds * width * sim.height) in
+  let rec drain () =
     let idx = Sched.pop s in
     if idx >= 0 then begin
+      if !budget = 0 then fail "simulation did not converge";
+      decr budget;
       let x = idx mod width and y = idx / width in
       let pe = sim.pes.(x).(y) in
       s.Sched.stats.scans <- s.Sched.stats.scans + 1;
-      charge_scan s budget;
       ignore (step_pe sim pe);
       let halted =
         Faults.enabled sim.faults && Faults.is_halted sim.faults ~x ~y
@@ -1706,24 +1636,12 @@ let drain_ready ~(budget : int Atomic.t) (sim : t) : unit =
               if not (Task_queue.is_empty pe.task_queue) then Sched.enqueue s x y
         end
       end;
-      loop ()
+      drain ()
     end
   in
-  loop ()
-
-(** Event-driven driver.  Execution order differs from the polling
-    driver but per-PE results are identical: a PE's behaviour depends
-    only on its own state and on the contents of send records, which are
-    immutable once registered. *)
-let run_event ~(max_rounds : int) (sim : t) : unit =
-  (* same divergence guard as the polling driver: it allowed up to
-     [max_rounds] whole-grid rescans *)
-  let budget = Atomic.make (max_rounds * sim.width * sim.height) in
-  Array.iter
-    (fun col -> Array.iter (fun pe -> Sched.enqueue sim.sched pe.px pe.py) col)
-    sim.pes;
+  Array.iter (Array.iter (fun pe -> Sched.enqueue s pe.px pe.py)) sim.pes;
   let rec drive () =
-    drain_ready ~budget sim;
+    drain ();
     if not (all_done sim) then
       (* the queue drained but PEs are still blocked: release held PEs
          or degrade past any halted senders (which wakes their parked
@@ -1733,366 +1651,18 @@ let run_event ~(max_rounds : int) (sim : t) : unit =
   in
   drive ()
 
-(** {2 Parallel driver (conservative PDES on a persistent worker pool)}
-
-    The grid is cut into contiguous vertical strips, one per worker
-    domain; each strip runs {!drain_ready} over a private view of the
-    simulator — its own send table, scheduler and trace collector, while
-    PE state is only ever touched by the strip that owns the PE.
-
-    Workers are {e persistent}: [run_parallel] spawns exactly [n]
-    domains once, parks them on a Mutex/Condition barrier, and releases
-    them per round — each strip's scheduler, inbox and trace collector
-    stay domain-resident for the whole run, and no spawn/join cost is
-    paid per round.  (PR 5 spawned and joined every strip every round,
-    thousands of times per run, which swamped the strip work; the
-    spawn-counter regression test pins the new behaviour.)
-
-    Cross-strip sends stream {e during} the round: a send registered
-    within [reach] columns of a strip edge is pushed, by the sending
-    worker, into a mutex-protected inbox of every strip the sender can
-    reach ([reach] — the lookahead — is the maximum swap depth any
-    communicate config uses, i.e. the farthest a wavelet travels in one
-    exchange).  When a strip's ready ring drains, it takes its whole
-    inbox in one lock exchange and batches it into its own send table —
-    delivery is exactly-once by construction, so no per-entry membership
-    probe — and keeps draining if anything woke.  A strip therefore runs
-    as many exchange generations per round as its neighbours can feed
-    it, instead of exactly one per barrier; the barrier only lands when
-    no strip can progress without the coordinator (termination check,
-    resilience degrade) — rounds are few and long rather than
-    per-generation.
-
-    Bit-identity with the sequential drivers: arrival times are
-    computed from the immutable send record ([sr_chunk_ready] plus hop
-    latency), never from when the record became visible, and fault
-    decisions are pure site hashes — so when a record becomes visible
-    (mid-round or at a barrier) shifts *when* a receiver resumes, not
-    *what* it computes.  Per-PE execution sequences are therefore
-    identical, and so are pe_stats, drained fields and fault reports.
-    Per-strip trace collectors are folded into the caller's sink in
-    strip order: span sets and timestamps match the sequential drivers
-    exactly; only the within-strip emission order and the
-    driver-specific "sched" park/wake instants depend on cross-domain
-    timing (as park/wake instants already did versus polling). *)
-
-(** Farthest hop distance any communicate config of the program reaches:
-    the lookahead of the round barrier. *)
-let max_swap_depth (sim : t) : int =
-  List.fold_left
-    (fun acc (_, c) -> Array.fold_left (fun acc sl -> max acc sl.sl_d) acc c.slots)
-    1 sim.comms
-
-(* Test-visible count of worker domains ever spawned by [run_parallel]:
-   the regression test asserts one run raises it by exactly the domain
-   count, however many rounds the run takes. *)
-let spawn_counter : int Atomic.t = Atomic.make 0
-
-let domains_spawned () : int = Atomic.get spawn_counter
-
-(** Worker domains a driver actually uses on a [width]-column grid: the
-    sequential drivers use none, and [Parallel n] clamps to at least one
-    strip and at most one strip per column.  This is the clamp
-    [run_parallel] itself applies, so JSON summaries and bench artifacts
-    that report it stay truthful even for requests the CLI expanded
-    ([--domains 0]) or that exceed the grid ([n > width]). *)
-let effective_domains (d : driver) ~(width : int) : int =
-  match d with
-  | Polling | Event_driven -> 0
-  | Parallel n -> max 1 (min n width)
-
-type tile = {
-  t_sim : t;  (** private view: own sends / sched / trace, shared PEs *)
-  t_x0 : int;
-  t_x1 : int;
-  t_inbox_lock : Mutex.t;
-  mutable t_inbox : (Sched.key * send_record) list;
-      (** cross-strip sends posted by neighbouring workers mid-round,
-          newest first; the owning strip takes the whole list in one
-          lock exchange whenever its ready ring drains *)
-}
-
-let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
-  let n = effective_domains (Parallel domains) ~width:sim.width in
-  if n = 1 then begin
-    launch sim;
-    run_event ~max_rounds sim
-  end
-  else begin
-    let reach = max_swap_depth sim in
-    let tiles =
-      Array.init n (fun i ->
-          let x0 = i * sim.width / n and x1 = (((i + 1) * sim.width) / n) - 1 in
-          let t_sim =
-            {
-              sim with
-              sends = Hashtbl.create 1024;
-              sched = Sched.create ~width:sim.width ~height:sim.height;
-              trace =
-                (if Trace.enabled sim.trace then Trace.collector ()
-                 else Trace.null);
-              on_send = None;
-              recv_x0 = x0;
-              recv_x1 = x1;
-            }
-          in
-          {
-            t_sim;
-            t_x0 = x0;
-            t_x1 = x1;
-            t_inbox_lock = Mutex.create ();
-            t_inbox = [];
-          })
-    in
-    (* wire the send hooks second — each needs the finished [tiles]
-       array: a boundary send is pushed straight into the inbox of every
-       strip within lookahead reach, so receivers can consume it in the
-       same round instead of waiting for a barrier *)
-    Array.iteri
-      (fun i tl ->
-        let x0 = tl.t_x0 and x1 = tl.t_x1 in
-        let post j entry =
-          let dst = tiles.(j) in
-          Mutex.lock dst.t_inbox_lock;
-          dst.t_inbox <- entry :: dst.t_inbox;
-          Mutex.unlock dst.t_inbox_lock
-        in
-        let export ((_, _, sx, _) as k : Sched.key) (r : send_record) : unit =
-          let entry = (k, r) in
-          if x1 - sx < reach then begin
-            let j = ref (i + 1) in
-            while !j < n && tiles.(!j).t_x0 - sx <= reach do
-              post !j entry;
-              incr j
-            done
-          end;
-          if sx - x0 < reach then begin
-            let j = ref (i - 1) in
-            while !j >= 0 && sx - tiles.(!j).t_x1 <= reach do
-              post !j entry;
-              decr j
-            done
-          end
-        in
-        tl.t_sim.on_send <- Some export)
-      tiles;
-    (* one shared divergence budget for the whole run: non-convergence
-       fails at the same whole-grid bound as the sequential drivers,
-       instead of each strip separately enjoying the full allowance *)
-    let budget = Atomic.make (max_rounds * sim.width * sim.height) in
-    (* take the strip's inbox in one lock exchange and batch it into its
-       send table.  Delivery is exactly-once by construction (a sender
-       posts a record to each reachable strip exactly once, and the
-       left/right sweeps cover disjoint strips), so there is no
-       per-entry membership probe.  Each strip files its own copy of the
-       record, counting only its own receivers: the payload arrays are
-       shared read-only, the pending count never crosses a domain.
-       Returns whether any parked PE woke. *)
-    let drain_inbox (tl : tile) : bool =
-      Mutex.lock tl.t_inbox_lock;
-      let batch = tl.t_inbox in
-      tl.t_inbox <- [];
-      Mutex.unlock tl.t_inbox_lock;
-      let woke = ref false in
-      List.iter
-        (fun (((_, _, sx, sy) as k), r) ->
-          let pending = receivers_of tl.t_sim r.sr_peers sx sy in
-          if pending > 0 then store_send tl.t_sim k { r with sr_pending = pending };
-          if Sched.notify tl.t_sim.sched k <> [] then woke := true)
-        batch;
-      !woke
-    in
-    (* a round runs as many exchange generations as neighbours can feed
-       this strip: drain the ready ring, absorb whatever landed in the
-       inbox meanwhile, and go again until neither side has work.  The
-       barrier only lands when no strip can progress on its own. *)
-    let tile_round (tl : tile) ~(first : bool) : unit =
-      if first then begin
-        launch_cols tl.t_sim tl.t_x0 tl.t_x1;
-        for x = tl.t_x0 to tl.t_x1 do
-          for y = 0 to sim.height - 1 do
-            Sched.enqueue tl.t_sim.sched x y
-          done
-        done
-      end;
-      let continue_ = ref true in
-      while !continue_ do
-        drain_ready ~budget tl.t_sim;
-        continue_ := drain_inbox tl
-      done
-    in
-    (* persistent worker pool: [n] domains spawned once for the whole
-       run and parked on a Mutex/Condition barrier between rounds — a
-       round is released by bumping [epoch] and is over when every
-       worker has checked back in.  Strip state (scheduler, inbox,
-       trace collector) stays domain-resident; nothing is spawned or
-       joined per round. *)
-    let pool_lock = Mutex.create () in
-    let work_ready = Condition.create () in
-    let round_done = Condition.create () in
-    let epoch = ref 0 in
-    let running = ref 0 in
-    let stop = ref false in
-    let failures : exn option array = Array.make n None in
-    let worker i () =
-      let tl = tiles.(i) in
-      let seen = ref 0 in
-      let live = ref true in
-      while !live do
-        Mutex.lock pool_lock;
-        while !epoch = !seen && not !stop do
-          Condition.wait work_ready pool_lock
-        done;
-        if !stop then begin
-          Mutex.unlock pool_lock;
-          live := false
-        end
-        else begin
-          seen := !epoch;
-          Mutex.unlock pool_lock;
-          (try tile_round tl ~first:(!seen = 1)
-           with e -> failures.(i) <- Some e);
-          Mutex.lock pool_lock;
-          decr running;
-          if !running = 0 then Condition.signal round_done;
-          Mutex.unlock pool_lock
-        end
-      done
-    in
-    let pool =
-      Array.init n (fun i ->
-          Atomic.incr spawn_counter;
-          Domain.spawn (worker i))
-    in
-    let shutdown () =
-      Mutex.lock pool_lock;
-      stop := true;
-      Condition.broadcast work_ready;
-      Mutex.unlock pool_lock;
-      Array.iter Domain.join pool
-    in
-    (* release one round and wait for the barrier; worker failures are
-       re-raised lowest strip first, deterministically *)
-    let round () : unit =
-      Mutex.lock pool_lock;
-      running := n;
-      incr epoch;
-      Condition.broadcast work_ready;
-      while !running > 0 do
-        Condition.wait round_done pool_lock
-      done;
-      Mutex.unlock pool_lock;
-      Array.iter (function Some e -> raise e | None -> ()) failures
-    in
-    let pending () =
-      Array.exists
-        (fun tl ->
-          (not (Sched.is_empty tl.t_sim.sched))
-          ||
-          (Mutex.lock tl.t_inbox_lock;
-           let nonempty = tl.t_inbox <> [] in
-           Mutex.unlock tl.t_inbox_lock;
-           nonempty))
-        tiles
-    in
-    (* driver-level profiling: one counter sample per barrier under
-       [Trace.driver_pid], timestamped by round number and sampled with
-       every worker parked *)
-    let round_idx = ref 0 in
-    let trace_round () =
-      if Trace.enabled sim.trace then begin
-        let ready = ref 0 in
-        Array.iter (fun tl -> ready := !ready + tl.t_sim.sched.Sched.count) tiles;
-        Trace.counter sim.trace ~pid:Trace.driver_pid ~tid:0 ~name:"round"
-          ~values:[ ("ready_backlog", float_of_int !ready) ]
-          (float_of_int !round_idx)
-      end
-    in
-    let rec rounds () : unit =
-      round ();
-      incr round_idx;
-      trace_round ();
-      if pending () then rounds ()
-    in
-    (* global diagnostics (all_done / degrade / deadlock_report) run on
-       the caller's view, which needs every strip's sends *)
-    let merge_sends () =
-      Array.iter
-        (fun tl ->
-          Hashtbl.iter (fun k r -> Hashtbl.replace sim.sends k r) tl.t_sim.sends)
-        tiles
-    in
-    let notify_tiles k =
-      Array.iter (fun tl -> ignore (Sched.notify tl.t_sim.sched k)) tiles
-    in
-    let rec finish () =
-      merge_sends ();
-      if not (all_done sim) then
-        let lifted =
-          Array.fold_left (fun acc tl -> lift_window tl.t_sim || acc) false tiles
-        in
-        if lifted || degrade ~notify:notify_tiles sim then begin
-          rounds ();
-          finish ()
-        end
-        else raise (Sim_error (deadlock_report sim))
-    in
-    Fun.protect ~finally:shutdown (fun () ->
-        if Trace.enabled sim.trace then begin
-          Trace.name_process sim.trace ~pid:Trace.driver_pid "driver";
-          Trace.name_track sim.trace ~pid:Trace.driver_pid ~tid:0
-            "parallel rounds"
-        end;
-        rounds ();
-        finish ());
-    (* fold per-strip observations into the caller's view: traces merged
-       in strip order (deterministic), scheduler counters summed *)
-    if Trace.enabled sim.trace then
-      Trace.merge_into ~into:sim.trace
-        (Array.to_list (Array.map (fun tl -> tl.t_sim.trace) tiles));
-    let mst = sim.sched.Sched.stats in
-    Array.iter
-      (fun tl ->
-        let st = Sched.stats tl.t_sim.sched in
-        mst.Sched.scans <- mst.Sched.scans + st.Sched.scans;
-        mst.Sched.probes <- mst.Sched.probes + st.Sched.probes;
-        mst.Sched.wakeups <- mst.Sched.wakeups + st.Sched.wakeups;
-        mst.Sched.parks <- mst.Sched.parks + st.Sched.parks;
-        mst.Sched.holds <- mst.Sched.holds + st.Sched.holds;
-        if st.Sched.max_queue_depth > mst.Sched.max_queue_depth then
-          mst.Sched.max_queue_depth <- st.Sched.max_queue_depth;
-        (* strip tables peak at different moments and a record near a
-           strip edge lives in more than one of them, so the sum bounds
-           the run's live records from above *)
-        mst.Sched.peak_sends_live <- mst.Sched.peak_sends_live + st.Sched.peak_sends_live)
-      tiles
-  end
-
-(** Short name for reports and JSON summaries; the domain count of
-    [Parallel] is reported separately by its consumers. *)
-let driver_name = function
-  | Polling -> "polling"
-  | Event_driven -> "event"
-  | Parallel _ -> "parallel"
-
-(** Domain count a driver asks for (0 for the sequential drivers). *)
-let driver_domains = function
-  | Polling | Event_driven -> 0
-  | Parallel n -> n
+(** Short name for reports and JSON summaries. *)
+let driver_name = function Polling -> "polling" | Event_driven -> "event"
 
 (** Drive until every PE unblocks the command stream. *)
 let run_to_completion ?max_rounds ?(driver = Event_driven) (sim : t) : unit =
   let max_rounds =
     match max_rounds with Some r -> r | None -> sim.machine.sim_max_rounds
   in
+  launch sim;
   match driver with
-  | Polling ->
-      launch sim;
-      run_polling ~max_rounds sim
-  | Event_driven ->
-      launch sim;
-      run_event ~max_rounds sim
-  | Parallel domains -> run_parallel ~max_rounds ~domains sim
+  | Polling -> run_polling ~max_rounds sim
+  | Event_driven -> run_event ~max_rounds sim
 
 (** Scheduler counters of the last run. *)
 let sched_stats (sim : t) : Sched.stats = Sched.stats sim.sched

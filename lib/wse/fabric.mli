@@ -47,8 +47,7 @@ module Sched : sig
     mutable max_queue_depth : int;  (** ready-queue high-water mark *)
     mutable peak_sends_live : int;
         (** send-table high-water mark: records registered and not yet
-            consumed by all their receivers (under [Parallel n], the sum
-            of the strips' peaks — an upper bound) *)
+            consumed by all their receivers *)
     mutable holds : int;
         (** times the event driver held a PE at the live-record window *)
   }
@@ -76,8 +75,7 @@ type pe = {
   mutable waiting : waiting option;
   mutable seq : (int, int) Hashtbl.t;
   stats : pe_stats;
-  mutable live_sends : int;
-      (** this PE's records still in its own view's send table *)
+  mutable live_sends : int;  (** this PE's records still in the send table *)
   mutable held : bool;
       (** parked by the event driver at the live-record window *)
 }
@@ -108,16 +106,8 @@ type t = {
       (** fault-injection schedule and resilience bookkeeping; with
           {!Wsc_faults.Faults.null} (the default) every injection site
           is a dead branch, exactly like the trace sink *)
-  mutable on_send : (Sched.key -> send_record -> unit) option;
-      (** observation hook run by the send-registration path right after
-          a record is stored: the parallel driver streams boundary sends
-          into neighbouring strips' inboxes through it.  [None] (the
-          sequential drivers) costs one branch per send. *)
   comms : (Wsc_ir.Ir.op * comm) list;
       (** the program's communicate calls, decoded once by {!create} *)
-  recv_x0 : int;
-  recv_x1 : int;
-      (** columns whose receivers consume from this view's send table *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records (lifted if the fabric goes quiescent with PEs
@@ -186,43 +176,24 @@ val queue_task : pe -> at:float -> string -> unit
     first, ties in insertion order. *)
 val queued_tasks : pe -> (float * string) list
 
-(** How {!run_to_completion} drives the grid: [Polling] is the seed
-    driver (rescan every PE each round); [Event_driven] (the default) is
-    the ready-queue/wake-list scheduler; [Parallel n] cuts the grid into
-    [n] contiguous vertical strips, each driven by the event scheduler
-    on a worker [Domain.t] from a pool spawned once per run, with
-    boundary sends streamed into neighbouring strips' inboxes mid-round
-    and a reusable barrier whose lookahead is the program's maximum
-    exchange hop distance.  Elapsed cycles, per-PE statistics, drained
-    fields and fault reports are bit-identical across all three — a
+(** How {!run_to_completion} drives the grid: [Event_driven] (the
+    default, and the one production path) is the ready-queue/wake-list
+    scheduler; [Polling] is the seed driver (rescan every PE each
+    round), kept as the reference the equivalence tests and the [sched]
+    microbenchmark compare against.  Elapsed cycles, per-PE statistics,
+    drained fields and fault reports are bit-identical across both — a
     PE's behaviour depends only on its own state and on the immutable
-    contents of send records, whose arrival times are computed from
-    record contents rather than from when the driver made them visible.
-    [Parallel n] with [n <= 1] (or a one-column grid) falls back to
-    [Event_driven]. *)
-type driver = Polling | Event_driven | Parallel of int
+    contents of send records. *)
+type driver = Polling | Event_driven
 
-(** ["polling"], ["event"] or ["parallel"], for reports and JSON
-    summaries (the domain count is reported separately). *)
+(** ["polling"] or ["event"], for reports and JSON summaries. *)
 val driver_name : driver -> string
-
-(** Domain count a driver asks for (0 for the sequential drivers). *)
-val driver_domains : driver -> int
-
-(** Worker domains the driver actually uses on a [width]-column grid —
-    the clamp [Parallel] applies internally ([max 1 (min n width)]; 0
-    for the sequential drivers).  Report this, not the requested count,
-    in summaries and bench artifacts. *)
-val effective_domains : driver -> width:int -> int
-
-(** Total worker domains spawned by parallel runs since program start.
-    Test hook: the delta across one run must equal the effective domain
-    count — the pool is spawned once, never per round. *)
-val domains_spawned : unit -> int
 
 (** Start the program on every PE and drive the dependency-directed
     scheduler until every PE has unblocked the command stream.
-    [max_rounds] defaults to the machine's [sim_max_rounds].
+    [max_rounds] defaults to the machine's [sim_max_rounds]: both
+    drivers fail on the first PE scan beyond [max_rounds] x width x
+    height, the polling driver's [max_rounds] whole-grid rescans.
     @raise Sim_error on divergence, or on deadlock with a report of
     which PEs are blocked, on which (apply_id, seq) exchange, and which
     neighbour never sent. *)

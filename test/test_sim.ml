@@ -14,23 +14,6 @@ module Host = Wsc_wse.Host
 let () = Core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 
-(* CI reruns the whole suite under an alternative fabric driver by
-   setting WSC_DRIVER (polling | sched | parallel) and WSC_DOMAINS;
-   unset, everything runs under the default event driver *)
-let default_driver =
-  match Sys.getenv_opt "WSC_DRIVER" with
-  | Some "polling" -> Fabric.Polling
-  | Some ("sched" | "event") -> Fabric.Event_driven
-  | Some "parallel" ->
-      let domains =
-        match Sys.getenv_opt "WSC_DOMAINS" with
-        | Some s -> ( try int_of_string s with _ -> 2)
-        | None -> 2
-      in
-      Fabric.Parallel domains
-  | Some other -> invalid_arg ("WSC_DRIVER: unknown driver " ^ other)
-  | None -> Fabric.Event_driven
-
 let init_grids (p : P.t) =
   List.map
     (fun _ ->
@@ -42,7 +25,7 @@ let init_grids (p : P.t) =
 let simulate ?(options = Core.Pipeline.default_options)
     ?(machine = Machine.wse3) (p : P.t) : Host.t * I.grid list =
   let compiled = Core.Pipeline.compile ~options (P.compile p) in
-  let h = Host.simulate ~driver:default_driver machine compiled (init_grids p) in
+  let h = Host.simulate machine compiled (init_grids p) in
   (h, Host.read_all h)
 
 let assert_matches name (p : P.t) out =
@@ -251,10 +234,8 @@ let per_pe_stats (sim : Fabric.t) =
 
 (* Bound on live send records: the scheduler holds a PE once it has
    [c = Fabric.max_live_sends_per_pe] records its receivers have not
-   consumed, so under the sequential drivers the table never holds more
-   than c records per PE, whatever the iteration count.  (Under
-   [Parallel] the peak is a sum over strip tables and the window only
-   sees same-strip receivers, so only results are compared there.) *)
+   consumed, so the table never holds more than c records per PE,
+   whatever the iteration count. *)
 let live_bound (sim : Fabric.t) = Fabric.max_live_sends_per_pe * sim.width * sim.height
 
 (* run one program under a given driver: (cycles, per-PE stats, fields),
@@ -280,47 +261,45 @@ let assert_same_run name (c1, s1, o1) (c2, s2, o2) =
   let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff o1 o2) in
   check (name ^ ": outputs bit-identical") true (maxd = 0.0)
 
-(* every driver the equivalence checks sweep: both sequential drivers
-   and the domain-parallel driver at 1, 2 and 4 domains (1 exercises
-   the sequential fallback, 2 and 4 the strip decomposition) *)
-let all_drivers =
-  [
-    Fabric.Polling;
-    Fabric.Event_driven;
-    Fabric.Parallel 1;
-    Fabric.Parallel 2;
-    Fabric.Parallel 4;
-  ]
+(* every driver: the production event driver and the polling reference *)
+let all_drivers = [ Fabric.Polling; Fabric.Event_driven ]
 
-let driver_label d =
-  Printf.sprintf "%s/%d" (Fabric.driver_name d) (Fabric.driver_domains d)
+let check_bound name (peak, left, bound) =
+  if peak > bound then Alcotest.failf "%s: peak %d live records > %d" name peak bound;
+  if left <> 0 then Alcotest.failf "%s: %d records never freed" name left
 
-let assert_drivers_agree name (p : P.t) =
-  let reference, _, _, _ = run_with_driver Fabric.Event_driven p in
+(* run [p] under every driver: each must match the event driver bit for
+   bit, keep the send table within the bound and leave it empty; returns
+   the event driver's peak live records *)
+let assert_drivers_agree ?machine name (p : P.t) : int =
+  let runs = List.map (fun d -> (d, run_with_driver ?machine d p)) all_drivers in
+  let reference, peak, _, _ = List.assoc Fabric.Event_driven runs in
   List.iter
-    (fun driver ->
-      let run, _, _, _ = run_with_driver driver p in
-      assert_same_run (name ^ " [" ^ driver_label driver ^ "]") reference run)
-    all_drivers
+    (fun (driver, (run, peak, left, bound)) ->
+      let name = name ^ " [" ^ Fabric.driver_name driver ^ "]" in
+      assert_same_run name reference run;
+      check_bound name (peak, left, bound))
+    runs;
+  peak
 
 let test_driver_equivalence_tiny () =
   List.iter
-    (fun (d : B.descr) -> assert_drivers_agree (d.id ^ " tiny") (d.make B.Tiny))
+    (fun (d : B.descr) -> ignore (assert_drivers_agree (d.id ^ " tiny") (d.make B.Tiny)))
     B.all
 
 let test_driver_equivalence_small () =
   List.iter
     (fun (d : B.descr) ->
-      assert_drivers_agree (d.id ^ " small") (d.make_n B.Small 2))
+      ignore (assert_drivers_agree (d.id ^ " small") (d.make_n B.Small 2)))
     B.all
 
-(* qcheck: for any fuzzer-generated program, all five driver
-   configurations produce bit-identical cycles, stats and outputs *)
+(* qcheck: for any fuzzer-generated program, both drivers produce
+   bit-identical cycles, stats and outputs *)
 let prop_drivers_agree_on_fuzzed =
   QCheck.Test.make ~name:"drivers agree on fuzzer-generated programs"
     ~count:12 QCheck.small_nat (fun index ->
       let p = Wsc_harden.Fuzz.generate ~seed:23 ~index in
-      assert_drivers_agree (Wsc_harden.Fuzz.describe p) p;
+      ignore (assert_drivers_agree (Wsc_harden.Fuzz.describe p) p);
       true)
 
 let contains hay needle =
@@ -347,7 +326,7 @@ let test_deadlock_diagnostic () =
             (contains msg "blocked on exchange (apply_id=");
           check "report names the silent sender" true
             (contains msg "missing sender PE(1,0)"))
-    [ Fabric.Polling; Fabric.Event_driven; Fabric.Parallel 2 ]
+    all_drivers
 
 (* the byte-estimate guard refuses a grid within the PE limit whose
    program memory plus send-table bound exceeds the byte limit, before
@@ -385,7 +364,7 @@ let test_deadlock_after_frees () =
   let _, program = Core.Pipeline.modules_of compiled in
   List.iter
     (fun driver ->
-      let name = driver_label driver in
+      let name = Fabric.driver_name driver in
       let h = Host.load Machine.wse3 program (init_grids p) in
       Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := n - 2;
       match Fabric.run_to_completion ~driver h.Host.sim with
@@ -408,32 +387,17 @@ let test_deadlock_after_frees () =
              records were consumed and freed *)
           check (name ^ ": freed exchanges are not reported") true
             (not (contains msg "seq=0") && not (contains msg "seq=1")))
-    [ Fabric.Polling; Fabric.Event_driven; Fabric.Parallel 2 ]
+    all_drivers
 
 let test_peak_live_bounded () =
-  let check_bound name (peak, left, bound) =
-    if peak > bound then Alcotest.failf "%s: peak %d live records > %d" name peak bound;
-    if left <> 0 then Alcotest.failf "%s: %d records never freed" name left
-  in
   List.iter
     (fun machine ->
       List.iter
         (fun (d : B.descr) ->
           let peak_of n =
-            let p = d.make_n (B.Proxy (8, 8)) n in
-            let tag = Printf.sprintf "%s %s n=%d" machine.Machine.name d.id n in
-            let reference, peak, left, bound =
-              run_with_driver ~machine Fabric.Event_driven p
-            in
-            check_bound (tag ^ " [event]") (peak, left, bound);
-            List.iter
-              (fun driver ->
-                let name = tag ^ " [" ^ driver_label driver ^ "]" in
-                let run, peak, left, bound = run_with_driver ~machine driver p in
-                assert_same_run name reference run;
-                if driver = Fabric.Polling then check_bound name (peak, left, bound))
-              [ Fabric.Polling; Fabric.Parallel 2 ];
-            peak
+            assert_drivers_agree ~machine
+              (Printf.sprintf "%s %s n=%d" machine.Machine.name d.id n)
+              (d.make_n (B.Proxy (8, 8)) n)
           in
           let p8 = peak_of 8 and p32 = peak_of 32 in
           (* a table that never frees gains one record per PE per
@@ -459,9 +423,9 @@ let prop_live_sends_bounded =
           let _, peak, left, bound = run_with_driver driver p in
           if peak > bound || left <> 0 then
             QCheck.Test.fail_reportf "%s n=%d [%s]: peak %d (bound %d), %d left"
-              (Wsc_harden.Fuzz.describe p) iterations (driver_label driver) peak
+              (Wsc_harden.Fuzz.describe p) iterations (Fabric.driver_name driver) peak
               bound left)
-        [ Fabric.Event_driven; Fabric.Polling ];
+        all_drivers;
       true)
 
 (* a halted PE never consumes: with resilience its neighbours degrade
@@ -491,20 +455,20 @@ let test_halt_replay_with_freeing () =
       (* a second run replays the first exactly, and so do the others *)
       List.iter
         (fun driver ->
-          let name = tag ^ " [" ^ driver_label driver ^ "]" in
+          let name = tag ^ " [" ^ Fabric.driver_name driver ^ "]" in
           let r, f, k, _ = run driver in
           assert_same_run name re r;
           check (name ^ ": fault report and validity identical") true (f = fe);
           check (name ^ ": halt counters identical") true (k = ke))
-        [ Fabric.Event_driven; Fabric.Polling; Fabric.Parallel 2 ])
+        all_drivers)
     [ 1; 4 ]
 
-(* a fault campaign cell must replay bit-identically under the parallel
+(* a fault campaign cell must replay bit-identically under the polling
    driver: same injection decisions, same integer recovery bookkeeping,
    same validity mask, same fault report.  (Only [recovery_cycles] — a
    float summed over PEs in driver-visit order — is exempt from the
    cross-driver contract.) *)
-let test_fault_replay_parallel () =
+let test_fault_replay () =
   let module Faults = Wsc_faults.Faults in
   let p = (B.find "jacobian").make_n B.Tiny 3 in
   let compiled = Core.Pipeline.compile (P.compile p) in
@@ -539,7 +503,7 @@ let test_fault_replay_parallel () =
   check "faults actually fired" true (let d, c, _, _, _, _, _, _ = ke in d + c > 0);
   List.iter
     (fun driver ->
-      let name = "faults [" ^ driver_label driver ^ "]" in
+      let name = "faults [" ^ Fabric.driver_name driver ^ "]" in
       let c, s, o, r, v, k = run driver in
       check (name ^ ": elapsed cycles") true (c = ce);
       (match Fabric.stats_diff se s with
@@ -550,57 +514,43 @@ let test_fault_replay_parallel () =
       check (name ^ ": fault report identical") true (r = re);
       check (name ^ ": validity mask identical") true (v = ve);
       check (name ^ ": fault counters identical") true (k = ke))
-    [ Fabric.Polling; Fabric.Parallel 2; Fabric.Parallel 4 ]
+    all_drivers
 
-(* regression for the PR 5 slowdown: the parallel driver must spawn its
-   worker pool exactly once per run — [domains] domains total, however
-   many barrier rounds the run takes — not once per strip per round *)
-let test_worker_pool_spawns_once () =
-  let p = (B.find "jacobian").make_n B.Tiny 6 in
-  let compiled = Core.Pipeline.compile (P.compile p) in
-  List.iter
-    (fun domains ->
-      let before = Fabric.domains_spawned () in
-      let h =
-        Host.simulate ~driver:(Fabric.Parallel domains) Machine.wse3 compiled
-          (init_grids p)
-      in
-      ignore h;
-      let spawned = Fabric.domains_spawned () - before in
-      (* Parallel 1 falls back to the sequential event driver: no pool *)
-      let expected = if domains <= 1 then 0 else domains in
-      if spawned <> expected then
-        Alcotest.failf "Parallel %d spawned %d domains, expected %d" domains
-          spawned expected)
-    [ 1; 2; 4 ]
-
-(* qcheck: when a run exceeds its scan budget, every driver fails with
-   the same divergence error at the same shared whole-grid bound — no
-   strip gets a private allowance of its own *)
+(* qcheck: when a run exceeds its scan budget, both drivers fail with
+   the same divergence error on the first PE scan beyond [max_rounds]
+   whole-grid rescans — exactly [max_rounds * width * height] scans, not
+   rounded up to a batch — for max_rounds 1 to 3, whatever the iteration
+   count *)
 let prop_budget_trips_identically =
-  let p = (B.find "jacobian").make_n B.Tiny 32 in
-  let compiled = Core.Pipeline.compile (P.compile p) in
-  let _, program = Core.Pipeline.modules_of compiled in
-  QCheck.Test.make ~name:"shared scan budget trips identically across drivers"
+  let module T = QCheck in
+  T.Test.make ~name:"shared scan budget trips identically across drivers"
     ~count:3
-    QCheck.(int_range 1 3)
-    (fun max_rounds ->
-      let outcome driver =
-        let h = Host.load Machine.wse3 program (init_grids p) in
-        match Fabric.run_to_completion ~max_rounds ~driver h.Host.sim with
-        | () -> QCheck.Test.fail_report "expected the budget to trip"
-        | exception Fabric.Sim_error msg -> msg
-      in
-      let reference = outcome Fabric.Event_driven in
-      if not (contains reference "did not converge") then
-        QCheck.Test.fail_reportf "unexpected error: %s" reference;
+    (T.make ~print:string_of_int (T.Gen.int_range 8 32))
+    (fun iterations ->
+      let p = (B.find "jacobian").make_n B.Tiny iterations in
+      let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
       List.iter
-        (fun driver ->
-          let msg = outcome driver in
-          if msg <> reference then
-            QCheck.Test.fail_reportf "%s: %S <> %S" (driver_label driver) msg
-              reference)
-        [ Fabric.Polling; Fabric.Parallel 2; Fabric.Parallel 4 ];
+        (fun max_rounds ->
+          List.iter
+            (fun driver ->
+              let h = Host.load Machine.wse3 program (init_grids p) in
+              let sim = h.Host.sim in
+              let name =
+                Printf.sprintf "n=%d max_rounds=%d [%s]" iterations max_rounds
+                  (Fabric.driver_name driver)
+              in
+              match Fabric.run_to_completion ~max_rounds ~driver sim with
+              | () -> T.Test.fail_reportf "%s: expected the budget to trip" name
+              | exception Fabric.Sim_error msg ->
+                  if msg <> "simulation did not converge" then
+                    T.Test.fail_reportf "%s: unexpected error: %s" name msg;
+                  let scans = (Fabric.sched_stats sim).scans in
+                  let budget = max_rounds * sim.width * sim.height in
+                  if scans <> budget then
+                    T.Test.fail_reportf "%s: tripped after %d scans, budget %d" name
+                      scans budget)
+            all_drivers)
+        [ 1; 2; 3 ];
       true)
 
 (* a 1x1 program of two local tasks, "early" and "late", each storing
@@ -724,10 +674,7 @@ let () =
              test_peak_live_bounded
         :: Alcotest.test_case "halted-PE replay with record freeing" `Quick
              test_halt_replay_with_freeing
-        :: Alcotest.test_case "fault replay across drivers" `Quick
-             test_fault_replay_parallel
-        :: Alcotest.test_case "worker pool spawns once" `Quick
-             test_worker_pool_spawns_once
+        :: Alcotest.test_case "fault replay across drivers" `Quick test_fault_replay
         :: Alcotest.test_case "earliest activation first" `Quick
              test_task_order_earliest_first
         :: Alcotest.test_case "equal activations in insertion order" `Quick

@@ -202,7 +202,7 @@ let test_tracing_bit_identical () =
               check (name ^ " outputs identical") true (I.max_abs_diff g0 g1 = 0.0))
             (Host.read_all h0) (Host.read_all h1);
           check (name ^ " collected something") true (T.event_count sink > 0))
-        [ Fabric.Polling; Fabric.Event_driven; Fabric.Parallel 2 ])
+        [ Fabric.Polling; Fabric.Event_driven ])
     B.all
 
 (* ------------------------------------------------------------------ *)
