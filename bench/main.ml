@@ -4,7 +4,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig4    -- one experiment
      experiments: fig4 fig5 fig6 fig7 tab1 tflops ablations weak sched
-                  serve trace micro multiwafer mwfaults tune
+                  serve trace multiwafer mwfaults tune
 
    Absolute numbers come from the fabric simulator and the calibrated
    machine models (see DESIGN.md); the claims under reproduction are the
@@ -295,7 +295,7 @@ let wall (f : unit -> 'a) : 'a * float =
   (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Compile service: throughput and cache hit-rate (BENCH_PR7.json)     *)
+(* Compile service: throughput and cache hit-rate                      *)
 (* ------------------------------------------------------------------ *)
 
 (** The serve-engine benchmark: a fuzzer corpus (pure in (seed, index),
@@ -303,33 +303,23 @@ let wall (f : unit -> 'a) : 'a * float =
     same engine at 1/2/4 worker domains.  Two invariants are enforced,
     not just measured: every warm response must be a cache hit whose
     rendered payload is byte-identical to the cold compile of the same
-    source, and warm throughput must beat cold throughput.  The
-    wall-clock speedup across domain counts is only given a verdict on
-    legs with no more domains than cores. *)
+    source, and warm throughput must beat cold throughput. *)
 let serve_bench () =
   header
     "Compile service: cold vs warm throughput over a fuzzer corpus at\n\
      1/2/4 worker domains; warm responses must be cache hits, byte-\n\
      identical to the cold compiles, and faster in aggregate";
   let module S = Wsc_serve in
-  let module J = Wsc_trace.Json in
   let seed = 42 and unique = 50 and repeats = 25 in
   let sources =
     Array.init unique (fun index ->
         Wsc_harden.Corpus.case_contents ~seed ~index)
   in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "corpus: %d unique programs (seed %d) + %d repeats; %d core(s) available\n\n"
-    unique seed repeats cores;
-  if cores < 2 then
-    Printf.printf
-      "WARNING: single-core host — multi-domain legs are oversubscribed;\n\
-       their wall-clock ratios measure scheduling overhead, not speedup\n\n";
-  Printf.printf "%-8s %6s %10s %10s %10s %10s %9s %10s\n" "domains" "cores"
-    "cold s" "cold/s" "warm s" "warm/s" "hit-rate" "identical";
+  Printf.printf "corpus: %d unique programs (seed %d) + %d repeats\n\n" unique
+    seed repeats;
+  Printf.printf "%-8s %10s %10s %10s %10s %9s %10s\n" "domains" "cold s"
+    "cold/s" "warm s" "warm/s" "hit-rate" "identical";
   let failures = ref 0 in
-  let rows = ref [] in
   List.iter
     (fun domains ->
       let engine = S.Engine.create () in
@@ -404,47 +394,11 @@ let serve_bench () =
           "  FAIL: warm throughput (%.1f/s) did not beat cold (%.1f/s)\n"
           warm_per_s cold_per_s
       end;
-      Printf.printf "%-8d %6d %10.3f %10.1f %10.3f %10.1f %8.1f%% %10s\n"
-        domains cores cold_s cold_per_s warm_s warm_per_s
+      Printf.printf "%-8d %10.3f %10.1f %10.3f %10.1f %8.1f%% %10s\n" domains
+        cold_s cold_per_s warm_s warm_per_s
         (100.0 *. S.Cache.hit_rate stats)
-        (if identical && all_warm_hit then "yes" else "NO");
-      rows :=
-        J.Obj
-          [
-            ("domains", J.Int domains);
-            ("cores", J.Int cores);
-            ("oversubscribed", J.Bool (domains > cores));
-            ("cold_wall_s", J.Float cold_s);
-            ("cold_compiles_per_s", J.Float cold_per_s);
-            ("warm_wall_s", J.Float warm_s);
-            ("warm_compiles_per_s", J.Float warm_per_s);
-            ("warm_over_cold", J.Float (warm_per_s /. cold_per_s));
-            ("speedup_meaningful", J.Bool (domains <= cores));
-            ("hits", J.Int stats.S.Cache.hits);
-            ("misses", J.Int stats.S.Cache.misses);
-            ("evictions", J.Int stats.S.Cache.evictions);
-            ("hit_rate", J.Float (S.Cache.hit_rate stats));
-            ("all_warm_hits", J.Bool all_warm_hit);
-            ("byte_identical", J.Bool identical);
-          ]
-        :: !rows)
+        (if identical && all_warm_hit then "yes" else "NO"))
     [ 1; 2; 4 ];
-  let doc =
-    J.summary ~tool:"bench-serve"
-      ~config:
-        [
-          ("seed", J.Int seed);
-          ("unique_programs", J.Int unique);
-          ("repeats", J.Int repeats);
-          ("cores", J.Int cores);
-        ]
-      ~results:(List.rev !rows)
-  in
-  let oc = open_out "BENCH_PR7.json" in
-  J.to_channel oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_PR7.json\n";
   if !failures = 0 then
     Printf.printf
       "all legs: warm responses are cache hits, byte-identical to cold, \
@@ -465,7 +419,6 @@ let trace_exp () =
      cycles and aggregate stats must be bit-identical with tracing on\n\
      and off.";
   let module T = Wsc_trace.Trace in
-  let module I = Wsc_dialects.Interp in
   Printf.printf "%-10s %-5s %8s %10s %10s %9s  %s\n" "benchmark" "mach" "events"
     "plain ms" "traced ms" "cycles" "deviation";
   let mismatches = ref 0 in
@@ -482,26 +435,17 @@ let trace_exp () =
             }
           in
           let m = Wsc_core.Pipeline.compile ~pass_options (P.compile p) in
-          let init () =
-            let ft = P.field_type p in
-            List.map
-              (fun _ ->
-                let g3 = I.grid_of_typ ft in
-                I.init_grid g3;
-                I.retensorize_grid g3)
-              p.P.state
-          in
           let time f =
             let t0 = Sys.time () in
             let r = f () in
             (r, (Sys.time () -. t0) *. 1e3)
           in
           let h_plain, plain_ms =
-            time (fun () -> Wsc_wse.Host.simulate machine m (init ()))
+            time (fun () -> Wsc_wse.Host.simulate machine m (P.init_grids p))
           in
           let sink = T.collector () in
           let h_traced, traced_ms =
-            time (fun () -> Wsc_wse.Host.simulate ~trace:sink machine m (init ()))
+            time (fun () -> Wsc_wse.Host.simulate ~trace:sink machine m (P.init_grids p))
           in
           Wsc_trace.Remarks.emit sink !remarks;
           let cp = F.elapsed_cycles h_plain.sim
@@ -531,131 +475,28 @@ let trace_exp () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler itself                    *)
+(* Multi-wafer scale-out: bit-identity validation + scaling figures    *)
 (* ------------------------------------------------------------------ *)
 
-let micro () =
-  header "Compiler micro-benchmarks (Bechamel): full pipeline compile time";
-  let open Bechamel in
-  let tests =
-    List.map
-      (fun (d : B.descr) ->
-        Test.make ~name:d.id
-          (Staged.stage (fun () ->
-               let p = d.make B.Tiny in
-               ignore (Wsc_core.Pipeline.compile (P.compile p)))))
-      B.all
-  in
-  let test = Test.make_grouped ~name:"pipeline" ~fmt:"%s %s" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let tbl = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ t ] -> Printf.printf "  %-30s %12.2f ms/compile\n" name (t /. 1e6)
-      | _ -> ())
-    tbl
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable summary: the perf trajectory (BENCH_*.json)        *)
-(* ------------------------------------------------------------------ *)
-
-(** One proxy-grid simulation per benchmark per driver, dumped with its
-    wall time and scheduler counters so successive PRs can diff the perf
-    trajectory mechanically instead of scraping the tables above. *)
-let json_summary (path : string) : unit =
-  let module J = Wsc_trace.Json in
-  let extent = 16 and iters = 8 in
-  let machine = Machine.wse3 in
-  let entry (d : B.descr) driver : J.t =
-    let (h, chunks), wall_s =
-      wall (fun () -> WP.simulate_proxy ~driver ~extent d ~machine ~iters)
-    in
-    let k = F.sched_stats h.sim in
-    let st = F.total_stats h.sim in
-    J.Obj
-      [
-        ("benchmark", J.String d.id);
-        ("driver", J.String (F.driver_name driver));
-        ("cycles", J.Float (F.elapsed_cycles h.sim));
-        ("wall_s", J.Float wall_s);
-        ("chunks", J.Int chunks);
-        ("flops", J.Float st.flops);
-        ("elems_sent", J.Int st.elems_sent);
-        ("task_activations", J.Int st.task_activations);
-        ( "scheduler",
-          J.Obj
-            [
-              ("scans", J.Int k.F.Sched.scans);
-              ("probes", J.Int k.F.Sched.probes);
-              ("wakeups", J.Int k.F.Sched.wakeups);
-              ("parks", J.Int k.F.Sched.parks);
-              ("max_queue_depth", J.Int k.F.Sched.max_queue_depth);
-            ] );
-      ]
-  in
-  let doc =
-    (* shared --json envelope, same shape as wsc faults / wsc fuzz *)
-    J.summary ~tool:"bench"
-      ~config:
-        [
-          ("machine", J.String machine.Machine.name);
-          ("proxy_extent", J.Int extent);
-          ("iterations", J.Int iters);
-        ]
-      ~results:
-        (List.concat_map
-           (fun d ->
-             [ entry d F.Polling; entry d F.Event_driven ])
-           B.all)
-  in
-  let oc = open_out path in
-  J.to_channel oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Multi-wafer scale-out: bit-identity validation + scaling (PR 8)     *)
-(* ------------------------------------------------------------------ *)
-
-(** Two halves, one JSON file (BENCH_PR8.json).  Validation: every
-    paper benchmark co-simulated over 2×1 and 2×2 wafer grids at Tiny
-    through one shared compile engine, drained fields asserted
-    bit-identical to the undecomposed single-wafer run (exit 1 on any
-    mismatch).  Scaling: the strong/weak figures of an N-wafer WSE3
-    against the Tursa-A100 and ARCHER2 cluster models, per-wafer
-    compute from the simulator-measured steady-state cycles per
-    iteration.  Wall-clock ratios follow the PR 6 honesty rules: cores
-    ride along on every row, and a leg running more worker domains
-    than cores is flagged oversubscribed — its ratio is recorded but
-    carries no verdict. *)
+(** Two halves.  Validation: every paper benchmark co-simulated over
+    2×1 and 2×2 wafer grids at Tiny through one shared compile engine,
+    drained fields asserted bit-identical to the undecomposed
+    single-wafer run (exit 1 on any mismatch).  Scaling: the strong/weak
+    figures of an N-wafer WSE3 against the Tursa-A100 and ARCHER2
+    cluster models, per-wafer compute from the simulator-measured
+    steady-state cycles per iteration. *)
 let multiwafer () =
   header
     "Multi-wafer scale-out: decompose, compile per slice through the\n\
      shared engine cache, co-simulate one domain per wafer; drained\n\
      fields must be bit-identical to the single-wafer simulation";
-  let module J = Wsc_trace.Json in
   let module MW = Wsc_multiwafer.Cosim in
   let module SC = Wsc_multiwafer.Scaling in
   let module Cache = Wsc_serve.Cache in
   let machine = Machine.wse3 in
-  let cores = Domain.recommended_domain_count () in
   let mismatches = ref 0 in
-  let rows = ref [] in
-  Printf.printf "%d core(s) available (Domain.recommended_domain_count)\n" cores;
-  if cores < 2 then
-    Printf.printf
-      "WARNING: single-core host — every multi-wafer leg below is\n\
-       oversubscribed; wall-clock ratios measure scheduling overhead, not\n\
-       parallel speedup, and their verdicts are skipped\n";
-  Printf.printf "\n%-10s %6s %7s %5s %9s %9s %12s %5s %5s %9s\n" "benchmark"
-    "wafers" "domains" "cores" "wall s" "1-waf s" "device cyc" "hit" "dedup"
+  Printf.printf "\n%-10s %6s %7s %9s %9s %12s %5s %5s %9s\n" "benchmark"
+    "wafers" "domains" "wall s" "1-waf s" "device cyc" "hit" "dedup"
     "identical";
   (* one engine across every leg: the second wafer grid of a benchmark
      re-submits slice programs the first already compiled, so the cache
@@ -674,54 +515,19 @@ let multiwafer () =
           let s1 = r.MW.cache in
           let hits = s1.Cache.hits - s0.Cache.hits in
           let dedup = s1.Cache.dedup_hits - s0.Cache.dedup_hits in
-          let misses = s1.Cache.misses - s0.Cache.misses in
           let identical = MW.grids_bit_identical refs r.MW.grids in
           if not identical then begin
             incr mismatches;
             Printf.printf "    drained fields differ from the single wafer\n"
           end;
-          let domains = wx * wy in
-          let oversubscribed = domains > cores in
-          let speedup = w0 /. w in
-          Printf.printf "%-10s %6s %7d %5d %9.3f %9.3f %12.0f %5d %5d %9s\n"
-            d.id
+          Printf.printf "%-10s %6s %7d %9.3f %9.3f %12.0f %5d %5d %9s\n" d.id
             (Printf.sprintf "%dx%d" wx wy)
-            domains cores w w0 r.MW.device_cycles hits dedup
-            (if identical then "yes" else "NO");
-          if oversubscribed then
-            Printf.printf
-              "    note: %d domains > %d cores — oversubscribed, wall ratio \
-               (%.2fx) recorded without verdict\n"
-              domains cores speedup;
-          rows :=
-            J.Obj
-              [
-                ("kind", J.String "validation");
-                ("benchmark", J.String d.id);
-                ("wafers", J.String (Printf.sprintf "%dx%d" wx wy));
-                ("domains", J.Int domains);
-                ("cores", J.Int cores);
-                ("oversubscribed", J.Bool oversubscribed);
-                ("wall_s", J.Float w);
-                ("single_wafer_wall_s", J.Float w0);
-                ("speedup", J.Float speedup);
-                ("speedup_meaningful", J.Bool (not oversubscribed));
-                ("epochs", J.Int r.MW.epochs);
-                ("distinct_programs", J.Int r.MW.distinct_programs);
-                ("device_cycles", J.Float r.MW.device_cycles);
-                ("interconnect_s", J.Float r.MW.interconnect_s);
-                ("exchange_bytes", J.Int r.MW.exchange_bytes);
-                ("cache_hits", J.Int hits);
-                ("cache_dedup_hits", J.Int dedup);
-                ("cache_misses", J.Int misses);
-                ("identical", J.Bool identical);
-              ]
-            :: !rows)
+            (wx * wy) w w0 r.MW.device_cycles hits dedup
+            (if identical then "yes" else "NO"))
         [ (2, 1); (2, 2) ])
     B.all;
   (* scaling figures: strong + weak per benchmark, modeled from the
      measured per-PE steady state (extent-independent: SPMD) *)
-  let figures = ref [] in
   List.iter
     (fun (d : B.descr) ->
       let m = WP.measure ~machine ~size:(B.Proxy (8, 8)) d in
@@ -751,70 +557,40 @@ let multiwafer () =
             (fun ((name, c) : string * Wsc_perf.Cluster.cluster_measurement) ->
               Printf.printf "  baseline %-18s %4d devices %10.1f GPts/s\n" name
                 c.Wsc_perf.Cluster.devices c.Wsc_perf.Cluster.gpts_per_s)
-            fig.SC.baselines;
-          figures := SC.to_json fig :: !figures)
+            fig.SC.baselines)
         [
           SC.strong ~machine ~cycles_per_iter:cpi d;
           SC.weak ~machine ~cycles_per_iter:cpi d;
         ])
     B.all;
-  let doc =
-    J.summary ~tool:"bench-multiwafer"
-      ~config:
-        [
-          ("machine", J.String machine.Machine.name);
-          ("size", J.String "tiny");
-          ("cores", J.Int cores);
-          ("wafer_grids", J.List [ J.String "2x1"; J.String "2x2" ]);
-        ]
-      ~results:
-        [
-          J.Obj
-            [
-              ("validation", J.List (List.rev !rows));
-              ("scaling", J.List (List.rev !figures));
-            ];
-        ]
-  in
-  let oc = open_out "BENCH_PR8.json" in
-  J.to_channel oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_PR8.json\n";
   if !mismatches = 0 then
     Printf.printf
-      "all multi-wafer runs bit-identical to the single-wafer simulation\n"
+      "\nall multi-wafer runs bit-identical to the single-wafer simulation\n"
   else begin
-    Printf.printf "MISMATCH on %d run(s)\n" !mismatches;
+    Printf.printf "\nMISMATCH on %d run(s)\n" !mismatches;
     exit 1
   end
 
 (* ------------------------------------------------------------------ *)
 
-(** PR 9 experiment: wafer-level fault tolerance.  Every benchmark at
+(** Wafer-level fault tolerance.  Every benchmark at
     2x1 and 2x2 wafers under seeded halo-drop / halo-corrupt / crash
     injection with checkpoint/rollback recovery on — the recovered
     fields must stay bit-identical to the fault-free single-wafer run
-    (exit 1 on any mismatch), and the JSON records what recovery cost:
-    replayed epochs and device cycles beyond the fault-free
-    co-simulation, checkpoint count and bytes.  One loss leg per grid
-    demonstrates graceful degradation (dead + tainted wafers reported,
-    no identity claim).  PR 6 honesty rules: cores ride along and
-    oversubscribed legs are flagged. *)
+    (exit 1 on any mismatch), and the table records what recovery cost:
+    injections, detections, rollbacks, replayed epochs, checkpoints and
+    device cycles beyond the fault-free co-simulation.  One loss leg per
+    grid demonstrates graceful degradation (dead wafers reported, no
+    identity claim). *)
 let mwfaults () =
   header
     "Wafer-level fault tolerance: inter-wafer fault injection with\n\
      checkpoint/rollback recovery; recovered fields must be\n\
      bit-identical to the fault-free single-wafer run";
-  let module J = Wsc_trace.Json in
   let module MC = Wsc_multiwafer.Mwcampaign in
   let module Wf = Wsc_faults.Faults.Wafer in
   let machine = Machine.wse3 in
-  let cores = Domain.recommended_domain_count () in
   let mismatches = ref 0 in
-  let rows = ref [] in
-  Printf.printf "%d core(s) available (Domain.recommended_domain_count)\n\n"
-    cores;
   Printf.printf "%-10s %6s %-12s %4s %4s %4s %6s %5s %9s %9s\n" "benchmark"
     "wafers" "kind" "inj" "det" "rbk" "replay" "ckpt" "overhead" "identical";
   (* one engine across every leg: each slice shape compiles once for
@@ -824,8 +600,6 @@ let mwfaults () =
     (fun (d : B.descr) ->
       List.iter
         (fun (wx, wy) ->
-          let domains = wx * wy in
-          let oversubscribed = domains > cores in
           let report =
             MC.run ~engine ~machine ~bench:d.id ~size:B.Tiny ~wafers:(wx, wy)
               ~kinds:[ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash ]
@@ -863,73 +637,22 @@ let mwfaults () =
               (if c.MC.degraded then
                  Printf.sprintf "degraded(%d)" c.MC.lost_wafers
                else if c.MC.bit_identical then "yes"
-               else "NO");
-            rows :=
-              J.Obj
-                [
-                  ("benchmark", J.String d.id);
-                  ("wafers", J.String (Printf.sprintf "%dx%d" wx wy));
-                  ("domains", J.Int domains);
-                  ("cores", J.Int cores);
-                  ("oversubscribed", J.Bool oversubscribed);
-                  ("kind", J.String (Wf.kind_to_string c.MC.kind));
-                  ("rate", J.Float c.MC.rate);
-                  ("seed", J.Int c.MC.seed);
-                  ("recovery_demanded", J.Bool recovery_demanded);
-                  ("completed", J.Bool c.MC.completed);
-                  ("bit_identical", J.Bool c.MC.bit_identical);
-                  ("degraded", J.Bool c.MC.degraded);
-                  ("injected", J.Int c.MC.injected);
-                  ("detections", J.Int c.MC.detections);
-                  ("rollbacks", J.Int c.MC.rollbacks);
-                  ("replayed_epochs", J.Int c.MC.replayed_epochs);
-                  ("respawns", J.Int c.MC.respawns);
-                  ("checkpoints", J.Int c.MC.checkpoints);
-                  ("checkpoint_bytes", J.Int c.MC.checkpoint_bytes);
-                  ("lost_wafers", J.Int c.MC.lost_wafers);
-                  ("tainted_wafers", J.Int c.MC.tainted_wafers);
-                  ("fault_free_cycles", J.Float report.MC.baseline_cycles);
-                  ("device_cycles", J.float_or_null c.MC.device_cycles);
-                  ("overhead_cycles", J.float_or_null c.MC.overhead_cycles);
-                ]
-              :: !rows
+               else "NO")
           in
           List.iter (cell_row true) report.MC.cells;
           List.iter (cell_row false) loss.MC.cells)
         [ (2, 1); (2, 2) ])
     B.all;
-  let doc =
-    J.summary ~tool:"bench-mwfaults"
-      ~config:
-        [
-          ("machine", J.String machine.Machine.name);
-          ("size", J.String "tiny");
-          ("cores", J.Int cores);
-          ("wafer_grids", J.List [ J.String "2x1"; J.String "2x2" ]);
-          ("rates", J.List [ J.Float 0.1; J.Float 0.25 ]);
-          ("seed", J.Int 1);
-          ( "checkpoint_cadence",
-            J.Int Wf.default_resilience.Wf.checkpoint_cadence );
-          ("max_retries", J.Int Wf.default_resilience.Wf.max_retries);
-        ]
-      ~results:(List.rev !rows)
-  in
-  let oc = open_out "BENCH_PR9.json" in
-  J.to_channel oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_PR9.json\n";
   if !mismatches = 0 then
     Printf.printf
-      "all recovered runs bit-identical to the fault-free single-wafer run\n"
+      "\nall recovered runs bit-identical to the fault-free single-wafer run\n"
   else begin
-    Printf.printf "RECOVERY MISMATCH on %d run(s)\n" !mismatches;
+    Printf.printf "\nRECOVERY MISMATCH on %d run(s)\n" !mismatches;
     exit 1
   end
 
 (* ------------------------------------------------------------------ *)
 (* Autotuning: tuned vs default cycles + predictor calibration         *)
-(* (BENCH_PR10.json)                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (** One seeded tuning run per benchmark.  Validation baked in: tuned
@@ -939,21 +662,14 @@ let mwfaults () =
     predictor against the confirming simulation for the default and the
     winner of every benchmark, flagging >10% deviations. *)
 let tune_bench () =
-  header "Autotuning: tuned vs default, oracle-gated (BENCH_PR10.json)";
+  header "Autotuning: tuned vs default, oracle-gated";
   let module T = Wsc_tune.Tune in
-  let module J = Wsc_trace.Json in
   let machine = Machine.wse3 in
-  let cores = Domain.recommended_domain_count () in
-  let domains = max 1 (min 4 cores) in
+  let domains = min 4 (Domain.recommended_domain_count ()) in
   let seed = 1 in
   let config = { T.default_config with T.seed; domains; machine } in
-  Printf.printf
-    "%d core(s) available (Domain.recommended_domain_count); fan-out uses %d \
-     domain(s)%s\n\
-     seed %d, screen %d, top %d, extent %d\n\n"
-    cores domains
-    (if domains > cores then " — OVERSUBSCRIBED" else "")
-    seed config.T.screen config.T.top_k config.T.extent;
+  Printf.printf "fan-out over %d domain(s); seed %d, screen %d, top %d, extent %d\n\n"
+    domains seed config.T.screen config.T.top_k config.T.extent;
   Printf.printf "%-10s %7s %11s %11s %8s %7s %6s %6s\n" "benchmark" "space"
     "default c/i" "tuned c/i" "improve" "oracle" "evals" "saved";
   let store = Wsc_serve.Tuned.create () in
@@ -961,7 +677,7 @@ let tune_bench () =
     List.map
       (fun (d : B.descr) ->
         let r = T.run ~config d in
-        let registered = T.register store r in
+        ignore (T.register store r);
         Printf.printf "%-10s %7d %11.0f %11.0f %7.1f%% %7s %6d %6d\n" r.T.r_bench
           r.T.r_space_size r.T.r_default_cycles r.T.r_tuned_cycles
           r.T.r_improvement_pct
@@ -970,46 +686,30 @@ let tune_bench () =
           | Some false -> "FAIL"
           | None -> "off")
           r.T.r_evals_total r.T.r_evals_saved;
-        (r, registered))
+        r)
       B.all
   in
+  Printf.printf "\n%d tuned config(s) registered\n" (Wsc_serve.Tuned.size store);
   (* predictor calibration: screening prediction vs confirming
      simulation, default and winner per benchmark *)
-  Printf.printf "\npredictor calibration (screen prediction vs confirmed "
-  ;
-  Printf.printf "simulation):\n";
+  Printf.printf
+    "\npredictor calibration (screen prediction vs confirmed simulation):\n";
   Printf.printf "%-10s %-8s %11s %11s %7s %s\n" "benchmark" "config"
     "predicted" "simulated" "dev" "";
-  let calib_rows = ref [] in
-  let flagged = ref 0 in
+  let print_row bench label pred sim =
+    let dev = if sim > 0.0 then 100.0 *. Float.abs (pred -. sim) /. sim else 0.0 in
+    Printf.printf "%-10s %-8s %11.0f %11.0f %6.1f%% %s\n" bench label pred sim dev
+      (if dev > 10.0 then "FLAGGED >10%" else "")
+  in
   List.iter
-    (fun ((r : T.result), _) ->
+    (fun (r : T.result) ->
       let row label rendered =
         match
           List.find_opt (fun (c : T.candidate) -> c.T.c_rendered = rendered)
             r.T.r_candidates
         with
         | Some { T.c_predicted = Ok pred; c_confirmed = Some sim; _ } ->
-            let dev =
-              if sim > 0.0 then 100.0 *. Float.abs (pred -. sim) /. sim
-              else 0.0
-            in
-            let flag = dev > 10.0 in
-            if flag then incr flagged;
-            Printf.printf "%-10s %-8s %11.0f %11.0f %6.1f%% %s\n" r.T.r_bench
-              label pred sim dev
-              (if flag then "FLAGGED >10%" else "");
-            calib_rows :=
-              J.Obj
-                [
-                  ("benchmark", J.String r.T.r_bench);
-                  ("config", J.String label);
-                  ("predicted_cycles_per_iter", J.Float pred);
-                  ("simulated_cycles_per_iter", J.Float sim);
-                  ("deviation_pct", J.Float dev);
-                  ("flagged", J.Bool flag);
-                ]
-              :: !calib_rows
+            print_row r.T.r_bench label pred sim
         | _ -> ()
       in
       row "default"
@@ -1031,109 +731,29 @@ let tune_bench () =
         if d.B.default_iterations <= 1 then cyc 2 /. 2.0
         else (cyc 8 -. cyc 2) /. 6.0
       in
-      (match steady r.T.r_tuned_options with
+      match steady r.T.r_tuned_options with
       | sim ->
-          let pred = r.T.r_tuned_cycles in
-          let dev =
-            if sim > 0.0 then 100.0 *. Float.abs (pred -. sim) /. sim else 0.0
-          in
-          let flag = dev > 10.0 in
-          if flag then incr flagged;
-          Printf.printf "%-10s %-8s %11.0f %11.0f %6.1f%% %s\n" r.T.r_bench
-            (Printf.sprintf "tuned@%d" wide)
-            pred sim dev
-            (if flag then "FLAGGED >10%" else "");
-          calib_rows :=
-            J.Obj
-              [
-                ("benchmark", J.String r.T.r_bench);
-                ("config", J.String (Printf.sprintf "tuned@%dx%d" wide wide));
-                ("predicted_cycles_per_iter", J.Float pred);
-                ("simulated_cycles_per_iter", J.Float sim);
-                ("deviation_pct", J.Float dev);
-                ("flagged", J.Bool flag);
-              ]
-            :: !calib_rows
-      | exception _ -> ()))
+          print_row r.T.r_bench (Printf.sprintf "tuned@%d" wide)
+            r.T.r_tuned_cycles sim
+      | exception _ -> ())
     results;
-  let rows =
-    List.map
-      (fun ((r : T.result), registered) ->
-        J.Obj
-          [
-            ("benchmark", J.String r.T.r_bench);
-            ("program_key", J.String r.T.r_program_key);
-            ("space_size", J.Int r.T.r_space_size);
-            ("screened", J.Int r.T.r_screened);
-            ("confirmed", J.Int r.T.r_confirmed);
-            ("evals_total", J.Int r.T.r_evals_total);
-            ("evals_run", J.Int r.T.r_evals_run);
-            ("evals_saved", J.Int r.T.r_evals_saved);
-            ("default_cycles_per_iter", J.Float r.T.r_default_cycles);
-            ("tuned_cycles_per_iter", J.Float r.T.r_tuned_cycles);
-            ("improvement_pct", J.Float r.T.r_improvement_pct);
-            ( "tuned_config",
-              Wsc_serve.Tuned.config_of_options r.T.r_tuned_options );
-            ( "oracle_ok",
-              match r.T.r_oracle_ok with
-              | Some b -> J.Bool b
-              | None -> J.Null );
-            ("oracle_checks", J.Int r.T.r_oracle_checks);
-            ("registered", J.Bool registered);
-            ("cores", J.Int cores);
-            ("domains", J.Int domains);
-            ("oversubscribed", J.Bool (domains > cores));
-          ])
-      results
-  in
-  let doc =
-    J.summary ~tool:"bench-tune"
-      ~config:
-        [
-          ("machine", J.String machine.Machine.name);
-          ("seed", J.Int seed);
-          ("screen", J.Int config.T.screen);
-          ("top_k", J.Int config.T.top_k);
-          ("extent", J.Int config.T.extent);
-          ("cores", J.Int cores);
-          ("domains", J.Int domains);
-        ]
-      ~results:
-        (rows
-        @ [
-            J.Obj
-              [
-                ("calibration", J.List (List.rev !calib_rows));
-                ("calibration_flagged", J.Int !flagged);
-                ("registered_configs", J.Int (Wsc_serve.Tuned.size store));
-              ];
-          ])
-  in
-  let oc = open_out "BENCH_PR10.json" in
-  J.to_channel oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_PR10.json (%d tuned config(s) registered)\n"
-    (Wsc_serve.Tuned.size store);
   (* validation *)
   let slower =
     List.filter
-      (fun ((r : T.result), _) -> r.T.r_tuned_cycles > r.T.r_default_cycles)
+      (fun (r : T.result) -> r.T.r_tuned_cycles > r.T.r_default_cycles)
       results
   in
   let strictly_better =
     List.exists
-      (fun ((r : T.result), _) -> r.T.r_tuned_cycles < r.T.r_default_cycles)
+      (fun (r : T.result) -> r.T.r_tuned_cycles < r.T.r_default_cycles)
       results
   in
   let oracle_clean =
-    List.for_all
-      (fun ((r : T.result), _) -> r.T.r_oracle_ok = Some true)
-      results
+    List.for_all (fun (r : T.result) -> r.T.r_oracle_ok = Some true) results
   in
   if slower <> [] then begin
     List.iter
-      (fun ((r : T.result), _) ->
+      (fun (r : T.result) ->
         Printf.printf "TUNED SLOWER THAN DEFAULT: %s\n" r.T.r_bench)
       slower;
     exit 1
@@ -1165,7 +785,6 @@ let experiments =
     ("sched", sched);
     ("serve", serve_bench);
     ("trace", trace_exp);
-    ("micro", micro);
     ("multiwafer", multiwafer);
     ("mwfaults", mwfaults);
     ("tune", tune_bench);
@@ -1173,24 +792,10 @@ let experiments =
 
 let () =
   Wsc_core.Csl_stencil_interp.register ();
-  (* [--json FILE] may ride along any experiment selection; alone it
-     runs only the summary *)
-  let rec split_json acc = function
-    | "--json" :: file :: rest -> (Some file, List.rev_append acc rest)
-    | a :: rest -> split_json (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let json, rest =
-    match Array.to_list Sys.argv with
-    | _ :: rest -> split_json [] rest
-    | [] -> (None, [])
-  in
-  (match json with Some path -> json_summary path | None -> ());
   let requested =
-    match rest with
-    | [] when json <> None -> []
-    | [] -> List.map fst experiments
-    | rest -> rest
+    match Array.to_list Sys.argv with
+    | _ :: (_ :: _ as ids) -> ids
+    | _ -> List.map fst experiments
   in
   List.iter
     (fun id ->

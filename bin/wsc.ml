@@ -150,16 +150,6 @@ let driver_arg =
            round, the reference scheduler).  Results are bit-identical \
            across both.")
 
-(** Freshly initialized state grids for a frontend program. *)
-let init_grids_of (p : P.t) : I.grid list =
-  let ft = P.field_type p in
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ ft in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
-
 (* ---------------- compile ---------------- *)
 
 let compile_cmd =
@@ -232,7 +222,7 @@ let simulate_cmd =
     match prog with
     | None -> Error (`Msg "simulate: reference check needs --bench")
     | Some p ->
-        let init = timed "init" (fun () -> init_grids_of p) in
+        let init = timed "init" (fun () -> P.init_grids p) in
         (* simulate first: the fabric guards (grid size, per-PE memory)
            reject oversized runs before the expensive reference pass *)
         let h =
@@ -244,6 +234,7 @@ let simulate_cmd =
           timed "compare" (fun () ->
               List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids out))
         in
+        let matched = P.within_tolerance maxd in
         let phases = List.rev !phases in
         let wall_s = List.assoc "simulate" phases in
         let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases in
@@ -271,7 +262,7 @@ let simulate_cmd =
         end;
         Printf.printf "  max |difference| vs sequential reference: %.3e  -> %s\n"
           maxd
-          (if maxd < 1e-4 then "MATCH" else "MISMATCH");
+          (if matched then "MATCH" else "MISMATCH");
         (match json_out with
         | None -> ()
         | Some path ->
@@ -303,7 +294,7 @@ let simulate_cmd =
                            J.Int (F.sched_stats h.sim).peak_sends_live );
                        ];
                    ]));
-        if maxd >= 1e-4 then exit 1;
+        if not matched then exit 1;
         Ok ()
   in
   Cmd.v
@@ -345,7 +336,7 @@ let trace_cmd =
           Wsc_core.Pipeline.compile ~options:pipeline_options ~pass_options m
         in
         let sink = T.collector () in
-        let h = Wsc_wse.Host.simulate ~trace:sink machine compiled (init_grids_of p) in
+        let h = Wsc_wse.Host.simulate ~trace:sink machine compiled (P.init_grids p) in
         Wsc_trace.Remarks.emit sink !remarks;
         Wsc_trace.Chrome.write_file ~path:out sink;
         let simulated = F.elapsed_cycles h.sim in

@@ -52,7 +52,6 @@ let select (c : value) (a : value) (b : value) : op =
   create_op "arith.select" ~operands:[ c; a; b ] ~results:[ a.vtyp ]
 
 let float_binops = [ "arith.addf"; "arith.subf"; "arith.mulf"; "arith.divf" ]
-let is_float_binop op = List.mem op.opname float_binops
 
 let () =
   List.iter

@@ -30,4 +30,3 @@ val cmpi : pred:string -> value -> value -> op
 val select : value -> value -> value -> op
 
 val float_binops : string list
-val is_float_binop : op -> bool

@@ -51,8 +51,6 @@ let dps_ops =
     "linalg.add_scalar"; "linalg.fmac"; "linalg.copy"; "linalg.fill";
   ]
 
-let is_linalg op = List.mem op.opname dps_ops
-
 (** The destination memref of a DPS op (the last non-attribute operand for
     all ops of this dialect). *)
 let dst (op : op) : value = List.nth op.operands (List.length op.operands - 1)

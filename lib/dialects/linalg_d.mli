@@ -23,7 +23,6 @@ val copy : a:value -> out:value -> op
 val fill : out:value -> value:float -> op
 
 val dps_ops : string list
-val is_linalg : op -> bool
 
 (** The destination memref (the last operand of every op here). *)
 val dst : op -> value

@@ -42,8 +42,6 @@ let for_iter_inits (op : op) : value list =
 
 let for_body (op : op) : block = body_block op 0
 
-let for_induction_var (op : op) : value = List.hd (for_body op).bargs
-
 let for_iter_args (op : op) : value list = List.tl (for_body op).bargs
 
 (** Constant trip count when bounds are [arith.constant]-defined.  The

@@ -27,7 +27,6 @@ val if_ :
 val for_bounds : op -> value * value * value
 val for_iter_inits : op -> value list
 val for_body : op -> block
-val for_induction_var : op -> value
 val for_iter_args : op -> value list
 
 (** The constant defining [v], looked up under [scope]. *)

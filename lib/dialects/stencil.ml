@@ -8,11 +8,6 @@
 open Wsc_ir.Ir
 module Verifier = Wsc_ir.Verifier
 
-(** Bounds of the result grid given input bounds and the maximal negative /
-    positive offsets used: shrink by the halo. *)
-let shrink_bounds (bounds : (int * int) list) (radius : int list) : (int * int) list =
-  List.map2 (fun (lb, ub) r -> (lb + r, ub - r)) bounds radius
-
 (** Encode a bounds list as a flat Dense_ints [lb0; ub0; lb1; ub1; ...]. *)
 let bounds_attr (bounds : (int * int) list) : attr =
   Dense_ints (List.concat_map (fun (lb, ub) -> [ lb; ub ]) bounds)
@@ -49,21 +44,6 @@ let apply ?compute_bounds ~(inputs : value list) ~(result_type : typ)
   in
   create_op "stencil.apply" ~operands:inputs ~results:[ result_type ] ~attrs
     ~regions:[ region ] ~result_hints:[ "out" ]
-
-(** Like {!apply} but with several results (produced by stencil inlining
-    when outputs of the first apply are passed through, paper §5.7). *)
-let apply_multi ?compute_bounds ~(inputs : value list) ~(result_types : typ list)
-    (body : Wsc_ir.Builder.t -> value list -> unit) : op =
-  let region =
-    Wsc_ir.Builder.region_with_args (List.map (fun v -> v.vtyp) inputs) body
-  in
-  let attrs =
-    match compute_bounds with
-    | Some b -> [ ("compute_bounds", bounds_attr b) ]
-    | None -> []
-  in
-  create_op "stencil.apply" ~operands:inputs ~results:result_types ~attrs
-    ~regions:[ region ]
 
 let compute_bounds (apply_op : op) : (int * int) list =
   match attr apply_op "compute_bounds" with

@@ -5,9 +5,6 @@
 
 open Wsc_ir.Ir
 
-(** Shrink bounds by a per-dimension radius. *)
-val shrink_bounds : (int * int) list -> int list -> (int * int) list
-
 (** Flat encoding of a bounds list ([lb0; ub0; lb1; ub1; ...]). *)
 val bounds_attr : (int * int) list -> attr
 
@@ -22,14 +19,6 @@ val apply :
   ?compute_bounds:(int * int) list ->
   inputs:value list ->
   result_type:typ ->
-  (Wsc_ir.Builder.t -> value list -> unit) ->
-  op
-
-(** Multi-result variant (stencil inlining's pass-through outputs). *)
-val apply_multi :
-  ?compute_bounds:(int * int) list ->
-  inputs:value list ->
-  result_types:typ list ->
   (Wsc_ir.Builder.t -> value list -> unit) ->
   op
 

@@ -51,20 +51,7 @@ let survival_rate (r : report) : float =
       float_of_int (List.length (List.filter (fun c -> c.survived) cs))
       /. float_of_int (List.length cs)
 
-(** The simulator's usual acceptance threshold vs the reference. *)
-let match_tolerance = 1e-4
-
 let driver_to_string = Fabric.driver_name
-
-(** Freshly initialized state grids (same init as the CLI / tests). *)
-let init_grids_of (p : P.t) : I.grid list =
-  let ft = P.field_type p in
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ ft in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
 
 (** Max |difference| vs the reference over the PEs the validity mask
     accepts; halted or tainted PEs hold substituted data by design and
@@ -106,14 +93,14 @@ let run ?(driver = Fabric.Event_driven) ?(machine = Machine.wse3) ?iterations
   (* fault-free baseline under the same driver: recovery overhead is
      measured against it *)
   let baseline =
-    let h = Host.simulate ~driver machine compiled (init_grids_of p) in
+    let h = Host.simulate ~driver machine compiled (P.init_grids p) in
     Fabric.elapsed_cycles h.Host.sim
   in
   let run_cell kind rate seed : cell =
     let cfg = Faults.config_for kind ~rate ~seed ~resilient in
     let faults = Faults.create cfg in
     let outcome =
-      match Host.simulate ?trace ~driver ~faults machine compiled (init_grids_of p) with
+      match Host.simulate ?trace ~driver ~faults machine compiled (P.init_grids p) with
       | h -> Ok h
       | exception Fabric.Sim_error msg -> Error msg
       | exception Host.Host_error msg -> Error msg
@@ -160,7 +147,7 @@ let run ?(driver = Fabric.Event_driven) ?(machine = Machine.wse3) ?iterations
         {
           base with
           completed = true;
-          survived = div < match_tolerance;
+          survived = P.within_tolerance div;
           divergence = div;
           valid_pes;
           total_pes;

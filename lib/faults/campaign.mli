@@ -18,7 +18,7 @@ type cell = {
   completed : bool;  (** the run finished (possibly degraded) *)
   survived : bool;
       (** completed and every valid PE matches the reference (max
-          |difference| below the simulator's usual 1e-4 threshold) *)
+          |difference| within {!Wsc_frontends.Stencil_program.tolerance}) *)
   divergence : float;
       (** max |difference| vs the reference over valid PEs (nan when the
           run did not complete) *)

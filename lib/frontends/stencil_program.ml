@@ -238,3 +238,19 @@ let run_reference (p : t) : Interp.grid list =
   in
   ignore (Interp.run_func m ~name:"main" (List.map (fun g -> Interp.Rgrid g) grids));
   grids
+
+(** The same initial state in the 2-D z-column layout the lowered
+    program (and the fabric) takes, one fresh grid per state slot. *)
+let init_grids (p : t) : Interp.grid list =
+  let ft = field_type p in
+  List.map
+    (fun _ ->
+      let g = Interp.grid_of_typ ft in
+      Interp.init_grid g;
+      Interp.retensorize_grid g)
+    p.state
+
+(** {1 Acceptance} *)
+
+let tolerance = 1e-4
+let within_tolerance (d : float) : bool = d < tolerance

@@ -60,3 +60,16 @@ val compile : t -> Wsc_ir.Ir.op
 (** Allocate and deterministically initialize fields, run [main] with the
     sequential interpreter, return the final (3-D scalar) grids. *)
 val run_reference : t -> Wsc_dialects.Interp.grid list
+
+(** Freshly initialized state grids (the same data {!run_reference}
+    starts from), retensorized into the 2-D z-column layout that lowered
+    programs and the fabric simulator take. *)
+val init_grids : t -> Wsc_dialects.Interp.grid list
+
+(** {1 Acceptance} *)
+
+(** Max |difference| an execution may differ from the reference by. *)
+val tolerance : float
+
+(** [d < tolerance]: the one acceptance verdict.  False for NaN. *)
+val within_tolerance : float -> bool

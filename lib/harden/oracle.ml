@@ -53,7 +53,7 @@ type report = {
 }
 
 let ok (r : report) : bool = r.failure = None
-let tolerance = 1e-4
+let tolerance = P.tolerance
 
 (* ------------------------------------------------------------------ *)
 (* the deliberately wrong pass (test-only)                             *)
@@ -107,16 +107,6 @@ let run_stage ~(last : (string * string) ref) (passes : Pass.t list)
 (* ------------------------------------------------------------------ *)
 (* the check                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(** Freshly initialized state grids (same init as the CLI / tests). *)
-let init_grids (p : P.t) : I.grid list =
-  let ft = P.field_type p in
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ ft in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
 
 (** Max |difference| across all state grids (the reference grids are 3-D
     scalar, the others 2-D tensor with the identical flattened layout). *)
@@ -229,7 +219,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
           | exception Roundtrip_exn (pass, msg, after) ->
               fail ~ir_before:(snd !last) ~ir_after:after (Roundtrip { pass; msg })
           | m1 -> (
-              let grids = init_grids p in
+              let grids = P.init_grids p in
               match
                 I.run_func m1 ~name:"main" (List.map (fun g -> I.Rgrid g) grids)
               with
@@ -238,7 +228,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
                     (Crash { stage = "interp"; msg = Printexc.to_string e })
               | _ -> (
                   let diff = max_diff refs grids in
-                  if Float.is_nan diff || diff >= tolerance then
+                  if not (P.within_tolerance diff) then
                     fail ~ir_before:(Printer.op_to_string m1)
                       (Mismatch { tier = "interp"; diff })
                   else
@@ -251,7 +241,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
                           (Roundtrip { pass; msg })
                     | m2 -> (
                         match
-                          let h = Wsc_wse.Host.simulate machine m2 (init_grids p) in
+                          let h = Wsc_wse.Host.simulate machine m2 (P.init_grids p) in
                           Wsc_wse.Host.read_all h
                         with
                         | exception e ->
@@ -259,7 +249,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
                               (Crash { stage = "fabric"; msg = Printexc.to_string e })
                         | outs ->
                             let diff = max_diff refs outs in
-                            if Float.is_nan diff || diff >= tolerance then
+                            if not (P.within_tolerance diff) then
                               fail ~ir_before:(Printer.op_to_string m2)
                                 (Mismatch { tier = "fabric"; diff })
                             else

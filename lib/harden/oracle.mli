@@ -40,8 +40,8 @@ type report = {
 
 val ok : report -> bool
 
-(** Max |difference| the executions may disagree by: the simulator's
-    usual acceptance threshold. *)
+(** Max |difference| the executions may disagree by:
+    {!Wsc_frontends.Stencil_program.tolerance}. *)
 val tolerance : float
 
 (** Run all tiers.  [inject_bug] splices a deliberately wrong pass

@@ -25,8 +25,6 @@ let insert_multi (b : t) (op : op) : value list =
 
 let ops (b : t) : op list = List.rev b.rev_ops
 
-let to_block ?(args = []) (b : t) : block = new_block ~args (ops b)
-
 (** Build a single-block region from a construction function that receives
     the fresh block arguments. *)
 let region_with_args (arg_types : typ list) (f : t -> value list -> unit) : region =

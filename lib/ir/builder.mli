@@ -18,8 +18,6 @@ val insert_multi : t -> Ir.op -> Ir.value list
 (** The collected ops, in insertion order. *)
 val ops : t -> Ir.op list
 
-val to_block : ?args:Ir.value list -> t -> Ir.block
-
 (** Build a single-block region whose entry block has arguments of the
     given types; [f] receives the builder and the fresh arguments. *)
 val region_with_args :

@@ -155,9 +155,6 @@ let dense_ints_exn op name =
       List.map (function Int_attr i -> i | _ -> invalid_arg "dense_ints: not ints") l
   | _ -> invalid_arg (Printf.sprintf "op %s: attribute %s is not dense ints" op.opname name)
 
-let bool_attr op name =
-  match attr op name with Some (Bool_attr b) -> Some b | Some Unit_attr -> Some true | _ -> None
-
 let set_attr op name a = op.attrs <- (name, a) :: List.remove_assoc name op.attrs
 let remove_attr op name = op.attrs <- List.remove_assoc name op.attrs
 let has_attr op name = List.mem_assoc name op.attrs
@@ -165,7 +162,6 @@ let has_attr op name = List.mem_assoc name op.attrs
 (** {1 Structural helpers} *)
 
 let result op = List.hd op.results
-let result_n op n = List.nth op.results n
 let operand op n = List.nth op.operands n
 
 let region op n = List.nth op.regions n
@@ -173,11 +169,6 @@ let entry_block r = List.hd r.blocks
 
 (** Single-block region body of [op]'s [n]-th region. *)
 let body_block op n = entry_block (region op n)
-
-let is_terminated_by block names =
-  match List.rev block.bops with
-  | last :: _ -> List.mem last.opname names
-  | [] -> false
 
 let terminator block =
   match List.rev block.bops with
@@ -239,8 +230,6 @@ let find_op pred root =
 let find_op_by_name name root = find_op (fun o -> o.opname = name) root
 let find_ops_by_name name root = find_ops (fun o -> o.opname = name) root
 
-let count_ops pred root = List.length (find_ops pred root)
-
 (** {1 Value substitution}
 
     Rewrites thread an explicit substitution from old values to new values;
@@ -259,9 +248,6 @@ module Subst = struct
 
   let add (s : t) ~(from : value) ~(to_ : value) : unit =
     if from.vid <> to_.vid then Hashtbl.replace s from.vid to_
-
-  let add_all s ~from ~to_ =
-    List.iter2 (fun a b -> add s ~from:a ~to_:b) from to_
 
   let apply_op (s : t) (op : op) : unit =
     let rec go o =

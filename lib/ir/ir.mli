@@ -107,7 +107,6 @@ val float_attr_exn : op -> string -> float
 val string_attr : op -> string -> string option
 val string_attr_exn : op -> string -> string
 val dense_ints_exn : op -> string -> int list
-val bool_attr : op -> string -> bool option
 val set_attr : op -> string -> attr -> unit
 val remove_attr : op -> string -> unit
 val has_attr : op -> string -> bool
@@ -117,7 +116,6 @@ val has_attr : op -> string -> bool
 (** First result.  @raise Failure on result-less ops. *)
 val result : op -> value
 
-val result_n : op -> int -> value
 val operand : op -> int -> value
 val region : op -> int -> region
 val entry_block : region -> block
@@ -125,7 +123,6 @@ val entry_block : region -> block
 (** Entry block of the op's [n]-th region. *)
 val body_block : op -> int -> block
 
-val is_terminated_by : block -> string list -> bool
 val terminator : block -> op option
 
 (** {1 Type helpers} *)
@@ -154,7 +151,6 @@ val find_ops : (op -> bool) -> op -> op list
 val find_op : (op -> bool) -> op -> op option
 val find_op_by_name : string -> op -> op option
 val find_ops_by_name : string -> op -> op list
-val count_ops : (op -> bool) -> op -> int
 
 (** {1 Value substitution}
 
@@ -166,7 +162,6 @@ module Subst : sig
   val create : unit -> t
   val resolve : t -> value -> value
   val add : t -> from:value -> to_:value -> unit
-  val add_all : t -> from:value list -> to_:value list -> unit
 
   (** Rewrite every operand under the op (nested included). *)
   val apply_op : t -> op -> unit

@@ -20,17 +20,6 @@ let op_histogram (root : op) : (string * int) list =
 let count root name =
   Option.value (List.assoc_opt name (op_histogram root)) ~default:0
 
-(** FLOPs contributed by one execution of an op, given the number of scalar
-    elements it operates over.  Fused multiply-accumulate counts as two. *)
-let flops_of_op_name name ~elements =
-  match name with
-  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" -> elements
-  | "linalg.add" | "linalg.sub" | "linalg.mul" | "linalg.div" -> elements
-  | "csl.fadds" | "csl.fsubs" | "csl.fmuls" -> elements
-  | "csl.fmacs" | "linalg.fmac" -> 2 * elements
-  | "varith.add" | "varith.mul" -> elements (* per extra operand, see below *)
-  | _ -> 0
-
 (** Total FLOPs for one grid point of a [stencil.apply] body: walks the
     region and sums arithmetic ops, scaling variadic ops by arity. *)
 let flops_per_point (apply : op) : int =
@@ -54,29 +43,6 @@ let accesses_of_apply (apply : op) : (int list) list =
         acc := dense_ints_exn o "offset" :: !acc)
     apply;
   List.rev !acc
-
-(** Remote accesses are those with a non-zero offset in the first two
-    (distributed) dimensions. *)
-let remote_accesses_of_apply (apply : op) : (int list) list =
-  List.filter
-    (fun off ->
-      match off with
-      | x :: y :: _ -> x <> 0 || y <> 0
-      | [ x ] -> x <> 0
-      | [] -> false)
-    (accesses_of_apply apply)
-
-(** Star-pattern radius: maximum absolute offset over the distributed
-    dimensions across all accesses. *)
-let stencil_radius (apply : op) : int =
-  List.fold_left
-    (fun r off ->
-      match off with
-      | x :: y :: _ -> max r (max (abs x) (abs y))
-      | [ x ] -> max r (abs x)
-      | [] -> r)
-    0
-    (accesses_of_apply apply)
 
 (** Total number of ops under [root]. *)
 let total_ops (root : op) : int =

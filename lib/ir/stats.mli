@@ -7,21 +7,11 @@ val op_histogram : Ir.op -> (string * int) list
 (** Occurrences of the named op under the root. *)
 val count : Ir.op -> string -> int
 
-(** FLOPs contributed by one execution of the named op over [elements]
-    scalar elements (fused multiply-accumulate counts as two). *)
-val flops_of_op_name : string -> elements:int -> int
-
 (** Arithmetic FLOPs per grid point of a stencil-apply body. *)
 val flops_per_point : Ir.op -> int
 
 (** Offsets of all (csl_)stencil accesses under an apply. *)
 val accesses_of_apply : Ir.op -> int list list
-
-(** Accesses with a non-zero offset in the distributed dimensions. *)
-val remote_accesses_of_apply : Ir.op -> int list list
-
-(** Maximum |offset| over the distributed dimensions. *)
-val stencil_radius : Ir.op -> int
 
 (** Total op count under the root (root included). *)
 val total_ops : Ir.op -> int

@@ -73,15 +73,8 @@ type t = {
   recovery : recovery option;  (** [None] unless a fault injector ran *)
 }
 
-(** Freshly initialized state grids for [p] (the CLI / oracle init). *)
-let init_grids (p : P.t) : I.grid list =
-  let ft = P.field_type p in
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ ft in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
+(** {!Wsc_frontends.Stencil_program.init_grids}. *)
+let init_grids = P.init_grids
 
 (** Bit-exact comparison (not a tolerance): shape and every float's
     bits. *)
@@ -106,7 +99,7 @@ let grids_bit_identical (a : I.grid list) (b : I.grid list) : bool =
 let reference ?(machine = Machine.wse3) ?(options = Pipeline.default_options)
     (p : P.t) : I.grid list =
   let compiled = Pipeline.compile ~options (P.compile p) in
-  let h = Host.simulate machine compiled (init_grids p) in
+  let h = Host.simulate machine compiled (P.init_grids p) in
   Host.read_all h
 
 (* ------------------------------------------------------------------ *)
@@ -269,7 +262,7 @@ let run ?engine ?(interconnect = Interconnect.default)
     Hashtbl.find_opt wafer_index key
   in
   (* global state, including the Dirichlet halo ring that never moves *)
-  let globals = init_grids p in
+  let globals = P.init_grids p in
   let epochs = p.P.iterations in
   let outs : I.grid list array = Array.make n [] in
   let cycles = Array.make n 0.0 in

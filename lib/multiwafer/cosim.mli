@@ -58,7 +58,7 @@ type t = {
   recovery : recovery option;  (** [None] unless a fault injector ran *)
 }
 
-(** Freshly initialized state grids (the shared CLI / oracle init). *)
+(** {!Wsc_frontends.Stencil_program.init_grids}. *)
 val init_grids : P.t -> I.grid list
 
 (** Bit-exact equality: same shape, same bits in every float. *)

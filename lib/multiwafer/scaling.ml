@@ -11,7 +11,6 @@
 module B = Wsc_benchmarks.Benchmarks
 module Machine = Wsc_wse.Machine
 module Cluster = Wsc_perf.Cluster
-module J = Wsc_trace.Json
 
 type point = {
   wafers : int * int;
@@ -164,53 +163,3 @@ let strong ?(interconnect = Interconnect.default)
     points = with_ratios `Strong points;
     baselines = baselines ();
   }
-
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let point_to_json (p : point) : J.t =
-  let wx, wy = p.wafers in
-  let gx, gy, gz = p.global in
-  let px, py = p.per_wafer in
-  J.Obj
-    [
-      ("wafers", J.String (Printf.sprintf "%dx%d" wx wy));
-      ("n_wafers", J.Int p.n_wafers);
-      ("global_extent", J.List [ J.Int gx; J.Int gy; J.Int gz ]);
-      ("per_wafer_extent", J.List [ J.Int px; J.Int py ]);
-      ("feasible", J.Bool p.feasible);
-      ("compute_s_per_iter", J.Float p.compute_s);
-      ("exchange_s_per_iter", J.Float p.exchange_s);
-      ("t_iter_s", J.Float p.t_iter_s);
-      ("gpts_per_s", J.Float p.gpts_per_s);
-      ("speedup", J.Float p.speedup);
-      ("efficiency", J.Float p.efficiency);
-      ("exchange_bytes_per_epoch", J.Int p.exchange_bytes);
-    ]
-
-let baseline_to_json ((name, c) : string * Cluster.cluster_measurement) : J.t =
-  J.Obj
-    [
-      ("name", J.String name);
-      ("devices", J.Int c.Cluster.devices);
-      ("grid_points", J.Float c.Cluster.grid_points);
-      ("gpts_per_s", J.Float c.Cluster.gpts_per_s);
-      ("time_per_iter_s", J.Float c.Cluster.time_per_iter_s);
-      ("memory_bound", J.Bool c.Cluster.memory_bound);
-    ]
-
-let to_json (f : figure) : J.t =
-  J.Obj
-    [
-      ("mode", J.String (match f.mode with `Strong -> "strong" | `Weak -> "weak"));
-      ("bench", J.String f.bench);
-      ("machine", J.String f.machine);
-      ("cycles_per_iter", J.Float f.cycles_per_iter);
-      ("clock_hz", J.Float f.clock_hz);
-      ("interconnect_latency_s", J.Float f.interconnect.Interconnect.latency_s);
-      ( "interconnect_bandwidth_bytes_per_s",
-        J.Float f.interconnect.Interconnect.bandwidth_bytes_per_s );
-      ("points", J.List (List.map point_to_json f.points));
-      ("baselines", J.List (List.map baseline_to_json f.baselines));
-    ]

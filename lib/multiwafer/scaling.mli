@@ -58,5 +58,3 @@ val strong :
   cycles_per_iter:float ->
   B.descr ->
   figure
-
-val to_json : figure -> Wsc_trace.Json.t

@@ -14,7 +14,6 @@
 
 module B = Wsc_benchmarks.Benchmarks
 module P = Wsc_frontends.Stencil_program
-module I = Wsc_dialects.Interp
 module Machine = Wsc_wse.Machine
 
 type measurement = {
@@ -49,16 +48,7 @@ let simulate_proxy ?(pipeline_options = Wsc_core.Pipeline.default_options)
   let size = B.Proxy (extent, extent) in
   let p = d.make_n size iters in
   let m = Wsc_core.Pipeline.compile ~options:pipeline_options (P.compile p) in
-  let ft = P.field_type p in
-  let init =
-    List.map
-      (fun _ ->
-        let g3 = I.grid_of_typ ft in
-        I.init_grid g3;
-        I.retensorize_grid g3)
-      p.P.state
-  in
-  let h = Wsc_wse.Host.simulate ?driver machine m init in
+  let h = Wsc_wse.Host.simulate ?driver machine m (P.init_grids p) in
   let _, program = Wsc_core.Pipeline.modules_of m in
   let chunks =
     match Wsc_ir.Ir.find_op_by_name "csl_stencil.apply" m with
@@ -103,16 +93,7 @@ let predict_cycles ?(pipeline_options = Wsc_core.Pipeline.default_options)
   let run iters =
     let p = d.make_n size iters in
     let m = Wsc_core.Pipeline.compile ~options:pipeline_options (P.compile p) in
-    let ft = P.field_type p in
-    let init =
-      List.map
-        (fun _ ->
-          let g3 = I.grid_of_typ ft in
-          I.init_grid g3;
-          I.retensorize_grid g3)
-        p.P.state
-    in
-    let h = Wsc_wse.Host.simulate machine m init in
+    let h = Wsc_wse.Host.simulate machine m (P.init_grids p) in
     Wsc_wse.Fabric.elapsed_cycles h.sim
   in
   let i1 = 2 and i2 = 4 in

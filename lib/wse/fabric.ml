@@ -1667,10 +1667,6 @@ let run_to_completion ?max_rounds ?(driver = Event_driven) (sim : t) : unit =
 (** Scheduler counters of the last run. *)
 let sched_stats (sim : t) : Sched.stats = Sched.stats sim.sched
 
-(** Fault and recovery counters of the last run (all zero with the null
-    injector). *)
-let fault_stats (sim : t) : Faults.stats = Faults.stats sim.faults
-
 (** Per-PE validity mask, indexed [x][y]: false where the PE halted or
     consumed substituted / unrecoverable data (directly or transitively
     through a tainted neighbour's send).  All-true with the null

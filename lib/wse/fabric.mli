@@ -204,10 +204,6 @@ val run_to_completion : ?max_rounds:int -> ?driver:driver -> t -> unit
     only [scans], [probes] and [peak_sends_live]. *)
 val sched_stats : t -> Sched.stats
 
-(** Fault and recovery counters of the last run (all zero with the null
-    injector). *)
-val fault_stats : t -> Wsc_faults.Faults.stats
-
 (** Per-PE validity mask, indexed [x][y]: false where the PE halted or
     consumed substituted / unrecoverable data (directly or transitively
     through a tainted neighbour's send).  All-true with the null

@@ -25,19 +25,11 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let init_grids (p : P.t) =
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ (P.field_type p) in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
-
 (* one run of [p] under [driver] with the given injector; everything the
    bit-identity comparison needs *)
 let run_once ?faults driver (p : P.t) =
   let compiled = Core.Pipeline.compile (P.compile p) in
-  let h = Host.simulate ?faults ~driver Machine.wse3 compiled (init_grids p) in
+  let h = Host.simulate ?faults ~driver Machine.wse3 compiled (P.init_grids p) in
   (Fabric.elapsed_cycles h.sim, Fabric.total_stats h.sim, Host.read_all h)
 
 let assert_identical name (c1, s1, o1) (c2, s2, o2) =
@@ -165,7 +157,7 @@ let test_host_fault_report () =
   let faults =
     Faults.create (Faults.config_for Faults.Halt ~rate:0.05 ~seed:1 ~resilient:true)
   in
-  let h = Host.simulate ~faults Machine.wse3 compiled (init_grids p) in
+  let h = Host.simulate ~faults Machine.wse3 compiled (P.init_grids p) in
   let mask = Host.validity h in
   let invalid = ref 0 in
   Array.iter (Array.iter (fun ok -> if not ok then incr invalid)) mask;
@@ -176,7 +168,7 @@ let test_host_fault_report () =
       check "report counts the region" true (contains msg "invalid data");
       check "report names a PE" true (contains msg "PE("));
   (* a clean run reports nothing *)
-  let h0 = Host.simulate Machine.wse3 compiled (init_grids p) in
+  let h0 = Host.simulate Machine.wse3 compiled (P.init_grids p) in
   check "clean run has no report" true (Host.fault_report h0 = None)
 
 (* ------------------------------------------------------------------ *)

@@ -50,6 +50,16 @@ let test_compile_verifies () =
       Wsc_ir.Verifier.verify m)
     B.all
 
+(* the one acceptance verdict behind wsc simulate, the oracle and the
+   fault campaign: strictly below the tolerance, and never for NaN *)
+let test_within_tolerance () =
+  check "0 accepted" true (P.within_tolerance 0.0);
+  check "just below accepted" true (P.within_tolerance (Float.pred P.tolerance));
+  check "boundary rejected" false (P.within_tolerance P.tolerance);
+  check "above rejected" false (P.within_tolerance 1.0);
+  check "nan rejected" false (P.within_tolerance Float.nan);
+  check "infinity rejected" false (P.within_tolerance Float.infinity)
+
 (* ------------------------------------------------------------------ *)
 (* mini-Flang                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -370,6 +380,7 @@ let () =
           Alcotest.test_case "fold constants" `Quick test_fold_constants;
           Alcotest.test_case "radius" `Quick test_program_radius;
           Alcotest.test_case "compile verifies" `Quick test_compile_verifies;
+          Alcotest.test_case "within tolerance" `Quick test_within_tolerance;
         ] );
       ( "flang",
         [

@@ -19,15 +19,7 @@ let run_transformed (p : P.t) (passes : Wsc_ir.Pass.t list) :
     op * I.grid list * I.grid list =
   let ref_grids = P.run_reference p in
   let m = Wsc_ir.Pass.run_pipeline passes (P.compile p) in
-  let ft = P.field_type p in
-  let grids =
-    List.map
-      (fun _ ->
-        let g3 = I.grid_of_typ ft in
-        I.init_grid g3;
-        I.retensorize_grid g3)
-      p.P.state
-  in
+  let grids = P.init_grids p in
   ignore (I.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
   (m, ref_grids, grids)
 

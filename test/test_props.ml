@@ -81,15 +81,7 @@ let print_program (p : P.t) =
 
 let run_on_fabric ?(machine = Wsc_wse.Machine.wse3) (p : P.t) : I.grid list =
   let compiled = Core.Pipeline.compile (P.compile p) in
-  let init =
-    List.map
-      (fun _ ->
-        let g3 = I.grid_of_typ (P.field_type p) in
-        I.init_grid g3;
-        I.retensorize_grid g3)
-      p.P.state
-  in
-  let h = Wsc_wse.Host.simulate machine compiled init in
+  let h = Wsc_wse.Host.simulate machine compiled (P.init_grids p) in
   Wsc_wse.Host.read_all h
 
 let agrees p out =
@@ -136,14 +128,7 @@ let prop_interp_oracle_after_each_stage =
         Core.Pipeline.frontend_passes o @ Core.Pipeline.middle_passes o
       in
       let m = Wsc_ir.Pass.run_pipeline passes (P.compile p) in
-      let grids =
-        List.map
-          (fun _ ->
-            let g3 = I.grid_of_typ (P.field_type p) in
-            I.init_grid g3;
-            I.retensorize_grid g3)
-          p.P.state
-      in
+      let grids = P.init_grids p in
       ignore (I.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
       agrees p grids)
 

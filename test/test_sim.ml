@@ -14,18 +14,10 @@ module Host = Wsc_wse.Host
 let () = Core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 
-let init_grids (p : P.t) =
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ (P.field_type p) in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
-
 let simulate ?(options = Core.Pipeline.default_options)
     ?(machine = Machine.wse3) (p : P.t) : Host.t * I.grid list =
   let compiled = Core.Pipeline.compile ~options (P.compile p) in
-  let h = Host.simulate machine compiled (init_grids p) in
+  let h = Host.simulate machine compiled (P.init_grids p) in
   (h, Host.read_all h)
 
 let assert_matches name (p : P.t) out =
@@ -152,14 +144,14 @@ let test_grid_too_large () =
   let p = (B.find "jacobian").make_n (B.Proxy (800, 4)) 1 in
   let compiled = Core.Pipeline.compile (P.compile p) in
   (* 800 > the WSE2's 750-wide fabric *)
-  match Host.simulate Machine.wse2 compiled (init_grids p) with
+  match Host.simulate Machine.wse2 compiled (P.init_grids p) with
   | exception Fabric.Sim_error _ -> ()
   | _ -> Alcotest.fail "expected fabric-size error"
 
 let test_wrong_state_count () =
   let p = (B.find "acoustic").make B.Tiny in
   let compiled = Core.Pipeline.compile (P.compile p) in
-  match Host.simulate Machine.wse3 compiled [ List.hd (init_grids p) ] with
+  match Host.simulate Machine.wse3 compiled [ List.hd (P.init_grids p) ] with
   | exception Host.Host_error _ -> ()
   | _ -> Alcotest.fail "expected state-count error"
 
@@ -243,7 +235,7 @@ let live_bound (sim : Fabric.t) = Fabric.max_live_sends_per_pe * sim.width * sim
    host handle stays local so the PE grid is collectable between runs *)
 let run_with_driver ?(machine = Machine.wse3) driver (p : P.t) =
   let compiled = Core.Pipeline.compile (P.compile p) in
-  let h = Host.simulate ~driver machine compiled (init_grids p) in
+  let h = Host.simulate ~driver machine compiled (P.init_grids p) in
   let sim = h.Host.sim in
   ( (Fabric.elapsed_cycles sim, per_pe_stats sim, Host.read_all h),
     (Fabric.sched_stats sim).peak_sends_live,
@@ -313,7 +305,7 @@ let test_deadlock_diagnostic () =
   let _, program = Core.Pipeline.modules_of compiled in
   List.iter
     (fun driver ->
-      let h = Host.load Machine.wse3 program (init_grids p) in
+      let h = Host.load Machine.wse3 program (P.init_grids p) in
       (* silence PE(1,0): convince its iteration counter it has already
          run every timestep, so it unblocks immediately and never sends;
          its neighbours then starve waiting on the first exchange *)
@@ -365,7 +357,7 @@ let test_deadlock_after_frees () =
   List.iter
     (fun driver ->
       let name = Fabric.driver_name driver in
-      let h = Host.load Machine.wse3 program (init_grids p) in
+      let h = Host.load Machine.wse3 program (P.init_grids p) in
       Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := n - 2;
       match Fabric.run_to_completion ~driver h.Host.sim with
       | () -> Alcotest.failf "%s: expected a deadlock" name
@@ -441,7 +433,7 @@ let test_halt_replay_with_freeing () =
       let cfg = Faults.config_for Faults.Halt ~rate:0.05 ~seed ~resilient:true in
       let run driver =
         let faults = Faults.create cfg in
-        let h = Host.simulate ~driver ~faults Machine.wse3 compiled (init_grids p) in
+        let h = Host.simulate ~driver ~faults Machine.wse3 compiled (P.init_grids p) in
         let st = Faults.stats faults in
         ( (Fabric.elapsed_cycles h.sim, per_pe_stats h.sim, Host.read_all h),
           (Host.fault_report h, Host.validity h),
@@ -483,7 +475,7 @@ let test_fault_replay () =
   in
   let run driver =
     let faults = Faults.create cfg in
-    let h = Host.simulate ~driver ~faults Machine.wse3 compiled (init_grids p) in
+    let h = Host.simulate ~driver ~faults Machine.wse3 compiled (P.init_grids p) in
     let st = Faults.stats faults in
     ( Fabric.elapsed_cycles h.sim,
       Fabric.total_stats h.sim,
@@ -533,7 +525,7 @@ let prop_budget_trips_identically =
         (fun max_rounds ->
           List.iter
             (fun driver ->
-              let h = Host.load Machine.wse3 program (init_grids p) in
+              let h = Host.load Machine.wse3 program (P.init_grids p) in
               let sim = h.Host.sim in
               let name =
                 Printf.sprintf "n=%d max_rounds=%d [%s]" iterations max_rounds

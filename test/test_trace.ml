@@ -20,14 +20,6 @@ module Chrome = Wsc_trace.Chrome
 let () = Core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 
-let init_grids (p : P.t) =
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ (P.field_type p) in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
-
 let contains ~(sub : string) (s : string) : bool =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -186,10 +178,10 @@ let test_tracing_bit_identical () =
         (fun driver ->
           let p = d.make B.Tiny in
           let compiled, _ = compile_with_remarks p in
-          let h0 = Host.simulate ~driver Machine.wse2 compiled (init_grids p) in
+          let h0 = Host.simulate ~driver Machine.wse2 compiled (P.init_grids p) in
           let sink = T.collector () in
           let h1 =
-            Host.simulate ~driver ~trace:sink Machine.wse2 compiled (init_grids p)
+            Host.simulate ~driver ~trace:sink Machine.wse2 compiled (P.init_grids p)
           in
           let name = d.id in
           check (name ^ " cycles identical") true
@@ -321,7 +313,7 @@ let test_export_wellformed () =
       let p = d.make B.Tiny in
       let compiled, remarks = compile_with_remarks p in
       let sink = T.collector () in
-      let _ = Host.simulate ~trace:sink Machine.wse2 compiled (init_grids p) in
+      let _ = Host.simulate ~trace:sink Machine.wse2 compiled (P.init_grids p) in
       Remarks.emit sink remarks;
       check_export d.id sink)
     B.all
@@ -330,7 +322,7 @@ let test_export_has_compiler_track () =
   let p = (B.find "diffusion").make B.Tiny in
   let compiled, remarks = compile_with_remarks p in
   let sink = T.collector () in
-  let _ = Host.simulate ~trace:sink Machine.wse2 compiled (init_grids p) in
+  let _ = Host.simulate ~trace:sink Machine.wse2 compiled (P.init_grids p) in
   Remarks.emit sink remarks;
   let j =
     match J.of_string (Chrome.to_string sink) with
@@ -372,7 +364,7 @@ let test_aggregation () =
   let p = (B.find "diffusion").make B.Tiny in
   let compiled, _ = compile_with_remarks p in
   let sink = T.collector () in
-  let h = Host.simulate ~trace:sink Machine.wse2 compiled (init_grids p) in
+  let h = Host.simulate ~trace:sink Machine.wse2 compiled (P.init_grids p) in
   let summaries = Fabric.pe_summaries h.sim in
   check "one summary per PE" true
     (List.length summaries = h.sim.Fabric.width * h.sim.Fabric.height);
