@@ -791,7 +791,6 @@ let experiments =
   ]
 
 let () =
-  Wsc_core.Csl_stencil_interp.register ();
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as ids) -> ids

@@ -1058,7 +1058,6 @@ let stage_arg =
 let ir_cmd =
   let run bench input size iterations stage =
     let* _, m = program_of ~bench ~input ~size ~iterations in
-    Wsc_core.Csl_stencil_interp.register ();
     let o = pipeline_options in
     let* passes =
       match stage with

@@ -26,16 +26,14 @@ let initial_field () : I.grid =
   let g = I.grid_of_typ (P.field_type program) in
   let h = program.P.halo in
   let cx, cy, cz = (float_of_int nx /. 2.0, float_of_int ny /. 2.0, float_of_int nz /. 2.0) in
-  I.iter_points g.I.gbounds (fun p ->
-      match p with
-      | [ x; y; z ] ->
-          let d2 =
-            ((float_of_int x -. cx) ** 2.0)
-            +. ((float_of_int y -. cy) ** 2.0)
-            +. (((float_of_int z -. cz) /. 2.0) ** 2.0)
-          in
-          I.grid_set_scalar g p (100.0 *. exp (-.d2 /. 8.0))
-      | _ -> ());
+  let p = [| 0; 0; 0 |] and zero = [| 0; 0; 0 |] in
+  I.iter_box g.I.gbounds p (fun () ->
+      let d2 =
+        ((float_of_int p.(0) -. cx) ** 2.0)
+        +. ((float_of_int p.(1) -. cy) ** 2.0)
+        +. (((float_of_int p.(2) -. cz) /. 2.0) ** 2.0)
+      in
+      g.I.gdata.(I.index_at g p zero) <- 100.0 *. exp (-.d2 /. 8.0));
   ignore h;
   g
 

@@ -20,30 +20,25 @@ let nz = match program.P.extents with _, _, z -> z
    both time levels (zero initial velocity) *)
 let pulse () : I.grid =
   let g = I.grid_of_typ (P.field_type program) in
-  I.iter_points g.I.gbounds (fun p ->
-      match p with
-      | [ x; y; z ] when x = nx / 2 && y = ny / 2 && z = nz / 2 ->
-          I.grid_set_scalar g p 1.0
-      | _ -> ());
+  g.I.gdata.(I.flat_index g [ nx / 2; ny / 2; nz / 2 ]) <- 1.0;
   g
 
 (* wavefront radius: farthest xy cell (at the source depth) whose
    amplitude exceeds a threshold *)
 let radius_of (g : I.grid) : float =
   let r = ref 0.0 in
-  I.iter_points g.I.gbounds (fun p ->
-      match p with
-      | [ x; y ] -> (
-          match I.grid_get g p with
-          | I.Rtensor col ->
-              let h = program.P.halo in
-              if Float.abs col.(h + (nz / 2)) > 1e-6 then
-                r :=
-                  Float.max !r
-                    (sqrt
-                       ((float_of_int (x - (nx / 2)) ** 2.0)
-                       +. (float_of_int (y - (ny / 2)) ** 2.0)))
-          | _ -> ())
+  let p = [| 0; 0 |] in
+  I.iter_box g.I.gbounds p (fun () ->
+      let x = p.(0) and y = p.(1) in
+      match I.grid_get g [ x; y ] with
+      | I.Rtensor col ->
+          let h = program.P.halo in
+          if Float.abs col.(h + (nz / 2)) > 1e-6 then
+            r :=
+              Float.max !r
+                (sqrt
+                   ((float_of_int (x - (nx / 2)) ** 2.0)
+                   +. (float_of_int (y - (ny / 2)) ** 2.0)))
       | _ -> ());
   !r
 

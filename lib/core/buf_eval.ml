@@ -3,7 +3,9 @@
     Shared reference semantics between the post-group-3 interpreter hook
     and tests: values are buffer views, integers or grids; linalg ops
     mutate their destination views in place, exactly as DSD builtins do
-    on a PE. *)
+    on a PE.  A block is staged once: every op is resolved into a closure
+    over the slots of a cell array, the block arguments taking the
+    first slots. *)
 
 open Wsc_ir.Ir
 module I = Wsc_dialects.Interp
@@ -18,109 +20,114 @@ exception Eval_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
 
-type env = { cells : (int, cell) Hashtbl.t; mutable point : int list }
+type staged = {
+  nargs : int;
+  nslots : int;
+  code : (cell array -> int array -> unit) array;
+  yields : int array;
+}
 
-let new_env () = { cells = Hashtbl.create 64; point = [ 0; 0 ] }
-
-let bind env (v : value) (c : cell) = Hashtbl.replace env.cells v.vid c
-
-let lookup env (v : value) : cell =
-  match Hashtbl.find_opt env.cells v.vid with
-  | Some c -> c
-  | None -> fail "buf_eval: unbound value %%%d" v.vid
-
-let as_buf env v =
-  match lookup env v with
-  | Vbuf b -> b
-  | _ -> fail "buf_eval: expected buffer"
-
-let as_int env v =
-  match lookup env v with
-  | Vint i -> i
-  | _ -> fail "buf_eval: expected int"
+let as_buf = function Vbuf b -> b | _ -> fail "buf_eval: expected buffer"
+let as_int = function Vint i -> i | _ -> fail "buf_eval: expected int"
 
 (** View of the z-column stored at [point + offset] in a grid of tensors. *)
-let grid_column_view (g : I.grid) (point : int list) (offset : int list) : Bufview.t =
-  let idx = List.map2 ( + ) point offset in
+let grid_column_view (g : I.grid) (point : int array) (offset : int array) : Bufview.t =
   let z = I.tensor_extent g.I.gelt in
-  let flat = I.flat_index g idx in
-  Bufview.make g.I.gdata ~off:(flat * z) ~len:z ()
+  Bufview.make g.I.gdata ~off:(I.index_at g point offset * z) ~len:z ()
 
-(** Evaluate one block; returns the yield operands' cells. *)
-let eval_block (env : env) (blk : block) : cell list =
-  let yielded = ref [] in
-  List.iter
-    (fun o ->
-      match o.opname with
-      | "memref.alloc" ->
-          let n = num_elements (Wsc_ir.Ir.result o).vtyp in
-          bind env (result o) (Vbuf (Bufview.of_array (Array.make n 0.0)))
-      | "memref.subview" ->
-          let b = as_buf env (operand o 0) in
-          bind env (result o)
-            (Vbuf (Bufview.sub b ~off:(int_attr_exn o "offset") ~len:(int_attr_exn o "size")))
-      | "memref.subview_dyn" ->
-          let b = as_buf env (operand o 0) in
-          let off = as_int env (operand o 1) in
-          bind env (result o) (Vbuf (Bufview.sub b ~off ~len:(int_attr_exn o "size")))
-      | "csl_stencil.access" -> (
-          match lookup env (operand o 0) with
-          | Vgrid g ->
-              let off = dense_ints_exn o "offset" in
-              bind env (result o) (Vbuf (grid_column_view g env.point off))
-          | Vbuf b -> bind env (result o) (Vbuf b)
-          | _ -> fail "csl_stencil.access: bad source")
-      | "arith.constant" -> (
+let stage (blk : block) : staged =
+  let slots = Hashtbl.create 32 and n = ref 0 in
+  let def (v : value) =
+    let s = !n in
+    incr n;
+    Hashtbl.replace slots v.vid s;
+    s
+  in
+  let slot (v : value) =
+    match Hashtbl.find_opt slots v.vid with
+    | Some s -> s
+    | None -> fail "buf_eval: unbound value %%%d" v.vid
+  in
+  List.iter (fun a -> ignore (def a)) blk.bargs;
+  let nargs = !n and yields = ref [||] in
+  let stage_op (o : op) : (cell array -> int array -> unit) option =
+    let s i = slot (operand o i) in
+    let linalg2 f =
+      let a = s 0 and b = s 1 and d = s 2 in
+      Some (fun c _ -> Bufview.map2_into f (as_buf c.(a)) (as_buf c.(b)) (as_buf c.(d)))
+    in
+    let linalg1 f =
+      let a = s 0 and d = s 1 in
+      Some (fun c _ -> Bufview.map_into f (as_buf c.(a)) (as_buf c.(d)))
+    in
+    match o.opname with
+    | "memref.alloc" ->
+        let len = num_elements (result o).vtyp in
+        let d = def (result o) in
+        Some (fun c _ -> c.(d) <- Vbuf (Bufview.of_array (Array.make len 0.0)))
+    | "memref.subview" ->
+        let a = s 0 and off = int_attr_exn o "offset" and len = int_attr_exn o "size" in
+        let d = def (result o) in
+        Some (fun c _ -> c.(d) <- Vbuf (Bufview.sub (as_buf c.(a)) ~off ~len))
+    | "memref.subview_dyn" ->
+        let a = s 0 and b = s 1 and len = int_attr_exn o "size" in
+        let d = def (result o) in
+        Some (fun c _ -> c.(d) <- Vbuf (Bufview.sub (as_buf c.(a)) ~off:(as_int c.(b)) ~len))
+    | "csl_stencil.access" ->
+        let a = s 0 and off = Array.of_list (dense_ints_exn o "offset") in
+        let d = def (result o) in
+        Some
+          (fun c point ->
+            match c.(a) with
+            | Vgrid g -> c.(d) <- Vbuf (grid_column_view g point off)
+            | Vbuf b -> c.(d) <- Vbuf b
+            | _ -> fail "csl_stencil.access: bad source")
+    | "arith.constant" ->
+        let v =
           match attr o "value" with
-          | Some (Int_attr i) -> bind env (result o) (Vint i)
-          | Some (Float_attr f) -> bind env (result o) (Vfloat f)
-          | _ -> fail "buf_eval: bad constant")
-      | "arith.addi" ->
-          bind env (result o)
-            (Vint (as_int env (operand o 0) + as_int env (operand o 1)))
-      | "linalg.copy" ->
-          Bufview.blit ~src:(as_buf env (operand o 0)) ~dst:(as_buf env (operand o 1))
-      | "linalg.fill" ->
-          Bufview.fill (as_buf env (operand o 0)) (float_attr_exn o "value")
-      | "linalg.add" ->
-          Bufview.map2_into ( +. )
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (as_buf env (operand o 2))
-      | "linalg.sub" ->
-          Bufview.map2_into ( -. )
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (as_buf env (operand o 2))
-      | "linalg.mul" ->
-          Bufview.map2_into ( *. )
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (as_buf env (operand o 2))
-      | "linalg.div" ->
-          Bufview.map2_into ( /. )
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (as_buf env (operand o 2))
-      | "linalg.mul_scalar" ->
-          let k = float_attr_exn o "scalar" in
-          Bufview.map_into
-            (fun x -> x *. k)
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-      | "linalg.add_scalar" ->
-          let k = float_attr_exn o "scalar" in
-          Bufview.map_into
-            (fun x -> x +. k)
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-      | "linalg.fmac" ->
-          Bufview.fmac_into
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (float_attr_exn o "scalar")
-            (as_buf env (operand o 2))
-      | "csl_stencil.yield" -> yielded := List.map (lookup env) o.operands
-      | name -> fail "buf_eval: unsupported op %s" name)
-    blk.bops;
-  !yielded
+          | Some (Int_attr i) -> Vint i
+          | Some (Float_attr f) -> Vfloat f
+          | _ -> fail "buf_eval: bad constant"
+        in
+        let d = def (result o) in
+        Some (fun c _ -> c.(d) <- v)
+    | "arith.addi" ->
+        let a = s 0 and b = s 1 in
+        let d = def (result o) in
+        Some (fun c _ -> c.(d) <- Vint (as_int c.(a) + as_int c.(b)))
+    | "linalg.copy" ->
+        let a = s 0 and d = s 1 in
+        Some (fun c _ -> Bufview.blit ~src:(as_buf c.(a)) ~dst:(as_buf c.(d)))
+    | "linalg.fill" ->
+        let d = s 0 and x = float_attr_exn o "value" in
+        Some (fun c _ -> Bufview.fill (as_buf c.(d)) x)
+    | "linalg.add" -> linalg2 ( +. )
+    | "linalg.sub" -> linalg2 ( -. )
+    | "linalg.mul" -> linalg2 ( *. )
+    | "linalg.div" -> linalg2 ( /. )
+    | "linalg.mul_scalar" ->
+        let k = float_attr_exn o "scalar" in
+        linalg1 (fun x -> x *. k)
+    | "linalg.add_scalar" ->
+        let k = float_attr_exn o "scalar" in
+        linalg1 (fun x -> x +. k)
+    | "linalg.fmac" ->
+        let a = s 0 and b = s 1 and d = s 2 and k = float_attr_exn o "scalar" in
+        Some (fun c _ -> Bufview.fmac_into (as_buf c.(a)) (as_buf c.(b)) k (as_buf c.(d)))
+    | "csl_stencil.yield" ->
+        yields := Array.of_list (List.map slot o.operands);
+        None
+    | name -> fail "buf_eval: unsupported op %s" name
+  in
+  let code = Array.of_list (List.filter_map stage_op blk.bops) in
+  { nargs; nslots = !n; code; yields = !yields }
+
+let run (st : staged) ~(point : int array) (args : cell array) : cell list =
+  if Array.length args <> st.nargs then
+    fail "buf_eval: %d arguments for %d block arguments" (Array.length args) st.nargs;
+  let c = Array.make st.nslots (Vint 0) in
+  Array.blit args 0 c 0 st.nargs;
+  for i = 0 to Array.length st.code - 1 do
+    st.code.(i) c point
+  done;
+  Array.fold_right (fun s acc -> c.(s) :: acc) st.yields []

@@ -1,7 +1,8 @@
 (** Evaluator for bufferized (memref + linalg) region bodies: values are
     buffer views, integers or grids; DPS ops mutate their destination
     views in place, exactly as DSD builtins do on a PE.  Shared reference
-    semantics between the post-group-3 interpreter hook and tests. *)
+    semantics between the post-group-3 interpreter hook and tests.  A
+    block is staged once, then run per point and chunk. *)
 
 open Wsc_ir.Ir
 
@@ -13,20 +14,15 @@ type cell =
 
 exception Eval_error of string
 
-type env = {
-  cells : (int, cell) Hashtbl.t;
-  mutable point : int list;  (** current PE coordinates for grid accesses *)
-}
+type staged
+(** A block resolved once: one slot per value, block arguments first. *)
 
-val new_env : unit -> env
-val bind : env -> value -> cell -> unit
-val lookup : env -> value -> cell
+(** @raise Eval_error on values not defined in the block or its
+    arguments, and on unsupported ops. *)
+val stage : block -> staged
 
-(** View of the z-column stored at [point + offset] in a grid of
-    tensors. *)
-val grid_column_view :
-  Wsc_dialects.Interp.grid -> int list -> int list -> Bufview.t
-
-(** Evaluate one block; returns the yield operands' cells.
-    @raise Eval_error on unbound values or unsupported ops. *)
-val eval_block : env -> block -> cell list
+(** Run a staged block on its argument cells; [point] is the PE whose
+    grid columns [csl_stencil.access] reads.  Returns the yield operands'
+    cells.
+    @raise Eval_error on an argument count or cell kind mismatch. *)
+val run : staged -> point:int array -> cell array -> cell list

@@ -1,5 +1,5 @@
-(** Reference semantics for [csl_stencil.apply], registered into the
-    sequential interpreter.
+(** Reference semantics for [csl_stencil.apply], staged into the
+    sequential interpreter through its explicit stager argument.
 
     Models exactly what the fabric does, but in a single address space:
     for every PE (2D point), the receive-chunk region runs once per chunk
@@ -16,189 +16,210 @@ open Wsc_ir.Ir
 module I = Wsc_dialects.Interp
 module Stencil = Wsc_dialects.Stencil
 
-let tensor_slice (col : float array) ~(offset : int) ~(size : int) : float array =
-  Array.sub col offset size
+(** Offset in [g]'s data of the z-column at [(x, y)], or None outside the
+    grid or when [g] does not hold z-columns. *)
+let column_offset (g : I.grid) x y : int option =
+  match g.I.gbounds with
+  | [ (xl, xu); (yl, yu) ] when x >= xl && x < xu && y >= yl && y < yu ->
+      let z = I.tensor_extent g.I.gelt in
+      if z = 1 then None else Some ((((x - xl) * (yu - yl)) + (y - yl)) * z)
+  | _ -> None
 
-(** Column slice of grid [g] at [p + d], or None outside the grid. *)
-let neighbour_slice (g : I.grid) (p : int list) (d : int list) ~z_off ~cs :
-    float array option =
-  let np = List.map2 ( + ) p d in
-  let inside = List.for_all2 (fun i (lb, ub) -> i >= lb && i < ub) np g.I.gbounds in
-  if not inside then None
-  else
-    match I.grid_get g np with
-    | I.Rtensor col -> Some (tensor_slice col ~offset:z_off ~size:cs)
-    | _ -> None
-
-(** Build the per-input received views for one chunk.  [one_shot]: all
-    directions reduce into the zero-offset staging position (§5.7). *)
-let build_rcv_grids ?(one_shot = false) (cfg : Csl_stencil.apply_config)
-    (comm_grids : I.grid list) (p : int list) ~(z_halo : int) ~(off : int)
-    ~(radius : int) : I.grid list =
-  let cs = cfg.chunk_size in
+(** Build the per-input received views for one chunk at PE [(px, py)].
+    [one_shot]: all directions reduce into the zero-offset staging
+    position (§5.7). *)
+let build_rcv_grids ~one_shot (cfg : Csl_stencil.apply_config) (comm_grids : I.grid list) px
+    py ~(z_halo : int) ~(off : int) ~(radius : int) : I.grid list =
+  let cs = cfg.chunk_size and w = (2 * radius) + 1 in
   let rb = [ (-radius, radius + 1); (-radius, radius + 1) ] in
+  (* offset of the staged column at position (dx, dy) of the view *)
+  let pos dx dy = (((dx + radius) * w) + (dy + radius)) * cs in
+  let z_off = z_halo + off in
   List.mapi
     (fun i (g : I.grid) ->
       let rg = I.make_grid rb (Tensor ([ cs ], F32)) in
-      if cfg.coeffs <> [] then
+      let rd = rg.I.gdata in
+      if cfg.coeffs <> [] then begin
         (* promoted: pre-scaled reduction, per direction at the unit
-           offset, or into one shared position when one-shot *)
+           offset, or into one shared position when one-shot; a view of
+           one-element chunks holds scalars, which receive nothing *)
+        if cs > 1 then
         List.iter
           (fun (i', dx, dy, c) ->
-            if i' = i then begin
-              match neighbour_slice g p [ dx; dy ] ~z_off:(z_halo + off) ~cs with
-              | Some sl ->
-                  let pos =
-                    if one_shot then [ 0; 0 ]
-                    else [ compare dx 0; compare dy 0 ]
-                  in
-                  (match I.grid_get rg pos with
-                  | I.Rtensor acc ->
-                      Array.iteri (fun k x -> acc.(k) <- acc.(k) +. (c *. x)) sl;
-                      I.grid_set rg pos (I.Rtensor acc)
-                  | _ -> ())
-              | None -> ()
-            end)
+            if i' = i then
+              match column_offset g (px + dx) (py + dy) with
+              | Some src ->
+                  let src = src + z_off in
+                  if z_off < 0 || z_off + cs > I.tensor_extent g.I.gelt then
+                    invalid_arg "csl_stencil.apply: chunk outside the column";
+                  let dst = if one_shot then pos 0 0 else pos (compare dx 0) (compare dy 0) in
+                  for k = 0 to cs - 1 do
+                    rd.(dst + k) <- rd.(dst + k) +. (c *. g.I.gdata.(src + k))
+                  done
+              | None -> ())
           cfg.coeffs
+      end
       else
         (* unpromoted: raw column per (dx, dy) *)
-        I.iter_points rb (fun d ->
-            match d with
-            | [ dx; dy ] when dx <> 0 || dy <> 0 -> (
-                match neighbour_slice g p d ~z_off:(z_halo + off) ~cs with
-                | Some sl -> I.grid_set rg d (I.Rtensor sl)
-                | None -> ())
-            | _ -> ());
+        for dx = -radius to radius do
+          for dy = -radius to radius do
+            if dx <> 0 || dy <> 0 then
+              match column_offset g (px + dx) (py + dy) with
+              | Some src ->
+                  if z_off < 0 || z_off + cs > I.tensor_extent g.I.gelt then
+                    invalid_arg "csl_stencil.apply: chunk outside the column";
+                  Array.blit g.I.gdata (src + z_off) rd (pos dx dy) cs
+              | None -> ()
+          done
+        done;
       rg)
     comm_grids
 
-let apply_setup (op : op) (env : I.env) =
+type setup = {
+  cfg : Csl_stencil.apply_config;
+  z_halo : int;
+  cb : (int * int) list;
+  radius : int;
+  one_shot : bool;
+}
+
+let setup (op : op) : setup =
   let cfg = Csl_stencil.config_of op in
-  let z_halo = int_attr_exn op "z_halo" in
   let cb = Stencil.bounds_of_attr (attr_exn op "compute_bounds") in
-  let operand_vals = List.map (I.lookup env) op.operands in
-  let comm_grids =
-    List.filteri (fun i _ -> i < cfg.comm_count) operand_vals |> List.map I.as_grid
-  in
-  let acc_init = I.as_tensor (List.nth operand_vals cfg.comm_count) in
-  let radius =
-    List.fold_left (fun r (s : Wsc_dialects.Dmp.swap_desc) -> max r s.depth) 1 (List.concat cfg.swaps)
-  in
-  (cfg, z_halo, cb, operand_vals, comm_grids, acc_init, radius)
+  if List.length cb <> 2 then I.fail "csl_stencil.apply: compute bounds must be 2-D";
+  {
+    cfg;
+    z_halo = int_attr_exn op "z_halo";
+    cb;
+    radius =
+      List.fold_left
+        (fun r (s : Wsc_dialects.Dmp.swap_desc) -> max r s.depth)
+        1 (List.concat cfg.swaps);
+    one_shot = has_attr op "one_shot";
+  }
 
-(** Tensor-form evaluation (post group 2). *)
-let tensor_handler (ctx : I.ctx) (op : op) (run_block : I.ctx -> block -> I.rtvalue list)
-    : I.rtvalue list =
-  let cfg, z_halo, cb, operand_vals, comm_grids, acc_init, radius =
-    apply_setup op ctx.env
-  in
-  let recv_block = entry_block (Csl_stencil.recv_region op) in
-  let done_block = entry_block (Csl_stencil.done_region op) in
+(* Run [f] once per PE of the compute bounds, with its comm grids, the
+   initial accumulator and fresh output grids; returns the outputs. *)
+let per_pe (s : setup) (op : op) (vals : I.rtvalue list) (pt : int array)
+    (f : I.grid list -> float array -> I.grid list -> unit) : I.rtvalue list =
+  let comm_grids = List.filteri (fun i _ -> i < s.cfg.comm_count) vals |> List.map I.as_grid in
+  let acc_init = I.as_tensor (List.nth vals s.cfg.comm_count) in
   let out_grids = List.map (fun _ -> I.copy_grid (List.hd comm_grids)) op.results in
-  let saved_point = ctx.point in
-  I.iter_points cb (fun p ->
-      let acc = ref (Array.copy acc_init) in
-      for chunk = 0 to cfg.num_chunks - 1 do
-        let off = chunk * cfg.chunk_size in
-        let rcv_grids =
-          build_rcv_grids ~one_shot:(has_attr op "one_shot") cfg comm_grids p
-            ~z_halo ~off ~radius
-        in
-        ctx.point <- [ 0; 0 ];
-        List.iteri
-          (fun i a ->
-            if i < cfg.comm_count then
-              I.bind ctx.env a (I.Rgrid (List.nth rcv_grids i))
-            else if i = cfg.comm_count then I.bind ctx.env a (I.Rint off)
-            else I.bind ctx.env a (I.Rtensor !acc))
-          recv_block.bargs;
-        (match run_block ctx recv_block with
-        | [ I.Rtensor acc' ] -> acc := acc'
-        | _ -> I.fail "csl_stencil.apply: recv region must yield the accumulator")
-      done;
-      ctx.point <- p;
-      List.iteri
-        (fun i a ->
-          if i = cfg.comm_count then I.bind ctx.env a (I.Rtensor !acc)
-          else I.bind ctx.env a (List.nth operand_vals i))
-        done_block.bargs;
-      let cols = run_block ctx done_block in
-      if List.length cols <> List.length out_grids then
-        I.fail "csl_stencil.apply: done region must yield one column per result";
-      List.iter2 (fun g col -> I.grid_set g p col) out_grids cols);
-  ctx.point <- saved_point;
+  I.iter_box s.cb pt (fun () -> f comm_grids acc_init out_grids);
   List.map (fun g -> I.Rgrid g) out_grids
 
-(** Bufferized-form evaluation (post group 3), via {!Buf_eval}. *)
-let bufferized_handler (ctx : I.ctx) (op : op) : I.rtvalue list =
-  let cfg, z_halo, cb, operand_vals, comm_grids, acc_init, radius =
-    apply_setup op ctx.env
-  in
+(* Write a done-region column into every output grid at [pt]. *)
+let write_columns (out_grids : I.grid list) (pt : int array) (cols : float array list) : unit =
+  if List.length cols <> List.length out_grids then
+    I.fail "csl_stencil.apply: done region must yield one column per result";
+  List.iter2
+    (fun (g : I.grid) col ->
+      let z = I.tensor_extent g.I.gelt in
+      if Array.length col <> z then
+        I.fail "grid_set: tensor size %d, grid elt %d" (Array.length col) z;
+      Array.blit col 0 g.I.gdata (I.index_at g pt [| 0; 0 |] * z) z)
+    out_grids cols
+
+(** Tensor-form evaluation (post group 2): both regions staged by the
+    interpreter, accesses reading at the view centre (receive) or the PE
+    (done). *)
+let stage_tensor (sc : I.scope) (op : op) : I.frame -> I.rtvalue list =
+  let s = setup op in
+  let inputs = List.map (I.read sc) op.operands in
   let recv_block = entry_block (Csl_stencil.recv_region op) in
   let done_block = entry_block (Csl_stencil.done_region op) in
-  let out_grids = List.map (fun _ -> I.copy_grid (List.hd comm_grids)) op.results in
-  I.iter_points cb (fun p ->
-      let acc = Array.copy acc_init in
-      for chunk = 0 to cfg.num_chunks - 1 do
-        let off = chunk * cfg.chunk_size in
-        let rcv_grids =
-          build_rcv_grids ~one_shot:(has_attr op "one_shot") cfg comm_grids p
-            ~z_halo ~off ~radius
-        in
-        let env = Buf_eval.new_env () in
-        env.point <- [ 0; 0 ];
+  let centre = [| 0; 0 |] and pt = [| 0; 0 |] in
+  let recv_args = List.map (I.write sc) recv_block.bargs in
+  let run_recv = I.stage_block sc ~point:centre recv_block in
+  let done_args = List.map (I.write sc) done_block.bargs in
+  let run_done = I.stage_block sc ~point:pt done_block in
+  let n = s.cfg.comm_count in
+  fun fr ->
+    let vals = List.map (fun r -> r fr) inputs in
+    per_pe s op vals pt (fun comm_grids acc_init out_grids ->
+        let acc = ref (Array.copy acc_init) in
+        for chunk = 0 to s.cfg.num_chunks - 1 do
+          let off = chunk * s.cfg.chunk_size in
+          let rcv_grids =
+            build_rcv_grids ~one_shot:s.one_shot s.cfg comm_grids pt.(0) pt.(1)
+              ~z_halo:s.z_halo ~off ~radius:s.radius
+          in
+          List.iteri
+            (fun i set ->
+              set fr
+                (if i < n then I.Rgrid (List.nth rcv_grids i)
+                 else if i = n then I.Rint off
+                 else I.Rtensor !acc))
+            recv_args;
+          match run_recv fr with
+          | [ I.Rtensor acc' ] -> acc := acc'
+          | _ -> I.fail "csl_stencil.apply: recv region must yield the accumulator"
+        done;
         List.iteri
-          (fun i a ->
-            if i < cfg.comm_count then
-              Buf_eval.bind env a (Buf_eval.Vgrid (List.nth rcv_grids i))
-            else if i = cfg.comm_count then Buf_eval.bind env a (Buf_eval.Vint off)
-            else Buf_eval.bind env a (Buf_eval.Vbuf (Bufview.of_array acc)))
-          recv_block.bargs;
-        ignore (Buf_eval.eval_block env recv_block)
-      done;
-      let env = Buf_eval.new_env () in
-      env.point <- p;
-      List.iteri
-        (fun i a ->
-          if i = cfg.comm_count then
-            Buf_eval.bind env a (Buf_eval.Vbuf (Bufview.of_array acc))
-          else
-            match List.nth operand_vals i with
-            | I.Rgrid g -> Buf_eval.bind env a (Buf_eval.Vgrid g)
-            | _ -> I.fail "csl_stencil.apply: operand %d is not a grid" i)
-        done_block.bargs;
-      let outs = Buf_eval.eval_block env done_block in
-      if List.length outs <> List.length out_grids then
-        I.fail "csl_stencil.apply: done region must yield one buffer per result";
-      List.iter2
-        (fun g out ->
-          match out with
-          | Buf_eval.Vbuf b -> I.grid_set g p (I.Rtensor (Bufview.to_array b))
-          | _ -> I.fail "csl_stencil.apply: done region must yield buffers")
-        out_grids outs);
-  List.map (fun g -> I.Rgrid g) out_grids
+          (fun i set -> set fr (if i = n then I.Rtensor !acc else List.nth vals i))
+          done_args;
+        write_columns out_grids pt (List.map I.as_tensor (run_done fr)))
 
-let handler : I.handler =
- fun ctx op run_block ->
-  if has_attr op "bufferized" then bufferized_handler ctx op
-  else tensor_handler ctx op run_block
+(** Bufferized-form evaluation (post group 3): both regions staged by
+    {!Buf_eval}. *)
+let stage_bufferized (sc : I.scope) (op : op) : I.frame -> I.rtvalue list =
+  let s = setup op in
+  let inputs = List.map (I.read sc) op.operands in
+  let recv = Buf_eval.stage (entry_block (Csl_stencil.recv_region op)) in
+  let done_block = entry_block (Csl_stencil.done_region op) in
+  let done_ = Buf_eval.stage done_block in
+  let n_recv = List.length (entry_block (Csl_stencil.recv_region op)).bargs in
+  let n_done = List.length done_block.bargs in
+  let n = s.cfg.comm_count in
+  let centre = [| 0; 0 |] and pt = [| 0; 0 |] in
+  fun fr ->
+    let vals = List.map (fun r -> r fr) inputs in
+    per_pe s op vals pt (fun comm_grids acc_init out_grids ->
+        let acc = Array.copy acc_init in
+        for chunk = 0 to s.cfg.num_chunks - 1 do
+          let off = chunk * s.cfg.chunk_size in
+          let rcv_grids =
+            Array.of_list
+              (build_rcv_grids ~one_shot:s.one_shot s.cfg comm_grids pt.(0) pt.(1)
+                 ~z_halo:s.z_halo ~off ~radius:s.radius)
+          in
+          ignore
+            (Buf_eval.run recv ~point:centre
+               (Array.init n_recv (fun i ->
+                    if i < n then Buf_eval.Vgrid rcv_grids.(i)
+                    else if i = n then Buf_eval.Vint off
+                    else Buf_eval.Vbuf (Bufview.of_array acc))))
+        done;
+        let outs =
+          Buf_eval.run done_ ~point:pt
+            (Array.init n_done (fun i ->
+                 if i = n then Buf_eval.Vbuf (Bufview.of_array acc)
+                 else
+                   match List.nth vals i with
+                   | I.Rgrid g -> Buf_eval.Vgrid g
+                   | _ -> I.fail "csl_stencil.apply: operand %d is not a grid" i))
+        in
+        write_columns out_grids pt
+          (List.map
+             (function
+               | Buf_eval.Vbuf b -> Bufview.to_array b
+               | _ -> I.fail "csl_stencil.apply: done region must yield buffers")
+             outs))
 
-(** [csl_stencil.prefetch] marks a fetch; in single-address-space
-    semantics it is the identity (like [dmp.swap]). *)
-let prefetch_handler : I.handler =
- fun ctx op _ -> [ I.lookup ctx.env (operand op 0) ]
+(** The stager for the csl_stencil ops; [csl_stencil.prefetch] marks a
+    fetch and, in single-address-space semantics, is the identity (like
+    [dmp.swap]). *)
+let stage : I.ext =
+ fun sc op ->
+  match op.opname with
+  | "csl_stencil.apply" ->
+      Some (if has_attr op "bufferized" then stage_bufferized sc op else stage_tensor sc op)
+  | "csl_stencil.prefetch" ->
+      let r = I.read sc (operand op 0) in
+      Some (fun fr -> [ r fr ])
+  | _ -> None
 
-(* [register] is called from [Pipeline.compile] on every compilation;
-   under the concurrent compile service that means several domains at
-   once, and [Interp.register_handler] mutates a shared Hashtbl.  The
-   once-guard makes every call after the first (taken here, at module
-   initialization on the main domain) a pure read of the flag. *)
-let registered = Atomic.make false
+let run_func (m : op) ~(name : string) (args : I.rtvalue list) : I.rtvalue list =
+  I.run_func ~ext:stage m ~name args
 
-let register () =
-  if not (Atomic.exchange registered true) then begin
-    I.register_handler "csl_stencil.apply" handler;
-    I.register_handler "csl_stencil.prefetch" prefetch_handler
-  end
-
-let () = register ()
+let register () = I.set_default_ext stage

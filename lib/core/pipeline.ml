@@ -77,7 +77,7 @@ let frontend_passes (o : options) : Wsc_ir.Pass.t list =
   else []
 
 (** Groups 2–3: communication realization and bufferization.  The module
-    remains interpretable (via the registered csl_stencil handler). *)
+    remains interpretable (by {!Csl_stencil_interp.run_func}). *)
 let middle_passes (o : options) : Wsc_ir.Pass.t list =
   [
     To_csl_stencil.lower_swaps_pass;
@@ -105,7 +105,6 @@ let passes (o : options) : Wsc_ir.Pass.t list =
 (** Compile a module all the way to the pair of csl modules. *)
 let compile ?(options = default_options) ?pass_options (m : Wsc_ir.Ir.op) :
     Wsc_ir.Ir.op =
-  Csl_stencil_interp.register ();
   match pass_options with
   | Some po -> Wsc_ir.Pass.run_pipeline ~options:po (passes options) m
   | None -> Wsc_ir.Pass.run_pipeline (passes options) m

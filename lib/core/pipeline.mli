@@ -29,7 +29,7 @@ val options_to_string : options -> string
 val frontend_passes : options -> Wsc_ir.Pass.t list
 
 (** Groups 2–3: communication realization, wrapping and bufferization
-    (still interpretable through the registered csl_stencil handler). *)
+    (still interpretable by {!Csl_stencil_interp.run_func}). *)
 val middle_passes : options -> Wsc_ir.Pass.t list
 
 (** Groups 4–5: actor lowering and csl-ir generation. *)
@@ -38,8 +38,7 @@ val backend_passes : options -> Wsc_ir.Pass.t list
 val passes : options -> Wsc_ir.Pass.t list
 
 (** Compile a stencil-dialect module to the pair of csl modules (inside a
-    builtin.module).  Registers the interpreter handlers as a side
-    effect. *)
+    builtin.module). *)
 val compile :
   ?options:options -> ?pass_options:Wsc_ir.Pass.options -> Wsc_ir.Ir.op ->
   Wsc_ir.Ir.op

@@ -1,7 +1,9 @@
 (** Sequential reference interpreter — the correctness oracle.  Executes
     modules built from the standard dialects with the mathematical
-    single-address-space semantics the paper starts from; downstream
-    dialects register handlers for their ops. *)
+    single-address-space semantics the paper starts from.  Each function
+    is staged once (every op resolved into a closure over frame slots)
+    and then run; ops of downstream dialects are staged by an explicit
+    {!ext} argument. *)
 
 open Wsc_ir.Ir
 
@@ -27,8 +29,9 @@ val grid_of_typ : typ -> grid
     @raise Interp_error out of bounds. *)
 val flat_index : grid -> int list -> int
 
-val grid_get_scalar : grid -> int list -> float
-val grid_set_scalar : grid -> int list -> float -> unit
+(** [index_at g pt off] is the flattened index of the point [pt + off].
+    @raise Interp_error out of bounds. *)
+val index_at : grid -> int array -> int array -> int
 
 (** Element (scalar or z-column copy) at a point. *)
 val grid_get : grid -> int list -> rtvalue
@@ -36,8 +39,9 @@ val grid_get : grid -> int list -> rtvalue
 val grid_set : grid -> int list -> rtvalue -> unit
 val copy_grid : grid -> grid
 
-(** All points in row-major order. *)
-val iter_points : (int * int) list -> (int list -> unit) -> unit
+(** Visit every point of the bounds in row-major order, writing it into
+    the array (of the bounds' rank) before each call. *)
+val iter_box : (int * int) list -> int array -> (unit -> unit) -> unit
 
 (** Reinterpret a 3-D scalar grid as the 2-D grid of z-column tensors
     with the identical flattened layout. *)
@@ -55,29 +59,64 @@ val elementwise2 : (float -> float -> float) -> rtvalue -> rtvalue -> rtvalue
 
 (** {1 Execution} *)
 
-type env
+type frame
+(** The value slots of one function call. *)
 
-val new_env : unit -> env
-val bind : env -> value -> rtvalue -> unit
-val lookup : env -> value -> rtvalue
+type scope
+(** Staging state of one function: the slot of every SSA value staged so
+    far and the point of the enclosing apply. *)
 
-type ctx = { module_ : op; env : env; mutable point : int list }
+type ext = scope -> op -> (frame -> rtvalue list) option
+(** Stager for ops outside the standard dialects: [Some run] computes the
+    op's results, [None] leaves the op unsupported. *)
 
-(** Extension point for downstream dialects: handler receives the
-    context, the op, and a block runner. *)
-type handler = ctx -> op -> (ctx -> block -> rtvalue list) -> rtvalue list
+(** Reader of a staged value's slot.
+    @raise Interp_error when the value is not in scope. *)
+val read : scope -> value -> frame -> rtvalue
 
-val register_handler : string -> handler -> unit
+(** Give a value (typically a block argument) a slot; the result writes
+    it. *)
+val write : scope -> value -> frame -> rtvalue -> unit
 
-(** Run function [name] of a module on the given arguments. *)
-val run_func : op -> name:string -> rtvalue list -> rtvalue list
+(** Stage a nested block whose [stencil.access]/[csl_stencil.access] ops
+    read at the given point array (written by the caller before each
+    run); the result runs it and returns its terminator's operands. *)
+val stage_block : scope -> point:int array -> block -> frame -> rtvalue list
+
+(** Stage function [name] of a module, then run it on the given
+    arguments.  [ext] defaults to the one set by {!set_default_ext}, if
+    any. *)
+val run_func : ?ext:ext -> op -> name:string -> rtvalue list -> rtvalue list
+
+(** Set the stager [run_func] uses when called without [~ext]. *)
+val set_default_ext : ext -> unit
 
 (** {1 Test data} *)
 
 (** Deterministic initialization value for a point. *)
 val init_value : int list -> float
 
+(** Fill a grid with {!init_value} of every point, a z-column element at
+    [p] taking the values of the points [p @ [k]]. *)
 val init_grid : grid -> unit
 
 (** Point-wise maximum |difference|; infinite on size mismatch. *)
 val max_abs_diff : grid -> grid -> float
+
+(** {1 Unstaged reference (transitional)} *)
+
+module Unstaged : sig
+  val iter_points : (int * int) list -> (int list -> unit) -> unit
+
+  type env
+
+  val new_env : unit -> env
+  val bind : env -> value -> rtvalue -> unit
+  val lookup : env -> value -> rtvalue
+
+  type ctx = { module_ : op; env : env; mutable point : int list }
+  type handler = ctx -> op -> (ctx -> block -> rtvalue list) -> rtvalue list
+
+  val register_handler : string -> handler -> unit
+  val run_func : op -> name:string -> rtvalue list -> rtvalue list
+end

@@ -193,7 +193,6 @@ let mwfaults_tier ~(machine : Wsc_wse.Machine.t)
 let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
     ?(machine = Wsc_wse.Machine.wse3)
     ?(options = Pipeline.default_options) (p : P.t) : report =
-  Wsc_core.Csl_stencil_interp.register ();
   let fail ?ir_before ?ir_after f =
     { failure = Some f; ir_before; ir_after }
   in
@@ -221,7 +220,8 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
           | m1 -> (
               let grids = P.init_grids p in
               match
-                I.run_func m1 ~name:"main" (List.map (fun g -> I.Rgrid g) grids)
+                Wsc_core.Csl_stencil_interp.run_func m1 ~name:"main"
+                  (List.map (fun g -> I.Rgrid g) grids)
               with
               | exception e ->
                   fail ~ir_before:(Printer.op_to_string m1)

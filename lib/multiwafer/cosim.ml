@@ -324,13 +324,10 @@ let run ?engine ?(interconnect = Interconnect.default)
             List.map
               (fun gl ->
                 let g = I.retensorize_grid (I.grid_of_typ sub_ft) in
-                I.iter_points g.I.gbounds (fun pt ->
-                    match pt with
-                    | [ sx; sy ] ->
-                        I.grid_set g pt
-                          (I.grid_get gl
-                             [ s.Decompose.x0 + sx; s.Decompose.y0 + sy ])
-                    | _ -> assert false);
+                let pt = [| 0; 0 |] in
+                I.iter_box g.I.gbounds pt (fun () ->
+                    I.grid_set g [ pt.(0); pt.(1) ]
+                      (I.grid_get gl [ s.Decompose.x0 + pt.(0); s.Decompose.y0 + pt.(1) ]));
                 g)
               globals
           in

@@ -72,10 +72,6 @@ let default_timeout_s = 30.0
 
 let create ?(capacity = default_capacity) ?(timeout_s = default_timeout_s)
     ?(options = Pipeline.default_options) ?tuned () : t =
-  (* registration mutates a shared handler table; doing it here, before
-     any worker domain exists, keeps [Pipeline.compile]'s own register
-     call a pure flag read under concurrency *)
-  Wsc_core.Csl_stencil_interp.register ();
   {
     cache = Cache.create ~capacity;
     eng_options = options;

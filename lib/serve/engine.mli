@@ -82,8 +82,7 @@ type t
 val default_capacity : int
 val default_timeout_s : float
 
-(** [create ()] also registers the interpreter handlers once, so worker
-    domains never touch that global table.  [tuned] attaches a
+(** [tuned] attaches a
     tuned-config store: requests whose program-only canonical digest has
     an entry compile under the stored options instead of their own
     (opt-in — engines without a store behave exactly as before).  The

@@ -65,14 +65,12 @@ let load ?(trace = Trace.null) ?(faults = Wsc_faults.Faults.null)
      PE grid, concatenated across state slots *)
   (match init_grids with
   | g0 :: _ ->
-      I.iter_points g0.I.gbounds (fun p ->
-          match p with
-          | [ x; y ] when not (Fabric.in_grid sim x y) ->
-              let col =
-                Array.concat (List.map (fun g -> column_of_grid g x y) init_grids)
-              in
-              Hashtbl.replace sim.Fabric.halo (x, y) col
-          | _ -> ())
+      let p = [| 0; 0 |] in
+      I.iter_box g0.I.gbounds p (fun () ->
+          let x = p.(0) and y = p.(1) in
+          if not (Fabric.in_grid sim x y) then
+            Hashtbl.replace sim.Fabric.halo (x, y)
+              (Array.concat (List.map (fun g -> column_of_grid g x y) init_grids)))
   | [] -> fail "no state grids");
   { sim; program; init_grids; result_ptrs }
 

@@ -16,6 +16,8 @@ module Varith = Wsc_dialects.Varith
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
+let get (g : I.grid) p = g.I.gdata.(I.flat_index g p)
+let set (g : I.grid) p v = g.I.gdata.(I.flat_index g p) <- v
 
 (* ------------------------------------------------------------------ *)
 (* interpreter: scalars and control flow                               *)
@@ -116,12 +118,12 @@ let test_func_call () =
 
 let test_grid_indexing () =
   let g = I.make_grid [ (-1, 3); (-1, 3) ] F32 in
-  I.grid_set_scalar g [ -1; -1 ] 1.5;
-  I.grid_set_scalar g [ 2; 2 ] 2.5;
-  check_float "corner lo" 1.5 (I.grid_get_scalar g [ -1; -1 ]);
-  check_float "corner hi" 2.5 (I.grid_get_scalar g [ 2; 2 ]);
+  set g [ -1; -1 ] 1.5;
+  set g [ 2; 2 ] 2.5;
+  check_float "corner lo" 1.5 (get g [ -1; -1 ]);
+  check_float "corner hi" 2.5 (get g [ 2; 2 ]);
   check "out of bounds" true
-    (match I.grid_get_scalar g [ 3; 0 ] with
+    (match get g [ 3; 0 ] with
     | exception I.Interp_error _ -> true
     | _ -> false)
 
@@ -150,16 +152,28 @@ let test_retensorize_layout () =
         (fun k z ->
           check_float
             (Printf.sprintf "col elem %d" k)
-            (I.grid_get_scalar g3 [ 1; 1; z ])
+            (get g3 [ 1; 1; z ])
             col.(k))
         [ -1; 0; 1 ]
   | _ -> Alcotest.fail "expected tensor"
 
 let test_iter_points_order () =
-  let pts = ref [] in
-  I.iter_points [ (0, 2); (0, 2) ] (fun p -> pts := p :: !pts);
+  let pts = ref [] and p = [| 0; 0 |] in
+  I.iter_box [ (0, 2); (0, 2) ] p (fun () -> pts := Array.to_list p :: !pts);
   check "row major" true
-    (List.rev !pts = [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ])
+    (List.rev !pts = [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ]);
+  (* init_grid fills the flat data in the same order, a z-column element
+     at p taking the values of the points p @ [k] *)
+  let g = I.make_grid [ (-1, 1); (0, 2) ] (Tensor ([ 3 ], F32)) in
+  I.init_grid g;
+  let p = [| 0; 0 |] and i = ref 0 in
+  I.iter_box g.I.gbounds p (fun () ->
+      for k = 0 to 2 do
+        check_float "init order"
+          (I.init_value [ p.(0); p.(1); k ])
+          g.I.gdata.(!i);
+        incr i
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* stencil apply semantics                                             *)
@@ -191,13 +205,13 @@ let shift_module () =
 let test_apply_shift_and_dirichlet () =
   let m, ft = shift_module () in
   let g = I.grid_of_typ ft in
-  List.iteri (fun i x -> I.grid_set_scalar g [ x; 0; 0 ] (float_of_int i)) [ -1; 0; 1; 2; 3 ];
+  List.iteri (fun i x -> set g [ x; 0; 0 ] (float_of_int i)) [ -1; 0; 1; 2; 3 ];
   ignore (I.run_func m ~name:"main" [ I.Rgrid g ]);
   (* interior shifted right by one *)
-  check_float "x=0 gets old x=-1" 0.0 (I.grid_get_scalar g [ 0; 0; 0 ]);
-  check_float "x=3 gets old x=2" 3.0 (I.grid_get_scalar g [ 3; 0; 0 ]);
+  check_float "x=0 gets old x=-1" 0.0 (get g [ 0; 0; 0 ]);
+  check_float "x=3 gets old x=2" 3.0 (get g [ 3; 0; 0 ]);
   (* the halo cell keeps its Dirichlet value *)
-  check_float "halo unchanged" 0.0 (I.grid_get_scalar g [ -1; 0; 0 ])
+  check_float "halo unchanged" 0.0 (get g [ -1; 0; 0 ])
 
 let test_apply_verifier () =
   (* block args must mirror operands *)
@@ -281,8 +295,8 @@ let prop_grid_roundtrip =
       triple (int_range 0 3) (int_range 0 3) (float_range (-100.0) 100.0))
     (fun (x, y, v) ->
       let g = I.make_grid [ (-1, 4); (-1, 4) ] F32 in
-      I.grid_set_scalar g [ x; y ] v;
-      I.grid_get_scalar g [ x; y ] = v)
+      set g [ x; y ] v;
+      get g [ x; y ] = v)
 
 let prop_flat_index_bijective =
   QCheck.Test.make ~name:"flat_index is a bijection" ~count:50 QCheck.unit
@@ -290,8 +304,9 @@ let prop_flat_index_bijective =
       let g = I.make_grid [ (-1, 3); (0, 2); (-2, 1) ] F32 in
       let seen = Hashtbl.create 64 in
       let ok = ref true in
-      I.iter_points g.I.gbounds (fun p ->
-          let ix = I.flat_index g p in
+      let pt = [| 0; 0; 0 |] in
+      I.iter_box g.I.gbounds pt (fun () ->
+          let ix = I.flat_index g (Array.to_list pt) in
           if Hashtbl.mem seen ix then ok := false;
           Hashtbl.replace seen ix ());
       !ok && Hashtbl.length seen = Array.length g.I.gdata)

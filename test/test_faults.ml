@@ -17,7 +17,6 @@ module Aggregate = Wsc_trace.Aggregate
 module Faults = Wsc_faults.Faults
 module Campaign = Wsc_faults_campaign.Campaign
 
-let () = Core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 
 let contains hay needle =

@@ -13,6 +13,7 @@ module I = Wsc_dialects.Interp
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-6))
+let get (g : I.grid) p = g.I.gdata.(I.flat_index g p)
 
 (* ------------------------------------------------------------------ *)
 (* stencil_program utilities                                           *)
@@ -123,7 +124,7 @@ let test_flang_semantics () =
   let expected =
     0.5 *. (I.init_value [ 0; 1; 1 ] +. I.init_value [ 2; 1; 1 ])
   in
-  check_float "hand-computed point" expected (I.grid_get_scalar g [ 1; 1; 1 ])
+  check_float "hand-computed point" expected (get g [ 1; 1; 1 ])
 
 let test_flang_errors () =
   let cases =
@@ -359,13 +360,15 @@ let prop_emitted_ir_matches_expr =
       I.init_grid g0;
       let expected p =
         eval_expr
-          (fun _ off -> I.grid_get_scalar g0 (List.map2 ( + ) p off))
+          (fun _ off -> get g0 (List.map2 ( + ) p off))
           e
       in
       let out = List.hd (P.run_reference prog) in
       let ok = ref true in
-      I.iter_points [ (0, 3); (0, 3); (0, 4) ] (fun p ->
-          let v = I.grid_get_scalar out p in
+      let pt = [| 0; 0; 0 |] in
+      I.iter_box [ (0, 3); (0, 3); (0, 4) ] pt (fun () ->
+          let p = Array.to_list pt in
+          let v = get out p in
           let w = expected p in
           if Float.abs (v -. w) > 1e-5 *. Float.max 1.0 (Float.abs w) then
             ok := false);

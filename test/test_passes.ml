@@ -10,7 +10,6 @@ module Dmp = Wsc_dialects.Dmp
 module Core = Wsc_core
 module Stats = Wsc_ir.Stats
 
-let () = Core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -20,7 +19,8 @@ let run_transformed (p : P.t) (passes : Wsc_ir.Pass.t list) :
   let ref_grids = P.run_reference p in
   let m = Wsc_ir.Pass.run_pipeline passes (P.compile p) in
   let grids = P.init_grids p in
-  ignore (I.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
+  ignore
+    (Core.Csl_stencil_interp.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
   (m, ref_grids, grids)
 
 let assert_matches name ref_grids grids =
@@ -55,7 +55,8 @@ let test_inlining_semantics_scalar () =
         g)
       p.P.state
   in
-  ignore (I.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
+  ignore
+    (Core.Csl_stencil_interp.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
   assert_matches "inlining" ref_grids grids
 
 let test_inlining_passthrough () =
@@ -95,7 +96,8 @@ let test_inlining_passthrough () =
         g)
       p.P.state
   in
-  ignore (I.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
+  ignore
+    (Core.Csl_stencil_interp.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
   assert_matches "passthrough" ref_grids grids
 
 (* ------------------------------------------------------------------ *)

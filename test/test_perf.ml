@@ -6,7 +6,6 @@ module B = Wsc_benchmarks.Benchmarks
 module WP = Wsc_perf.Wse_perf
 module Machine = Wsc_wse.Machine
 
-let () = Wsc_core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 
 let m_wse2 id size = WP.measure ~machine:Machine.wse2 ~size (B.find id)

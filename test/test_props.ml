@@ -8,7 +8,6 @@ module I = Wsc_dialects.Interp
 module Core = Wsc_core
 module Bufview = Wsc_core.Bufview
 
-let () = Core.Csl_stencil_interp.register ()
 
 (* ------------------------------------------------------------------ *)
 (* random star-stencil programs                                        *)
@@ -129,7 +128,8 @@ let prop_interp_oracle_after_each_stage =
       in
       let m = Wsc_ir.Pass.run_pipeline passes (P.compile p) in
       let grids = P.init_grids p in
-      ignore (I.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
+      ignore
+        (Core.Csl_stencil_interp.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
       agrees p grids)
 
 (* ------------------------------------------------------------------ *)

@@ -17,7 +17,6 @@ module A = Wsc_trace.Aggregate
 module Remarks = Wsc_trace.Remarks
 module Chrome = Wsc_trace.Chrome
 
-let () = Core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 
 let contains ~(sub : string) (s : string) : bool =

@@ -12,7 +12,6 @@ module Core = Wsc_core
 module Bufview = Wsc_core.Bufview
 module Buf_eval = Wsc_core.Buf_eval
 
-let () = Core.Csl_stencil_interp.register ()
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -50,9 +49,8 @@ let test_machine_bandwidth_ordering () =
 (* ------------------------------------------------------------------ *)
 
 let eval_ops ops binds =
-  let env = Buf_eval.new_env () in
-  List.iter (fun (v, c) -> Buf_eval.bind env v c) binds;
-  Buf_eval.eval_block env (new_block ops)
+  let st = Buf_eval.stage (new_block ~args:(List.map fst binds) ops) in
+  Buf_eval.run st ~point:[| 0; 0 |] (Array.of_list (List.map snd binds))
 
 let test_buf_eval_linalg_chain () =
   (* acc <- copy(a); acc <- acc + b; acc <- acc + 2*c  == a + b + 2c *)
