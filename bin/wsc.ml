@@ -222,6 +222,8 @@ let simulate_cmd =
     match prog with
     | None -> Error (`Msg "simulate: reference check needs --bench")
     | Some p ->
+        P.check_reference ~max_bytes:F.max_reference_bytes
+          ~max_point_ops:F.max_reference_point_ops p;
         let init = timed "init" (fun () -> P.init_grids p) in
         (* simulate first: the fabric guards (grid size, per-PE memory)
            reject oversized runs before the expensive reference pass *)
@@ -1353,6 +1355,7 @@ let () =
     with
     | Wsc_wse.Fabric.Sim_error msg
     | Wsc_wse.Host.Host_error msg
+    | Wsc_frontends.Stencil_program.Reference_refused msg
     | Wsc_core.To_csl_stencil.Lowering_error msg
     | Wsc_core.To_actors.Actor_error msg
     | Wsc_multiwafer.Decompose.Decompose_error msg

@@ -696,224 +696,3 @@ let max_abs_diff (a : grid) (b : grid) : float =
     Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.gdata.(i)))) a.gdata;
     !m
   end
-
-(** {1 Unstaged reference (transitional)} *)
-
-module Unstaged = struct
-(** All points of [bounds] in row-major order. *)
-let iter_points (bounds : (int * int) list) (f : int list -> unit) : unit =
-  let rec go prefix = function
-    | [] -> f (List.rev prefix)
-    | (lb, ub) :: rest ->
-        for i = lb to ub - 1 do
-          go (i :: prefix) rest
-        done
-  in
-  go [] bounds
-
-(** {1 Value environment} *)
-
-type env = { vals : (int, rtvalue) Hashtbl.t }
-
-let new_env () = { vals = Hashtbl.create 64 }
-
-let bind env (v : value) (r : rtvalue) = Hashtbl.replace env.vals v.vid r
-
-let lookup env (v : value) : rtvalue =
-  match Hashtbl.find_opt env.vals v.vid with
-  | Some r -> r
-  | None -> fail "unbound SSA value %%%d" v.vid
-
-(** {1 Interpreter} *)
-
-type ctx = {
-  module_ : op;
-  env : env;
-  mutable point : int list;  (** current stencil point inside an apply body *)
-}
-
-(** Extension point: dialects defined in downstream libraries (the csl
-    dialects) register handlers for their ops here. *)
-type handler = ctx -> op -> (ctx -> block -> rtvalue list) -> rtvalue list
-
-let handlers : (string, handler) Hashtbl.t = Hashtbl.create 16
-
-let register_handler name (h : handler) = Hashtbl.replace handlers name h
-
-let rec run_block (ctx : ctx) (b : block) : rtvalue list =
-  let result = ref [] in
-  List.iter
-    (fun o ->
-      match run_op ctx o with
-      | `Values vs -> List.iter2 (fun r v -> bind ctx.env r v) o.results vs
-      | `Terminator vs -> result := vs)
-    b.bops;
-  !result
-
-and run_op (ctx : ctx) (o : op) : [ `Values of rtvalue list | `Terminator of rtvalue list ]
-    =
-  let env = ctx.env in
-  let operand_vals () = List.map (lookup env) o.operands in
-  match o.opname with
-  | "arith.constant" -> (
-      match (attr o "value", (result o).vtyp) with
-      | Some (Float_attr f), Tensor ([ n ], _) -> `Values [ Rtensor (Array.make n f) ]
-      | Some (Float_attr f), _ -> `Values [ Rfloat f ]
-      | Some (Int_attr i), (Index | I16 | I32 | I64) -> `Values [ Rint i ]
-      | Some (Int_attr i), _ -> `Values [ Rfloat (float_of_int i) ]
-      | _ -> fail "arith.constant: bad value")
-  | "arith.addf" ->
-      let a, b = (lookup env (operand o 0), lookup env (operand o 1)) in
-      `Values [ elementwise2 ( +. ) a b ]
-  | "arith.subf" ->
-      let a, b = (lookup env (operand o 0), lookup env (operand o 1)) in
-      `Values [ elementwise2 ( -. ) a b ]
-  | "arith.mulf" ->
-      let a, b = (lookup env (operand o 0), lookup env (operand o 1)) in
-      `Values [ elementwise2 ( *. ) a b ]
-  | "arith.divf" ->
-      let a, b = (lookup env (operand o 0), lookup env (operand o 1)) in
-      `Values [ elementwise2 ( /. ) a b ]
-  | "arith.addi" ->
-      `Values [ Rint (as_int (lookup env (operand o 0)) + as_int (lookup env (operand o 1))) ]
-  | "arith.subi" ->
-      `Values [ Rint (as_int (lookup env (operand o 0)) - as_int (lookup env (operand o 1))) ]
-  | "arith.muli" ->
-      `Values [ Rint (as_int (lookup env (operand o 0)) * as_int (lookup env (operand o 1))) ]
-  | "arith.cmpi" ->
-      let a = as_int (lookup env (operand o 0)) and b = as_int (lookup env (operand o 1)) in
-      let r =
-        match string_attr_exn o "predicate" with
-        | "slt" -> a < b
-        | "sle" -> a <= b
-        | "sgt" -> a > b
-        | "sge" -> a >= b
-        | "eq" -> a = b
-        | "ne" -> a <> b
-        | p -> fail "cmpi: bad predicate %s" p
-      in
-      `Values [ Rint (if r then 1 else 0) ]
-  | "varith.add" ->
-      let vs = operand_vals () in
-      `Values [ List.fold_left (elementwise2 ( +. )) (List.hd vs) (List.tl vs) ]
-  | "varith.mul" ->
-      let vs = operand_vals () in
-      `Values [ List.fold_left (elementwise2 ( *. )) (List.hd vs) (List.tl vs) ]
-  | "tensor.empty" ->
-      let n = match (result o).vtyp with Tensor ([ n ], _) -> n | _ -> 0 in
-      `Values [ Rtensor (Array.make n 0.0) ]
-  | "memref.alloc" ->
-      (* buffers at function level are zero-initialized flat arrays *)
-      `Values [ Rtensor (Array.make (num_elements (result o).vtyp) 0.0) ]
-  | "tensor.extract_slice" ->
-      let a = as_tensor (lookup env (operand o 0)) in
-      let off = int_attr_exn o "offset" and size = int_attr_exn o "size" in
-      `Values [ Rtensor (Array.sub a off size) ]
-  | "tensor.insert_slice" ->
-      let src = as_tensor (lookup env (operand o 0)) in
-      let dst = Array.copy (as_tensor (lookup env (operand o 1))) in
-      let off = as_int (lookup env (operand o 2)) in
-      Array.blit src 0 dst off (Array.length src);
-      `Values [ Rtensor dst ]
-  | "stencil.load" -> (
-      match lookup env (operand o 0) with
-      | Rgrid g -> `Values [ Rgrid g ]
-      | _ -> fail "stencil.load: operand is not a grid")
-  | "stencil.store" ->
-      let src = as_grid (lookup env (operand o 0)) in
-      let dst = as_grid (lookup env (operand o 1)) in
-      (* copy overlapping region *)
-      iter_points src.gbounds (fun p -> grid_set dst p (grid_get src p));
-      `Values []
-  | "dmp.swap" ->
-      (* halo exchange is the identity in single-address-space semantics *)
-      `Values [ lookup env (operand o 0) ]
-  | "stencil.apply" -> `Values (run_apply ctx o)
-  | "stencil.access" | "csl_stencil.access" ->
-      let g = as_grid (lookup env (operand o 0)) in
-      let off = dense_ints_exn o "offset" in
-      if List.length ctx.point <> List.length off then
-        fail "stencil.access: offset rank %d at point rank %d" (List.length off)
-          (List.length ctx.point);
-      let idx = List.map2 ( + ) ctx.point off in
-      `Values [ grid_get g idx ]
-  | "stencil.return" | "scf.yield" | "func.return" | "csl_stencil.yield" ->
-      `Terminator (operand_vals ())
-  | "scf.for" ->
-      let lb = as_int (lookup env (operand o 0)) in
-      let ub = as_int (lookup env (operand o 1)) in
-      let step = as_int (lookup env (operand o 2)) in
-      let body = Scf.for_body o in
-      let carried = ref (List.map (lookup env) (Scf.for_iter_inits o)) in
-      let i = ref lb in
-      while !i < ub do
-        bind env (List.hd body.bargs) (Rint !i);
-        List.iter2 (fun arg v -> bind env arg v) (List.tl body.bargs) !carried;
-        carried := run_block ctx body;
-        i := !i + step
-      done;
-      `Values !carried
-  | "scf.if" ->
-      let c = as_int (lookup env (operand o 0)) in
-      let r = region o (if c <> 0 then 0 else 1) in
-      `Values (run_block ctx (entry_block r))
-  | "func.call" ->
-      let callee = string_attr_exn o "callee" in
-      let f =
-        match Func.lookup ctx.module_ callee with
-        | Some f -> f
-        | None -> fail "func.call: unknown function %s" callee
-      in
-      `Values (call_func ctx f (operand_vals ()))
-  | name -> (
-      match Hashtbl.find_opt handlers name with
-      | Some h -> `Values (h ctx o run_block)
-      | None -> fail "interpreter: unsupported op %s" name)
-
-and run_apply (ctx : ctx) (o : op) : rtvalue list =
-  let env = ctx.env in
-  let body = Stencil.apply_body o in
-  List.iter2 (fun arg input -> bind env arg (lookup env input)) body.bargs o.operands;
-  (* Dirichlet semantics: start each output grid as a copy of the first
-     input grid when shapes agree, then overwrite the compute region. *)
-  let first_input =
-    match o.operands with v :: _ -> Some (lookup env v) | [] -> None
-  in
-  let elt_of = function Temp (_, e) | Field (_, e) -> e | t -> t in
-  let out_grids =
-    List.map
-      (fun r ->
-        match first_input with
-        | Some (Rgrid g)
-          when g.gbounds = bounds_of r.vtyp
-               && tensor_extent g.gelt = tensor_extent (elt_of r.vtyp) ->
-            copy_grid g
-        | _ -> grid_of_typ r.vtyp)
-      o.results
-  in
-  let out_bounds = Stencil.compute_bounds o in
-  let saved_point = ctx.point in
-  iter_points out_bounds (fun p ->
-      ctx.point <- p;
-      let vals = run_block ctx body in
-      List.iter2 (fun g v -> grid_set g p v) out_grids vals);
-  ctx.point <- saved_point;
-  List.map (fun g -> Rgrid g) out_grids
-
-and call_func (ctx : ctx) (f : op) (args : rtvalue list) : rtvalue list =
-  let entry = Func.entry f in
-  if List.length entry.bargs <> List.length args then
-    fail "call %s: arity mismatch" (Func.name_of f);
-  List.iter2 (fun p a -> bind ctx.env p a) entry.bargs args;
-  run_block ctx entry
-
-(** Run function [name] of module [m] on [args]. *)
-let run_func (m : op) ~(name : string) (args : rtvalue list) : rtvalue list =
-  let f =
-    match Func.lookup m name with
-    | Some f -> f
-    | None -> fail "no function %s" name
-  in
-  let ctx = { module_ = m; env = new_env (); point = [] } in
-  call_func ctx f args
-end

@@ -102,21 +102,3 @@ val init_grid : grid -> unit
 
 (** Point-wise maximum |difference|; infinite on size mismatch. *)
 val max_abs_diff : grid -> grid -> float
-
-(** {1 Unstaged reference (transitional)} *)
-
-module Unstaged : sig
-  val iter_points : (int * int) list -> (int list -> unit) -> unit
-
-  type env
-
-  val new_env : unit -> env
-  val bind : env -> value -> rtvalue -> unit
-  val lookup : env -> value -> rtvalue
-
-  type ctx = { module_ : op; env : env; mutable point : int list }
-  type handler = ctx -> op -> (ctx -> block -> rtvalue list) -> rtvalue list
-
-  val register_handler : string -> handler -> unit
-  val run_func : op -> name:string -> rtvalue list -> rtvalue list
-end

@@ -239,6 +239,42 @@ let run_reference (p : t) : Interp.grid list =
   ignore (Interp.run_func m ~name:"main" (List.map (fun g -> Interp.Rgrid g) grids));
   grids
 
+(** Estimated size of {!run_reference}: [bytes] of the grids it holds at
+    once (every state grid plus one output per kernel), and [point_ops],
+    the body ops it runs (one per distinct access and per flop of every
+    kernel, at every interior point of every timestep). *)
+type estimate = { bytes : int; point_ops : int }
+
+let reference_estimate (p : t) : estimate =
+  let cells =
+    match grid_type p with
+    | Temp (b, _) -> List.fold_left (fun n (lb, ub) -> n * (ub - lb)) 1 b
+    | _ -> 0
+  in
+  let points = List.fold_left (fun n (lb, ub) -> n * (ub - lb)) 1 (interior p) in
+  let per_point =
+    List.fold_left
+      (fun n k -> n + List.length (List.sort_uniq compare (accesses k.expr)) + expr_flops k.expr)
+      0 p.kernels
+  in
+  {
+    bytes = 8 * cells * (List.length p.state + List.length p.kernels);
+    point_ops = p.iterations * points * per_point;
+  }
+
+exception Reference_refused of string
+
+let check_reference ~max_bytes ~max_point_ops (p : t) : unit =
+  let e = reference_estimate p in
+  if e.bytes > max_bytes || e.point_ops > max_point_ops then
+    raise
+      (Reference_refused
+         (Printf.sprintf
+            "the sequential reference of %s needs an estimated %d bytes and %d \
+             point-ops, over the limit of %d bytes and %d point-ops; use a smaller \
+             size or fewer iterations"
+            p.pname e.bytes e.point_ops max_bytes max_point_ops))
+
 (** The same initial state in the 2-D z-column layout the lowered
     program (and the fabric) takes, one fresh grid per state slot. *)
 let init_grids (p : t) : Interp.grid list =

@@ -61,6 +61,20 @@ val compile : t -> Wsc_ir.Ir.op
     sequential interpreter, return the final (3-D scalar) grids. *)
 val run_reference : t -> Wsc_dialects.Interp.grid list
 
+(** Estimated size of {!run_reference}: [bytes] of the grids it holds at
+    once (every state grid plus one output per kernel) and [point_ops],
+    the apply-body ops it runs (one per distinct access and per flop of
+    every kernel, at every interior point of every timestep). *)
+type estimate = { bytes : int; point_ops : int }
+
+val reference_estimate : t -> estimate
+
+exception Reference_refused of string
+
+(** @raise Reference_refused, with a message stating the estimate, when
+    {!reference_estimate} exceeds either limit. *)
+val check_reference : max_bytes:int -> max_point_ops:int -> t -> unit
+
 (** Freshly initialized state grids (the same data {!run_reference}
     starts from), retensorized into the 2-D z-column layout that lowered
     programs and the fabric simulator take. *)

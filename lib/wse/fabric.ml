@@ -533,6 +533,15 @@ let max_live_sends_per_pe = 2
     every grid up to the benchmarks' Small size (100x100 PEs). *)
 let max_simulated_bytes = 1 lsl 30
 
+(** Largest sequential reference the [simulate] driver runs next to the
+    fabric, in estimated bytes and apply-body ops
+    ({!Wsc_frontends.Stencil_program.reference_estimate}).  At about 4 ns
+    per op on a 2-core x86-64 host, 2e10 ops is a minute or two; the
+    benchmarks' Small size fits at a few timesteps. *)
+let max_reference_bytes = max_simulated_bytes
+
+let max_reference_point_ops = 20_000_000_000
+
 (** Bytes of one live send record: its column snapshots and chunk
     times as host floats, plus the table entry, key and headers. *)
 let record_bytes (c : comm) : int =

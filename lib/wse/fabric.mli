@@ -139,6 +139,12 @@ val max_live_sends_per_pe : int
     records per PE. *)
 val max_simulated_bytes : int
 
+(** Largest sequential reference run checked next to a simulation, in
+    estimated bytes and apply-body ops. *)
+val max_reference_bytes : int
+
+val max_reference_point_ops : int
+
 (** Instantiate the PE grid for a program module.  [trace] (default
     {!Wsc_trace.Trace.null}) receives per-PE spans (compute, send,
     parked-on-exchange, drain), scheduler wake/park instants and

@@ -10,7 +10,6 @@ module Core = Wsc_core
 module Stencil = Wsc_dialects.Stencil
 module Func = Wsc_dialects.Func
 module Builtin = Wsc_dialects.Builtin
-module Fuzz = Wsc_harden.Fuzz
 
 let check = Alcotest.(check bool)
 
@@ -77,55 +76,6 @@ let test_digests () =
     digests
 
 (* ------------------------------------------------------------------ *)
-(* staged vs unstaged (transitional)                                   *)
-(* ------------------------------------------------------------------ *)
-
-let bits_equal (a : I.grid list) (b : I.grid list) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : I.grid) (y : I.grid) ->
-         Array.length x.I.gdata = Array.length y.I.gdata
-         && Array.for_all2
-              (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
-              x.I.gdata y.I.gdata)
-       a b
-
-let run_unstaged m grids =
-  Core.Csl_stencil_interp_unstaged.register ();
-  ignore (I.Unstaged.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
-  grids
-
-let agree_at_every_level (p : P.t) =
-  let m0 = P.compile p in
-  let fresh () = List.map (fun _ -> let g = I.grid_of_typ (P.field_type p) in I.init_grid g; g) p.P.state in
-  let stencil_level = bits_equal (run_staged m0 (fresh ())) (run_unstaged m0 (fresh ())) in
-  let levels =
-    List.for_all
-      (fun passes ->
-        let m = Wsc_ir.Pass.run_pipeline passes (P.compile p) in
-        bits_equal (run_staged m (P.init_grids p)) (run_unstaged m (P.init_grids p)))
-      [ frontend; middle ]
-  in
-  stencil_level && levels
-
-let prop_staged_matches_unstaged =
-  QCheck.Test.make ~name:"staged = unstaged, bit for bit, on fuzzer programs" ~count:40
-    QCheck.(make ~print:(fun i -> Fuzz.describe (Fuzz.generate ~seed:7 ~index:i)) (Gen.int_bound 10_000))
-    (fun i -> agree_at_every_level (Fuzz.generate ~seed:7 ~index:i))
-
-let test_benchmarks_staged_matches_unstaged () =
-  List.iter
-    (fun (d : B.descr) ->
-      List.iter
-        (fun (w, h) ->
-          check
-            (Printf.sprintf "%s %dx%d" d.B.id w h)
-            true
-            (agree_at_every_level (d.B.make_n (B.Proxy (w, h)) 2)))
-        [ (4, 4); (8, 8) ])
-    B.all
-
-(* ------------------------------------------------------------------ *)
 (* access bounds                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -161,6 +111,42 @@ let test_out_of_bounds_access () =
       | _ -> Alcotest.fail "expected Interp_error")
     [ true; false ]
 
+(* ------------------------------------------------------------------ *)
+(* reference size refusal                                              *)
+(* ------------------------------------------------------------------ *)
+
+let check_reference =
+  P.check_reference ~max_bytes:Wsc_wse.Fabric.max_reference_bytes
+    ~max_point_ops:Wsc_wse.Fabric.max_reference_point_ops
+
+let test_reference_estimate () =
+  (* jacobian: 6 distinct accesses and 6 flops per point *)
+  let p = (B.find "jacobian").B.make_n (B.Proxy (4, 4)) 2 in
+  let e = P.reference_estimate p in
+  Alcotest.(check int) "point-ops" (2 * 4 * 4 * 900 * 12) e.P.point_ops;
+  Alcotest.(check int) "bytes" (8 * 6 * 6 * 902 * 2) e.P.bytes
+
+let test_reference_accepted () =
+  List.iter
+    (fun (d : B.descr) ->
+      check_reference (d.B.make B.Tiny);
+      check_reference (d.B.make_n B.Small 2))
+    B.all
+
+let test_reference_refused () =
+  let p = (B.find "jacobian").B.make B.Small in
+  match check_reference p with
+  | () -> Alcotest.fail "Small jacobian at 100000 timesteps accepted"
+  | exception P.Reference_refused msg ->
+      let e = P.reference_estimate p in
+      let contains sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      check "states the point-ops" true (contains (string_of_int e.P.point_ops));
+      check "states the bytes" true (contains (string_of_int e.P.bytes))
+
 let () =
   Alcotest.run "interp"
     [
@@ -168,8 +154,12 @@ let () =
         [
           Alcotest.test_case "output digests" `Quick test_digests;
           Alcotest.test_case "out-of-bounds access" `Quick test_out_of_bounds_access;
-          Alcotest.test_case "benchmarks staged = unstaged" `Quick
-            test_benchmarks_staged_matches_unstaged;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_staged_matches_unstaged ]);
+      ( "reference size",
+        [
+          Alcotest.test_case "estimate" `Quick test_reference_estimate;
+          Alcotest.test_case "accepted up to Small at 2 timesteps" `Quick
+            test_reference_accepted;
+          Alcotest.test_case "refused with the estimate" `Quick test_reference_refused;
+        ] );
     ]
