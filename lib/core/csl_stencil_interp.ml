@@ -16,13 +16,17 @@ open Wsc_ir.Ir
 module I = Wsc_dialects.Interp
 module Stencil = Wsc_dialects.Stencil
 
-(** Offset in [g]'s data of the z-column at [(x, y)], or None outside the
-    grid or when [g] does not hold z-columns. *)
-let column_offset (g : I.grid) x y : int option =
+(** Offset in [g]'s data of the [cs] values from [z_off] of the z-column
+    at [(x, y)], or None outside the grid or when [g] does not hold
+    z-columns. *)
+let chunk_offset (g : I.grid) x y ~z_off ~cs : int option =
   match g.I.gbounds with
   | [ (xl, xu); (yl, yu) ] when x >= xl && x < xu && y >= yl && y < yu ->
       let z = I.tensor_extent g.I.gelt in
-      if z = 1 then None else Some ((((x - xl) * (yu - yl)) + (y - yl)) * z)
+      if z = 1 then None
+      else if z_off < 0 || z_off + cs > z then
+        invalid_arg "csl_stencil.apply: chunk outside the z-column"
+      else Some (((((x - xl) * (yu - yl)) + (y - yl)) * z) + z_off)
   | _ -> None
 
 (** Build the per-input received views for one chunk at PE [(px, py)].
@@ -34,44 +38,40 @@ let build_rcv_grids ~one_shot (cfg : Csl_stencil.apply_config) (comm_grids : I.g
   let rb = [ (-radius, radius + 1); (-radius, radius + 1) ] in
   (* offset of the staged column at position (dx, dy) of the view *)
   let pos dx dy = (((dx + radius) * w) + (dy + radius)) * cs in
-  let z_off = z_halo + off in
+  let chunk g dx dy = chunk_offset g (px + dx) (py + dy) ~z_off:(z_halo + off) ~cs in
   List.mapi
     (fun i (g : I.grid) ->
       let rg = I.make_grid rb (Tensor ([ cs ], F32)) in
       let rd = rg.I.gdata in
-      if cfg.coeffs <> [] then begin
-        (* promoted: pre-scaled reduction, per direction at the unit
-           offset, or into one shared position when one-shot; a view of
-           one-element chunks holds scalars, which receive nothing *)
-        if cs > 1 then
-        List.iter
-          (fun (i', dx, dy, c) ->
-            if i' = i then
-              match column_offset g (px + dx) (py + dy) with
-              | Some src ->
-                  let src = src + z_off in
-                  if z_off < 0 || z_off + cs > I.tensor_extent g.I.gelt then
-                    invalid_arg "csl_stencil.apply: chunk outside the column";
-                  let dst = if one_shot then pos 0 0 else pos (compare dx 0) (compare dy 0) in
-                  for k = 0 to cs - 1 do
-                    rd.(dst + k) <- rd.(dst + k) +. (c *. g.I.gdata.(src + k))
-                  done
-              | None -> ())
-          cfg.coeffs
-      end
-      else
-        (* unpromoted: raw column per (dx, dy) *)
-        for dx = -radius to radius do
-          for dy = -radius to radius do
-            if dx <> 0 || dy <> 0 then
-              match column_offset g (px + dx) (py + dy) with
-              | Some src ->
-                  if z_off < 0 || z_off + cs > I.tensor_extent g.I.gelt then
-                    invalid_arg "csl_stencil.apply: chunk outside the column";
-                  Array.blit g.I.gdata (src + z_off) rd (pos dx dy) cs
-              | None -> ()
-          done
-        done;
+      (if cfg.coeffs <> [] then begin
+         (* promoted: pre-scaled reduction, per direction at the unit
+            offset, or into one shared position when one-shot; a view of
+            one-element chunks holds scalars, which receive nothing *)
+         if cs > 1 then
+           List.iter
+             (fun (i', dx, dy, c) ->
+               if i' = i then
+                 match chunk g dx dy with
+                 | Some src ->
+                     let dst =
+                       if one_shot then pos 0 0 else pos (compare dx 0) (compare dy 0)
+                     in
+                     for k = 0 to cs - 1 do
+                       rd.(dst + k) <- rd.(dst + k) +. (c *. g.I.gdata.(src + k))
+                     done
+                 | None -> ())
+             cfg.coeffs
+       end
+       else
+         (* unpromoted: raw column per (dx, dy) *)
+         for dx = -radius to radius do
+           for dy = -radius to radius do
+             if dx <> 0 || dy <> 0 then
+               match chunk g dx dy with
+               | Some src -> Array.blit g.I.gdata src rd (pos dx dy) cs
+               | None -> ()
+           done
+         done);
       rg)
     comm_grids
 
@@ -165,11 +165,10 @@ let stage_tensor (sc : I.scope) (op : op) : I.frame -> I.rtvalue list =
 let stage_bufferized (sc : I.scope) (op : op) : I.frame -> I.rtvalue list =
   let s = setup op in
   let inputs = List.map (I.read sc) op.operands in
-  let recv = Buf_eval.stage (entry_block (Csl_stencil.recv_region op)) in
+  let recv_block = entry_block (Csl_stencil.recv_region op) in
   let done_block = entry_block (Csl_stencil.done_region op) in
-  let done_ = Buf_eval.stage done_block in
-  let n_recv = List.length (entry_block (Csl_stencil.recv_region op)).bargs in
-  let n_done = List.length done_block.bargs in
+  let recv = Buf_eval.stage recv_block and done_ = Buf_eval.stage done_block in
+  let n_recv = List.length recv_block.bargs and n_done = List.length done_block.bargs in
   let n = s.cfg.comm_count in
   let centre = [| 0; 0 |] and pt = [| 0; 0 |] in
   fun fr ->

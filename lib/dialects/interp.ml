@@ -46,18 +46,6 @@ let grid_of_typ = function
 
 let out_of_range i lb ub = fail "grid index %d out of [%d,%d)" i lb ub
 
-(** Flattened index of point [idx] (absolute coordinates within bounds). *)
-let flat_index g (idx : int list) : int =
-  let rec go bounds idx acc =
-    match (bounds, idx) with
-    | [], [] -> acc
-    | (lb, ub) :: bs, i :: is ->
-        if i < lb || i >= ub then out_of_range i lb ub;
-        go bs is ((acc * (ub - lb)) + (i - lb))
-    | _ -> fail "grid index rank mismatch"
-  in
-  go g.gbounds idx 0
-
 (** Flattened index of the point [pt + off] (absolute coordinates). *)
 let index_at g (pt : int array) (off : int array) : int =
   let rank = Array.length pt in
@@ -71,6 +59,11 @@ let index_at g (pt : int array) (off : int array) : int =
         go (d + 1) bs ((acc * (ub - lb)) + (i - lb))
   in
   go 0 g.gbounds 0
+
+(** Flattened index of point [idx] (absolute coordinates within bounds). *)
+let flat_index g (idx : int list) : int =
+  let pt = Array.of_list idx in
+  index_at g pt (Array.make (Array.length pt) 0)
 
 (** The element (scalar or z-column copy) at flat point index [i]. *)
 let get_elem g (i : int) : rtvalue =
@@ -250,7 +243,6 @@ type scalar_body = {
   consts : (int * float) list;
   imports : (int * int) list;  (** frame slot -> float slot, read per execution *)
   instrs : finstr array;
-  offsets : (int * int array) list;  (** per access: source, offset *)
   rets : int array;
 }
 
@@ -270,21 +262,23 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
   in
   let args = List.combine (List.map (fun (v : value) -> v.vid) body.bargs) o.operands in
   let imports = ref [] and sources = ref [] in
+  (* slot of a value defined outside the body *)
+  let outer (v : value) =
+    match Hashtbl.find_opt sc.slots v.vid with Some s -> s | None -> raise Not_scalar
+  in
   let operand_f (v : value) =
     match Hashtbl.find_opt fslots v.vid with
     | Some s -> s
     | None ->
         if List.mem_assoc v.vid args then raise Not_scalar;
-        let outer = match Hashtbl.find_opt sc.slots v.vid with Some s -> s | None -> raise Not_scalar in
+        let outer = outer v in
         let s = newf v in
         imports := (outer, s) :: !imports;
         s
   in
   let source (v : value) =
     let outer =
-      match List.assoc_opt v.vid args with
-      | Some input -> slot sc input
-      | None -> ( match Hashtbl.find_opt sc.slots v.vid with Some s -> s | None -> raise Not_scalar)
+      match List.assoc_opt v.vid args with Some input -> slot sc input | None -> outer v
     in
     let rec find i = function
       | [] ->
@@ -300,7 +294,7 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
     | "arith.mulf" | "varith.mul" -> Fmul
     | _ -> Fdiv
   in
-  let consts = ref [] and instrs = ref [] and offsets = ref [] and rets = ref None in
+  let consts = ref [] and instrs = ref [] and rets = ref None in
   match
     List.iter
       (fun (o : op) ->
@@ -320,9 +314,7 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
         | "stencil.access" ->
             let off = Array.of_list (dense_ints_exn o "offset") in
             if Array.length off <> rank then raise Not_scalar;
-            let s = source (operand o 0) in
-            offsets := (s, off) :: !offsets;
-            instrs := Faccess (newf (result o), s, off) :: !instrs
+            instrs := Faccess (newf (result o), source (operand o 0), off) :: !instrs
         | "stencil.return" -> rets := Some (Array.of_list (List.map operand_f o.operands))
         | _ -> raise Not_scalar)
       body.bops
@@ -338,7 +330,6 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
               consts = !consts;
               imports = !imports;
               instrs = Array.of_list (List.rev !instrs);
-              offsets = List.rev !offsets;
               rets;
             }
       | _ -> None)
@@ -351,7 +342,9 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
   let rank = List.length cb in
   let scalar_grid g = tensor_extent g.gelt = 1 && List.length g.gbounds = rank in
   let srcs =
-    Array.map (fun s -> match fr.(s) with Rgrid g when scalar_grid g -> Some g | _ -> None) b.sources
+    Array.map
+      (fun s -> match fr.(s) with Rgrid g when scalar_grid g -> Some g | _ -> None)
+      b.sources
   in
   if
     Array.exists Option.is_none srcs
@@ -362,7 +355,7 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
     let srcs = Array.map Option.get srcs in
     let grids = Array.append srcs (Array.of_list outs) in
     if not (box_empty cb) then begin
-      List.iter (fun (s, off) -> check_box srcs.(s) cb off) b.offsets;
+      Array.iter (function Faccess (_, s, off) -> check_box srcs.(s) cb off | _ -> ()) b.instrs;
       let zero = Array.make rank 0 in
       List.iter (fun g -> check_box g cb zero) outs
     end;
@@ -414,7 +407,9 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
         pt.(rank - 1) <- lb_last;
         for j = 0 to ngrids - 1 do
           let acc = ref 0 in
-          List.iteri (fun d (glb, _) -> acc := !acc + ((pt.(d) - glb) * str.(j).(d))) grids.(j).gbounds;
+          List.iteri
+            (fun d (glb, _) -> acc := !acc + ((pt.(d) - glb) * str.(j).(d)))
+            grids.(j).gbounds;
           base.(j) <- !acc
         done;
         for _ = lb_last to ub_last - 1 do
@@ -478,7 +473,8 @@ and stage_op sc (o : op) : staged_op =
   match o.opname with
   | "arith.constant" -> (
       match (attr o "value", (result o).vtyp) with
-      | Some (Float_attr f), Tensor ([ n ], _) -> results1 sc o (fun _ -> Rtensor (Array.make n f))
+      | Some (Float_attr f), Tensor ([ n ], _) ->
+          results1 sc o (fun _ -> Rtensor (Array.make n f))
       | Some (Float_attr f), _ -> results1 sc o (fun _ -> Rfloat f)
       | Some (Int_attr i), (Index | I16 | I32 | I64) -> results1 sc o (fun _ -> Rint i)
       | Some (Int_attr i), _ -> results1 sc o (fun _ -> Rfloat (float_of_int i))
@@ -569,7 +565,9 @@ and stage_op sc (o : op) : staged_op =
           !carried)
   | "scf.if" ->
       let c = s 0 in
-      let branches = Array.of_list (List.map (fun r -> stage_block sc (entry_block r)) o.regions) in
+      let branches =
+        Array.of_list (List.map (fun r -> stage_block sc (entry_block r)) o.regions)
+      in
       results sc o (fun fr ->
           let b = if as_int fr.(c) <> 0 then 0 else 1 in
           if b >= Array.length branches then fail "scf.if: no region %d" b;
@@ -614,7 +612,9 @@ and stage_func sc (name : string) : (rtvalue list -> rtvalue list) ref =
   match Hashtbl.find_opt sc.funcs name with
   | Some f -> f
   | None ->
-      let f = match Func.lookup sc.module_ name with Some f -> f | None -> fail "no function %s" name in
+      let f =
+        match Func.lookup sc.module_ name with Some f -> f | None -> fail "no function %s" name
+      in
       let staged = ref (fun _ -> fail "call %s: not staged" name) in
       Hashtbl.replace sc.funcs name staged;
       let fsc = { sc with slots = Hashtbl.create 64; nslots = ref 0; point = None } in

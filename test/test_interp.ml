@@ -23,7 +23,8 @@ let digest (gs : I.grid list) : string =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let run_staged m grids =
-  ignore (Core.Csl_stencil_interp.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
+  ignore
+    (Core.Csl_stencil_interp.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
   grids
 
 let lowered passes (p : P.t) =
