@@ -637,7 +637,6 @@ let set_default_ext (e : ext) = Atomic.set default_ext (Some e)
 
 (** Run function [name] of module [m] on [args]. *)
 let run_func ?ext (m : op) ~(name : string) (args : rtvalue list) : rtvalue list =
-  if Func.lookup m name = None then fail "no function %s" name;
   let ext = match ext with Some _ -> ext | None -> Atomic.get default_ext in
   let sc =
     {

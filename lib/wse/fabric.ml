@@ -533,10 +533,10 @@ let max_live_sends_per_pe = 2
     every grid up to the benchmarks' Small size (100x100 PEs). *)
 let max_simulated_bytes = 1 lsl 30
 
-(** Largest sequential reference the [simulate] driver runs next to the
-    fabric, in estimated bytes and apply-body ops
-    ({!Wsc_frontends.Stencil_program.reference_estimate}).  At about 4 ns
-    per op on a 2-core x86-64 host, 2e10 ops is a minute or two; the
+(** Largest sequential reference [wsc simulate] runs next to the fabric,
+    in estimated bytes and apply-body ops (as
+    [Stencil_program.reference_estimate] counts them).  At about 4 ns per
+    op on a 2-core x86-64 host, 2e10 ops is a minute or two; the
     benchmarks' Small size fits at a few timesteps. *)
 let max_reference_bytes = max_simulated_bytes
 
