@@ -82,10 +82,10 @@ type t
 val default_capacity : int
 val default_timeout_s : float
 
-(** [tuned] attaches a
-    tuned-config store: requests whose program-only canonical digest has
-    an entry compile under the stored options instead of their own
-    (opt-in — engines without a store behave exactly as before).  The
+(** [tuned] attaches a tuned-config store: requests whose program-only
+    canonical digest has an entry compile under the stored options
+    instead of their own (opt-in — engines without a store behave exactly
+    as before).  The
     request's [program_name] is preserved across the override. *)
 val create :
   ?capacity:int ->
