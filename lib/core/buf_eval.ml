@@ -52,13 +52,13 @@ let stage (blk : block) : staged =
   let nargs = !n and yields = ref [||] in
   let stage_op (o : op) : (cell array -> int array -> unit) option =
     let s i = slot (operand o i) in
-    let linalg2 f =
+    let linalg2 op =
       let a = s 0 and b = s 1 and d = s 2 in
-      Some (fun c _ -> Bufview.map2_into f (as_buf c.(a)) (as_buf c.(b)) (as_buf c.(d)))
+      Some (fun c _ -> Bufview.arith_into op (as_buf c.(a)) (as_buf c.(b)) (as_buf c.(d)))
     in
-    let linalg1 f =
-      let a = s 0 and d = s 1 in
-      Some (fun c _ -> Bufview.map_into f (as_buf c.(a)) (as_buf c.(d)))
+    let linalg1 op =
+      let a = s 0 and d = s 1 and k = float_attr_exn o "scalar" in
+      Some (fun c _ -> Bufview.arith_scalar_into op (as_buf c.(a)) k (as_buf c.(d)))
     in
     match o.opname with
     | "memref.alloc" ->
@@ -101,16 +101,12 @@ let stage (blk : block) : staged =
     | "linalg.fill" ->
         let d = s 0 and x = float_attr_exn o "value" in
         Some (fun c _ -> Bufview.fill (as_buf c.(d)) x)
-    | "linalg.add" -> linalg2 ( +. )
-    | "linalg.sub" -> linalg2 ( -. )
-    | "linalg.mul" -> linalg2 ( *. )
-    | "linalg.div" -> linalg2 ( /. )
-    | "linalg.mul_scalar" ->
-        let k = float_attr_exn o "scalar" in
-        linalg1 (fun x -> x *. k)
-    | "linalg.add_scalar" ->
-        let k = float_attr_exn o "scalar" in
-        linalg1 (fun x -> x +. k)
+    | "linalg.add" -> linalg2 Bufview.Add
+    | "linalg.sub" -> linalg2 Bufview.Sub
+    | "linalg.mul" -> linalg2 Bufview.Mul
+    | "linalg.div" -> linalg2 Bufview.Div
+    | "linalg.mul_scalar" -> linalg1 Bufview.Mul
+    | "linalg.add_scalar" -> linalg1 Bufview.Add
     | "linalg.fmac" ->
         let a = s 0 and b = s 1 and d = s 2 and k = float_attr_exn o "scalar" in
         Some (fun c _ -> Bufview.fmac_into (as_buf c.(a)) (as_buf c.(b)) k (as_buf c.(d)))

@@ -21,11 +21,18 @@ val to_array : t -> float array
 (** @raise Invalid_argument on length mismatch (all functions below). *)
 val blit : src:t -> dst:t -> unit
 
-(** [map2_into f a b dst] — [dst.(i) <- f a.(i) b.(i)]; operands may
-    alias [dst] (accumulator reuse relies on it). *)
-val map2_into : (float -> float -> float) -> t -> t -> t -> unit
+(** The elementwise arithmetic of the DSD builtins and linalg ops. *)
+type arith = Add | Sub | Mul | Div
 
-val map_into : (float -> float) -> t -> t -> unit
+(** [arith_into op a b dst] — [dst.(i) <- a.(i) op b.(i)]; operands may
+    alias [dst] (accumulator reuse relies on it). *)
+val arith_into : arith -> t -> t -> t -> unit
+
+(** [arith_scalar_into op a k dst] — [dst.(i) <- a.(i) op k]. *)
+val arith_scalar_into : arith -> t -> float -> t -> unit
+
+(** [scalar_arith_into op k b dst] — [dst.(i) <- k op b.(i)]. *)
+val scalar_arith_into : arith -> float -> t -> t -> unit
 
 (** [fmac_into a b s dst] — [dst.(i) <- a.(i) +. b.(i) *. s], the
     semantics of CSL's [@fmacs]. *)

@@ -66,6 +66,8 @@ type comm = {
   chunk_size : int;
   chunk_cb : string;
   done_cb : string;
+  chunk_fn : int;  (** [chunk_cb]'s index in the staged program *)
+  done_fn : int;
   promoted : bool;  (** coefficients are applied at delivery (§5.7) *)
   send_ptrs : string array;  (** per input *)
   slots : slot array;
@@ -87,7 +89,7 @@ let halo_slot (send_ptr : string) : int =
     Option.value (int_of_string_opt (String.sub p 9 (String.length p - 9))) ~default:0
   else 0
 
-let decode_comm (a : attr) : comm =
+let decode_comm ~(callback : string -> int) (a : attr) : comm =
   let dict = match a with Dict_attr d -> d | _ -> fail "communicate: bad config" in
   let geti k =
     match List.assoc_opt k dict with Some (Int_attr i) -> i | _ -> fail "cfg int %s" k
@@ -180,14 +182,17 @@ let decode_comm (a : attr) : comm =
     List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
   in
   let swaps = List.concat_map (fun (_, s) -> List.map fst s) inputs in
+  let chunk_cb = gets "chunk_cb" and done_cb = gets "done_cb" in
   {
     apply_id = geti "apply_id";
     z_base = geti "z_base";
     c_nz = geti "nz";
     num_chunks = geti "num_chunks";
     chunk_size = cs;
-    chunk_cb = gets "chunk_cb";
-    done_cb = gets "done_cb";
+    chunk_cb;
+    done_cb;
+    chunk_fn = callback chunk_cb;
+    done_fn = callback done_cb;
     promoted = coeffs <> [];
     send_ptrs = Array.of_list (List.map fst inputs);
     slots = Array.of_list slots;
@@ -199,10 +204,200 @@ let decode_comm (a : attr) : comm =
     self_loopback = List.length swaps * cs;
   }
 
-(** Every [communicate] call of a program, decoded once and looked up by
-    the call op itself (physical identity: a program has one call per
-    apply, so the list is a handful long). *)
-let decode_comms (program : op) : (op * comm) list =
+(** {1 Staged program}
+
+    {!create} decodes every [csl.func] and [csl.task] once into an
+    instruction array: opnames, attributes, [scf.if] regions, [csl.call]
+    callees, [csl.activate] task names, [cmpi] predicates and each
+    [communicate] call's {!comm} are resolved there, and each SSA value
+    gets a slot in a per-call frame.  The staged program belongs to the
+    simulation it was built for and every PE reads it, never writes it. *)
+
+type cell = Cbuf of Bufview.t | Cdsd of Bufview.t | Cint of int | Cfloat of float
+
+type pred = Slt | Sle | Sgt | Sge | Eq | Ne
+
+(** One csl op; [int] fields are frame slots unless named otherwise. *)
+type instr =
+  | Get_global of int * string  (** destination, buffer *)
+  | Deref_ptr of int * string  (** destination, pointer *)
+  | Load_scalar of int * string
+  | Store_scalar of string * int
+  | Get_mem_dsd of { dst : int; buf : int; off : int; len : int; stride : int }
+  | Increment_dsd of { dst : int; dsd : int; by : int }  (** [by] elements *)
+  | Increment_dsd_by of { dst : int; dsd : int; by : int }  (** [by] a slot *)
+  | Set_dsd_length of { dst : int; dsd : int; len : int }
+  | Set_dsd_base_addr of { dst : int; dsd : int; base : int }
+  | Arith of { name : string; op : Bufview.arith; dest : int; a : int; b : int }
+  | Fmacs of { dest : int; a : int; b : int; k : int }
+  | Fmovs of { dest : int; src : int }
+  | Const of int * cell
+  | Addi of int * int * int
+  | Cmpi of int * pred * int * int
+  | If of int * instr array * instr array
+  | Call of int  (** callee's index in {!code.funcs} *)
+  | Activate of string  (** a task known to {!code.index} *)
+  | Assign_ptrs of string array * string array  (** destinations, sources *)
+  | Communicate of comm
+  | Unblock_cmd_stream
+
+type func = {
+  fname : string;
+  nargs : int;  (** block arguments, the first slots of the frame *)
+  nslots : int;
+  body : instr array;
+}
+
+type code = {
+  funcs : func array;
+  index : (string, int) Hashtbl.t;  (** function or task name -> [funcs] *)
+  comms : comm list;  (** every decoded communicate call *)
+}
+
+let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op) :
+    func =
+  let fname = string_attr_exn f "sym_name" in
+  let err fmt = Printf.ksprintf (fun s -> fail "%s %s: %s" f.opname fname s) fmt in
+  let slots = Hashtbl.create 32 and n = ref 0 in
+  let def (v : value) =
+    let s = !n in
+    incr n;
+    Hashtbl.replace slots v.vid s;
+    s
+  in
+  let callee name =
+    match Hashtbl.find_opt index name with
+    | Some i -> i
+    | None -> err "no function or task %s" name
+  in
+  let rec block (b : block) : instr array = Array.of_list (List.filter_map instr b.bops)
+  and instr (o : op) : instr option =
+    let arg i =
+      let v = operand o i in
+      match Hashtbl.find_opt slots v.vid with
+      | Some s -> s
+      | None -> err "%s: unbound value %%%d" o.opname v.vid
+    in
+    let str k = string_attr_exn o k in
+    let names k =
+      match Csl.string_list_attr o k with
+      | l -> Array.of_list l
+      | exception Invalid_argument _ -> err "%s: %s is not a list of names" o.opname k
+    in
+    try
+      match o.opname with
+      | "csl.get_global" -> Some (Get_global (def (result o), str "gname"))
+      | "csl.deref_ptr" -> Some (Deref_ptr (def (result o), str "gname"))
+      | "csl.load_scalar" -> Some (Load_scalar (def (result o), str "gname"))
+      | "csl.store_scalar" -> Some (Store_scalar (str "gname", arg 0))
+      | "csl.get_mem_dsd" ->
+          let buf = arg 0 and off = int_attr_exn o "offset" and len = int_attr_exn o "length" in
+          let stride = Option.value (int_attr o "stride") ~default:1 in
+          Some (Get_mem_dsd { dst = def (result o); buf; off; len; stride })
+      | "csl.increment_dsd_offset" -> (
+          let dsd = arg 0 in
+          match (int_attr o "by", o.operands) with
+          | Some by, _ -> Some (Increment_dsd { dst = def (result o); dsd; by })
+          | None, [ _; _ ] ->
+              let by = arg 1 in
+              Some (Increment_dsd_by { dst = def (result o); dsd; by })
+          | _ -> err "increment_dsd_offset: no offset")
+      | "csl.set_dsd_length" ->
+          let dsd = arg 0 and len = int_attr_exn o "length" in
+          Some (Set_dsd_length { dst = def (result o); dsd; len })
+      | "csl.set_dsd_base_addr" ->
+          let dsd = arg 0 and base = arg 1 in
+          Some (Set_dsd_base_addr { dst = def (result o); dsd; base })
+      | ("csl.fadds" | "csl.fsubs" | "csl.fmuls") as name ->
+          let op =
+            match name with
+            | "csl.fadds" -> Bufview.Add
+            | "csl.fsubs" -> Bufview.Sub
+            | _ -> Bufview.Mul
+          in
+          Some (Arith { name; op; dest = arg 0; a = arg 1; b = arg 2 })
+      | "csl.fmacs" -> Some (Fmacs { dest = arg 0; a = arg 1; b = arg 2; k = arg 3 })
+      | "csl.fmovs" -> Some (Fmovs { dest = arg 0; src = arg 1 })
+      | "arith.constant" ->
+          let c =
+            match attr o "value" with
+            | Some (Int_attr i) -> Cint i
+            | Some (Float_attr f) -> Cfloat f
+            | _ -> err "bad constant"
+          in
+          Some (Const (def (result o), c))
+      | "arith.addi" ->
+          let a = arg 0 and b = arg 1 in
+          Some (Addi (def (result o), a, b))
+      | "arith.cmpi" ->
+          let a = arg 0 and b = arg 1 in
+          let p =
+            match str "predicate" with
+            | "slt" -> Slt
+            | "sle" -> Sle
+            | "sgt" -> Sgt
+            | "sge" -> Sge
+            | "eq" -> Eq
+            | "ne" -> Ne
+            | p -> err "cmpi: unknown predicate %s" p
+          in
+          Some (Cmpi (def (result o), p, a, b))
+      | "scf.if" ->
+          let c = arg 0 in
+          let then_ = block (body_block o 0) in
+          Some (If (c, then_, block (body_block o 1)))
+      | "csl.call" -> Some (Call (callee (str "callee")))
+      | "csl.activate" ->
+          let task = str "task" in
+          ignore (callee task);
+          Some (Activate task)
+      | "csl.assign_ptrs" ->
+          let dests = names "dests" and srcs = names "srcs" in
+          if Array.length dests <> Array.length srcs then
+            err "assign_ptrs: %d destinations for %d sources" (Array.length dests)
+              (Array.length srcs);
+          Some (Assign_ptrs (dests, srcs))
+      | "csl.member_call" -> (
+          match str "field" with
+          | "communicate" ->
+              let c = decode_comm ~callback:callee (attr_exn o "config") in
+              comms := c :: !comms;
+              Some (Communicate c)
+          | lib -> err "member_call: unknown library function %s" lib)
+      | "csl.unblock_cmd_stream" -> Some Unblock_cmd_stream
+      | "csl.return" -> None
+      | name -> err "unsupported op %s" name
+    with
+    | Invalid_argument msg | Failure msg -> err "%s: %s" o.opname msg
+    | Not_found -> err "%s: malformed attribute" o.opname
+  in
+  let blk = try entry_block (List.hd f.regions) with Failure _ -> err "no body" in
+  List.iter (fun a -> ignore (def a)) blk.bargs;
+  let nargs = !n in
+  let body = block blk in
+  { fname; nargs; nslots = !n; body }
+
+let stage_program (program : op) : code =
+  let defs =
+    List.filter
+      (fun o -> o.opname = "csl.func" || o.opname = "csl.task")
+      (Csl.module_body program)
+  in
+  let name o =
+    try string_attr_exn o "sym_name"
+    with Invalid_argument _ -> fail "%s without a sym_name" o.opname
+  in
+  let index = Hashtbl.create 16 in
+  (* a function shadows a task of the same name *)
+  List.iter
+    (fun kind ->
+      List.iteri (fun i o -> if o.opname = kind then Hashtbl.replace index (name o) i) defs)
+    [ "csl.task"; "csl.func" ];
+  let comms = ref [] in
+  let funcs = Array.of_list (List.map (stage_func index comms) defs) in
+  { funcs; index; comms = List.rev !comms }
+
+let decode_comms (code : code) (program : op) : (op * comm) list =
   find_ops
     (fun o ->
       o.opname = "csl.member_call"
@@ -211,7 +406,8 @@ let decode_comms (program : op) : (op * comm) list =
       | Some (String_attr "communicate") -> true
       | _ -> false)
     program
-  |> List.map (fun o -> (o, decode_comm (attr_exn o "config")))
+  |> List.map (fun o ->
+         (o, decode_comm ~callback:(Hashtbl.find code.index) (attr_exn o "config")))
 
 (** {1 PE state} *)
 
@@ -456,6 +652,8 @@ type t = {
           {!Faults.null} (the default) every injection site is a dead
           branch, exactly like the trace sink *)
   comms : (op * comm) list;  (** the program's decoded communicate calls *)
+  code : code;  (** the program, staged once by {!create} *)
+  unstaged : bool;
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records; lifted for the rest of the run if the fabric goes
@@ -548,12 +746,12 @@ let record_bytes (c : comm) : int =
   (8 * ((Array.length c.send_ptrs * c.c_nz) + c.num_chunks)) + 128
 
 (** Estimated memory of simulating [program] on [pes] PEs. *)
-let estimate_bytes ~(pes : int) ~(memory_bytes : int) (comms : (op * comm) list) : int =
-  let record = List.fold_left (fun acc (_, c) -> max acc (record_bytes c)) 0 comms in
+let estimate_bytes ~(pes : int) ~(memory_bytes : int) (comms : comm list) : int =
+  let record = List.fold_left (fun acc c -> max acc (record_bytes c)) 0 comms in
   pes * (memory_bytes + (max_live_sends_per_pe * record))
 
-let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
-    (program : op) : t =
+let create ?(trace = Trace.null) ?(faults = Faults.null) ?(unstaged = false)
+    (machine : Machine.t) (program : op) : t =
   let width = int_attr_exn program "width" in
   let height = int_attr_exn program "height" in
   if width > machine.max_width || height > machine.max_height then
@@ -568,8 +766,9 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
   if mem > machine.pe_memory_bytes then
     fail "program needs %d bytes per PE; %s provides %d" mem machine.name
       machine.pe_memory_bytes;
-  let comms = decode_comms program in
-  let estimate = estimate_bytes ~pes:(width * height) ~memory_bytes:mem comms in
+  let code = stage_program program in
+  let comms = decode_comms code program in
+  let estimate = estimate_bytes ~pes:(width * height) ~memory_bytes:mem code.comms in
   if estimate > max_simulated_bytes then
     fail
       "PE grid %dx%d needs an estimated %d bytes to simulate (%d bytes of \
@@ -610,6 +809,8 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     trace;
     faults;
     comms;
+    code;
+    unstaged;
     window = true;
   }
 
@@ -791,8 +992,6 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
 
 (** {1 csl-op execution on one PE} *)
 
-type cell = Cbuf of Bufview.t | Cdsd of Bufview.t | Cint of int | Cfloat of float
-
 let buffer_of (pe : pe) name : float array =
   match Hashtbl.find_opt pe.globals name with
   | Some a -> a
@@ -892,16 +1091,16 @@ let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : bloc
           let src1 = lookup (operand o 1) and src2 = lookup (operand o 2) in
           let f =
             match o.opname with
-            | "csl.fadds" -> ( +. )
-            | "csl.fsubs" -> ( -. )
-            | _ -> ( *. )
+            | "csl.fadds" -> Bufview.Add
+            | "csl.fsubs" -> Bufview.Sub
+            | _ -> Bufview.Mul
           in
           (match (src1, src2) with
-          | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> Bufview.map2_into f a b dest
-          | (Cdsd a | Cbuf a), Cfloat k -> Bufview.map_into (fun x -> f x k) a dest
+          | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> Bufview.arith_into f a b dest
+          | (Cdsd a | Cbuf a), Cfloat k -> Bufview.arith_scalar_into f a k dest
           | (Cdsd a | Cbuf a), Cint i ->
-              Bufview.map_into (fun x -> f x (float_of_int i)) a dest
-          | Cfloat k, (Cdsd b | Cbuf b) -> Bufview.map_into (fun x -> f k x) b dest
+              Bufview.arith_scalar_into f a (float_of_int i) dest
+          | Cfloat k, (Cdsd b | Cbuf b) -> Bufview.scalar_arith_into f k b dest
           | _ -> fail "%s: bad operands" o.opname);
           builtin_cost dest.Bufview.len;
           pe.stats.flops <- pe.stats.flops +. float_of_int dest.Bufview.len
@@ -991,11 +1190,143 @@ and exec_into (sim : t) (pe : pe) (name : string) (args : cell list)
     blk.bargs;
   exec_block sim pe env blk comms
 
+let cost (pe : pe) c = pe.clock <- pe.clock +. c
+
+(** Cycles and SRAM traffic of a DSD builtin over [len] elements: two
+    operand reads and one destination write of 4 bytes per element for
+    the arithmetic builtins ([bytes_per_elem] 12), one read and one
+    write for a move (8). *)
+let builtin_cost (m : Machine.t) (pe : pe) (bytes_per_elem : float) (len : int) : unit =
+  cost pe (float_of_int m.dsd_overhead_cycles +. (float_of_int len /. m.dsd_elems_per_cycle));
+  pe.stats.compute_cycles <-
+    pe.stats.compute_cycles +. float_of_int m.dsd_overhead_cycles
+    +. (float_of_int len /. m.dsd_elems_per_cycle);
+  pe.stats.mem_bytes <- pe.stats.mem_bytes +. (bytes_per_elem *. float_of_int len)
+
+let as_view = function Cdsd b | Cbuf b -> b | _ -> fail "exec: expected DSD/buffer"
+let as_int = function Cint i -> i | _ -> fail "exec: expected int"
+
+let as_float = function
+  | Cfloat f -> f
+  | Cint i -> float_of_int i
+  | _ -> fail "exec: expected float"
+
+let compare_ints p (a : int) (b : int) =
+  match p with
+  | Slt -> a < b
+  | Sle -> a <= b
+  | Sgt -> a > b
+  | Sge -> a >= b
+  | Eq -> a = b
+  | Ne -> a <> b
+
+(** Run staged [body] over frame [fr]; accumulates cycle cost on the PE
+    and conses the communicate calls it makes onto [comms], newest
+    first (the caller registers them). *)
+let rec exec (sim : t) (pe : pe) (fr : cell array) (body : instr array)
+    (comms : comm list ref) : unit =
+  let m = sim.machine in
+  for i = 0 to Array.length body - 1 do
+    match body.(i) with
+    | Get_global (d, name) ->
+        cost pe 1.0;
+        fr.(d) <- Cbuf (Bufview.of_array (buffer_of pe name))
+    | Deref_ptr (d, name) ->
+        cost pe 1.0;
+        fr.(d) <- Cbuf (Bufview.of_array (deref pe name))
+    | Load_scalar (d, name) ->
+        cost pe 1.0;
+        fr.(d) <- Cint !(Hashtbl.find pe.scalars name)
+    | Store_scalar (name, v) ->
+        cost pe 1.0;
+        Hashtbl.find pe.scalars name := as_int fr.(v)
+    | Get_mem_dsd { dst; buf; off; len; stride } ->
+        cost pe 2.0;
+        let b = as_view fr.(buf) in
+        fr.(dst) <- Cdsd (Bufview.make b.data ~off:(b.off + off) ~len ~stride ())
+    | Increment_dsd { dst; dsd; by } ->
+        cost pe 2.0;
+        let b = as_view fr.(dsd) in
+        fr.(dst) <- Cdsd { b with off = b.off + (by * b.stride) }
+    | Increment_dsd_by { dst; dsd; by } ->
+        cost pe 2.0;
+        let b = as_view fr.(dsd) in
+        fr.(dst) <- Cdsd { b with off = b.off + (as_int fr.(by) * b.stride) }
+    | Set_dsd_length { dst; dsd; len } ->
+        cost pe 2.0;
+        fr.(dst) <- Cdsd { (as_view fr.(dsd)) with len }
+    | Set_dsd_base_addr { dst; dsd; base } ->
+        cost pe 2.0;
+        let b = as_view fr.(dsd) in
+        let base = as_view fr.(base) in
+        fr.(dst) <- Cdsd { b with data = base.data; off = base.off }
+    | Arith { name; op; dest; a; b } ->
+        let dest = as_view fr.(dest) in
+        (match (fr.(a), fr.(b)) with
+        | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> Bufview.arith_into op a b dest
+        | (Cdsd a | Cbuf a), Cfloat k -> Bufview.arith_scalar_into op a k dest
+        | (Cdsd a | Cbuf a), Cint k -> Bufview.arith_scalar_into op a (float_of_int k) dest
+        | Cfloat k, (Cdsd b | Cbuf b) -> Bufview.scalar_arith_into op k b dest
+        | _ -> fail "%s: bad operands" name);
+        builtin_cost m pe 12.0 dest.len;
+        pe.stats.flops <- pe.stats.flops +. float_of_int dest.len
+    | Fmacs { dest; a; b; k } ->
+        let dest = as_view fr.(dest) in
+        let a = as_view fr.(a) and b = as_view fr.(b) in
+        Bufview.fmac_into a b (as_float fr.(k)) dest;
+        builtin_cost m pe 12.0 dest.len;
+        pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int dest.len)
+    | Fmovs { dest; src } ->
+        let dest = as_view fr.(dest) in
+        (match fr.(src) with
+        | Cdsd a | Cbuf a -> Bufview.blit ~src:a ~dst:dest
+        | Cfloat k -> Bufview.fill dest k
+        | _ -> fail "fmovs: bad source");
+        builtin_cost m pe 8.0 dest.len
+    | Const (d, c) -> fr.(d) <- c
+    | Addi (d, a, b) -> fr.(d) <- Cint (as_int fr.(a) + as_int fr.(b))
+    | Cmpi (d, p, a, b) ->
+        fr.(d) <- Cint (if compare_ints p (as_int fr.(a)) (as_int fr.(b)) then 1 else 0)
+    | If (c, then_, else_) ->
+        cost pe 2.0;
+        exec sim pe fr (if as_int fr.(c) <> 0 then then_ else else_) comms
+    | Call f ->
+        cost pe (float_of_int m.call_cycles);
+        call sim pe sim.code.funcs.(f) [||] comms
+    | Activate task ->
+        cost pe 2.0;
+        pe.stats.task_activations <- pe.stats.task_activations + 1;
+        queue_task pe ~at:(pe.clock +. float_of_int m.task_activate_cycles) task
+    | Assign_ptrs (dests, srcs) ->
+        cost pe 4.0;
+        let olds = Array.map (fun s -> !(Hashtbl.find pe.ptrs s)) srcs in
+        Array.iteri (fun j d -> Hashtbl.find pe.ptrs d := olds.(j)) dests
+    | Communicate c ->
+        cost pe (float_of_int m.call_cycles);
+        comms := c :: !comms
+    | Unblock_cmd_stream -> pe.finished <- true
+  done
+
+(** Run [f] in a fresh frame whose first slots hold [args]. *)
+and call (sim : t) (pe : pe) (f : func) (args : cell array) (comms : comm list ref) : unit =
+  if Array.length args < f.nargs then
+    fail "missing argument %d of %s" (Array.length args) f.fname;
+  let fr = Array.make f.nslots (Cint 0) in
+  Array.blit args 0 fr 0 f.nargs;
+  exec sim pe fr f.body comms
+
+(** The staged function or task [name]. *)
+let func_named (sim : t) (name : string) : func =
+  match Hashtbl.find_opt sim.code.index name with
+  | Some i -> sim.code.funcs.(i)
+  | None -> fail "no function or task %s" name
+
 (** Run a function or task; returns the communicate calls it made, in
     program order. *)
-let exec_func (sim : t) (pe : pe) (name : string) (args : cell list) : comm list =
+let exec_func (sim : t) (pe : pe) (f : func) (args : cell array) : comm list =
   let comms = ref [] in
-  exec_into sim pe name args comms;
+  if sim.unstaged then exec_into sim pe f.fname (Array.to_list args) comms
+  else call sim pe f args comms;
   List.rev !comms
 
 (** {1 Communication engine}
@@ -1254,7 +1585,7 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
     pe.stats.task_activations <- pe.stats.task_activations + 1;
     pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
     let cb_start = pe.clock in
-    ignore (exec_func sim pe c.chunk_cb [ Cint off ]);
+    ignore (exec_func sim pe sim.code.funcs.(c.chunk_fn) [| Cint off |]);
     trace_span sim pe ~cat:"compute" ~name:c.chunk_cb cb_start pe.clock
   done;
   release_sends sim pe w;
@@ -1262,7 +1593,7 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
   pe.stats.task_activations <- pe.stats.task_activations + 1;
   pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
   let done_start = pe.clock in
-  let new_comms = exec_func sim pe c.done_cb [] in
+  let new_comms = exec_func sim pe sim.code.funcs.(c.done_fn) [||] in
   trace_span sim pe ~cat:"compute" ~name:c.done_cb done_start pe.clock;
   (* the done callback may start the next exchange *)
   List.iter (start_exchange sim pe) new_comms
@@ -1320,7 +1651,7 @@ let run_tasks (sim : t) (pe : pe) : bool =
       pe.task_queue <- Task_queue.remove next pe.task_queue;
       pe.clock <- Float.max pe.clock at;
       let task_start = pe.clock in
-      let comms = exec_func sim pe name [] in
+      let comms = exec_func sim pe (func_named sim name) [||] in
       trace_span sim pe ~cat:"compute" ~name task_start pe.clock;
       List.iter (start_exchange sim pe) comms;
       true
@@ -1372,7 +1703,7 @@ let launch (sim : t) : unit =
   Array.iter
     (Array.iter (fun pe ->
          let run_start = pe.clock in
-         let comms = exec_func sim pe "run" [] in
+         let comms = exec_func sim pe (func_named sim "run") [||] in
          trace_span sim pe ~cat:"compute" ~name:"run" run_start pe.clock;
          List.iter (start_exchange sim pe) comms))
     sim.pes

@@ -108,6 +108,8 @@ type t = {
           is a dead branch, exactly like the trace sink *)
   comms : (Wsc_ir.Ir.op * comm) list;
       (** the program's communicate calls, decoded once by {!create} *)
+  code : code;
+  unstaged : bool;
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records (lifted if the fabric goes quiescent with PEs
@@ -121,6 +123,7 @@ and send_record
     end of the run. *)
 
 and comm
+and code
 
 (** Largest PE grid the simulator instantiates in one process; full
     wafers are measured via proxy-grid extrapolation. *)
@@ -160,6 +163,7 @@ val max_reference_point_ops : int
 val create :
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
+  ?unstaged:bool ->
   Machine.t ->
   Wsc_ir.Ir.op ->
   t

@@ -300,7 +300,7 @@ let prop_bufview_inplace_accumulate =
       let acc = Array.copy a in
       let va = Bufview.of_array acc and vb = Bufview.of_array b in
       (* dst aliases an operand, as the accumulator reuse relies on *)
-      Bufview.map2_into ( +. ) va vb va;
+      Bufview.arith_into Bufview.Add va vb va;
       Array.for_all2 (fun x (p, q) -> x = p +. q) acc
         (Array.map2 (fun p q -> (p, q)) a b))
 
