@@ -217,15 +217,16 @@ type cell = Cbuf of Bufview.t | Cdsd of Bufview.t | Cint of int | Cfloat of floa
 
 type pred = Slt | Sle | Sgt | Sge | Eq | Ne
 
-(** One csl op; [int] fields are frame slots unless named otherwise. *)
+(** One csl op.  Integer fields are frame slots, except the constants
+    [off], [len], [stride] and [Increment_dsd]'s [by]. *)
 type instr =
   | Get_global of int * string  (** destination, buffer *)
   | Deref_ptr of int * string  (** destination, pointer *)
   | Load_scalar of int * string
   | Store_scalar of string * int
   | Get_mem_dsd of { dst : int; buf : int; off : int; len : int; stride : int }
-  | Increment_dsd of { dst : int; dsd : int; by : int }  (** [by] elements *)
-  | Increment_dsd_by of { dst : int; dsd : int; by : int }  (** [by] a slot *)
+  | Increment_dsd of { dst : int; dsd : int; by : int }
+  | Increment_dsd_by of { dst : int; dsd : int; by : int }  (** offset held in [by] *)
   | Set_dsd_length of { dst : int; dsd : int; len : int }
   | Set_dsd_base_addr of { dst : int; dsd : int; base : int }
   | Arith of { name : string; op : Bufview.arith; dest : int; a : int; b : int }
@@ -258,7 +259,7 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
     func =
   let fname = string_attr_exn f "sym_name" in
   let err fmt = Printf.ksprintf (fun s -> fail "%s %s: %s" f.opname fname s) fmt in
-  let slots = Hashtbl.create 32 and n = ref 0 in
+  let slots = Hashtbl.create 64 and n = ref 0 in
   let def (v : value) =
     let s = !n in
     incr n;
@@ -272,17 +273,18 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
   in
   let rec block (b : block) : instr array = Array.of_list (List.filter_map instr b.bops)
   and instr (o : op) : instr option =
+    let bad fmt = err ("%s: " ^^ fmt) o.opname in
     let arg i =
       let v = operand o i in
       match Hashtbl.find_opt slots v.vid with
       | Some s -> s
-      | None -> err "%s: unbound value %%%d" o.opname v.vid
+      | None -> bad "unbound value %%%d" v.vid
     in
     let str k = string_attr_exn o k in
     let names k =
       match Csl.string_list_attr o k with
       | l -> Array.of_list l
-      | exception Invalid_argument _ -> err "%s: %s is not a list of names" o.opname k
+      | exception Invalid_argument _ -> bad "%s is not a list of names" k
     in
     try
       match o.opname with
@@ -301,7 +303,7 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
           | None, [ _; _ ] ->
               let by = arg 1 in
               Some (Increment_dsd_by { dst = def (result o); dsd; by })
-          | _ -> err "increment_dsd_offset: no offset")
+          | _ -> bad "no offset")
       | "csl.set_dsd_length" ->
           let dsd = arg 0 and len = int_attr_exn o "length" in
           Some (Set_dsd_length { dst = def (result o); dsd; len })
@@ -323,7 +325,7 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
             match attr o "value" with
             | Some (Int_attr i) -> Cint i
             | Some (Float_attr f) -> Cfloat f
-            | _ -> err "bad constant"
+            | _ -> bad "bad value"
           in
           Some (Const (def (result o), c))
       | "arith.addi" ->
@@ -339,7 +341,7 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
             | "sge" -> Sge
             | "eq" -> Eq
             | "ne" -> Ne
-            | p -> err "cmpi: unknown predicate %s" p
+            | p -> bad "unknown predicate %s" p
           in
           Some (Cmpi (def (result o), p, a, b))
       | "scf.if" ->
@@ -354,7 +356,7 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
       | "csl.assign_ptrs" ->
           let dests = names "dests" and srcs = names "srcs" in
           if Array.length dests <> Array.length srcs then
-            err "assign_ptrs: %d destinations for %d sources" (Array.length dests)
+            bad "%d destinations for %d sources" (Array.length dests)
               (Array.length srcs);
           Some (Assign_ptrs (dests, srcs))
       | "csl.member_call" -> (
@@ -363,13 +365,13 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
               let c = decode_comm ~callback:callee (attr_exn o "config") in
               comms := c :: !comms;
               Some (Communicate c)
-          | lib -> err "member_call: unknown library function %s" lib)
+          | lib -> bad "unknown library function %s" lib)
       | "csl.unblock_cmd_stream" -> Some Unblock_cmd_stream
       | "csl.return" -> None
       | name -> err "unsupported op %s" name
     with
-    | Invalid_argument msg | Failure msg -> err "%s: %s" o.opname msg
-    | Not_found -> err "%s: malformed attribute" o.opname
+    | Invalid_argument msg | Failure msg -> bad "%s" msg
+    | Not_found -> bad "malformed attribute"
   in
   let blk = try entry_block (List.hd f.regions) with Failure _ -> err "no body" in
   List.iter (fun a -> ignore (def a)) blk.bargs;
@@ -396,18 +398,6 @@ let stage_program (program : op) : code =
   let comms = ref [] in
   let funcs = Array.of_list (List.map (stage_func index comms) defs) in
   { funcs; index; comms = List.rev !comms }
-
-let decode_comms (code : code) (program : op) : (op * comm) list =
-  find_ops
-    (fun o ->
-      o.opname = "csl.member_call"
-      &&
-      match attr o "field" with
-      | Some (String_attr "communicate") -> true
-      | _ -> false)
-    program
-  |> List.map (fun o ->
-         (o, decode_comm ~callback:(Hashtbl.find code.index) (attr_exn o "config")))
 
 (** {1 PE state} *)
 
@@ -633,8 +623,6 @@ type t = {
   width : int;
   height : int;
   pes : pe array array;
-  funcs : (string, op) Hashtbl.t;
-  tasks : (string, op) Hashtbl.t;
   sends : (int * int * int * int, send_record) Hashtbl.t;
       (** (apply, seq, x, y) -> record *)
   halo : (int * int, float array) Hashtbl.t;
@@ -651,9 +639,7 @@ type t = {
       (** fault-injection schedule and resilience bookkeeping; with
           {!Faults.null} (the default) every injection site is a dead
           branch, exactly like the trace sink *)
-  comms : (op * comm) list;  (** the program's decoded communicate calls *)
   code : code;  (** the program, staged once by {!create} *)
-  unstaged : bool;
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records; lifted for the rest of the run if the fabric goes
@@ -750,8 +736,8 @@ let estimate_bytes ~(pes : int) ~(memory_bytes : int) (comms : comm list) : int 
   let record = List.fold_left (fun acc c -> max acc (record_bytes c)) 0 comms in
   pes * (memory_bytes + (max_live_sends_per_pe * record))
 
-let create ?(trace = Trace.null) ?(faults = Faults.null) ?(unstaged = false)
-    (machine : Machine.t) (program : op) : t =
+let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
+    (program : op) : t =
   let width = int_attr_exn program "width" in
   let height = int_attr_exn program "height" in
   if width > machine.max_width || height > machine.max_height then
@@ -767,7 +753,6 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) ?(unstaged = false)
     fail "program needs %d bytes per PE; %s provides %d" mem machine.name
       machine.pe_memory_bytes;
   let code = stage_program program in
-  let comms = decode_comms code program in
   let estimate = estimate_bytes ~pes:(width * height) ~memory_bytes:mem code.comms in
   if estimate > max_simulated_bytes then
     fail
@@ -775,14 +760,6 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) ?(unstaged = false)
        program memory per PE plus the send-table bound), over the limit of %d \
        bytes; use a smaller proxy grid"
       width height estimate mem max_simulated_bytes;
-  let funcs = Hashtbl.create 16 and tasks = Hashtbl.create 4 in
-  List.iter
-    (fun o ->
-      match o.opname with
-      | "csl.func" -> Hashtbl.replace funcs (string_attr_exn o "sym_name") o
-      | "csl.task" -> Hashtbl.replace tasks (string_attr_exn o "sym_name") o
-      | _ -> ())
-    (Csl.module_body program);
   if Trace.enabled trace then begin
     Trace.name_process trace ~pid:Trace.fabric_pid "fabric";
     for x = 0 to width - 1 do
@@ -798,8 +775,6 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) ?(unstaged = false)
     width;
     height;
     pes = Array.init width (fun x -> Array.init height (fun y -> new_pe program x y));
-    funcs;
-    tasks;
     sends = Hashtbl.create 1024;
     halo = Hashtbl.create 64;
     z_halo = int_attr_exn program "z_halo";
@@ -808,9 +783,7 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) ?(unstaged = false)
     sched = Sched.create ~width ~height;
     trace;
     faults;
-    comms;
     code;
-    unstaged;
     window = true;
   }
 
@@ -1002,194 +975,6 @@ let deref (pe : pe) ptr : float array =
   | Some target -> buffer_of pe !target
   | None -> fail "PE(%d,%d): no pointer %s" pe.px pe.py ptr
 
-(** Execute a function/task body; accumulates cycle cost on the PE.
-    Conses the communicate calls encountered onto [comms], newest first
-    (the caller registers them). *)
-let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : block)
-    (comms : comm list ref) : unit =
-  let m = sim.machine in
-  let lookup v =
-    match Hashtbl.find_opt env v.vid with
-    | Some c -> c
-    | None -> fail "exec: unbound value %%%d" v.vid
-  in
-  let as_view v =
-    match lookup v with
-    | Cdsd b | Cbuf b -> b
-    | _ -> fail "exec: expected DSD/buffer"
-  in
-  let as_int v =
-    match lookup v with Cint i -> i | _ -> fail "exec: expected int"
-  in
-  let as_float v =
-    match lookup v with
-    | Cfloat f -> f
-    | Cint i -> float_of_int i
-    | _ -> fail "exec: expected float"
-  in
-  let cost c = pe.clock <- pe.clock +. c in
-  let builtin_cost ?(bytes_per_elem = 12.0) len =
-    cost (float_of_int m.dsd_overhead_cycles +. (float_of_int len /. m.dsd_elems_per_cycle));
-    pe.stats.compute_cycles <-
-      pe.stats.compute_cycles +. float_of_int m.dsd_overhead_cycles
-      +. (float_of_int len /. m.dsd_elems_per_cycle);
-    (* two operand reads + one destination write of 4 bytes per element
-       for the arithmetic builtins; a move reads one and writes one *)
-    pe.stats.mem_bytes <- pe.stats.mem_bytes +. (bytes_per_elem *. float_of_int len)
-  in
-  List.iter
-    (fun o ->
-      match o.opname with
-      | "csl.get_global" ->
-          cost 1.0;
-          Hashtbl.replace env (result o).vid
-            (Cbuf (Bufview.of_array (buffer_of pe (string_attr_exn o "gname"))))
-      | "csl.deref_ptr" ->
-          cost 1.0;
-          Hashtbl.replace env (result o).vid
-            (Cbuf (Bufview.of_array (deref pe (string_attr_exn o "gname"))))
-      | "csl.load_scalar" ->
-          cost 1.0;
-          Hashtbl.replace env (result o).vid
-            (Cint !(Hashtbl.find pe.scalars (string_attr_exn o "gname")))
-      | "csl.store_scalar" ->
-          cost 1.0;
-          Hashtbl.find pe.scalars (string_attr_exn o "gname") := as_int (operand o 0)
-      | "csl.get_mem_dsd" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          let off = int_attr_exn o "offset" and len = int_attr_exn o "length" in
-          let stride =
-            match int_attr o "stride" with Some s -> s | None -> 1
-          in
-          Hashtbl.replace env (result o).vid
-            (Cdsd (Bufview.make b.Bufview.data ~off:(b.Bufview.off + off) ~len ~stride ()))
-      | "csl.increment_dsd_offset" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          let by =
-            match (int_attr o "by", o.operands) with
-            | Some k, _ -> k
-            | None, [ _; v ] -> as_int v
-            | _ -> fail "increment_dsd_offset: no offset"
-          in
-          Hashtbl.replace env (result o).vid
-            (Cdsd { b with Bufview.off = b.Bufview.off + (by * b.Bufview.stride) })
-      | "csl.set_dsd_length" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          Hashtbl.replace env (result o).vid
-            (Cdsd { b with Bufview.len = int_attr_exn o "length" })
-      | "csl.set_dsd_base_addr" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          let base = as_view (operand o 1) in
-          Hashtbl.replace env (result o).vid
-            (Cdsd { b with Bufview.data = base.Bufview.data; off = base.Bufview.off })
-      | "csl.fadds" | "csl.fsubs" | "csl.fmuls" ->
-          let dest = as_view (operand o 0) in
-          let src1 = lookup (operand o 1) and src2 = lookup (operand o 2) in
-          let f =
-            match o.opname with
-            | "csl.fadds" -> Bufview.Add
-            | "csl.fsubs" -> Bufview.Sub
-            | _ -> Bufview.Mul
-          in
-          (match (src1, src2) with
-          | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> Bufview.arith_into f a b dest
-          | (Cdsd a | Cbuf a), Cfloat k -> Bufview.arith_scalar_into f a k dest
-          | (Cdsd a | Cbuf a), Cint i ->
-              Bufview.arith_scalar_into f a (float_of_int i) dest
-          | Cfloat k, (Cdsd b | Cbuf b) -> Bufview.scalar_arith_into f k b dest
-          | _ -> fail "%s: bad operands" o.opname);
-          builtin_cost dest.Bufview.len;
-          pe.stats.flops <- pe.stats.flops +. float_of_int dest.Bufview.len
-      | "csl.fmacs" ->
-          let dest = as_view (operand o 0) in
-          let a = as_view (operand o 1) and b = as_view (operand o 2) in
-          let k = as_float (operand o 3) in
-          Bufview.fmac_into a b k dest;
-          builtin_cost dest.Bufview.len;
-          pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int dest.Bufview.len)
-      | "csl.fmovs" ->
-          let dest = as_view (operand o 0) in
-          (match lookup (operand o 1) with
-          | Cdsd a | Cbuf a -> Bufview.blit ~src:a ~dst:dest
-          | Cfloat k -> Bufview.fill dest k
-          | _ -> fail "fmovs: bad source");
-          builtin_cost ~bytes_per_elem:8.0 dest.Bufview.len
-      | "arith.constant" -> (
-          match (attr o "value", (result o).vtyp) with
-          | Some (Int_attr i), _ -> Hashtbl.replace env (result o).vid (Cint i)
-          | Some (Float_attr f), _ -> Hashtbl.replace env (result o).vid (Cfloat f)
-          | _ -> fail "exec: bad constant")
-      | "arith.addi" ->
-          Hashtbl.replace env (result o).vid
-            (Cint (as_int (operand o 0) + as_int (operand o 1)))
-      | "arith.cmpi" ->
-          let a = as_int (operand o 0) and b = as_int (operand o 1) in
-          let r =
-            match string_attr_exn o "predicate" with
-            | "slt" -> a < b
-            | "sle" -> a <= b
-            | "sgt" -> a > b
-            | "sge" -> a >= b
-            | "eq" -> a = b
-            | "ne" -> a <> b
-            | p -> fail "cmpi: %s" p
-          in
-          Hashtbl.replace env (result o).vid (Cint (if r then 1 else 0))
-      | "scf.if" ->
-          cost 2.0;
-          let c = as_int (operand o 0) in
-          let r = region o (if c <> 0 then 0 else 1) in
-          exec_block sim pe env (entry_block r) comms
-      | "csl.call" ->
-          cost (float_of_int m.call_cycles);
-          exec_into sim pe (string_attr_exn o "callee") [] comms
-      | "csl.activate" ->
-          cost 2.0;
-          pe.stats.task_activations <- pe.stats.task_activations + 1;
-          queue_task pe
-            ~at:(pe.clock +. float_of_int m.task_activate_cycles)
-            (string_attr_exn o "task")
-      | "csl.assign_ptrs" ->
-          cost 4.0;
-          let dests = Csl.string_list_attr o "dests" in
-          let srcs = Csl.string_list_attr o "srcs" in
-          let olds = List.map (fun s -> !(Hashtbl.find pe.ptrs s)) srcs in
-          List.iter2 (fun d v -> Hashtbl.find pe.ptrs d := v) dests olds
-      | "csl.member_call" -> (
-          match string_attr_exn o "field" with
-          | "communicate" ->
-              cost (float_of_int m.call_cycles);
-              comms := List.assq o sim.comms :: !comms
-          | f -> fail "member_call: unknown library function %s" f)
-      | "csl.unblock_cmd_stream" -> pe.finished <- true
-      | "csl.return" -> ()
-      | name -> fail "exec: unsupported op %s" name)
-    blk.bops
-
-and exec_into (sim : t) (pe : pe) (name : string) (args : cell list)
-    (comms : comm list ref) : unit =
-  let f =
-    match Hashtbl.find_opt sim.funcs name with
-    | Some f -> f
-    | None -> (
-        match Hashtbl.find_opt sim.tasks name with
-        | Some t -> t
-        | None -> fail "no function or task %s" name)
-  in
-  let blk = entry_block (List.hd f.regions) in
-  let env = Hashtbl.create 32 in
-  List.iteri
-    (fun i a ->
-      match List.nth_opt args i with
-      | Some c -> Hashtbl.replace env a.vid c
-      | None -> fail "missing argument %d of %s" i name)
-    blk.bargs;
-  exec_block sim pe env blk comms
-
 let cost (pe : pe) c = pe.clock <- pe.clock +. c
 
 (** Cycles and SRAM traffic of a DSD builtin over [len] elements: two
@@ -1325,8 +1110,7 @@ let func_named (sim : t) (name : string) : func =
     program order. *)
 let exec_func (sim : t) (pe : pe) (f : func) (args : cell array) : comm list =
   let comms = ref [] in
-  if sim.unstaged then exec_into sim pe f.fname (Array.to_list args) comms
-  else call sim pe f args comms;
+  call sim pe f args comms;
   List.rev !comms
 
 (** {1 Communication engine}

@@ -89,8 +89,6 @@ type t = {
   width : int;
   height : int;
   pes : pe array array;
-  funcs : (string, Wsc_ir.Ir.op) Hashtbl.t;
-  tasks : (string, Wsc_ir.Ir.op) Hashtbl.t;
   sends : (int * int * int * int, send_record) Hashtbl.t;
   halo : (int * int, float array) Hashtbl.t;
       (** host-resident Dirichlet boundary columns *)
@@ -106,10 +104,9 @@ type t = {
       (** fault-injection schedule and resilience bookkeeping; with
           {!Wsc_faults.Faults.null} (the default) every injection site
           is a dead branch, exactly like the trace sink *)
-  comms : (Wsc_ir.Ir.op * comm) list;
-      (** the program's communicate calls, decoded once by {!create} *)
   code : code;
-  unstaged : bool;
+      (** the program's functions and tasks, staged once by {!create}
+          and shared read-only by every PE *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records (lifted if the fabric goes quiescent with PEs
@@ -163,7 +160,6 @@ val max_reference_point_ops : int
 val create :
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
-  ?unstaged:bool ->
   Machine.t ->
   Wsc_ir.Ir.op ->
   t

@@ -29,9 +29,9 @@ let column_of_grid (g : I.grid) (x : int) (y : int) : float array =
 (** Create the simulator and copy the initial state in; [trace] is
     handed to the fabric and also carries host-side markers (load,
     run completion, readback) on its own track. *)
-let load ?(trace = Trace.null) ?(faults = Wsc_faults.Faults.null) ?unstaged
+let load ?(trace = Trace.null) ?(faults = Wsc_faults.Faults.null)
     (machine : Machine.t) (program : op) (init_grids : I.grid list) : t =
-  let sim = Fabric.create ~trace ~faults ?unstaged machine program in
+  let sim = Fabric.create ~trace ~faults machine program in
   if Trace.enabled trace then begin
     Trace.name_process trace ~pid:Trace.host_pid "host";
     Trace.name_track trace ~pid:Trace.host_pid ~tid:0 "host runtime";
@@ -145,10 +145,10 @@ let fault_report (h : t) : string option =
 
 (** Simulate a compiled program on freshly initialized grids; returns the
     host handle after completion. *)
-let simulate ?driver ?trace ?faults ?unstaged (machine : Machine.t) (compiled : op)
+let simulate ?driver ?trace ?faults (machine : Machine.t) (compiled : op)
     (init_grids : I.grid list) : t =
   let _, program = Wsc_core.Pipeline.modules_of compiled in
-  let h = load ?trace ?faults ?unstaged machine program init_grids in
+  let h = load ?trace ?faults machine program init_grids in
   run ?driver h;
   let tr = h.sim.Fabric.trace in
   if Trace.enabled tr then

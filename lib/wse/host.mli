@@ -20,7 +20,6 @@ type t = {
 val load :
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
-  ?unstaged:bool ->
   Machine.t -> Wsc_ir.Ir.op -> Wsc_dialects.Interp.grid list -> t
 
 (** Run the device program to completion (host calls the exported
@@ -51,5 +50,4 @@ val simulate :
   ?driver:Fabric.driver ->
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
-  ?unstaged:bool ->
   Machine.t -> Wsc_ir.Ir.op -> Wsc_dialects.Interp.grid list -> t

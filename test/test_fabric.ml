@@ -9,13 +9,12 @@ module Core = Wsc_core
 module Machine = Wsc_wse.Machine
 module Fabric = Wsc_wse.Fabric
 module Host = Wsc_wse.Host
-module Fuzz = Wsc_harden.Fuzz
 
 (* MD5 over the elapsed cycles, every per-PE statistic (column-major)
    and every element of every drained field, floats by bit pattern *)
-let run_digest ?unstaged (machine : Machine.t) (p : P.t) : string =
+let run_digest (machine : Machine.t) (p : P.t) : string =
   let compiled = Core.Pipeline.compile (P.compile p) in
-  let h = Host.simulate ?unstaged machine compiled (P.init_grids p) in
+  let h = Host.simulate machine compiled (P.init_grids p) in
   let sim = h.Host.sim in
   let b = Buffer.create 65536 in
   let fl x = Buffer.add_int64_le b (Int64.bits_of_float x) in
@@ -74,23 +73,96 @@ let test_digests () =
     digests
 
 (* ------------------------------------------------------------------ *)
-(* staged = unstaged on fuzzer programs                                *)
+(* concurrency                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let prop_staged_matches_unstaged =
-  QCheck.Test.make ~name:"staged fabric = unstaged on fuzzer programs" ~count:200
-    QCheck.(pair (int_range 1 1000) (int_range 0 50))
-    (fun (seed, index) ->
-      let p = Fuzz.generate ~seed ~index in
-      QCheck.assume (Fuzz.well_formed p);
-      List.for_all
-        (fun m -> run_digest m p = run_digest ~unstaged:true m p)
-        [ Machine.wse3; Machine.wse2 ])
+(* Two domains run the five benchmarks' fabrics at once, in opposite
+   orders; each result must equal its sequential digest, so nothing a
+   staged program holds is shared between simulations. *)
+let test_two_domains () =
+  let cases = List.filter (fun (_, m, n, _) -> m = "wse3" && n = 4) digests in
+  let run cases =
+    List.map (fun (id, m, n, _) -> run_digest (machine_of m) (bench_program id n)) cases
+  in
+  let other = Domain.spawn (fun () -> run (List.rev cases)) in
+  let mine = run cases in
+  let theirs = List.rev (Domain.join other) in
+  List.iter2
+    (fun (id, _, _, want) (a, b) ->
+      Alcotest.(check string) (id ^ " on the main domain") want a;
+      Alcotest.(check string) (id ^ " on the spawned domain") want b)
+    cases (List.combine mine theirs)
+
+(* ------------------------------------------------------------------ *)
+(* decode errors                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Csl = Core.Csl
+module Bld = Wsc_ir.Builder
+
+(* a 1x1 program whose [run] function holds the ops [body] inserts,
+   next to a pointer global "p" and a task "t" *)
+let program_with (body : Bld.t -> unit) : Wsc_ir.Ir.op =
+  let open Wsc_ir.Ir in
+  let b = Bld.create () in
+  Bld.insert0 b (Csl.global_buffer ~name:"buf" ~size:4 ());
+  Bld.insert0 b (Csl.ptr_global ~name:"p" ~target:"buf" ~buf_type:(Memref ([ 4 ], F32)));
+  Bld.insert0 b
+    (Csl.task ~name:"t" ~kind:Csl.Local_task ~id:1 (fun tb -> Bld.insert0 tb (Csl.return_ ())));
+  Bld.insert0 b
+    (Csl.func ~name:"run" (fun fb _ ->
+         body fb;
+         Bld.insert0 fb (Csl.return_ ())));
+  let program = Csl.module_ ~kind:Csl.Program ~name:"decode" (Bld.ops b) in
+  List.iter
+    (fun (k, v) -> set_attr program k (Int_attr v))
+    [ ("width", 1); ("height", 1); ("memory_bytes", 64); ("z_halo", 0); ("zfull", 1); ("nz", 1) ];
+  program
+
+let contains (s : string) (sub : string) : bool =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* [Fabric.create] must raise a [Sim_error] whose message names every
+   string in [names] *)
+let check_refused what (names : string list) (body : Bld.t -> unit) =
+  match Fabric.create Machine.wse3 (program_with body) with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Fabric.Sim_error msg ->
+      List.iter
+        (fun n -> if not (contains msg n) then Alcotest.failf "%s: %S does not name %s" what msg n)
+        names
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+let test_decode_errors () =
+  let open Wsc_ir.Ir in
+  let assign ~dests ~srcs b = Bld.insert0 b (Csl.assign_ptrs ~dests ~srcs) in
+  ignore (Fabric.create Machine.wse3 (program_with (assign ~dests:[ "p" ] ~srcs:[ "p" ])));
+  check_refused "unsupported op" [ "run"; "csl.bogus" ] (fun b ->
+      Bld.insert0 b (create_op "csl.bogus" ~results:[]));
+  check_refused "unknown callee" [ "run"; "nowhere" ] (fun b ->
+      Bld.insert0 b (Csl.call ~callee:"nowhere" ()));
+  check_refused "unknown task" [ "run"; "nowhere" ] (fun b ->
+      Bld.insert0 b (Csl.activate ~task:"nowhere"));
+  check_refused "dests not a list" [ "run"; "csl.assign_ptrs"; "dests" ] (fun b ->
+      assign ~dests:[ "p" ] ~srcs:[ "p" ] b;
+      set_attr (List.hd (List.rev (Bld.ops b))) "dests" (Int_attr 3));
+  check_refused "srcs not names" [ "run"; "csl.assign_ptrs"; "srcs" ] (fun b ->
+      assign ~dests:[ "p" ] ~srcs:[ "p" ] b;
+      set_attr (List.hd (List.rev (Bld.ops b))) "srcs" (Array_attr [ Int_attr 1 ]));
+  check_refused "dests and srcs differ in length" [ "run"; "assign_ptrs" ] (fun b ->
+      assign ~dests:[ "p" ] ~srcs:[ "p" ] b;
+      set_attr (List.hd (List.rev (Bld.ops b))) "srcs"
+        (Array_attr [ String_attr "p"; String_attr "p" ]))
 
 let () =
   Alcotest.run "fabric"
     [
-      ("staged", [ Alcotest.test_case "digests" `Quick test_digests ]);
-      ( "transition",
-        [ QCheck_alcotest.to_alcotest prop_staged_matches_unstaged ] );
+      ( "staged",
+        [
+          Alcotest.test_case "digests" `Quick test_digests;
+          Alcotest.test_case "two domains" `Quick test_two_domains;
+          Alcotest.test_case "decode errors at create" `Quick test_decode_errors;
+        ] );
     ]
