@@ -255,10 +255,11 @@ type code = {
   comms : comm list;  (** every decoded communicate call *)
 }
 
+(** Stage one function or task.  Every decoding error is a [Sim_error]
+    naming the function and the op. *)
 let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op) :
     func =
   let fname = string_attr_exn f "sym_name" in
-  let err fmt = Printf.ksprintf (fun s -> fail "%s %s: %s" f.opname fname s) fmt in
   let slots = Hashtbl.create 64 and n = ref 0 in
   let def (v : value) =
     let s = !n in
@@ -266,114 +267,120 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
     Hashtbl.replace slots v.vid s;
     s
   in
+  let use (v : value) =
+    match Hashtbl.find_opt slots v.vid with
+    | Some s -> s
+    | None -> fail "unbound value %%%d" v.vid
+  in
   let callee name =
     match Hashtbl.find_opt index name with
     | Some i -> i
-    | None -> err "no function or task %s" name
+    | None -> fail "no function or task %s" name
   in
-  let rec block (b : block) : instr array = Array.of_list (List.filter_map instr b.bops)
-  and instr (o : op) : instr option =
-    let bad fmt = err ("%s: " ^^ fmt) o.opname in
-    let arg i =
-      let v = operand o i in
-      match Hashtbl.find_opt slots v.vid with
-      | Some s -> s
-      | None -> bad "unbound value %%%d" v.vid
-    in
+  let decode (o : op) : instr option =
+    let arg i = use (operand o i) in
     let str k = string_attr_exn o k in
     let names k =
       match Csl.string_list_attr o k with
       | l -> Array.of_list l
-      | exception Invalid_argument _ -> bad "%s is not a list of names" k
+      | exception Invalid_argument _ -> fail "%s is not a list of names" k
     in
-    try
-      match o.opname with
-      | "csl.get_global" -> Some (Get_global (def (result o), str "gname"))
-      | "csl.deref_ptr" -> Some (Deref_ptr (def (result o), str "gname"))
-      | "csl.load_scalar" -> Some (Load_scalar (def (result o), str "gname"))
-      | "csl.store_scalar" -> Some (Store_scalar (str "gname", arg 0))
-      | "csl.get_mem_dsd" ->
-          let buf = arg 0 and off = int_attr_exn o "offset" and len = int_attr_exn o "length" in
-          let stride = Option.value (int_attr o "stride") ~default:1 in
-          Some (Get_mem_dsd { dst = def (result o); buf; off; len; stride })
-      | "csl.increment_dsd_offset" -> (
-          let dsd = arg 0 in
-          match (int_attr o "by", o.operands) with
-          | Some by, _ -> Some (Increment_dsd { dst = def (result o); dsd; by })
-          | None, [ _; _ ] ->
-              let by = arg 1 in
-              Some (Increment_dsd_by { dst = def (result o); dsd; by })
-          | _ -> bad "no offset")
-      | "csl.set_dsd_length" ->
-          let dsd = arg 0 and len = int_attr_exn o "length" in
-          Some (Set_dsd_length { dst = def (result o); dsd; len })
-      | "csl.set_dsd_base_addr" ->
-          let dsd = arg 0 and base = arg 1 in
-          Some (Set_dsd_base_addr { dst = def (result o); dsd; base })
-      | ("csl.fadds" | "csl.fsubs" | "csl.fmuls") as name ->
-          let op =
-            match name with
-            | "csl.fadds" -> Bufview.Add
-            | "csl.fsubs" -> Bufview.Sub
-            | _ -> Bufview.Mul
-          in
-          Some (Arith { name; op; dest = arg 0; a = arg 1; b = arg 2 })
-      | "csl.fmacs" -> Some (Fmacs { dest = arg 0; a = arg 1; b = arg 2; k = arg 3 })
-      | "csl.fmovs" -> Some (Fmovs { dest = arg 0; src = arg 1 })
-      | "arith.constant" ->
-          let c =
-            match attr o "value" with
-            | Some (Int_attr i) -> Cint i
-            | Some (Float_attr f) -> Cfloat f
-            | _ -> bad "bad value"
-          in
-          Some (Const (def (result o), c))
-      | "arith.addi" ->
-          let a = arg 0 and b = arg 1 in
-          Some (Addi (def (result o), a, b))
-      | "arith.cmpi" ->
-          let a = arg 0 and b = arg 1 in
-          let p =
-            match str "predicate" with
-            | "slt" -> Slt
-            | "sle" -> Sle
-            | "sgt" -> Sgt
-            | "sge" -> Sge
-            | "eq" -> Eq
-            | "ne" -> Ne
-            | p -> bad "unknown predicate %s" p
-          in
-          Some (Cmpi (def (result o), p, a, b))
-      | "scf.if" ->
-          let c = arg 0 in
-          let then_ = block (body_block o 0) in
-          Some (If (c, then_, block (body_block o 1)))
-      | "csl.call" -> Some (Call (callee (str "callee")))
-      | "csl.activate" ->
-          let task = str "task" in
-          ignore (callee task);
-          Some (Activate task)
-      | "csl.assign_ptrs" ->
-          let dests = names "dests" and srcs = names "srcs" in
-          if Array.length dests <> Array.length srcs then
-            bad "%d destinations for %d sources" (Array.length dests)
-              (Array.length srcs);
-          Some (Assign_ptrs (dests, srcs))
-      | "csl.member_call" -> (
-          match str "field" with
-          | "communicate" ->
-              let c = decode_comm ~callback:callee (attr_exn o "config") in
-              comms := c :: !comms;
-              Some (Communicate c)
-          | lib -> bad "unknown library function %s" lib)
-      | "csl.unblock_cmd_stream" -> Some Unblock_cmd_stream
-      | "csl.return" -> None
-      | name -> err "unsupported op %s" name
-    with
-    | Invalid_argument msg | Failure msg -> bad "%s" msg
-    | Not_found -> bad "malformed attribute"
+    match o.opname with
+    | "csl.get_global" -> Some (Get_global (def (result o), str "gname"))
+    | "csl.deref_ptr" -> Some (Deref_ptr (def (result o), str "gname"))
+    | "csl.load_scalar" -> Some (Load_scalar (def (result o), str "gname"))
+    | "csl.store_scalar" -> Some (Store_scalar (str "gname", arg 0))
+    | "csl.get_mem_dsd" ->
+        let buf = arg 0 and off = int_attr_exn o "offset" and len = int_attr_exn o "length" in
+        let stride = Option.value (int_attr o "stride") ~default:1 in
+        Some (Get_mem_dsd { dst = def (result o); buf; off; len; stride })
+    | "csl.increment_dsd_offset" -> (
+        let dsd = arg 0 in
+        match (int_attr o "by", o.operands) with
+        | Some by, _ -> Some (Increment_dsd { dst = def (result o); dsd; by })
+        | None, [ _; _ ] ->
+            let by = arg 1 in
+            Some (Increment_dsd_by { dst = def (result o); dsd; by })
+        | _ -> fail "no offset")
+    | "csl.set_dsd_length" ->
+        let dsd = arg 0 and len = int_attr_exn o "length" in
+        Some (Set_dsd_length { dst = def (result o); dsd; len })
+    | "csl.set_dsd_base_addr" ->
+        let dsd = arg 0 and base = arg 1 in
+        Some (Set_dsd_base_addr { dst = def (result o); dsd; base })
+    | ("csl.fadds" | "csl.fsubs" | "csl.fmuls") as name ->
+        let op =
+          match name with
+          | "csl.fadds" -> Bufview.Add
+          | "csl.fsubs" -> Bufview.Sub
+          | _ -> Bufview.Mul
+        in
+        Some (Arith { name; op; dest = arg 0; a = arg 1; b = arg 2 })
+    | "csl.fmacs" -> Some (Fmacs { dest = arg 0; a = arg 1; b = arg 2; k = arg 3 })
+    | "csl.fmovs" -> Some (Fmovs { dest = arg 0; src = arg 1 })
+    | "arith.constant" ->
+        let c =
+          match attr o "value" with
+          | Some (Int_attr i) -> Cint i
+          | Some (Float_attr f) -> Cfloat f
+          | _ -> fail "bad value"
+        in
+        Some (Const (def (result o), c))
+    | "arith.addi" ->
+        let a = arg 0 and b = arg 1 in
+        Some (Addi (def (result o), a, b))
+    | "arith.cmpi" ->
+        let a = arg 0 and b = arg 1 in
+        let p =
+          match str "predicate" with
+          | "slt" -> Slt
+          | "sle" -> Sle
+          | "sgt" -> Sgt
+          | "sge" -> Sge
+          | "eq" -> Eq
+          | "ne" -> Ne
+          | p -> fail "unknown predicate %s" p
+        in
+        Some (Cmpi (def (result o), p, a, b))
+    | "csl.call" -> Some (Call (callee (str "callee")))
+    | "csl.activate" ->
+        let task = str "task" in
+        ignore (callee task);
+        Some (Activate task)
+    | "csl.assign_ptrs" ->
+        let dests = names "dests" and srcs = names "srcs" in
+        if Array.length dests <> Array.length srcs then
+          fail "%d destinations for %d sources" (Array.length dests) (Array.length srcs);
+        Some (Assign_ptrs (dests, srcs))
+    | "csl.member_call" -> (
+        match str "field" with
+        | "communicate" ->
+            let c = decode_comm ~callback:callee (attr_exn o "config") in
+            comms := c :: !comms;
+            Some (Communicate c)
+        | lib -> fail "unknown library function %s" lib)
+    | "csl.unblock_cmd_stream" -> Some Unblock_cmd_stream
+    | "csl.return" -> None
+    | _ -> fail "unsupported op"
   in
-  let blk = try entry_block (List.hd f.regions) with Failure _ -> err "no body" in
+  let guard what k =
+    try k () with
+    | Sim_error msg | Invalid_argument msg | Failure msg ->
+        fail "%s %s: %s: %s" f.opname fname what msg
+    | Not_found -> fail "%s %s: %s: malformed attribute" f.opname fname what
+  in
+  (* an [scf.if]'s branches are staged outside its guard, so an error in
+     them names the op that caused it *)
+  let rec block (b : block) : instr array = Array.of_list (List.filter_map instr b.bops)
+  and instr (o : op) : instr option =
+    if o.opname = "scf.if" then
+      let c, then_, else_ =
+        guard o.opname (fun () -> (use (operand o 0), body_block o 0, body_block o 1))
+      in
+      Some (If (c, block then_, block else_))
+    else guard o.opname (fun () -> decode o)
+  in
+  let blk = guard "body" (fun () -> entry_block (List.hd f.regions)) in
   List.iter (fun a -> ignore (def a)) blk.bargs;
   let nargs = !n in
   let body = block blk in

@@ -151,7 +151,7 @@ let test_decode_errors () =
   check_refused "srcs not names" [ "run"; "csl.assign_ptrs"; "srcs" ] (fun b ->
       assign ~dests:[ "p" ] ~srcs:[ "p" ] b;
       set_attr (List.hd (List.rev (Bld.ops b))) "srcs" (Array_attr [ Int_attr 1 ]));
-  check_refused "dests and srcs differ in length" [ "run"; "assign_ptrs" ] (fun b ->
+  check_refused "dests and srcs differ in length" [ "run"; "csl.assign_ptrs" ] (fun b ->
       assign ~dests:[ "p" ] ~srcs:[ "p" ] b;
       set_attr (List.hd (List.rev (Bld.ops b))) "srcs"
         (Array_attr [ String_attr "p"; String_attr "p" ]))
