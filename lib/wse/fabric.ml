@@ -291,7 +291,8 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
     | "csl.load_scalar" -> Some (Load_scalar (def (result o), str "gname"))
     | "csl.store_scalar" -> Some (Store_scalar (str "gname", arg 0))
     | "csl.get_mem_dsd" ->
-        let buf = arg 0 and off = int_attr_exn o "offset" and len = int_attr_exn o "length" in
+        let buf = arg 0 and off = int_attr_exn o "offset" in
+        let len = int_attr_exn o "length" in
         let stride = Option.value (int_attr o "stride") ~default:1 in
         Some (Get_mem_dsd { dst = def (result o); buf; off; len; stride })
     | "csl.increment_dsd_offset" -> (
@@ -989,7 +990,8 @@ let cost (pe : pe) c = pe.clock <- pe.clock +. c
     the arithmetic builtins ([bytes_per_elem] 12), one read and one
     write for a move (8). *)
 let builtin_cost (m : Machine.t) (pe : pe) (bytes_per_elem : float) (len : int) : unit =
-  cost pe (float_of_int m.dsd_overhead_cycles +. (float_of_int len /. m.dsd_elems_per_cycle));
+  cost pe
+    (float_of_int m.dsd_overhead_cycles +. (float_of_int len /. m.dsd_elems_per_cycle));
   pe.stats.compute_cycles <-
     pe.stats.compute_cycles +. float_of_int m.dsd_overhead_cycles
     +. (float_of_int len /. m.dsd_elems_per_cycle);

@@ -1,6 +1,7 @@
 (* Tests for the staged fabric: bit-identity of every drained field,
    per-PE statistic and elapsed cycle count against digests recorded
-   from the unstaged fabric it replaced. *)
+   from the unstaged fabric it replaced, also with two simulations on
+   two domains at once; and decoding errors raised by Fabric.create. *)
 
 module P = Wsc_frontends.Stencil_program
 module B = Wsc_benchmarks.Benchmarks
@@ -108,7 +109,8 @@ let program_with (body : Bld.t -> unit) : Wsc_ir.Ir.op =
   Bld.insert0 b (Csl.global_buffer ~name:"buf" ~size:4 ());
   Bld.insert0 b (Csl.ptr_global ~name:"p" ~target:"buf" ~buf_type:(Memref ([ 4 ], F32)));
   Bld.insert0 b
-    (Csl.task ~name:"t" ~kind:Csl.Local_task ~id:1 (fun tb -> Bld.insert0 tb (Csl.return_ ())));
+    (Csl.task ~name:"t" ~kind:Csl.Local_task ~id:1 (fun tb ->
+         Bld.insert0 tb (Csl.return_ ())));
   Bld.insert0 b
     (Csl.func ~name:"run" (fun fb _ ->
          body fb;
@@ -116,7 +118,10 @@ let program_with (body : Bld.t -> unit) : Wsc_ir.Ir.op =
   let program = Csl.module_ ~kind:Csl.Program ~name:"decode" (Bld.ops b) in
   List.iter
     (fun (k, v) -> set_attr program k (Int_attr v))
-    [ ("width", 1); ("height", 1); ("memory_bytes", 64); ("z_halo", 0); ("zfull", 1); ("nz", 1) ];
+    [
+      ("width", 1); ("height", 1); ("memory_bytes", 64);
+      ("z_halo", 0); ("zfull", 1); ("nz", 1);
+    ];
   program
 
 let contains (s : string) (sub : string) : bool =
@@ -131,7 +136,8 @@ let check_refused what (names : string list) (body : Bld.t -> unit) =
   | _ -> Alcotest.failf "%s: accepted" what
   | exception Fabric.Sim_error msg ->
       List.iter
-        (fun n -> if not (contains msg n) then Alcotest.failf "%s: %S does not name %s" what msg n)
+        (fun n ->
+          if not (contains msg n) then Alcotest.failf "%s: %S does not name %s" what msg n)
         names
   | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
 
@@ -141,9 +147,9 @@ let test_decode_errors () =
   ignore (Fabric.create Machine.wse3 (program_with (assign ~dests:[ "p" ] ~srcs:[ "p" ])));
   check_refused "unsupported op" [ "run"; "csl.bogus" ] (fun b ->
       Bld.insert0 b (create_op "csl.bogus" ~results:[]));
-  check_refused "unknown callee" [ "run"; "nowhere" ] (fun b ->
+  check_refused "unknown callee" [ "run"; "csl.call"; "nowhere" ] (fun b ->
       Bld.insert0 b (Csl.call ~callee:"nowhere" ()));
-  check_refused "unknown task" [ "run"; "nowhere" ] (fun b ->
+  check_refused "unknown task" [ "run"; "csl.activate"; "nowhere" ] (fun b ->
       Bld.insert0 b (Csl.activate ~task:"nowhere"));
   check_refused "dests not a list" [ "run"; "csl.assign_ptrs"; "dests" ] (fun b ->
       assign ~dests:[ "p" ] ~srcs:[ "p" ] b;
