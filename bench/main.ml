@@ -3,8 +3,8 @@
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig4    -- one experiment
-     experiments: fig4 fig5 fig6 fig7 tab1 tflops ablations weak sched
-                  serve trace multiwafer mwfaults tune
+     experiments: fig4 fig5 fig6 fig7 tab1 tflops ablations weak serve
+                  trace multiwafer mwfaults tune
 
    Absolute numbers come from the fabric simulator and the calibrated
    machine models (see DESIGN.md); the claims under reproduction are the
@@ -236,56 +236,6 @@ let weak () =
         cpu.gpts_per_s
         (wse3.gpts_per_s /. cpu.gpts_per_s))
     [ 1024; 1448; 2048 ]
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler microbenchmark: polling vs event-driven fabric driver     *)
-(* ------------------------------------------------------------------ *)
-
-let sched () =
-  header
-    "Scheduler: polling vs event-driven fabric driver, seed benchmarks at\n\
-     Large size (proxy-grid runs with the real z extent, as used by every\n\
-     Large measurement).  Bit-identity of elapsed cycles and aggregate\n\
-     stats is checked on every benchmark.";
-  let extent = 16 and iters = 8 in
-  Printf.printf "proxy grid %dx%d PEs, %d timesteps, WSE3\n" extent extent iters;
-  Printf.printf
-    "(PE scans = step visits; probes = finished-flag sweeps the polling\n\
-    \ loop repeats every round; total = scans + probes)\n\n";
-  Printf.printf "%-10s %-8s %8s %8s %8s %8s %6s %8s %10s %9s\n" "benchmark"
-    "driver" "scans" "probes" "total" "wakeups" "qmax" "wall ms" "cycles"
-    "identical";
-  let mismatches = ref 0 in
-  List.iter
-    (fun (d : B.descr) ->
-      let run driver =
-        let t0 = Sys.time () in
-        let h, _ = WP.simulate_proxy ~driver ~extent d ~machine:Machine.wse3 ~iters in
-        let wall_ms = (Sys.time () -. t0) *. 1e3 in
-        (F.elapsed_cycles h.sim, F.total_stats h.sim, F.sched_stats h.sim, wall_ms)
-      in
-      let cp, sp, kp, wp_ms = run F.Polling in
-      let ce, se, ke, we_ms = run F.Event_driven in
-      let identical = cp = ce && F.stats_equal sp se in
-      if not identical then incr mismatches;
-      let totp = kp.F.Sched.scans + kp.F.Sched.probes in
-      let tote = ke.F.Sched.scans + ke.F.Sched.probes in
-      Printf.printf "%-10s %-8s %8d %8d %8d %8s %6s %8.1f %10.0f %9s\n" d.id
-        "polling" kp.F.Sched.scans kp.F.Sched.probes totp "-" "-" wp_ms cp "";
-      Printf.printf "%-10s %-8s %8d %8d %8d %8d %6d %8.1f %10.0f %9s\n" ""
-        "event" ke.F.Sched.scans ke.F.Sched.probes tote ke.F.Sched.wakeups
-        ke.F.Sched.max_queue_depth we_ms ce
-        (if identical then "yes" else "NO");
-      Printf.printf "%-10s polls avoided: %d (%.2fx fewer PE visits)\n\n" ""
-        (totp - tote)
-        (float_of_int totp /. float_of_int (max 1 tote)))
-    B.all;
-  if !mismatches = 0 then
-    Printf.printf "all benchmarks: elapsed cycles and total stats bit-identical\n"
-  else begin
-    Printf.printf "MISMATCH on %d benchmark(s)\n" !mismatches;
-    exit 1
-  end
 
 (** Elapsed wall-clock of [f], via [Unix.gettimeofday] — [Sys.time] is
     CPU time summed over domains, which would hide any speedup. *)
@@ -782,7 +732,6 @@ let experiments =
     ("tflops", tflops);
     ("ablations", ablations);
     ("weak", weak);
-    ("sched", sched);
     ("serve", serve_bench);
     ("trace", trace_exp);
     ("multiwafer", multiwafer);

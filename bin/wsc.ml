@@ -122,34 +122,6 @@ let write_json (path : string) (doc : Wsc_trace.Json.t) : unit =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-(* ---------------- fabric driver selection ---------------- *)
-
-let driver_conv =
-  let parse = function
-    | "polling" -> Ok F.Polling
-    | "sched" | "event" -> Ok F.Event_driven
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown driver '%s': accepted drivers are polling, sched, event" s))
-  in
-  let print fmt d =
-    Format.pp_print_string fmt
-      (match d with F.Polling -> "polling" | F.Event_driven -> "sched")
-  in
-  Arg.conv (parse, print)
-
-let driver_arg =
-  Arg.(
-    value & opt driver_conv F.Event_driven
-    & info [ "driver" ] ~docv:"DRIVER"
-        ~doc:
-          "Fabric driver: $(b,sched) (event-driven ready queue, the default; \
-           $(b,event) is an alias) or $(b,polling) (rescan every PE each \
-           round, the reference scheduler).  Results are bit-identical \
-           across both.")
-
 (* ---------------- compile ---------------- *)
 
 let compile_cmd =
@@ -191,8 +163,7 @@ let time_arg =
         ~doc:
           "Also report the host-side wall-clock time (seconds) of every \
            phase — compile, init, simulate (load and run), readback, \
-           reference, compare — and the driver, as opposed to the \
-           simulated cycles.")
+           reference, compare — as opposed to the simulated cycles.")
 
 let sim_json_arg =
   Arg.(
@@ -205,7 +176,7 @@ let sim_json_arg =
            send records).")
 
 let simulate_cmd =
-  let run bench input size iterations machine stats driver time json_out =
+  let run bench input size iterations machine stats time json_out =
     (* host wall time of each phase, in run order *)
     let phases = ref [] in
     let timed name f =
@@ -228,7 +199,7 @@ let simulate_cmd =
         (* simulate first: the fabric guards (grid size, per-PE memory)
            reject oversized runs before the expensive reference pass *)
         let h =
-          timed "simulate" (fun () -> Wsc_wse.Host.simulate ~driver machine compiled init)
+          timed "simulate" (fun () -> Wsc_wse.Host.simulate machine compiled init)
         in
         let out = timed "readback" (fun () -> Wsc_wse.Host.read_all h) in
         let ref_grids = timed "reference" (fun () -> P.run_reference p) in
@@ -248,17 +219,14 @@ let simulate_cmd =
         Printf.printf "  flops=%.3e  sent=%d elems  tasks=%d\n" st.flops
           st.elems_sent st.task_activations;
         if time then
-          Printf.printf "  wall %s  total %.3f s  (driver=%s)\n"
+          Printf.printf "  wall %s  total %.3f s\n"
             (String.concat "  "
                (List.map (fun (name, s) -> Printf.sprintf "%s %.3f s" name s) phases))
-            total (F.driver_name driver);
+            total;
         if stats then begin
           let k = F.sched_stats h.sim in
-          Printf.printf
-            "  scheduler: scans=%d probes=%d wakeups=%d parks=%d holds=%d \
-             max_queue_depth=%d peak_sends_live=%d\n"
-            k.scans k.probes k.wakeups k.parks k.holds k.max_queue_depth
-            k.peak_sends_live;
+          Printf.printf "  scheduler: scans=%d probes=%d peak_sends_live=%d\n" k.scans
+            k.probes k.peak_sends_live;
           print_string
             (Wsc_trace.Aggregate.busy_blocked_table (F.pe_summaries h.sim))
         end;
@@ -290,7 +258,7 @@ let simulate_cmd =
                            J.Obj
                              (List.map (fun (name, s) -> (name, J.Float s)) phases
                              @ [ ("total", J.Float total) ]) );
-                         ("driver", J.String (F.driver_name driver));
+                         ("driver", J.String F.driver);
                          ("max_diff", J.Float maxd);
                          ( "peak_sends_live",
                            J.Int (F.sched_stats h.sim).peak_sends_live );
@@ -305,7 +273,7 @@ let simulate_cmd =
     Term.(
       term_result
         (const run $ bench_arg $ input_arg $ size_arg $ iters_arg $ machine_arg
-       $ stats_arg $ driver_arg $ time_arg $ sim_json_arg))
+       $ stats_arg $ time_arg $ sim_json_arg))
 
 (* ---------------- trace ---------------- *)
 
@@ -443,7 +411,7 @@ let faults_trace_arg =
            one shared timeline and export it as Chrome-trace JSON.")
 
 let faults_cmd =
-  let run bench size iterations machine driver kinds rates seeds no_resilience
+  let run bench size iterations machine kinds rates seeds no_resilience
       json_out trace_out =
     match bench with
     | None -> Error (`Msg "faults: --bench required")
@@ -453,7 +421,7 @@ let faults_cmd =
         | _ ->
             let sink = Option.map (fun _ -> T.collector ()) trace_out in
             let report =
-              Campaign.run ~driver ~machine ?iterations ~kinds ?trace:sink
+              Campaign.run ~machine ?iterations ~kinds ?trace:sink
                 ~bench:id ~size ~resilient:(not no_resilience) ~rates ~seeds ()
             in
             print_string (Campaign.to_string report);
@@ -481,9 +449,9 @@ let faults_cmd =
           overhead and divergence vs the sequential reference.")
     Term.(
       term_result
-        (const run $ bench_arg $ size_arg $ iters_arg $ machine_arg $ driver_arg
-       $ kinds_arg $ rates_arg $ seeds_arg $ no_resilience_arg
-       $ faults_json_arg $ faults_trace_arg))
+        (const run $ bench_arg $ size_arg $ iters_arg $ machine_arg $ kinds_arg
+       $ rates_arg $ seeds_arg $ no_resilience_arg $ faults_json_arg
+       $ faults_trace_arg))
 
 (* ---------------- fuzz / reduce ---------------- *)
 

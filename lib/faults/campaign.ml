@@ -38,7 +38,6 @@ type report = {
   machine : string;
   size : string;
   iterations : int;
-  driver : string;
   resilient : bool;
   baseline_cycles : float;
   cells : cell list;
@@ -50,8 +49,6 @@ let survival_rate (r : report) : float =
   | cs ->
       float_of_int (List.length (List.filter (fun c -> c.survived) cs))
       /. float_of_int (List.length cs)
-
-let driver_to_string = Fabric.driver_name
 
 (** Max |difference| vs the reference over the PEs the validity mask
     accepts; halted or tainted PEs hold substituted data by design and
@@ -77,7 +74,7 @@ let divergence_over_valid (valid : bool array array) (refs : I.grid list)
     refs outs;
   !d
 
-let run ?(driver = Fabric.Event_driven) ?(machine = Machine.wse3) ?iterations
+let run ?(machine = Machine.wse3) ?iterations
     ?(kinds = Faults.all_kinds) ?trace ~(bench : string)
     ~(size : B.size) ~(resilient : bool) ~(rates : float list)
     ~(seeds : int list) () : report =
@@ -90,17 +87,16 @@ let run ?(driver = Fabric.Event_driven) ?(machine = Machine.wse3) ?iterations
       (P.compile p)
   in
   let refs = List.map I.retensorize_grid (P.run_reference p) in
-  (* fault-free baseline under the same driver: recovery overhead is
-     measured against it *)
+  (* fault-free baseline: recovery overhead is measured against it *)
   let baseline =
-    let h = Host.simulate ~driver machine compiled (P.init_grids p) in
+    let h = Host.simulate machine compiled (P.init_grids p) in
     Fabric.elapsed_cycles h.Host.sim
   in
   let run_cell kind rate seed : cell =
     let cfg = Faults.config_for kind ~rate ~seed ~resilient in
     let faults = Faults.create cfg in
     let outcome =
-      match Host.simulate ?trace ~driver ~faults machine compiled (P.init_grids p) with
+      match Host.simulate ?trace ~faults machine compiled (P.init_grids p) with
       | h -> Ok h
       | exception Fabric.Sim_error msg -> Error msg
       | exception Host.Host_error msg -> Error msg
@@ -168,7 +164,6 @@ let run ?(driver = Fabric.Event_driven) ?(machine = Machine.wse3) ?iterations
     machine = machine.Machine.name;
     size = B.size_to_string size;
     iterations = p.P.iterations;
-    driver = driver_to_string driver;
     resilient;
     baseline_cycles = baseline;
     cells;
@@ -189,7 +184,7 @@ let to_string (r : report) : string =
     (Printf.sprintf
        "fault campaign: %s on %s (%s, %d iterations, %s driver, resilience \
         %s)\n"
-       r.bench r.machine r.size r.iterations r.driver
+       r.bench r.machine r.size r.iterations Fabric.driver
        (if r.resilient then "on" else "off"));
   Buffer.add_string buf
     (Printf.sprintf "fault-free baseline: %.0f cycles\n" r.baseline_cycles);
@@ -250,7 +245,7 @@ let to_json (r : report) : Json.t =
         ("machine", Json.String r.machine);
         ("size", Json.String r.size);
         ("iterations", Json.Int r.iterations);
-        ("driver", Json.String r.driver);
+        ("driver", Json.String Fabric.driver);
         ("resilient", Json.Bool r.resilient);
         ("baseline_cycles", Json.Float r.baseline_cycles);
         ("survival_rate", Json.Float (survival_rate r));

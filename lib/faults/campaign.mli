@@ -39,9 +39,8 @@ type report = {
   machine : string;
   size : string;
   iterations : int;
-  driver : string;
   resilient : bool;
-  baseline_cycles : float;  (** fault-free elapsed cycles, same driver *)
+  baseline_cycles : float;  (** fault-free elapsed cycles *)
   cells : cell list;  (** in sweep order: kind, then rate, then seed *)
 }
 
@@ -54,7 +53,6 @@ val survival_rate : report -> float
     every fault model; cells are run in deterministic sweep order.
     @raise Invalid_argument for an unknown benchmark id. *)
 val run :
-  ?driver:Wsc_wse.Fabric.driver ->
   ?machine:Wsc_wse.Machine.t ->
   ?iterations:int ->
   ?kinds:Faults.kind list ->

@@ -1,15 +1,15 @@
 (** Fault injection for the WSE fabric simulator.
 
     The injector is a deterministic function from (campaign seed, site
-    coordinates) to fault decisions, plus the mutable bookkeeping both
-    fabric drivers share (fault counters, the halted / tainted PE sets,
-    the sends the resilience layer has given up on).
+    coordinates) to fault decisions, plus the mutable bookkeeping of a
+    run (fault counters, the halted / tainted PE sets, the sends the
+    resilience layer has given up on).
 
     Decisions are hashes, not draws from a mutable PRNG stream: a
     stateful generator would hand out different values depending on the
     order in which the driver visits PEs, and the whole point of the
-    subsystem is that the polling and event-driven drivers agree
-    bit-for-bit on every fault.  The hash is SplitMix64 over the seed
+    subsystem is that every visit order agrees bit-for-bit on every
+    fault.  The hash is SplitMix64 over the seed
     and the site key (PE position, exchange id, chunk index, attempt
     number), whose output is mapped to a uniform in [0, 1). *)
 

@@ -13,7 +13,7 @@
     retransmission attempt, ...) — there is no mutable PRNG stream — so
     decisions are independent of the order in which the driver visits
     PEs.  A campaign therefore replays bit-identically from its seed
-    under both fabric drivers.  An injector belongs to one simulation
+    whatever that order.  An injector belongs to one simulation
     and is not shared between domains, so its bookkeeping takes no
     lock ({!Wafer} keeps its own: the co-simulation's wafer domains
     share one). *)
@@ -102,8 +102,8 @@ val uniform : seed:int -> site:int -> keys:int list -> float
 
 (** Next value of the per-PE dispatch counter — the activation index the
     stall/halt decisions key on.  Per-PE task order is deterministic, so
-    the counter sequence (and hence every decision) is identical under
-    both fabric drivers. *)
+    the counter sequence (and hence every decision) is identical in
+    every PE visit order. *)
 val next_dispatch : t -> x:int -> y:int -> int
 
 (** Should this task dispatch stall? (site: PE + per-PE activation no.) *)
@@ -139,7 +139,7 @@ val corruption :
     exponential backoff bounded by [max_backoff_cycles]. *)
 val backoff : resilience -> attempt:int -> float
 
-(** {1 Protocol bookkeeping (shared by both fabric drivers)} *)
+(** {1 Protocol bookkeeping} *)
 
 (** Per-wavelet checksum of a payload slice, as the simulated protocol
     computes it on both ends of a link. *)

@@ -74,7 +74,7 @@ val reference :
 
 (** Run the co-simulation.  [engine] defaults to a fresh compile
     engine (pass a shared one to reuse its cache across runs).  Each
-    wafer runs on the event-driven fabric driver.  [faults] defaults to
+    wafer runs on its own fabric simulation.  [faults] defaults to
     [Faults.Wafer.null]: the fault-free path takes exactly one extra
     branch per decision point and stays bit-identical.
     @raise Decompose.Decompose_error when [p] cannot be decomposed

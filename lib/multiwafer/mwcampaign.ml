@@ -43,7 +43,6 @@ type report = {
   size : string;
   iterations : int;
   wafers : int * int;
-  driver : string;
   resilient : bool;
   cadence : int;
   max_retries : int;
@@ -168,7 +167,6 @@ let run ?engine ?(machine = Machine.wse3) ?iterations
     size = B.size_to_string size;
     iterations = p.P.iterations;
     wafers = (wx, wy);
-    driver = Fabric.driver_name Fabric.Event_driven;
     resilient;
     cadence = resilience.Wf.checkpoint_cadence;
     max_retries = resilience.Wf.max_retries;
@@ -192,7 +190,7 @@ let to_string (r : report) : string =
     (Printf.sprintf
        "wafer fault campaign: %s on %dx%d %s (%s, %d epochs, %s driver, \
         resilience %s)\n"
-       r.bench wx wy r.machine r.size r.iterations r.driver
+       r.bench wx wy r.machine r.size r.iterations Fabric.driver
        (if r.resilient then
           Printf.sprintf "on: cadence %d, max retries %d" r.cadence
             r.max_retries
@@ -263,7 +261,7 @@ let to_json (r : report) : Json.t =
         ("size", Json.String r.size);
         ("iterations", Json.Int r.iterations);
         ("wafers", Json.String (Printf.sprintf "%dx%d" wx wy));
-        ("driver", Json.String r.driver);
+        ("driver", Json.String Fabric.driver);
         ("resilient", Json.Bool r.resilient);
         ("checkpoint_cadence", Json.Int r.cadence);
         ("max_retries", Json.Int r.max_retries);

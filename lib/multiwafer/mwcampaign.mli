@@ -40,7 +40,6 @@ type report = {
   size : string;
   iterations : int;
   wafers : int * int;
-  driver : string;
   resilient : bool;
   cadence : int;
   max_retries : int;

@@ -41,14 +41,14 @@ let proxy_extent = 6
 (** Simulate the compiled program for [iters] timesteps on a proxy grid
     of [extent]x[extent] PEs with the benchmark's real z extent; returns
     the host handle after completion plus the chunk count the compiler
-    chose.  Exposed (with [driver]) for the scheduler microbenchmark. *)
+    chose. *)
 let simulate_proxy ?(pipeline_options = Wsc_core.Pipeline.default_options)
-    ?driver ?(extent = proxy_extent) (d : B.descr) ~(machine : Machine.t)
+    ?(extent = proxy_extent) (d : B.descr) ~(machine : Machine.t)
     ~(iters : int) : Wsc_wse.Host.t * int =
   let size = B.Proxy (extent, extent) in
   let p = d.make_n size iters in
   let m = Wsc_core.Pipeline.compile ~options:pipeline_options (P.compile p) in
-  let h = Wsc_wse.Host.simulate ?driver machine m (P.init_grids p) in
+  let h = Wsc_wse.Host.simulate machine m (P.init_grids p) in
   let _, program = Wsc_core.Pipeline.modules_of m in
   let chunks =
     match Wsc_ir.Ir.find_op_by_name "csl_stencil.apply" m with

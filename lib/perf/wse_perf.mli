@@ -32,21 +32,11 @@ val proxy_extent : int
 
 (** Compile and simulate [iters] timesteps of a benchmark on an
     [extent]x[extent] proxy grid (default {!proxy_extent}) with the real
-    z extent, under the chosen fabric driver; returns the finished host
-    handle and the chunk count the compiler chose.  This is the
-    proxy-grid driver behind {!measure}, exposed for the scheduler
-    microbenchmark. *)
-val simulate_proxy :
-  ?pipeline_options:Wsc_core.Pipeline.options ->
-  ?driver:Wsc_wse.Fabric.driver ->
-  ?extent:int ->
-  B.descr -> machine:Machine.t -> iters:int -> Wsc_wse.Host.t * int
-
-(** Like {!simulate_proxy}, but returns the elapsed cycles, the
-    aggregated PE stats and the chunk count instead of the host handle.
-    The raw primitive behind {!measure}; the autotuner memoizes calls to
-    it so each distinct (program, options, iters) proxy run executes
-    once per tuning session. *)
+    z extent; returns the elapsed cycles, the aggregated PE stats and
+    the chunk count the compiler chose.  The raw primitive behind
+    {!measure}; the autotuner memoizes calls to it so each distinct
+    (program, options, iters) proxy run executes once per tuning
+    session. *)
 val simulate_iters :
   ?pipeline_options:Wsc_core.Pipeline.options ->
   ?extent:int ->

@@ -14,7 +14,7 @@
 
     Scheduling is dependency-driven: a PE advances until it waits on
     senders that have not yet reached their matching [communicate]; the
-    driver loop repeatedly picks PEs that can progress.  Local clocks
+    driver loop rescans the grid until no PE can progress.  Local clocks
     advance by op costs; message arrival times combine the sender's chunk
     injection completion with per-hop router latency.  On the WSE2 every
     injection is doubled by the self-send switch workaround (§6). *)
@@ -421,10 +421,9 @@ type pe_stats = {
 }
 
 (** First field in which two per-PE stat records differ, with both
-    values; [None] when equal.  The cross-driver bit-identity
-    assertions in the benchmark harness and the tests share this, so
-    every mismatch names the culprit field instead of printing two
-    opaque tuples. *)
+    values; [None] when equal.  The bit-identity assertions in the
+    benchmark harness and the tests share this, so every mismatch names
+    the culprit field instead of printing two opaque tuples. *)
 let stats_diff (a : pe_stats) (b : pe_stats) : string option =
   let fl name av bv =
     if (av : float) <> bv then Some (Printf.sprintf "%s: %.17g <> %.17g" name av bv)
@@ -490,137 +489,25 @@ type pe = {
   mutable seq : (int, int) Hashtbl.t;  (** apply_id -> communicate count *)
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
-  mutable held : bool;
-      (** parked by the event driver at the live-record window, until a
-          receiver frees one of its records *)
 }
 
 let queue_task (pe : pe) ~(at : float) (task : string) : unit =
   pe.task_queue <- Task_queue.add (at, pe.task_stamps, task) pe.task_queue;
   pe.task_stamps <- pe.task_stamps + 1
 
-(** {1 Scheduler core}
-
-    The event-driven driver keeps a FIFO ready queue of PE coordinates
-    plus per-send wake lists: a PE blocked on a neighbour exchange is
-    parked on the key of the first sender that has not yet registered,
-    and is re-enqueued exactly when that [register_send] lands, instead
-    of being re-polled every round over the whole grid.  Counters let
-    the benchmark harness compare the two drivers. *)
+(** {1 Scheduler counters} *)
 
 module Sched = struct
-  (** A pending send: (apply_id, seq, sender x, sender y) — the same key
-      as the simulator's send table. *)
-  type key = int * int * int * int
-
   type stats = {
     mutable scans : int;  (** PE visits by the driver ([step_pe] calls) *)
     mutable probes : int;  (** finished-flag probes by quiescence sweeps *)
-    mutable wakeups : int;  (** parked PEs re-enqueued by a landing send *)
-    mutable parks : int;  (** times a PE was parked on a wake list *)
-    mutable max_queue_depth : int;  (** high-water mark of the ready queue *)
+    mutable wakeups : int;  (** always 0 *)
+    mutable parks : int;  (** always 0 *)
+    mutable max_queue_depth : int;  (** always 0 *)
     mutable peak_sends_live : int;
         (** high-water mark of the send table: records registered and
             not yet consumed by all their receivers *)
-    mutable holds : int;  (** times a PE was held at the live-record window *)
   }
-
-  type t = {
-    stats : stats;
-    ring : int array;
-        (** ready queue as a flat ring of PE indices [y * width + x]:
-            capacity [width * height] (the membership bitset caps
-            occupancy at one entry per PE), no box per element and no
-            allocation on the enqueue/pop hot path *)
-    mutable head : int;  (** next pop position in [ring] *)
-    mutable count : int;  (** live entries in [ring] *)
-    width : int;  (** grid width, for index encoding *)
-    enqueued : Bytes.t;
-        (** membership bitset of the ready ring, bit [y * width + x]:
-            one flat byte per 8 PEs instead of hashing a coordinate pair
-            on every enqueue and pop *)
-    waiters : (key, int list) Hashtbl.t;
-        (** per-send wake lists of parked PE indices *)
-  }
-
-  let create ~(width : int) ~(height : int) =
-    {
-      stats =
-        {
-          scans = 0;
-          probes = 0;
-          wakeups = 0;
-          parks = 0;
-          max_queue_depth = 0;
-          peak_sends_live = 0;
-          holds = 0;
-        };
-      ring = Array.make (max 1 (width * height)) 0;
-      head = 0;
-      count = 0;
-      width;
-      enqueued = Bytes.make (((width * height) + 7) / 8) '\000';
-      waiters = Hashtbl.create 64;
-    }
-
-  let stats (s : t) = s.stats
-
-  let mem_idx (s : t) (i : int) : bool =
-    Char.code (Bytes.get s.enqueued (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-  let set_mem_idx (s : t) (i : int) : unit =
-    Bytes.set s.enqueued (i lsr 3)
-      (Char.chr (Char.code (Bytes.get s.enqueued (i lsr 3)) lor (1 lsl (i land 7))))
-
-  let clear_mem_idx (s : t) (i : int) : unit =
-    Bytes.set s.enqueued (i lsr 3)
-      (Char.chr
-         (Char.code (Bytes.get s.enqueued (i lsr 3))
-         land (lnot (1 lsl (i land 7)) land 0xff)))
-
-  let enqueue_idx (s : t) (i : int) : unit =
-    if not (mem_idx s i) then begin
-      set_mem_idx s i;
-      let cap = Array.length s.ring in
-      let p = s.head + s.count in
-      s.ring.(if p >= cap then p - cap else p) <- i;
-      s.count <- s.count + 1;
-      if s.count > s.stats.max_queue_depth then s.stats.max_queue_depth <- s.count
-    end
-
-  let enqueue (s : t) (x : int) (y : int) : unit = enqueue_idx s ((y * s.width) + x)
-
-  (** Next ready PE index, or -1 when the ring is empty. *)
-  let pop (s : t) : int =
-    if s.count = 0 then -1
-    else begin
-      let i = s.ring.(s.head) in
-      let h = s.head + 1 in
-      s.head <- (if h >= Array.length s.ring then 0 else h);
-      s.count <- s.count - 1;
-      clear_mem_idx s i;
-      i
-    end
-
-  let park (s : t) (k : key) (idx : int) : unit =
-    s.stats.parks <- s.stats.parks + 1;
-    let cur = Option.value (Hashtbl.find_opt s.waiters k) ~default:[] in
-    Hashtbl.replace s.waiters k (idx :: cur)
-
-  (** A send landed: wake every PE parked on its key; returns the woken
-      PE indices (the stored wake list itself — no fresh allocation — so
-      the caller can trace the wakeups). *)
-  let notify (s : t) (k : key) : int list =
-    match Hashtbl.find_opt s.waiters k with
-    | None -> []
-    | Some idxs ->
-        Hashtbl.remove s.waiters k;
-        List.iter
-          (fun i ->
-            s.stats.wakeups <- s.stats.wakeups + 1;
-            enqueue_idx s i)
-          idxs;
-        idxs
 end
 
 (** {1 Simulator} *)
@@ -638,7 +525,7 @@ type t = {
   z_halo : int;
   zfull : int;
   nz : int;
-  sched : Sched.t;
+  sched : Sched.stats;
   trace : Trace.sink;
       (** where the simulator reports spans and link transfers; with
           {!Trace.null} (the default) every site is a dead branch and
@@ -691,7 +578,6 @@ let new_pe (program : op) x y : pe =
     waiting = None;
     seq = Hashtbl.create 4;
     live_sends = 0;
-    held = false;
     stats =
       {
         compute_cycles = 0.0;
@@ -788,7 +674,15 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     z_halo = int_attr_exn program "z_halo";
     zfull = int_attr_exn program "zfull";
     nz = int_attr_exn program "nz";
-    sched = Sched.create ~width ~height;
+    sched =
+      {
+        scans = 0;
+        probes = 0;
+        wakeups = 0;
+        parks = 0;
+        max_queue_depth = 0;
+        peak_sends_live = 0;
+      };
     trace;
     faults;
     code;
@@ -812,12 +706,6 @@ let trace_span (sim : t) (pe : pe) ~(cat : string) ~(name : string) (t0 : float)
     Trace.span_begin sim.trace ~pid:Trace.fabric_pid ~tid ~cat ~name t0;
     Trace.span_end sim.trace ~pid:Trace.fabric_pid ~tid ~cat ~name t1
   end
-
-let trace_instant (sim : t) (pe : pe) ~(cat : string) ~(name : string)
-    (ts : float) : unit =
-  if Trace.enabled sim.trace then
-    Trace.instant sim.trace ~pid:Trace.fabric_pid ~tid:(tid_of sim pe) ~cat ~name
-      ts
 
 (** One chunk's journey over a link, as an async flow: begins on the
     sender's track when the chunk's injection completes, ends on the
@@ -846,8 +734,8 @@ let trace_link (sim : t) ~(src : pe) ~(dst : pe) ~(dir : Dmp.direction)
     {!Faults.enabled} branch so the {!Faults.null} injector (and any
     injector with all rates zero) leaves the simulation bit-identical to
     the seed simulator.  Decisions are pure hashes of the campaign seed
-    and the site's coordinates, never of execution order, so both
-    drivers agree on every fault (see {!Wsc_faults.Faults}). *)
+    and the site's coordinates, never of execution order, so every PE
+    visit order draws the same faults (see {!Wsc_faults.Faults}). *)
 
 let trace_fault (sim : t) (pe : pe) ~(name : string) (ts : float) : unit =
   if Trace.enabled sim.trace then
@@ -871,7 +759,8 @@ type delivery =
     lands or the receiver exhausts [max_retries] and gives up.  Returns
     the delivery time and the payload outcome.  All costs are charged
     receiver-side (the sender's router retransmits autonomously), so no
-    other PE's state is touched and driver bit-identity is preserved. *)
+    other PE's state is touched and results stay independent of the
+    order PEs are visited in. *)
 let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
     ~(input : int) ~(sx : int) ~(sy : int) ~(d : int) ~(col : float array)
     ~(off : int) ~(cs : int) (at : float) : float * delivery =
@@ -1147,9 +1036,9 @@ let receivers_of (sim : t) (peers : (int * int) array) (sx : int) (sy : int) : i
 
 (** File a record that has receivers, tracking the table's high-water
     mark. *)
-let store_send (sim : t) (key : Sched.key) (record : send_record) : unit =
+let store_send (sim : t) key (record : send_record) : unit =
   Hashtbl.replace sim.sends key record;
-  let st = sim.sched.Sched.stats in
+  let st = sim.sched in
   let live = Hashtbl.length sim.sends in
   if live > st.Sched.peak_sends_live then st.Sched.peak_sends_live <- live
 
@@ -1188,15 +1077,7 @@ let register_send (sim : t) (pe : pe) (c : comm) (seq : int) : unit =
   (* taint propagation: data computed from substituted or unrecoverable
      inputs invalidates every receiver that reduces this send *)
   if Faults.enabled sim.faults && Faults.is_tainted sim.faults ~x:pe.px ~y:pe.py
-  then Faults.taint_send sim.faults ~apply:c.apply_id ~seq ~x:pe.px ~y:pe.py;
-  (* wake any neighbour parked on this send *)
-  let woken = Sched.notify sim.sched key in
-  if Trace.enabled sim.trace then
-    List.iter
-      (fun idx ->
-        let wpe = sim.pes.(idx mod sim.width).(idx / sim.width) in
-        trace_instant sim wpe ~cat:"sched" ~name:"wake" wpe.clock)
-      woken
+  then Faults.taint_send sim.faults ~apply:c.apply_id ~seq ~x:pe.px ~y:pe.py
 
 (** Whether the sender at offset ([dx], [dy]) has made exchange [seq]
     available: a boundary column always is; a fabric neighbour once its
@@ -1234,11 +1115,7 @@ let release_sends (sim : t) (pe : pe) (w : waiting) : unit =
           if r.sr_pending = 0 then begin
             Hashtbl.remove sim.sends key;
             let spe = sim.pes.(sx).(sy) in
-            spe.live_sends <- spe.live_sends - 1;
-            if spe.held then begin
-              spe.held <- false;
-              Sched.enqueue sim.sched sx sy
-            end
+            spe.live_sends <- spe.live_sends - 1
           end
       | exception Not_found -> () (* a halted sender the run degraded past *)
     end
@@ -1515,10 +1392,9 @@ let missing_senders (sim : t) (pe : pe) (w : waiting) : (int * int) list =
     w.w_comm.peers []
 
 (** Quiescence sweep; probes finished flags until the first unfinished
-    PE, counting each probe — the polling driver pays this sweep every
-    round, the event-driven driver only at the very end. *)
+    PE, counting each probe; the driver pays this sweep every round. *)
 let all_done (sim : t) : bool =
-  let st = sim.sched.Sched.stats in
+  let st = sim.sched in
   let done_ = ref true in
   (try
      Array.iter
@@ -1609,41 +1485,35 @@ let deadlock_report (sim : t) : string =
   Buffer.contents buf
 
 (** Lift the live-record window for the rest of the run if the fabric
-    went quiescent with some PEs held at it, and re-enqueue them; returns whether any was held.  When every PE
-    performs every exchange this never fires: a held PE's oldest record
-    waits on a receiver strictly behind it, which is either runnable or
-    waits on a PE further behind still, so some PE can always progress.
-    It fires when a receiver halted or finished without consuming. *)
+    went quiescent with some PEs held at it; returns whether any was
+    held.  When every PE performs every exchange this never fires: a
+    held PE's oldest record waits on a receiver strictly behind it,
+    which is either runnable or waits on a PE further behind still, so
+    some PE can always progress.  It fires when a receiver halted or
+    finished without consuming. *)
 let lift_window (sim : t) : bool =
-  let held = ref false in
-  if sim.window then
-    Array.iter
-      (Array.iter (fun pe ->
-           if
-             (not pe.finished)
-             && pe.live_sends >= max_live_sends_per_pe
-             && not
-                  (Faults.enabled sim.faults
-                  && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)
-           then begin
-             held := true;
-             if pe.held then begin
-               pe.held <- false;
-               Sched.enqueue sim.sched pe.px pe.py
-             end
-           end))
-      sim.pes;
-  if !held then sim.window <- false;
-  !held
+  let held =
+    sim.window
+    && Array.exists
+         (Array.exists (fun pe ->
+              (not pe.finished)
+              && pe.live_sends >= max_live_sends_per_pe
+              && not
+                   (Faults.enabled sim.faults
+                   && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)))
+         sim.pes
+  in
+  if held then sim.window <- false;
+  held
 
 (** Graceful degradation past halted PEs, run when the fabric has gone
     quiescent without finishing: every live receiver blocked on a sender
     that is permanently halted gives up after the resilience layer's
     halt timeout — the pending send is marked skipped (receivers then
-    substitute zeroes and taint themselves at delivery) and any PE
-    parked on it is woken.  Returns whether anything new was marked; the
-    drivers alternate run / degrade rounds until either everything
-    finishes or degradation stops making progress (a true deadlock).
+    substitute zeroes and taint themselves at delivery).  Returns
+    whether anything new was marked; the driver alternates run /
+    degrade rounds until either everything finishes or degradation
+    stops making progress (a true deadlock).
     Without resilience (or with no injector) this is a no-op and the
     quiescent fabric is reported as deadlocked, as in the seed. *)
 let degrade (sim : t) : bool =
@@ -1676,25 +1546,36 @@ let degrade (sim : t) : bool =
                               st.recovery_cycles +. r.Faults.halt_timeout_cycles;
                             trace_fault sim pe ~name:"halt-timeout"
                               (w.w_registered_at +. r.Faults.halt_timeout_cycles);
-                            marked := true;
-                            ignore
-                              (Sched.notify sim.sched
-                                 (w.w_comm.apply_id, w.w_seq, sx, sy))
+                            marked := true
                           end)
                         (missing_senders sim pe w))
               col)
           sim.pes;
         !marked
 
-(** {2 Drivers} *)
+(** {2 Driver} *)
 
-type driver = Polling | Event_driven
+(** The PEs in the order the driver visits them: column-major, or a
+    Fisher–Yates permutation of it drawn from [seed]. *)
+let visit_order ?seed (sim : t) : pe array =
+  let order = Array.concat (Array.to_list sim.pes) in
+  Option.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      for i = Array.length order - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let pe = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- pe
+      done)
+    seed;
+  order
 
-(** The seed driver: rescan every PE of the grid each round until no PE
-    makes progress.  Kept as the reference the scheduler-equivalence
-    tests and the [sched] microbenchmark compare against; the
-    event-driven driver below is the default. *)
-let run_polling ~(max_rounds : int) (sim : t) : unit =
+(** Step every PE of [order] each round until no PE makes progress.  A
+    PE's behaviour depends only on its own state and on the contents of
+    send records, which are immutable once registered, so the order
+    changes how often PEs are visited, never what they compute. *)
+let run_polling ~(max_rounds : int) ~(order : pe array) (sim : t) : unit =
   let rounds = ref 0 in
   let rec drive () =
     let any = ref true in
@@ -1703,13 +1584,10 @@ let run_polling ~(max_rounds : int) (sim : t) : unit =
       if !rounds > max_rounds then fail "simulation did not converge";
       any := false;
       Array.iter
-        (fun col ->
-          Array.iter
-            (fun pe ->
-              sim.sched.Sched.stats.scans <- sim.sched.Sched.stats.scans + 1;
-              if step_pe sim pe then any := true)
-            col)
-        sim.pes
+        (fun pe ->
+          sim.sched.scans <- sim.sched.scans + 1;
+          if step_pe sim pe then any := true)
+        order
     done;
     if not (all_done sim) then
       (* quiescent but unfinished: release held PEs or degrade past
@@ -1719,86 +1597,19 @@ let run_polling ~(max_rounds : int) (sim : t) : unit =
   in
   drive ()
 
-(** Event-driven driver: pop runnable PEs off the ready ring until it
-    drains; a PE that blocks on an exchange parks on the wake list of
-    its first missing sender and is re-enqueued by that sender's
-    [register_send] (see {!Sched}).  Execution order differs from the
-    polling driver but per-PE results are identical: a PE's behaviour
-    depends only on its own state and on the contents of send records,
-    which are immutable once registered. *)
-let run_event ~(max_rounds : int) (sim : t) : unit =
-  let s = sim.sched in
-  let width = sim.width in
-  (* same divergence guard as the polling driver, which allows up to
-     [max_rounds] whole-grid rescans: the first scan beyond that fails *)
-  let budget = ref (max_rounds * width * sim.height) in
-  let rec drain () =
-    let idx = Sched.pop s in
-    if idx >= 0 then begin
-      if !budget = 0 then fail "simulation did not converge";
-      decr budget;
-      let x = idx mod width and y = idx / width in
-      let pe = sim.pes.(x).(y) in
-      s.Sched.stats.scans <- s.Sched.stats.scans + 1;
-      ignore (step_pe sim pe);
-      let halted =
-        Faults.enabled sim.faults && Faults.is_halted sim.faults ~x ~y
-      in
-      if (not pe.finished) && not halted then begin
-        if at_window sim pe then begin
-          (* re-enqueued by [release_sends] when a record frees *)
-          trace_instant sim pe ~cat:"sched" ~name:"hold" pe.clock;
-          s.Sched.stats.holds <- s.Sched.stats.holds + 1;
-          pe.held <- true
-        end
-        else begin
-          match pe.waiting with
-          | Some w -> (
-              match missing_senders sim pe w with
-              | (sx, sy) :: _ ->
-                  trace_instant sim pe ~cat:"sched" ~name:"park" pe.clock;
-                  Sched.park s (w.w_comm.apply_id, w.w_seq, sx, sy) idx
-              | [] ->
-                  (* all senders landed between the readiness check and
-                     here; cannot normally happen, but never strand it *)
-                  Sched.enqueue s x y)
-          | None ->
-              (* no pending exchange: runnable iff tasks remain (step_pe
-                 drains them, so this is defensive); otherwise the PE is
-                 terminally idle and is diagnosed at the end *)
-              if not (Task_queue.is_empty pe.task_queue) then Sched.enqueue s x y
-        end
-      end;
-      drain ()
-    end
-  in
-  Array.iter (Array.iter (fun pe -> Sched.enqueue s pe.px pe.py)) sim.pes;
-  let rec drive () =
-    drain ();
-    if not (all_done sim) then
-      (* the queue drained but PEs are still blocked: release held PEs
-         or degrade past any halted senders (which wakes their parked
-         receivers) and rerun *)
-      if lift_window sim || degrade sim then drive ()
-      else raise (Sim_error (deadlock_report sim))
-  in
-  drive ()
-
-(** Short name for reports and JSON summaries. *)
-let driver_name = function Polling -> "polling" | Event_driven -> "event"
+(** What JSON summaries report under ["driver"]. *)
+let driver = "polling"
 
 (** Drive until every PE unblocks the command stream. *)
-let run_to_completion ?max_rounds ?(driver = Event_driven) (sim : t) : unit =
+let run_to_completion ?max_rounds ?visit_seed (sim : t) : unit =
   let max_rounds =
     match max_rounds with Some r -> r | None -> sim.machine.sim_max_rounds
   in
   launch sim;
-  match driver with
-  | Polling -> run_polling ~max_rounds sim
-  | Event_driven -> run_event ~max_rounds sim
+  run_polling ~max_rounds ~order:(visit_order ?seed:visit_seed sim) sim
 
 (** Scheduler counters of the last run. *)
-let sched_stats (sim : t) : Sched.stats = Sched.stats sim.sched
+let sched_stats (sim : t) : Sched.stats = sim.sched
 
 (** Per-PE validity mask, indexed [x][y]: false where the PE halted or
     consumed substituted / unrecoverable data (directly or transitively

@@ -20,45 +20,25 @@ type pe_stats = {
 
 (** First field in which two per-PE stat records differ, with both
     values (e.g. ["elems_sent: 128 <> 130"]); [None] when equal.  The
-    cross-driver bit-identity assertions in the benchmark harness and
-    the tests share this, so every mismatch names the culprit field. *)
+    bit-identity assertions in the benchmark harness and the tests
+    share this, so every mismatch names the culprit field. *)
 val stats_diff : pe_stats -> pe_stats -> string option
 
 (** [stats_diff a b = None]. *)
 val stats_equal : pe_stats -> pe_stats -> bool
 
-(** Event-driven scheduler: a ready queue of runnable PEs plus per-send
-    wake lists, so a PE blocked on a neighbour exchange is woken exactly
-    when the matching send registers instead of being re-polled every
-    round.  The ready queue is a flat int ring buffer of PE indices
-    [y * width + x] — no box per element, nothing allocated on the
-    enqueue/pop hot path — and membership is a flat [Bytes.t] bitset
-    over the same index, so nothing hashes a coordinate pair per step.
-    Counters feed the [sched] microbenchmark. *)
+(** Scheduler counters. *)
 module Sched : sig
-  (** A pending send: (apply_id, seq, sender x, sender y). *)
-  type key = int * int * int * int
-
   type stats = {
     mutable scans : int;  (** PE visits by the driver ([step_pe] calls) *)
     mutable probes : int;  (** finished-flag probes by quiescence sweeps *)
-    mutable wakeups : int;  (** parked PEs re-enqueued by a landing send *)
-    mutable parks : int;  (** times a PE was parked on a wake list *)
-    mutable max_queue_depth : int;  (** ready-queue high-water mark *)
+    mutable wakeups : int;  (** always 0 *)
+    mutable parks : int;  (** always 0 *)
+    mutable max_queue_depth : int;  (** always 0 *)
     mutable peak_sends_live : int;
         (** send-table high-water mark: records registered and not yet
             consumed by all their receivers *)
-    mutable holds : int;
-        (** times the event driver held a PE at the live-record window *)
   }
-
-  type t
-
-  (** A scheduler for a [width] x [height] grid (the dimensions size the
-      membership bitset). *)
-  val create : width:int -> height:int -> t
-
-  val stats : t -> stats
 end
 
 type pe = {
@@ -76,8 +56,6 @@ type pe = {
   mutable seq : (int, int) Hashtbl.t;
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
-  mutable held : bool;
-      (** parked by the event driver at the live-record window *)
 }
 
 and task_queue
@@ -95,7 +73,7 @@ type t = {
   z_halo : int;
   zfull : int;
   nz : int;
-  sched : Sched.t;
+  sched : Sched.stats;
   trace : Wsc_trace.Trace.sink;
       (** where the simulator reports spans and link transfers; with
           {!Wsc_trace.Trace.null} every emission site is a dead branch
@@ -147,8 +125,8 @@ val max_reference_point_ops : int
 
 (** Instantiate the PE grid for a program module.  [trace] (default
     {!Wsc_trace.Trace.null}) receives per-PE spans (compute, send,
-    parked-on-exchange, drain), scheduler wake/park instants and
-    per-link transfer flows as the simulation runs.  [faults] (default
+    parked-on-exchange, drain) and per-link transfer flows as the
+    simulation runs.  [faults] (default
     {!Wsc_faults.Faults.null}) injects the configured fault schedule
     into task dispatch and link delivery, and — when its config enables
     resilience — drives the detection & recovery protocol of the
@@ -182,32 +160,25 @@ val queue_task : pe -> at:float -> string -> unit
     first, ties in insertion order. *)
 val queued_tasks : pe -> (float * string) list
 
-(** How {!run_to_completion} drives the grid: [Event_driven] (the
-    default, and the one production path) is the ready-queue/wake-list
-    scheduler; [Polling] is the seed driver (rescan every PE each
-    round), kept as the reference the equivalence tests and the [sched]
-    microbenchmark compare against.  Elapsed cycles, per-PE statistics,
-    drained fields and fault reports are bit-identical across both — a
-    PE's behaviour depends only on its own state and on the immutable
-    contents of send records. *)
-type driver = Polling | Event_driven
+(** ["polling"]: what JSON summaries report under ["driver"]. *)
+val driver : string
 
-(** ["polling"] or ["event"], for reports and JSON summaries. *)
-val driver_name : driver -> string
-
-(** Start the program on every PE and drive the dependency-directed
-    scheduler until every PE has unblocked the command stream.
-    [max_rounds] defaults to the machine's [sim_max_rounds]: both
-    drivers fail on the first PE scan beyond [max_rounds] x width x
-    height, the polling driver's [max_rounds] whole-grid rescans.
-    @raise Sim_error on divergence, or on deadlock with a report of
+(** Start the program on every PE and step every PE, round after round,
+    until every PE has unblocked the command stream.  A round visits
+    the PEs in column-major order; [visit_seed] (tests only) makes it a
+    seeded permutation of them instead.  Elapsed cycles, per-PE
+    statistics, drained fields and fault reports do not depend on the
+    order: a PE's behaviour depends only on its own state and on the
+    immutable contents of send records.  [max_rounds] defaults to the
+    machine's [sim_max_rounds].
+    @raise Sim_error on divergence (the first PE scan beyond
+    [max_rounds] x width x height), or on deadlock with a report of
     which PEs are blocked, on which (apply_id, seq) exchange, and which
     neighbour never sent. *)
-val run_to_completion : ?max_rounds:int -> ?driver:driver -> t -> unit
+val run_to_completion : ?max_rounds:int -> ?visit_seed:int -> t -> unit
 
-(** Scheduler counters of the last run (scans, wakeups, parks, holds,
-    queue depth, peak live send records); the polling driver advances
-    only [scans], [probes] and [peak_sends_live]. *)
+(** Scheduler counters of the last run: PE scans, quiescence probes and
+    peak live send records. *)
 val sched_stats : t -> Sched.stats
 
 (** Per-PE validity mask, indexed [x][y]: false where the PE halted or

@@ -75,11 +75,11 @@ let load ?(trace = Trace.null) ?(faults = Wsc_faults.Faults.null)
   { sim; program; init_grids; result_ptrs }
 
 (** Run the device program to completion. *)
-let run ?driver (h : t) : unit =
+let run (h : t) : unit =
   let trace = h.sim.Fabric.trace in
   if Trace.enabled trace then
     Trace.span_begin trace ~pid:Trace.host_pid ~tid:0 ~cat:"host" ~name:"run" 0.0;
-  Fabric.run_to_completion ?driver h.sim;
+  Fabric.run_to_completion h.sim;
   if Trace.enabled trace then
     Trace.span_end trace ~pid:Trace.host_pid ~tid:0 ~cat:"host" ~name:"run"
       (Fabric.elapsed_cycles h.sim)
@@ -145,11 +145,11 @@ let fault_report (h : t) : string option =
 
 (** Simulate a compiled program on freshly initialized grids; returns the
     host handle after completion. *)
-let simulate ?driver ?trace ?faults (machine : Machine.t) (compiled : op)
+let simulate ?trace ?faults (machine : Machine.t) (compiled : op)
     (init_grids : I.grid list) : t =
   let _, program = Wsc_core.Pipeline.modules_of compiled in
   let h = load ?trace ?faults machine program init_grids in
-  run ?driver h;
+  run h;
   let tr = h.sim.Fabric.trace in
   if Trace.enabled tr then
     Trace.instant tr ~pid:Trace.host_pid ~tid:0 ~cat:"host" ~name:"readback"

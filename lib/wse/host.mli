@@ -23,9 +23,8 @@ val load :
   Machine.t -> Wsc_ir.Ir.op -> Wsc_dialects.Interp.grid list -> t
 
 (** Run the device program to completion (host calls the exported
-    [run]); [driver] selects the fabric scheduler (default
-    event-driven). *)
-val run : ?driver:Fabric.driver -> t -> unit
+    [run]). *)
+val run : t -> unit
 
 (** Read state grid [j] back: interior columns from the PEs through the
     final pointer assignment, halo columns unchanged. *)
@@ -47,7 +46,6 @@ val fault_report : t -> string option
 (** [simulate machine compiled grids] — extract the program module from a
     compiled result, load, and run to completion. *)
 val simulate :
-  ?driver:Fabric.driver ->
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
   Machine.t -> Wsc_ir.Ir.op -> Wsc_dialects.Interp.grid list -> t

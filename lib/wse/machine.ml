@@ -31,9 +31,8 @@ type t = {
   call_cycles : int;  (** function call overhead *)
   flops_per_pe_per_cycle : float;  (** peak: one f32 FMA per cycle *)
   sim_max_rounds : int;
-      (** simulator divergence guard: max whole-grid scan rounds (or the
-          per-PE-scan equivalent for the event-driven driver) before the
-          run is declared non-converging *)
+      (** simulator divergence guard: max whole-grid scan rounds before
+          the run is declared non-converging *)
 }
 
 let wse2 : t =

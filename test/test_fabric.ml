@@ -1,7 +1,8 @@
 (* Tests for the staged fabric: bit-identity of every drained field,
-   per-PE statistic and elapsed cycle count against digests recorded
-   from the unstaged fabric it replaced, also with two simulations on
-   two domains at once; and decoding errors raised by Fabric.create. *)
+   per-PE statistic and elapsed cycle count against recorded digests,
+   in production PE visit order and in a seeded permuted one, also with
+   two simulations on two domains at once; and decoding errors raised
+   by Fabric.create. *)
 
 module P = Wsc_frontends.Stencil_program
 module B = Wsc_benchmarks.Benchmarks
@@ -12,11 +13,14 @@ module Fabric = Wsc_wse.Fabric
 module Host = Wsc_wse.Host
 
 (* MD5 over the elapsed cycles, every per-PE statistic (column-major)
-   and every element of every drained field, floats by bit pattern *)
-let run_digest (machine : Machine.t) (p : P.t) : string =
-  let compiled = Core.Pipeline.compile (P.compile p) in
-  let h = Host.simulate machine compiled (P.init_grids p) in
+   and every element of every drained field, floats by bit pattern, of a
+   run in production order or, with [visit_seed], in a seeded
+   permutation of it *)
+let run_digest ?visit_seed (machine : Machine.t) (p : P.t) : string =
+  let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
+  let h = Host.load machine program (P.init_grids p) in
   let sim = h.Host.sim in
+  Fabric.run_to_completion ?visit_seed sim;
   let b = Buffer.create 65536 in
   let fl x = Buffer.add_int64_le b (Int64.bits_of_float x) in
   let it i = Buffer.add_int64_le b (Int64.of_int i) in
@@ -42,36 +46,49 @@ let machine_of = function "wse2" -> Machine.wse2 | _ -> Machine.wse3
 (* digests                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Recorded from the unstaged fabric, three timesteps on an n x n PE
-   proxy (full z): (benchmark, machine, n, digest). *)
+(* (benchmark, machine, size, timesteps, digest), recorded under the
+   event-driven scheduler the fabric used to have (the proxy rows, full
+   z, also before the fabric was staged).  That scheduler visited PEs in
+   an order unlike both orders checked here, so every row pins results
+   across visit orders. *)
 let digests =
   [
-    ("jacobian", "wse3", 4, "6501bb436ff43e2680224c8fbf0451b0");
-    ("diffusion", "wse3", 4, "f659f20fd6adfd36d81c20acf2f71d5e");
-    ("acoustic", "wse3", 4, "c45151ca218ca31061d8e92314a5d4ce");
-    ("seismic", "wse3", 4, "4ba40ba553f2a687747cbe78ecac7f1e");
-    ("uvkbe", "wse3", 4, "b8f2ac8c4854415e6426981bd2f1f069");
-    ("jacobian", "wse2", 4, "374b884c0616388296565da0b9e4d571");
-    ("seismic", "wse2", 4, "9f63c3f82bef0ed9433cb3833ca91169");
-    ("jacobian", "wse3", 8, "6299583f6063e7bf98a538002045c3b9");
-    ("diffusion", "wse3", 8, "4edf6a3f0644b78628977d824e8cc53a");
-    ("acoustic", "wse3", 8, "3c139af4b18a8f45de88faa768738977");
-    ("seismic", "wse3", 8, "eb52c536c533eeb8633252273042c0ba");
-    ("uvkbe", "wse3", 8, "4c4304e8ff637bc7275c3fe8d9f5bf20");
-    ("jacobian", "wse2", 8, "e135dc40d063c3468f5f1b11a545e241");
-    ("seismic", "wse2", 8, "85980725b1496370919b0caf65c92fd3");
+    ("jacobian", "wse3", B.Proxy (4, 4), 3, "6501bb436ff43e2680224c8fbf0451b0");
+    ("diffusion", "wse3", B.Proxy (4, 4), 3, "f659f20fd6adfd36d81c20acf2f71d5e");
+    ("acoustic", "wse3", B.Proxy (4, 4), 3, "c45151ca218ca31061d8e92314a5d4ce");
+    ("seismic", "wse3", B.Proxy (4, 4), 3, "4ba40ba553f2a687747cbe78ecac7f1e");
+    ("uvkbe", "wse3", B.Proxy (4, 4), 3, "b8f2ac8c4854415e6426981bd2f1f069");
+    ("jacobian", "wse2", B.Proxy (4, 4), 3, "374b884c0616388296565da0b9e4d571");
+    ("seismic", "wse2", B.Proxy (4, 4), 3, "9f63c3f82bef0ed9433cb3833ca91169");
+    ("jacobian", "wse3", B.Proxy (8, 8), 3, "6299583f6063e7bf98a538002045c3b9");
+    ("diffusion", "wse3", B.Proxy (8, 8), 3, "4edf6a3f0644b78628977d824e8cc53a");
+    ("acoustic", "wse3", B.Proxy (8, 8), 3, "3c139af4b18a8f45de88faa768738977");
+    ("seismic", "wse3", B.Proxy (8, 8), 3, "eb52c536c533eeb8633252273042c0ba");
+    ("uvkbe", "wse3", B.Proxy (8, 8), 3, "4c4304e8ff637bc7275c3fe8d9f5bf20");
+    ("jacobian", "wse2", B.Proxy (8, 8), 3, "e135dc40d063c3468f5f1b11a545e241");
+    ("seismic", "wse2", B.Proxy (8, 8), 3, "85980725b1496370919b0caf65c92fd3");
+    ("jacobian", "wse3", B.Small, 2, "7d1059b580ab2c8ee54c33234d60e1b3");
+    ("diffusion", "wse3", B.Small, 2, "dfc34be0c6f7329cfa6b1bcc4a4fc054");
+    ("acoustic", "wse3", B.Small, 2, "6778396e7c2b95c258d81346140aee56");
+    ("seismic", "wse3", B.Small, 2, "fc00cc2ba378993a9d1da76cab9514d8");
+    ("uvkbe", "wse3", B.Small, 2, "ddc8a0ff216718c31ac9c31edf18c265");
   ]
 
-let bench_program id n = (B.find id).B.make_n (B.Proxy (n, n)) 3
+let bench_program id size steps = (B.find id).B.make_n size steps
 
+let check_digest ?visit_seed (id, m, size, steps, want) =
+  Alcotest.(check string)
+    (Printf.sprintf "%s %s %s" id m (B.size_to_string size))
+    want
+    (run_digest ?visit_seed (machine_of m) (bench_program id size steps))
+
+(* the proxy rows in production order; the Small rows run only in the
+   permuted order below, which keeps the suite's time down *)
 let test_digests () =
-  List.iter
-    (fun (id, m, n, want) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s %s %dx%d" id m n n)
-        want
-        (run_digest (machine_of m) (bench_program id n)))
-    digests
+  List.iter check_digest (List.filter (fun (_, _, size, _, _) -> size <> B.Small) digests)
+
+(* every row in one seeded permutation of the PE visit order *)
+let test_digests_permuted () = List.iter (check_digest ~visit_seed:7) digests
 
 (* ------------------------------------------------------------------ *)
 (* concurrency                                                         *)
@@ -81,15 +98,20 @@ let test_digests () =
    orders; each result must equal its sequential digest, so nothing a
    staged program holds is shared between simulations. *)
 let test_two_domains () =
-  let cases = List.filter (fun (_, m, n, _) -> m = "wse3" && n = 4) digests in
+  let cases =
+    List.filter (fun (_, m, size, _, _) -> m = "wse3" && size = B.Proxy (4, 4)) digests
+  in
   let run cases =
-    List.map (fun (id, m, n, _) -> run_digest (machine_of m) (bench_program id n)) cases
+    List.map
+      (fun (id, m, size, steps, _) ->
+        run_digest (machine_of m) (bench_program id size steps))
+      cases
   in
   let other = Domain.spawn (fun () -> run (List.rev cases)) in
   let mine = run cases in
   let theirs = List.rev (Domain.join other) in
   List.iter2
-    (fun (id, _, _, want) (a, b) ->
+    (fun (id, _, _, _, want) (a, b) ->
       Alcotest.(check string) (id ^ " on the main domain") want a;
       Alcotest.(check string) (id ^ " on the spawned domain") want b)
     cases (List.combine mine theirs)
@@ -168,6 +190,8 @@ let () =
       ( "staged",
         [
           Alcotest.test_case "digests" `Quick test_digests;
+          Alcotest.test_case "digests in a permuted visit order" `Quick
+            test_digests_permuted;
           Alcotest.test_case "two domains" `Quick test_two_domains;
           Alcotest.test_case "decode errors at create" `Quick test_decode_errors;
         ] );

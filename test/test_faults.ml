@@ -1,6 +1,6 @@
 (* Tests for the fault-injection & resilience layer: a compiled-in but
    quiet injector must leave the simulation bit-identical to an
-   uninstrumented run under both drivers; campaigns must replay
+   uninstrumented run; campaigns must replay
    byte-for-byte from their seed; and the recovery protocol must bring a
    faulted run back to the reference answer while charging measurable
    recovery cycles. *)
@@ -24,11 +24,11 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-(* one run of [p] under [driver] with the given injector; everything the
-   bit-identity comparison needs *)
-let run_once ?faults driver (p : P.t) =
+(* one run of [p] with the given injector; everything the bit-identity
+   comparison needs *)
+let run_once ?faults (p : P.t) =
   let compiled = Core.Pipeline.compile (P.compile p) in
-  let h = Host.simulate ?faults ~driver Machine.wse3 compiled (P.init_grids p) in
+  let h = Host.simulate ?faults Machine.wse3 compiled (P.init_grids p) in
   (Fabric.elapsed_cycles h.sim, Fabric.total_stats h.sim, Host.read_all h)
 
 let assert_identical name (c1, s1, o1) (c2, s2, o2) =
@@ -45,43 +45,30 @@ let assert_identical name (c1, s1, o1) (c2, s2, o2) =
 
 let test_null_injector_bit_identical () =
   let p = (B.find "jacobian").make B.Tiny in
-  List.iter
-    (fun driver ->
-      let bare = run_once driver p in
-      let nulled = run_once ~faults:Faults.null driver p in
-      assert_identical "Null injector" bare nulled)
-    [ Fabric.Polling; Fabric.Event_driven ]
+  assert_identical "Null injector" (run_once p) (run_once ~faults:Faults.null p)
 
 (* the qcheck property of the satellite: for ANY seed, a rate-0.0
-   injector (resilience on) is bit-identical to the uninstrumented run
-   under both drivers *)
+   injector (resilience on) is bit-identical to the uninstrumented run *)
 let prop_rate0_bit_identical =
   QCheck.Test.make ~name:"rate-0.0 injector bit-identical for any seed"
     ~count:8 QCheck.small_nat (fun seed ->
       let p = (B.find "diffusion").make B.Tiny in
-      List.for_all
-        (fun driver ->
-          let bare = run_once driver p in
-          let injector =
-            Faults.create (Faults.config_for Faults.Drop ~rate:0.0 ~seed ~resilient:true)
-          in
-          let c1, s1, o1 = bare and c2, s2, o2 = run_once ~faults:injector driver p in
-          let maxd =
-            List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff o1 o2)
-          in
-          c1 = c2 && s1 = s2 && maxd = 0.0
-          && (Faults.stats injector).drops = 0
-          && (Faults.stats injector).retries = 0)
-        [ Fabric.Polling; Fabric.Event_driven ])
+      let injector =
+        Faults.create (Faults.config_for Faults.Drop ~rate:0.0 ~seed ~resilient:true)
+      in
+      let c1, s1, o1 = run_once p and c2, s2, o2 = run_once ~faults:injector p in
+      let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff o1 o2) in
+      c1 = c2 && s1 = s2 && maxd = 0.0
+      && (Faults.stats injector).drops = 0
+      && (Faults.stats injector).retries = 0)
 
 (* ------------------------------------------------------------------ *)
 (* campaign determinism                                                *)
 (* ------------------------------------------------------------------ *)
 
-let small_campaign ?(driver = Fabric.Event_driven) ?(resilient = true)
-    ?(kinds = [ Faults.Drop; Faults.Halt ]) ?(rates = [ 0.05 ])
-    ?(seeds = [ 1; 2 ]) () =
-  Campaign.run ~driver ~kinds ~bench:"jacobian" ~size:B.Tiny ~resilient ~rates
+let small_campaign ?(resilient = true) ?(kinds = [ Faults.Drop; Faults.Halt ])
+    ?(rates = [ 0.05 ]) ?(seeds = [ 1; 2 ]) () =
+  Campaign.run ~kinds ~bench:"jacobian" ~size:B.Tiny ~resilient ~rates
     ~seeds ()
 
 let test_campaign_replay_identical () =
@@ -89,17 +76,6 @@ let test_campaign_replay_identical () =
   let r2 = small_campaign () in
   check "replayed report byte-identical" true
     (Campaign.to_string r1 = Campaign.to_string r2)
-
-let test_campaign_drivers_agree () =
-  let strip_header s =
-    match String.index_opt s '\n' with
-    | Some i -> String.sub s (i + 1) (String.length s - i - 1)
-    | None -> s
-  in
-  let re = small_campaign ~driver:Fabric.Event_driven () in
-  let rp = small_campaign ~driver:Fabric.Polling () in
-  check "same cells under both drivers" true
-    (strip_header (Campaign.to_string re) = strip_header (Campaign.to_string rp))
 
 (* ------------------------------------------------------------------ *)
 (* the recovery protocol actually recovers                             *)
@@ -233,14 +209,12 @@ let () =
   Alcotest.run "faults"
     [
       ( "bit-identity",
-        Alcotest.test_case "Null injector, both drivers" `Quick
-          test_null_injector_bit_identical
+        Alcotest.test_case "Null injector" `Quick test_null_injector_bit_identical
         :: List.map QCheck_alcotest.to_alcotest [ prop_rate0_bit_identical ] );
       ( "campaign",
         [
           Alcotest.test_case "replay byte-identical" `Quick
             test_campaign_replay_identical;
-          Alcotest.test_case "drivers agree" `Quick test_campaign_drivers_agree;
         ] );
       ( "recovery",
         [

@@ -213,7 +213,8 @@ let test_task_activations_positive () =
   check "memory traffic" true (stats.mem_bytes > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* scheduler: driver equivalence, deadlock diagnostics, task order     *)
+(* scheduler: visit-order independence, deadlock diagnostics, task     *)
+(* order                                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* per-PE statistics of a finished run, column-major *)
@@ -228,12 +229,24 @@ let per_pe_stats (sim : Fabric.t) =
    whatever the iteration count. *)
 let live_bound (sim : Fabric.t) = Fabric.max_live_sends_per_pe * sim.width * sim.height
 
-(* run one program under a given driver: (cycles, per-PE stats, fields),
-   peak live send records, records left at the end, and the bound; the
-   host handle stays local so the PE grid is collectable between runs *)
-let run_with_driver ?(machine = Machine.wse3) driver (p : P.t) =
+(* seed of the permuted PE visit order the order checks compare
+   production order against *)
+let visit_seed = 7
+
+(* load [p] and run it to completion, in production order or, with
+   [visit_seed], in a seeded permutation of it *)
+let run_in_order ?(machine = Machine.wse3) ?faults ?visit_seed (p : P.t) : Host.t =
   let compiled = Core.Pipeline.compile (P.compile p) in
-  let h = Host.simulate ~driver machine compiled (P.init_grids p) in
+  let _, program = Core.Pipeline.modules_of compiled in
+  let h = Host.load ?faults machine program (P.init_grids p) in
+  Fabric.run_to_completion ?visit_seed h.Host.sim;
+  h
+
+(* one run of [p]: (cycles, per-PE stats, fields), peak live send
+   records, records left at the end, and the bound; the host handle
+   stays local so the PE grid is collectable between runs *)
+let run_summary ?machine ?visit_seed (p : P.t) =
+  let h = run_in_order ?machine ?visit_seed p in
   let sim = h.Host.sim in
   ( (Fabric.elapsed_cycles sim, per_pe_stats sim, Host.read_all h),
     (Fabric.sched_stats sim).peak_sends_live,
@@ -251,45 +264,38 @@ let assert_same_run name (c1, s1, o1) (c2, s2, o2) =
   let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff o1 o2) in
   check (name ^ ": outputs bit-identical") true (maxd = 0.0)
 
-(* every driver: the production event driver and the polling reference *)
-let all_drivers = [ Fabric.Polling; Fabric.Event_driven ]
-
 let check_bound name (peak, left, bound) =
   if peak > bound then Alcotest.failf "%s: peak %d live records > %d" name peak bound;
   if left <> 0 then Alcotest.failf "%s: %d records never freed" name left
 
-(* run [p] under every driver: each must match the event driver bit for
-   bit, keep the send table within the bound and leave it empty; returns
-   the event driver's peak live records *)
-let assert_drivers_agree ?machine name (p : P.t) : int =
-  let runs = List.map (fun d -> (d, run_with_driver ?machine d p)) all_drivers in
-  let reference, peak, _, _ = List.assoc Fabric.Event_driven runs in
-  List.iter
-    (fun (driver, (run, peak, left, bound)) ->
-      let name = name ^ " [" ^ Fabric.driver_name driver ^ "]" in
-      assert_same_run name reference run;
-      check_bound name (peak, left, bound))
-    runs;
+(* run [p] in production order and in the permuted order [seed]: the
+   permuted run must match bit for bit, and both keep the send table
+   within the bound and leave it empty.  The peak itself depends on the
+   order, so it is bounded, not compared; returns the production
+   order's *)
+let assert_order_independent ?machine ?(seed = visit_seed) name (p : P.t) : int =
+  let reference, peak, left, bound = run_summary ?machine p in
+  check_bound name (peak, left, bound);
+  let run, peak', left', bound' = run_summary ?machine ~visit_seed:seed p in
+  let name' = Printf.sprintf "%s [visit seed %d]" name seed in
+  assert_same_run name' reference run;
+  check_bound name' (peak', left', bound');
   peak
 
-let test_driver_equivalence_tiny () =
-  List.iter
-    (fun (d : B.descr) -> ignore (assert_drivers_agree (d.id ^ " tiny") (d.make B.Tiny)))
-    B.all
-
-let test_driver_equivalence_small () =
+(* the driver's results are equivalent across PE visit orders *)
+let test_visit_order_tiny () =
   List.iter
     (fun (d : B.descr) ->
-      ignore (assert_drivers_agree (d.id ^ " small") (d.make_n B.Small 2)))
+      ignore (assert_order_independent (d.id ^ " tiny") (d.make B.Tiny)))
     B.all
 
-(* qcheck: for any fuzzer-generated program, both drivers produce
-   bit-identical cycles, stats and outputs *)
-let prop_drivers_agree_on_fuzzed =
-  QCheck.Test.make ~name:"drivers agree on fuzzer-generated programs"
+(* qcheck: for any fuzzer-generated program, a permuted visit order
+   produces bit-identical cycles, stats and outputs *)
+let prop_order_independent_on_fuzzed =
+  QCheck.Test.make ~name:"order-independent on fuzzed programs"
     ~count:12 QCheck.small_nat (fun index ->
       let p = Wsc_harden.Fuzz.generate ~seed:23 ~index in
-      ignore (assert_drivers_agree (Wsc_harden.Fuzz.describe p) p);
+      ignore (assert_order_independent ~seed:index (Wsc_harden.Fuzz.describe p) p);
       true)
 
 let contains hay needle =
@@ -301,22 +307,18 @@ let test_deadlock_diagnostic () =
   let p = (B.find "jacobian").make B.Tiny in
   let compiled = Core.Pipeline.compile (P.compile p) in
   let _, program = Core.Pipeline.modules_of compiled in
-  List.iter
-    (fun driver ->
-      let h = Host.load Machine.wse3 program (P.init_grids p) in
-      (* silence PE(1,0): convince its iteration counter it has already
-         run every timestep, so it unblocks immediately and never sends;
-         its neighbours then starve waiting on the first exchange *)
-      Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := 1000;
-      match Fabric.run_to_completion ~driver h.Host.sim with
-      | () -> Alcotest.fail "expected a deadlock"
-      | exception Fabric.Sim_error msg ->
-          check "report names the condition" true (contains msg "deadlock");
-          check "report names the exchange" true
-            (contains msg "blocked on exchange (apply_id=");
-          check "report names the silent sender" true
-            (contains msg "missing sender PE(1,0)"))
-    all_drivers
+  let h = Host.load Machine.wse3 program (P.init_grids p) in
+  (* silence PE(1,0): convince its iteration counter it has already run
+     every timestep, so it unblocks immediately and never sends; its
+     neighbours then starve waiting on the first exchange *)
+  Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := 1000;
+  match Fabric.run_to_completion h.Host.sim with
+  | () -> Alcotest.fail "expected a deadlock"
+  | exception Fabric.Sim_error msg ->
+      check "report names the condition" true (contains msg "deadlock");
+      check "report names the exchange" true
+        (contains msg "blocked on exchange (apply_id=");
+      check "report names the silent sender" true (contains msg "missing sender PE(1,0)")
 
 (* the byte-estimate guard refuses a grid within the PE limit whose
    program memory plus send-table bound exceeds the byte limit, before
@@ -352,32 +354,28 @@ let test_deadlock_after_frees () =
   let p = (B.find "jacobian").make_n B.Tiny n in
   let compiled = Core.Pipeline.compile (P.compile p) in
   let _, program = Core.Pipeline.modules_of compiled in
-  List.iter
-    (fun driver ->
-      let name = Fabric.driver_name driver in
-      let h = Host.load Machine.wse3 program (P.init_grids p) in
-      Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := n - 2;
-      match Fabric.run_to_completion ~driver h.Host.sim with
-      | () -> Alcotest.failf "%s: expected a deadlock" name
-      | exception Fabric.Sim_error msg ->
-          (* PE(1,0)'s three grid neighbours consumed exchanges 0 and 1
-             and wait on exchange 2, which only PE(1,0) never sent *)
-          List.iter
-            (fun (x, y) ->
-              let line =
-                Printf.sprintf
-                  "PE(%d,%d) blocked on exchange (apply_id=0, seq=2): missing \
-                   sender PE(1,0)\n"
-                  x y
-              in
-              if not (contains msg line) then
-                Alcotest.failf "%s: report lacks %S:\n%s" name line msg)
-            [ (0, 0); (2, 0); (1, 1) ];
-          (* nothing is reported blocked on the exchanges whose
-             records were consumed and freed *)
-          check (name ^ ": freed exchanges are not reported") true
-            (not (contains msg "seq=0") && not (contains msg "seq=1")))
-    all_drivers
+  let h = Host.load Machine.wse3 program (P.init_grids p) in
+  Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := n - 2;
+  match Fabric.run_to_completion h.Host.sim with
+  | () -> Alcotest.fail "expected a deadlock"
+  | exception Fabric.Sim_error msg ->
+      (* PE(1,0)'s three grid neighbours consumed exchanges 0 and 1 and
+         wait on exchange 2, which only PE(1,0) never sent *)
+      List.iter
+        (fun (x, y) ->
+          let line =
+            Printf.sprintf
+              "PE(%d,%d) blocked on exchange (apply_id=0, seq=2): missing sender \
+               PE(1,0)\n"
+              x y
+          in
+          if not (contains msg line) then
+            Alcotest.failf "report lacks %S:\n%s" line msg)
+        [ (0, 0); (2, 0); (1, 1) ];
+      (* nothing is reported blocked on the exchanges whose records were
+         consumed and freed *)
+      check "freed exchanges are not reported" true
+        (not (contains msg "seq=0") && not (contains msg "seq=1"))
 
 let test_peak_live_bounded () =
   List.iter
@@ -385,15 +383,14 @@ let test_peak_live_bounded () =
       List.iter
         (fun (d : B.descr) ->
           let peak_of n =
-            assert_drivers_agree ~machine
+            assert_order_independent ~machine
               (Printf.sprintf "%s %s n=%d" machine.Machine.name d.id n)
               (d.make_n (B.Proxy (8, 8)) n)
           in
           let p8 = peak_of 8 and p32 = peak_of 32 in
           (* a table that never frees gains one record per PE per
              iteration, 24 x 64 more from n=8 to n=32; the peak may move
-             by less than one iteration's worth (it settles within the
-             first dozen exchanges) *)
+             by less than one iteration's worth *)
           if p32 - p8 >= 64 then
             Alcotest.failf "%s %s: peak grew from %d (n=8) to %d (n=32)"
               machine.Machine.name d.id p8 p32)
@@ -401,7 +398,8 @@ let test_peak_live_bounded () =
     [ Machine.wse3; Machine.wse2 ]
 
 (* qcheck: on fuzzer-generated programs, however many iterations run,
-   the send table stays within the per-PE bound and is empty at the end *)
+   the send table stays within the per-PE bound and is empty at the end,
+   in production and in a permuted visit order *)
 let prop_live_sends_bounded =
   QCheck.Test.make ~name:"live send records bounded on fuzzed programs"
     ~count:12
@@ -409,29 +407,31 @@ let prop_live_sends_bounded =
     (fun (index, iterations) ->
       let p = { (Wsc_harden.Fuzz.generate ~seed:29 ~index) with P.iterations } in
       List.iter
-        (fun driver ->
-          let _, peak, left, bound = run_with_driver driver p in
+        (fun visit_seed ->
+          let _, peak, left, bound = run_summary ?visit_seed p in
           if peak > bound || left <> 0 then
-            QCheck.Test.fail_reportf "%s n=%d [%s]: peak %d (bound %d), %d left"
-              (Wsc_harden.Fuzz.describe p) iterations (Fabric.driver_name driver) peak
-              bound left)
-        all_drivers;
+            QCheck.Test.fail_reportf "%s n=%d%s: peak %d (bound %d), %d left"
+              (Wsc_harden.Fuzz.describe p) iterations
+              (match visit_seed with
+              | None -> ""
+              | Some s -> Printf.sprintf " [visit seed %d]" s)
+              peak bound left)
+        [ None; Some visit_seed ];
       true)
 
 (* a halted PE never consumes: with resilience its neighbours degrade
    past it, and records only it would have read stay in the table until
-   the end of the run.  The run must still replay bit-identically, under
-   every driver *)
+   the end of the run.  The run must still replay bit-identically, in
+   production order and in a permuted one *)
 let test_halt_replay_with_freeing () =
   let module Faults = Wsc_faults.Faults in
   let p = (B.find "jacobian").make B.Tiny in
-  let compiled = Core.Pipeline.compile (P.compile p) in
   List.iter
     (fun seed ->
       let cfg = Faults.config_for Faults.Halt ~rate:0.05 ~seed ~resilient:true in
-      let run driver =
+      let run visit_seed =
         let faults = Faults.create cfg in
-        let h = Host.simulate ~driver ~faults Machine.wse3 compiled (P.init_grids p) in
+        let h = run_in_order ~faults ?visit_seed p in
         let st = Faults.stats faults in
         ( (Fabric.elapsed_cycles h.sim, per_pe_stats h.sim, Host.read_all h),
           (Host.fault_report h, Host.validity h),
@@ -439,29 +439,32 @@ let test_halt_replay_with_freeing () =
           Hashtbl.length h.sim.sends )
       in
       let tag = Printf.sprintf "halt seed %d" seed in
-      let re, fe, ke, left = run Fabric.Event_driven in
+      let re, fe, ke, left = run None in
       check (tag ^ ": the run degraded past a halted PE") true (snd ke > 0);
       check (tag ^ ": records only halted PEs would read are kept") true (left > 0);
-      (* a second run replays the first exactly, and so do the others *)
+      (* a second run replays the first exactly, and so does a permuted
+         one *)
       List.iter
-        (fun driver ->
-          let name = tag ^ " [" ^ Fabric.driver_name driver ^ "]" in
-          let r, f, k, _ = run driver in
+        (fun visit_seed ->
+          let name =
+            match visit_seed with
+            | None -> tag ^ " [replay]"
+            | Some s -> Printf.sprintf "%s [visit seed %d]" tag s
+          in
+          let r, f, k, _ = run visit_seed in
           assert_same_run name re r;
           check (name ^ ": fault report and validity identical") true (f = fe);
           check (name ^ ": halt counters identical") true (k = ke))
-        all_drivers)
+        [ None; Some visit_seed ])
     [ 1; 4 ]
 
-(* a fault campaign cell must replay bit-identically under the polling
-   driver: same injection decisions, same integer recovery bookkeeping,
+(* a fault campaign cell must replay bit-identically in a permuted visit
+   order: same injection decisions, same integer recovery bookkeeping,
    same validity mask, same fault report.  (Only [recovery_cycles] — a
-   float summed over PEs in driver-visit order — is exempt from the
-   cross-driver contract.) *)
+   float summed over PEs in visit order — is exempt.) *)
 let test_fault_replay () =
   let module Faults = Wsc_faults.Faults in
   let p = (B.find "jacobian").make_n B.Tiny 3 in
-  let compiled = Core.Pipeline.compile (P.compile p) in
   let cfg =
     {
       Faults.default_config with
@@ -471,9 +474,9 @@ let test_fault_replay () =
       resilience = Some Faults.default_resilience;
     }
   in
-  let run driver =
+  let run visit_seed =
     let faults = Faults.create cfg in
-    let h = Host.simulate ~driver ~faults Machine.wse3 compiled (P.init_grids p) in
+    let h = run_in_order ~faults ?visit_seed p in
     let st = Faults.stats faults in
     ( Fabric.elapsed_cycles h.sim,
       Fabric.total_stats h.sim,
@@ -489,31 +492,27 @@ let test_fault_replay () =
         st.Faults.giveups,
         st.Faults.halt_timeouts ) )
   in
-  let ce, se, oe, re, ve, ke = run Fabric.Event_driven in
+  let ce, se, oe, re, ve, ke = run None in
   check "faults actually fired" true (let d, c, _, _, _, _, _, _ = ke in d + c > 0);
-  List.iter
-    (fun driver ->
-      let name = "faults [" ^ Fabric.driver_name driver ^ "]" in
-      let c, s, o, r, v, k = run driver in
-      check (name ^ ": elapsed cycles") true (c = ce);
-      (match Fabric.stats_diff se s with
-      | None -> ()
-      | Some msg -> Alcotest.failf "%s: pe_stats differ: %s" name msg);
-      let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff oe o) in
-      check (name ^ ": outputs bit-identical") true (maxd = 0.0);
-      check (name ^ ": fault report identical") true (r = re);
-      check (name ^ ": validity mask identical") true (v = ve);
-      check (name ^ ": fault counters identical") true (k = ke))
-    all_drivers
+  let name = Printf.sprintf "faults [visit seed %d]" visit_seed in
+  let c, s, o, r, v, k = run (Some visit_seed) in
+  check (name ^ ": elapsed cycles") true (c = ce);
+  (match Fabric.stats_diff se s with
+  | None -> ()
+  | Some msg -> Alcotest.failf "%s: pe_stats differ: %s" name msg);
+  let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff oe o) in
+  check (name ^ ": outputs bit-identical") true (maxd = 0.0);
+  check (name ^ ": fault report identical") true (r = re);
+  check (name ^ ": validity mask identical") true (v = ve);
+  check (name ^ ": fault counters identical") true (k = ke)
 
-(* qcheck: when a run exceeds its scan budget, both drivers fail with
-   the same divergence error on the first PE scan beyond [max_rounds]
-   whole-grid rescans — exactly [max_rounds * width * height] scans, not
-   rounded up to a batch — for max_rounds 1 to 3, whatever the iteration
-   count *)
+(* qcheck: when a run exceeds its scan budget, it fails with the
+   divergence error on the first PE scan beyond [max_rounds] whole-grid
+   rescans — exactly [max_rounds * width * height] scans — for
+   max_rounds 1 to 3, whatever the iteration count *)
 let prop_budget_trips_identically =
   let module T = QCheck in
-  T.Test.make ~name:"shared scan budget trips identically across drivers"
+  T.Test.make ~name:"shared scan budget trips identically"
     ~count:3
     (T.make ~print:string_of_int (T.Gen.int_range 8 32))
     (fun iterations ->
@@ -521,25 +520,19 @@ let prop_budget_trips_identically =
       let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
       List.iter
         (fun max_rounds ->
-          List.iter
-            (fun driver ->
-              let h = Host.load Machine.wse3 program (P.init_grids p) in
-              let sim = h.Host.sim in
-              let name =
-                Printf.sprintf "n=%d max_rounds=%d [%s]" iterations max_rounds
-                  (Fabric.driver_name driver)
-              in
-              match Fabric.run_to_completion ~max_rounds ~driver sim with
-              | () -> T.Test.fail_reportf "%s: expected the budget to trip" name
-              | exception Fabric.Sim_error msg ->
-                  if msg <> "simulation did not converge" then
-                    T.Test.fail_reportf "%s: unexpected error: %s" name msg;
-                  let scans = (Fabric.sched_stats sim).scans in
-                  let budget = max_rounds * sim.width * sim.height in
-                  if scans <> budget then
-                    T.Test.fail_reportf "%s: tripped after %d scans, budget %d" name
-                      scans budget)
-            all_drivers)
+          let h = Host.load Machine.wse3 program (P.init_grids p) in
+          let sim = h.Host.sim in
+          let name = Printf.sprintf "n=%d max_rounds=%d" iterations max_rounds in
+          match Fabric.run_to_completion ~max_rounds sim with
+          | () -> T.Test.fail_reportf "%s: expected the budget to trip" name
+          | exception Fabric.Sim_error msg ->
+              if msg <> "simulation did not converge" then
+                T.Test.fail_reportf "%s: unexpected error: %s" name msg;
+              let scans = (Fabric.sched_stats sim).scans in
+              let budget = max_rounds * sim.width * sim.height in
+              if scans <> budget then
+                T.Test.fail_reportf "%s: tripped after %d scans, budget %d" name scans
+                  budget)
         [ 1; 2; 3 ];
       true)
 
@@ -653,10 +646,7 @@ let () =
           Alcotest.test_case "stats positive" `Quick test_task_activations_positive;
         ] );
       ( "scheduler",
-        Alcotest.test_case "driver equivalence (tiny)" `Quick
-          test_driver_equivalence_tiny
-        :: Alcotest.test_case "driver equivalence (small)" `Slow
-             test_driver_equivalence_small
+        Alcotest.test_case "driver equivalence (tiny)" `Quick test_visit_order_tiny
         :: Alcotest.test_case "deadlock diagnostic" `Quick test_deadlock_diagnostic
         :: Alcotest.test_case "deadlock after freed exchanges" `Quick
              test_deadlock_after_frees
@@ -664,14 +654,15 @@ let () =
              test_peak_live_bounded
         :: Alcotest.test_case "halted-PE replay with record freeing" `Quick
              test_halt_replay_with_freeing
-        :: Alcotest.test_case "fault replay across drivers" `Quick test_fault_replay
+        :: Alcotest.test_case "fault replay across visit orders" `Quick
+             test_fault_replay
         :: Alcotest.test_case "earliest activation first" `Quick
              test_task_order_earliest_first
         :: Alcotest.test_case "equal activations in insertion order" `Quick
              test_task_order_ties
         :: List.map QCheck_alcotest.to_alcotest
              [
-               prop_drivers_agree_on_fuzzed;
+               prop_order_independent_on_fuzzed;
                prop_budget_trips_identically;
                prop_live_sends_bounded;
              ] );

@@ -1,7 +1,7 @@
 (* Tests for the trace subsystem: the hand-rolled JSON printer/parser,
    the Chrome Trace exporter's well-formedness (valid JSON, monotonic
    timestamps, matched span pairs, link flows), bit-identity of traced
-   vs untraced simulations under both fabric drivers, and the
+   vs untraced simulations, and the
    pass-remarks plumbing. *)
 
 module P = Wsc_frontends.Stencil_program
@@ -167,33 +167,27 @@ let prop_json_roundtrip =
       match J.of_string (J.to_string v) with Ok v' -> v = v' | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* bit-identity: tracing on vs off, both drivers                       *)
+(* bit-identity: tracing on vs off                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_tracing_bit_identical () =
   List.iter
     (fun (d : B.descr) ->
-      List.iter
-        (fun driver ->
-          let p = d.make B.Tiny in
-          let compiled, _ = compile_with_remarks p in
-          let h0 = Host.simulate ~driver Machine.wse2 compiled (P.init_grids p) in
-          let sink = T.collector () in
-          let h1 =
-            Host.simulate ~driver ~trace:sink Machine.wse2 compiled (P.init_grids p)
-          in
-          let name = d.id in
-          check (name ^ " cycles identical") true
-            (Fabric.elapsed_cycles h0.sim = Fabric.elapsed_cycles h1.sim);
-          check (name ^ " stats identical") true
-            (Fabric.stats_equal (Fabric.total_stats h0.sim)
-               (Fabric.total_stats h1.sim));
-          List.iter2
-            (fun g0 g1 ->
-              check (name ^ " outputs identical") true (I.max_abs_diff g0 g1 = 0.0))
-            (Host.read_all h0) (Host.read_all h1);
-          check (name ^ " collected something") true (T.event_count sink > 0))
-        [ Fabric.Polling; Fabric.Event_driven ])
+      let p = d.make B.Tiny in
+      let compiled, _ = compile_with_remarks p in
+      let h0 = Host.simulate Machine.wse2 compiled (P.init_grids p) in
+      let sink = T.collector () in
+      let h1 = Host.simulate ~trace:sink Machine.wse2 compiled (P.init_grids p) in
+      let name = d.id in
+      check (name ^ " cycles identical") true
+        (Fabric.elapsed_cycles h0.sim = Fabric.elapsed_cycles h1.sim);
+      check (name ^ " stats identical") true
+        (Fabric.stats_equal (Fabric.total_stats h0.sim) (Fabric.total_stats h1.sim));
+      List.iter2
+        (fun g0 g1 ->
+          check (name ^ " outputs identical") true (I.max_abs_diff g0 g1 = 0.0))
+        (Host.read_all h0) (Host.read_all h1);
+      check (name ^ " collected something") true (T.event_count sink > 0))
     B.all
 
 (* ------------------------------------------------------------------ *)
