@@ -550,47 +550,35 @@ let mwfaults () =
     (fun (d : B.descr) ->
       List.iter
         (fun (wx, wy) ->
-          let report =
-            MC.run ~engine ~machine ~bench:d.id ~size:B.Tiny ~wafers:(wx, wy)
-              ~kinds:[ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash ]
-              ~resilient:true ~rates:[ 0.1; 0.25 ] ~seeds:[ 1 ] ()
-          in
-          (* one loss cell per grid: permanent wafer loss must degrade
+          (* the loss cells come last: permanent wafer loss must degrade
              gracefully (report, not crash), so it carries no identity
              demand *)
-          let loss =
+          let report =
             MC.run ~engine ~machine ~bench:d.id ~size:B.Tiny ~wafers:(wx, wy)
-              ~kinds:[ Wf.Loss ] ~resilient:true ~rates:[ 0.1; 0.25 ] ~seeds:[ 1 ]
-              ()
+              ~kinds:[ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash; Wf.Loss ]
+              ~resilient:true ~rates:[ 0.1; 0.25 ] ~seeds:[ 1 ] ()
           in
-          let cell_row recovery_demanded (c : MC.cell) =
-            let broken =
-              recovery_demanded
-              && ((c.MC.completed && (not c.MC.degraded)
-                   && not c.MC.bit_identical)
-                  || c.MC.error <> None)
-            in
-            if broken then begin
-              incr mismatches;
-              Printf.printf "    RECOVERY NOT BIT-IDENTICAL: %s %s %s\n" d.id
+          List.iter
+            (fun (c : MC.cell) ->
+              if c.MC.kind <> Wf.Loss && MC.unrecovered report c then begin
+                incr mismatches;
+                Printf.printf "    RECOVERY NOT BIT-IDENTICAL: %s %s %s\n" d.id
+                  (Printf.sprintf "%dx%d" wx wy)
+                  (Wf.kind_to_string c.MC.kind)
+              end;
+              Printf.printf "%-10s %6s %-12s %4d %4d %4d %6d %5d %9.0f %9s\n"
+                d.id
                 (Printf.sprintf "%dx%d" wx wy)
                 (Wf.kind_to_string c.MC.kind)
-            end;
-            Printf.printf "%-10s %6s %-12s %4d %4d %4d %6d %5d %9.0f %9s\n"
-              d.id
-              (Printf.sprintf "%dx%d" wx wy)
-              (Wf.kind_to_string c.MC.kind)
-              c.MC.injected c.MC.detections c.MC.rollbacks
-              c.MC.replayed_epochs c.MC.checkpoints
-              (if Float.is_nan c.MC.overhead_cycles then 0.0
-               else c.MC.overhead_cycles)
-              (if c.MC.degraded then
-                 Printf.sprintf "degraded(%d)" c.MC.lost_wafers
-               else if c.MC.bit_identical then "yes"
-               else "NO")
-          in
-          List.iter (cell_row true) report.MC.cells;
-          List.iter (cell_row false) loss.MC.cells)
+                c.MC.injected c.MC.detections c.MC.rollbacks
+                c.MC.replayed_epochs c.MC.checkpoints
+                (if Float.is_nan c.MC.overhead_cycles then 0.0
+                 else c.MC.overhead_cycles)
+                (if c.MC.degraded then
+                   Printf.sprintf "degraded(%d)" c.MC.lost_wafers
+                 else if c.MC.bit_identical then "yes"
+                 else "NO"))
+            report.MC.cells)
         [ (2, 1); (2, 2) ])
     B.all;
   if !mismatches = 0 then

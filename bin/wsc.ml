@@ -33,15 +33,9 @@ let program_of ~bench ~input ~size ~iterations :
     (P.t option * Wsc_ir.Ir.op, [ `Msg of string ]) result =
   match (bench, input) with
   | Some id, None -> (
-      match B.find id with
+      match B.program ?iterations id size with
       | exception Invalid_argument msg -> Error (`Msg msg)
-      | d ->
-          let p =
-            match iterations with
-            | Some n -> d.make_n size n
-            | None -> d.make size
-          in
-          Ok (Some p, P.compile p))
+      | p -> Ok (Some p, P.compile p))
   | None, Some file -> Ok (None, Wsc_ir.Parser.parse_file file)
   | Some _, Some _ ->
       Error (`Msg "give only one of --bench NAME or an input FILE, not both")
@@ -204,8 +198,7 @@ let simulate_cmd =
         let out = timed "readback" (fun () -> Wsc_wse.Host.read_all h) in
         let ref_grids = timed "reference" (fun () -> P.run_reference p) in
         let maxd =
-          timed "compare" (fun () ->
-              List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids out))
+          timed "compare" (fun () -> I.max_abs_diff_list ref_grids out)
         in
         let matched = P.within_tolerance maxd in
         let phases = List.rev !phases in
@@ -351,24 +344,26 @@ let trace_cmd =
 module Faults = Wsc_faults.Faults
 module Campaign = Wsc_faults_campaign.Campaign
 
-let kind_conv =
+(* a cmdliner converter over the fault models [kinds], named by [to_string] *)
+let kind_conv ~noun (kinds : 'k list) (to_string : 'k -> string) : 'k Arg.conv
+    =
   let parse s =
-    match
-      List.find_opt (fun k -> Faults.kind_to_string k = s) Faults.all_kinds
-    with
+    match List.find_opt (fun k -> to_string k = s) kinds with
     | Some k -> Ok k
     | None ->
         Error
           (`Msg
-            (Printf.sprintf "unknown fault kind '%s': accepted kinds are %s" s
-               (String.concat ", " (List.map Faults.kind_to_string Faults.all_kinds))))
+            (Printf.sprintf "unknown %s '%s': accepted kinds are %s" noun s
+               (String.concat ", " (List.map to_string kinds))))
   in
-  Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (Faults.kind_to_string k))
+  Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (to_string k))
 
 let kinds_arg =
   Arg.(
     value
-    & opt (list kind_conv) Faults.all_kinds
+    & opt
+        (list (kind_conv ~noun:"fault kind" Faults.all_kinds Faults.kind_to_string))
+        Faults.all_kinds
     & info [ "k"; "kinds" ] ~docv:"KINDS"
         ~doc:
           "Comma-separated fault models to sweep: drop, corrupt, stall, halt, \
@@ -425,14 +420,8 @@ let faults_cmd =
                 ~bench:id ~size ~resilient:(not no_resilience) ~rates ~seeds ()
             in
             print_string (Campaign.to_string report);
-            (match json_out with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                Wsc_trace.Json.to_channel oc (Campaign.to_json report);
-                output_char oc '\n';
-                close_out oc;
-                Printf.printf "wrote %s\n" path);
+            Option.iter (fun path -> write_json path (Campaign.to_json report))
+              json_out;
             (match (trace_out, sink) with
             | Some path, Some sink ->
                 Wsc_trace.Chrome.write_file ~path sink;
@@ -1118,27 +1107,14 @@ let mw_faults_arg =
            spikes — with checkpoint/rollback recovery unless \
            $(b,--no-resilience).")
 
-let wafer_kind_conv =
-  let module Wf = Wsc_faults.Faults.Wafer in
-  let parse s =
-    match
-      List.find_opt (fun k -> Wf.kind_to_string k = s) Wf.all_kinds
-    with
-    | Some k -> Ok k
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown wafer fault kind '%s': accepted kinds are %s" s
-               (String.concat ", " (List.map Wf.kind_to_string Wf.all_kinds))))
-  in
-  Arg.conv
-    (parse, fun fmt k -> Format.pp_print_string fmt (Wf.kind_to_string k))
-
 let wafer_kinds_arg =
   Arg.(
     value
-    & opt (list wafer_kind_conv) Wsc_faults.Faults.Wafer.all_kinds
+    & opt
+        (list
+           (kind_conv ~noun:"wafer fault kind" Faults.Wafer.all_kinds
+              Faults.Wafer.kind_to_string))
+        Faults.Wafer.all_kinds
     & info [ "wafer-kinds" ] ~docv:"KINDS"
         ~doc:
           "Comma-separated wafer fault models to sweep: halo-drop, \
@@ -1167,29 +1143,6 @@ let multiwafer_cmd =
   let module D = Wsc_multiwafer.Decompose in
   let module IC = Wsc_multiwafer.Interconnect in
   let module J = Wsc_trace.Json in
-  let run_campaign ~bench:id ~size ~iterations ~machine ~wafers ~kinds ~rates
-      ~seeds ~resilient ~cadence ~max_retries ~json_out =
-    let resilience =
-      { Wf.checkpoint_cadence = cadence; max_retries }
-    in
-    let report =
-      MC.run ~machine ?iterations ~kinds ~resilience ~bench:id ~size ~wafers
-        ~resilient ~rates ~seeds ()
-    in
-    print_string (MC.to_string report);
-    (match json_out with
-    | None -> ()
-    | Some path -> write_json path (MC.to_json report));
-    (* recovery must be exact: with the protocol on, any completed,
-       non-degraded cell that is not bit-identical is a bug *)
-    let broken (c : MC.cell) =
-      resilient
-      && ((c.MC.completed && (not c.MC.degraded) && not c.MC.bit_identical)
-          || c.MC.error <> None)
-    in
-    if List.exists broken report.MC.cells then exit 1;
-    Ok ()
-  in
   let run bench size iterations machine wafers latency bandwidth no_check
       json_out faults_mode wafer_kinds rates seeds no_resilience cadence
       max_retries =
@@ -1201,15 +1154,20 @@ let multiwafer_cmd =
           | exception Invalid_argument msg -> Error (`Msg msg)
           | _ -> Ok id)
     in
-    if faults_mode then
-      run_campaign ~bench:id ~size ~iterations ~machine ~wafers
-        ~kinds:wafer_kinds ~rates ~seeds ~resilient:(not no_resilience)
-        ~cadence ~max_retries ~json_out
+    if faults_mode then begin
+      let report =
+        MC.run ~machine ?iterations ~kinds:wafer_kinds
+          ~resilience:{ Wf.checkpoint_cadence = cadence; max_retries }
+          ~bench:id ~size ~wafers ~resilient:(not no_resilience) ~rates ~seeds
+          ()
+      in
+      print_string (MC.to_string report);
+      Option.iter (fun path -> write_json path (MC.to_json report)) json_out;
+      if List.exists (MC.unrecovered report) report.MC.cells then exit 1;
+      Ok ()
+    end
     else begin
-    let p =
-      let d = B.find id in
-      match iterations with Some n -> d.make_n size n | None -> d.make size
-    in
+    let p = B.program ?iterations id size in
     let interconnect =
       { IC.latency_s = latency; bandwidth_bytes_per_s = bandwidth }
     in

@@ -290,3 +290,7 @@ let find id =
   match List.find_opt (fun d -> d.id = id) all with
   | Some d -> d
   | None -> invalid_arg ("unknown benchmark: " ^ id)
+
+let program ?iterations id size =
+  let d = find id in
+  match iterations with Some n -> d.make_n size n | None -> d.make size

@@ -40,3 +40,7 @@ val all : descr list
 
 (** @raise Invalid_argument for unknown ids. *)
 val find : string -> descr
+
+(** Benchmark [id] at [size], over [iterations] timesteps when given.
+    @raise Invalid_argument for unknown ids. *)
+val program : ?iterations:int -> string -> size -> P.t

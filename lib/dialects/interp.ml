@@ -695,3 +695,6 @@ let max_abs_diff (a : grid) (b : grid) : float =
     Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.gdata.(i)))) a.gdata;
     !m
   end
+
+let max_abs_diff_list (a : grid list) (b : grid list) : float =
+  List.fold_left Float.max 0.0 (List.map2 max_abs_diff a b)

@@ -102,3 +102,7 @@ val init_grid : grid -> unit
 
 (** Point-wise maximum |difference|; infinite on size mismatch. *)
 val max_abs_diff : grid -> grid -> float
+
+(** {!max_abs_diff} over paired grid lists (0 for none); a 3-D scalar
+    grid and its 2-D z-column tensor form compare by flattened data. *)
+val max_abs_diff_list : grid list -> grid list -> float

@@ -33,22 +33,9 @@ type cell = {
   error : string option;
 }
 
-type report = {
-  bench : string;
-  machine : string;
-  size : string;
-  iterations : int;
-  resilient : bool;
-  baseline_cycles : float;
-  cells : cell list;
-}
+type report = { header : Sweep.header; cells : cell list }
 
-let survival_rate (r : report) : float =
-  match r.cells with
-  | [] -> 1.0
-  | cs ->
-      float_of_int (List.length (List.filter (fun c -> c.survived) cs))
-      /. float_of_int (List.length cs)
+let survived (r : report) = List.map (fun c -> c.survived) r.cells
 
 (** Max |difference| vs the reference over the PEs the validity mask
     accepts; halted or tainted PEs hold substituted data by design and
@@ -78,10 +65,7 @@ let run ?(machine = Machine.wse3) ?iterations
     ?(kinds = Faults.all_kinds) ?trace ~(bench : string)
     ~(size : B.size) ~(resilient : bool) ~(rates : float list)
     ~(seeds : int list) () : report =
-  let d = B.find bench in
-  let p =
-    match iterations with Some n -> d.B.make_n size n | None -> d.B.make size
-  in
+  let p = B.program ?iterations bench size in
   let compiled =
     Wsc_core.Pipeline.compile ~options:Wsc_core.Pipeline.default_options
       (P.compile p)
@@ -96,10 +80,8 @@ let run ?(machine = Machine.wse3) ?iterations
     let cfg = Faults.config_for kind ~rate ~seed ~resilient in
     let faults = Faults.create cfg in
     let outcome =
-      match Host.simulate ?trace ~faults machine compiled (P.init_grids p) with
-      | h -> Ok h
-      | exception Fabric.Sim_error msg -> Error msg
-      | exception Host.Host_error msg -> Error msg
+      Sweep.attempt (fun () ->
+          Host.simulate ?trace ~faults machine compiled (P.init_grids p))
     in
     let st = Faults.stats faults in
     let injected =
@@ -151,48 +133,27 @@ let run ?(machine = Machine.wse3) ?iterations
           overhead_cycles = elapsed -. baseline;
         }
   in
-  let cells =
-    List.concat_map
-      (fun kind ->
-        List.concat_map
-          (fun rate -> List.map (fun seed -> run_cell kind rate seed) seeds)
-          rates)
-      kinds
-  in
   {
-    bench;
-    machine = machine.Machine.name;
-    size = B.size_to_string size;
-    iterations = p.P.iterations;
-    resilient;
-    baseline_cycles = baseline;
-    cells;
+    header = Sweep.header ~bench ~machine ~size p ~resilient baseline;
+    cells = Sweep.cells kinds rates seeds run_cell;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Fixed formats throughout so a replayed campaign renders the same
-    bytes. *)
-let div_to_string (d : float) : string =
-  if Float.is_nan d then "-" else Printf.sprintf "%.3e" d
-
 let to_string (r : report) : string =
   let buf = Buffer.create 1024 in
+  let h = r.header in
   Buffer.add_string buf
     (Printf.sprintf
        "fault campaign: %s on %s (%s, %d iterations, %s driver, resilience \
         %s)\n"
-       r.bench r.machine r.size r.iterations Fabric.driver
-       (if r.resilient then "on" else "off"));
+       h.bench h.machine h.size h.iterations Fabric.driver
+       (if h.resilient then "on" else "off"));
   Buffer.add_string buf
-    (Printf.sprintf "fault-free baseline: %.0f cycles\n" r.baseline_cycles);
-  Buffer.add_string buf
-    (Printf.sprintf "survival: %d/%d cells (%.0f%%)\n"
-       (List.length (List.filter (fun c -> c.survived) r.cells))
-       (List.length r.cells)
-       (100.0 *. survival_rate r));
+    (Printf.sprintf "fault-free baseline: %.0f cycles\n" h.baseline_cycles);
+  Buffer.add_string buf (Sweep.survival_line (survived r));
   Buffer.add_string buf
     "kind          rate    seed  ok  injected  retries  giveups  degraded  \
      valid      overhead   recovery  divergence\n";
@@ -207,7 +168,7 @@ let to_string (r : report) : string =
            c.injected c.retries c.giveups c.halt_timeouts c.valid_pes
            c.total_pes
            (if Float.is_nan c.overhead_cycles then 0.0 else c.overhead_cycles)
-           c.recovery_cycles (div_to_string c.divergence)
+           c.recovery_cycles (Sweep.div_to_string c.divergence)
            (match c.error with None -> "" | Some e -> "  ! " ^ e)))
     r.cells;
   Buffer.contents buf
@@ -234,20 +195,7 @@ let cell_to_json (c : cell) : Json.t =
         match c.error with None -> Json.Null | Some e -> Json.String e );
     ]
 
-(** Shared [--json] envelope (see {!Wsc_trace.Json.summary}): campaign
-    parameters and campaign-level aggregates under ["config"], one cell
-    per entry of ["results"]. *)
 let to_json (r : report) : Json.t =
-  Json.summary ~tool:"faults"
-    ~config:
-      [
-        ("bench", Json.String r.bench);
-        ("machine", Json.String r.machine);
-        ("size", Json.String r.size);
-        ("iterations", Json.Int r.iterations);
-        ("driver", Json.String Fabric.driver);
-        ("resilient", Json.Bool r.resilient);
-        ("baseline_cycles", Json.Float r.baseline_cycles);
-        ("survival_rate", Json.Float (survival_rate r));
-      ]
-    ~results:(List.map cell_to_json r.cells)
+  Sweep.to_json ~tool:"faults" r.header ~placement:[] ~recovery:[]
+    ~survived:(survived r)
+    (List.map cell_to_json r.cells)

@@ -6,7 +6,8 @@
 
     Every cell is fully deterministic in its (model, rate, seed)
     coordinates — rerunning a campaign reproduces its report
-    byte-for-byte (see {!Faults}). *)
+    byte-for-byte (see {!Faults}).  {!Sweep} holds what this sweep shares
+    with the wafer-level campaign. *)
 
 module Faults = Wsc_faults.Faults
 
@@ -35,17 +36,9 @@ type cell = {
 }
 
 type report = {
-  bench : string;
-  machine : string;
-  size : string;
-  iterations : int;
-  resilient : bool;
-  baseline_cycles : float;  (** fault-free elapsed cycles *)
+  header : Sweep.header;  (** [baseline_cycles]: fault-free elapsed cycles *)
   cells : cell list;  (** in sweep order: kind, then rate, then seed *)
 }
-
-(** Fraction of cells that survived, in [0, 1]. *)
-val survival_rate : report -> float
 
 (** Run the sweep.  [trace] (optional) receives the events of every
     cell's simulation on one shared timeline — fault, retry and halt

@@ -105,15 +105,6 @@ let run_stage ~(last : (string * string) ref) (passes : Pass.t list)
   Pass.run_pipeline ~options passes m
 
 (* ------------------------------------------------------------------ *)
-(* the check                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(** Max |difference| across all state grids (the reference grids are 3-D
-    scalar, the others 2-D tensor with the identical flattened layout). *)
-let max_diff (refs : I.grid list) (outs : I.grid list) : float =
-  List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff refs outs)
-
-(* ------------------------------------------------------------------ *)
 (* the multi-wafer tier                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -132,7 +123,10 @@ let multiwafer_tier ~(machine : Wsc_wse.Machine.t)
       Some (Crash { stage = "multiwafer-" ^ name; msg = Printexc.to_string e })
   | r ->
       if MW.grids_bit_identical outs r.MW.grids then None
-      else Some (Multiwafer { wafers = name; diff = max_diff outs r.MW.grids })
+      else
+        Some
+          (Multiwafer
+             { wafers = name; diff = I.max_abs_diff_list outs r.MW.grids })
 
 (** The wafer grids worth fuzzing: the degenerate 1×1 (the decomposition
     round-trips through the engine but nothing is sliced) and 2×1 when
@@ -185,7 +179,7 @@ let mwfaults_tier ~(machine : Wsc_wse.Machine.t)
                        {
                          kind = kname;
                          wafers = "2x1";
-                         diff = max_diff outs r.MW.grids;
+                         diff = I.max_abs_diff_list outs r.MW.grids;
                        })))
       None
       [ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash ]
@@ -227,7 +221,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
                   fail ~ir_before:(Printer.op_to_string m1)
                     (Crash { stage = "interp"; msg = Printexc.to_string e })
               | _ -> (
-                  let diff = max_diff refs grids in
+                  let diff = I.max_abs_diff_list refs grids in
                   if not (P.within_tolerance diff) then
                     fail ~ir_before:(Printer.op_to_string m1)
                       (Mismatch { tier = "interp"; diff })
@@ -248,7 +242,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
                             fail ~ir_before:(Printer.op_to_string m2)
                               (Crash { stage = "fabric"; msg = Printexc.to_string e })
                         | outs ->
-                            let diff = max_diff refs outs in
+                            let diff = I.max_abs_diff_list refs outs in
                             if not (P.within_tolerance diff) then
                               fail ~ir_before:(Printer.op_to_string m2)
                                 (Mismatch { tier = "fabric"; diff })

@@ -6,8 +6,8 @@
     a whole sweep compiles each slice shape exactly once. *)
 
 module Wf = Wsc_faults.Faults.Wafer
+module Sweep = Wsc_faults_campaign.Sweep
 module B = Wsc_benchmarks.Benchmarks
-module P = Wsc_frontends.Stencil_program
 module I = Wsc_dialects.Interp
 module Fabric = Wsc_wse.Fabric
 module Machine = Wsc_wse.Machine
@@ -38,47 +38,25 @@ type cell = {
 }
 
 type report = {
-  bench : string;
-  machine : string;
-  size : string;
-  iterations : int;
+  header : Sweep.header;
   wafers : int * int;
-  resilient : bool;
-  cadence : int;
-  max_retries : int;
-  baseline_cycles : float;
+  resilience : Wf.resilience;
   cells : cell list;
 }
 
-let survival_rate (r : report) : float =
-  match r.cells with
-  | [] -> 1.0
-  | cs ->
-      float_of_int (List.length (List.filter (fun c -> c.survived) cs))
-      /. float_of_int (List.length cs)
+let survived (r : report) = List.map (fun c -> c.survived) r.cells
 
-let max_abs_diff (a : I.grid list) (b : I.grid list) : float =
-  List.fold_left2
-    (fun acc (x : I.grid) (y : I.grid) ->
-      if Array.length x.I.gdata <> Array.length y.I.gdata then infinity
-      else begin
-        let d = ref acc in
-        Array.iteri
-          (fun i v -> d := Float.max !d (Float.abs (v -. y.I.gdata.(i))))
-          x.I.gdata;
-        !d
-      end)
-    0.0 a b
+let unrecovered (r : report) (c : cell) : bool =
+  r.header.Sweep.resilient
+  && ((c.completed && (not c.degraded) && not c.bit_identical)
+     || c.error <> None)
 
 let run ?engine ?(machine = Machine.wse3) ?iterations
     ?(kinds = Wf.all_kinds) ?(resilience = Wf.default_resilience)
     ~(bench : string) ~(size : B.size) ~(wafers : int * int)
     ~(resilient : bool) ~(rates : float list) ~(seeds : int list) () : report
     =
-  let d = B.find bench in
-  let p =
-    match iterations with Some n -> d.B.make_n size n | None -> d.B.make size
-  in
+  let p = B.program ?iterations bench size in
   let engine = match engine with Some e -> e | None -> Engine.create () in
   (* the bit-identity yardstick: the undecomposed single-wafer run *)
   let reference = Cosim.reference ~machine p in
@@ -90,10 +68,8 @@ let run ?engine ?(machine = Machine.wse3) ?iterations
     let cfg = { cfg with Wf.resilience = Option.map (fun _ -> resilience) cfg.Wf.resilience } in
     let faults = Wf.create cfg in
     let outcome =
-      match Cosim.run ~engine ~machine ~faults ~wafers p with
-      | r -> Ok r
-      | exception Cosim.Cosim_error msg -> Error msg
-      | exception Fabric.Sim_error msg -> Error msg
+      try Sweep.attempt (fun () -> Cosim.run ~engine ~machine ~faults ~wafers p)
+      with Cosim.Cosim_error msg -> Error msg
     in
     let st = Wf.stats faults in
     let injected =
@@ -139,7 +115,7 @@ let run ?engine ?(machine = Machine.wse3) ?iterations
           survived = identical && not rec_.Cosim.degraded;
           bit_identical = identical;
           degraded = rec_.Cosim.degraded;
-          divergence = max_abs_diff r.Cosim.grids reference;
+          divergence = I.max_abs_diff_list r.Cosim.grids reference;
           detections = rec_.Cosim.detections;
           rollbacks = rec_.Cosim.rollbacks;
           replayed_epochs = rec_.Cosim.replayed_epochs;
@@ -152,57 +128,35 @@ let run ?engine ?(machine = Machine.wse3) ?iterations
           overhead_cycles = r.Cosim.device_cycles -. baseline.Cosim.device_cycles;
         }
   in
-  let cells =
-    List.concat_map
-      (fun kind ->
-        List.concat_map
-          (fun rate -> List.map (fun seed -> run_cell kind rate seed) seeds)
-          rates)
-      kinds
-  in
-  let wx, wy = wafers in
   {
-    bench;
-    machine = machine.Machine.name;
-    size = B.size_to_string size;
-    iterations = p.P.iterations;
-    wafers = (wx, wy);
-    resilient;
-    cadence = resilience.Wf.checkpoint_cadence;
-    max_retries = resilience.Wf.max_retries;
-    baseline_cycles = baseline.Cosim.device_cycles;
-    cells;
+    header =
+      Sweep.header ~bench ~machine ~size p ~resilient
+        baseline.Cosim.device_cycles;
+    wafers;
+    resilience;
+    cells = Sweep.cells kinds rates seeds run_cell;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Fixed formats throughout so a replayed campaign renders the same
-    bytes. *)
-let div_to_string (d : float) : string =
-  if Float.is_nan d then "-" else Printf.sprintf "%.3e" d
-
 let to_string (r : report) : string =
   let buf = Buffer.create 1024 in
-  let wx, wy = r.wafers in
+  let h = r.header and wx, wy = r.wafers in
   Buffer.add_string buf
     (Printf.sprintf
        "wafer fault campaign: %s on %dx%d %s (%s, %d epochs, %s driver, \
         resilience %s)\n"
-       r.bench wx wy r.machine r.size r.iterations Fabric.driver
-       (if r.resilient then
-          Printf.sprintf "on: cadence %d, max retries %d" r.cadence
-            r.max_retries
+       h.bench wx wy h.machine h.size h.iterations Fabric.driver
+       (if h.resilient then
+          Printf.sprintf "on: cadence %d, max retries %d"
+            r.resilience.checkpoint_cadence r.resilience.max_retries
         else "off"));
   Buffer.add_string buf
     (Printf.sprintf "fault-free co-simulation: %.0f device cycles\n"
-       r.baseline_cycles);
-  Buffer.add_string buf
-    (Printf.sprintf "survival: %d/%d cells (%.0f%%)\n"
-       (List.length (List.filter (fun c -> c.survived) r.cells))
-       (List.length r.cells)
-       (100.0 *. survival_rate r));
+       h.baseline_cycles);
+  Buffer.add_string buf (Sweep.survival_line (survived r));
   Buffer.add_string buf
     "kind          rate    seed  ok  bits  inj  det  rbk  replay  spawn  \
      ckpt  lost  taint   overhead  divergence\n";
@@ -219,7 +173,7 @@ let to_string (r : report) : string =
            c.injected c.detections c.rollbacks c.replayed_epochs c.respawns
            c.checkpoints c.lost_wafers c.tainted_wafers
            (if Float.is_nan c.overhead_cycles then 0.0 else c.overhead_cycles)
-           (div_to_string c.divergence)
+           (Sweep.div_to_string c.divergence)
            (match c.error with None -> "" | Some e -> "  ! " ^ e)))
     r.cells;
   Buffer.contents buf
@@ -250,22 +204,14 @@ let cell_to_json (c : cell) : Json.t =
         match c.error with None -> Json.Null | Some e -> Json.String e );
     ]
 
-(** Shared [--json] envelope (see {!Wsc_trace.Json.summary}). *)
 let to_json (r : report) : Json.t =
   let wx, wy = r.wafers in
-  Json.summary ~tool:"mwfaults"
-    ~config:
+  Sweep.to_json ~tool:"mwfaults" r.header
+    ~placement:[ ("wafers", Json.String (Printf.sprintf "%dx%d" wx wy)) ]
+    ~recovery:
       [
-        ("bench", Json.String r.bench);
-        ("machine", Json.String r.machine);
-        ("size", Json.String r.size);
-        ("iterations", Json.Int r.iterations);
-        ("wafers", Json.String (Printf.sprintf "%dx%d" wx wy));
-        ("driver", Json.String Fabric.driver);
-        ("resilient", Json.Bool r.resilient);
-        ("checkpoint_cadence", Json.Int r.cadence);
-        ("max_retries", Json.Int r.max_retries);
-        ("baseline_cycles", Json.Float r.baseline_cycles);
-        ("survival_rate", Json.Float (survival_rate r));
+        ("checkpoint_cadence", Json.Int r.resilience.checkpoint_cadence);
+        ("max_retries", Json.Int r.resilience.max_retries);
       ]
-    ~results:(List.map cell_to_json r.cells)
+    ~survived:(survived r)
+    (List.map cell_to_json r.cells)

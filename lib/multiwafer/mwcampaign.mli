@@ -35,20 +35,17 @@ type cell = {
 }
 
 type report = {
-  bench : string;
-  machine : string;
-  size : string;
-  iterations : int;
+  header : Wsc_faults_campaign.Sweep.header;
+      (** [baseline_cycles]: fault-free co-simulation device cycles *)
   wafers : int * int;
-  resilient : bool;
-  cadence : int;
-  max_retries : int;
-  baseline_cycles : float;  (** fault-free co-simulation device cycles *)
+  resilience : Wf.resilience;  (** the [resilience] the sweep ran with *)
   cells : cell list;  (** in sweep order: kind, then rate, then seed *)
 }
 
-(** Fraction of cells that survived, in [0, 1]. *)
-val survival_rate : report -> float
+(** Recovery must be exact: in a resilient campaign, a cell that ended
+    in an error, or that completed undegraded but not bit-identical to
+    the single-wafer reference, is a bug. *)
+val unrecovered : report -> cell -> bool
 
 (** Run the sweep.  [engine] defaults to a fresh compile engine and is
     shared by every cell, so each slice shape compiles once per

@@ -248,9 +248,9 @@ let prop_checkpoint_roundtrip =
                   g.I.gdata orig)
            grids saved)
 
-let campaign ~wafers ~seed =
+let campaign ~wafers ~seeds =
   MC.run ~bench:"jacobian" ~size:B.Tiny ~wafers ~resilient:true
-    ~kinds:[ Wf.Halo_drop; Wf.Crash ] ~rates:[ 0.25 ] ~seeds:[ seed ] ()
+    ~kinds:[ Wf.Halo_drop; Wf.Crash ] ~rates:[ 0.25 ] ~seeds ()
 
 let prop_campaign_replay =
   QCheck.Test.make ~name:"campaign replays byte-for-byte (2x1, 2x2)" ~count:3
@@ -258,13 +258,32 @@ let prop_campaign_replay =
     (fun seed ->
       List.for_all
         (fun wafers ->
-          let a = campaign ~wafers ~seed in
-          let b = campaign ~wafers ~seed in
+          let a = campaign ~wafers ~seeds:[ seed ] in
+          let b = campaign ~wafers ~seeds:[ seed ] in
           String.equal (MC.to_string a) (MC.to_string b)
           && String.equal
                (Json.to_string (MC.to_json a))
                (Json.to_string (MC.to_json b)))
         [ (2, 1); (2, 2) ])
+
+(* (output, MD5) of a 2x1 halo-drop/crash campaign's table and JSON,
+   recorded before the PE-level and wafer-level sweeps shared one
+   skeleton *)
+let digests =
+  [
+    ("to_string", MC.to_string, "132b7fdd28ed56db4d61c3b0ce7ecf75");
+    ( "to_json",
+      (fun r -> Json.to_string (MC.to_json r)),
+      "ed5a5dd64f1440081d38040be7d54784" );
+  ]
+
+let test_campaign_golden () =
+  let r = campaign ~wafers:(2, 1) ~seeds:[ 1; 2 ] in
+  List.iter
+    (fun (name, render, want) ->
+      Alcotest.(check string) name want
+        (Digest.to_hex (Digest.string (render r))))
+    digests
 
 let recovery_of (r : MW.t) =
   match r.MW.recovery with
@@ -293,36 +312,39 @@ let test_null_injector_fault_free () =
   check "zero-rate: not degraded" false rc.MW.degraded
 
 let test_recovery_bit_identical () =
-  let d = B.find "jacobian" in
-  let p = d.B.make B.Tiny in
-  let refs = MW.reference p in
-  let e = Wsc_serve.Engine.create () in
-  let total_injected = ref 0 in
-  let total_rollbacks = ref 0 in
-  List.iter
-    (fun wafers ->
-      List.iter
-        (fun kind ->
-          let faults =
-            Wf.create (Wf.config_for kind ~rate:0.25 ~seed:1 ~resilient:true)
-          in
-          let r = MW.run ~engine:e ~faults ~wafers p in
-          let rc = recovery_of r in
-          if not rc.MW.degraded then
+  let cells =
+    List.concat_map
+      (fun wafers ->
+        let r =
+          MC.run ~bench:"jacobian" ~size:B.Tiny ~wafers ~resilient:true
+            ~kinds:[ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash ] ~rates:[ 0.25 ]
+            ~seeds:[ 1 ] ()
+        in
+        List.iter
+          (fun (c : MC.cell) ->
             check
               (Printf.sprintf "%s %dx%d recovered bit-identical"
-                 (Wf.kind_to_string kind) (fst wafers) (snd wafers))
-              true
-              (MW.grids_bit_identical refs r.MW.grids);
-          let st = Wf.stats faults in
-          total_injected :=
-            !total_injected + st.Wf.halo_drops + st.Wf.halo_corrupts
-            + st.Wf.crashes;
-          total_rollbacks := !total_rollbacks + rc.MW.rollbacks)
-        [ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash ])
-    [ (2, 1); (2, 2) ];
-  check "the schedule actually fired" true (!total_injected > 0);
-  check "recovery actually rolled back" true (!total_rollbacks > 0)
+                 (Wf.kind_to_string c.kind) (fst wafers) (snd wafers))
+              false (MC.unrecovered r c))
+          r.MC.cells;
+        r.MC.cells)
+      [ (2, 1); (2, 2) ]
+  in
+  let total f = List.fold_left (fun acc c -> acc + f c) 0 cells in
+  check "the schedule actually fired" true (total (fun c -> c.MC.injected) > 0);
+  check "recovery actually rolled back" true
+    (total (fun c -> c.MC.rollbacks) > 0)
+
+(* the verdict on doctored copies of one recovered cell (recovered
+   cells themselves: above) *)
+let test_unrecovered_verdict () =
+  let r = campaign ~wafers:(2, 1) ~seeds:[ 1 ] in
+  let c = { (List.hd r.MC.cells) with MC.bit_identical = false } in
+  let off = { r with header = { r.header with resilient = false } } in
+  check "not bit-identical" true (MC.unrecovered r c);
+  check "degraded" false (MC.unrecovered r { c with degraded = true });
+  check "error" true (MC.unrecovered r { c with completed = false; error = Some "x" });
+  check "protocol off" false (MC.unrecovered off c)
 
 let test_loss_degrades_gracefully () =
   let d = B.find "jacobian" in
@@ -388,10 +410,14 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
           QCheck_alcotest.to_alcotest prop_campaign_replay;
+          Alcotest.test_case "campaign golden digests" `Quick
+            test_campaign_golden;
           Alcotest.test_case "fault-free path unchanged by null injectors"
             `Quick test_null_injector_fault_free;
           Alcotest.test_case "recovered runs bit-identical" `Quick
             test_recovery_bit_identical;
+          Alcotest.test_case "unrecovered-cell verdict" `Quick
+            test_unrecovered_verdict;
           Alcotest.test_case "exhausted retries degrade gracefully" `Quick
             test_loss_degrades_gracefully;
           Alcotest.test_case "unprotected crash raises; engine stays clean"

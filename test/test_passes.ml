@@ -24,7 +24,7 @@ let run_transformed (p : P.t) (passes : Wsc_ir.Pass.t list) :
   (m, ref_grids, grids)
 
 let assert_matches name ref_grids grids =
-  let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids grids) in
+  let maxd = I.max_abs_diff_list ref_grids grids in
   if maxd > 1e-5 then Alcotest.failf "%s: max diff %g" name maxd
 
 let group1 = [ Core.Stencil_inlining.pass; Core.Distribute.distribute_pass;

@@ -21,9 +21,7 @@ let simulate ?(options = Core.Pipeline.default_options)
 
 let assert_matches name (p : P.t) out =
   let ref_grids = P.run_reference p in
-  let maxd =
-    List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids out)
-  in
+  let maxd = I.max_abs_diff_list ref_grids out in
   if maxd > 1e-4 then Alcotest.failf "%s: fabric differs by %g" name maxd
 
 (* ------------------------------------------------------------------ *)
@@ -261,7 +259,7 @@ let assert_same_run name (c1, s1, o1) (c2, s2, o2) =
       | None -> ()
       | Some msg -> Alcotest.failf "%s: PE %d stats differ: %s" name i msg)
     (List.combine s1 s2);
-  let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff o1 o2) in
+  let maxd = I.max_abs_diff_list o1 o2 in
   check (name ^ ": outputs bit-identical") true (maxd = 0.0)
 
 let check_bound name (peak, left, bound) =
@@ -500,7 +498,7 @@ let test_fault_replay () =
   (match Fabric.stats_diff se s with
   | None -> ()
   | Some msg -> Alcotest.failf "%s: pe_stats differ: %s" name msg);
-  let maxd = List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff oe o) in
+  let maxd = I.max_abs_diff_list oe o in
   check (name ^ ": outputs bit-identical") true (maxd = 0.0);
   check (name ^ ": fault report identical") true (r = re);
   check (name ^ ": validity mask identical") true (v = ve);
