@@ -58,11 +58,24 @@ let size_conv =
         match String.split_on_char 'x' s with
         | [ a; b ] -> (
             match (int_of_string_opt a, int_of_string_opt b) with
-            | Some x, Some y -> Ok (B.Proxy (x, y))
+            | Some x, Some y when x >= 1 && y >= 1 -> Ok (B.Proxy (x, y))
+            | Some _, Some _ ->
+                Error
+                  (`Msg
+                    (Printf.sprintf "bad size '%s': both extents must be at least 1" s))
             | _ -> bad s)
         | _ -> bad s)
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (B.size_to_string s))
+
+let iters_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 ->
+        Error (`Msg (Printf.sprintf "bad iteration count '%s': must be at least 0" s))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let machine_conv =
   let parse = function
@@ -94,7 +107,7 @@ let size_arg =
 let iters_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some iters_conv) None
     & info [ "n"; "iterations" ] ~docv:"N" ~doc:"Timestep count override.")
 
 let machine_arg =
@@ -106,6 +119,18 @@ let outdir_arg =
   Arg.(
     value & opt string "out"
     & info [ "o"; "outdir" ] ~docv:"DIR" ~doc:"Output directory for CSL files.")
+
+let json_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+(* the benchmark of a subcommand that takes no input FILE *)
+let find_bench ~cmd (bench : string option) : (B.descr, [ `Msg of string ]) result =
+  match bench with
+  | None -> Error (`Msg (cmd ^ ": --bench required"))
+  | Some id -> (
+      match B.find id with
+      | exception Invalid_argument msg -> Error (`Msg msg)
+      | d -> Ok d)
 
 let pipeline_options = Wsc_core.Pipeline.default_options
 
@@ -160,14 +185,11 @@ let time_arg =
            reference, compare — as opposed to the simulated cycles.")
 
 let sim_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write a machine-readable run summary (simulated cycles, wall_s, \
-           per-phase wall times, driver, reference divergence, peak live \
-           send records).")
+  json_arg
+    ~doc:
+      "Write a machine-readable run summary (simulated cycles, wall_s, \
+       per-phase wall times, driver, reference divergence, peak live send \
+       records)."
 
 let simulate_cmd =
   let run bench input size iterations machine stats time json_out =
@@ -390,11 +412,7 @@ let no_resilience_arg =
           "Disable the detection & recovery protocol: faults land undetected \
            (measures raw vulnerability instead of recovery overhead).")
 
-let faults_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
+let faults_json_arg = json_arg ~doc:"Also write the report as JSON."
 
 let faults_trace_arg =
   Arg.(
@@ -408,27 +426,21 @@ let faults_trace_arg =
 let faults_cmd =
   let run bench size iterations machine kinds rates seeds no_resilience
       json_out trace_out =
-    match bench with
-    | None -> Error (`Msg "faults: --bench required")
-    | Some id -> (
-        match B.find id with
-        | exception Invalid_argument msg -> Error (`Msg msg)
-        | _ ->
-            let sink = Option.map (fun _ -> T.collector ()) trace_out in
-            let report =
-              Campaign.run ~machine ?iterations ~kinds ?trace:sink
-                ~bench:id ~size ~resilient:(not no_resilience) ~rates ~seeds ()
-            in
-            print_string (Campaign.to_string report);
-            Option.iter (fun path -> write_json path (Campaign.to_json report))
-              json_out;
-            (match (trace_out, sink) with
-            | Some path, Some sink ->
-                Wsc_trace.Chrome.write_file ~path sink;
-                Printf.printf "wrote %s (%d events)\n" path (T.event_count sink);
-                print_string (Wsc_trace.Aggregate.fault_table (T.events sink))
-            | _ -> ());
-            Ok ())
+    let* { B.id; _ } = find_bench ~cmd:"faults" bench in
+    let sink = Option.map (fun _ -> T.collector ()) trace_out in
+    let report =
+      Campaign.run ~machine ?iterations ~kinds ?trace:sink ~bench:id ~size
+        ~resilient:(not no_resilience) ~rates ~seeds ()
+    in
+    print_string (Campaign.to_string report);
+    Option.iter (fun path -> write_json path (Campaign.to_json report)) json_out;
+    (match (trace_out, sink) with
+    | Some path, Some sink ->
+        Wsc_trace.Chrome.write_file ~path sink;
+        Printf.printf "wrote %s (%d events)\n" path (T.event_count sink);
+        print_string (Wsc_trace.Aggregate.fault_table (T.events sink))
+    | _ -> ());
+    Ok ()
   in
   Cmd.v
     (Cmd.info "faults"
@@ -481,11 +493,7 @@ let reduce_budget_arg =
           "Max oracle re-runs while reducing one failing case (0 disables \
            reduction).")
 
-let fuzz_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Also write the campaign summary as JSON.")
+let fuzz_json_arg = json_arg ~doc:"Also write the campaign summary as JSON."
 
 let emit_corpus_arg =
   Arg.(
@@ -538,9 +546,7 @@ let fuzz_cmd =
     in
     let report = H.Campaign.run ~on_case cfg in
     print_string (H.Campaign.to_string report);
-    (match json_out with
-    | Some path -> write_json path (H.Campaign.to_json report)
-    | None -> ());
+    Option.iter (fun path -> write_json path (H.Campaign.to_json report)) json_out;
     if H.Campaign.crashes report > 0 then exit 1;
     Ok ()
   in
@@ -766,11 +772,7 @@ let repeat_arg =
         ~doc:
           "Submit the whole manifest N times; repeats hit the compile cache.")
 
-let batch_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Also write the batch report as JSON.")
+let batch_json_arg = json_arg ~doc:"Also write the batch report as JSON."
 
 let dump_requests_arg =
   Arg.(
@@ -828,9 +830,8 @@ let batch_cmd =
               | Some m -> ": " ^ m
               | None -> ""))
         r.Serve.Batch.rp_entries;
-      (match json_out with
-      | Some path -> write_json path (Serve.Batch.report_to_json cfg r)
-      | None -> ());
+      Option.iter (fun path -> write_json path (Serve.Batch.report_to_json cfg r))
+        json_out;
       if r.Serve.Batch.rp_errors > 0 then exit 1;
       Ok ()
     end
@@ -888,11 +889,7 @@ let tune_no_oracle_arg =
            but can never be saved — tuned configs do not ship without an \
            oracle pass).")
 
-let tune_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Write the report as JSON.")
+let tune_json_arg = json_arg ~doc:"Write the report as JSON."
 
 let tune_save_arg =
   Arg.(
@@ -907,71 +904,48 @@ let tune_save_arg =
 let tune_cmd =
   let run bench machine seed screen top extent domains no_oracle json_out
       save_path =
-    match bench with
-    | None -> Error (`Msg "tune: --bench required")
-    | Some id -> (
-        match B.find id with
-        | exception Invalid_argument msg -> Error (`Msg msg)
-        | d ->
-            let module T = Wsc_tune.Tune in
-            let config =
-              {
-                T.seed;
-                screen;
-                top_k = top;
-                extent;
-                domains;
-                machine;
-                oracle = not no_oracle;
-              }
-            in
-            let r = T.run ~config d in
-            Printf.printf
-              "tune %s on %s: space %d, screened %d, confirmed %d\n" r.T.r_bench
-              r.T.r_machine r.T.r_space_size r.T.r_screened r.T.r_confirmed;
-            Printf.printf
-              "  proxy evals: %d requested, %d simulated, %d saved by memo\n"
-              r.T.r_evals_total r.T.r_evals_run r.T.r_evals_saved;
-            Printf.printf "  default: %.1f cycles/iter\n" r.T.r_default_cycles;
-            Printf.printf "  tuned:   %.1f cycles/iter (%+.1f%%)\n"
-              r.T.r_tuned_cycles r.T.r_improvement_pct;
-            Printf.printf "  config:  %s\n"
-              (Wsc_core.Pipeline.options_to_string r.T.r_tuned_options);
-            (match r.T.r_oracle_ok with
-            | Some true ->
-                Printf.printf "  oracle:  PASS (%d check(s))\n" r.T.r_oracle_checks
-            | Some false ->
-                Printf.printf "  oracle:  FAIL (%d check(s)%s)\n"
-                  r.T.r_oracle_checks
-                  (match r.T.r_oracle_failure with
-                  | Some m -> ": " ^ m
-                  | None -> "")
-            | None -> Printf.printf "  oracle:  skipped\n");
-            (match json_out with
-            | Some path -> write_json path (T.to_json r)
-            | None -> ());
-            (match save_path with
-            | None -> ()
-            | Some path ->
-                let store =
-                  if Sys.file_exists path then
-                    match Serve.Tuned.load_file path with
-                    | Ok s -> s
-                    | Error msg -> failwith ("--save: " ^ msg)
-                  else Serve.Tuned.create ()
-                in
-                if T.register store r then begin
-                  Serve.Tuned.save_file store path;
-                  Printf.printf "saved tuned config to %s (%d entr%s)\n" path
-                    (Serve.Tuned.size store)
-                    (if Serve.Tuned.size store = 1 then "y" else "ies")
-                end
-                else
-                  Printf.printf
-                    "not saved: winner lacks an oracle pass or beats nothing\n");
-            if r.T.r_oracle_ok = Some false then exit 1;
-            if r.T.r_tuned_cycles > r.T.r_default_cycles then exit 1;
-            Ok ())
+    let* d = find_bench ~cmd:"tune" bench in
+    let module T = Wsc_tune.Tune in
+    let config =
+      { T.seed; screen; top_k = top; extent; domains; machine; oracle = not no_oracle }
+    in
+    let r = T.run ~config d in
+    Printf.printf "tune %s on %s: space %d, screened %d, confirmed %d\n" r.T.r_bench
+      r.T.r_machine r.T.r_space_size r.T.r_screened r.T.r_confirmed;
+    Printf.printf "  proxy evals: %d requested, %d simulated, %d saved by memo\n"
+      r.T.r_evals_total r.T.r_evals_run r.T.r_evals_saved;
+    Printf.printf "  default: %.1f cycles/iter\n" r.T.r_default_cycles;
+    Printf.printf "  tuned:   %.1f cycles/iter (%+.1f%%)\n" r.T.r_tuned_cycles
+      r.T.r_improvement_pct;
+    Printf.printf "  config:  %s\n"
+      (Wsc_core.Pipeline.options_to_string r.T.r_tuned_options);
+    (match r.T.r_oracle_ok with
+    | Some true -> Printf.printf "  oracle:  PASS (%d check(s))\n" r.T.r_oracle_checks
+    | Some false ->
+        Printf.printf "  oracle:  FAIL (%d check(s)%s)\n" r.T.r_oracle_checks
+          (match r.T.r_oracle_failure with Some m -> ": " ^ m | None -> "")
+    | None -> Printf.printf "  oracle:  skipped\n");
+    Option.iter (fun path -> write_json path (T.to_json r)) json_out;
+    (match save_path with
+    | None -> ()
+    | Some path ->
+        let store =
+          if Sys.file_exists path then
+            match Serve.Tuned.load_file path with
+            | Ok s -> s
+            | Error msg -> failwith ("--save: " ^ msg)
+          else Serve.Tuned.create ()
+        in
+        if T.register store r then begin
+          Serve.Tuned.save_file store path;
+          Printf.printf "saved tuned config to %s (%d entr%s)\n" path
+            (Serve.Tuned.size store)
+            (if Serve.Tuned.size store = 1 then "y" else "ies")
+        end
+        else Printf.printf "not saved: winner lacks an oracle pass or beats nothing\n");
+    if r.T.r_oracle_ok = Some false then exit 1;
+    if r.T.r_tuned_cycles > r.T.r_default_cycles then exit 1;
+    Ok ()
   in
   Cmd.v
     (Cmd.info "tune"
@@ -991,15 +965,10 @@ let tune_cmd =
 
 let perf_cmd =
   let run bench size machine =
-    match bench with
-    | None -> Error (`Msg "perf: --bench required")
-    | Some id -> (
-        match B.find id with
-        | exception Invalid_argument msg -> Error (`Msg msg)
-        | d ->
-            let r = Wsc_perf.Wse_perf.measure ~machine ~size d in
-            Format.printf "%a@." Wsc_perf.Wse_perf.pp_measurement r;
-            Ok ())
+    let* d = find_bench ~cmd:"perf" bench in
+    let r = Wsc_perf.Wse_perf.measure ~machine ~size d in
+    Format.printf "%a@." Wsc_perf.Wse_perf.pp_measurement r;
+    Ok ()
   in
   Cmd.v
     (Cmd.info "perf" ~doc:"Report simulated throughput.")
@@ -1088,13 +1057,10 @@ let mw_no_check_arg =
            single-wafer simulation.")
 
 let mw_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write a machine-readable summary (plan, per-epoch cycles, \
-           interconnect charge, compile-cache counters, bit-identity).")
+  json_arg
+    ~doc:
+      "Write a machine-readable summary (plan, per-epoch cycles, \
+       interconnect charge, compile-cache counters, bit-identity)."
 
 let mw_faults_arg =
   Arg.(
@@ -1146,14 +1112,7 @@ let multiwafer_cmd =
   let run bench size iterations machine wafers latency bandwidth no_check
       json_out faults_mode wafer_kinds rates seeds no_resilience cadence
       max_retries =
-    let* id =
-      match bench with
-      | None -> Error (`Msg "multiwafer: choose a benchmark with --bench NAME")
-      | Some id -> (
-          match B.find id with
-          | exception Invalid_argument msg -> Error (`Msg msg)
-          | _ -> Ok id)
-    in
+    let* { B.id; _ } = find_bench ~cmd:"multiwafer" bench in
     if faults_mode then begin
       let report =
         MC.run ~machine ?iterations ~kinds:wafer_kinds

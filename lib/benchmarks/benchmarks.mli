@@ -23,9 +23,6 @@ val acoustic : ?iterations:int -> size -> P.t
 val seismic : ?iterations:int -> size -> P.t
 val uvkbe : ?iterations:int -> size -> P.t
 
-(** The Fortran source the Jacobian benchmark is parsed from. *)
-val jacobian_source : string
-
 type descr = {
   id : string;
   frontend : string;

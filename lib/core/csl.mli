@@ -8,7 +8,6 @@ open Wsc_ir.Ir
 
 type module_kind = Program | Layout
 
-val module_kind_to_string : module_kind -> string
 val module_ : kind:module_kind -> name:string -> op list -> op
 val module_kind_of : op -> module_kind
 val module_body : op -> op list
@@ -55,9 +54,6 @@ val func :
 
 type task_kind = Local_task | Data_task | Control_task
 
-val task_kind_to_string : task_kind -> string
-val task_kind_of_string : string -> task_kind
-
 (** Task bound to hardware task id [id]. *)
 val task : name:string -> kind:task_kind -> id:int -> (Wsc_ir.Builder.t -> unit) -> op
 
@@ -103,7 +99,6 @@ val fsubs : dest:value -> value -> value -> op
 val fmuls : dest:value -> value -> value -> op
 val fmacs : dest:value -> value -> value -> value -> op
 val fmovs : dest:value -> value -> op
-val builtin_ops : string list
 
 (** {1 Layout ops} *)
 

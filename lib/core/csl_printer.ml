@@ -337,14 +337,6 @@ let print_layout (layout : op) : string =
   line env "}";
   Buffer.contents env.buf
 
-(** The runtime communication library (paper §5.6), emitted with every
-    program.  Implements the partitionable star-pattern exchange of
-    Jacquelin et al.: per-direction colors and switch configurations,
-    chunked asynchronous sends and receives with internal tasks per
-    direction, promoted-coefficient application on incoming data, and the
-    user chunk/done callbacks. *)
-let comms_library_source : string = Comms_csl.source
-
 (** All files for a compiled module. *)
 let print_files (compiled : op) : file list =
   match Wsc_dialects.Builtin.body compiled with
@@ -354,7 +346,7 @@ let print_files (compiled : op) : file list =
       [
         { filename = lname ^ ".csl"; contents = print_layout layout };
         { filename = pname ^ ".csl"; contents = print_program program };
-        { filename = "stencil_comms.csl"; contents = comms_library_source };
+        { filename = "stencil_comms.csl"; contents = Comms_csl.source };
       ]
   | _ -> fail "expected layout + program modules"
 

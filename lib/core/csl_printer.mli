@@ -9,12 +9,6 @@ type file = { filename : string; contents : string }
 (** Print one csl program module as CSL source. *)
 val print_program : Wsc_ir.Ir.op -> string
 
-(** Print one csl layout module as the placement metaprogram. *)
-val print_layout : Wsc_ir.Ir.op -> string
-
-(** The runtime communication library source (see {!Comms_csl}). *)
-val comms_library_source : string
-
 (** All files for a compiled module (layout, program, comms library). *)
 val print_files : Wsc_ir.Ir.op -> file list
 

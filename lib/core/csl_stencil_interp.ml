@@ -45,22 +45,20 @@ let build_rcv_grids ~one_shot (cfg : Csl_stencil.apply_config) (comm_grids : I.g
       let rd = rg.I.gdata in
       (if cfg.coeffs <> [] then begin
          (* promoted: pre-scaled reduction, per direction at the unit
-            offset, or into one shared position when one-shot; a view of
-            one-element chunks holds scalars, which receive nothing *)
-         if cs > 1 then
-           List.iter
-             (fun (i', dx, dy, c) ->
-               if i' = i then
-                 match chunk g dx dy with
-                 | Some src ->
-                     let dst =
-                       if one_shot then pos 0 0 else pos (compare dx 0) (compare dy 0)
-                     in
-                     for k = 0 to cs - 1 do
-                       rd.(dst + k) <- rd.(dst + k) +. (c *. g.I.gdata.(src + k))
-                     done
-                 | None -> ())
-             cfg.coeffs
+            offset, or into one shared position when one-shot *)
+         List.iter
+           (fun (i', dx, dy, c) ->
+             if i' = i then
+               match chunk g dx dy with
+               | Some src ->
+                   let dst =
+                     if one_shot then pos 0 0 else pos (compare dx 0) (compare dy 0)
+                   in
+                   for k = 0 to cs - 1 do
+                     rd.(dst + k) <- rd.(dst + k) +. (c *. g.I.gdata.(src + k))
+                   done
+               | None -> ())
+           cfg.coeffs
        end
        else
          (* unpromoted: raw column per (dx, dy) *)

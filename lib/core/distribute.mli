@@ -12,17 +12,6 @@
 
 exception Distribute_error of string
 
-(** Reject diagonal (box-pattern) accesses: the communication library is
-    star-shaped (paper §5.6).
-    @raise Distribute_error on a diagonal offset. *)
-val check_star_shaped : Wsc_ir.Ir.op -> unit
-
-(** Swap descriptors needed by an apply for its n-th operand. *)
-val swaps_for : Wsc_ir.Ir.op -> int -> Wsc_dialects.Dmp.swap_desc list
-
-(** One PE per interior (x, y) point. *)
-val topology_of : Wsc_ir.Ir.op -> int * int
-
 val distribute : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val distribute_pass : Wsc_ir.Pass.t
 

@@ -4,8 +4,5 @@
 
 exception Csl_lowering_error of string
 
-(** The layout metaprogram module generated from the wrapper params. *)
-val layout_module : Csl_wrapper.params -> Wsc_ir.Ir.op
-
 val run : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : Wsc_ir.Pass.t

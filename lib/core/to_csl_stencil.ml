@@ -147,6 +147,9 @@ let feasible_chunk_counts ~(len : int) : int list =
   if len <= 0 then []
   else List.map (fun cs -> len / cs) (divisors_desc len)
 
+(** Largest chunk size whose buffers fit, as (num_chunks, chunk_size).
+    @raise Lowering_error when nothing fits or the override does not
+    divide the range. *)
 let choose_chunks (opts : options) ~(promoted : bool) ~(len : int)
     (swaps_by_input : Dmp.swap_desc list list) : int * int =
   match opts.num_chunks_override with

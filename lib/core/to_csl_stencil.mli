@@ -30,20 +30,6 @@ val default_options : options
     the autotuner. *)
 val feasible_chunk_counts : len:int -> int list
 
-(** Largest chunk size whose buffers fit, as (num_chunks, chunk_size).
-    @raise Lowering_error when nothing fits or the override does not
-    divide the range. *)
-val choose_chunks :
-  options ->
-  promoted:bool ->
-  len:int ->
-  Wsc_dialects.Dmp.swap_desc list list ->
-  int * int
-
-(** lower-dmp-swap-to-csl-prefetch: [dmp.swap] ops become
-    [csl_stencil.prefetch] markers with the same exchange descriptors. *)
-val lower_swaps : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
-
 val lower_swaps_pass : Wsc_ir.Pass.t
 
 val convert : options -> Wsc_ir.Ir.op -> Wsc_ir.Ir.op

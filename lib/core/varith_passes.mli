@@ -2,13 +2,8 @@
     chains into variadic ops, turn n-fold repeated additions of one value
     into a multiplication, and expand back to binary form. *)
 
-val to_varith : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val to_varith_pass : Wsc_ir.Pass.t
-
-(** [n >= 3] repeated operands of a [varith.add] become [n * v]. *)
-val fuse_repeated : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 
 val fuse_repeated_pass : Wsc_ir.Pass.t
 
-val from_varith : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val from_varith_pass : Wsc_ir.Pass.t

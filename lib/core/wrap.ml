@@ -9,6 +9,8 @@ module Dmp = Wsc_dialects.Dmp
 
 exception Wrap_error of string
 
+(** Parameters derived from the module's [csl_stencil.apply] ops.
+    @raise Wrap_error when the module has none. *)
 let program_params ?(name = "stencil_program") (m : op) : Csl_wrapper.params =
   let applies = find_ops_by_name "csl_stencil.apply" m in
   match applies with

@@ -4,9 +4,5 @@
 
 exception Wrap_error of string
 
-(** Parameters derived from the module's [csl_stencil.apply] ops.
-    @raise Wrap_error when the module has none. *)
-val program_params : ?name:string -> Wsc_ir.Ir.op -> Csl_wrapper.params
-
 val run : ?name:string -> Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : ?name:string -> unit -> Wsc_ir.Pass.t

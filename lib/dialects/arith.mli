@@ -28,5 +28,3 @@ val muli : value -> value -> op
 val cmpi : pred:string -> value -> value -> op
 
 val select : value -> value -> value -> op
-
-val float_binops : string list

@@ -2,8 +2,6 @@
 
 open Wsc_ir.Ir
 
-val module_name : string
-
 (** A [builtin.module] holding [ops] in a single block. *)
 val module_op : op list -> op
 

@@ -15,7 +15,6 @@ val return_ : value list -> op
 val call : callee:string -> value list -> results:typ list -> op
 
 val name_of : op -> string
-val signature : op -> typ list * typ list
 val entry : op -> block
 
 (** Find a function by symbol name anywhere under the root. *)

@@ -22,7 +22,5 @@ val fmac : a:value -> b:value -> out:value -> scalar:float -> op
 val copy : a:value -> out:value -> op
 val fill : out:value -> value:float -> op
 
-val dps_ops : string list
-
 (** The destination memref (the last operand of every op here). *)
 val dst : op -> value

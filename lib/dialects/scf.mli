@@ -24,7 +24,6 @@ val if_ :
   (Wsc_ir.Builder.t -> unit) ->
   op
 
-val for_bounds : op -> value * value * value
 val for_iter_inits : op -> value list
 val for_body : op -> block
 val for_iter_args : op -> value list

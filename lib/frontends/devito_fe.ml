@@ -49,8 +49,6 @@ let forward u = Fn_at (u, 1)
 let backward u = Fn_at (u, -1)
 let laplace e = Laplace e
 let dxx e = Deriv2 (e, 0)
-let dyy e = Deriv2 (e, 1)
-let dzz e = Deriv2 (e, 2)
 let shift e off = Shift (e, off)
 
 type eq = { lhs : sym; rhs : sym }

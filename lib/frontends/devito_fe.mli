@@ -33,8 +33,6 @@ val backward : fn -> sym
 (** Sum of second derivatives over all three axes. *)
 val laplace : sym -> sym
 val dxx : sym -> sym
-val dyy : sym -> sym
-val dzz : sym -> sym
 
 (** Constant spatial shift — for custom (non-derivative) stencils. *)
 val shift : sym -> int list -> sym

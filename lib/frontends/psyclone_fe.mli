@@ -28,8 +28,6 @@ val kernel :
     @raise Frontend_error on violation. *)
 val check_kernel : kernel -> unit
 
-val output_field : kernel -> string
-
 (** The PSy layer: schedule [kernels] in order.  [state] lists the
     persistent fields (default: every field read before being produced);
     [next_state] maps them to their post-step values.

@@ -88,6 +88,7 @@ let rec expr_flops = function
 
 (** {1 Compilation to stencil-dialect IR} *)
 
+(** The halo-extended grid type all state grids share. *)
 let grid_type (p : t) : typ =
   let nx, ny, nz = p.extents in
   let h = p.halo in

@@ -44,9 +44,6 @@ val expr_flops : expr -> int
 
 (** {1 Compilation to stencil IR} *)
 
-(** The halo-extended grid type all state grids share. *)
-val grid_type : t -> Wsc_ir.Ir.typ
-
 val field_type : t -> Wsc_ir.Ir.typ
 
 (** The interior compute bounds. *)

@@ -214,11 +214,6 @@ let rec walk_op (f : op -> unit) (op : op) : unit =
 
 and walk_block f b = List.iter (walk_op f) b.bops
 
-(** Post-order walk (children before the op itself). *)
-let rec walk_op_post (f : op -> unit) (op : op) : unit =
-  List.iter (fun r -> List.iter (fun b -> List.iter (walk_op_post f) b.bops) r.blocks) op.regions;
-  f op
-
 let find_ops pred root =
   let acc = ref [] in
   walk_op (fun o -> if pred o then acc := o :: !acc) root;

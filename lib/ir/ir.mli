@@ -133,7 +133,6 @@ val elem_type : typ -> typ
 val shape_of : typ -> int list
 val bounds_of : typ -> (int * int) list
 val num_elements : typ -> int
-val byte_width : typ -> int
 val size_in_bytes : typ -> int
 val rank : typ -> int
 
@@ -141,11 +140,6 @@ val rank : typ -> int
 
 (** Pre-order walk over an op and everything nested in its regions. *)
 val walk_op : (op -> unit) -> op -> unit
-
-val walk_block : (op -> unit) -> block -> unit
-
-(** Post-order walk (children before the op itself). *)
-val walk_op_post : (op -> unit) -> op -> unit
 
 val find_ops : (op -> bool) -> op -> op list
 val find_op : (op -> bool) -> op -> op option
@@ -170,9 +164,6 @@ end
 (** Deep-clone an op, remapping operands through the substitution and
     recording result/block-arg mappings into it. *)
 val clone_op : Subst.t -> op -> op
-
-val clone_region : Subst.t -> region -> region
-val clone_block : Subst.t -> block -> block
 
 (** {1 Block rewriting} *)
 

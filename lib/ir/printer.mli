@@ -1,19 +1,7 @@
 (** Textual printer for the generic IR form (MLIR-like generic syntax).
     Output round-trips through {!Parser}. *)
 
-val pp_typ : Format.formatter -> Ir.typ -> unit
 val typ_to_string : Ir.typ -> string
 val pp_attr : Format.formatter -> Ir.attr -> unit
-
-(** Printing environment assigning stable names to values and blocks
-    within one printing session. *)
-type env
-
-val new_env : unit -> env
-val value_name : env -> Ir.value -> string
-
-(** Print one op (and everything nested) at the given indent. *)
-val pp_op : env -> int -> Format.formatter -> Ir.op -> unit
-
 val op_to_string : Ir.op -> string
 val print_op : ?out:Format.formatter -> Ir.op -> unit

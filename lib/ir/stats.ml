@@ -34,16 +34,6 @@ let flops_per_point (apply : op) : int =
     apply;
   !total
 
-(** Number of distinct stencil accesses (neighbour reads) in an apply. *)
-let accesses_of_apply (apply : op) : (int list) list =
-  let acc = ref [] in
-  walk_op
-    (fun o ->
-      if o.opname = "stencil.access" || o.opname = "csl_stencil.access" then
-        acc := dense_ints_exn o "offset" :: !acc)
-    apply;
-  List.rev !acc
-
 (** Total number of ops under [root]. *)
 let total_ops (root : op) : int =
   let n = ref 0 in

@@ -10,8 +10,5 @@ val count : Ir.op -> string -> int
 (** Arithmetic FLOPs per grid point of a stencil-apply body. *)
 val flops_per_point : Ir.op -> int
 
-(** Offsets of all (csl_)stencil accesses under an apply. *)
-val accesses_of_apply : Ir.op -> int list list
-
 (** Total op count under the root (root included). *)
 val total_ops : Ir.op -> int

@@ -13,12 +13,6 @@ val register : string -> (Ir.op -> unit) -> unit
     the given terminator ops. *)
 val register_terminator : string -> string list -> unit
 
-(** Every operand must be defined before use (block args and enclosing
-    scopes included). *)
-val verify_ssa : Ir.op -> unit
-
-val verify_terminators : Ir.op -> unit
-
 (** Run only the registered per-op invariants. *)
 val verify_registered : Ir.op -> unit
 

@@ -126,6 +126,13 @@ let split (extent : int) (parts : int) : (int * int) list =
   in
   go 0 0
 
+(** The exchanges of a wafer whose West/East/North/South halos are
+    [(w, e, n, s)] deep; a side of depth 0 exchanges nothing. *)
+let swaps_of ~z_lo ~z_hi (w, e, n, s) : Dmp.swap_desc list =
+  List.filter_map
+    (fun (dir, depth) -> if depth > 0 then Some { Dmp.dir; depth; z_lo; z_hi } else None)
+    [ (Dmp.West, w); (Dmp.East, e); (Dmp.North, n); (Dmp.South, s) ]
+
 let plan ~(wafers : int * int) (p : P.t) : plan =
   let wx, wy = wafers in
   let nx, ny, _ = p.P.extents in
@@ -142,14 +149,11 @@ let plan ~(wafers : int * int) (p : P.t) : plan =
            List.mapi
              (fun wi (x0, snx) ->
                let swaps =
-                 List.filter
-                   (fun (s : Dmp.swap_desc) -> s.Dmp.depth > 0)
-                   [
-                     { Dmp.dir = Dmp.West; depth = (if wi > 0 then dw else 0); z_lo; z_hi };
-                     { Dmp.dir = Dmp.East; depth = (if wi < wx - 1 then de else 0); z_lo; z_hi };
-                     { Dmp.dir = Dmp.North; depth = (if wj > 0 then dn else 0); z_lo; z_hi };
-                     { Dmp.dir = Dmp.South; depth = (if wj < wy - 1 then ds else 0); z_lo; z_hi };
-                   ]
+                 swaps_of ~z_lo ~z_hi
+                   ( (if wi > 0 then dw else 0),
+                     (if wi < wx - 1 then de else 0),
+                     (if wj > 0 then dn else 0),
+                     if wj < wy - 1 then ds else 0 )
                in
                { wi; wj; x0; y0; snx; sny; swaps })
              xs)
@@ -201,16 +205,9 @@ let exchange_scalars (pl : plan) : int =
     printable, parseable and verifiable like any pipeline stage. *)
 let plan_module (pl : plan) : Wsc_ir.Ir.op =
   let p = pl.program in
-  let dw, de, dn, ds = (pl.depth_west, pl.depth_east, pl.depth_north, pl.depth_south) in
   let swaps =
-    List.filter
-      (fun (s : Dmp.swap_desc) -> s.Dmp.depth > 0)
-      [
-        { Dmp.dir = Dmp.West; depth = dw; z_lo = pl.z_lo; z_hi = pl.z_hi };
-        { Dmp.dir = Dmp.East; depth = de; z_lo = pl.z_lo; z_hi = pl.z_hi };
-        { Dmp.dir = Dmp.North; depth = dn; z_lo = pl.z_lo; z_hi = pl.z_hi };
-        { Dmp.dir = Dmp.South; depth = ds; z_lo = pl.z_lo; z_hi = pl.z_hi };
-      ]
+    swaps_of ~z_lo:pl.z_lo ~z_hi:pl.z_hi
+      (pl.depth_west, pl.depth_east, pl.depth_north, pl.depth_south)
   in
   let ft = P.field_type p in
   let f =

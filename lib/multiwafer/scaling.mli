@@ -35,8 +35,6 @@ type figure = {
   baselines : (string * Cluster.cluster_measurement) list;
 }
 
-val default_wafer_grids : (int * int) list
-
 (** Each wafer keeps the full [per_wafer] rectangle (default: the
     machine's PE rectangle); the global problem grows with the grid. *)
 val weak :

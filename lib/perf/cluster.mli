@@ -30,8 +30,6 @@ type cluster_measurement = {
   ai : float;
 }
 
-val acoustic_flops_per_point : float
-
 (** Strong-scaling throughput of [devices] devices on an [n]³ grid. *)
 val acoustic_throughput : device -> devices:int -> n:int -> cluster_measurement
 

@@ -12,10 +12,6 @@ type breakdown = {
   advantage_pct : float;  (** how much faster the generated code is *)
 }
 
-(** Model the hand-written kernel from a measurement of ours. *)
-val hand_written_cycles :
-  Wsc_wse.Machine.t -> Wse_perf.measurement -> z_halo:int -> float
-
 (** Figure 5 data point for one problem size (WSE2 only, as the
     hand-written kernel is). *)
 val compare_seismic : size:B.size -> breakdown * Wse_perf.measurement

@@ -42,10 +42,6 @@ val install_signal_handlers : unit -> unit
 
 val stop_requested : unit -> bool
 
-(** Set the flag programmatically (tests; the [shutdown] op uses the
-    server's own internal path instead). *)
-val request_stop : unit -> unit
-
 (** Reset the flag (tests that reuse the process). *)
 val reset_stop : unit -> unit
 

@@ -65,8 +65,6 @@ val counters : t -> int * int
     (tool ["tuned-configs"], one result row per entry, sorted by key). *)
 val to_json : t -> J.t
 
-val of_json : J.t -> (t, string) result
-
 (** Write the store as JSON to [path]. *)
 val save_file : t -> string -> unit
 

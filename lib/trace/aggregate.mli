@@ -13,9 +13,6 @@ type pe_summary = {
   ps_tasks : int;
 }
 
-(** PEs ordered hottest-first (largest final clock first). *)
-val hottest : int -> pe_summary list -> pe_summary list
-
 type breakdown = {
   bd_pes : int;
   bd_busy_pct : float;  (** mean busy fraction over all PEs *)
@@ -46,9 +43,6 @@ val links : Trace.event list -> link list
 
 (** Occupied cycles over the link's active span, in [0, 1]. *)
 val utilization : link -> float
-
-(** Utilization histogram as (bucket label, link count, elems) rows. *)
-val link_histogram : ?buckets:int -> Trace.event list -> (string * int * int) list
 
 val link_table : Trace.event list -> string
 

@@ -95,6 +95,37 @@ let test_oracle_catches_injected_bug () =
       check "interp tier flags it first" true
         (H.Oracle.failure_key f = "mismatch:interp")
 
+(* One-element chunks (as many chunks as z planes) under the default
+   promoted coefficients: the mid-level interpretation must still
+   receive every neighbour's contribution, so the oracle's interp tier
+   cannot report a false miscompile there. *)
+let test_oracle_one_element_chunks () =
+  let module Bm = Wsc_benchmarks.Benchmarks in
+  let module Pl = Wsc_core.Pipeline in
+  let module I = Wsc_dialects.Interp in
+  List.iter
+    (fun (d : Bm.descr) ->
+      let p = d.make Bm.Tiny in
+      let _, _, nz = p.P.extents in
+      let options = { Pl.default_options with num_chunks_override = Some nz } in
+      let m =
+        Wsc_ir.Pass.run_pipeline
+          (Pl.frontend_passes options @ Pl.middle_passes options)
+          (P.compile p)
+      in
+      let grids = P.init_grids p in
+      ignore
+        (Wsc_core.Csl_stencil_interp.run_func m ~name:"main"
+           (List.map (fun g -> I.Rgrid g) grids));
+      let diff = I.max_abs_diff_list (P.run_reference p) grids in
+      if not (P.within_tolerance diff) then
+        Alcotest.failf "%s: mid-level module differs from the reference by %g"
+          d.id diff;
+      match (H.Oracle.check ~options p).H.Oracle.failure with
+      | Some f -> Alcotest.failf "%s: %s" d.id (H.Oracle.failure_to_string f)
+      | None -> ())
+    Bm.all
+
 (* ------------------------------------------------------------------ *)
 (* reducer                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -245,6 +276,8 @@ let () =
             test_oracle_agrees_on_clean_programs;
           Alcotest.test_case "injected bug caught" `Quick
             test_oracle_catches_injected_bug;
+          Alcotest.test_case "one-element chunks agree" `Quick
+            test_oracle_one_element_chunks;
         ] );
       ( "reduce",
         [
