@@ -209,16 +209,25 @@ let simulate_cmd =
     match prog with
     | None -> Error (`Msg "simulate: reference check needs --bench")
     | Some p ->
-        P.check_reference ~max_bytes:F.max_reference_bytes
+        P.check_reference ~max_bytes:F.max_simulated_bytes
           ~max_point_ops:F.max_reference_point_ops p;
         let init = timed "init" (fun () -> P.init_grids p) in
         (* simulate first: the fabric guards (grid size, per-PE memory)
-           reject oversized runs before the expensive reference pass *)
-        let h =
-          timed "simulate" (fun () -> Wsc_wse.Host.simulate machine compiled init)
+           reject oversized runs before the expensive reference pass.
+           All that is printed about the fabric is taken in this block,
+           so the reference can reuse its heap once it is collected *)
+        let out, width, height, cycles, seconds, st, sched, busy =
+          let h = timed "simulate" (fun () -> Wsc_wse.Host.simulate machine compiled init) in
+          let out = timed "readback" (fun () -> Wsc_wse.Host.read_all h) in
+          let sim = h.sim in
+          ( out, sim.width, sim.height, F.elapsed_cycles sim, F.elapsed_seconds sim,
+            F.total_stats sim, F.sched_stats sim,
+            if stats then Wsc_trace.Aggregate.busy_blocked_table (F.pe_summaries sim)
+            else "" )
         in
-        let out = timed "readback" (fun () -> Wsc_wse.Host.read_all h) in
-        let ref_grids = timed "reference" (fun () -> P.run_reference p) in
+        let ref_grids =
+          timed "reference" (fun () -> Gc.full_major (); P.run_reference p)
+        in
         let maxd =
           timed "compare" (fun () -> I.max_abs_diff_list ref_grids out)
         in
@@ -226,11 +235,8 @@ let simulate_cmd =
         let phases = List.rev !phases in
         let wall_s = List.assoc "simulate" phases in
         let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases in
-        let st = F.total_stats h.sim in
         Printf.printf "simulated %s on %s: %dx%d PEs, %.0f cycles (%.3f ms)\n"
-          p.P.pname machine.name h.sim.width h.sim.height
-          (F.elapsed_cycles h.sim)
-          (1e3 *. F.elapsed_seconds h.sim);
+          p.P.pname machine.name width height cycles (1e3 *. seconds);
         Printf.printf "  flops=%.3e  sent=%d elems  tasks=%d\n" st.flops
           st.elems_sent st.task_activations;
         if time then
@@ -239,11 +245,9 @@ let simulate_cmd =
                (List.map (fun (name, s) -> Printf.sprintf "%s %.3f s" name s) phases))
             total;
         if stats then begin
-          let k = F.sched_stats h.sim in
-          Printf.printf "  scheduler: scans=%d probes=%d peak_sends_live=%d\n" k.scans
-            k.probes k.peak_sends_live;
-          print_string
-            (Wsc_trace.Aggregate.busy_blocked_table (F.pe_summaries h.sim))
+          Printf.printf "  scheduler: scans=%d probes=%d peak_sends_live=%d\n"
+            sched.scans sched.probes sched.peak_sends_live;
+          print_string busy
         end;
         Printf.printf "  max |difference| vs sequential reference: %.3e  -> %s\n"
           maxd
@@ -259,15 +263,15 @@ let simulate_cmd =
                      ("bench", J.String p.P.pname);
                      ("machine", J.String machine.name);
                      ("size", J.String (B.size_to_string size));
-                     ("width", J.Int h.sim.width);
-                     ("height", J.Int h.sim.height);
+                     ("width", J.Int width);
+                     ("height", J.Int height);
                    ]
                  ~results:
                    [
                      J.Obj
                        [
-                         ("cycles", J.Float (F.elapsed_cycles h.sim));
-                         ("seconds", J.Float (F.elapsed_seconds h.sim));
+                         ("cycles", J.Float cycles);
+                         ("seconds", J.Float seconds);
                          ("wall_s", J.Float wall_s);
                          ( "phase_wall_s",
                            J.Obj
@@ -275,8 +279,7 @@ let simulate_cmd =
                              @ [ ("total", J.Float total) ]) );
                          ("driver", J.String F.driver);
                          ("max_diff", J.Float maxd);
-                         ( "peak_sends_live",
-                           J.Int (F.sched_stats h.sim).peak_sends_live );
+                         ("peak_sends_live", J.Int sched.peak_sends_live);
                        ];
                    ]));
         if not matched then exit 1;

@@ -49,9 +49,9 @@ let param ~(name : string) ~(typ : typ) ~(default : attr) : op =
 (** {1 Globals} *)
 
 (** Global buffer of [size] f32 elements, zero-initialized. *)
-let global_buffer ~(name : string) ~(size : int) ?(elt = F32) () : op =
+let global_buffer ~(name : string) ~(size : int) : op =
   create_op "csl.global_buffer" ~results:[]
-    ~attrs:[ ("sym_name", String_attr name); ("type", Type_attr (Memref ([ size ], elt))) ]
+    ~attrs:[ ("sym_name", String_attr name); ("type", Type_attr (Memref ([ size ], F32))) ]
 
 (** Mutable global scalar. *)
 let global_scalar ~(name : string) ~(typ : typ) ~(init : attr) : op =
@@ -148,18 +148,13 @@ let call ~(callee : string) ?(args = []) ?(results = []) () : op =
 let activate ~(task : string) : op =
   create_op "csl.activate" ~results:[] ~attrs:[ ("task", Symbol_ref task) ]
 
-let return_ ?(vals = []) () : op = create_op "csl.return" ~operands:vals ~results:[]
+let return_ () : op = create_op "csl.return" ~results:[]
 
 (** Call a member function of an imported module value, e.g. the
-    communication library.  Callback arguments are symbol attrs. *)
-let member_call ~(struct_ : value) ~(field : string) ?(args = [])
-    ?(callbacks : (string * string) list = []) ?(results = []) () : op =
-  create_op "csl.member_call"
-    ~operands:(struct_ :: args)
-    ~results
-    ~attrs:
-      (("field", String_attr field)
-      :: List.map (fun (k, v) -> (k, Symbol_ref v)) callbacks)
+    communication library. *)
+let member_call ~(struct_ : value) ~(field : string) : op =
+  create_op "csl.member_call" ~operands:[ struct_ ] ~results:[]
+    ~attrs:[ ("field", String_attr field) ]
 
 (** Signal the host that the device program has finished. *)
 let unblock_cmd_stream () : op =

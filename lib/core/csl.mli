@@ -22,7 +22,7 @@ val param : name:string -> typ:typ -> default:attr -> op
 (** {1 Globals} *)
 
 (** Zero-initialized global f32 buffer. *)
-val global_buffer : name:string -> size:int -> ?elt:typ -> unit -> op
+val global_buffer : name:string -> size:int -> op
 
 val global_scalar : name:string -> typ:typ -> init:attr -> op
 
@@ -62,18 +62,11 @@ val call : callee:string -> ?args:value list -> ?results:typ list -> unit -> op
 (** Schedule a local task for activation. *)
 val activate : task:string -> op
 
-val return_ : ?vals:value list -> unit -> op
+val return_ : unit -> op
 
 (** Call a member of an imported module (e.g. the communication
-    library); callback arguments are symbol attrs. *)
-val member_call :
-  struct_:value ->
-  field:string ->
-  ?args:value list ->
-  ?callbacks:(string * string) list ->
-  ?results:typ list ->
-  unit ->
-  op
+    library). *)
+val member_call : struct_:value -> field:string -> op
 
 (** Signal the host that the device program has finished. *)
 val unblock_cmd_stream : unit -> op

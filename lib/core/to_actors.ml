@@ -207,7 +207,7 @@ let buffer_globals (s : schedule) : op list * int =
   let out_ptr_names = List.concat_map (fun i -> i.out_ptrs) s.applies in
   let n_bufs = s.n_state + List.length out_ptr_names in
   let bufs =
-    List.init n_bufs (fun i -> Csl.global_buffer ~name:(buf_name i) ~size:s.zfull ())
+    List.init n_bufs (fun i -> Csl.global_buffer ~name:(buf_name i) ~size:s.zfull)
   in
   let ptrs =
     List.init s.n_state (fun i ->
@@ -231,7 +231,7 @@ let comm_globals (s : schedule) : op list * int =
       (* accumulator: z-sized when reduced on arrival, one slot per
          received distance-column in pack mode *)
       let acc_len = num_elements (Csl_stencil.acc_init info.apply).vtyp in
-      ops := !ops @ [ Csl.global_buffer ~name:(acc_name info.index) ~size:acc_len () ];
+      ops := !ops @ [ Csl.global_buffer ~name:(acc_name info.index) ~size:acc_len ];
       bytes := !bytes + (acc_len * 4);
       let one_shot = has_attr info.apply "one_shot" in
       List.iteri
@@ -239,7 +239,7 @@ let comm_globals (s : schedule) : op list * int =
           if one_shot && swaps <> [] then begin
             (* one shared staging buffer for all directions of this input *)
             ops :=
-              !ops @ [ Csl.global_buffer ~name:(rcv_all_name info.index i) ~size:cs () ];
+              !ops @ [ Csl.global_buffer ~name:(rcv_all_name info.index i) ~size:cs ];
             bytes := !bytes + (cs * 4)
           end
           else
@@ -248,7 +248,7 @@ let comm_globals (s : schedule) : op list * int =
                 let size = if promoted then cs else sw.depth * cs in
                 ops :=
                   !ops
-                  @ [ Csl.global_buffer ~name:(rcv_name info.index i sw.dir) ~size () ];
+                  @ [ Csl.global_buffer ~name:(rcv_name info.index i sw.dir) ~size ];
                 bytes := !bytes + (size * 4))
               swaps)
         info.cfg.swaps)
@@ -472,7 +472,7 @@ let scratch_globals (s : schedule) : op list * int =
                 ops :=
                   !ops
                   @ [
-                      Csl.global_buffer ~name:(scratch_name info.index tag !n) ~size ();
+                      Csl.global_buffer ~name:(scratch_name info.index tag !n) ~size;
                     ];
                 bytes := !bytes + (size * 4);
                 incr n
@@ -533,9 +533,7 @@ let communicate_config (s : schedule) (info : apply_info) : attr =
 
 let build_start_func (s : schedule) (info : apply_info) (comms : value) : op =
   Csl.func ~name:(Printf.sprintf "apply%d_start" info.index) (fun b _ ->
-      let call =
-        Csl.member_call ~struct_:comms ~field:"communicate" ()
-      in
+      let call = Csl.member_call ~struct_:comms ~field:"communicate" in
       set_attr call "config" (communicate_config s info);
       B.insert0 b call;
       B.insert0 b (Csl.return_ ()))

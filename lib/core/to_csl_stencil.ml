@@ -641,7 +641,7 @@ let convert_apply (opts : options) (root : op) (blk : block) (apply : op)
     new_region [ new_block ~args:done_args (B.ops b) ]
   in
   (* accumulator init *)
-  let acc_empty = Tensor.empty ~shape:[ acc_len ] () in
+  let acc_empty = Tensor.empty ~shape:[ acc_len ] in
   let config =
     {
       Csl_stencil.topology;

@@ -18,9 +18,9 @@ let constant_index (v : int) : op =
 
 (** Splat constant over a tensor shape (used after tensorization, where
     scalar coefficients become dense tensor constants). *)
-let constant_dense ~(shape : int list) ?(elt = F32) (v : float) : op =
+let constant_dense ~(shape : int list) (v : float) : op =
   create_op "arith.constant"
-    ~results:[ Tensor (shape, elt) ]
+    ~results:[ Tensor (shape, F32) ]
     ~attrs:[ ("value", Float_attr v); ("splat", Unit_attr) ]
 
 let is_constant op = op.opname = "arith.constant"

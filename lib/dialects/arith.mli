@@ -9,7 +9,7 @@ val constant_i : ?typ:typ -> int -> op
 val constant_index : int -> op
 
 (** Splat constant over a tensor shape (tensorized coefficients). *)
-val constant_dense : shape:int list -> ?elt:typ -> float -> op
+val constant_dense : shape:int list -> float -> op
 
 val is_constant : op -> bool
 

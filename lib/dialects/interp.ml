@@ -681,18 +681,23 @@ let init_grid (g : grid) : unit =
 
 (** Reinterpret a 3-D scalar grid as the corresponding 2-D grid of
     z-column tensors (identical flattened layout) — used to feed the same
-    initial data to a module before and after tensorization. *)
+    initial data to a module before and after tensorization.  It shares
+    [g]'s data: every caller hands over a grid it no longer writes. *)
 let retensorize_grid (g : grid) : grid =
   match g.gbounds with
   | [ bx; by; (zl, zu) ] ->
-      { gbounds = [ bx; by ]; gelt = Tensor ([ zu - zl ], F32); gdata = Array.copy g.gdata }
+      { gbounds = [ bx; by ]; gelt = Tensor ([ zu - zl ], F32); gdata = g.gdata }
   | _ -> fail "retensorize_grid: grid is not 3-D scalar"
 
 let max_abs_diff (a : grid) (b : grid) : float =
-  if Array.length a.gdata <> Array.length b.gdata then infinity
+  let n = Array.length a.gdata in
+  if n <> Array.length b.gdata then infinity
   else begin
+    (* an unboxed accumulator; [Float.max] keeps a NaN difference *)
     let m = ref 0.0 in
-    Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.gdata.(i)))) a.gdata;
+    for i = 0 to n - 1 do
+      m := Float.max !m (Float.abs (a.gdata.(i) -. b.gdata.(i)))
+    done;
     !m
   end
 

@@ -44,7 +44,8 @@ val copy_grid : grid -> grid
 val iter_box : (int * int) list -> int array -> (unit -> unit) -> unit
 
 (** Reinterpret a 3-D scalar grid as the 2-D grid of z-column tensors
-    with the identical flattened layout. *)
+    with the identical flattened layout.  The result shares the
+    argument's data array, so a write through either shows in both. *)
 val retensorize_grid : grid -> grid
 
 (** {1 Values} *)
@@ -100,7 +101,8 @@ val init_value : int list -> float
     [p] taking the values of the points [p @ [k]]. *)
 val init_grid : grid -> unit
 
-(** Point-wise maximum |difference|; infinite on size mismatch. *)
+(** Point-wise maximum |difference|; infinite on size mismatch, NaN
+    when any difference is NaN. *)
 val max_abs_diff : grid -> grid -> float
 
 (** {!max_abs_diff} over paired grid lists (0 for none); a 3-D scalar

@@ -5,8 +5,8 @@
 open Wsc_ir.Ir
 module Verifier = Wsc_ir.Verifier
 
-let alloc ~(shape : int list) ?(elt = F32) ?(hint = "buf") () : op =
-  create_op "memref.alloc" ~results:[ Memref (shape, elt) ] ~result_hints:[ hint ]
+let alloc ~(shape : int list) ?(hint = "buf") () : op =
+  create_op "memref.alloc" ~results:[ Memref (shape, F32) ] ~result_hints:[ hint ]
 
 let copy ~(src : value) ~(dst : value) : op =
   create_op "memref.copy" ~operands:[ src; dst ] ~results:[]
@@ -25,16 +25,6 @@ let subview_dyn (m : value) ~(offset : value) ~(size : int) : op =
   create_op "memref.subview_dyn" ~operands:[ m; offset ]
     ~results:[ Memref ([ size ], elt) ]
     ~attrs:[ ("size", Int_attr size) ]
-
-(** Named global buffer (becomes a CSL top-level [var] array). *)
-let global ~(name : string) ~(shape : int list) ?(elt = F32) () : op =
-  create_op "memref.global" ~results:[]
-    ~attrs:[ ("sym_name", String_attr name); ("type", Type_attr (Memref (shape, elt))) ]
-
-let get_global ~(name : string) ~(typ : typ) : op =
-  create_op "memref.get_global" ~results:[ typ ]
-    ~attrs:[ ("name", Symbol_ref name) ]
-    ~result_hints:[ name ]
 
 let () =
   Verifier.register "memref.copy" (fun op ->

@@ -4,7 +4,7 @@
 
 open Wsc_ir.Ir
 
-val alloc : shape:int list -> ?elt:typ -> ?hint:string -> unit -> op
+val alloc : shape:int list -> ?hint:string -> unit -> op
 val copy : src:value -> dst:value -> op
 
 (** Static 1-D subview. *)
@@ -12,8 +12,3 @@ val subview : value -> offset:int -> size:int -> op
 
 (** 1-D subview at a dynamic offset (chunk positions). *)
 val subview_dyn : value -> offset:value -> size:int -> op
-
-(** Named global buffer (a CSL top-level array). *)
-val global : name:string -> shape:int list -> ?elt:typ -> unit -> op
-
-val get_global : name:string -> typ:typ -> op

@@ -6,8 +6,8 @@
 open Wsc_ir.Ir
 module Verifier = Wsc_ir.Verifier
 
-let empty ~(shape : int list) ?(elt = F32) () : op =
-  create_op "tensor.empty" ~results:[ Tensor (shape, elt) ]
+let empty ~(shape : int list) : op =
+  create_op "tensor.empty" ~results:[ Tensor (shape, F32) ]
 
 (** [extract_slice t ~offset ~size] — 1-D slice [offset, offset+size). *)
 let extract_slice (t : value) ~(offset : int) ~(size : int) : op =

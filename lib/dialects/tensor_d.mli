@@ -4,7 +4,7 @@
 
 open Wsc_ir.Ir
 
-val empty : shape:int list -> ?elt:typ -> unit -> op
+val empty : shape:int list -> op
 
 (** Static 1-D slice [offset, offset + size). *)
 val extract_slice : value -> offset:int -> size:int -> op

@@ -184,7 +184,7 @@ let mwfaults_tier ~(machine : Wsc_wse.Machine.t)
       None
       [ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash ]
 
-let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
+let check ?(inject_bug = false) ?(mwfaults = false)
     ?(machine = Wsc_wse.Machine.wse3)
     ?(options = Pipeline.default_options) (p : P.t) : report =
   let fail ?ir_before ?ir_after f =
@@ -259,16 +259,14 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
                                 Wsc_serve.Engine.create ~options ()
                               in
                               let mw_failure =
-                                if not multiwafer then None
-                                else
-                                  List.fold_left
-                                    (fun acc wafers ->
-                                      match acc with
-                                      | Some _ -> acc
-                                      | None ->
-                                          multiwafer_tier ~machine ~engine p
-                                            outs wafers)
-                                    None (multiwafer_grids p)
+                                List.fold_left
+                                  (fun acc wafers ->
+                                    match acc with
+                                    | Some _ -> acc
+                                    | None ->
+                                        multiwafer_tier ~machine ~engine p outs
+                                          wafers)
+                                  None (multiwafer_grids p)
                               in
                               let mw_failure =
                                 match mw_failure with

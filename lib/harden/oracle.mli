@@ -47,9 +47,9 @@ val tolerance : float
 (** Run all tiers.  [inject_bug] splices a deliberately wrong pass
     (["harden-test-bug"], perturbs the first float constant) between
     pipeline groups — test-only, for proving the harness catches
-    defects.  [multiwafer] (default on) adds the final tier: the
-    program co-simulated on 1×1 and 2×1 wafer grids must drain fields
-    bit-identical to the single-wafer fabric.  [mwfaults] (default off:
+    defects.  The final tier co-simulates the program on 1×1 and 2×1
+    wafer grids, which must drain fields bit-identical to the
+    single-wafer fabric.  [mwfaults] (default off:
     each fault kind costs one more co-simulation) adds the chaos tier —
     the 2×1 co-simulation under low-rate seeded halo-drop /
     halo-corrupt / crash faults with the resilience protocol on must
@@ -61,7 +61,6 @@ val tolerance : float
     Never raises: every exception becomes a {!failure}. *)
 val check :
   ?inject_bug:bool ->
-  ?multiwafer:bool ->
   ?mwfaults:bool ->
   ?machine:Wsc_wse.Machine.t ->
   ?options:Wsc_core.Pipeline.options ->

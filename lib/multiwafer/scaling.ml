@@ -38,7 +38,7 @@ type figure = {
   baselines : (string * Cluster.cluster_measurement) list;
 }
 
-let default_wafer_grids = [ (1, 1); (2, 1); (2, 2); (4, 2); (4, 4) ]
+let wafer_grids = [ (1, 1); (2, 1); (2, 2); (4, 2); (4, 4) ]
 
 let baselines () =
   [
@@ -109,16 +109,11 @@ let with_ratios (mode : [ `Strong | `Weak ]) (points : point list) : point list 
           { p with speedup; efficiency })
         points
 
-(** Weak scaling: each wafer keeps the full [per_wafer] rectangle; the
+(** Weak scaling: each wafer keeps the machine's full PE rectangle; the
     global problem grows with the wafer grid. *)
-let weak ?(interconnect = Interconnect.default)
-    ?(wafer_grids = default_wafer_grids) ?per_wafer ~(machine : Machine.t)
+let weak ?(interconnect = Interconnect.default) ~(machine : Machine.t)
     ~(cycles_per_iter : float) (d : B.descr) : figure =
-  let pwx, pwy =
-    match per_wafer with
-    | Some e -> e
-    | None -> (machine.Machine.max_width, machine.Machine.max_height)
-  in
+  let pwx, pwy = (machine.Machine.max_width, machine.Machine.max_height) in
   let points =
     List.map
       (fun (wx, wy) ->
@@ -137,16 +132,11 @@ let weak ?(interconnect = Interconnect.default)
     baselines = baselines ();
   }
 
-(** Strong scaling: the global problem is fixed (default 2× the wafer
-    rectangle each way) and sliced ever finer. *)
-let strong ?(interconnect = Interconnect.default)
-    ?(wafer_grids = default_wafer_grids) ?global ~(machine : Machine.t)
+(** Strong scaling: the global problem is fixed at 2× the wafer
+    rectangle each way and sliced ever finer. *)
+let strong ?(interconnect = Interconnect.default) ~(machine : Machine.t)
     ~(cycles_per_iter : float) (d : B.descr) : figure =
-  let gx, gy =
-    match global with
-    | Some e -> e
-    | None -> (2 * machine.Machine.max_width, 2 * machine.Machine.max_height)
-  in
+  let gx, gy = (2 * machine.Machine.max_width, 2 * machine.Machine.max_height) in
   let points =
     List.map
       (fun wafers ->

@@ -35,23 +35,19 @@ type figure = {
   baselines : (string * Cluster.cluster_measurement) list;
 }
 
-(** Each wafer keeps the full [per_wafer] rectangle (default: the
-    machine's PE rectangle); the global problem grows with the grid. *)
+(** Each wafer keeps the machine's full PE rectangle; the global problem
+    grows with the wafer grid (1×1, 2×1, 2×2, 4×2, 4×4). *)
 val weak :
   ?interconnect:Interconnect.t ->
-  ?wafer_grids:(int * int) list ->
-  ?per_wafer:int * int ->
   machine:Wsc_wse.Machine.t ->
   cycles_per_iter:float ->
   B.descr ->
   figure
 
-(** Fixed global problem (default 2× the machine rectangle each way)
-    sliced over ever more wafers. *)
+(** Fixed global problem (2× the machine rectangle each way) sliced
+    over the same wafer grids as {!weak}. *)
 val strong :
   ?interconnect:Interconnect.t ->
-  ?wafer_grids:(int * int) list ->
-  ?global:int * int ->
   machine:Wsc_wse.Machine.t ->
   cycles_per_iter:float ->
   B.descr ->

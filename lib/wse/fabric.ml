@@ -541,6 +541,10 @@ type t = {
           quiescent with PEs held (see {!lift_window}) *)
 }
 
+(** Element count of a [csl.global_buffer]. *)
+let buffer_size (o : op) : int =
+  match attr_exn o "type" with Type_attr t -> num_elements t | _ -> fail "bad buffer type"
+
 let new_pe (program : op) x y : pe =
   let globals = Hashtbl.create 16 in
   let scalars = Hashtbl.create 4 in
@@ -549,13 +553,8 @@ let new_pe (program : op) x y : pe =
     (fun o ->
       match o.opname with
       | "csl.global_buffer" ->
-          let name = string_attr_exn o "sym_name" in
-          let size =
-            match attr_exn o "type" with
-            | Type_attr t -> num_elements t
-            | _ -> fail "bad buffer type"
-          in
-          Hashtbl.replace globals name (Array.make size 0.0)
+          Hashtbl.replace globals (string_attr_exn o "sym_name")
+            (Array.make (buffer_size o) 0.0)
       | "csl.global_scalar" ->
           let name = string_attr_exn o "sym_name" in
           let init = match attr o "init" with Some (Int_attr i) -> i | _ -> 0 in
@@ -606,18 +605,15 @@ let max_simulated_pes = 64 * 1024
     consume first. *)
 let max_live_sends_per_pe = 2
 
-(** Largest simulation, in estimated bytes, {!create} instantiates:
-    every PE's program memory plus the send-table bound.  1 GiB admits
-    every grid up to the benchmarks' Small size (100x100 PEs). *)
+(** Largest simulation, in estimated bytes, {!create} instantiates, and
+    largest sequential reference [wsc simulate] runs after it.  1 GiB
+    admits every grid up to the benchmarks' Small size (100x100 PEs). *)
 let max_simulated_bytes = 1 lsl 30
 
-(** Largest sequential reference [wsc simulate] runs next to the fabric,
-    in estimated bytes and apply-body ops (as
-    [Stencil_program.reference_estimate] counts them).  At about 4 ns per
-    op on a 2-core x86-64 host, 2e10 ops is a minute or two; the
-    benchmarks' Small size fits at a few timesteps. *)
-let max_reference_bytes = max_simulated_bytes
-
+(** Largest sequential reference [wsc simulate] runs, in apply-body ops
+    (as [Stencil_program.reference_estimate] counts them).  At about
+    4 ns per op on a 2-core x86-64 host, 2e10 ops is a minute or two;
+    the benchmarks' Small size fits at a few timesteps. *)
 let max_reference_point_ops = 20_000_000_000
 
 (** Bytes of one live send record: its column snapshots and chunk
@@ -625,10 +621,22 @@ let max_reference_point_ops = 20_000_000_000
 let record_bytes (c : comm) : int =
   (8 * ((Array.length c.send_ptrs * c.c_nz) + c.num_chunks)) + 128
 
-(** Estimated memory of simulating [program] on [pes] PEs. *)
-let estimate_bytes ~(pes : int) ~(memory_bytes : int) (comms : comm list) : int =
+(** Estimated memory of simulating [program] on [pes] PEs: buffers are
+    host floats, 8 bytes per element whatever the device type, plus 128
+    bytes per buffer and 1 KiB per PE of tables and records (the five
+    benchmarks use 1.2-1.7 KiB of the 1.5-2.6 KiB this allows). *)
+let estimate ~(pes : int) (program : op) (comms : comm list) : int =
+  let buffers =
+    List.fold_left
+      (fun acc o ->
+        if o.opname = "csl.global_buffer" then acc + (8 * buffer_size o) + 128 else acc)
+      1024 (Csl.module_body program)
+  in
   let record = List.fold_left (fun acc c -> max acc (record_bytes c)) 0 comms in
-  pes * (memory_bytes + (max_live_sends_per_pe * record))
+  pes * (buffers + (max_live_sends_per_pe * record))
+
+let estimate_bytes (sim : t) : int =
+  estimate ~pes:(sim.width * sim.height) sim.program sim.code.comms
 
 let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     (program : op) : t =
@@ -647,13 +655,13 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     fail "program needs %d bytes per PE; %s provides %d" mem machine.name
       machine.pe_memory_bytes;
   let code = stage_program program in
-  let estimate = estimate_bytes ~pes:(width * height) ~memory_bytes:mem code.comms in
+  let estimate = estimate ~pes:(width * height) program code.comms in
   if estimate > max_simulated_bytes then
     fail
-      "PE grid %dx%d needs an estimated %d bytes to simulate (%d bytes of \
-       program memory per PE plus the send-table bound), over the limit of %d \
+      "PE grid %dx%d needs an estimated %d bytes to simulate (its buffers at 8 \
+       bytes per element plus the send-table bound), over the limit of %d \
        bytes; use a smaller proxy grid"
-      width height estimate mem max_simulated_bytes;
+      width height estimate max_simulated_bytes;
   if Trace.enabled trace then begin
     Trace.name_process trace ~pid:Trace.fabric_pid "fabric";
     for x = 0 to width - 1 do

@@ -112,15 +112,13 @@ val max_simulated_pes : int
     host runs it, never what it computes. *)
 val max_live_sends_per_pe : int
 
-(** Largest estimated simulation size, in bytes, {!create} accepts:
-    PEs x per-PE program memory, plus {!max_live_sends_per_pe} send
-    records per PE. *)
+(** Largest estimated simulation size, in bytes, {!create} accepts
+    (see {!estimate_bytes}); [wsc simulate] holds its sequential
+    reference to the same limit. *)
 val max_simulated_bytes : int
 
 (** Largest sequential reference run checked next to a simulation, in
-    estimated bytes and apply-body ops. *)
-val max_reference_bytes : int
-
+    apply-body ops. *)
 val max_reference_point_ops : int
 
 (** Instantiate the PE grid for a program module.  [trace] (default
@@ -141,6 +139,12 @@ val create :
   Machine.t ->
   Wsc_ir.Ir.op ->
   t
+
+(** The estimate {!create} checks against {!max_simulated_bytes}: per
+    PE, every buffer at 8 bytes per element (the simulator stores host
+    floats whatever the device type) plus its bookkeeping, and
+    {!max_live_sends_per_pe} send records. *)
+val estimate_bytes : t -> int
 
 val in_grid : t -> int -> int -> bool
 

@@ -16,15 +16,15 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Host_error s)) fmt
 
 type t = {
   sim : Fabric.t;
-  program : op;
-  init_grids : I.grid list;  (** kept for boundary columns and halo readback *)
+  bounds : (int * int) list;  (** the state grids' bounds, ring included *)
   result_ptrs : string list;
 }
 
-let column_of_grid (g : I.grid) (x : int) (y : int) : float array =
-  match I.grid_get g [ x; y ] with
-  | I.Rtensor col -> col
-  | _ -> fail "grid element is not a z-column"
+(** Offset of the z-column at [(x, y)] in [g]'s data. *)
+let column_offset (g : I.grid) zfull x y : int =
+  let z = I.tensor_extent g.I.gelt in
+  if z <> zfull then fail "column length %d does not match zfull %d" z zfull;
+  I.flat_index g [ x; y ] * zfull
 
 (** Create the simulator and copy the initial state in; [trace] is
     handed to the fabric and also carries host-side markers (load,
@@ -48,31 +48,32 @@ let load ?(trace = Trace.null) ?(faults = Wsc_faults.Faults.null)
   in
   let zfull = sim.Fabric.zfull in
   (* interior columns into PE buffers *)
+  let state_ptrs = List.init n_state (Printf.sprintf "ptr_state%d") in
   for x = 0 to sim.Fabric.width - 1 do
     for y = 0 to sim.Fabric.height - 1 do
       let pe = sim.Fabric.pes.(x).(y) in
-      List.iteri
-        (fun j g ->
-          let col = column_of_grid g x y in
-          if Array.length col <> zfull then
-            fail "column length %d does not match zfull %d" (Array.length col) zfull;
-          let buf = Fabric.deref pe (Printf.sprintf "ptr_state%d" j) in
-          Array.blit col 0 buf 0 zfull)
-        init_grids
+      List.iter2
+        (fun (g : I.grid) ptr ->
+          let buf = Fabric.deref pe ptr in
+          Array.blit g.I.gdata (column_offset g zfull x y) buf 0 zfull)
+        init_grids state_ptrs
     done
   done;
   (* boundary columns host-side: all points of the full bounds outside the
      PE grid, concatenated across state slots *)
-  (match init_grids with
-  | g0 :: _ ->
-      let p = [| 0; 0 |] in
-      I.iter_box g0.I.gbounds p (fun () ->
-          let x = p.(0) and y = p.(1) in
-          if not (Fabric.in_grid sim x y) then
-            Hashtbl.replace sim.Fabric.halo (x, y)
-              (Array.concat (List.map (fun g -> column_of_grid g x y) init_grids)))
-  | [] -> fail "no state grids");
-  { sim; program; init_grids; result_ptrs }
+  let bounds = match init_grids with g0 :: _ -> g0.I.gbounds | [] -> fail "no state grids" in
+  let p = [| 0; 0 |] in
+  I.iter_box bounds p (fun () ->
+      let x = p.(0) and y = p.(1) in
+      if not (Fabric.in_grid sim x y) then begin
+        let ring = Array.create_float (n_state * zfull) in
+        List.iteri
+          (fun j (g : I.grid) ->
+            Array.blit g.I.gdata (column_offset g zfull x y) ring (j * zfull) zfull)
+          init_grids;
+        Hashtbl.replace sim.Fabric.halo (x, y) ring
+      end);
+  { sim; bounds; result_ptrs }
 
 (** Run the device program to completion. *)
 let run (h : t) : unit =
@@ -85,23 +86,26 @@ let run (h : t) : unit =
       (Fabric.elapsed_cycles h.sim)
 
 (** Read state grid [j] back: interior columns from the PEs (through the
-    final pointer assignment), halo columns unchanged from the initial
-    data. *)
+    final pointer assignment), ring columns from slot [j] of the
+    host-resident boundary, which the run never writes. *)
 let read_state (h : t) (j : int) : I.grid =
-  let init = List.nth h.init_grids j in
-  let out = I.copy_grid init in
+  let sim = h.sim in
+  let zfull = sim.Fabric.zfull in
   let ptr = List.nth h.result_ptrs j in
-  for x = 0 to h.sim.Fabric.width - 1 do
-    for y = 0 to h.sim.Fabric.height - 1 do
-      let pe = h.sim.Fabric.pes.(x).(y) in
-      let buf = Fabric.deref pe ptr in
-      I.grid_set out [ x; y ] (I.Rtensor (Array.copy buf))
-    done
-  done;
+  let out = I.make_grid h.bounds (Tensor ([ zfull ], F32)) in
+  (* [iter_box] visits the points in row-major order, so the k-th point
+     is column k of [out] *)
+  let p = [| 0; 0 |] and k = ref 0 in
+  I.iter_box h.bounds p (fun () ->
+      let x = p.(0) and y = p.(1) in
+      let dst = !k * zfull in
+      if Fabric.in_grid sim x y then
+        Array.blit (Fabric.deref sim.Fabric.pes.(x).(y) ptr) 0 out.I.gdata dst zfull
+      else Array.blit (Hashtbl.find sim.Fabric.halo (x, y)) (j * zfull) out.I.gdata dst zfull;
+      incr k);
   out
 
-let read_all (h : t) : I.grid list =
-  List.mapi (fun j _ -> read_state h j) h.init_grids
+let read_all (h : t) : I.grid list = List.mapi (fun j _ -> read_state h j) h.result_ptrs
 
 (** {1 Graceful degradation reporting} *)
 

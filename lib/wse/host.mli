@@ -5,15 +5,18 @@
 
 exception Host_error of string
 
+(** A loaded run.  The state lives on the fabric alone: interior
+    columns in the PE buffers, Dirichlet ring columns in [sim.halo]; the
+    handle keeps only the grids' bounds, for readback. *)
 type t = {
   sim : Fabric.t;
-  program : Wsc_ir.Ir.op;
-  init_grids : Wsc_dialects.Interp.grid list;
+  bounds : (int * int) list;
   result_ptrs : string list;
 }
 
 (** Create the simulator for [program] and copy the initial state grids
-    (2-D grids of z-column tensors, full halo bounds) onto the PEs.
+    (2-D grids of z-column tensors, full halo bounds) onto the PEs and
+    the host-resident ring; the grids are only read, never kept.
     [trace] is handed to the fabric and also carries host-side markers;
     [faults] is handed to the fabric's injection sites.
     @raise Host_error on state-count or column-length mismatch. *)
@@ -26,8 +29,9 @@ val load :
     [run]). *)
 val run : t -> unit
 
-(** Read state grid [j] back: interior columns from the PEs through the
-    final pointer assignment, halo columns unchanged. *)
+(** Read state grid [j] back into a fresh grid: interior columns from
+    the PEs through the final pointer assignment, halo columns unchanged
+    from the load. *)
 val read_state : t -> int -> Wsc_dialects.Interp.grid
 
 val read_all : t -> Wsc_dialects.Interp.grid list

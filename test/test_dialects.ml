@@ -144,7 +144,7 @@ let test_retensorize_layout () =
   let g3 = I.make_grid [ (0, 2); (0, 2); (-1, 2) ] F32 in
   I.init_grid g3;
   let g2 = I.retensorize_grid g3 in
-  check_int "same storage size" (Array.length g3.I.gdata) (Array.length g2.I.gdata);
+  check "shares the 3-D grid's storage" true (g2.I.gdata == g3.I.gdata);
   (* column (1,1) of the 2-D view equals the z-run of the 3-D view *)
   match I.grid_get g2 [ 1; 1 ] with
   | I.Rtensor col ->

@@ -128,7 +128,7 @@ module Bld = Wsc_ir.Builder
 let program_with (body : Bld.t -> unit) : Wsc_ir.Ir.op =
   let open Wsc_ir.Ir in
   let b = Bld.create () in
-  Bld.insert0 b (Csl.global_buffer ~name:"buf" ~size:4 ());
+  Bld.insert0 b (Csl.global_buffer ~name:"buf" ~size:4);
   Bld.insert0 b (Csl.ptr_global ~name:"p" ~target:"buf" ~buf_type:(Memref ([ 4 ], F32)));
   Bld.insert0 b
     (Csl.task ~name:"t" ~kind:Csl.Local_task ~id:1 (fun tb ->

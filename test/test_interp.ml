@@ -117,7 +117,7 @@ let test_out_of_bounds_access () =
 (* ------------------------------------------------------------------ *)
 
 let check_reference =
-  P.check_reference ~max_bytes:Wsc_wse.Fabric.max_reference_bytes
+  P.check_reference ~max_bytes:Wsc_wse.Fabric.max_simulated_bytes
     ~max_point_ops:Wsc_wse.Fabric.max_reference_point_ops
 
 let test_reference_estimate () =
@@ -148,6 +148,22 @@ let test_reference_refused () =
       check "states the point-ops" true (contains (string_of_int e.P.point_ops));
       check "states the bytes" true (contains (string_of_int e.P.bytes))
 
+(* a NaN anywhere makes the comparison NaN, which is never within
+   tolerance: a run that produced NaNs reports MISMATCH *)
+let test_nan_is_a_mismatch () =
+  let grid data = { I.gbounds = [ (0, Array.length data) ]; gelt = F32; gdata = data } in
+  let a = grid [| 1.0; 2.0; 3.0; 4.0 |] in
+  List.iter
+    (fun i ->
+      let b = grid (Array.copy a.I.gdata) in
+      b.I.gdata.(i) <- Float.nan;
+      let d = I.max_abs_diff a b in
+      check (Printf.sprintf "NaN at %d gives NaN" i) true (Float.is_nan d);
+      check (Printf.sprintf "NaN at %d is a mismatch" i) false (P.within_tolerance d))
+    [ 0; 2; 3 ];
+  Alcotest.(check (float 0.0)) "finite difference" 0.5
+    (I.max_abs_diff a (grid [| 1.0; 2.5; 3.0; 4.0 |]))
+
 let () =
   Alcotest.run "interp"
     [
@@ -155,6 +171,7 @@ let () =
         [
           Alcotest.test_case "output digests" `Quick test_digests;
           Alcotest.test_case "out-of-bounds access" `Quick test_out_of_bounds_access;
+          Alcotest.test_case "NaN difference is a mismatch" `Quick test_nan_is_a_mismatch;
         ] );
       ( "reference size",
         [

@@ -185,11 +185,28 @@ let test_cosim_cache_dedup () =
   checki "one distinct slice shape" 1 r.MW.distinct_programs;
   checki "one cold compile" 1 (s1.Cache.misses - s0.Cache.misses);
   checki "three cache hits" 3 (s1.Cache.hits - s0.Cache.hits);
+  checki "no single-flight dedup" 0 (s1.Cache.dedup_hits - s0.Cache.dedup_hits);
   (* re-running hits the shared engine's cache for every wafer *)
   let r2 = MW.run ~engine:e ~wafers:(2, 2) (d.B.make B.Tiny) in
   let s2 = r2.MW.cache in
   checki "warm re-run misses" 0 (s2.Cache.misses - s1.Cache.misses);
   checki "warm re-run hits" 4 (s2.Cache.hits - s1.Cache.hits)
+
+(* the compile counters do not depend on domain timing: two runs on
+   fresh engines count the same, one miss per distinct slice shape and a
+   hit for every other wafer *)
+let test_cosim_cache_counts_deterministic () =
+  let d = B.find "jacobian" in
+  let counts () =
+    let r = MW.run ~engine:(Wsc_serve.Engine.create ()) ~wafers:(2, 2) (d.B.make B.Tiny) in
+    (r.MW.distinct_programs, r.MW.cache)
+  in
+  let distinct, a = counts () in
+  let _, b = counts () in
+  check "identical counters" true (a = b);
+  checki "a miss per shape" distinct a.Cache.misses;
+  checki "a hit per other wafer" (4 - distinct) a.Cache.hits;
+  checki "no dedup" 0 a.Cache.dedup_hits
 
 let test_one_domain_per_wafer () =
   let before = MW.domains_spawned () in
@@ -403,6 +420,8 @@ let () =
             test_bit_identity_seismic;
           Alcotest.test_case "equal slices share one cache entry" `Quick
             test_cosim_cache_dedup;
+          Alcotest.test_case "compile counters are deterministic" `Quick
+            test_cosim_cache_counts_deterministic;
           Alcotest.test_case "one domain per wafer" `Quick
             test_one_domain_per_wafer;
         ] );

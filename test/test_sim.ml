@@ -343,6 +343,22 @@ let test_memory_guard () =
       check "message names the limit" true
         (contains msg (Printf.sprintf "limit of %d bytes" Fabric.max_simulated_bytes))
 
+(* the estimate prices what [create] allocates: on an 8x8 proxy of every
+   benchmark, at least the bytes reachable from the PEs (buffers as
+   8-byte host floats, their tables, the PE records) *)
+let test_memory_estimate_covers_pes () =
+  List.iter
+    (fun (d : B.descr) ->
+      let p = d.make_n (B.Proxy (8, 8)) 1 in
+      let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
+      let sim = Fabric.create Machine.wse3 program in
+      let reachable = 8 * Obj.reachable_words (Obj.repr sim.Fabric.pes) in
+      let estimate = Fabric.estimate_bytes sim in
+      if estimate < reachable then
+        Alcotest.failf "%s: estimate %d below the %d bytes the PEs hold" d.id estimate
+          reachable)
+    B.all
+
 (* the deadlock strikes after earlier exchanges were consumed and their
    records freed: PE(1,0) runs two exchanges and then finishes early, so
    its neighbours block on the third.  The report must still tell the
@@ -614,6 +630,45 @@ let test_custom_initial_data () =
     (fun v -> if Float.abs (v -. 3.5) > 1e-5 then Alcotest.fail "not a fixed point")
     out.I.gdata
 
+(* load then read back without running: the grids come back bit for bit.
+   uvkbe's four state grids pin the per-slot slicing of the ring columns
+   the host keeps for readback.  Its slot 0 is read through the output
+   pointer the last apply writes, so each result pointer is first aimed
+   at its state buffer, where a run of no timesteps would leave it *)
+let test_load_readback_roundtrip () =
+  let p = (B.find "uvkbe").make B.Tiny in
+  let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
+  (* the initial grids are equal: offset each slot so a column read
+     from the wrong slot shows *)
+  let init =
+    List.mapi
+      (fun j (g : I.grid) ->
+        Array.map_inplace (fun v -> v +. float_of_int j) g.I.gdata;
+        g)
+      (P.init_grids p)
+  in
+  check "four state grids" true (List.length init = 4);
+  let h = Host.load Machine.wse3 program init in
+  Array.iter
+    (Array.iter (fun (pe : Fabric.pe) ->
+         List.iteri
+           (fun j ptr ->
+             Hashtbl.find pe.ptrs ptr
+             := !(Hashtbl.find pe.ptrs (Printf.sprintf "ptr_state%d" j)))
+           h.result_ptrs))
+    h.sim.pes;
+  let out = Host.read_all h in
+  List.iter2
+    (fun (a : I.grid) (b : I.grid) ->
+      check "bounds" true (a.I.gbounds = b.I.gbounds);
+      check "element type" true (a.I.gelt = b.I.gelt);
+      check "a fresh grid" true (a.I.gdata != b.I.gdata);
+      check "same bits" true
+        (Array.for_all2
+           (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+           a.I.gdata b.I.gdata))
+    init out
+
 let () =
   Alcotest.run "sim"
     [
@@ -634,6 +689,8 @@ let () =
           Alcotest.test_case "grid too large" `Quick test_grid_too_large;
           Alcotest.test_case "wrong state count" `Quick test_wrong_state_count;
           Alcotest.test_case "memory estimate too large" `Quick test_memory_guard;
+          Alcotest.test_case "memory estimate covers the PEs" `Quick
+            test_memory_estimate_covers_pes;
         ] );
       ( "timing",
         [
@@ -665,5 +722,9 @@ let () =
                prop_live_sends_bounded;
              ] );
       ( "host",
-        [ Alcotest.test_case "custom initial data" `Quick test_custom_initial_data ] );
+        [
+          Alcotest.test_case "custom initial data" `Quick test_custom_initial_data;
+          Alcotest.test_case "load/readback round trip" `Quick
+            test_load_readback_roundtrip;
+        ] );
     ]
