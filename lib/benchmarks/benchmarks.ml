@@ -216,10 +216,11 @@ let uvkbe ?(iterations = 1) (size : size) : P.t =
                  P.Mul (P.Const dt, P.Access ("ke", [ 0; 0; 0 ])) ),
              P.Mul (P.Access ("ssh", [ 0; 0; 0 ]), P.Access ("h", [ 0; 0; 0 ])) ))
   in
-  (* single-shot UVKBE exercises the loop-free path (paper §5.4); with
-     more iterations a timestep loop is used, as unrolled straight-line
-     repetitions would be fused across timesteps by stencil inlining *)
-  invoke ~name:"uvkbe" ~extents:(nx, ny, nz) ~iterations ~use_loop:(iterations > 1)
+  (* single-shot UVKBE exercises the loop-free path (paper §5.4); any
+     other count uses a timestep loop, as unrolled straight-line
+     repetitions would be fused across timesteps by stencil inlining and
+     zero of them would leave no apply to lower *)
+  invoke ~name:"uvkbe" ~extents:(nx, ny, nz) ~iterations ~use_loop:(iterations <> 1)
     ~state:[ "u"; "v"; "ssh"; "h" ]
     ~next_state:[ "u_next"; "v"; "ssh"; "h" ]
     ~dsl_loc:uvkbe_dsl_loc

@@ -19,8 +19,6 @@ val xy_extents : size -> int * int
 
 val jacobian : ?iterations:int -> size -> P.t
 val diffusion : ?iterations:int -> size -> P.t
-val acoustic : ?iterations:int -> size -> P.t
-val seismic : ?iterations:int -> size -> P.t
 val uvkbe : ?iterations:int -> size -> P.t
 
 type descr = {

@@ -12,7 +12,4 @@ type options = {
           multiply + add shape for the standalone fuse pass / ablation *)
 }
 
-val default_options : options
-
-val run : ?options:options -> Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : ?options:options -> unit -> Wsc_ir.Pass.t

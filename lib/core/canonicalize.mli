@@ -3,6 +3,4 @@
     duplicate constants and stencil accesses, and dead-code elimination —
     run to a fixpoint. *)
 
-val pure : string -> bool
-val run : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : Wsc_ir.Pass.t

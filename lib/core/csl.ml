@@ -40,12 +40,6 @@ let import_module ~(name : string) : op =
     ~attrs:[ ("module", String_attr name) ]
     ~result_hints:[ String.map (fun c -> if c = '.' then '_' else c) name ]
 
-(** Comptime parameter with a default; specialized by the layout file. *)
-let param ~(name : string) ~(typ : typ) ~(default : attr) : op =
-  create_op "csl.param" ~results:[ typ ]
-    ~attrs:[ ("pname", String_attr name); ("default", default) ]
-    ~result_hints:[ name ]
-
 (** {1 Globals} *)
 
 (** Global buffer of [size] f32 elements, zero-initialized. *)
@@ -178,9 +172,6 @@ let increment_dsd_offset (dsd : value) ~(by : int) : op =
 (** Dynamic variant: offset comes from an SSA value (chunk callbacks). *)
 let increment_dsd_offset_by (dsd : value) (by : value) : op =
   create_op "csl.increment_dsd_offset" ~operands:[ dsd; by ] ~results:[ Dsd Mem1d ]
-
-let set_dsd_base_addr (dsd : value) (buf : value) : op =
-  create_op "csl.set_dsd_base_addr" ~operands:[ dsd; buf ] ~results:[ Dsd Mem1d ]
 
 let set_dsd_length (dsd : value) ~(length : int) : op =
   create_op "csl.set_dsd_length" ~operands:[ dsd ]

@@ -16,9 +16,6 @@ val module_body : op -> op list
 
 val import_module : name:string -> op
 
-(** Comptime parameter, specialized by the layout metaprogram. *)
-val param : name:string -> typ:typ -> default:attr -> op
-
 (** {1 Globals} *)
 
 (** Zero-initialized global f32 buffer. *)
@@ -79,7 +76,6 @@ val increment_dsd_offset : value -> by:int -> op
 (** Offset from an SSA value (chunk callbacks). *)
 val increment_dsd_offset_by : value -> value -> op
 
-val set_dsd_base_addr : value -> value -> op
 val set_dsd_length : value -> length:int -> op
 
 (** {1 DSD arithmetic builtins}

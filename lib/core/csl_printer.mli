@@ -6,9 +6,6 @@ exception Print_error of string
 
 type file = { filename : string; contents : string }
 
-(** Print one csl program module as CSL source. *)
-val print_program : Wsc_ir.Ir.op -> string
-
 (** All files for a compiled module (layout, program, comms library). *)
 val print_files : Wsc_ir.Ir.op -> file list
 

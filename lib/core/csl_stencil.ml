@@ -89,8 +89,6 @@ let apply ~(config : apply_config) ~(comm_inputs : value list) ~(acc : value)
     ~regions:[ recv_region; done_region ]
     ~result_hints:(List.map (fun _ -> "out") result_types)
 
-let is_apply op = op.opname = "csl_stencil.apply"
-
 let config_of (op : op) : apply_config =
   let topology =
     match dense_ints_exn op "topo" with
@@ -131,15 +129,7 @@ let config_of (op : op) : apply_config =
     coeffs;
   }
 
-let comm_inputs (op : op) : value list =
-  let c = int_attr_exn op "comm_count" in
-  List.filteri (fun i _ -> i < c) op.operands
-
 let acc_init (op : op) : value = List.nth op.operands (int_attr_exn op "comm_count")
-
-let local_inputs (op : op) : value list =
-  let c = int_attr_exn op "comm_count" in
-  List.filteri (fun i _ -> i > c) op.operands
 
 let recv_region (op : op) : region = List.nth op.regions 0
 let done_region (op : op) : region = List.nth op.regions 1

@@ -37,11 +37,8 @@ val apply :
   done_region:region ->
   op
 
-val is_apply : op -> bool
 val config_of : op -> apply_config
-val comm_inputs : op -> value list
 val acc_init : op -> value
-val local_inputs : op -> value list
 val recv_region : op -> region
 val done_region : op -> region
 

@@ -6,9 +6,6 @@
     accumulator with local data.  Handles both the tensor form (post
     group 2) and the bufferized form (post group 3). *)
 
-(** The stager for the csl_stencil ops, for {!Wsc_dialects.Interp.run_func}. *)
-val stage : Wsc_dialects.Interp.ext
-
 (** Run function [name] of a module that may hold csl_stencil ops. *)
 val run_func :
   Wsc_ir.Ir.op ->

@@ -68,15 +68,6 @@ let params_of (op : op) : params = params_of_attr (attr_exn op "params")
 let layout_region (op : op) : region = List.nth op.regions 0
 let program_region (op : op) : region = List.nth op.regions 1
 
-(** [import name] — import a CSL library (e.g. memcpy) inside the module. *)
-let import ~(name : string) : op =
-  create_op "csl_wrapper.import" ~results:[ Struct name ]
-    ~attrs:[ ("module", String_attr name) ]
-    ~result_hints:[ name ]
-
-let yield (vals : value list) : op =
-  create_op "csl_wrapper.yield" ~operands:vals ~results:[]
-
 let () =
   Verifier.register "csl_wrapper.module" (fun op ->
       if List.length op.regions <> 2 then

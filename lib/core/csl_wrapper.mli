@@ -25,8 +25,3 @@ val is_module : op -> bool
 val params_of : op -> params
 val layout_region : op -> region
 val program_region : op -> region
-
-(** Import a CSL library (e.g. memcpy) inside the module. *)
-val import : name:string -> op
-
-val yield : value list -> op

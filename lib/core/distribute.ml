@@ -57,15 +57,10 @@ let swaps_for (apply : op) (input_index : int) : Dmp.swap_desc list =
       body.bops
   in
   let per_direction dir =
-    (* positive x offset reads data that lives to the east, etc. *)
-    let selects off =
-      match (dir, off) with
-      | Dmp.East, x :: _ :: _ -> x > 0
-      | Dmp.West, x :: _ :: _ -> x < 0
-      | Dmp.North, _ :: y :: _ -> y > 0
-      | Dmp.South, _ :: y :: _ -> y < 0
-      | _ -> false
-    in
+    (* an offset reads from the neighbour it points towards (offsets are
+       star-shaped, so at most one of x, y is nonzero) *)
+    let vx, vy = Dmp.vector dir in
+    let selects = function x :: y :: _ -> (x * vx) + (y * vy) > 0 | _ -> false in
     let dir_offsets = List.filter selects offsets in
     if dir_offsets = [] then None
     else begin

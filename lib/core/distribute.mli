@@ -15,5 +15,4 @@ exception Distribute_error of string
 val distribute : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val distribute_pass : Wsc_ir.Pass.t
 
-val tensorize : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val tensorize_pass : Wsc_ir.Pass.t

@@ -2,5 +2,4 @@
     into a temporary followed by an accumulate into a single
     [linalg.fmac], which group 5 lowers to the [@fmacs] CSL builtin. *)
 
-val run : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : Wsc_ir.Pass.t

@@ -161,6 +161,7 @@ let fuse_once_in_block (root : op) (b : block) : bool =
       Subst.apply_op res_subst root;
       true
 
+(** Fuse until no producer/consumer pair remains. *)
 let run (m : op) : op =
   let changed = ref true in
   while !changed do

@@ -5,7 +5,4 @@
     producer value with other uses is passed through as an extra
     result. *)
 
-(** Fuse until no producer/consumer pair remains. *)
-val run : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
-
 val pass : Wsc_ir.Pass.t

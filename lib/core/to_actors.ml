@@ -259,11 +259,14 @@ let comm_globals (s : schedule) : op list * int =
 
 (** Direction and distance of a receive offset. *)
 let dir_dist dx dy =
-  if dx > 0 then (Dmp.East, dx)
-  else if dx < 0 then (Dmp.West, -dx)
-  else if dy > 0 then (Dmp.North, dy)
-  else if dy < 0 then (Dmp.South, -dy)
-  else fail "receive offset (0,0)"
+  let d = abs dx + abs dy in
+  match
+    List.find_opt
+      (fun dir -> d > 0 && Dmp.vector dir = (dx / d, dy / d))
+      Dmp.all_directions
+  with
+  | Some dir -> (dir, d)
+  | None -> fail "receive offset (%d,%d) is not along one axis" dx dy
 
 (** Build @apply<K>_chunk(%offset): the receive-chunk actor body. *)
 let build_chunk_func (info : apply_info) : op =

@@ -8,7 +8,4 @@
 
 exception Actor_error of string
 
-val pe_memory_bytes : int
-
-val run : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : Wsc_ir.Pass.t

@@ -4,5 +4,4 @@
 
 exception Csl_lowering_error of string
 
-val run : Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : Wsc_ir.Pass.t

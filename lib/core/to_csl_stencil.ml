@@ -381,13 +381,7 @@ let convert_apply (opts : options) (root : op) (blk : block) (apply : op)
          (fun i swaps ->
            List.concat_map
              (fun (sw : Dmp.swap_desc) ->
-               let vx, vy =
-                 match sw.dir with
-                 | Dmp.East -> (1, 0)
-                 | Dmp.West -> (-1, 0)
-                 | Dmp.North -> (0, 1)
-                 | Dmp.South -> (0, -1)
-               in
+               let vx, vy = Dmp.vector sw.dir in
                List.init sw.depth (fun k -> (i, vx * (k + 1), vy * (k + 1))))
              swaps)
          swaps_by_input)

@@ -32,5 +32,4 @@ val feasible_chunk_counts : len:int -> int list
 
 val lower_swaps_pass : Wsc_ir.Pass.t
 
-val convert : options -> Wsc_ir.Ir.op -> Wsc_ir.Ir.op
 val pass : ?options:options -> unit -> Wsc_ir.Pass.t

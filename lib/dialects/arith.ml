@@ -41,15 +41,10 @@ let subf a b = binary "arith.subf" a b
 let mulf a b = binary "arith.mulf" a b
 let divf a b = binary "arith.divf" a b
 let addi a b = binary "arith.addi" a b
-let subi a b = binary "arith.subi" a b
-let muli a b = binary "arith.muli" a b
 
 let cmpi ~(pred : string) (a : value) (b : value) : op =
   create_op "arith.cmpi" ~operands:[ a; b ] ~results:[ I1 ]
     ~attrs:[ ("predicate", String_attr pred) ]
-
-let select (c : value) (a : value) (b : value) : op =
-  create_op "arith.select" ~operands:[ c; a; b ] ~results:[ a.vtyp ]
 
 let float_binops = [ "arith.addf"; "arith.subf"; "arith.mulf"; "arith.divf" ]
 

@@ -21,10 +21,6 @@ val subf : value -> value -> op
 val mulf : value -> value -> op
 val divf : value -> value -> op
 val addi : value -> value -> op
-val subi : value -> value -> op
-val muli : value -> value -> op
 
 (** [pred] is one of slt, sle, sgt, sge, eq, ne. *)
 val cmpi : pred:string -> value -> value -> op
-
-val select : value -> value -> value -> op

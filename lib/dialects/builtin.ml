@@ -8,8 +8,6 @@ let module_name = "builtin.module"
 let module_op (ops : op list) : op =
   create_op module_name ~results:[] ~regions:[ new_region [ new_block ops ] ]
 
-let is_module op = op.opname = module_name
-
 (** Top-level ops of a module. *)
 let body (m : op) : op list = (entry_block (List.hd m.regions)).bops
 

@@ -5,6 +5,5 @@ open Wsc_ir.Ir
 (** A [builtin.module] holding [ops] in a single block. *)
 val module_op : op list -> op
 
-val is_module : op -> bool
 val body : op -> op list
 val set_body : op -> op list -> unit

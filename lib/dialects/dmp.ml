@@ -25,6 +25,15 @@ let direction_of_string = function
 
 let all_directions = [ North; South; East; West ]
 
+(** The grid offset of the neighbour in [dir]: North is +y and East is
+    +x, for PEs and wafers alike.  The one place a direction meets an
+    offset. *)
+let vector = function
+  | North -> (0, 1)
+  | South -> (0, -1)
+  | East -> (1, 0)
+  | West -> (-1, 0)
+
 (** One halo exchange: receive [depth] cells from [dir], restricted in the
     z dimension to [z_lo, z_hi) (needed-columns-only optimization §6.1). *)
 type swap_desc = { dir : direction; depth : int; z_lo : int; z_hi : int }

@@ -13,6 +13,10 @@ val direction_of_string : string -> direction
 
 val all_directions : direction list
 
+(** The grid offset of the neighbour in a direction: North is (0, 1),
+    East is (1, 0), on the PE grid and the wafer grid alike. *)
+val vector : direction -> int * int
+
 (** One halo exchange: receive [depth] cells from [dir], restricted in z
     to [z_lo, z_hi) — the needed-columns-only optimization (§6.1). *)
 type swap_desc = { dir : direction; depth : int; z_lo : int; z_hi : int }

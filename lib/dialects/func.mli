@@ -14,7 +14,6 @@ val func :
 val return_ : value list -> op
 val call : callee:string -> value list -> results:typ list -> op
 
-val name_of : op -> string
 val entry : op -> block
 
 (** Find a function by symbol name anywhere under the root. *)

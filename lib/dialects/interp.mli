@@ -50,8 +50,6 @@ val retensorize_grid : grid -> grid
 
 (** {1 Values} *)
 
-val as_float : rtvalue -> float
-val as_int : rtvalue -> int
 val as_grid : rtvalue -> grid
 val as_tensor : rtvalue -> float array
 

@@ -8,9 +8,6 @@ module Verifier = Wsc_ir.Verifier
 let alloc ~(shape : int list) ?(hint = "buf") () : op =
   create_op "memref.alloc" ~results:[ Memref (shape, F32) ] ~result_hints:[ hint ]
 
-let copy ~(src : value) ~(dst : value) : op =
-  create_op "memref.copy" ~operands:[ src; dst ] ~results:[]
-
 (** Static 1-D subview. *)
 let subview (m : value) ~(offset : int) ~(size : int) : op =
   let elt = elem_type m.vtyp in

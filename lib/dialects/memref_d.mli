@@ -5,7 +5,6 @@
 open Wsc_ir.Ir
 
 val alloc : shape:int list -> ?hint:string -> unit -> op
-val copy : src:value -> dst:value -> op
 
 (** Static 1-D subview. *)
 val subview : value -> offset:int -> size:int -> op

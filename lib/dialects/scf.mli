@@ -28,8 +28,5 @@ val for_iter_inits : op -> value list
 val for_body : op -> block
 val for_iter_args : op -> value list
 
-(** The constant defining [v], looked up under [scope]. *)
-val const_of : op -> value -> int option
-
 (** Constant trip count when the bounds are constant-defined. *)
 val trip_count : op -> op -> int option

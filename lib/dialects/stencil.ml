@@ -87,17 +87,6 @@ let offsets (apply_op : op) : int list list =
       if o.opname = "stencil.access" then Some (dense_ints_exn o "offset") else None)
     (apply_body apply_op).bops
 
-(** Per-dimension maximal |offset| over all accesses. *)
-let radius (apply_op : op) : int list =
-  let offs = offsets apply_op in
-  match offs with
-  | [] -> []
-  | first :: _ ->
-      List.mapi
-        (fun i _ ->
-          List.fold_left (fun acc off -> max acc (abs (List.nth off i))) 0 offs)
-        first
-
 let () =
   Verifier.register "stencil.apply" (fun op ->
       let b = apply_body op in

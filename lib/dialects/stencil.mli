@@ -39,6 +39,3 @@ val apply_body : op -> block
 
 (** Offsets of all accesses in an apply body, in order. *)
 val offsets : op -> int list list
-
-(** Per-dimension maximal |offset| over all accesses. *)
-val radius : op -> int list

@@ -32,7 +32,6 @@ type sym =
   | Sdiv of sym * sym
   | Deriv2 of sym * int  (** second spatial derivative along dimension 0|1|2 *)
   | Laplace of sym  (** sum of second derivatives over all three dims *)
-  | Shift of sym * int list  (** constant spatial shift, for custom stencils *)
 
 let grid ?(spacing = 1.0) ~shape name = { gname = name; shape; spacing }
 
@@ -49,7 +48,6 @@ let forward u = Fn_at (u, 1)
 let backward u = Fn_at (u, -1)
 let laplace e = Laplace e
 let dxx e = Deriv2 (e, 0)
-let shift e off = Shift (e, off)
 
 type eq = { lhs : sym; rhs : sym }
 
@@ -101,7 +99,6 @@ let rec lower_sym (s : sym) (shift : int list) : P.expr =
   | Ssub (a, b) -> P.Sub (lower_sym a shift, lower_sym b shift)
   | Smul (a, b) -> P.Mul (lower_sym a shift, lower_sym b shift)
   | Sdiv (a, b) -> P.Div (lower_sym a shift, lower_sym b shift)
-  | Shift (e, extra) -> lower_sym e (shift_offset shift extra)
   | Deriv2 (e, dim) ->
       let order = space_order_of e in
       let h = spacing_of e in
@@ -123,13 +120,13 @@ and space_order_of = function
   | Snum _ -> 2
   | Sadd (a, b) | Ssub (a, b) | Smul (a, b) | Sdiv (a, b) ->
       max (space_order_of a) (space_order_of b)
-  | Deriv2 (e, _) | Laplace e | Shift (e, _) -> space_order_of e
+  | Deriv2 (e, _) | Laplace e -> space_order_of e
 
 and spacing_of = function
   | Fn_at (f, _) -> f.fgrid.spacing
   | Snum _ -> 1.0
   | Sadd (a, _) | Ssub (a, _) | Smul (a, _) | Sdiv (a, _) -> spacing_of a
-  | Deriv2 (e, _) | Laplace e | Shift (e, _) -> spacing_of e
+  | Deriv2 (e, _) | Laplace e -> spacing_of e
 
 (** Build an operator: each equation must assign [forward u] for some
     time function [u].  Produces the stencil program run for

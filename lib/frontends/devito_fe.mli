@@ -34,9 +34,6 @@ val backward : fn -> sym
 val laplace : sym -> sym
 val dxx : sym -> sym
 
-(** Constant spatial shift — for custom (non-derivative) stencils. *)
-val shift : sym -> int list -> sym
-
 (** Central second-derivative coefficients (offset, coefficient) at unit
     spacing for accuracy order 2, 4 or 8.
     @raise Frontend_error for other orders. *)

@@ -97,6 +97,7 @@ let grid_type (p : t) : typ =
 let field_type (p : t) : typ =
   match grid_type p with Temp (b, e) -> Field (b, e) | t -> t
 
+(** The interior compute bounds. *)
 let interior (p : t) : (int * int) list =
   let nx, ny, nz = p.extents in
   [ (0, nx); (0, ny); (0, nz) ]

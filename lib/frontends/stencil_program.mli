@@ -46,9 +46,6 @@ val expr_flops : expr -> int
 
 val field_type : t -> Wsc_ir.Ir.typ
 
-(** The interior compute bounds. *)
-val interior : t -> (int * int) list
-
 (** Compile to a module whose [main] function takes one field per state
     grid, runs the timestep loop (or straight-line kernels), and stores
     the final state back. *)

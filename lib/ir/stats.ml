@@ -20,20 +20,6 @@ let op_histogram (root : op) : (string * int) list =
 let count root name =
   Option.value (List.assoc_opt name (op_histogram root)) ~default:0
 
-(** Total FLOPs for one grid point of a [stencil.apply] body: walks the
-    region and sums arithmetic ops, scaling variadic ops by arity. *)
-let flops_per_point (apply : op) : int =
-  let total = ref 0 in
-  walk_op
-    (fun o ->
-      match o.opname with
-      | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" -> incr total
-      | "varith.add" | "varith.mul" ->
-          total := !total + max 0 (List.length o.operands - 1)
-      | _ -> ())
-    apply;
-  !total
-
 (** Total number of ops under [root]. *)
 let total_ops (root : op) : int =
   let n = ref 0 in

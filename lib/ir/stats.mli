@@ -7,8 +7,5 @@ val op_histogram : Ir.op -> (string * int) list
 (** Occurrences of the named op under the root. *)
 val count : Ir.op -> string -> int
 
-(** Arithmetic FLOPs per grid point of a stencil-apply body. *)
-val flops_per_point : Ir.op -> int
-
 (** Total op count under the root (root included). *)
 val total_ops : Ir.op -> int

@@ -106,9 +106,10 @@ let reference ?(machine = Machine.wse3) ?(options = Pipeline.default_options)
 (* halo strips                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* the fault-draw key of a halo strip's side: -y, +y, +x, -x *)
 let dir_code = function
-  | Dmp.North -> 0
-  | Dmp.South -> 1
+  | Dmp.South -> 0
+  | Dmp.North -> 1
   | Dmp.East -> 2
   | Dmp.West -> 3
 
@@ -116,19 +117,16 @@ let dir_code = function
     z column per cell: damage in an uncarried column is harmless to the
     computation and keeps the receiver-side checksum conservative). *)
 let strip_cells (s : Decompose.slice) (w : Dmp.swap_desc) : (int * int) list =
-  let xs lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
-  let cols, rows =
-    match w.Dmp.dir with
-    | Dmp.West -> (xs (-w.Dmp.depth) (-1), xs 0 (s.Decompose.sny - 1))
-    | Dmp.East ->
-        (xs s.Decompose.snx (s.Decompose.snx + w.Dmp.depth - 1),
-         xs 0 (s.Decompose.sny - 1))
-    | Dmp.North -> (xs 0 (s.Decompose.snx - 1), xs (-w.Dmp.depth) (-1))
-    | Dmp.South ->
-        (xs 0 (s.Decompose.snx - 1),
-         xs s.Decompose.sny (s.Decompose.sny + w.Dmp.depth - 1))
+  let depth = w.Dmp.depth in
+  (* the strip's extent along an axis the neighbour's offset is [v] on *)
+  let span v n =
+    if v < 0 then List.init depth (fun i -> i - depth)
+    else if v > 0 then List.init depth (fun i -> n + i)
+    else List.init n Fun.id
   in
-  List.concat_map (fun x -> List.map (fun y -> (x, y)) rows) cols
+  let vx, vy = Dmp.vector w.Dmp.dir in
+  let rows = span vy s.Decompose.sny in
+  List.concat_map (fun x -> List.map (fun y -> (x, y)) rows) (span vx s.Decompose.snx)
 
 let cell_floats (g : I.grid) (x : int) (y : int) : float array =
   match I.grid_get g [ x; y ] with
@@ -254,15 +252,8 @@ let run ?engine ?(interconnect = Interconnect.default)
     h
   in
   let neighbour (s : Decompose.slice) (d : Dmp.direction) : int option =
-    let wi, wj = (s.Decompose.wi, s.Decompose.wj) in
-    let key =
-      match d with
-      | Dmp.West -> (wi - 1, wj)
-      | Dmp.East -> (wi + 1, wj)
-      | Dmp.North -> (wi, wj - 1)
-      | Dmp.South -> (wi, wj + 1)
-    in
-    Hashtbl.find_opt wafer_index key
+    let vx, vy = Dmp.vector d in
+    Hashtbl.find_opt wafer_index (s.Decompose.wi + vx, s.Decompose.wj + vy)
   in
   (* global state, including the Dirichlet halo ring that never moves *)
   let globals = P.init_grids p in

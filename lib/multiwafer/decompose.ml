@@ -4,12 +4,14 @@
     per-PE (paper §5.1), applied once more at the top: the global
     interior is cut into a [wx × wy] grid of contiguous rectangles, one
     per wafer, and the halo exchanges between neighbouring wafers are
-    described with the intra-wafer [Dmp.swap_desc] machinery —
-    per-direction depths from the actual access offsets and the
-    needed-columns-only z restriction (§6.1). *)
+    the [dmp.swap]s [distribute-stencil] derives for the PE grid —
+    per-direction depths and the needed-columns-only z restriction
+    (§6.1) — merged per direction. *)
 
 module P = Wsc_frontends.Stencil_program
+module Ir = Wsc_ir.Ir
 module Dmp = Wsc_dialects.Dmp
+module Distribute = Wsc_core.Distribute
 module B = Wsc_ir.Builder
 module Stencil = Wsc_dialects.Stencil
 module Func = Wsc_dialects.Func
@@ -33,28 +35,40 @@ type plan = {
   wafers : int * int;
   program : P.t;
   slices : slice list;
-  depth_west : int;
-  depth_east : int;
-  depth_north : int;
-  depth_south : int;
-  z_lo : int;
-  z_hi : int;
+  swaps : Dmp.swap_desc list;
 }
 
 (* ------------------------------------------------------------------ *)
-(* decomposability                                                     *)
+(* the halo exchanges, from distribute-stencil                         *)
 (* ------------------------------------------------------------------ *)
 
-let all_accesses (p : P.t) : (string * int list) list =
-  List.concat_map (fun (k : P.kernel) -> P.accesses k.P.expr) p.P.kernels
+(** One descriptor per direction: the deepest of the direction's
+    [dmp.swap] descriptors, over the union of their z ranges. *)
+let merge (descs : Dmp.swap_desc list) : Dmp.swap_desc list =
+  let widen a b =
+    {
+      a with
+      Dmp.depth = max a.Dmp.depth b.Dmp.depth;
+      z_lo = min a.Dmp.z_lo b.Dmp.z_lo;
+      z_hi = max a.Dmp.z_hi b.Dmp.z_hi;
+    }
+  in
+  List.filter_map
+    (fun dir ->
+      match List.filter (fun d -> d.Dmp.dir = dir) descs with
+      | [] -> None
+      | d :: ds -> Some (List.fold_left widen d ds))
+    Dmp.all_directions
 
-(** Epoch-stepped decomposition preserves the single-wafer semantics
-    only when (a) every grid read at a nonzero x/y offset is a state
-    grid — intermediates must be consumed point-wise, so no intra-step
-    inter-wafer traffic exists — and (b) the program steps through time
-    one iteration at a time ([use_loop], or a single iteration), so one
-    BSP epoch is exactly one timestep. *)
-let decomposable (p : P.t) : (unit, string) result =
+(** An interior wafer's exchanges, read off the [dmp.swap]s that
+    [distribute-stencil] inserts into the program's IR, when
+    epoch-stepped decomposition preserves the single-wafer semantics:
+    (a) the program steps through time one iteration at a time
+    ([use_loop], or a single iteration), so one BSP epoch is exactly
+    one timestep, and (b) no swap exchanges a kernel's output —
+    intermediates must be consumed point-wise, so no intra-step
+    inter-wafer traffic exists. *)
+let exchanges (p : P.t) : (Dmp.swap_desc list, string) result =
   if not (p.P.use_loop || p.P.iterations <= 1) then
     Error
       (Printf.sprintf
@@ -62,52 +76,29 @@ let decomposable (p : P.t) : (unit, string) result =
           timesteps; wafer decomposition needs use_loop or iterations <= 1"
          p.P.pname p.P.iterations)
   else
-    let bad =
-      List.find_opt
-        (fun (g, off) ->
-          let remote =
-            match off with dx :: dy :: _ -> dx <> 0 || dy <> 0 | _ -> false
-          in
-          remote && not (List.mem g p.P.state))
-        (all_accesses p)
-    in
-    match bad with
-    | Some (g, _) ->
-        Error
-          (Printf.sprintf
-             "%s: intermediate grid %s is read at a nonzero x/y offset; \
-              inter-wafer halos carry state grids only"
-             p.P.pname g)
-    | None -> Ok ()
+    match Distribute.distribute (P.compile p) with
+    | exception Distribute.Distribute_error msg ->
+        Error (Printf.sprintf "%s: %s" p.P.pname msg)
+    | m -> (
+        let swap_ops = Ir.find_ops_by_name "dmp.swap" m in
+        (* apply results in program order: the kernels of one step *)
+        let outputs = List.map Ir.result (Ir.find_ops Stencil.is_apply m) in
+        let kernel_output (sw : Ir.op) =
+          let v = Ir.operand sw 0 in
+          List.find_index (fun (o : Ir.value) -> o.Ir.vid = v.Ir.vid) outputs
+          |> Option.map (fun i ->
+                 (List.nth p.P.kernels (i mod List.length p.P.kernels)).P.output)
+        in
+        match List.find_map kernel_output swap_ops with
+        | Some g ->
+            Error
+              (Printf.sprintf
+                 "%s: intermediate grid %s is read at a nonzero x/y offset; \
+                  inter-wafer halos carry state grids only"
+                 p.P.pname g)
+        | None -> Ok (merge (List.concat_map Dmp.swaps swap_ops)))
 
-(* ------------------------------------------------------------------ *)
-(* halo depths and the z restriction                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** Per-direction receive depths and needed z columns, from the offsets
-    the kernels actually use (not the declared halo, which may be
-    wider).  Receiving from the west neighbour serves accesses with
-    dx < 0, and so on; the z range is the union of columns any interior
-    point reaches. *)
-let halo_shape (p : P.t) : int * int * int * int * int * int =
-  let _, _, nz = p.P.extents in
-  let w = ref 0 and e = ref 0 and n = ref 0 and s = ref 0 in
-  let dz_min = ref 0 and dz_max = ref 0 in
-  List.iter
-    (fun (g, off) ->
-      match off with
-      | [ dx; dy; dz ] ->
-          if List.mem g p.P.state then begin
-            w := max !w (-dx);
-            e := max !e dx;
-            n := max !n (-dy);
-            s := max !s dy
-          end;
-          dz_min := min !dz_min dz;
-          dz_max := max !dz_max dz
-      | _ -> ())
-    (all_accesses p);
-  (!w, !e, !n, !s, min 0 !dz_min, nz + max 0 !dz_max)
+let decomposable (p : P.t) : (unit, string) result = Result.map ignore (exchanges p)
 
 (* ------------------------------------------------------------------ *)
 (* the plan                                                            *)
@@ -126,21 +117,13 @@ let split (extent : int) (parts : int) : (int * int) list =
   in
   go 0 0
 
-(** The exchanges of a wafer whose West/East/North/South halos are
-    [(w, e, n, s)] deep; a side of depth 0 exchanges nothing. *)
-let swaps_of ~z_lo ~z_hi (w, e, n, s) : Dmp.swap_desc list =
-  List.filter_map
-    (fun (dir, depth) -> if depth > 0 then Some { Dmp.dir; depth; z_lo; z_hi } else None)
-    [ (Dmp.West, w); (Dmp.East, e); (Dmp.North, n); (Dmp.South, s) ]
-
 let plan ~(wafers : int * int) (p : P.t) : plan =
   let wx, wy = wafers in
   let nx, ny, _ = p.P.extents in
   if wx < 1 || wy < 1 then fail "wafer grid %dx%d: both sides must be >= 1" wx wy;
   if wx > nx || wy > ny then
     fail "wafer grid %dx%d does not fit the %dx%d interior" wx wy nx ny;
-  (match decomposable p with Ok () -> () | Error msg -> fail "%s" msg);
-  let dw, de, dn, ds, z_lo, z_hi = halo_shape p in
+  let swaps = match exchanges p with Ok s -> s | Error msg -> fail "%s" msg in
   let xs = split nx wx and ys = split ny wy in
   let slices =
     List.concat
@@ -148,28 +131,17 @@ let plan ~(wafers : int * int) (p : P.t) : plan =
          (fun wj (y0, sny) ->
            List.mapi
              (fun wi (x0, snx) ->
-               let swaps =
-                 swaps_of ~z_lo ~z_hi
-                   ( (if wi > 0 then dw else 0),
-                     (if wi < wx - 1 then de else 0),
-                     (if wj > 0 then dn else 0),
-                     if wj < wy - 1 then ds else 0 )
+               (* a side exchanges only when a wafer sits there *)
+               let has_neighbour (d : Dmp.swap_desc) =
+                 let vx, vy = Dmp.vector d.Dmp.dir in
+                 let ni = wi + vx and nj = wj + vy in
+                 ni >= 0 && ni < wx && nj >= 0 && nj < wy
                in
-               { wi; wj; x0; y0; snx; sny; swaps })
+               { wi; wj; x0; y0; snx; sny; swaps = List.filter has_neighbour swaps })
              xs)
          ys)
   in
-  {
-    wafers;
-    program = p;
-    slices;
-    depth_west = dw;
-    depth_east = de;
-    depth_north = dn;
-    depth_south = ds;
-    z_lo;
-    z_hi;
-  }
+  { wafers; program = p; slices; swaps }
 
 (** The per-wafer subproblem: same kernels, state rotation and halo on
     the slice's interior, advancing one timestep per BSP epoch.  The
@@ -186,11 +158,7 @@ let subprogram (pl : plan) (s : slice) : P.t =
 let slice_exchange_scalars (s : slice) : int =
   List.fold_left
     (fun acc (d : Dmp.swap_desc) ->
-      let edge =
-        match d.Dmp.dir with
-        | Dmp.West | Dmp.East -> s.sny
-        | Dmp.North | Dmp.South -> s.snx
-      in
+      let edge = if fst (Dmp.vector d.Dmp.dir) <> 0 then s.sny else s.snx in
       acc + (Dmp.sum_volume [ d ] * edge))
     0 s.swaps
 
@@ -203,12 +171,8 @@ let exchange_scalars (pl : plan) : int =
     state field and marks it with a [dmp.wafer_swap] carrying the
     wafer topology and the interior wafer's exchange descriptors —
     printable, parseable and verifiable like any pipeline stage. *)
-let plan_module (pl : plan) : Wsc_ir.Ir.op =
+let plan_module (pl : plan) : Ir.op =
   let p = pl.program in
-  let swaps =
-    swaps_of ~z_lo:pl.z_lo ~z_hi:pl.z_hi
-      (pl.depth_west, pl.depth_east, pl.depth_north, pl.depth_south)
-  in
   let ft = P.field_type p in
   let f =
     Func.func ~name:"wafer_plan"
@@ -217,7 +181,7 @@ let plan_module (pl : plan) : Wsc_ir.Ir.op =
         List.iter
           (fun fv ->
             let t = B.insert b (Stencil.load fv) in
-            ignore (B.insert b (Dmp.wafer_swap t ~topology:pl.wafers ~swaps)))
+            ignore (B.insert b (Dmp.wafer_swap t ~topology:pl.wafers ~swaps:pl.swaps)))
           args;
         B.insert0 b (Func.return_ []))
   in

@@ -1,9 +1,10 @@
 (** Wafer-level decomposition: one stencil program and a wafer-grid
     shape [(wx, wy)] in, per-wafer subproblems and inter-wafer halo
-    exchanges out.  The exchanges reuse the intra-wafer
-    [Dmp.swap_desc] machinery — direction, per-direction depth from
-    the kernels' actual offsets, and the needed-columns-only z
-    restriction (paper §6.1) — lifted to wafer granularity. *)
+    exchanges out.  The exchanges are the [dmp.swap] descriptors the
+    [distribute-stencil] pass derives for the PE grid — direction,
+    depth and the needed-columns-only z restriction (paper §6.1) —
+    merged per direction and lifted to wafer granularity.  Directions
+    mean the same at both levels: North is +y ({!Wsc_dialects.Dmp.vector}). *)
 
 module P = Wsc_frontends.Stencil_program
 module Dmp = Wsc_dialects.Dmp
@@ -12,8 +13,8 @@ exception Decompose_error of string
 
 (** One wafer's share: interior rectangle [x0, x0+snx) × [y0, y0+sny)
     of the global interior, plus the halo exchanges it receives from
-    its wafer-grid neighbours (boundary wafers have no swap for the
-    missing side). *)
+    its wafer-grid neighbours: a swap in direction [d] exists iff a
+    wafer sits at [(wi, wj) + Dmp.vector d]. *)
 type slice = {
   wi : int;  (** wafer-grid column *)
   wj : int;  (** wafer-grid row *)
@@ -28,17 +29,17 @@ type plan = {
   wafers : int * int;
   program : P.t;  (** the undecomposed global program *)
   slices : slice list;  (** row-major, length wx × wy *)
-  depth_west : int;
-  depth_east : int;
-  depth_north : int;
-  depth_south : int;
-  z_lo : int;  (** needed-columns z restriction, both inclusive bounds *)
-  z_hi : int;
+  swaps : Dmp.swap_desc list;
+      (** an interior wafer's exchanges: one per direction the program
+          reads from, the deepest of its [dmp.swap]s over the union of
+          their z ranges *)
 }
 
 (** Why a program can or cannot be stepped one epoch at a time across
-    wafers: remote reads must target state grids, and time must advance
-    one iteration per step ([use_loop] or a single iteration). *)
+    wafers: no [dmp.swap] may exchange a kernel's output (remote reads
+    target state grids), time must advance one iteration per step
+    ([use_loop] or a single iteration), and [distribute-stencil] must
+    accept the program. *)
 val decomposable : P.t -> (unit, string) result
 
 (** Balanced 1-D split of [extent] into [parts] contiguous ranges

@@ -7,6 +7,7 @@ type t = { latency_s : float; bandwidth_bytes_per_s : float }
    baselines in [Wsc_perf.Cluster]. *)
 let default = { latency_s = 2e-6; bandwidth_bytes_per_s = 150e9 }
 
+(** Latency plus bytes over bandwidth; 0 for 0 bytes. *)
 let exchange_s (t : t) ~(bytes : int) : float =
   if bytes <= 0 then 0.0
   else t.latency_s +. (float_of_int bytes /. t.bandwidth_bytes_per_s)

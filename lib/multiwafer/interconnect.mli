@@ -9,9 +9,6 @@ type t = { latency_s : float; bandwidth_bytes_per_s : float }
 (** ~2 µs latency, 150 GB/s per wafer. *)
 val default : t
 
-(** [exchange_s t ~bytes] — latency + bytes / bandwidth; 0 for 0 bytes. *)
-val exchange_s : t -> bytes:int -> float
-
 val bytes_per_scalar : int
 
 (** One wafer's receive time for one epoch (its swaps' scalars at

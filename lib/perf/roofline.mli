@@ -25,8 +25,6 @@ val wse_roof : Machine.t -> pes:int -> roof
 (** min(peak, AI × bandwidth). *)
 val attainable : roof -> bw_gbytes:float -> float -> float
 
-val classify : roof -> bw_gbytes:float -> float -> [ `Compute | `Memory ]
-
 (** The memory and fabric points of one WSE measurement. *)
 val points_of_measurement : roof -> Wse_perf.measurement -> point list
 

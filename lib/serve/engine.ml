@@ -82,7 +82,6 @@ let create ?(capacity = default_capacity) ?(timeout_s = default_timeout_s)
     errors = Atomic.make 0;
   }
 
-let options (t : t) : Pipeline.options = t.eng_options
 let cache_stats (t : t) : Cache.stats = Cache.stats t.cache
 
 let counters (t : t) : int * int * int =

@@ -95,8 +95,6 @@ val create :
   unit ->
   t
 
-val options : t -> Wsc_core.Pipeline.options
-
 (** Compile one source.  [options] overrides the engine default for this
     request (a different configuration is a different cache key);
     [timeout_s] likewise; [submitted_at] is the enqueue stamp for queue

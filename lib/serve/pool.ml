@@ -106,8 +106,6 @@ let create ?(max_retries = 0) ?on_exhausted ~domains (f : int -> 'a -> unit) :
         Domain.spawn (worker_loop t f i));
   t
 
-let domains (t : 'a t) : int = Array.length t.workers
-
 let submit (t : 'a t) (job : 'a) : bool =
   Mutex.lock t.lock;
   let accepted = not t.stop in

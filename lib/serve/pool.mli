@@ -34,8 +34,6 @@ val create :
   (int -> 'a -> unit) ->
   'a t
 
-val domains : 'a t -> int
-
 (** Jobs requeued after a worker died mid-request (0 unless
     [max_retries > 0]). *)
 val retries : 'a t -> int

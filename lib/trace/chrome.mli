@@ -4,8 +4,5 @@
     Fabric-track timestamps are simulated cycles written into [ts]
     verbatim (one viewer-µs = one cycle). *)
 
-(** The whole trace as one JSON document, events sorted by timestamp. *)
-val export : Trace.sink -> Json.t
-
 val to_string : Trace.sink -> string
 val write_file : path:string -> Trace.sink -> unit

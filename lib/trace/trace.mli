@@ -54,7 +54,6 @@ val enabled : sink -> bool
 val events : sink -> event list
 
 val event_count : sink -> int
-val emit : sink -> event -> unit
 
 (** A fresh id for joining a flow pair; 0 on [Null]. *)
 val fresh_flow_id : sink -> int

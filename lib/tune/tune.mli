@@ -87,9 +87,6 @@ val run : ?config:config -> B.descr -> result
     serve client would submit it. *)
 val source_for : ?extent:int -> B.descr -> string
 
-(** [Tuned.key_of_canonical (source_for d)]. *)
-val program_key : ?extent:int -> B.descr -> string
-
 (** Ship a winner into a tuned-config store.  Refuses ([false], store
     untouched) unless the oracle gate passed ([r_oracle_ok = Some true])
     and the tuned config is no slower than the default — tuned configs

@@ -38,12 +38,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
     the promoted reductions accumulate in, so FP results do not move),
     the distinct sender offsets, and the per-chunk wavelet counts. *)
 
-let dir_vector = function
-  | Dmp.East -> (1, 0)
-  | Dmp.West -> (-1, 0)
-  | Dmp.North -> (0, 1)
-  | Dmp.South -> (0, -1)
-
 (** One column a receiver takes in an exchange: input [sl_input] from
     the sender [sl_d] hops along [sl_dir], at offset ([sl_dx], [sl_dy])
     from the receiver. *)
@@ -154,7 +148,7 @@ let decode_comm ~(callback : string -> int) (a : attr) : comm =
          (fun i (send_ptr, swaps) ->
            List.concat_map
              (fun ((sw : Dmp.swap_desc), rcv) ->
-               let vx, vy = dir_vector sw.dir in
+               let vx, vy = Dmp.vector sw.dir in
                List.init sw.depth (fun k ->
                    let d = k + 1 in
                    let dx = vx * d and dy = vy * d in

@@ -49,6 +49,45 @@ let test_split () =
 (* plan geometry and swap trimming                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* for each direction d the program exchanges in, a slice swaps in d
+   iff a wafer sits at (wi, wj) + vector d *)
+let check_physical_edges (pl : D.plan) =
+  let wx, wy = pl.D.wafers in
+  List.iter
+    (fun (s : D.slice) ->
+      check "slice swaps are the plan's" true
+        (List.for_all (fun d -> List.mem d pl.D.swaps) s.D.swaps);
+      List.iter
+        (fun (w : Dmp.swap_desc) ->
+          let dir = w.Dmp.dir in
+          let vx, vy = Dmp.vector dir in
+          let i = s.D.wi + vx and j = s.D.wj + vy in
+          check
+            (Printf.sprintf "(%d,%d) %s swap iff a wafer is there" s.D.wi s.D.wj
+               (Dmp.direction_to_string dir))
+            (i >= 0 && i < wx && j >= 0 && j < wy)
+            (List.exists (fun (d : Dmp.swap_desc) -> d.Dmp.dir = dir) s.D.swaps))
+        pl.D.swaps)
+    pl.D.slices
+
+(* uvkbe reads v at dy = -1: the wafer plan exchanges in the direction
+   of the PE-level dmp.swap (South), only where a wafer sits below *)
+let test_plan_directions_match_pe_level () =
+  let p = B.uvkbe B.Tiny in
+  let dirs swaps =
+    List.sort_uniq compare (List.map (fun (d : Dmp.swap_desc) -> d.Dmp.dir) swaps)
+  in
+  let pe_swaps =
+    find_ops_by_name "dmp.swap"
+      (Wsc_core.Distribute.distribute (P.compile p))
+    |> List.concat_map Dmp.swaps
+  in
+  let pl = D.plan ~wafers:(2, 2) p in
+  check "PE level swaps south" true (List.mem Dmp.South (dirs pe_swaps));
+  check "wafer level has the PE-level directions" true
+    (dirs pl.D.swaps = dirs pe_swaps);
+  check_physical_edges pl
+
 let test_plan_geometry () =
   let p = B.jacobian B.Tiny in
   let nx, ny, _ = p.P.extents in
@@ -65,21 +104,14 @@ let test_plan_geometry () =
       done)
     pl.D.slices;
   Array.iter (fun n -> checki "owned once" 1 n) owner;
-  (* jacobian reads state at |dx|,|dy| <= 1: interior depths are 1 *)
-  checki "depth west" 1 pl.D.depth_west;
-  checki "depth east" 1 pl.D.depth_east;
-  checki "depth north" 1 pl.D.depth_north;
-  checki "depth south" 1 pl.D.depth_south;
-  (* boundary wafers have no swap for the missing neighbour *)
-  let dirs (s : D.slice) = List.map (fun (d : Dmp.swap_desc) -> d.Dmp.dir) s.D.swaps in
+  (* jacobian reads state at |dx|,|dy| <= 1 and dz = 0: every direction
+     is 1 deep over the interior columns only *)
   List.iter
-    (fun (s : D.slice) ->
-      let ds = dirs s in
-      check "west edge trimmed" true (List.mem Dmp.West ds = (s.D.wi > 0));
-      check "east edge trimmed" true (List.mem Dmp.East ds = (s.D.wi < 1));
-      check "north edge trimmed" true (List.mem Dmp.North ds = (s.D.wj > 0));
-      check "south edge trimmed" true (List.mem Dmp.South ds = (s.D.wj < 1)))
-    pl.D.slices;
+    (fun dir ->
+      check (Dmp.direction_to_string dir ^ " swap") true
+        (List.mem { Dmp.dir; depth = 1; z_lo = 0; z_hi = 6 } pl.D.swaps))
+    Dmp.all_directions;
+  check_physical_edges pl;
   (* exchange accounting: global = Σ per-slice *)
   checki "exchange sum" (D.exchange_scalars pl)
     (List.fold_left (fun acc s -> acc + D.slice_exchange_scalars s) 0 pl.D.slices);
@@ -98,9 +130,26 @@ let test_plan_rejections () =
   let fused = { p with P.use_loop = false; iterations = 3 } in
   check "decomposable says no" true
     (match D.decomposable fused with Error _ -> true | Ok () -> false);
-  match D.plan ~wafers:(2, 1) fused with
+  (match D.plan ~wafers:(2, 1) fused with
   | exception D.Decompose_error _ -> ()
-  | _ -> Alcotest.fail "expected Decompose_error for a fused program"
+  | _ -> Alcotest.fail "expected Decompose_error for a fused program");
+  (* a second kernel reading the first one's output at dx = 1 would
+     need an intra-step inter-wafer exchange *)
+  let k1 = List.hd p.P.kernels in
+  let shift =
+    { P.kname = "shift"; output = "shifted"; expr = P.Access (k1.P.output, [ 1; 0; 0 ]) }
+  in
+  let chained =
+    {
+      p with
+      P.kernels = p.P.kernels @ [ shift ];
+      next_state =
+        List.map (fun g -> if g = k1.P.output then "shifted" else g) p.P.next_state;
+    }
+  in
+  match D.plan ~wafers:(2, 1) chained with
+  | exception D.Decompose_error _ -> ()
+  | _ -> Alcotest.fail "expected Decompose_error for a remote intermediate"
 
 let test_plan_module_roundtrip () =
   List.iter
@@ -265,9 +314,9 @@ let prop_checkpoint_roundtrip =
                   g.I.gdata orig)
            grids saved)
 
-let campaign ~wafers ~seeds =
-  MC.run ~bench:"jacobian" ~size:B.Tiny ~wafers ~resilient:true
-    ~kinds:[ Wf.Halo_drop; Wf.Crash ] ~rates:[ 0.25 ] ~seeds ()
+let campaign ?(kinds = [ Wf.Halo_drop; Wf.Crash ]) ~wafers ~seeds () =
+  MC.run ~bench:"jacobian" ~size:B.Tiny ~wafers ~resilient:true ~kinds
+    ~rates:[ 0.25 ] ~seeds ()
 
 let prop_campaign_replay =
   QCheck.Test.make ~name:"campaign replays byte-for-byte (2x1, 2x2)" ~count:3
@@ -275,31 +324,40 @@ let prop_campaign_replay =
     (fun seed ->
       List.for_all
         (fun wafers ->
-          let a = campaign ~wafers ~seeds:[ seed ] in
-          let b = campaign ~wafers ~seeds:[ seed ] in
+          let a = campaign ~wafers ~seeds:[ seed ] () in
+          let b = campaign ~wafers ~seeds:[ seed ] () in
           String.equal (MC.to_string a) (MC.to_string b)
           && String.equal
                (Json.to_string (MC.to_json a))
                (Json.to_string (MC.to_json b)))
         [ (2, 1); (2, 2) ])
 
-(* (output, MD5) of a 2x1 halo-drop/crash campaign's table and JSON,
-   recorded before the PE-level and wafer-level sweeps shared one
-   skeleton *)
+(* (campaign, MD5 of its table, MD5 of its JSON) for two campaigns: a
+   2x1 halo-drop/crash one, recorded before the PE-level and
+   wafer-level sweeps shared one skeleton, and a 2x2 halo-drop/corrupt
+   one, whose fault draws are keyed by the side of each halo strip *)
 let digests =
   [
-    ("to_string", MC.to_string, "132b7fdd28ed56db4d61c3b0ce7ecf75");
-    ( "to_json",
-      (fun r -> Json.to_string (MC.to_json r)),
+    ( "2x1",
+      (fun () -> campaign ~wafers:(2, 1) ~seeds:[ 1; 2 ] ()),
+      "132b7fdd28ed56db4d61c3b0ce7ecf75",
       "ed5a5dd64f1440081d38040be7d54784" );
+    ( "2x2",
+      (fun () ->
+        campaign ~kinds:[ Wf.Halo_drop; Wf.Halo_corrupt ] ~wafers:(2, 2)
+          ~seeds:[ 1; 2 ] ()),
+      "badad98a006e9533e2d035a690e72622",
+      "611afd874e788e2703032c3bdeae7832" );
   ]
 
 let test_campaign_golden () =
-  let r = campaign ~wafers:(2, 1) ~seeds:[ 1; 2 ] in
+  let md5 s = Digest.to_hex (Digest.string s) in
   List.iter
-    (fun (name, render, want) ->
-      Alcotest.(check string) name want
-        (Digest.to_hex (Digest.string (render r))))
+    (fun (label, run, table, json) ->
+      let r = run () in
+      Alcotest.(check string) (label ^ " to_string") table (md5 (MC.to_string r));
+      Alcotest.(check string) (label ^ " to_json") json
+        (md5 (Json.to_string (MC.to_json r))))
     digests
 
 let recovery_of (r : MW.t) =
@@ -355,7 +413,7 @@ let test_recovery_bit_identical () =
 (* the verdict on doctored copies of one recovered cell (recovered
    cells themselves: above) *)
 let test_unrecovered_verdict () =
-  let r = campaign ~wafers:(2, 1) ~seeds:[ 1 ] in
+  let r = campaign ~wafers:(2, 1) ~seeds:[ 1 ] () in
   let c = { (List.hd r.MC.cells) with MC.bit_identical = false } in
   let off = { r with header = { r.header with resilient = false } } in
   check "not bit-identical" true (MC.unrecovered r c);
@@ -404,6 +462,8 @@ let () =
           Alcotest.test_case "balanced split" `Quick test_split;
           Alcotest.test_case "plan geometry and swap trimming" `Quick
             test_plan_geometry;
+          Alcotest.test_case "wafer and PE swaps share directions" `Quick
+            test_plan_directions_match_pe_level;
           Alcotest.test_case "infeasible and fused programs rejected" `Quick
             test_plan_rejections;
           Alcotest.test_case "plan module round-trips" `Quick

@@ -105,7 +105,14 @@ let test_more_iterations () =
           let _, out = simulate p in
           assert_matches (Printf.sprintf "%s x%d" id n) p out)
         [ "jacobian"; "acoustic" ])
-    [ 1; 4; 7 ]
+    [ 1; 4; 7 ];
+  (* zero steps lower and run too; a loop-free uvkbe would have no apply *)
+  List.iter
+    (fun id ->
+      let p = (B.find id).make_n B.Tiny 0 in
+      let _, out = simulate p in
+      assert_matches (id ^ " x0") p out)
+    [ "jacobian"; "uvkbe" ]
 
 let test_rectangular_grid () =
   let p = (B.find "diffusion").make_n (B.Proxy (3, 7)) 2 in
