@@ -359,18 +359,17 @@ let serve_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tracing: collector overhead + simulated-vs-analytic deviation       *)
+(* Tracing: collector overhead                                        *)
 (* ------------------------------------------------------------------ *)
 
 let trace_exp () =
   header
     "Tracing: event volume and collector overhead per benchmark (Tiny,\n\
-     both machines), with the simulated-vs-analytic deviation.  Elapsed\n\
-     cycles and aggregate stats must be bit-identical with tracing on\n\
-     and off.";
+     both machines).  Elapsed cycles and aggregate stats must be\n\
+     bit-identical with tracing on and off.";
   let module T = Wsc_trace.Trace in
-  Printf.printf "%-10s %-5s %8s %10s %10s %9s  %s\n" "benchmark" "mach" "events"
-    "plain ms" "traced ms" "cycles" "deviation";
+  Printf.printf "%-10s %-5s %8s %10s %10s %9s\n" "benchmark" "mach" "events"
+    "plain ms" "traced ms" "cycles";
   let mismatches = ref 0 in
   List.iter
     (fun (d : B.descr) ->
@@ -405,15 +404,8 @@ let trace_exp () =
             && F.stats_equal (F.total_stats h_plain.sim) (F.total_stats h_traced.sim)
           in
           if not identical then incr mismatches;
-          let predicted =
-            WP.predict_cycles d ~machine ~size:B.Tiny ~iterations:p.P.iterations
-          in
-          let dev =
-            Wsc_trace.Aggregate.deviation ~bench:d.id ~machine:machine.name
-              ~simulated_cycles:ct ~predicted_cycles:predicted
-          in
-          Printf.printf "%-10s %-5s %8d %10.2f %10.2f %9.0f  %+5.1f%%%s\n" d.id
-            machine.name (T.event_count sink) plain_ms traced_ms ct dev.dv_pct
+          Printf.printf "%-10s %-5s %8d %10.2f %10.2f %9.0f%s\n" d.id
+            machine.name (T.event_count sink) plain_ms traced_ms ct
             (if identical then "" else "  NOT BIT-IDENTICAL"))
         [ Machine.wse2; Machine.wse3 ])
     B.all;
@@ -590,15 +582,14 @@ let mwfaults () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Autotuning: tuned vs default cycles + predictor calibration         *)
+(* Autotuning: tuned vs default cycles                                *)
 (* ------------------------------------------------------------------ *)
 
 (** One seeded tuning run per benchmark.  Validation baked in: tuned
     must be no slower than default on every program and strictly faster
     on at least one, and every winner must carry an oracle pass — any
-    violation exits 1.  The calibration half compares the screening
-    predictor against the confirming simulation for the default and the
-    winner of every benchmark, flagging >10% deviations. *)
+    violation exits 1.  That the screening score is exact is checked in
+    tier-1 (test_perf, "steady state exact"). *)
 let tune_bench () =
   header "Autotuning: tuned vs default, oracle-gated";
   let module T = Wsc_tune.Tune in
@@ -606,75 +597,27 @@ let tune_bench () =
   let domains = min 4 (Domain.recommended_domain_count ()) in
   let seed = 1 in
   let config = { T.default_config with T.seed; domains; machine } in
-  Printf.printf "fan-out over %d domain(s); seed %d, screen %d, top %d, extent %d\n\n"
-    domains seed config.T.screen config.T.top_k config.T.extent;
-  Printf.printf "%-10s %7s %11s %11s %8s %7s %6s %6s\n" "benchmark" "space"
-    "default c/i" "tuned c/i" "improve" "oracle" "evals" "saved";
+  Printf.printf "fan-out over %d domain(s); seed %d, screen %d, extent %d\n\n"
+    domains seed config.T.screen config.T.extent;
+  Printf.printf "%-10s %7s %11s %11s %8s %7s\n" "benchmark" "space"
+    "default c/i" "tuned c/i" "improve" "oracle";
   let store = Wsc_serve.Tuned.create () in
   let results =
     List.map
       (fun (d : B.descr) ->
         let r = T.run ~config d in
         ignore (T.register store r);
-        Printf.printf "%-10s %7d %11.0f %11.0f %7.1f%% %7s %6d %6d\n" r.T.r_bench
+        Printf.printf "%-10s %7d %11.0f %11.0f %7.1f%% %7s\n" r.T.r_bench
           r.T.r_space_size r.T.r_default_cycles r.T.r_tuned_cycles
           r.T.r_improvement_pct
           (match r.T.r_oracle_ok with
           | Some true -> "PASS"
           | Some false -> "FAIL"
-          | None -> "off")
-          r.T.r_evals_total r.T.r_evals_saved;
+          | None -> "off");
         r)
       B.all
   in
   Printf.printf "\n%d tuned config(s) registered\n" (Wsc_serve.Tuned.size store);
-  (* predictor calibration: screening prediction vs confirming
-     simulation, default and winner per benchmark *)
-  Printf.printf
-    "\npredictor calibration (screen prediction vs confirmed simulation):\n";
-  Printf.printf "%-10s %-8s %11s %11s %7s %s\n" "benchmark" "config"
-    "predicted" "simulated" "dev" "";
-  let print_row bench label pred sim =
-    let dev = if sim > 0.0 then 100.0 *. Float.abs (pred -. sim) /. sim else 0.0 in
-    Printf.printf "%-10s %-8s %11.0f %11.0f %6.1f%% %s\n" bench label pred sim dev
-      (if dev > 10.0 then "FLAGGED >10%" else "")
-  in
-  List.iter
-    (fun (r : T.result) ->
-      let row label rendered =
-        match
-          List.find_opt (fun (c : T.candidate) -> c.T.c_rendered = rendered)
-            r.T.r_candidates
-        with
-        | Some { T.c_predicted = Ok pred; c_confirmed = Some sim; _ } ->
-            print_row r.T.r_bench label pred sim
-        | _ -> ()
-      in
-      row "default"
-        (Wsc_core.Pipeline.options_to_string Wsc_core.Pipeline.default_options);
-      row "tuned" (Wsc_core.Pipeline.options_to_string r.T.r_tuned_options);
-      (* spatial generalization: the tuner predicts on the proxy extent —
-         re-simulate the winner on a larger grid and compare per-iteration
-         steady state, the extrapolation the predictor actually risks *)
-      let d = B.find r.T.r_bench in
-      let wide = config.T.extent + 2 in
-      let steady o =
-        let cyc iters =
-          let c, _, _ =
-            WP.simulate_iters ~pipeline_options:o ~extent:wide d ~machine
-              ~iters
-          in
-          c
-        in
-        if d.B.default_iterations <= 1 then cyc 2 /. 2.0
-        else (cyc 8 -. cyc 2) /. 6.0
-      in
-      match steady r.T.r_tuned_options with
-      | sim ->
-          print_row r.T.r_bench (Printf.sprintf "tuned@%d" wide)
-            r.T.r_tuned_cycles sim
-      | exception _ -> ())
-    results;
   (* validation *)
   let slower =
     List.filter

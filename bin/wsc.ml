@@ -311,8 +311,8 @@ let top_arg =
 let trace_cmd =
   let run bench input size iterations machine out top =
     let* prog, m = program_of ~bench ~input ~size ~iterations in
-    match (prog, bench) with
-    | Some p, Some id ->
+    match prog with
+    | Some p ->
         let remarks = ref [] in
         let pass_options =
           {
@@ -337,28 +337,16 @@ let trace_cmd =
           (Wsc_trace.Aggregate.busy_blocked_table ~top (F.pe_summaries h.sim));
         print_newline ();
         print_string (Wsc_trace.Aggregate.link_table (T.events sink));
-        print_newline ();
-        let predicted =
-          Wsc_perf.Wse_perf.predict_cycles ~pipeline_options (B.find id) ~machine
-            ~size ~iterations:p.P.iterations
-        in
-        print_endline
-          (Wsc_trace.Aggregate.deviation_line
-             (Wsc_trace.Aggregate.deviation ~bench:id ~machine:machine.name
-                ~simulated_cycles:simulated ~predicted_cycles:predicted));
         Ok ()
-    | _ ->
-        Error
-          (`Msg
-            "trace: needs --bench (initial data and the analytic prediction \
-             come from the benchmark)")
+    | None ->
+        Error (`Msg "trace: needs --bench (the initial data comes from the benchmark)")
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Simulate with the event collector attached; export a Perfetto \
-          timeline and print the pass-remarks, busy/blocked, link and \
-          deviation reports.")
+          timeline and print the pass-remarks, busy/blocked and link \
+          reports.")
     Term.(
       term_result
         (const run $ bench_arg $ input_arg $ size_arg $ iters_arg $ machine_arg
@@ -864,13 +852,7 @@ let tune_screen_arg =
   Arg.(
     value & opt int Wsc_tune.Tune.default_config.Wsc_tune.Tune.screen
     & info [ "screen" ] ~docv:"N"
-        ~doc:"Candidates entering predictor screening.")
-
-let tune_top_arg =
-  Arg.(
-    value & opt int Wsc_tune.Tune.default_config.Wsc_tune.Tune.top_k
-    & info [ "top" ] ~docv:"K"
-        ~doc:"Screened candidates confirmed by fabric simulation.")
+        ~doc:"Candidates entering steady-state screening.")
 
 let tune_extent_arg =
   Arg.(
@@ -905,18 +887,15 @@ let tune_save_arg =
            $(b,wsc batch) $(b,--tuned-cache).")
 
 let tune_cmd =
-  let run bench machine seed screen top extent domains no_oracle json_out
-      save_path =
+  let run bench machine seed screen extent domains no_oracle json_out save_path =
     let* d = find_bench ~cmd:"tune" bench in
     let module T = Wsc_tune.Tune in
     let config =
-      { T.seed; screen; top_k = top; extent; domains; machine; oracle = not no_oracle }
+      { T.seed; screen; extent; domains; machine; oracle = not no_oracle }
     in
     let r = T.run ~config d in
-    Printf.printf "tune %s on %s: space %d, screened %d, confirmed %d\n" r.T.r_bench
-      r.T.r_machine r.T.r_space_size r.T.r_screened r.T.r_confirmed;
-    Printf.printf "  proxy evals: %d requested, %d simulated, %d saved by memo\n"
-      r.T.r_evals_total r.T.r_evals_run r.T.r_evals_saved;
+    Printf.printf "tune %s on %s: space %d, screened %d\n" r.T.r_bench
+      r.T.r_machine r.T.r_space_size r.T.r_screened;
     Printf.printf "  default: %.1f cycles/iter\n" r.T.r_default_cycles;
     Printf.printf "  tuned:   %.1f cycles/iter (%+.1f%%)\n" r.T.r_tuned_cycles
       r.T.r_improvement_pct;
@@ -953,15 +932,15 @@ let tune_cmd =
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Search the pipeline-option space for a benchmark (predictor \
-          screening, then fabric-simulation confirmation, then the \
-          differential-oracle gate) and report the tuned config; \
+         "Search the pipeline-option space for a benchmark (steady-state \
+          screening on the fabric simulator, then the differential-oracle \
+          gate) and report the tuned config; \
           $(b,--save) ships validated winners into a tuned-config store \
           that $(b,wsc serve) / $(b,wsc batch) consult.")
     Term.(
       term_result
         (const run $ bench_arg $ machine_arg $ tune_seed_arg $ tune_screen_arg
-       $ tune_top_arg $ tune_extent_arg $ tune_domains_arg $ tune_no_oracle_arg
+       $ tune_extent_arg $ tune_domains_arg $ tune_no_oracle_arg
        $ tune_json_arg $ tune_save_arg))
 
 (* ---------------- perf ---------------- *)

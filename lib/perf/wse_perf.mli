@@ -30,28 +30,24 @@ type measurement = {
 (** Extent of the square proxy grid the measurement simulates. *)
 val proxy_extent : int
 
-(** Compile and simulate [iters] timesteps of a benchmark on an
-    [extent]x[extent] proxy grid (default {!proxy_extent}) with the real
-    z extent; returns the elapsed cycles, the aggregated PE stats and
-    the chunk count the compiler chose.  The raw primitive behind
-    {!measure}; the autotuner memoizes calls to it so each distinct
-    (program, options, iters) proxy run executes once per tuning
-    session. *)
-val simulate_iters :
+(** Steady-state cycles per iteration of a benchmark on an
+    [extent]x[extent] proxy grid (default {!proxy_extent}) with its real
+    z extent: the per-iteration delta between runs of [lo] and [hi]
+    timesteps ([window], default [(2, 4)]), or the startup-inclusive
+    [c_lo / lo] for single-shot programs.  The simulated steady state is
+    exactly periodic and independent of the grid extent, so any window
+    and extent give the same value (checked by test_perf, "steady state
+    exact").  Also returns the last run's timestep count and aggregate
+    PE stats, and the chunk count the compiler chose.  The one
+    steady-state measurement: {!measure} and the autotuner's screening
+    both use it. *)
+val steady_state :
   ?pipeline_options:Wsc_core.Pipeline.options ->
   ?extent:int ->
+  ?window:int * int ->
   B.descr ->
   machine:Machine.t ->
-  iters:int ->
-  float * Wsc_wse.Fabric.pe_stats * int
-
-(** Steady-state cycle prediction for [iterations] timesteps at [size]:
-    two short runs at the same size (so the same z extent), per-iteration
-    delta, scaled.  Comparable with a full simulation of that exact grid;
-    feeds the trace deviation report. *)
-val predict_cycles :
-  ?pipeline_options:Wsc_core.Pipeline.options ->
-  B.descr -> machine:Machine.t -> size:B.size -> iterations:int -> float
+  float * (int * Wsc_wse.Fabric.pe_stats) * int
 
 val measure :
   ?pipeline_options:Wsc_core.Pipeline.options ->

@@ -215,7 +215,6 @@ let run (cfg : config) (paths : string list) : report =
   }
 
 let report_to_json (cfg : config) (r : report) : J.t =
-  let s = r.rp_cache in
   J.summary ~tool:"batch"
     ~config:
       [
@@ -234,18 +233,8 @@ let report_to_json (cfg : config) (r : report) : J.t =
             ("cancelled", J.Int r.rp_cancelled);
             ("wall_s", J.Float r.rp_wall_s);
             ( "cache",
-              J.Obj
-                [
-                  ("hits", J.Int s.Cache.hits);
-                  ("misses", J.Int s.Cache.misses);
-                  ("tuned_hits", J.Int r.rp_tuned_hits);
-                  ("tuned_misses", J.Int r.rp_tuned_misses);
-                  ("insertions", J.Int s.Cache.insertions);
-                  ("evictions", J.Int s.Cache.evictions);
-                  ("entries", J.Int s.Cache.entries);
-                  ("capacity", J.Int s.Cache.capacity);
-                  ("hit_rate", J.Float (Cache.hit_rate s));
-                ] );
+              Protocol.cache_json r.rp_cache ~tuned_hits:r.rp_tuned_hits
+                ~tuned_misses:r.rp_tuned_misses );
             ( "files",
               J.List
                 (List.map

@@ -203,9 +203,24 @@ let protocol_error_response ~(id : int option) (msg : string) : J.t =
         ];
     ]
 
+let cache_json (s : Cache.stats) ~(tuned_hits : int) ~(tuned_misses : int) : J.t
+    =
+  J.Obj
+    [
+      ("hits", J.Int s.Cache.hits);
+      ("misses", J.Int s.Cache.misses);
+      ("dedup_hits", J.Int s.Cache.dedup_hits);
+      ("tuned_hits", J.Int tuned_hits);
+      ("tuned_misses", J.Int tuned_misses);
+      ("insertions", J.Int s.Cache.insertions);
+      ("evictions", J.Int s.Cache.evictions);
+      ("entries", J.Int s.Cache.entries);
+      ("capacity", J.Int s.Cache.capacity);
+      ("hit_rate", J.Float (Cache.hit_rate s));
+    ]
+
 let stats_response ~(id : int) ~(engine : Engine.t) ?(retries = 0)
     ?(worker_restarts = 0) ~(uptime_s : float) () : J.t =
-  let s = Engine.cache_stats engine in
   let requests, ok, errors = Engine.counters engine in
   let tuned_hits, tuned_misses = Engine.tuned_counters engine in
   envelope ~id:(Some id) ~op:"stats"
@@ -220,19 +235,7 @@ let stats_response ~(id : int) ~(engine : Engine.t) ?(retries = 0)
           ("retries", J.Int retries);
           ("worker_restarts", J.Int worker_restarts);
           ( "cache",
-            J.Obj
-              [
-                ("hits", J.Int s.Cache.hits);
-                ("misses", J.Int s.Cache.misses);
-                ("dedup_hits", J.Int s.Cache.dedup_hits);
-                ("tuned_hits", J.Int tuned_hits);
-                ("tuned_misses", J.Int tuned_misses);
-                ("insertions", J.Int s.Cache.insertions);
-                ("evictions", J.Int s.Cache.evictions);
-                ("entries", J.Int s.Cache.entries);
-                ("capacity", J.Int s.Cache.capacity);
-                ("hit_rate", J.Float (Cache.hit_rate s));
-              ] );
+            cache_json (Engine.cache_stats engine) ~tuned_hits ~tuned_misses );
         ];
     ]
 

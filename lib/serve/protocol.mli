@@ -54,6 +54,12 @@ val compile_response : id:int -> Engine.result -> Wsc_trace.Json.t
 (** A protocol-level failure (unparsable line, bad config, unknown op). *)
 val protocol_error_response : id:int option -> string -> Wsc_trace.Json.t
 
+(** The ["cache"] object of the stats response and the batch report:
+    the compile cache's counters and the tuned-config store's hits and
+    misses. *)
+val cache_json :
+  Cache.stats -> tuned_hits:int -> tuned_misses:int -> Wsc_trace.Json.t
+
 (** [retries] / [worker_restarts] are the pool's resilience counters
     (jobs requeued after a worker death, and worker recoveries). *)
 val stats_response :

@@ -3,9 +3,7 @@
     Consumes the per-PE cycle accounting the simulator publishes as
     {!pe_summary} rows plus the collected link-transfer flow events, and
     produces the evaluation-style breakdowns: busy/blocked fractions per
-    PE, the hottest PEs, a link-utilization histogram, and the deviation
-    of the simulated run against the analytic (proxy-extrapolated)
-    prediction for the same benchmark/machine/size. *)
+    PE, the hottest PEs and a link-utilization histogram. *)
 
 (** One PE's cycle account, as published by the fabric simulator. *)
 type pe_summary = {
@@ -234,31 +232,3 @@ let fault_table (events : Trace.event list) : string =
                 (Hashtbl.length pes) first last))
   end;
   Buffer.contents b
-
-(** {1 Simulated vs analytic deviation} *)
-
-type deviation = {
-  dv_bench : string;
-  dv_machine : string;
-  dv_simulated_cycles : float;
-  dv_predicted_cycles : float;
-  dv_pct : float;  (** signed: positive when the simulation ran longer *)
-}
-
-let deviation ~bench ~machine ~(simulated_cycles : float)
-    ~(predicted_cycles : float) : deviation =
-  {
-    dv_bench = bench;
-    dv_machine = machine;
-    dv_simulated_cycles = simulated_cycles;
-    dv_predicted_cycles = predicted_cycles;
-    dv_pct =
-      (if predicted_cycles <= 0.0 then 0.0
-       else 100.0 *. (simulated_cycles -. predicted_cycles) /. predicted_cycles);
-  }
-
-let deviation_line (d : deviation) : string =
-  Printf.sprintf
-    "deviation %s on %s: simulated %.0f cycles vs analytic %.0f cycles \
-     (%+.1f%%)"
-    d.dv_bench d.dv_machine d.dv_simulated_cycles d.dv_predicted_cycles d.dv_pct

@@ -1,6 +1,5 @@
 (** Aggregation over a traced run: per-PE busy/blocked breakdowns, the
-    hottest PEs, link-utilization histograms, and the simulated-vs-
-    analytic deviation report. *)
+    hottest PEs and link-utilization histograms. *)
 
 (** One PE's cycle account, as published by the fabric simulator. *)
 type pe_summary = {
@@ -51,17 +50,3 @@ val link_table : Trace.event list -> string
     retry, giveup, halt-timeout) with count, distinct affected PEs and
     the first/last cycle observed. *)
 val fault_table : Trace.event list -> string
-
-type deviation = {
-  dv_bench : string;
-  dv_machine : string;
-  dv_simulated_cycles : float;
-  dv_predicted_cycles : float;
-  dv_pct : float;  (** signed: positive when the simulation ran longer *)
-}
-
-val deviation :
-  bench:string -> machine:string -> simulated_cycles:float ->
-  predicted_cycles:float -> deviation
-
-val deviation_line : deviation -> string

@@ -5,7 +5,6 @@ module P = Wsc_frontends.Stencil_program
 module Pipeline = Wsc_core.Pipeline
 module WP = Wsc_perf.Wse_perf
 module Oracle = Wsc_harden.Oracle
-module Cache = Wsc_serve.Cache
 module Pool = Wsc_serve.Pool
 module Tuned = Wsc_serve.Tuned
 module J = Wsc_trace.Json
@@ -13,7 +12,6 @@ module J = Wsc_trace.Json
 type config = {
   seed : int;
   screen : int;
-  top_k : int;
   extent : int;
   domains : int;
   machine : Wsc_wse.Machine.t;
@@ -24,7 +22,6 @@ let default_config =
   {
     seed = 1;
     screen = 24;
-    top_k = 5;
     extent = WP.proxy_extent;
     domains = 1;
     machine = Wsc_wse.Machine.wse3;
@@ -35,7 +32,6 @@ type candidate = {
   c_options : Pipeline.options;
   c_rendered : string;
   c_predicted : (float, string) Stdlib.result;
-  c_confirmed : float option;
 }
 
 type result = {
@@ -46,10 +42,6 @@ type result = {
   r_program_key : string;
   r_space_size : int;
   r_screened : int;
-  r_confirmed : int;
-  r_evals_total : int;
-  r_evals_run : int;
-  r_evals_saved : int;
   r_default_cycles : float;
   r_tuned_cycles : float;
   r_tuned_options : Pipeline.options;
@@ -196,73 +188,13 @@ let candidates ~(seed : int) ~(screen : int) ~(chunks : int list) :
   done;
   (List.rev !out, n)
 
-(* ------------------------------------------------------------------ *)
-(* memoized proxy runs                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** One tuning session's memo: proxy-run cycles keyed by
-    (iters, rendered options) — the benchmark, extent and machine are
-    fixed per session.  Values are [result]s so a failing candidate is
-    also computed exactly once (single-flight), keeping [evals_run]
-    deterministic under parallel fan-out. *)
-type session = {
-  s_descr : B.descr;
-  s_machine : Wsc_wse.Machine.t;
-  s_extent : int;
-  s_memo : (float, string) Stdlib.result Cache.t;
-  s_requests : int Atomic.t;
-}
-
-let session_create (d : B.descr) ~(machine : Wsc_wse.Machine.t)
-    ~(extent : int) : session =
-  {
-    s_descr = d;
-    s_machine = machine;
-    s_extent = extent;
-    s_memo = Cache.create ~capacity:4096;
-    s_requests = Atomic.make 0;
-  }
-
-let run_cycles (s : session) (o : Pipeline.options) ~(iters : int) :
-    (float, string) Stdlib.result =
-  Atomic.incr s.s_requests;
-  let key = Printf.sprintf "%d|%s" iters (Pipeline.options_to_string o) in
-  match Cache.acquire s.s_memo key with
-  | `Hit r | `Dedup r -> r
-  | `Claimed ->
-      let r =
-        match
-          WP.simulate_iters ~pipeline_options:o ~extent:s.s_extent s.s_descr
-            ~machine:s.s_machine ~iters
-        with
-        | c, _, _ -> Ok c
-        | exception e -> Error (Printexc.to_string e)
-      in
-      Cache.release s.s_memo key (Some r);
-      r
-
-let ( let* ) = Stdlib.Result.bind
-
-(** Screening score: the analytic predictor's steady-state
-    cycles/iteration on the proxy grid — two short runs, per-iteration
-    delta (startup-inclusive single run for single-shot programs). *)
-let screen_score (s : session) ~(single_shot : bool) (o : Pipeline.options) :
-    (float, string) Stdlib.result =
-  let* c2 = run_cycles s o ~iters:2 in
-  if single_shot then Ok (c2 /. 2.0)
-  else
-    let* c4 = run_cycles s o ~iters:4 in
-    Ok ((c4 -. c2) /. 2.0)
-
-(** Confirmation score: real fabric steady state over a longer window —
-    the iters-8 run is new, the iters-2 run replays from the memo. *)
-let confirm_score (s : session) ~(single_shot : bool) (o : Pipeline.options) :
-    (float, string) Stdlib.result =
-  let* c2 = run_cycles s o ~iters:2 in
-  if single_shot then Ok (c2 /. 2.0)
-  else
-    let* c8 = run_cycles s o ~iters:8 in
-    Ok ((c8 -. c2) /. 6.0)
+(** A candidate's score: steady-state cycles/iteration on the proxy
+    grid, or why it failed to compile or simulate. *)
+let score (d : B.descr) ~(machine : Wsc_wse.Machine.t) ~(extent : int)
+    (o : Pipeline.options) : (float, string) Stdlib.result =
+  match WP.steady_state ~pipeline_options:o ~extent d ~machine with
+  | c, _, _ -> Ok c
+  | exception e -> Error (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* parallel candidate evaluation                                       *)
@@ -298,76 +230,47 @@ let program_key ?extent (d : B.descr) : string =
 
 let run ?(config = default_config) (d : B.descr) : result =
   let cfg = config in
-  let single_shot = d.B.default_iterations <= 1 in
   let chunks = chunk_candidates ~nz:d.B.z_extent in
   let cands, space_size =
     candidates ~seed:cfg.seed ~screen:cfg.screen ~chunks
   in
   let cands = Array.of_list cands in
-  let session = session_create d ~machine:cfg.machine ~extent:cfg.extent in
   let pool = Pool.create ~domains:(max 1 cfg.domains) (fun _wi job -> job ()) in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  (* stage 1: screening *)
-  let predicted = evaluate pool cands (screen_score session ~single_shot) in
+  let predicted =
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    evaluate pool cands (score d ~machine:cfg.machine ~extent:cfg.extent)
+  in
   let rendered = Array.map Pipeline.options_to_string cands in
   let default_rendered = Pipeline.options_to_string Pipeline.default_options in
-  (* stage 2: confirmation of the top-K screened (plus the default, which
-     rides along for free when already selected) *)
+  (* best first; ties broken by the rendered options, which are unique *)
   let ranked =
     Array.to_list (Array.mapi (fun i o -> (i, o)) cands)
     |> List.filter_map (fun (i, o) ->
            match predicted.(i) with
-           | Ok s -> Some (s, rendered.(i), i, o)
+           | Ok s -> Some (s, rendered.(i), o)
            | Error _ -> None)
     |> List.sort compare
   in
-  let top =
-    List.filteri (fun rank _ -> rank < max 1 cfg.top_k) ranked
-  in
-  let top =
-    if List.exists (fun (_, r, _, _) -> r = default_rendered) top then top
-    else
-      top
-      @ List.filter (fun (_, r, _, _) -> r = default_rendered) ranked
-  in
-  let confirm_idx = Array.of_list (List.map (fun (_, _, i, _) -> i) top) in
-  let confirm_opts = Array.of_list (List.map (fun (_, _, _, o) -> o) top) in
-  let confirmed_scores =
-    evaluate pool confirm_opts (confirm_score session ~single_shot)
-  in
-  let confirmed_of_idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun j i ->
-      match confirmed_scores.(j) with
-      | Ok s -> Hashtbl.replace confirmed_of_idx i s
-      | Error _ -> ())
-    confirm_idx;
   let default_cycles =
-    match
-      Array.to_list confirm_idx
-      |> List.find_opt (fun i -> rendered.(i) = default_rendered)
-      |> Option.map (fun i -> Hashtbl.find_opt confirmed_of_idx i)
-    with
-    | Some (Some c) -> c
-    | _ -> failwith "tune: default configuration failed to simulate"
+    match List.find_opt (fun (_, r, _) -> r = default_rendered) ranked with
+    | Some (s, _, _) -> s
+    | None -> failwith "tune: default configuration failed to simulate"
   in
-  (* stage 3: the oracle gate, best-first over the confirmed ranking *)
-  let confirmed_ranked =
-    Array.to_list confirm_idx
-    |> List.filter_map (fun i ->
-           Option.map
-             (fun s -> (s, rendered.(i), cands.(i)))
-             (Hashtbl.find_opt confirmed_of_idx i))
-    |> List.sort compare
-  in
-  let gate_iters = if single_shot then 1 else 2 in
+  let gate_iters = if d.B.default_iterations <= 1 then 1 else 2 in
   let gate_program = d.B.make_n (B.Proxy (cfg.extent, cfg.extent)) gate_iters in
   let winner, oracle_ok, oracle_checks, oracle_failure =
     if not cfg.oracle then
-      match confirmed_ranked with
-      | (s, _, o) :: _ -> ((o, s), None, 0, None)
-      | [] -> failwith "tune: no candidate survived confirmation"
+      (* [ranked] holds at least the default *)
+      let s, _, o = List.hd ranked in
+      ((o, s), None, 0, None)
     else
+      (* the gate walks the ranking best-first up to the default: a
+         candidate ranked after it is no faster, so never worth shipping *)
+      let rec upto_default = function
+        | [] -> []
+        | ((_, r, _) as c) :: rest ->
+            c :: (if r = default_rendered then [] else upto_default rest)
+      in
       let rec walk checks first_failure = function
         | [] ->
             (* nothing passed — fall back to the default config and
@@ -387,24 +290,9 @@ let run ?(config = default_config) (d : B.descr) : result =
                 in
                 walk (checks + 1) first_failure rest)
       in
-      walk 0 None confirmed_ranked
+      walk 0 None (upto_default ranked)
   in
-  let (tuned_options, tuned_cycles) = winner in
-  let memo_stats = Cache.stats session.s_memo in
-  let evals_total = Atomic.get session.s_requests in
-  let evals_run = memo_stats.Cache.insertions in
-  let cand_list =
-    Array.to_list
-      (Array.mapi
-         (fun i o ->
-           {
-             c_options = o;
-             c_rendered = rendered.(i);
-             c_predicted = predicted.(i);
-             c_confirmed = Hashtbl.find_opt confirmed_of_idx i;
-           })
-         cands)
-  in
+  let tuned_options, tuned_cycles = winner in
   {
     r_bench = d.B.id;
     r_machine = cfg.machine.Wsc_wse.Machine.name;
@@ -413,10 +301,6 @@ let run ?(config = default_config) (d : B.descr) : result =
     r_program_key = program_key ~extent:cfg.extent d;
     r_space_size = space_size;
     r_screened = Array.length cands;
-    r_confirmed = Array.length confirm_idx;
-    r_evals_total = evals_total;
-    r_evals_run = evals_run;
-    r_evals_saved = evals_total - evals_run;
     r_default_cycles = default_cycles;
     r_tuned_cycles = tuned_cycles;
     r_tuned_options = tuned_options;
@@ -427,7 +311,13 @@ let run ?(config = default_config) (d : B.descr) : result =
     r_oracle_ok = oracle_ok;
     r_oracle_checks = oracle_checks;
     r_oracle_failure = oracle_failure;
-    r_candidates = cand_list;
+    r_candidates =
+      List.init (Array.length cands) (fun i ->
+          {
+            c_options = cands.(i);
+            c_rendered = rendered.(i);
+            c_predicted = predicted.(i);
+          });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -447,11 +337,7 @@ let to_json (r : result) : J.t =
       ([ ("config", J.String c.c_rendered) ]
       @ (match c.c_predicted with
         | Ok f -> [ ("predicted_cycles_per_iter", J.Float f) ]
-        | Error m -> [ ("infeasible", J.String m) ])
-      @
-      match c.c_confirmed with
-      | Some f -> [ ("confirmed_cycles_per_iter", J.Float f) ]
-      | None -> [])
+        | Error m -> [ ("infeasible", J.String m) ]))
   in
   J.summary ~tool:"tune"
     ~config:
@@ -468,14 +354,6 @@ let to_json (r : result) : J.t =
             ("program_key", J.String r.r_program_key);
             ("space_size", J.Int r.r_space_size);
             ("screened", J.Int r.r_screened);
-            ("confirmed", J.Int r.r_confirmed);
-            ( "evals",
-              J.Obj
-                [
-                  ("total", J.Int r.r_evals_total);
-                  ("run", J.Int r.r_evals_run);
-                  ("saved", J.Int r.r_evals_saved);
-                ] );
             ("default_cycles_per_iter", J.Float r.r_default_cycles);
             ("tuned_cycles_per_iter", J.Float r.r_tuned_cycles);
             ("improvement_pct", J.Float r.r_improvement_pct);

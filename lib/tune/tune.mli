@@ -5,26 +5,24 @@
     {!Wsc_core.Pipeline.options} space — the six §5.7 ablation booleans,
     [num_chunks_override] over the feasible chunk counts
     ({!Wsc_core.To_csl_stencil.feasible_chunk_counts} of the program's z
-    extent) and [comm_budget_bytes] steps — with a two-stage search:
+    extent) and [comm_budget_bytes] steps:
 
-    + {b Screening}: every candidate is scored by the analytic
-      predictor's per-iteration cycles on the proxy grid (the
-      [predict_cycles] two-short-runs formula, routed through a
-      per-session memo so each distinct proxy run executes once).
-    + {b Confirmation}: the top-K screened candidates (the default
-      config always among them) are re-scored by real fabric simulation
-      — longer [simulate_proxy] runs whose steady-state delta shakes out
-      warmup effects the screening runs share.
-    + {b Oracle gate}: walking the confirmed ranking best-first, a
+    + {b Screening}: every candidate is scored by its steady-state
+      cycles per iteration on the proxy grid
+      ({!Wsc_perf.Wse_perf.steady_state}).  Candidates are deduplicated
+      by their rendered options, so no proxy run is requested twice.
+    + {b Oracle gate}: walking the screened ranking best-first, a
       candidate only becomes the winner once the full differential
       oracle ({!Wsc_harden.Oracle.check} with the candidate's options,
       multiwafer bit-identity tiers included) passes on the program.
+      The walk stops at the default config, which is always screened:
+      candidates ranked after it are no faster.
 
     The search is deterministic from [seed]: candidate enumeration uses
-    pure SplitMix64 draws, candidate evaluation fans out across a
-    {!Wsc_serve.Pool} of domains into per-candidate slots, and the memo
-    is single-flight — so a rerun with the same config replays
-    byte-for-byte (same winners, same JSON).
+    pure SplitMix64 draws, and candidate evaluation fans out across a
+    {!Wsc_serve.Pool} of domains into per-candidate slots — so a rerun
+    with the same config replays byte-for-byte (same winners, same
+    JSON).
 
     Winners ship through {!register} into a {!Wsc_serve.Tuned} store —
     content-addressed by the program's canonical text — which
@@ -35,7 +33,6 @@ module B = Wsc_benchmarks.Benchmarks
 type config = {
   seed : int;
   screen : int;  (** max candidates entering screening (clamped ≥ 1) *)
-  top_k : int;  (** candidates confirmed by simulation (clamped ≥ 1) *)
   extent : int;  (** proxy-grid PE extent per side *)
   domains : int;  (** worker domains for candidate fan-out *)
   machine : Wsc_wse.Machine.t;
@@ -48,10 +45,8 @@ type candidate = {
   c_options : Wsc_core.Pipeline.options;
   c_rendered : string;  (** [Pipeline.options_to_string] of the options *)
   c_predicted : (float, string) Stdlib.result;
-      (** screening score: predicted steady-state cycles/iteration, or
-          why the candidate failed to compile/simulate *)
-  c_confirmed : float option;
-      (** confirmation score when the candidate reached stage two *)
+      (** screening score: steady-state cycles/iteration, or why the
+          candidate failed to compile/simulate *)
 }
 
 type result = {
@@ -63,12 +58,8 @@ type result = {
       (** program-only canonical digest — the tuned-config store key *)
   r_space_size : int;  (** full feasible search space *)
   r_screened : int;
-  r_confirmed : int;
-  r_evals_total : int;  (** proxy runs requested (before memoization) *)
-  r_evals_run : int;  (** distinct proxy runs actually simulated *)
-  r_evals_saved : int;
-  r_default_cycles : float;  (** confirmed cycles/iter, default config *)
-  r_tuned_cycles : float;  (** confirmed cycles/iter, winning config *)
+  r_default_cycles : float;  (** screened cycles/iter, default config *)
+  r_tuned_cycles : float;  (** screened cycles/iter, winning config *)
   r_tuned_options : Wsc_core.Pipeline.options;
   r_improvement_pct : float;
   r_oracle_ok : bool option;  (** [None] when the gate was disabled *)

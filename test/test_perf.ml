@@ -142,6 +142,41 @@ let test_tflops_ordering () =
   let s = (m_wse2 "seismic" B.Large).tflops in
   check "seismic > jacobian in TFLOP/s" true (s > j)
 
+(* The steady state the measurement extrapolates from is exactly
+   periodic and independent of the grid extent: the per-iteration delta
+   is bit-equal over a longer window and on a wider proxy grid.  This is
+   what lets the autotuner rank candidates by one two-run screening
+   score; it fails as soon as the steady state stops being periodic
+   (e.g. once congestion is modelled). *)
+let test_steady_state_exact () =
+  let default = Wsc_core.Pipeline.default_options in
+  let halved =
+    { default with comm_budget_bytes = default.comm_budget_bytes / 2 }
+  in
+  List.iter
+    (fun (d : B.descr) ->
+      List.iter
+        (fun (machine : Machine.t) ->
+          List.iter
+            (fun (label, pipeline_options) ->
+              let steady ~extent ~window =
+                let c, _, _ =
+                  WP.steady_state ~pipeline_options ~extent ~window d ~machine
+                in
+                c
+              in
+              let base = steady ~extent:6 ~window:(2, 4) in
+              List.iter
+                (fun (extent, ((lo, hi) as window)) ->
+                  Alcotest.(check (float 0.0))
+                    (Printf.sprintf "%s %s %s extent %d window (%d,%d)" d.id
+                       machine.name label extent lo hi)
+                    base (steady ~extent ~window))
+                [ (6, (2, 8)); (8, (2, 4)); (8, (2, 8)) ])
+            [ ("default", default); ("budget/2", halved) ])
+        [ Machine.wse2; Machine.wse3 ])
+    B.all
+
 let test_handwritten_breakdown () =
   let bd, ours = Wsc_perf.Handwritten.compare_seismic ~size:B.Large in
   check "hand-written slower" true (bd.hw_cycles_per_iter > ours.cycles_per_iter);
@@ -179,5 +214,6 @@ let () =
           Alcotest.test_case "area scaling" `Quick test_throughput_scales_with_grid;
           Alcotest.test_case "flops per point" `Quick test_measured_flops_per_point;
           Alcotest.test_case "tflops ordering" `Quick test_tflops_ordering;
+          Alcotest.test_case "steady state exact" `Quick test_steady_state_exact;
         ] );
     ]

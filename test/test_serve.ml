@@ -472,7 +472,22 @@ let test_batch_repeat_hits () =
   let doc = S.Batch.report_to_json cfg r in
   check "batch tool" true (J.member "tool" doc = Some (J.String "batch"));
   check "batch schema_version" true
-    (J.member "schema_version" doc = Some (J.Int J.schema_version))
+    (J.member "schema_version" doc = Some (J.Int J.schema_version));
+  (* the cache counters render as in the stats response, dedup_hits
+     included *)
+  let cache =
+    Option.bind (J.member "results" doc) (function
+      | J.List [ res ] -> J.member "cache" res
+      | _ -> None)
+  in
+  check "batch cache object is the shared rendering" true
+    (cache
+    = Some
+        (S.Protocol.cache_json r.S.Batch.rp_cache
+           ~tuned_hits:r.S.Batch.rp_tuned_hits
+           ~tuned_misses:r.S.Batch.rp_tuned_misses));
+  check "batch cache has dedup_hits" true
+    (Option.bind cache (J.member "dedup_hits") = Some (J.Int 0))
 
 let test_batch_dump_requests () =
   let dir = tmpdir "wsc-dump" in

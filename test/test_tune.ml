@@ -11,10 +11,9 @@ let jac = B.find "jacobian"
 
 (* small searches keep the suite fast; determinism is independent of
    search size *)
-let quick_config =
-  { T.default_config with T.screen = 6; top_k = 2; oracle = false }
+let quick_config = { T.default_config with T.screen = 6; oracle = false }
 
-let gated_config = { T.default_config with T.screen = 8; top_k = 3 }
+let gated_config = { T.default_config with T.screen = 8 }
 
 let render (r : T.result) : string = J.to_string (T.to_json r)
 
@@ -33,8 +32,22 @@ let prop_replay =
       let c = render (T.run ~config:{ config with T.domains = 3 } jac) in
       a = b && b = c)
 
+(* the seed-1 winner of the quick search, recorded before the tuner
+   dropped its confirmation stage: screening alone must pick the same
+   config with the same cycles *)
+let test_quick_golden () =
+  let r = T.run ~config:quick_config jac in
+  Alcotest.(check string) "winner"
+    "inline_stencils=false;use_varith=true;promote_coefficients=true;\
+     one_shot_reduction=true;fuse_fmac=true;fuse_fmac_pass=true;\
+     comm_budget_bytes=16384;num_chunks_override=none;\
+     program_name=stencil_program"
+    (Pipeline.options_to_string r.T.r_tuned_options);
+  Alcotest.(check (float 0.0)) "default cycles" 21879.0 r.T.r_default_cycles;
+  Alcotest.(check (float 0.0)) "tuned cycles" 21879.0 r.T.r_tuned_cycles
+
 (* ------------------------------------------------------------------ *)
-(* the gated run: oracle pass, tuned <= default, memo saves evals      *)
+(* the gated run: oracle pass, tuned <= default                       *)
 (* ------------------------------------------------------------------ *)
 
 let gated = lazy (T.run ~config:gated_config jac)
@@ -45,11 +58,6 @@ let test_gated_run () =
   Alcotest.(check bool) "tuned no slower than default" true
     (r.T.r_tuned_cycles <= r.T.r_default_cycles);
   Alcotest.(check bool) "oracle ran at least once" true (r.T.r_oracle_checks >= 1);
-  (* satellite: the per-session memo must save repeat proxy runs — the
-     confirmation stage replays every candidate's screening run *)
-  Alcotest.(check bool) "memo saved evaluations" true (r.T.r_evals_saved > 0);
-  Alcotest.(check int) "evals balance" r.T.r_evals_total
-    (r.T.r_evals_run + r.T.r_evals_saved);
   Alcotest.(check bool) "default candidate screened first" true
     (match r.T.r_candidates with
     | c :: _ ->
@@ -166,7 +174,9 @@ let () =
       ( "search",
         [
           QCheck_alcotest.to_alcotest prop_replay;
-          Alcotest.test_case "gated run: oracle, memo, ranking" `Quick
+          Alcotest.test_case "quick search golden winner" `Quick
+            test_quick_golden;
+          Alcotest.test_case "gated run: oracle, ranking" `Quick
             test_gated_run;
         ] );
       ( "shipping",
