@@ -189,9 +189,6 @@ let ablations () =
         "no one-shot reduction";
       run id
         { base with Wsc_core.Pipeline.fuse_fmac = false }
-        "fmac via standalone pass";
-      run id
-        { base with Wsc_core.Pipeline.fuse_fmac = false; fuse_fmac_pass = false }
         "no fmac fusion at all";
       run id
         { base with Wsc_core.Pipeline.num_chunks_override = Some 2 }

@@ -231,7 +231,6 @@ let uvkbe ?(iterations = 1) (size : size) : P.t =
 type descr = {
   id : string;
   frontend : string;
-  z_extent : int;  (** large-size z extent, as in the paper *)
   default_iterations : int;
   flops_per_point : int;  (** per grid point per timestep, as compiled *)
   make : size -> P.t;
@@ -243,7 +242,6 @@ let all : descr list =
     {
       id = "jacobian";
       frontend = "flang";
-      z_extent = 900;
       default_iterations = 100_000;
       flops_per_point = 6;
       make = (fun s -> jacobian s);
@@ -252,7 +250,6 @@ let all : descr list =
     {
       id = "diffusion";
       frontend = "devito";
-      z_extent = 704;
       default_iterations = 512;
       flops_per_point = 16;
       make = (fun s -> diffusion s);
@@ -261,7 +258,6 @@ let all : descr list =
     {
       id = "acoustic";
       frontend = "devito";
-      z_extent = 604;
       default_iterations = 512;
       flops_per_point = 18;
       make = (fun s -> acoustic s);
@@ -270,7 +266,6 @@ let all : descr list =
     {
       id = "seismic";
       frontend = "csl";
-      z_extent = 450;
       default_iterations = 100_000;
       flops_per_point = 28;
       make = (fun s -> seismic s);
@@ -279,7 +274,6 @@ let all : descr list =
     {
       id = "uvkbe";
       frontend = "psyclone";
-      z_extent = 600;
       default_iterations = 1;
       flops_per_point = 12;
       make = (fun s -> uvkbe s);

@@ -24,7 +24,6 @@ val uvkbe : ?iterations:int -> size -> P.t
 type descr = {
   id : string;
   frontend : string;
-  z_extent : int;  (** large-size z extent, as in the paper *)
   default_iterations : int;
   flops_per_point : int;
   make : size -> P.t;

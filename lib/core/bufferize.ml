@@ -34,22 +34,14 @@ let memref_of_tensor = function
 
 let len_of v = match shape_of v.vtyp with [ n ] -> n | _ -> fail "expected 1-D value"
 
-type options = {
-  fuse_fmac : bool;
-      (** emit [linalg.fmac] for multiply-accumulate chains (paper §5.7);
-          when off, a separate multiply into a temporary plus an add is
-          produced (the input shape for the standalone
-          [linalg-fuse-multiply-add] pass and its ablation) *)
-}
-
-let default_options = { fuse_fmac = true }
-
 (** Lowering context for one region. *)
 type lctx = {
   defs : (int, op) Hashtbl.t;
   b : B.t;
   buf_cache : (int, value) Hashtbl.t;  (** tensor value vid -> memref value *)
-  opts : options;
+  fuse_fmac : bool;
+      (** emit [linalg.fmac] for multiply-accumulate chains (paper §5.7);
+          when off, a multiply into a temporary plus an add *)
 }
 
 (** Produce a memref value aliasing or holding [v]'s data. *)
@@ -169,7 +161,7 @@ and accumulate (c : lctx) (dst : value) (v : value) (sign : float) : unit =
              1.0 consts
       in
       match rest with
-      | [ x ] when c.opts.fuse_fmac ->
+      | [ x ] when c.fuse_fmac ->
           (* the canonical fused multiply-accumulate *)
           let bx = lower_buf c x in
           B.insert0 c.b (Linalg.fmac ~a:dst ~b:bx ~out:dst ~scalar:k)
@@ -189,7 +181,7 @@ and accumulate (c : lctx) (dst : value) (v : value) (sign : float) : unit =
 
 (** Receive-chunk region: compute the chunk value directly into the
     accumulator slice at the dynamic offset. *)
-let bufferize_recv_region ~(opts : options) (apply : op) : unit =
+let bufferize_recv_region ~(fuse_fmac : bool) (apply : op) : unit =
   let blk = entry_block (Csl_stencil.recv_region apply) in
   let cfg = Csl_stencil.config_of apply in
   let n = List.length blk.bargs in
@@ -203,7 +195,7 @@ let bufferize_recv_region ~(opts : options) (apply : op) : unit =
     | _ -> fail "recv region: missing yield"
   in
   let b = B.create () in
-  let c = { defs; b; buf_cache = Hashtbl.create 16; opts } in
+  let c = { defs; b; buf_cache = Hashtbl.create 16; fuse_fmac } in
   (* rebuild an index computation (constants and adds over the offset
      block argument) into the new body *)
   let rec lower_index (v : value) : value =
@@ -243,7 +235,7 @@ let bufferize_recv_region ~(opts : options) (apply : op) : unit =
 
 (** Done region: allocate the output column, copy the Dirichlet z-halo
     from the centre column, compute the interior in place. *)
-let bufferize_done_region ~(opts : options) (apply : op) : unit =
+let bufferize_done_region ~(fuse_fmac : bool) (apply : op) : unit =
   let blk = entry_block (Csl_stencil.done_region apply) in
   let cfg = Csl_stencil.config_of apply in
   let z_halo = int_attr_exn apply "z_halo" in
@@ -266,7 +258,7 @@ let bufferize_done_region ~(opts : options) (apply : op) : unit =
   in
   let zfull = nz + (2 * z_halo) in
   let b = B.create () in
-  let c = { defs; b; buf_cache = Hashtbl.create 16; opts } in
+  let c = { defs; b; buf_cache = Hashtbl.create 16; fuse_fmac } in
   (* one output buffer per yielded column (multi-result applies come from
      stencil inlining's pass-through outputs) *)
   let outs =
@@ -311,16 +303,16 @@ let bufferize_acc_init (root : op) (apply : op) : unit =
     root;
   Subst.apply_op subst root
 
-let run ?(options = default_options) (m : op) : op =
+let run ~(fuse_fmac : bool) (m : op) : op =
   let applies = find_ops_by_name "csl_stencil.apply" m in
   List.iter
     (fun apply ->
-      bufferize_recv_region ~opts:options apply;
-      bufferize_done_region ~opts:options apply;
+      bufferize_recv_region ~fuse_fmac apply;
+      bufferize_done_region ~fuse_fmac apply;
       bufferize_acc_init m apply;
       set_attr apply "bufferized" Unit_attr)
     applies;
   m
 
-let pass ?(options = default_options) () =
-  Wsc_ir.Pass.make "csl-stencil-bufferize" (run ~options)
+let pass ~(fuse_fmac : bool) =
+  Wsc_ir.Pass.make "csl-stencil-bufferize" (run ~fuse_fmac)

@@ -6,10 +6,7 @@
 
 exception Bufferize_error of string
 
-type options = {
-  fuse_fmac : bool;
-      (** emit [linalg.fmac] directly (paper §5.7); off produces the
-          multiply + add shape for the standalone fuse pass / ablation *)
-}
-
-val pass : ?options:options -> unit -> Wsc_ir.Pass.t
+(** [fuse_fmac] emits a [linalg.fmac] for each multiply-accumulate
+    (paper §5.7); off, the multiply + add shape of the "no fmac fusion"
+    ablation. *)
+val pass : fuse_fmac:bool -> Wsc_ir.Pass.t

@@ -10,10 +10,6 @@ type options = {
   promote_coefficients : bool;  (** §5.7 coefficient promotion *)
   one_shot_reduction : bool;  (** §5.7 one-shot reduction off the staging buffer *)
   fuse_fmac : bool;  (** §5.7 multiply-add fusion during bufferization *)
-  fuse_fmac_pass : bool;
-      (** when direct fusion is off, run the standalone
-          linalg-fuse-multiply-add pass instead; turning both off ablates
-          the optimization entirely *)
   comm_budget_bytes : int;
   num_chunks_override : int option;
   program_name : string;
@@ -26,7 +22,6 @@ let default_options =
     promote_coefficients = true;
     one_shot_reduction = true;
     fuse_fmac = true;
-    fuse_fmac_pass = true;
     comm_budget_bytes = To_csl_stencil.default_options.comm_budget_bytes;
     num_chunks_override = None;
     program_name = "stencil_program";
@@ -44,7 +39,6 @@ let options_to_string (o : options) : string =
     promote_coefficients;
     one_shot_reduction;
     fuse_fmac;
-    fuse_fmac_pass;
     comm_budget_bytes;
     num_chunks_override;
     program_name;
@@ -53,10 +47,10 @@ let options_to_string (o : options) : string =
   in
   Printf.sprintf
     "inline_stencils=%b;use_varith=%b;promote_coefficients=%b;\
-     one_shot_reduction=%b;fuse_fmac=%b;fuse_fmac_pass=%b;\
-     comm_budget_bytes=%d;num_chunks_override=%s;program_name=%s"
+     one_shot_reduction=%b;fuse_fmac=%b;comm_budget_bytes=%d;\
+     num_chunks_override=%s;program_name=%s"
     inline_stencils use_varith promote_coefficients one_shot_reduction fuse_fmac
-    fuse_fmac_pass comm_budget_bytes
+    comm_budget_bytes
     (match num_chunks_override with None -> "none" | Some n -> string_of_int n)
     program_name
 
@@ -91,9 +85,8 @@ let middle_passes (o : options) : Wsc_ir.Pass.t list =
         }
       ();
     Wrap.pass ~name:o.program_name ();
-    Bufferize.pass ~options:{ Bufferize.fuse_fmac = o.fuse_fmac } ();
+    Bufferize.pass ~fuse_fmac:o.fuse_fmac;
   ]
-  @ if (not o.fuse_fmac) && o.fuse_fmac_pass then [ Linalg_fuse.pass ] else []
 
 (** Groups 4–5: actor lowering and csl-ir generation. *)
 let backend_passes (_o : options) : Wsc_ir.Pass.t list =

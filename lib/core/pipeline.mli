@@ -9,10 +9,6 @@ type options = {
   promote_coefficients : bool;  (** §5.7 coefficient promotion *)
   one_shot_reduction : bool;  (** §5.7 one-shot reduction off the staging buffer *)
   fuse_fmac : bool;  (** §5.7 multiply-add fusion during bufferization *)
-  fuse_fmac_pass : bool;
-      (** when direct fusion is off, run the standalone
-          linalg-fuse-multiply-add pass instead; both off ablates the
-          optimization entirely *)
   comm_budget_bytes : int;  (** per-PE receive-buffer budget for chunking *)
   num_chunks_override : int option;  (** ablation: force a chunk count *)
   program_name : string;

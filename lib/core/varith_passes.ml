@@ -6,9 +6,7 @@
       split between the remote-data and local-data regions.
     - [varith-fuse-repeated-operands]: replace [n] repeated additions of
       the same value by one multiplication by [n] (e.g. the Acoustic
-      kernel, where three DSD additions become one multiplication).
-    - [varith-to-arith]: expand any leftover varith ops back into binary
-      arith form (used by consumers that predate varith). *)
+      kernel, where three DSD additions become one multiplication). *)
 
 open Wsc_ir.Ir
 module Arith = Wsc_dialects.Arith
@@ -159,36 +157,3 @@ let fuse_repeated (m : op) : op =
 
 let fuse_repeated_pass =
   Wsc_ir.Pass.make "varith-fuse-repeated-operands" fuse_repeated
-
-(** {1 varith -> arith} *)
-
-let from_varith (m : op) : op =
-  let subst = Subst.create () in
-  rewrite_nested
-    (fun o ->
-      match o.opname with
-      | "varith.add" | "varith.mul" ->
-          let bin = if o.opname = "varith.add" then "arith.addf" else "arith.mulf" in
-          (match o.operands with
-          | [] -> Erase
-          | [ v ] ->
-              Subst.add subst ~from:(result o) ~to_:v;
-              Erase
-          | first :: rest ->
-              let ops = ref [] in
-              let acc =
-                List.fold_left
-                  (fun acc v ->
-                    let nw = create_op bin ~operands:[ acc; v ] ~results:[ acc.vtyp ] in
-                    ops := !ops @ [ nw ];
-                    result nw)
-                  first rest
-              in
-              Subst.add subst ~from:(result o) ~to_:acc;
-              Replace !ops)
-      | _ -> Keep)
-    m;
-  Subst.apply_op subst m;
-  m
-
-let from_varith_pass = Wsc_ir.Pass.make "convert-varith-to-arith" from_varith

@@ -2,8 +2,8 @@
 
     A pass is a named transformation over a module op.  Pipelines compose
     passes in order; options control verification after each pass and
-    IR dumping for debugging (the equivalent of
-    [--mlir-print-ir-after-all]). *)
+    hand the caller a remark and the IR after each pass ([on_remark],
+    [on_ir]). *)
 
 open Ir
 
@@ -31,8 +31,6 @@ type remark = {
 
 type options = {
   verify_each : bool;  (** run the verifier after every pass *)
-  dump_each : bool;  (** print the IR after every pass *)
-  dump_channel : Format.formatter;
   on_remark : (remark -> unit) option;
       (** called after each pass (and its verification) completes; op
           counting only happens when this is set *)
@@ -47,8 +45,6 @@ type options = {
 let default_options =
   {
     verify_each = true;
-    dump_each = false;
-    dump_channel = Format.err_formatter;
     on_remark = None;
     on_ir = None;
   }
@@ -78,10 +74,6 @@ let run_pipeline ?(options = default_options) (passes : t list) (m : op) : op =
         | e -> raise (Pass_failed (pass.pass_name, e))
       in
       let t1 = Unix.gettimeofday () in
-      if options.dump_each then begin
-        Format.fprintf options.dump_channel "// ----- IR after %s -----@." pass.pass_name;
-        Printer.print_op ~out:options.dump_channel m'
-      end;
       if options.verify_each then begin
         (* the verifier's per-op checkers may raise more than
            Verification_error (e.g. Invalid_argument on a malformed

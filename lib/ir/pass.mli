@@ -1,5 +1,6 @@
 (** Pass manager: named transformations over a module op, composed into
-    pipelines with optional per-pass verification and IR dumping. *)
+    pipelines with optional per-pass verification, remarks and IR
+    snapshots. *)
 
 type t = { pass_name : string; run : Ir.op -> Ir.op }
 
@@ -24,8 +25,6 @@ type options = {
       (** run the verifier after every pass; a failure is wrapped in
           {!Pass_failed} and its message includes the offending op's
           textual form (truncated) *)
-  dump_each : bool;  (** print the IR after every pass *)
-  dump_channel : Format.formatter;
   on_remark : (remark -> unit) option;
       (** called after each pass (and its verification) completes; op
           counting only happens when this is set *)

@@ -5,7 +5,8 @@
     program is SPMD and communication is bounded-radius nearest-neighbour,
     an interior PE's steady-state per-iteration cycle count is independent
     of the grid extent; we therefore simulate a small proxy grid with the
-    benchmark's real z extent for two iteration counts and take the
+    benchmark's real z extent (or the program itself, when it is no
+    wider than the proxy) for two iteration counts and take the
     difference ({!steady_state}), then scale to the requested PE grid
     (the standard weak-scaling extrapolation for wafer SPMD codes).
 
@@ -38,14 +39,13 @@ type measurement = {
 
 let proxy_extent = 6
 
-(** Compile and simulate [iters] timesteps on an [extent]x[extent] proxy
-    grid with the benchmark's real z extent; returns the elapsed cycles,
-    the aggregate PE stats and the chunk count the compiler chose
-    (recovered from the communicate config). *)
+(** Compile and simulate [iters] timesteps of the benchmark at [size];
+    returns the elapsed cycles, the aggregate PE stats and the chunk
+    count the compiler chose (recovered from the communicate config). *)
 let simulate_iters ?(pipeline_options = Wsc_core.Pipeline.default_options)
-    ?(extent = proxy_extent) (d : B.descr) ~(machine : Machine.t)
-    ~(iters : int) : float * Wsc_wse.Fabric.pe_stats * int =
-  let p = d.make_n (B.Proxy (extent, extent)) iters in
+    ~(size : B.size) (d : B.descr) ~(machine : Machine.t) ~(iters : int) :
+    float * Wsc_wse.Fabric.pe_stats * int =
+  let p = d.make_n size iters in
   let m = Wsc_core.Pipeline.compile ~options:pipeline_options (P.compile p) in
   let h = Wsc_wse.Host.simulate machine m (P.init_grids p) in
   let _, program = Wsc_core.Pipeline.modules_of m in
@@ -67,10 +67,12 @@ let simulate_iters ?(pipeline_options = Wsc_core.Pipeline.default_options)
   in
   (Wsc_wse.Fabric.elapsed_cycles h.sim, Wsc_wse.Fabric.total_stats h.sim, chunks)
 
-let steady_state ?pipeline_options ?extent ?(window = (2, 4)) (d : B.descr)
-    ~(machine : Machine.t) : float * (int * Wsc_wse.Fabric.pe_stats) * int =
+let steady_state ?pipeline_options
+    ?(size = B.Proxy (proxy_extent, proxy_extent)) ?(window = (2, 4))
+    (d : B.descr) ~(machine : Machine.t) :
+    float * (int * Wsc_wse.Fabric.pe_stats) * int =
   let lo, hi = window in
-  let run iters = simulate_iters ?pipeline_options ?extent d ~machine ~iters in
+  let run iters = simulate_iters ?pipeline_options ~size d ~machine ~iters in
   let c_lo, stats_lo, chunks_lo = run lo in
   if d.default_iterations <= 1 then
     (* single-shot (UVKBE): startup-inclusive cost *)
@@ -79,28 +81,34 @@ let steady_state ?pipeline_options ?extent ?(window = (2, 4)) (d : B.descr)
     let c_hi, stats_hi, chunks = run hi in
     ((c_hi -. c_lo) /. float_of_int (hi - lo), (hi, stats_hi), chunks)
 
-(** Steady-state measurement on the proxy grid, scaled to [size]. *)
+(** Steady-state measurement of the benchmark at [size]: simulated on
+    that program itself when it fits the proxy grid, else on the proxy
+    grid (same z) and scaled to [size]. *)
 let measure ?pipeline_options ~(machine : Machine.t) ~(size : B.size)
     (d : B.descr) : measurement =
-  let nx, ny = B.xy_extents size in
-  let nz = match size with B.Tiny -> 6 | _ -> d.z_extent in
+  let nx, ny, nz = (d.make size).P.extents in
+  let sim_size =
+    if nx <= proxy_extent && ny <= proxy_extent then size
+    else B.Proxy (proxy_extent, proxy_extent)
+  in
   let iterations = d.default_iterations in
   let cycles_per_iter, (stats_iters, stats2), chunks =
-    steady_state ?pipeline_options d ~machine
+    steady_state ?pipeline_options ~size:sim_size d ~machine
   in
-  let n_proxy_pes = float_of_int (proxy_extent * proxy_extent) in
-  let proxy_points = n_proxy_pes *. float_of_int nz in
-  let proxy_iters = float_of_int stats_iters in
-  let flops_per_pt = stats2.flops /. (proxy_points *. proxy_iters) in
-  let mem_bytes_per_pt = stats2.mem_bytes /. (proxy_points *. proxy_iters) in
+  let sim_nx, sim_ny = B.xy_extents sim_size in
+  let sim_pes = float_of_int (sim_nx * sim_ny) in
+  let sim_points = sim_pes *. float_of_int nz in
+  let sim_iters = float_of_int stats_iters in
+  let flops_per_pt = stats2.flops /. (sim_points *. sim_iters) in
+  let mem_bytes_per_pt = stats2.mem_bytes /. (sim_points *. sim_iters) in
   let fabric_bytes_per_pt =
     (* both injected and drained wavelets cross the PE's ramp *)
     4.0
     *. float_of_int (stats2.elems_sent + stats2.elems_drained)
-    /. (proxy_points *. proxy_iters)
+    /. (sim_points *. sim_iters)
   in
   let tasks_per_pe_per_iter =
-    float_of_int stats2.task_activations /. n_proxy_pes /. proxy_iters
+    float_of_int stats2.task_activations /. sim_pes /. sim_iters
   in
   let time = float_of_int iterations *. cycles_per_iter /. machine.clock_hz in
   let points = float_of_int nx *. float_of_int ny *. float_of_int nz in

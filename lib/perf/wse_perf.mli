@@ -30,9 +30,9 @@ type measurement = {
 (** Extent of the square proxy grid the measurement simulates. *)
 val proxy_extent : int
 
-(** Steady-state cycles per iteration of a benchmark on an
-    [extent]x[extent] proxy grid (default {!proxy_extent}) with its real
-    z extent: the per-iteration delta between runs of [lo] and [hi]
+(** Steady-state cycles per iteration of the benchmark at [size]
+    (default the {!proxy_extent} square proxy grid, which keeps the real
+    z extent): the per-iteration delta between runs of [lo] and [hi]
     timesteps ([window], default [(2, 4)]), or the startup-inclusive
     [c_lo / lo] for single-shot programs.  The simulated steady state is
     exactly periodic and independent of the grid extent, so any window
@@ -43,12 +43,15 @@ val proxy_extent : int
     both use it. *)
 val steady_state :
   ?pipeline_options:Wsc_core.Pipeline.options ->
-  ?extent:int ->
+  ?size:B.size ->
   ?window:int * int ->
   B.descr ->
   machine:Machine.t ->
   float * (int * Wsc_wse.Fabric.pe_stats) * int
 
+(** The benchmark at [size], with its extents read from that program:
+    simulated itself when no wider than the proxy grid, else measured
+    on the proxy grid and extrapolated. *)
 val measure :
   ?pipeline_options:Wsc_core.Pipeline.options ->
   machine:Machine.t -> size:B.size -> B.descr -> measurement

@@ -225,8 +225,7 @@ let compile_source (t : t) ?options ?timeout_s ?submitted_at (source : string) :
               let remarks = ref [] in
               let pass_options =
                 {
-                  Pass.default_options with
-                  verify_each = true;
+                  Pass.verify_each = true;
                   on_remark = Some (fun r -> remarks := r :: !remarks);
                   on_ir =
                     Some

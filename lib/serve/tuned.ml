@@ -36,10 +36,6 @@ let options_of_config (defaults : Pipeline.options) (kvs : (string * J.t) list) 
                 (bool_field k v)
           | "fuse_fmac" ->
               Result.map (fun b -> { o with Pipeline.fuse_fmac = b }) (bool_field k v)
-          | "fuse_fmac_pass" ->
-              Result.map
-                (fun b -> { o with Pipeline.fuse_fmac_pass = b })
-                (bool_field k v)
           | "comm_budget_bytes" -> (
               match v with
               | J.Int n when n > 0 -> Ok { o with Pipeline.comm_budget_bytes = n }
@@ -72,7 +68,6 @@ let config_of_options (o : Pipeline.options) : J.t =
       ("promote_coefficients", J.Bool o.Pipeline.promote_coefficients);
       ("one_shot_reduction", J.Bool o.Pipeline.one_shot_reduction);
       ("fuse_fmac", J.Bool o.Pipeline.fuse_fmac);
-      ("fuse_fmac_pass", J.Bool o.Pipeline.fuse_fmac_pass);
       ("comm_budget_bytes", J.Int o.Pipeline.comm_budget_bytes);
       ( "num_chunks_override",
         match o.Pipeline.num_chunks_override with

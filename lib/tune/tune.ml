@@ -75,12 +75,7 @@ let draw ~(seed : int) (i : int) ~(n : int) : int =
 (* the search space                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** The three meaningful fmac states: fused directly during
-    bufferization, fused by the standalone pass, not fused at all.
-    (fuse_fmac=true makes fuse_fmac_pass a dead knob.) *)
-let fmac_variants = [ (true, true); (false, true); (false, false) ]
-
-let bool_combos : (bool * bool * bool * bool * bool * bool) list =
+let bool_combos : (bool * bool * bool * bool * bool) list =
   List.concat_map
     (fun inline ->
       List.concat_map
@@ -90,8 +85,8 @@ let bool_combos : (bool * bool * bool * bool * bool * bool) list =
               List.concat_map
                 (fun oneshot ->
                   List.map
-                    (fun (fm, fmp) -> (inline, varith, promote, oneshot, fm, fmp))
-                    fmac_variants)
+                    (fun fm -> (inline, varith, promote, oneshot, fm))
+                    [ true; false ])
                 [ true; false ])
             [ true; false ])
         [ true; false ])
@@ -114,7 +109,7 @@ let chunk_candidates ~(nz : int) : int list =
     List.sort_uniq compare
       [ arr.(0); arr.(n / 4); arr.(n / 2); arr.(3 * n / 4); arr.(n - 1) ]
 
-let make_opts (inline, varith, promote, oneshot, fm, fmp) ~(budget : int)
+let make_opts (inline, varith, promote, oneshot, fm) ~(budget : int)
     ~(ov : int option) : Pipeline.options =
   {
     Pipeline.default_options with
@@ -123,7 +118,6 @@ let make_opts (inline, varith, promote, oneshot, fm, fmp) ~(budget : int)
     promote_coefficients = promote;
     one_shot_reduction = oneshot;
     fuse_fmac = fm;
-    fuse_fmac_pass = fmp;
     comm_budget_bytes = budget;
     num_chunks_override = ov;
   }
@@ -152,7 +146,6 @@ let pinned ~(chunks : int list) : Pipeline.options list =
        { d with Pipeline.promote_coefficients = false };
        { d with Pipeline.one_shot_reduction = false };
        { d with Pipeline.fuse_fmac = false };
-       { d with Pipeline.fuse_fmac = false; Pipeline.fuse_fmac_pass = false };
        { d with Pipeline.comm_budget_bytes = default_budget / 2 };
        { d with Pipeline.comm_budget_bytes = default_budget * 2 };
      ]
@@ -192,7 +185,10 @@ let candidates ~(seed : int) ~(screen : int) ~(chunks : int list) :
     grid, or why it failed to compile or simulate. *)
 let score (d : B.descr) ~(machine : Wsc_wse.Machine.t) ~(extent : int)
     (o : Pipeline.options) : (float, string) Stdlib.result =
-  match WP.steady_state ~pipeline_options:o ~extent d ~machine with
+  match
+    WP.steady_state ~pipeline_options:o ~size:(B.Proxy (extent, extent)) d
+      ~machine
+  with
   | c, _, _ -> Ok c
   | exception e -> Error (Printexc.to_string e)
 
@@ -230,7 +226,10 @@ let program_key ?extent (d : B.descr) : string =
 
 let run ?(config = default_config) (d : B.descr) : result =
   let cfg = config in
-  let chunks = chunk_candidates ~nz:d.B.z_extent in
+  let gate_iters = if d.B.default_iterations <= 1 then 1 else 2 in
+  let gate_program = d.B.make_n (B.Proxy (cfg.extent, cfg.extent)) gate_iters in
+  let _, _, nz = gate_program.P.extents in
+  let chunks = chunk_candidates ~nz in
   let cands, space_size =
     candidates ~seed:cfg.seed ~screen:cfg.screen ~chunks
   in
@@ -256,8 +255,6 @@ let run ?(config = default_config) (d : B.descr) : result =
     | Some (s, _, _) -> s
     | None -> failwith "tune: default configuration failed to simulate"
   in
-  let gate_iters = if d.B.default_iterations <= 1 then 1 else 2 in
-  let gate_program = d.B.make_n (B.Proxy (cfg.extent, cfg.extent)) gate_iters in
   let winner, oracle_ok, oracle_checks, oracle_failure =
     if not cfg.oracle then
       (* [ranked] holds at least the default *)

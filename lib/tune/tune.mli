@@ -2,7 +2,7 @@
     ROADMAP loop: predictor → measurer → correctness gate).
 
     For one benchmark program the tuner searches the
-    {!Wsc_core.Pipeline.options} space — the six §5.7 ablation booleans,
+    {!Wsc_core.Pipeline.options} space — the five §5.7 ablation booleans,
     [num_chunks_override] over the feasible chunk counts
     ({!Wsc_core.To_csl_stencil.feasible_chunk_counts} of the program's z
     extent) and [comm_budget_bytes] steps:

@@ -298,16 +298,6 @@ let test_to_varith_collapses_chains () =
   in
   check "wide variadic op" true (max_arity >= 10)
 
-let test_from_varith_roundtrip () =
-  let p = (B.find "jacobian").make B.Tiny in
-  let passes =
-    group1
-    @ [ Core.Varith_passes.to_varith_pass; Core.Varith_passes.from_varith_pass ]
-  in
-  let m, r, g = run_transformed p passes in
-  check_int "no varith left" 0 (Stats.count m "varith.add");
-  assert_matches "varith roundtrip" r g
-
 let test_fuse_repeated_operands () =
   (* u[0]*3 expressed as u+u+u must become 3*u *)
   let expr =
@@ -469,7 +459,7 @@ let test_mixed_term_pack_mode () =
 
 let test_mixed_term_pack_mode_bufferized () =
   let p = mixed_program () in
-  let passes = csl_stencil_passes () @ [ Core.Bufferize.pass () ] in
+  let passes = csl_stencil_passes () @ [ Core.Bufferize.pass ~fuse_fmac:true ] in
   let _, r, g = run_transformed p passes in
   assert_matches "pack mode bufferized" r g
 
@@ -477,10 +467,8 @@ let test_mixed_term_pack_mode_bufferized () =
 (* bufferize + fmac fusion                                             *)
 (* ------------------------------------------------------------------ *)
 
-let bufferize_passes ?(fuse = true) ?(fuse_pass = false) () =
-  csl_stencil_passes ()
-  @ [ Core.Bufferize.pass ~options:{ Core.Bufferize.fuse_fmac = fuse } () ]
-  @ if fuse_pass then [ Core.Linalg_fuse.pass ] else []
+let bufferize_passes ?(fuse = true) () =
+  csl_stencil_passes () @ [ Core.Bufferize.pass ~fuse_fmac:fuse ]
 
 let test_bufferize_dps_form () =
   let p = (B.find "seismic").make B.Tiny in
@@ -502,21 +490,6 @@ let test_bufferize_semantics_all () =
       let p = d.make B.Tiny in
       let _, r, g = run_transformed p (bufferize_passes ()) in
       assert_matches ("bufferize " ^ d.id) r g)
-    B.all
-
-let test_fmac_fusion_equivalence () =
-  (* direct fusion and the standalone pass must produce the same count *)
-  List.iter
-    (fun (d : B.descr) ->
-      let p = d.make B.Tiny in
-      let m1 = Wsc_ir.Pass.run_pipeline (bufferize_passes ~fuse:true ()) (P.compile p) in
-      let m2 =
-        Wsc_ir.Pass.run_pipeline
-          (bufferize_passes ~fuse:false ~fuse_pass:true ())
-          (P.compile p)
-      in
-      check_int ("fmac count " ^ d.id) (Stats.count m1 "linalg.fmac")
-        (Stats.count m2 "linalg.fmac"))
     B.all
 
 let test_unfused_still_correct () =
@@ -579,7 +552,6 @@ let () =
       ( "varith",
         [
           Alcotest.test_case "collapse chains" `Quick test_to_varith_collapses_chains;
-          Alcotest.test_case "roundtrip" `Quick test_from_varith_roundtrip;
           Alcotest.test_case "fuse repeated" `Quick test_fuse_repeated_operands;
         ] );
       ( "csl-stencil",
@@ -600,8 +572,6 @@ let () =
         [
           Alcotest.test_case "DPS form" `Quick test_bufferize_dps_form;
           Alcotest.test_case "semantics (all)" `Quick test_bufferize_semantics_all;
-          Alcotest.test_case "fmac fusion equivalence" `Quick
-            test_fmac_fusion_equivalence;
           Alcotest.test_case "unfused correct" `Quick test_unfused_still_correct;
         ] );
       ( "memory",

@@ -136,6 +136,17 @@ let test_measured_flops_per_point () =
   check "jacobian ~10-14 flops/pt" true (j > 10.0 && j < 14.0);
   check "seismic ~52-62 flops/pt" true (s > 52.0 && s < 62.0)
 
+(* Tiny is measured on the Tiny program itself (4x4 fits the proxy
+   grid): its own z, and the per-iteration cycles that [wsc simulate -s
+   tiny] gives at -n 4 minus -n 2, halved *)
+let test_tiny_measured_at_tiny () =
+  List.iter
+    (fun (id, nz, cycles) ->
+      let m = m_wse3 id B.Tiny in
+      Alcotest.(check int) (id ^ " nz") nz m.nz;
+      Alcotest.(check (float 0.0)) (id ^ " cycles/iter") cycles m.cycles_per_iter)
+    [ ("jacobian", 6, 423.0); ("seismic", 10, 1042.0) ]
+
 let test_tflops_ordering () =
   (* per-point-heavier kernels score more TFLOP/s (paper section 7) *)
   let j = (m_wse2 "jacobian" B.Large).tflops in
@@ -161,7 +172,8 @@ let test_steady_state_exact () =
             (fun (label, pipeline_options) ->
               let steady ~extent ~window =
                 let c, _, _ =
-                  WP.steady_state ~pipeline_options ~extent ~window d ~machine
+                  WP.steady_state ~pipeline_options
+                    ~size:(B.Proxy (extent, extent)) ~window d ~machine
                 in
                 c
               in
@@ -214,6 +226,8 @@ let () =
           Alcotest.test_case "area scaling" `Quick test_throughput_scales_with_grid;
           Alcotest.test_case "flops per point" `Quick test_measured_flops_per_point;
           Alcotest.test_case "tflops ordering" `Quick test_tflops_ordering;
+          Alcotest.test_case "tiny measured at tiny" `Quick
+            test_tiny_measured_at_tiny;
           Alcotest.test_case "steady state exact" `Quick test_steady_state_exact;
         ] );
     ]

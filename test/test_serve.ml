@@ -224,7 +224,6 @@ let prop_key_canonical =
             Pipeline.one_shot_reduction = not d.Pipeline.one_shot_reduction;
           };
           { d with Pipeline.fuse_fmac = not d.Pipeline.fuse_fmac };
-          { d with Pipeline.fuse_fmac_pass = not d.Pipeline.fuse_fmac_pass };
           {
             d with
             Pipeline.comm_budget_bytes = d.Pipeline.comm_budget_bytes / 2;
@@ -394,6 +393,33 @@ let test_protocol_errors () =
   bad
     "{\"id\":6,\"op\":\"compile\",\"source\":\"x\",\"config\":{\"use_varith\":3}}"
     (Some 6)
+
+(* [fuse_fmac_pass] selected a second copy of the fmac fusion and is
+   gone: a request or a saved store naming it is refused like any other
+   unknown knob, never silently compiled unfused *)
+let test_retired_knob_refused () =
+  let unknown what msg =
+    check (what ^ ": " ^ msg) true
+      (String.ends_with ~suffix:"config.fuse_fmac_pass: unknown option" msg)
+  in
+  (match
+     S.Protocol.request_of_string ~defaults
+       "{\"id\":8,\"op\":\"compile\",\"source\":\"x\",\
+        \"config\":{\"fuse_fmac\":false,\"fuse_fmac_pass\":true}}"
+   with
+  | Error (id, msg) ->
+      check "id echoed" true (id = Some 8);
+      unknown "request" msg
+  | Ok _ -> Alcotest.fail "compile request naming fuse_fmac_pass accepted");
+  let path = Filename.temp_file "tuned" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "{\"results\":[{\"key\":\"k\",\"config\":\
+         {\"fuse_fmac\":false,\"fuse_fmac_pass\":true}}]}\n");
+  match S.Tuned.load_file path with
+  | Error msg -> unknown "tuned store" msg
+  | Ok _ -> Alcotest.fail "tuned store naming fuse_fmac_pass loaded"
 
 let test_response_envelope () =
   let eng = S.Engine.create () in
@@ -624,6 +650,8 @@ let () =
         [
           Alcotest.test_case "request round trip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "malformed requests" `Quick test_protocol_errors;
+          Alcotest.test_case "retired fuse_fmac_pass refused" `Quick
+            test_retired_knob_refused;
           Alcotest.test_case "response envelope" `Quick test_response_envelope;
         ] );
       ( "corpus",

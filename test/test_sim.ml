@@ -46,7 +46,7 @@ let test_variants_end_to_end () =
       ("2 chunks", { base with num_chunks_override = Some 2 });
       ("no promotion", { base with promote_coefficients = false });
       ("no one-shot", { base with one_shot_reduction = false });
-      ("no fmac", { base with fuse_fmac = false; fuse_fmac_pass = false });
+      ("no fmac", { base with fuse_fmac = false });
       ("no varith", { base with use_varith = false });
     ]
   in

@@ -39,7 +39,7 @@ let test_quick_golden () =
   let r = T.run ~config:quick_config jac in
   Alcotest.(check string) "winner"
     "inline_stencils=false;use_varith=true;promote_coefficients=true;\
-     one_shot_reduction=true;fuse_fmac=true;fuse_fmac_pass=true;\
+     one_shot_reduction=true;fuse_fmac=true;\
      comm_budget_bytes=16384;num_chunks_override=none;\
      program_name=stencil_program"
     (Pipeline.options_to_string r.T.r_tuned_options);
