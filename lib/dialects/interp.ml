@@ -9,8 +9,9 @@
     Execution is staged: [run_func] first resolves every op of a function
     into a closure over the slots of a per-call frame (opnames, attributes
     and static bounds are read once), then runs the closures.  Scalar
-    [stencil.apply] bodies are further staged over an unboxed float frame,
-    each access one linear offset per input grid. *)
+    [stencil.apply] bodies are further staged over unboxed float row
+    buffers and run one strip of an innermost (z) row at a time, each
+    access one linear offset per input grid. *)
 
 open Wsc_ir.Ir
 
@@ -334,9 +335,43 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
             }
       | _ -> None)
 
-(* Run a staged scalar body over the compute bounds [cb] into [outs].
-   Returns false, having done nothing, when the frame's grids or imports
-   are not scalar; the generic path then runs instead. *)
+(* Width of the strips each innermost row is cut into: every float slot
+   owns one buffer of at most [strip] points, so a body's buffers
+   (seismic: 110) do not grow with the row. *)
+let strip = 128
+
+(* [r.(i) <- x.(i) op y.(i)] for [i < n].  Callers pass row buffers of
+   one width and [n] no larger, so no access is out of bounds. *)
+let row_op (op : fop) : float array -> float array -> float array -> int -> unit =
+  match op with
+  | Fadd ->
+      fun r x y n ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set r i (Array.unsafe_get x i +. Array.unsafe_get y i)
+        done
+  | Fsub ->
+      fun r x y n ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set r i (Array.unsafe_get x i -. Array.unsafe_get y i)
+        done
+  | Fmul ->
+      fun r x y n ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set r i (Array.unsafe_get x i *. Array.unsafe_get y i)
+        done
+  | Fdiv ->
+      fun r x y n ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set r i (Array.unsafe_get x i /. Array.unsafe_get y i)
+        done
+
+(* Run a staged scalar body over the compute bounds [cb] into [outs],
+   one strip of an innermost row at a time: each instruction runs over
+   the whole strip into its slot's buffer, every point through the same
+   float ops in the same order as a point-at-a-time loop.  The outputs
+   are fresh grids no access reads, so the visiting order cannot change
+   a value.  Returns false, having done nothing, when the frame's grids
+   or imports are not scalar; the generic path then runs instead. *)
 let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs : grid list) :
     bool =
   let rank = List.length cb in
@@ -351,18 +386,20 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
     || (not (List.for_all scalar_grid outs))
     || List.exists (fun (s, _) -> match fr.(s) with Rfloat _ -> false | _ -> true) b.imports
   then false
+  else if box_empty cb then true
   else begin
     let srcs = Array.map Option.get srcs in
+    Array.iter (function Faccess (_, s, off) -> check_box srcs.(s) cb off | _ -> ()) b.instrs;
+    let zero = Array.make rank 0 in
+    List.iter (fun g -> check_box g cb zero) outs;
     let grids = Array.append srcs (Array.of_list outs) in
-    if not (box_empty cb) then begin
-      Array.iter (function Faccess (_, s, off) -> check_box srcs.(s) cb off | _ -> ()) b.instrs;
-      let zero = Array.make rank 0 in
-      List.iter (fun g -> check_box g cb zero) outs
-    end;
-    let fs = Array.make b.nf 0.0 in
-    List.iter (fun (s, f) -> fs.(s) <- f) b.consts;
-    List.iter (fun (outer, s) -> fs.(s) <- as_float fr.(outer)) b.imports;
+    let lb_last, ub_last = List.nth cb (rank - 1) in
+    let width = min strip (ub_last - lb_last) in
+    let rows = Array.init b.nf (fun _ -> Array.make width 0.0) in
+    List.iter (fun (s, f) -> Array.fill rows.(s) 0 width f) b.consts;
+    List.iter (fun (outer, s) -> Array.fill rows.(s) 0 width (as_float fr.(outer))) b.imports;
     let str = Array.map (fun g -> strides g.gbounds) grids in
+    (* flat index in each grid of the current strip's first point *)
     let base = Array.make (Array.length grids) 0 in
     let lin s off =
       let acc = ref 0 in
@@ -373,32 +410,23 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
       Array.map
         (function
           | Faccess (d, s, off) ->
-              let data = srcs.(s).gdata and k = lin s off in
-              fun () -> fs.(d) <- data.(base.(s) + k)
-          | Fbin (d, Fadd, a, b) -> fun () -> fs.(d) <- fs.(a) +. fs.(b)
-          | Fbin (d, Fsub, a, b) -> fun () -> fs.(d) <- fs.(a) -. fs.(b)
-          | Fbin (d, Fmul, a, b) -> fun () -> fs.(d) <- fs.(a) *. fs.(b)
-          | Fbin (d, Fdiv, a, b) -> fun () -> fs.(d) <- fs.(a) /. fs.(b)
-          | Fvar (d, Fmul, xs) ->
-              fun () ->
-                let acc = ref fs.(xs.(0)) in
-                for i = 1 to Array.length xs - 1 do
-                  acc := !acc *. fs.(xs.(i))
-                done;
-                fs.(d) <- !acc
-          | Fvar (d, _, xs) ->
-              fun () ->
-                let acc = ref fs.(xs.(0)) in
-                for i = 1 to Array.length xs - 1 do
-                  acc := !acc +. fs.(xs.(i))
-                done;
-                fs.(d) <- !acc)
+              let data = srcs.(s).gdata and k = lin s off and r = rows.(d) in
+              fun n -> Array.blit data (base.(s) + k) r 0 n
+          | Fbin (d, op, a, b) ->
+              let f = row_op op and r = rows.(d) and x = rows.(a) and y = rows.(b) in
+              fun n -> f r x y n
+          | Fvar (d, op, xs) ->
+              let f = row_op op and r = rows.(d) and xs = Array.map (fun x -> rows.(x)) xs in
+              fun n ->
+                Array.blit xs.(0) 0 r 0 n;
+                for k = 1 to Array.length xs - 1 do
+                  f r r xs.(k) n
+                done)
         b.instrs
     in
     let ncode = Array.length code and nsrc = Array.length srcs in
     let odata = Array.of_list (List.map (fun g -> g.gdata) outs) in
     let nout = Array.length odata and ngrids = Array.length grids in
-    let lb_last, ub_last = List.nth cb (rank - 1) in
     let pt = Array.make rank 0 in
     iter_box
       (List.filteri (fun d _ -> d < rank - 1) cb)
@@ -412,16 +440,19 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
             grids.(j).gbounds;
           base.(j) <- !acc
         done;
-        for _ = lb_last to ub_last - 1 do
+        let z = ref lb_last in
+        while !z < ub_last do
+          let n = min width (ub_last - !z) in
           for k = 0 to ncode - 1 do
-            code.(k) ()
+            code.(k) n
           done;
           for j = 0 to nout - 1 do
-            odata.(j).(base.(nsrc + j)) <- fs.(b.rets.(j))
+            Array.blit rows.(b.rets.(j)) 0 odata.(j) base.(nsrc + j) n
           done;
           for j = 0 to ngrids - 1 do
-            base.(j) <- base.(j) + 1
-          done
+            base.(j) <- base.(j) + n
+          done;
+          z := !z + n
         done);
     true
   end
@@ -656,6 +687,8 @@ let run_func ?ext (m : op) ~(name : string) (args : rtvalue list) : rtvalue list
     agree: value depends only on the point coordinates. *)
 let init_of_hash h = float_of_int (((h mod 1000) + 1000) mod 1000) /. 997.0
 
+let init_table = Array.init 1000 init_of_hash
+
 let init_value (idx : int list) : float =
   init_of_hash (List.fold_left (fun acc i -> (acc * 31) + i + 17) 7 idx)
 
@@ -667,11 +700,19 @@ let init_grid (g : grid) : unit =
   let n = Array.length dims and pos = ref 0 in
   let rec go d h =
     let lb, ub = dims.(d) in
-    if d = n - 1 then
-      for i = lb to ub - 1 do
-        g.gdata.(!pos) <- init_of_hash ((h * 31) + i + 17);
-        incr pos
+    if d = n - 1 then begin
+      (* the row is [init_of_hash] of consecutive integers: successive
+         residues mod 1000, so runs of the table *)
+      let r = ref (((((h * 31) + lb + 17) mod 1000) + 1000) mod 1000) in
+      let left = ref (ub - lb) in
+      while !left > 0 do
+        let k = min !left (1000 - !r) in
+        Array.blit init_table !r g.gdata !pos k;
+        pos := !pos + k;
+        left := !left - k;
+        r := 0
       done
+    end
     else
       for i = lb to ub - 1 do
         go (d + 1) ((h * 31) + i + 17)

@@ -605,9 +605,10 @@ let max_live_sends_per_pe = 2
 let max_simulated_bytes = 1 lsl 30
 
 (** Largest sequential reference [wsc simulate] runs, in apply-body ops
-    (as [Stencil_program.reference_estimate] counts them).  At about
-    4 ns per op on a 2-core x86-64 host, 2e10 ops is a minute or two;
-    the benchmarks' Small size fits at a few timesteps. *)
+    (as [Stencil_program.reference_estimate] counts them).  At 1.2-2.5 ns
+    per op (the five benchmarks at Small, 2 timesteps, on a 2-core
+    x86-64 host), 2e10 ops is under a minute; the benchmarks' Small size
+    fits at a few timesteps. *)
 let max_reference_point_ops = 20_000_000_000
 
 (** Bytes of one live send record: its column snapshots and chunk

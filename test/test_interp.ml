@@ -1,6 +1,8 @@
 (* Tests for the staged reference interpreter: bit-identity of its
    outputs against digests recorded from the unstaged interpreter it
-   replaced, the access bounds check, and the reference-size refusal. *)
+   replaced and from the point-at-a-time loop the row loop replaced,
+   scalar apply bodies at the row loop's edges, the access bounds check,
+   and the reference-size refusal. *)
 
 open Wsc_ir.Ir
 module B = Wsc_benchmarks.Benchmarks
@@ -10,6 +12,9 @@ module Core = Wsc_core
 module Stencil = Wsc_dialects.Stencil
 module Func = Wsc_dialects.Func
 module Builtin = Wsc_dialects.Builtin
+module Arith = Wsc_dialects.Arith
+module Varith = Wsc_dialects.Varith
+module Bld = Wsc_ir.Builder
 
 let check = Alcotest.(check bool)
 
@@ -75,6 +80,132 @@ let test_digests () =
       Alcotest.(check string) (name "after frontend passes") dist (digest (lowered frontend p));
       Alcotest.(check string) (name "after middle passes") mid (digest (lowered middle p)))
     digests
+
+(* Recorded from the point-at-a-time scalar loop: the reference output
+   of the fuzzer's programs (seed 1, indices 0-29), whose short and odd
+   rows, divisions, masks and two-kernel chains the benchmarks lack. *)
+let fuzz_digests =
+  [
+    "7f35cda9311e3a2c678c596c323a516b"; "72653a2e9d7eb1627dc200ae34757e13"; "7c4aaef2bf72fc2b020a0f07861ebce5";
+    "e03554c4449364838b95e3876d84d4fb"; "a7cbb20e41eced67ed8ac7a8d04beeaa"; "2ca1c188676bc49b7397e53ee7c3d546";
+    "8bc7ef54f7a769908d5d6bdb1d66e780"; "7b9a9557da12bb8e18a1a1388d46cfa1"; "9fabf0325e2905f0d5162049b4b585c0";
+    "c8d62b7a680f85e6e5de49d845a5c2b4"; "8508e2d9061fccbc684b8dea6787a30a"; "3a400bda3e097a22cf9a13f3a398ccdc";
+    "308a4ae4374057ad5bbab9962876d3af"; "dd71653cac7698235000106b6edd13cb"; "65a2a67c744224e7c696f513a7d4e3b4";
+    "8827e3abc6faff0f2c03704576d9346c"; "7325fa5ec2a6d89b2a83bf21bb1cc707"; "7beb00c47450ed20b69b9792e1a64e52";
+    "ebefe57c15a5f6aaaa6729560175f8a6"; "a60de96bcdfe29608723a26a4c709e99"; "75fbb5a2db13bb0a7603186c01e5785c";
+    "c4a1d018d1620ce49f1cb1d36090f256"; "e1327c6d349258b5c6f8a186a3d9d2b5"; "e3654fd9061eb1e56abf8c6c8b5726d2";
+    "b3a6a1e78083841ba1de3abee1cb21e2"; "b9061860f28670400e99fd5ef3956a9a"; "ee52fae79ceea47be0f4e950f28486b8";
+    "b26613932b1f62f8384eefb78b6dad72"; "d03da887d98e093754fecdbb4beffed6"; "dc8d97f59ae0e1b43f5f44d4b1387372";
+  ]
+
+let test_fuzz_digests () =
+  List.iteri
+    (fun index expected ->
+      let p = Wsc_harden.Fuzz.generate ~seed:1 ~index in
+      Alcotest.(check string)
+        (Printf.sprintf "fuzz program %d reference" index)
+        expected
+        (digest (P.run_reference p)))
+    fuzz_digests
+
+(* ------------------------------------------------------------------ *)
+(* scalar bodies at the row loop's edges                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [main(in, out, s)]: [out] := apply over [compute] of [body], whose
+   arguments are the apply's block argument (the loaded [in]) and the
+   function's scalar [s] (an outer value), on [nz]-deep rows (grid z
+   bounds [0, nz + 2)) *)
+let edge_module ~nz ~compute body =
+  let bounds = [ (0, 4); (0, 3); (0, nz + 2) ] in
+  let gt = Temp (bounds, F32) and ft = Field (bounds, F32) in
+  let f =
+    Func.func ~name:"main" ~args:[ ft; ft; F64 ] ~results:[] (fun b args ->
+        let inp, out, s =
+          match args with [ i; o; s ] -> (i, o, s) | _ -> assert false
+        in
+        let t = Bld.insert b (Stencil.load inp) in
+        let ap =
+          Stencil.apply ~compute_bounds:compute ~inputs:[ t ] ~result_type:gt (fun bb bargs ->
+              let w = body bb (List.hd bargs) s in
+              Bld.insert0 bb (Stencil.return_ [ w ]))
+        in
+        Bld.insert0 b (Stencil.store (Bld.insert b ap) out);
+        Bld.insert0 b (Func.return_ []))
+  in
+  (Builtin.module_op [ f ], bounds)
+
+(* Run [body] on [nz]-deep rows over [compute] and check every point
+   against [expected get (x, y, z)], [get] reading the input at an
+   absolute point; points outside [compute] keep the input's value. *)
+let check_edge name ~nz ~compute body expected =
+  let m, bounds = edge_module ~nz ~compute body in
+  let input = I.make_grid bounds F32 and out = I.make_grid bounds F32 in
+  Array.iteri
+    (fun i _ -> input.I.gdata.(i) <- 1.0 +. (float_of_int ((i * 37) mod 101) /. 7.0))
+    input.I.gdata;
+  let s = 0.375 in
+  ignore (I.run_func m ~name:"main" [ I.Rgrid input; I.Rgrid out; I.Rfloat s ]);
+  let get x y z = I.grid_get input [ x; y; z ] |> function I.Rfloat f -> f | _ -> nan in
+  let inside = List.for_all2 (fun c (lb, ub) -> c >= lb && c < ub) in
+  let pt = Array.make 3 0 in
+  I.iter_box bounds pt (fun () ->
+      let x = pt.(0) and y = pt.(1) and z = pt.(2) in
+      let want = if inside [ x; y; z ] compute then expected get s (x, y, z) else get x y z in
+      match I.grid_get out [ x; y; z ] with
+      | I.Rfloat got when Int64.bits_of_float got = Int64.bits_of_float want -> ()
+      | I.Rfloat got ->
+          Alcotest.failf "%s: (%d,%d,%d) = %h, expected %h" name x y z got want
+      | _ -> Alcotest.failf "%s: (%d,%d,%d) not a scalar" name x y z)
+
+let acc bb u off = Bld.insert bb (Stencil.access u ~offset:off)
+
+(* every float op of a scalar body: a three-operand varith.add of an
+   access, a constant product and a quotient, a two-operand varith.mul,
+   then addf and subf *)
+let mixed_body bb u _ =
+  let c = Bld.insert bb (Arith.constant_f 0.5) in
+  let a = acc bb u [ 0; 0; -1 ] in
+  let b = Bld.insert bb (Arith.mulf c (acc bb u [ 1; 0; 0 ])) in
+  let q = Bld.insert bb (Arith.divf (acc bb u [ 0; 0; 1 ]) (acc bb u [ 0; 0; 0 ])) in
+  let v = Bld.insert bb (Varith.add [ a; b; q ]) in
+  let p = Bld.insert bb (Varith.mul [ v; acc bb u [ 0; 1; 0 ] ]) in
+  let e = Bld.insert bb (Arith.addf p (acc bb u [ 0; -1; 0 ])) in
+  Bld.insert bb (Arith.subf e (acc bb u [ -1; 0; 0 ]))
+
+let mixed_expected get _ (x, y, z) =
+  let v = ((get x y (z - 1) +. (0.5 *. get (x + 1) y z)) +. (get x y (z + 1) /. get x y z)) in
+  ((v *. get x (y + 1) z) +. get x (y - 1) z) -. get (x - 1) y z
+
+let interior nz = [ (1, 3); (1, 2); (1, nz + 1) ]
+
+let test_row_extents () =
+  List.iter
+    (fun nz ->
+      check_edge (Printf.sprintf "innermost extent %d" nz) ~nz ~compute:(interior nz) mixed_body
+        mixed_expected)
+    [ 1; 2; 127; 128; 129; 130; 300 ]
+
+let test_empty_box () =
+  check_edge "empty compute box" ~nz:4 ~compute:[ (1, 3); (1, 2); (2, 2) ] mixed_body
+    mixed_expected;
+  (* offsets that would leave the grid are not checked over an empty box *)
+  check_edge "empty compute box at the edge" ~nz:4 ~compute:[ (0, 0); (0, 3); (0, 6) ]
+    mixed_body mixed_expected
+
+let test_returned_values () =
+  check_edge "returned constant" ~nz:130 ~compute:(interior 130)
+    (fun bb _ _ -> Bld.insert bb (Arith.constant_f 2.5))
+    (fun _ _ _ -> 2.5);
+  check_edge "returned import" ~nz:130 ~compute:(interior 130)
+    (fun _ _ s -> s)
+    (fun _ s _ -> s);
+  check_edge "import operand" ~nz:5 ~compute:(interior 5)
+    (fun bb u s -> Bld.insert bb (Arith.mulf s (acc bb u [ 0; 0; 1 ])))
+    (fun get s (x, y, z) -> s *. get x y (z + 1));
+  check_edge "one-operand varith.add" ~nz:130 ~compute:(interior 130)
+    (fun bb u _ -> Bld.insert bb (Varith.add [ acc bb u [ 0; 0; -1 ] ]))
+    (fun get _ (x, y, z) -> get x y (z - 1))
 
 (* ------------------------------------------------------------------ *)
 (* access bounds                                                       *)
@@ -170,6 +301,10 @@ let () =
       ( "staged",
         [
           Alcotest.test_case "output digests" `Quick test_digests;
+          Alcotest.test_case "fuzz program digests" `Quick test_fuzz_digests;
+          Alcotest.test_case "row extents" `Quick test_row_extents;
+          Alcotest.test_case "empty compute box" `Quick test_empty_box;
+          Alcotest.test_case "returned constants and imports" `Quick test_returned_values;
           Alcotest.test_case "out-of-bounds access" `Quick test_out_of_bounds_access;
           Alcotest.test_case "NaN difference is a mismatch" `Quick test_nan_is_a_mismatch;
         ] );
