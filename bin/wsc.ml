@@ -17,7 +17,7 @@
       Unix socket, persistent worker domains, content-addressed cache);
     - [batch]: run the serve engine over a manifest of IR files;
     - [multiwafer]: decompose a benchmark across N simulated wafers,
-      co-simulate one wafer per domain, and check bit-identity against
+      co-simulate the wafers one at a time, and check bit-identity against
       the undecomposed single-wafer run. *)
 
 open Cmdliner
@@ -1185,8 +1185,8 @@ let multiwafer_cmd =
   Cmd.v
     (Cmd.info "multiwafer"
        ~doc:
-         "Decompose a benchmark across N simulated wafers, co-simulate one \
-          wafer per domain, and check bit-identity vs a single wafer; with \
+         "Decompose a benchmark across N simulated wafers, co-simulate them \
+          one at a time, and check bit-identity vs a single wafer; with \
           $(b,--faults), sweep wafer-level fault campaigns with \
           checkpoint/rollback recovery.")
     Term.(

@@ -15,8 +15,8 @@
     PEs.  A campaign therefore replays bit-identically from its seed
     whatever that order.  An injector belongs to one simulation
     and is not shared between domains, so its bookkeeping takes no
-    lock ({!Wafer} keeps its own: the co-simulation's wafer domains
-    share one). *)
+    lock; the same holds for a {!Wafer} injector, whose one user is a
+    co-simulation stepping its wafers one at a time. *)
 
 (** Which fault mechanism a decision or an event belongs to. *)
 type kind =

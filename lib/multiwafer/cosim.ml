@@ -4,12 +4,14 @@
     is one global timestep.  Each epoch, every wafer's subproblem is
     rebuilt from the current global state (its interior plus a full
     halo ring, so inter-wafer halos are exchanged through host memory
-    with perfect fidelity), simulated on its own domain, and its
-    interior gathered back.  Cells of the global halo ring keep their
-    initial values forever — exactly the single-wafer host's Dirichlet
-    boundary treatment — so the gathered fields are bit-identical to
-    the undecomposed simulation by construction, and the modeled
-    interconnect charges time without touching data.
+    with perfect fidelity), simulated on its own fabric, and its
+    interior gathered back.  Wafers run one at a time, in index order,
+    in the calling domain: running the ranks in parallel is the
+    hardware's job, not the simulator's.  Cells of the global halo
+    ring keep their initial values forever — exactly the single-wafer
+    host's Dirichlet boundary treatment — so the gathered fields are
+    bit-identical to the undecomposed simulation by construction, and
+    the modeled interconnect charges time without touching data.
 
     Resilience: the global grids are only mutated at the gather, and
     the gather only runs when every live wafer simulated on
@@ -30,7 +32,6 @@ module Dmp = Wsc_dialects.Dmp
 module Printer = Wsc_ir.Printer
 module Pipeline = Wsc_core.Pipeline
 module Engine = Wsc_serve.Engine
-module Pool = Wsc_serve.Pool
 module Cache = Wsc_serve.Cache
 module Host = Wsc_wse.Host
 module Fabric = Wsc_wse.Fabric
@@ -42,11 +43,7 @@ exception Cosim_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Cosim_error s)) fmt
 
-(* one domain per wafer, spawned once per co-simulation through the
-   serve pool — this counter pins the discipline in a regression test,
-   like Pool.domains_spawned *)
-let spawned = Atomic.make 0
-let domains_spawned () = Atomic.get spawned
+let domains_spawned () = 0
 
 type recovery = {
   rollbacks : int;
@@ -210,39 +207,18 @@ let run ?engine ?(interconnect = Interconnect.default)
   let resilience =
     if injecting then (Wf.config faults).Wf.resilience else None
   in
-  (* one worker domain per wafer, spawned exactly once per co-simulation *)
-  let pool = Pool.create ~domains:n (fun _worker job -> job ()) in
-  ignore (Atomic.fetch_and_add spawned n);
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let par_iter (f : int -> unit) : unit =
-    let failed : exn option array = Array.make n None in
-    for i = 0 to n - 1 do
-      if not (Pool.submit pool (fun () ->
-                  try f i with e -> failed.(i) <- Some e))
-      then fail "worker pool rejected a job"
-    done;
-    Pool.drain pool;
-    Array.iter (function Some e -> raise e | None -> ()) failed
-  in
   (* compile through the shared engine, where equal-extent slices key
-     identically: first the first wafer of each distinct source, then
-     the rest, as cache hits, so the counters never depend on timing
-     (one miss per shape, no single-flight dedup) *)
-  let srcs = Array.map (fun s -> Printer.op_to_string (P.compile s)) subs in
-  let representative i = Array.find_index (String.equal srcs.(i)) srcs = Some i in
-  let programs = Array.make n None in
+     identically: in index order the first wafer of each shape misses
+     and every later one hits *)
   let compile_wafer i =
-    match (Engine.compile_source engine srcs.(i)).Engine.outcome with
-    | Ok c -> programs.(i) <- Some (snd (Pipeline.modules_of c.Engine.lowered))
+    let src = Printer.op_to_string (P.compile subs.(i)) in
+    match (Engine.compile_source engine src).Engine.outcome with
+    | Ok c -> snd (Pipeline.modules_of c.Engine.lowered)
     | Error e ->
         fail "wafer (%d,%d): compile failed: %s" slices.(i).Decompose.wi
           slices.(i).Decompose.wj e.Engine.e_message
   in
-  par_iter (fun i -> if representative i then compile_wafer i);
-  par_iter (fun i -> if not (representative i) then compile_wafer i);
-  let program i =
-    match programs.(i) with Some m -> m | None -> fail "wafer %d: no program" i
-  in
+  let programs = Array.init n compile_wafer in
   let wafer_index =
     let h = Hashtbl.create n in
     Array.iteri
@@ -295,75 +271,74 @@ let run ?engine ?(interconnect = Interconnect.default)
     let attempt = exec_count.(epoch) in
     Array.fill cycles 0 n 0.0;
     Array.fill statuses 0 n Healthy;
-    (* the per-wafer path: guarded so a mid-epoch failure can never
-       strand the pool (par_iter re-raises after the drain) *)
-    par_iter (fun i ->
-        if dead.(i) then ()
-        else if injecting && Wf.lost_here faults ~epoch ~wafer:i then begin
-          statuses.(i) <- Lost_now;
-          Wf.record_detection faults
+    for i = 0 to n - 1 do
+      if dead.(i) then ()
+      else if injecting && Wf.lost_here faults ~epoch ~wafer:i then begin
+        statuses.(i) <- Lost_now;
+        Wf.record_detection faults
+      end
+      else if injecting && Wf.crash_here faults ~epoch ~wafer:i ~attempt
+      then begin
+        statuses.(i) <- Crashed;
+        Wf.record_detection faults
+      end
+      else begin
+        let s = slices.(i) in
+        (* the wafer's current view: interior and full halo ring copied
+           out of the global grids (neighbour interiors where a
+           neighbour owns them, initial boundary values elsewhere) *)
+        let sub_ft = P.field_type subs.(i) in
+        let view =
+          List.map
+            (fun gl ->
+              let g = I.retensorize_grid (I.grid_of_typ sub_ft) in
+              let pt = [| 0; 0 |] in
+              I.iter_box g.I.gbounds pt (fun () ->
+                  I.grid_set g [ pt.(0); pt.(1) ]
+                    (I.grid_get gl [ s.Decompose.x0 + pt.(0); s.Decompose.y0 + pt.(1) ]));
+              g)
+            globals
+        in
+        (* inject inter-wafer faults on the freshly received halos and
+           verify the per-swap checksums the protocol would carry *)
+        if injecting then
+          List.iter
+            (fun (w : Dmp.swap_desc) ->
+              let dir = dir_code w.Dmp.dir in
+              let dropped = Wf.drop_halo faults ~epoch ~wafer:i ~dir ~attempt in
+              let corrupted =
+                (not dropped)
+                && Wf.corrupt_halo faults ~epoch ~wafer:i ~dir ~attempt
+              in
+              if dropped || corrupted then begin
+                let cells = strip_cells s w in
+                let sent = strip_checksum view cells in
+                if dropped then zero_strip view cells
+                else begin
+                  let len = strip_scalars view cells in
+                  let idx, noise =
+                    Wf.halo_corruption faults ~epoch ~wafer:i ~dir ~attempt
+                      ~len
+                  in
+                  corrupt_strip view cells ~idx ~noise
+                end;
+                let received = strip_checksum view cells in
+                (* detection only with the protocol on; without it the
+                   damaged halo is consumed silently *)
+                if resilience <> None && received <> sent then begin
+                  statuses.(i) <- Halo_bad;
+                  Wf.record_detection faults
+                end
+              end)
+            s.Decompose.swaps;
+        if statuses.(i) = Healthy then begin
+          let h = Host.load machine programs.(i) view in
+          Host.run h;
+          outs.(i) <- Host.read_all h;
+          cycles.(i) <- Fabric.elapsed_cycles h.Host.sim
         end
-        else if injecting && Wf.crash_here faults ~epoch ~wafer:i ~attempt
-        then begin
-          statuses.(i) <- Crashed;
-          Wf.record_detection faults
-        end
-        else begin
-          let s = slices.(i) in
-          (* the wafer's current view: interior and full halo ring copied
-             out of the global grids (neighbour interiors where a
-             neighbour owns them, initial boundary values elsewhere) *)
-          let sub_ft = P.field_type subs.(i) in
-          let view =
-            List.map
-              (fun gl ->
-                let g = I.retensorize_grid (I.grid_of_typ sub_ft) in
-                let pt = [| 0; 0 |] in
-                I.iter_box g.I.gbounds pt (fun () ->
-                    I.grid_set g [ pt.(0); pt.(1) ]
-                      (I.grid_get gl [ s.Decompose.x0 + pt.(0); s.Decompose.y0 + pt.(1) ]));
-                g)
-              globals
-          in
-          (* inject inter-wafer faults on the freshly received halos and
-             verify the per-swap checksums the protocol would carry *)
-          if injecting then
-            List.iter
-              (fun (w : Dmp.swap_desc) ->
-                let dir = dir_code w.Dmp.dir in
-                let dropped = Wf.drop_halo faults ~epoch ~wafer:i ~dir ~attempt in
-                let corrupted =
-                  (not dropped)
-                  && Wf.corrupt_halo faults ~epoch ~wafer:i ~dir ~attempt
-                in
-                if dropped || corrupted then begin
-                  let cells = strip_cells s w in
-                  let sent = strip_checksum view cells in
-                  if dropped then zero_strip view cells
-                  else begin
-                    let len = strip_scalars view cells in
-                    let idx, noise =
-                      Wf.halo_corruption faults ~epoch ~wafer:i ~dir ~attempt
-                        ~len
-                    in
-                    corrupt_strip view cells ~idx ~noise
-                  end;
-                  let received = strip_checksum view cells in
-                  (* detection only with the protocol on; without it the
-                     damaged halo is consumed silently *)
-                  if resilience <> None && received <> sent then begin
-                    statuses.(i) <- Halo_bad;
-                    Wf.record_detection faults
-                  end
-                end)
-              s.Decompose.swaps;
-          if statuses.(i) = Healthy then begin
-            let h = Host.load machine (program i) view in
-            Host.run h;
-            outs.(i) <- Host.read_all h;
-            cycles.(i) <- Fabric.elapsed_cycles h.Host.sim
-          end
-        end);
+      end
+    done;
     (* device time burns on every execution — wafers that simulated
        before the epoch rolled back are real recovery cost *)
     device_cycles := !device_cycles +. Array.fold_left Float.max 0.0 cycles;
@@ -464,7 +439,7 @@ let run ?engine ?(interconnect = Interconnect.default)
           match st with
           | Crashed | Lost_now ->
               incr respawns;
-              compile_wafer i
+              programs.(i) <- compile_wafer i
           | _ -> ())
         faulty;
       match !ck with

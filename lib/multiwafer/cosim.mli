@@ -1,9 +1,10 @@
 (** Multi-wafer co-simulation: run one stencil problem decomposed over
-    a [(wx, wy)] grid of simulated wafers, one OCaml 5 domain per wafer
-    on the persistent serve pool, with per-wafer programs compiled
+    a [(wx, wy)] grid of simulated wafers, stepped one at a time in
+    index order in the calling domain, with per-wafer programs compiled
     through the content-addressed compile engine (equal slices share
-    one cache entry; concurrent compiles single-flight) and a modeled
-    inter-wafer interconnect charged between BSP epochs.
+    one cache entry: the first wafer of each shape misses, every later
+    one hits) and a modeled inter-wafer interconnect charged between
+    BSP epochs.
 
     Determinism: halos move through host memory between epochs, the
     global boundary keeps the single-wafer Dirichlet values, and every
@@ -27,9 +28,8 @@ module I = Wsc_dialects.Interp
 
 exception Cosim_error of string
 
-(** Worker domains ever spawned by co-simulations — exactly one per
-    wafer per run; pinned by a regression test (the
-    [Pool.domains_spawned] discipline). *)
+(** Domains spawned by co-simulations: always 0 (wafers run in the
+    calling domain); kept because the perfbench ledger reads it. *)
 val domains_spawned : unit -> int
 
 (** What recovery did during a faulted run. *)
@@ -78,9 +78,9 @@ val reference :
     [Faults.Wafer.null]: the fault-free path takes exactly one extra
     branch per decision point and stays bit-identical.
     @raise Decompose.Decompose_error when [p] cannot be decomposed
-    @raise Cosim_error when a wafer fails to compile, or when a wafer
-    crashes / is lost while the injector's resilience protocol is off
-    (the pool and the engine cache are still cleanly released) *)
+    @raise Cosim_error when a wafer fails to compile (the lowest-index
+    failure), or when a wafer crashes / is lost while the injector's
+    resilience protocol is off *)
 val run :
   ?engine:Wsc_serve.Engine.t ->
   ?interconnect:Interconnect.t ->

@@ -3,8 +3,8 @@
    the dmp exchange-volume identity (property-based), the plan-IR
    round trip, bit-identity of the co-simulation against the
    single-wafer fabric on representative benchmarks, slice-shape dedup
-   through the shared compile-engine cache, and the one-domain-per-
-   wafer spawn discipline. *)
+   through the shared compile-engine cache, and wafers stepped in the
+   calling domain (co-simulation spawns none). *)
 
 open Wsc_ir.Ir
 module B = Wsc_benchmarks.Benchmarks
@@ -241,9 +241,9 @@ let test_cosim_cache_dedup () =
   checki "warm re-run misses" 0 (s2.Cache.misses - s1.Cache.misses);
   checki "warm re-run hits" 4 (s2.Cache.hits - s1.Cache.hits)
 
-(* the compile counters do not depend on domain timing: two runs on
-   fresh engines count the same, one miss per distinct slice shape and a
-   hit for every other wafer *)
+(* the compile counters are reproducible: two runs on fresh engines
+   count the same, one miss per distinct slice shape and a hit for every
+   other wafer *)
 let test_cosim_cache_counts_deterministic () =
   let d = B.find "jacobian" in
   let counts () =
@@ -257,13 +257,13 @@ let test_cosim_cache_counts_deterministic () =
   checki "a hit per other wafer" (4 - distinct) a.Cache.hits;
   checki "no dedup" 0 a.Cache.dedup_hits
 
-let test_one_domain_per_wafer () =
-  let before = MW.domains_spawned () in
+let test_no_domain_spawned () =
+  let before = Wsc_serve.Pool.domains_spawned () in
   let d = B.find "jacobian" in
   ignore (MW.run ~engine:(Lazy.force engine) ~wafers:(2, 1) (d.B.make B.Tiny));
-  checki "2x1 spawns two domains" (before + 2) (MW.domains_spawned ());
+  checki "2x1 spawns none" before (Wsc_serve.Pool.domains_spawned ());
   ignore (MW.run ~engine:(Lazy.force engine) ~wafers:(2, 2) (d.B.make B.Tiny));
-  checki "2x2 spawns four more" (before + 6) (MW.domains_spawned ())
+  checki "2x2 spawns none" before (Wsc_serve.Pool.domains_spawned ())
 
 (* ------------------------------------------------------------------ *)
 (* wafer-level resilience                                               *)
@@ -445,7 +445,7 @@ let test_crash_unprotected_then_clean_rerun () =
   (match MW.run ~engine:e ~faults ~wafers:(2, 1) p with
   | exception MW.Cosim_error _ -> ()
   | _ -> Alcotest.fail "expected Cosim_error with resilience disabled");
-  (* the failed run must leave the engine and its pool clean: an
+  (* the failed run must leave the engine clean: an
      identical fault-free run on the same engine succeeds, from cache *)
   let r = MW.run ~engine:e ~wafers:(2, 1) p in
   check "re-run on the same engine bit-identical" true
@@ -482,8 +482,8 @@ let () =
             test_cosim_cache_dedup;
           Alcotest.test_case "compile counters are deterministic" `Quick
             test_cosim_cache_counts_deterministic;
-          Alcotest.test_case "one domain per wafer" `Quick
-            test_one_domain_per_wafer;
+          Alcotest.test_case "co-simulation spawns no domain" `Quick
+            test_no_domain_spawned;
         ] );
       ( "resilience",
         [
