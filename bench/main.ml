@@ -590,11 +590,10 @@ let tune_bench () =
   header "Autotuning: tuned vs default, oracle-gated";
   let module T = Wsc_tune.Tune in
   let machine = Machine.wse3 in
-  let domains = min 4 (Domain.recommended_domain_count ()) in
   let seed = 1 in
-  let config = { T.default_config with T.seed; domains; machine } in
-  Printf.printf "fan-out over %d domain(s); seed %d, screen %d, extent %d\n\n"
-    domains seed config.T.screen config.T.extent;
+  let config = { T.default_config with T.seed; machine } in
+  Printf.printf "seed %d, screen %d, extent %d\n\n" seed config.T.screen
+    config.T.extent;
   Printf.printf "%-10s %7s %11s %11s %8s %7s\n" "benchmark" "space"
     "default c/i" "tuned c/i" "improve" "oracle";
   let store = Wsc_serve.Tuned.create () in

@@ -209,8 +209,7 @@ let simulate_cmd =
     match prog with
     | None -> Error (`Msg "simulate: reference check needs --bench")
     | Some p ->
-        P.check_reference ~max_bytes:F.max_simulated_bytes
-          ~max_point_ops:F.max_reference_point_ops p;
+        P.check_reference ~max_bytes:F.max_simulated_bytes p;
         let init = timed "init" (fun () -> P.init_grids p) in
         (* simulate first: the fabric guards (grid size, per-PE memory)
            reject oversized runs before the expensive reference pass.
@@ -859,12 +858,6 @@ let tune_extent_arg =
     value & opt int Wsc_tune.Tune.default_config.Wsc_tune.Tune.extent
     & info [ "extent" ] ~docv:"N" ~doc:"Proxy-grid PE extent per side.")
 
-let tune_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Worker domains for candidate fan-out.")
-
 let tune_no_oracle_arg =
   Arg.(
     value & flag
@@ -887,11 +880,11 @@ let tune_save_arg =
            $(b,wsc batch) $(b,--tuned-cache).")
 
 let tune_cmd =
-  let run bench machine seed screen extent domains no_oracle json_out save_path =
+  let run bench machine seed screen extent no_oracle json_out save_path =
     let* d = find_bench ~cmd:"tune" bench in
     let module T = Wsc_tune.Tune in
     let config =
-      { T.seed; screen; extent; domains; machine; oracle = not no_oracle }
+      { T.seed; screen; extent; machine; oracle = not no_oracle }
     in
     let r = T.run ~config d in
     Printf.printf "tune %s on %s: space %d, screened %d\n" r.T.r_bench
@@ -940,7 +933,7 @@ let tune_cmd =
     Term.(
       term_result
         (const run $ bench_arg $ machine_arg $ tune_seed_arg $ tune_screen_arg
-       $ tune_extent_arg $ tune_domains_arg $ tune_no_oracle_arg
+       $ tune_extent_arg $ tune_no_oracle_arg
        $ tune_json_arg $ tune_save_arg))
 
 (* ---------------- perf ---------------- *)

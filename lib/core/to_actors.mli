@@ -8,4 +8,8 @@
 
 exception Actor_error of string
 
+(** The pointer global of state slot [i], through which the host loads
+    the slot and the fabric's boundary columns stand in for its sends. *)
+val state_ptr : int -> string
+
 val pass : Wsc_ir.Pass.t

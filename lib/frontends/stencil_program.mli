@@ -66,8 +66,9 @@ val reference_estimate : t -> estimate
 exception Reference_refused of string
 
 (** @raise Reference_refused, with a message stating the estimate, when
-    {!reference_estimate} exceeds either limit. *)
-val check_reference : max_bytes:int -> max_point_ops:int -> t -> unit
+    {!reference_estimate} exceeds [max_bytes] or 2e10 point-ops (under a
+    minute at the measured 1.2-2.5 ns per op). *)
+val check_reference : max_bytes:int -> t -> unit
 
 (** Freshly initialized state grids (the same data {!run_reference}
     starts from), retensorized into the 2-D z-column layout that lowered

@@ -5,7 +5,6 @@ module P = Wsc_frontends.Stencil_program
 module Pipeline = Wsc_core.Pipeline
 module WP = Wsc_perf.Wse_perf
 module Oracle = Wsc_harden.Oracle
-module Pool = Wsc_serve.Pool
 module Tuned = Wsc_serve.Tuned
 module J = Wsc_trace.Json
 
@@ -13,7 +12,6 @@ type config = {
   seed : int;
   screen : int;
   extent : int;
-  domains : int;
   machine : Wsc_wse.Machine.t;
   oracle : bool;
 }
@@ -23,7 +21,6 @@ let default_config =
     seed = 1;
     screen = 24;
     extent = WP.proxy_extent;
-    domains = 1;
     machine = Wsc_wse.Machine.wse3;
     oracle = true;
   }
@@ -193,23 +190,6 @@ let score (d : B.descr) ~(machine : Wsc_wse.Machine.t) ~(extent : int)
   | exception e -> Error (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* parallel candidate evaluation                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Fan a scorer over candidates on the worker pool; slot-per-candidate
-    writes keep the output order deterministic regardless of which
-    domain finishes first. *)
-let evaluate (pool : (unit -> unit) Pool.t) (cands : Pipeline.options array)
-    (score : Pipeline.options -> (float, string) Stdlib.result) :
-    (float, string) Stdlib.result array =
-  let out = Array.make (Array.length cands) (Error "not evaluated") in
-  Array.iteri
-    (fun i o -> ignore (Pool.submit pool (fun () -> out.(i) <- score o)))
-    cands;
-  Pool.drain pool;
-  out
-
-(* ------------------------------------------------------------------ *)
 (* program identity                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -234,11 +214,7 @@ let run ?(config = default_config) (d : B.descr) : result =
     candidates ~seed:cfg.seed ~screen:cfg.screen ~chunks
   in
   let cands = Array.of_list cands in
-  let pool = Pool.create ~domains:(max 1 cfg.domains) (fun _wi job -> job ()) in
-  let predicted =
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-    evaluate pool cands (score d ~machine:cfg.machine ~extent:cfg.extent)
-  in
+  let predicted = Array.map (score d ~machine:cfg.machine ~extent:cfg.extent) cands in
   let rendered = Array.map Pipeline.options_to_string cands in
   let default_rendered = Pipeline.options_to_string Pipeline.default_options in
   (* best first; ties broken by the rendered options, which are unique *)

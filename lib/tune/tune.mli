@@ -19,10 +19,9 @@
       candidates ranked after it are no faster.
 
     The search is deterministic from [seed]: candidate enumeration uses
-    pure SplitMix64 draws, and candidate evaluation fans out across a
-    {!Wsc_serve.Pool} of domains into per-candidate slots — so a rerun
-    with the same config replays byte-for-byte (same winners, same
-    JSON).
+    pure SplitMix64 draws, and candidates are scored one after another
+    in the calling domain — so a rerun with the same config replays
+    byte-for-byte (same winners, same JSON).
 
     Winners ship through {!register} into a {!Wsc_serve.Tuned} store —
     content-addressed by the program's canonical text — which
@@ -34,7 +33,6 @@ type config = {
   seed : int;
   screen : int;  (** max candidates entering screening (clamped ≥ 1) *)
   extent : int;  (** proxy-grid PE extent per side *)
-  domains : int;  (** worker domains for candidate fan-out *)
   machine : Wsc_wse.Machine.t;
   oracle : bool;  (** run the differential-oracle gate (default on) *)
 }

@@ -30,6 +30,22 @@ exception Sim_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
 
+(** {1 Symbols}
+
+    {!create} gives every declared name an index of its kind, and the
+    staged program and the PE state carry those indices, never names. *)
+
+type kind = Buffer | Scalar | Pointer | Func
+
+let find (symbols : (kind * string, int) Hashtbl.t) (kind : kind) (name : string) : int =
+  try Hashtbl.find symbols (kind, name)
+  with Not_found ->
+    fail "no %s %s"
+      (match kind with
+      | Buffer -> "buffer" | Scalar -> "scalar"
+      | Pointer -> "pointer" | Func -> "function or task")
+      name
+
 (** {1 Communicate-call configuration}
 
     Each [communicate] call's config attr is decoded once per program
@@ -47,7 +63,7 @@ type slot = {
   sl_d : int;
   sl_dx : int;
   sl_dy : int;
-  sl_rcv : string;  (** receive buffer *)
+  sl_rcv : int;  (** receive buffer *)
   sl_coeff : float;  (** promoted coefficient (0.0 when none applies) *)
   sl_halo : int;  (** state slot of the host-resident boundary column *)
 }
@@ -58,32 +74,25 @@ type comm = {
   c_nz : int;
   num_chunks : int;
   chunk_size : int;
-  chunk_cb : string;
-  done_cb : string;
-  chunk_fn : int;  (** [chunk_cb]'s index in the staged program *)
+  chunk_fn : int;  (** the chunk callback *)
   done_fn : int;
   promoted : bool;  (** coefficients are applied at delivery (§5.7) *)
-  send_ptrs : string array;  (** per input *)
+  send_ptrs : int array;  (** per input *)
   slots : slot array;
   peers : (int * int) array;
       (** distinct sender offsets (dx, dy), in slot order: a receiver at
           (x, y) reads the senders at (x + dx, y + dy), so a sender at
           (x, y) is read by the in-grid receivers at (x - dx, y - dy) *)
-  rcv_names : string array;  (** distinct receive buffers *)
+  rcv_bufs : int array;  (** distinct receive buffers *)
   total_dirs : int;  (** directions a send is injected into *)
   incoming : int;  (** wavelets drained per chunk *)
   self_loopback : int;  (** looped-back wavelets per chunk (WSE2 self-send) *)
 }
 
-(** State slot a communicated input corresponds to, for boundary-column
-    lookup: the Dirichlet halo is the initial value of that logical grid. *)
-let halo_slot (send_ptr : string) : int =
-  let p = send_ptr in
-  if String.length p > 9 && String.sub p 0 9 = "ptr_state" then
-    Option.value (int_of_string_opt (String.sub p 9 (String.length p - 9))) ~default:0
-  else 0
-
-let decode_comm ~(callback : string -> int) (a : attr) : comm =
+(** Decode a communicate config, resolving its names with [find].
+    [halo.(p)] is the state slot whose boundary columns stand in for
+    the sends of pointer [p] beyond the grid. *)
+let decode_comm ~(find : kind -> string -> int) ~(halo : int array) (a : attr) : comm =
   let dict = match a with Dict_attr d -> d | _ -> fail "communicate: bad config" in
   let geti k =
     match List.assoc_opt k dict with Some (Int_attr i) -> i | _ -> fail "cfg int %s" k
@@ -102,7 +111,7 @@ let decode_comm ~(callback : string -> int) (a : attr) : comm =
             | Dict_attr d ->
                 let send_ptr =
                   match List.assoc_opt "send_ptr" d with
-                  | Some (String_attr s) -> s
+                  | Some (String_attr s) -> find Pointer s
                   | _ -> fail "cfg send_ptr"
                 in
                 let swaps =
@@ -114,7 +123,7 @@ let decode_comm ~(callback : string -> int) (a : attr) : comm =
                   match List.assoc_opt "rcv_bufs" d with
                   | Some (Array_attr bl) ->
                       List.map
-                        (function String_attr s -> s | _ -> fail "cfg rcv buf")
+                        (function String_attr s -> find Buffer s | _ -> fail "cfg rcv buf")
                         bl
                   | _ -> fail "cfg rcv_bufs"
                 in
@@ -167,7 +176,7 @@ let decode_comm ~(callback : string -> int) (a : attr) : comm =
                         with
                        | Some (_, _, _, c) -> c
                        | None -> 0.0);
-                     sl_halo = halo_slot send_ptr;
+                     sl_halo = halo.(send_ptr);
                    }))
              swaps)
          inputs)
@@ -176,22 +185,21 @@ let decode_comm ~(callback : string -> int) (a : attr) : comm =
     List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
   in
   let swaps = List.concat_map (fun (_, s) -> List.map fst s) inputs in
-  let chunk_cb = gets "chunk_cb" and done_cb = gets "done_cb" in
+  let apply_id = geti "apply_id" in
+  if apply_id < 0 then fail "cfg apply_id %d" apply_id;
   {
-    apply_id = geti "apply_id";
+    apply_id;
     z_base = geti "z_base";
     c_nz = geti "nz";
     num_chunks = geti "num_chunks";
     chunk_size = cs;
-    chunk_cb;
-    done_cb;
-    chunk_fn = callback chunk_cb;
-    done_fn = callback done_cb;
+    chunk_fn = find Func (gets "chunk_cb");
+    done_fn = find Func (gets "done_cb");
     promoted = coeffs <> [];
     send_ptrs = Array.of_list (List.map fst inputs);
     slots = Array.of_list slots;
     peers = Array.of_list (dedup (List.map (fun s -> (s.sl_dx, s.sl_dy)) slots));
-    rcv_names =
+    rcv_bufs =
       Array.of_list (dedup (List.concat_map (fun (_, s) -> List.map snd s) inputs));
     total_dirs = List.length swaps;
     incoming = List.fold_left (fun a (sw : Dmp.swap_desc) -> a + (sw.depth * cs)) 0 swaps;
@@ -201,23 +209,23 @@ let decode_comm ~(callback : string -> int) (a : attr) : comm =
 (** {1 Staged program}
 
     {!create} decodes every [csl.func] and [csl.task] once into an
-    instruction array: opnames, attributes, [scf.if] regions, [csl.call]
-    callees, [csl.activate] task names, [cmpi] predicates and each
-    [communicate] call's {!comm} are resolved there, and each SSA value
-    gets a slot in a per-call frame.  The staged program belongs to the
+    instruction array: opnames, attributes, [scf.if] regions, storage
+    names, [csl.call] callees, [csl.activate] task names, [cmpi]
+    predicates and each [communicate] call's {!comm} are resolved there,
+    and each SSA value gets a slot in a per-call frame.  The staged program belongs to the
     simulation it was built for and every PE reads it, never writes it. *)
 
 type cell = Cbuf of Bufview.t | Cdsd of Bufview.t | Cint of int | Cfloat of float
 
 type pred = Slt | Sle | Sgt | Sge | Eq | Ne
 
-(** One csl op.  Integer fields are frame slots, except the constants
-    [off], [len], [stride] and [Increment_dsd]'s [by]. *)
+(** One csl op.  Integer fields are frame slots, except symbol indices
+    and the constants [off], [len], [stride] and [Increment_dsd]'s [by]. *)
 type instr =
-  | Get_global of int * string  (** destination, buffer *)
-  | Deref_ptr of int * string  (** destination, pointer *)
-  | Load_scalar of int * string
-  | Store_scalar of string * int
+  | Get_global of int * int  (** destination, buffer *)
+  | Deref_ptr of int * int  (** destination, pointer *)
+  | Load_scalar of int * int  (** destination, scalar *)
+  | Store_scalar of int * int  (** scalar, source *)
   | Get_mem_dsd of { dst : int; buf : int; off : int; len : int; stride : int }
   | Increment_dsd of { dst : int; dsd : int; by : int }
   | Increment_dsd_by of { dst : int; dsd : int; by : int }  (** offset held in [by] *)
@@ -231,8 +239,8 @@ type instr =
   | Cmpi of int * pred * int * int
   | If of int * instr array * instr array
   | Call of int  (** callee's index in {!code.funcs} *)
-  | Activate of string  (** a task known to {!code.index} *)
-  | Assign_ptrs of string array * string array  (** destinations, sources *)
+  | Activate of int  (** the task's index in {!code.funcs} *)
+  | Assign_ptrs of int array * int array  (** destinations, sources *)
   | Communicate of comm
   | Unblock_cmd_stream
 
@@ -244,15 +252,19 @@ type func = {
 }
 
 type code = {
-  funcs : func array;
-  index : (string, int) Hashtbl.t;  (** function or task name -> [funcs] *)
+  funcs : func array;  (** indexed by [Func] *)
+  symbols : (kind * string, int) Hashtbl.t;  (** every declared name -> its index *)
+  buffer_sizes : int array;  (** elements of each buffer *)
+  scalar_inits : int array;
+  ptr_targets : int array;  (** the buffer each pointer targets at start *)
+  applies : int;  (** one more than the largest apply id *)
   comms : comm list;  (** every decoded communicate call *)
 }
 
-(** Stage one function or task.  Every decoding error is a [Sim_error]
-    naming the function and the op. *)
-let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op) :
-    func =
+(** Stage one function or task, resolving names with [find].  Every
+    decoding error is a [Sim_error] naming the function and the op. *)
+let stage_func ~(find : kind -> string -> int) ~(halo : int array) (comms : comm list ref)
+    (f : op) : func =
   let fname = string_attr_exn f "sym_name" in
   let slots = Hashtbl.create 64 and n = ref 0 in
   let def (v : value) =
@@ -266,24 +278,20 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
     | Some s -> s
     | None -> fail "unbound value %%%d" v.vid
   in
-  let callee name =
-    match Hashtbl.find_opt index name with
-    | Some i -> i
-    | None -> fail "no function or task %s" name
-  in
   let decode (o : op) : instr option =
     let arg i = use (operand o i) in
     let str k = string_attr_exn o k in
-    let names k =
+    let global kind = find kind (str "gname") in
+    let ptrs k =
       match Csl.string_list_attr o k with
-      | l -> Array.of_list l
+      | l -> Array.of_list (List.map (find Pointer) l)
       | exception Invalid_argument _ -> fail "%s is not a list of names" k
     in
     match o.opname with
-    | "csl.get_global" -> Some (Get_global (def (result o), str "gname"))
-    | "csl.deref_ptr" -> Some (Deref_ptr (def (result o), str "gname"))
-    | "csl.load_scalar" -> Some (Load_scalar (def (result o), str "gname"))
-    | "csl.store_scalar" -> Some (Store_scalar (str "gname", arg 0))
+    | "csl.get_global" -> Some (Get_global (def (result o), global Buffer))
+    | "csl.deref_ptr" -> Some (Deref_ptr (def (result o), global Pointer))
+    | "csl.load_scalar" -> Some (Load_scalar (def (result o), global Scalar))
+    | "csl.store_scalar" -> Some (Store_scalar (global Scalar, arg 0))
     | "csl.get_mem_dsd" ->
         let buf = arg 0 and off = int_attr_exn o "offset" in
         let len = int_attr_exn o "length" in
@@ -337,20 +345,17 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
           | p -> fail "unknown predicate %s" p
         in
         Some (Cmpi (def (result o), p, a, b))
-    | "csl.call" -> Some (Call (callee (str "callee")))
-    | "csl.activate" ->
-        let task = str "task" in
-        ignore (callee task);
-        Some (Activate task)
+    | "csl.call" -> Some (Call (find Func (str "callee")))
+    | "csl.activate" -> Some (Activate (find Func (str "task")))
     | "csl.assign_ptrs" ->
-        let dests = names "dests" and srcs = names "srcs" in
+        let dests = ptrs "dests" and srcs = ptrs "srcs" in
         if Array.length dests <> Array.length srcs then
           fail "%d destinations for %d sources" (Array.length dests) (Array.length srcs);
         Some (Assign_ptrs (dests, srcs))
     | "csl.member_call" -> (
         match str "field" with
         | "communicate" ->
-            let c = decode_comm ~callback:callee (attr_exn o "config") in
+            let c = decode_comm ~find ~halo (attr_exn o "config") in
             comms := c :: !comms;
             Some (Communicate c)
         | lib -> fail "unknown library function %s" lib)
@@ -381,25 +386,58 @@ let stage_func (index : (string, int) Hashtbl.t) (comms : comm list ref) (f : op
   let body = block blk in
   { fname; nargs; nslots = !n; body }
 
+(** Element count of a [csl.global_buffer]. *)
+let buffer_size (o : op) : int =
+  match attr_exn o "type" with Type_attr t -> num_elements t | _ -> fail "bad buffer type"
+
+(** Index every declaration, record each global's initial value, and
+    stage every function and task: the only reader of the module body. *)
 let stage_program (program : op) : code =
-  let defs =
-    List.filter
-      (fun o -> o.opname = "csl.func" || o.opname = "csl.task")
-      (Csl.module_body program)
-  in
+  let body = Csl.module_body program in
   let name o =
     try string_attr_exn o "sym_name"
     with Invalid_argument _ -> fail "%s without a sym_name" o.opname
   in
-  let index = Hashtbl.create 16 in
+  let symbols = Hashtbl.create 64 in
+  let declare kind opname =
+    let ops = Array.of_list (List.filter (fun o -> o.opname = opname) body) in
+    Array.iteri (fun i o -> Hashtbl.replace symbols (kind, name o) i) ops;
+    ops
+  in
+  let buffers = declare Buffer "csl.global_buffer" in
+  let scalars = declare Scalar "csl.global_scalar" in
+  let ptrs = declare Pointer "csl.ptr_global" in
+  let find = find symbols in
+  (* boundary columns of state slot [j] stand in for the sends of its
+     pointer [To_actors.state_ptr j]; slot 0 for any other pointer *)
+  let halo = Array.make (Array.length ptrs) 0 in
+  Array.iteri
+    (fun j _ ->
+      match Hashtbl.find_opt symbols (Pointer, Wsc_core.To_actors.state_ptr j) with
+      | Some p -> halo.(p) <- j
+      | None -> ())
+    ptrs;
+  let defs = List.filter (fun o -> o.opname = "csl.func" || o.opname = "csl.task") body in
   (* a function shadows a task of the same name *)
   List.iter
     (fun kind ->
-      List.iteri (fun i o -> if o.opname = kind then Hashtbl.replace index (name o) i) defs)
+      List.iteri
+        (fun i o -> if o.opname = kind then Hashtbl.replace symbols (Func, name o) i)
+        defs)
     [ "csl.task"; "csl.func" ];
   let comms = ref [] in
-  let funcs = Array.of_list (List.map (stage_func index comms) defs) in
-  { funcs; index; comms = List.rev !comms }
+  let funcs = Array.of_list (List.map (stage_func ~find ~halo comms) defs) in
+  let comms = List.rev !comms in
+  {
+    funcs;
+    symbols;
+    buffer_sizes = Array.map buffer_size buffers;
+    scalar_inits =
+      Array.map (fun o -> match attr o "init" with Some (Int_attr i) -> i | _ -> 0) scalars;
+    ptr_targets = Array.map (fun o -> find Buffer (string_attr_exn o "target")) ptrs;
+    applies = List.fold_left (fun n c -> max n (c.apply_id + 1)) 0 comms;
+    comms;
+  }
 
 (** {1 PE state} *)
 
@@ -461,7 +499,7 @@ type waiting = {
     insertion stamp): dispatch takes the earliest activation, and ties
     resolve in insertion order. *)
 module Task_queue = Set.Make (struct
-  type t = float * int * string
+  type t = float * int * int
 
   let compare (a, i, _) (b, j, _) =
     match Float.compare a b with 0 -> Int.compare i j | c -> c
@@ -472,20 +510,20 @@ type task_queue = Task_queue.t
 type pe = {
   px : int;
   py : int;
-  globals : (string, float array) Hashtbl.t;
-  scalars : (string, int ref) Hashtbl.t;
-  ptrs : (string, string ref) Hashtbl.t;
+  buffers : float array array;  (** indexed by [Buffer] *)
+  scalars : int array;  (** indexed by [Scalar] *)
+  ptrs : int array;  (** indexed by [Pointer]: the buffer it targets *)
   mutable clock : float;
   mutable finished : bool;
   mutable task_queue : task_queue;
   mutable task_stamps : int;  (** insertion stamps handed out so far *)
   mutable waiting : waiting option;
-  mutable seq : (int, int) Hashtbl.t;  (** apply_id -> communicate count *)
+  seq : int array;  (** apply id -> communicate calls so far *)
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
 }
 
-let queue_task (pe : pe) ~(at : float) (task : string) : unit =
+let queue_task (pe : pe) ~(at : float) (task : int) : unit =
   pe.task_queue <- Task_queue.add (at, pe.task_stamps, task) pe.task_queue;
   pe.task_stamps <- pe.task_stamps + 1
 
@@ -508,7 +546,6 @@ end
 
 type t = {
   machine : Machine.t;
-  program : op;
   width : int;
   height : int;
   pes : pe array array;
@@ -516,9 +553,7 @@ type t = {
       (** (apply, seq, x, y) -> record *)
   halo : (int * int, float array) Hashtbl.t;
       (** host-resident boundary columns (x, y outside the PE grid) *)
-  z_halo : int;
   zfull : int;
-  nz : int;
   sched : Sched.stats;
   trace : Trace.sink;
       (** where the simulator reports spans and link transfers; with
@@ -535,41 +570,21 @@ type t = {
           quiescent with PEs held (see {!lift_window}) *)
 }
 
-(** Element count of a [csl.global_buffer]. *)
-let buffer_size (o : op) : int =
-  match attr_exn o "type" with Type_attr t -> num_elements t | _ -> fail "bad buffer type"
-
-let new_pe (program : op) x y : pe =
-  let globals = Hashtbl.create 16 in
-  let scalars = Hashtbl.create 4 in
-  let ptrs = Hashtbl.create 8 in
-  List.iter
-    (fun o ->
-      match o.opname with
-      | "csl.global_buffer" ->
-          Hashtbl.replace globals (string_attr_exn o "sym_name")
-            (Array.make (buffer_size o) 0.0)
-      | "csl.global_scalar" ->
-          let name = string_attr_exn o "sym_name" in
-          let init = match attr o "init" with Some (Int_attr i) -> i | _ -> 0 in
-          Hashtbl.replace scalars name (ref init)
-      | "csl.ptr_global" ->
-          Hashtbl.replace ptrs (string_attr_exn o "sym_name")
-            (ref (string_attr_exn o "target"))
-      | _ -> ())
-    (Csl.module_body program);
+(** A PE in its initial state: fresh zeroed buffers and copies of the
+    staged scalar and pointer initial values. *)
+let new_pe (code : code) x y : pe =
   {
     px = x;
     py = y;
-    globals;
-    scalars;
-    ptrs;
+    buffers = Array.map (fun n -> Array.make n 0.0) code.buffer_sizes;
+    scalars = Array.copy code.scalar_inits;
+    ptrs = Array.copy code.ptr_targets;
     clock = 0.0;
     finished = false;
     task_queue = Task_queue.empty;
     task_stamps = 0;
     waiting = None;
-    seq = Hashtbl.create 4;
+    seq = Array.make code.applies 0;
     live_sends = 0;
     stats =
       {
@@ -604,13 +619,6 @@ let max_live_sends_per_pe = 2
     admits every grid up to the benchmarks' Small size (100x100 PEs). *)
 let max_simulated_bytes = 1 lsl 30
 
-(** Largest sequential reference [wsc simulate] runs, in apply-body ops
-    (as [Stencil_program.reference_estimate] counts them).  At 1.2-2.5 ns
-    per op (the five benchmarks at Small, 2 timesteps, on a 2-core
-    x86-64 host), 2e10 ops is under a minute; the benchmarks' Small size
-    fits at a few timesteps. *)
-let max_reference_point_ops = 20_000_000_000
-
 (** Bytes of one live send record: its column snapshots and chunk
     times as host floats, plus the table entry, key and headers. *)
 let record_bytes (c : comm) : int =
@@ -620,18 +628,12 @@ let record_bytes (c : comm) : int =
     host floats, 8 bytes per element whatever the device type, plus 128
     bytes per buffer and 1 KiB per PE of tables and records (the five
     benchmarks use 1.2-1.7 KiB of the 1.5-2.6 KiB this allows). *)
-let estimate ~(pes : int) (program : op) (comms : comm list) : int =
-  let buffers =
-    List.fold_left
-      (fun acc o ->
-        if o.opname = "csl.global_buffer" then acc + (8 * buffer_size o) + 128 else acc)
-      1024 (Csl.module_body program)
-  in
-  let record = List.fold_left (fun acc c -> max acc (record_bytes c)) 0 comms in
+let estimate ~(pes : int) (code : code) : int =
+  let buffers = Array.fold_left (fun acc n -> acc + (8 * n) + 128) 1024 code.buffer_sizes in
+  let record = List.fold_left (fun acc c -> max acc (record_bytes c)) 0 code.comms in
   pes * (buffers + (max_live_sends_per_pe * record))
 
-let estimate_bytes (sim : t) : int =
-  estimate ~pes:(sim.width * sim.height) sim.program sim.code.comms
+let estimate_bytes (sim : t) : int = estimate ~pes:(sim.width * sim.height) sim.code
 
 let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     (program : op) : t =
@@ -650,7 +652,7 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     fail "program needs %d bytes per PE; %s provides %d" mem machine.name
       machine.pe_memory_bytes;
   let code = stage_program program in
-  let estimate = estimate ~pes:(width * height) program code.comms in
+  let estimate = estimate ~pes:(width * height) code in
   if estimate > max_simulated_bytes then
     fail
       "PE grid %dx%d needs an estimated %d bytes to simulate (its buffers at 8 \
@@ -668,15 +670,12 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
   end;
   {
     machine;
-    program;
     width;
     height;
-    pes = Array.init width (fun x -> Array.init height (fun y -> new_pe program x y));
+    pes = Array.init width (fun x -> Array.init height (fun y -> new_pe code x y));
     sends = Hashtbl.create 1024;
     halo = Hashtbl.create 64;
-    z_halo = int_attr_exn program "z_halo";
     zfull = int_attr_exn program "zfull";
-    nz = int_attr_exn program "nz";
     sched =
       {
         scans = 0;
@@ -865,15 +864,7 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
 
 (** {1 csl-op execution on one PE} *)
 
-let buffer_of (pe : pe) name : float array =
-  match Hashtbl.find_opt pe.globals name with
-  | Some a -> a
-  | None -> fail "PE(%d,%d): no buffer %s" pe.px pe.py name
-
-let deref (pe : pe) ptr : float array =
-  match Hashtbl.find_opt pe.ptrs ptr with
-  | Some target -> buffer_of pe !target
-  | None -> fail "PE(%d,%d): no pointer %s" pe.px pe.py ptr
+let deref (pe : pe) (ptr : int) : float array = pe.buffers.(pe.ptrs.(ptr))
 
 let cost (pe : pe) c = pe.clock <- pe.clock +. c
 
@@ -914,18 +905,18 @@ let rec exec (sim : t) (pe : pe) (fr : cell array) (body : instr array)
   let m = sim.machine in
   for i = 0 to Array.length body - 1 do
     match body.(i) with
-    | Get_global (d, name) ->
+    | Get_global (d, b) ->
         cost pe 1.0;
-        fr.(d) <- Cbuf (Bufview.of_array (buffer_of pe name))
-    | Deref_ptr (d, name) ->
+        fr.(d) <- Cbuf (Bufview.of_array pe.buffers.(b))
+    | Deref_ptr (d, p) ->
         cost pe 1.0;
-        fr.(d) <- Cbuf (Bufview.of_array (deref pe name))
-    | Load_scalar (d, name) ->
+        fr.(d) <- Cbuf (Bufview.of_array (deref pe p))
+    | Load_scalar (d, s) ->
         cost pe 1.0;
-        fr.(d) <- Cint !(Hashtbl.find pe.scalars name)
-    | Store_scalar (name, v) ->
+        fr.(d) <- Cint pe.scalars.(s)
+    | Store_scalar (s, v) ->
         cost pe 1.0;
-        Hashtbl.find pe.scalars name := as_int fr.(v)
+        pe.scalars.(s) <- as_int fr.(v)
     | Get_mem_dsd { dst; buf; off; len; stride } ->
         cost pe 2.0;
         let b = as_view fr.(buf) in
@@ -985,8 +976,8 @@ let rec exec (sim : t) (pe : pe) (fr : cell array) (body : instr array)
         queue_task pe ~at:(pe.clock +. float_of_int m.task_activate_cycles) task
     | Assign_ptrs (dests, srcs) ->
         cost pe 4.0;
-        let olds = Array.map (fun s -> !(Hashtbl.find pe.ptrs s)) srcs in
-        Array.iteri (fun j d -> Hashtbl.find pe.ptrs d := olds.(j)) dests
+        let olds = Array.map (fun s -> pe.ptrs.(s)) srcs in
+        Array.iteri (fun j d -> pe.ptrs.(d) <- olds.(j)) dests
     | Communicate c ->
         cost pe (float_of_int m.call_cycles);
         comms := c :: !comms
@@ -1000,12 +991,6 @@ and call (sim : t) (pe : pe) (f : func) (args : cell array) (comms : comm list r
   let fr = Array.make f.nslots (Cint 0) in
   Array.blit args 0 fr 0 f.nargs;
   exec sim pe fr f.body comms
-
-(** The staged function or task [name]. *)
-let func_named (sim : t) (name : string) : func =
-  match Hashtbl.find_opt sim.code.index name with
-  | Some i -> sim.code.funcs.(i)
-  | None -> fail "no function or task %s" name
 
 (** Run a function or task; returns the communicate calls it made, in
     program order. *)
@@ -1026,6 +1011,9 @@ let exec_func (sim : t) (pe : pe) (f : func) (args : cell array) : comm list =
     the end of the run. *)
 
 let in_grid sim x y = x >= 0 && x < sim.width && y >= 0 && y < sim.height
+
+(** The index [create] gave the [kind] named [name]. *)
+let lookup (sim : t) (kind : kind) (name : string) : int = find sim.code.symbols kind name
 
 (** Receivers that read the send of the PE at ([sx], [sy]): the in-grid
     PEs at the sender minus each peer offset. *)
@@ -1167,14 +1155,14 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
        the one-shot reduction several directions share one buffer) *)
     if c.promoted then
       Array.iter
-        (fun name ->
-          let rcv = buffer_of pe name in
+        (fun b ->
+          let rcv = pe.buffers.(b) in
           Array.fill rcv 0 (Array.length rcv) 0.0)
-        c.rcv_names;
+        c.rcv_bufs;
     (* deliver into receive buffers *)
     Array.iteri
       (fun j sl ->
-        let rcv = buffer_of pe sl.sl_rcv in
+        let rcv = pe.buffers.(sl.sl_rcv) in
         let d = sl.sl_d in
         (* write [col] into this source's slot of the receive buffer, as
            damaged (or lost) by the link's outcome *)
@@ -1258,26 +1246,25 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
     pe.stats.task_activations <- pe.stats.task_activations + 1;
     pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
     let cb_start = pe.clock in
-    ignore (exec_func sim pe sim.code.funcs.(c.chunk_fn) [| Cint off |]);
-    trace_span sim pe ~cat:"compute" ~name:c.chunk_cb cb_start pe.clock
+    let chunk_f = sim.code.funcs.(c.chunk_fn) in
+    ignore (exec_func sim pe chunk_f [| Cint off |]);
+    trace_span sim pe ~cat:"compute" ~name:chunk_f.fname cb_start pe.clock
   done;
   release_sends sim pe w;
   (* done callback: one final task activation *)
   pe.stats.task_activations <- pe.stats.task_activations + 1;
   pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
   let done_start = pe.clock in
-  let new_comms = exec_func sim pe sim.code.funcs.(c.done_fn) [||] in
-  trace_span sim pe ~cat:"compute" ~name:c.done_cb done_start pe.clock;
+  let done_f = sim.code.funcs.(c.done_fn) in
+  let new_comms = exec_func sim pe done_f [||] in
+  trace_span sim pe ~cat:"compute" ~name:done_f.fname done_start pe.clock;
   (* the done callback may start the next exchange *)
   List.iter (start_exchange sim pe) new_comms
 
 and start_exchange (sim : t) (pe : pe) (c : comm) : unit =
   let apply = c.apply_id in
-  let seq =
-    let s = Option.value (Hashtbl.find_opt pe.seq apply) ~default:0 in
-    Hashtbl.replace pe.seq apply (s + 1);
-    s
-  in
+  let seq = pe.seq.(apply) in
+  pe.seq.(apply) <- seq + 1;
   register_send sim pe c seq;
   if pe.waiting <> None then fail "PE(%d,%d): overlapping exchanges" pe.px pe.py;
   pe.waiting <- Some { w_comm = c; w_seq = seq; w_registered_at = pe.clock }
@@ -1320,19 +1307,22 @@ let run_tasks (sim : t) (pe : pe) : bool =
     in
     if halted then false
     else begin
-      let ((at, _, name) as next) = Task_queue.min_elt pe.task_queue in
+      let ((at, _, task) as next) = Task_queue.min_elt pe.task_queue in
       pe.task_queue <- Task_queue.remove next pe.task_queue;
       pe.clock <- Float.max pe.clock at;
       let task_start = pe.clock in
-      let comms = exec_func sim pe (func_named sim name) [||] in
-      trace_span sim pe ~cat:"compute" ~name task_start pe.clock;
+      let f = sim.code.funcs.(task) in
+      let comms = exec_func sim pe f [||] in
+      trace_span sim pe ~cat:"compute" ~name:f.fname task_start pe.clock;
       List.iter (start_exchange sim pe) comms;
       true
     end
   end
 
-let queued_tasks (pe : pe) : (float * string) list =
-  List.map (fun (at, _, task) -> (at, task)) (Task_queue.elements pe.task_queue)
+let queued_tasks (sim : t) (pe : pe) : (float * string) list =
+  List.map
+    (fun (at, _, task) -> (at, sim.code.funcs.(task).fname))
+    (Task_queue.elements pe.task_queue)
 
 (** Whether the scheduler holds [pe]: it has [max_live_sends_per_pe]
     records its receivers have not consumed yet.  Holding a PE changes
@@ -1373,10 +1363,11 @@ let step_pe (sim : t) (pe : pe) : bool =
 
 (** Start the program on every PE (host calls the exported [run]). *)
 let launch (sim : t) : unit =
+  let run = sim.code.funcs.(lookup sim Func "run") in
   Array.iter
     (Array.iter (fun pe ->
          let run_start = pe.clock in
-         let comms = exec_func sim pe (func_named sim "run") [||] in
+         let comms = exec_func sim pe run [||] in
          trace_span sim pe ~cat:"compute" ~name:"run" run_start pe.clock;
          List.iter (start_exchange sim pe) comms))
     sim.pes

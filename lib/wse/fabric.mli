@@ -41,19 +41,24 @@ module Sched : sig
   }
 end
 
+(** What a declared name denotes.  {!create} gives each global buffer,
+    global scalar, pointer global, and function or task an index of its
+    kind; a PE's state is arrays indexed by them, keyed by no name. *)
+type kind = Buffer | Scalar | Pointer | Func
+
 type pe = {
   px : int;
   py : int;
-  globals : (string, float array) Hashtbl.t;
-  scalars : (string, int ref) Hashtbl.t;
-  ptrs : (string, string ref) Hashtbl.t;
+  buffers : float array array;  (** the PE's memory, by [Buffer] index *)
+  scalars : int array;  (** by [Scalar] index *)
+  ptrs : int array;  (** by [Pointer] index: the [Buffer] index it targets *)
   mutable clock : float;  (** local cycle count *)
   mutable finished : bool;
   mutable task_queue : task_queue;
       (** pending task activations; see {!queue_task}, {!queued_tasks} *)
   mutable task_stamps : int;
   mutable waiting : waiting option;
-  mutable seq : (int, int) Hashtbl.t;
+  seq : int array;  (** by apply id: the communicate calls made so far *)
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
 }
@@ -63,16 +68,13 @@ and waiting
 
 type t = {
   machine : Machine.t;
-  program : Wsc_ir.Ir.op;
   width : int;
   height : int;
   pes : pe array array;
   sends : (int * int * int * int, send_record) Hashtbl.t;
   halo : (int * int, float array) Hashtbl.t;
       (** host-resident Dirichlet boundary columns *)
-  z_halo : int;
   zfull : int;
-  nz : int;
   sched : Sched.stats;
   trace : Wsc_trace.Trace.sink;
       (** where the simulator reports spans and link transfers; with
@@ -83,8 +85,8 @@ type t = {
           {!Wsc_faults.Faults.null} (the default) every injection site
           is a dead branch, exactly like the trace sink *)
   code : code;
-      (** the program's functions and tasks, staged once by {!create}
-          and shared read-only by every PE *)
+      (** the program's symbols, initial values, functions and tasks,
+          staged once by {!create} and shared read-only by every PE *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records (lifted if the fabric goes quiescent with PEs
@@ -117,10 +119,6 @@ val max_live_sends_per_pe : int
     reference to the same limit. *)
 val max_simulated_bytes : int
 
-(** Largest sequential reference run checked next to a simulation, in
-    apply-body ops. *)
-val max_reference_point_ops : int
-
 (** Instantiate the PE grid for a program module.  [trace] (default
     {!Wsc_trace.Trace.null}) receives per-PE spans (compute, send,
     parked-on-exchange, drain) and per-link transfer flows as the
@@ -132,7 +130,9 @@ val max_reference_point_ops : int
     @raise Sim_error when the grid exceeds the fabric, is too large to
     simulate in-process (over {!max_simulated_pes} PEs or an estimated
     {!max_simulated_bytes}; the message names the estimate and the
-    limit), or the program's per-PE memory exceeds 48 kB. *)
+    limit), the program's per-PE memory exceeds 48 kB, or the program
+    does not decode: an unsupported op, a malformed attribute or an
+    undeclared name (the message names the function, op and name). *)
 val create :
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
@@ -148,21 +148,26 @@ val estimate_bytes : t -> int
 
 val in_grid : t -> int -> int -> bool
 
-(** The buffer a pointer global of a PE currently targets. *)
-val deref : pe -> string -> float array
+(** The index {!create} gave the [kind] named [name], for the host and
+    tests: the running program looks up no name.
+    @raise Sim_error when the program declares no such [kind]. *)
+val lookup : t -> kind -> string -> int
+
+(** The buffer that pointer [p] (a [Pointer] index) of a PE targets now. *)
+val deref : pe -> int -> float array
 
 (** Run one queued task of a PE — the entry with the earliest activation
     timestamp, as the hardware scheduler would dispatch it.  Returns
     false when the queue is empty.  Exposed for scheduler tests. *)
 val run_tasks : t -> pe -> bool
 
-(** Queue a task activation at cycle [at] on a PE, as [csl.activate]
-    does.  Exposed for scheduler tests. *)
-val queue_task : pe -> at:float -> string -> unit
+(** Queue an activation of task [f] (a [Func] index) at cycle [at] on a
+    PE, as [csl.activate] does.  Exposed for scheduler tests. *)
+val queue_task : pe -> at:float -> int -> unit
 
-(** A PE's queued activations in dispatch order: earliest activation
-    first, ties in insertion order. *)
-val queued_tasks : pe -> (float * string) list
+(** A PE's queued activations, by task name, in dispatch order: earliest
+    activation first, ties in insertion order. *)
+val queued_tasks : t -> pe -> (float * string) list
 
 (** ["polling"]: what JSON summaries report under ["driver"]. *)
 val driver : string

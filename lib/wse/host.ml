@@ -17,7 +17,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Host_error s)) fmt
 type t = {
   sim : Fabric.t;
   bounds : (int * int) list;  (** the state grids' bounds, ring included *)
-  result_ptrs : string list;
+  result_ptrs : int list;  (** per state slot, the pointer to read it through *)
 }
 
 (** Offset of the z-column at [(x, y)] in [g]'s data. *)
@@ -40,15 +40,15 @@ let load ?(trace = Trace.null) ?(faults = Wsc_faults.Faults.null)
   let n_state = int_attr_exn program "n_state" in
   if List.length init_grids <> n_state then
     fail "expected %d state grids, got %d" n_state (List.length init_grids);
+  let pointer = Fabric.lookup sim Fabric.Pointer in
   let result_ptrs =
-    match attr_exn program "result_ptrs" with
-    | Array_attr l ->
-        List.map (function String_attr s -> s | _ -> fail "bad result_ptrs") l
-    | _ -> fail "bad result_ptrs"
+    match Wsc_core.Csl.string_list_attr program "result_ptrs" with
+    | l -> List.map pointer l
+    | exception Invalid_argument _ -> fail "bad result_ptrs"
   in
   let zfull = sim.Fabric.zfull in
   (* interior columns into PE buffers *)
-  let state_ptrs = List.init n_state (Printf.sprintf "ptr_state%d") in
+  let state_ptrs = List.init n_state (fun j -> pointer (Wsc_core.To_actors.state_ptr j)) in
   for x = 0 to sim.Fabric.width - 1 do
     for y = 0 to sim.Fabric.height - 1 do
       let pe = sim.Fabric.pes.(x).(y) in

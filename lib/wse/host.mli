@@ -11,7 +11,7 @@ exception Host_error of string
 type t = {
   sim : Fabric.t;
   bounds : (int * int) list;
-  result_ptrs : string list;
+  result_ptrs : int list;  (** per state slot, the pointer it is read through *)
 }
 
 (** Create the simulator for [program] and copy the initial state grids

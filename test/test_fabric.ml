@@ -1,8 +1,8 @@
 (* Tests for the staged fabric: bit-identity of every drained field,
    per-PE statistic and elapsed cycle count against recorded digests,
    in production PE visit order and in a seeded permuted one, also with
-   two simulations on two domains at once; and decoding errors raised
-   by Fabric.create. *)
+   two simulations on two domains at once; and decoding errors, unknown
+   names included, raised by Fabric.create. *)
 
 module P = Wsc_frontends.Stencil_program
 module B = Wsc_benchmarks.Benchmarks
@@ -182,7 +182,25 @@ let test_decode_errors () =
   check_refused "dests and srcs differ in length" [ "run"; "csl.assign_ptrs" ] (fun b ->
       assign ~dests:[ "p" ] ~srcs:[ "p" ] b;
       set_attr (List.hd (List.rev (Bld.ops b))) "srcs"
-        (Array_attr [ String_attr "p"; String_attr "p" ]))
+        (Array_attr [ String_attr "p"; String_attr "p" ]));
+  (* storage names resolve at create, not when the op first runs *)
+  let typ = Memref ([ 4 ], F32) in
+  check_refused "unknown buffer" [ "run"; "csl.get_global"; "nobuf" ] (fun b ->
+      ignore (Bld.insert b (Csl.get_global ~name:"nobuf" ~typ)));
+  check_refused "unknown pointer" [ "run"; "csl.deref_ptr"; "noptr" ] (fun b ->
+      ignore (Bld.insert b (Csl.deref_ptr ~name:"noptr" ~typ)));
+  check_refused "unknown pointer source" [ "run"; "csl.assign_ptrs"; "noptr" ]
+    (assign ~dests:[ "p" ] ~srcs:[ "noptr" ]);
+  check_refused "unknown scalar" [ "run"; "csl.load_scalar"; "noscalar" ] (fun b ->
+      ignore (Bld.insert b (Csl.load_scalar ~name:"noscalar" ~typ:I32)));
+  (* an apply id indexes each PE's exchange counters *)
+  check_refused "negative apply id" [ "run"; "csl.member_call"; "apply_id -1" ] (fun b ->
+      let cfg =
+        [ ("apply_id", Int_attr (-1)); ("chunk_size", Int_attr 1); ("inputs", Array_attr []) ]
+      in
+      Bld.insert0 b
+        (create_op "csl.member_call" ~results:[]
+           ~attrs:[ ("field", String_attr "communicate"); ("config", Dict_attr cfg) ]))
 
 let () =
   Alcotest.run "fabric"

@@ -249,7 +249,6 @@ let test_out_of_bounds_access () =
 
 let check_reference =
   P.check_reference ~max_bytes:Wsc_wse.Fabric.max_simulated_bytes
-    ~max_point_ops:Wsc_wse.Fabric.max_reference_point_ops
 
 let test_reference_estimate () =
   (* jacobian: 6 distinct accesses and 6 flops per point *)

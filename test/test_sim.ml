@@ -316,7 +316,8 @@ let test_deadlock_diagnostic () =
   (* silence PE(1,0): convince its iteration counter it has already run
      every timestep, so it unblocks immediately and never sends; its
      neighbours then starve waiting on the first exchange *)
-  Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := 1000;
+  let sim = h.Host.sim in
+  sim.pes.(1).(0).scalars.(Fabric.lookup sim Scalar "iteration") <- 1000;
   match Fabric.run_to_completion h.Host.sim with
   | () -> Alcotest.fail "expected a deadlock"
   | exception Fabric.Sim_error msg ->
@@ -376,7 +377,8 @@ let test_deadlock_after_frees () =
   let compiled = Core.Pipeline.compile (P.compile p) in
   let _, program = Core.Pipeline.modules_of compiled in
   let h = Host.load Machine.wse3 program (P.init_grids p) in
-  Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := n - 2;
+  let sim = h.Host.sim in
+  sim.pes.(1).(0).scalars.(Fabric.lookup sim Scalar "iteration") <- n - 2;
   match Fabric.run_to_completion h.Host.sim with
   | () -> Alcotest.fail "expected a deadlock"
   | exception Fabric.Sim_error msg ->
@@ -584,7 +586,7 @@ let task_order_sim () =
     ];
   let sim = Fabric.create Machine.wse3 program in
   let pe = sim.Fabric.pes.(0).(0) in
-  (sim, pe, fun () -> !(Hashtbl.find pe.Fabric.scalars "mark"))
+  (sim, pe, fun () -> pe.Fabric.scalars.(Fabric.lookup sim Fabric.Scalar "mark"))
 
 let test_task_order_earliest_first () =
   (* regression for the dispatch-order bug: the hardware scheduler runs
@@ -593,14 +595,15 @@ let test_task_order_earliest_first () =
   let sim, pe, mark = task_order_sim () in
   (* two activations queued out of insertion order: "late" was inserted
      first but activates at t=100, "early" second but activates at t=50 *)
-  Fabric.queue_task pe ~at:100.0 "late";
-  Fabric.queue_task pe ~at:50.0 "early";
+  let task = Fabric.lookup sim Fabric.Func in
+  Fabric.queue_task pe ~at:100.0 (task "late");
+  Fabric.queue_task pe ~at:50.0 (task "early");
   check "first pop ran" true (Fabric.run_tasks sim pe);
   check "earliest activation dispatched first" true (mark () = 7);
   check "clock did not jump to the later activation" true (pe.Fabric.clock < 100.0);
   check "second pop ran" true (Fabric.run_tasks sim pe);
   check "later activation dispatched second" true (mark () = 8);
-  check "queue drained" true (Fabric.queued_tasks pe = []);
+  check "queue drained" true (Fabric.queued_tasks sim pe = []);
   check "empty queue pops nothing" true (not (Fabric.run_tasks sim pe))
 
 let test_task_order_ties () =
@@ -608,10 +611,10 @@ let test_task_order_ties () =
      behind an earlier activation queued last *)
   let sim, pe, mark = task_order_sim () in
   List.iter
-    (fun (at, task) -> Fabric.queue_task pe ~at task)
+    (fun (at, task) -> Fabric.queue_task pe ~at (Fabric.lookup sim Fabric.Func task))
     [ (40.0, "late"); (40.0, "early"); (40.0, "late"); (10.0, "early") ];
   check "dispatch order listed" true
-    (Fabric.queued_tasks pe
+    (Fabric.queued_tasks sim pe
     = [ (10.0, "early"); (40.0, "late"); (40.0, "early"); (40.0, "late") ]);
   let marks =
     List.init 4 (fun _ ->
@@ -619,7 +622,7 @@ let test_task_order_ties () =
         mark ())
   in
   check "earliest first, then ties in insertion order" true (marks = [ 7; 8; 7; 8 ]);
-  check "queue drained" true (Fabric.queued_tasks pe = [])
+  check "queue drained" true (Fabric.queued_tasks sim pe = [])
 
 (* ------------------------------------------------------------------ *)
 (* custom initial data (host interface)                                *)
@@ -656,12 +659,11 @@ let test_load_readback_roundtrip () =
   in
   check "four state grids" true (List.length init = 4);
   let h = Host.load Machine.wse3 program init in
+  let pointer = Fabric.lookup h.sim Fabric.Pointer in
   Array.iter
     (Array.iter (fun (pe : Fabric.pe) ->
          List.iteri
-           (fun j ptr ->
-             Hashtbl.find pe.ptrs ptr
-             := !(Hashtbl.find pe.ptrs (Printf.sprintf "ptr_state%d" j)))
+           (fun j ptr -> pe.ptrs.(ptr) <- pe.ptrs.(pointer (Printf.sprintf "ptr_state%d" j)))
            h.result_ptrs))
     h.sim.pes;
   let out = Host.read_all h in

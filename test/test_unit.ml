@@ -279,7 +279,7 @@ let test_fabric_deref_unknown_ptr () =
   let compiled = Core.Pipeline.compile (P.compile p) in
   let _, program = Core.Pipeline.modules_of compiled in
   let sim = Wsc_wse.Fabric.create Machine.wse3 program in
-  match Wsc_wse.Fabric.deref sim.pes.(0).(0) "nope" with
+  match Wsc_wse.Fabric.lookup sim Wsc_wse.Fabric.Pointer "nope" with
   | exception Wsc_wse.Fabric.Sim_error _ -> ()
   | _ -> Alcotest.fail "expected unknown-pointer error"
 
