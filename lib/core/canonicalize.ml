@@ -31,7 +31,7 @@ let cse_key (o : op) : string option =
          (o.opname
           :: List.map (fun v -> string_of_int v.vid) o.operands
          @ List.map
-             (fun (k, a) -> k ^ "=" ^ Format.asprintf "%a" Wsc_ir.Printer.pp_attr a)
+             (fun (k, a) -> k ^ "=" ^ Wsc_ir.Printer.attr_to_string a)
              (List.sort compare o.attrs)))
 
 let splat_shape (v : value) =

@@ -6,7 +6,7 @@
 
 open Ir
 
-(** 1-based source position of a failure (column 0: position unknown). *)
+(** 1-based source position of a failure. *)
 type location = { line : int; col : int }
 
 exception Parse_error of location * string
@@ -27,7 +27,8 @@ type token =
   | Tstring of string
   | Tint of int
   | Tfloat of float
-  | Tpunct of string       (* ( ) { } [ ] < > , = : -> ! *)
+  | Tpunct of char         (* ( ) { } [ ] < > , = : ! and any other byte *)
+  | Tarrow                 (* -> *)
   | Teof
 
 let is_ident_char c =
@@ -36,135 +37,163 @@ let is_ident_char c =
 
 let is_digit c = c >= '0' && c <= '9'
 
-(** Tokenize to a list of (token, source location) pairs; multi-line
-    tokens carry their starting line and column. *)
-let tokenize (s : string) : (token * location) list =
-  let n = String.length s in
-  let toks = ref [] in
-  let line = ref 1 in
-  let line_start = ref 0 in  (* offset of the first char of [line] *)
-  let i = ref 0 in
-  let read_ident start =
-    let j = ref start in
-    while !j < n && is_ident_char s.[!j] do incr j done;
-    let id = String.sub s start (!j - start) in
-    i := !j;
-    id
-  in
-  while !i < n do
-    let c = s.[!i] in
-    (* location of the token that starts here; captured before any
-       consumption so multi-line tokens report where they began *)
-    let loc = { line = !line; col = !i - !line_start + 1 } in
-    let emit t = toks := (t, loc) :: !toks in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then begin
-      if c = '\n' then begin
-        incr line;
-        line_start := !i + 1
-      end;
-      incr i
-    end
-    else if c = '/' && !i + 1 < n && s.[!i + 1] = '/' then begin
-      while !i < n && s.[!i] <> '\n' do incr i done
-    end
-    else if c = '%' then (incr i; emit (Tpercent (read_ident !i)))
-    else if c = '@' then (incr i; emit (Tat (read_ident !i)))
-    else if c = '^' then (incr i; emit (Tcaret (read_ident !i)))
-    else if c = '"' then begin
-      incr i;
-      let buf = Buffer.create 16 in
-      while !i < n && s.[!i] <> '"' do
-        if s.[!i] = '\\' && !i + 1 < n then begin
-          (match s.[!i + 1] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | c -> Buffer.add_char buf c);
-          i := !i + 2
-        end
-        else begin
-          if s.[!i] = '\n' then begin
-            incr line;
-            line_start := !i + 1
-          end;
-          Buffer.add_char buf s.[!i];
-          incr i
-        end
-      done;
-      if !i >= n then
-        error loc "unterminated string (line %d, column %d)" loc.line loc.col;
-      incr i;
-      emit (Tstring (Buffer.contents buf))
-    end
-    else if is_digit c || (c = '-' && !i + 1 < n && is_digit s.[!i + 1]) then begin
-      let start = !i in
-      if c = '-' then incr i;
-      while !i < n && is_digit s.[!i] do incr i done;
-      let is_float =
-        !i < n && (s.[!i] = '.' || s.[!i] = 'e' || s.[!i] = 'E')
-        (* avoid consuming the 'x' of shapes like 4x8xf32 *)
-      in
-      let literal () = String.sub s start (!i - start) in
-      let float_tok () =
-        let l = literal () in
-        match float_of_string_opt l with
-        | Some f -> emit (Tfloat f)
-        | None ->
-            error loc "bad float literal '%s' (line %d, column %d)" l loc.line
-              loc.col
-      in
-      if is_float && s.[!i] = '.' then begin
-        incr i;
-        while !i < n && is_digit s.[!i] do incr i done;
-        if !i < n && (s.[!i] = 'e' || s.[!i] = 'E') then begin
-          incr i;
-          if !i < n && (s.[!i] = '+' || s.[!i] = '-') then incr i;
-          while !i < n && is_digit s.[!i] do incr i done
-        end;
-        float_tok ()
-      end
-      else if is_float then begin
-        (* exponent without dot *)
-        incr i;
-        if !i < n && (s.[!i] = '+' || s.[!i] = '-') then incr i;
-        while !i < n && is_digit s.[!i] do incr i done;
-        float_tok ()
-      end
-      else
-        match int_of_string_opt (literal ()) with
-        | Some v -> emit (Tint v)
-        | None ->
-            (* out-of-range literals must surface as located parse
-               errors, not the bare [Failure] of [int_of_string] *)
-            error loc "integer literal '%s' out of range (line %d, column %d)"
-              (literal ()) loc.line loc.col
-    end
-    else if c = '-' && !i + 1 < n && s.[!i + 1] = '>' then begin
-      i := !i + 2;
-      emit (Tpunct "->")
-    end
-    else if is_ident_char c then emit (Tid (read_ident !i))
-    else begin
-      incr i;
-      emit (Tpunct (String.make 1 c))
-    end
-  done;
-  List.rev ((Teof, { line = !line; col = n - !line_start + 1 }) :: !toks)
-
-(** Parser state. *)
+(** Parser state.  The lexer runs on demand: [tok] is the next token,
+    starting at byte [tok_start]; [pos] is the first byte not yet lexed.
+    Line and column are computed from a byte offset only when an error
+    is raised. *)
 type state = {
-  mutable toks : (token * location) list;
+  src : string;
+  mutable pos : int;
+  mutable tok : token;
+  mutable tok_start : int;
+  mutable pushed : (token * int) option;  (* the token a pushback hid *)
   values : (string, value) Hashtbl.t;  (* %name -> value *)
 }
 
-let peek st = match st.toks with (t, _) :: _ -> t | [] -> Teof
+(** 1-based line and column of byte [off] of [src]. *)
+let location_of (src : string) (off : int) : location =
+  let line = ref 1 and line_start = ref 0 in
+  for i = 0 to off - 1 do
+    if String.unsafe_get src i = '\n' then begin
+      incr line;
+      line_start := i + 1
+    end
+  done;
+  { line = !line; col = off - !line_start + 1 }
 
-(** Source location of the next token (for error reports). *)
-let peek_loc st =
-  match st.toks with (_, l) :: _ -> l | [] -> { line = 0; col = 0 }
+let lex_error st msg =
+  let loc = location_of st.src st.tok_start in
+  error loc "%s (line %d, column %d)" msg loc.line loc.col
+
+(** The end of the identifier characters of [s] from [i]. *)
+let rec ident_end s n i =
+  if i < n && is_ident_char (String.unsafe_get s i) then ident_end s n (i + 1) else i
+
+let rec digits_end s n i =
+  if i < n && is_digit (String.unsafe_get s i) then digits_end s n (i + 1) else i
+
+(** The end of an exponent whose 'e' is at [i]. *)
+let exponent_end s n i =
+  let i = i + 1 in
+  digits_end s n (if i < n && (s.[i] = '+' || s.[i] = '-') then i + 1 else i)
+
+let lex_ident st from =
+  let j = ident_end st.src (String.length st.src) from in
+  st.pos <- j;
+  String.sub st.src from (j - from)
+
+(** Lex the string literal whose opening quote is at [start]. *)
+let lex_string st start =
+  let s = st.src in
+  let n = String.length s in
+  let j = ref (start + 1) and escaped = ref false in
+  while !j < n && s.[!j] <> '"' do
+    if s.[!j] = '\\' && !j + 1 < n then begin
+      escaped := true;
+      j := !j + 2
+    end
+    else incr j
+  done;
+  if !j >= n then lex_error st "unterminated string";
+  st.pos <- !j + 1;
+  if not !escaped then Tstring (String.sub s (start + 1) (!j - start - 1))
+  else begin
+    let buf = Buffer.create (!j - start) in
+    let k = ref (start + 1) in
+    while !k < !j do
+      if s.[!k] = '\\' then begin
+        Buffer.add_char buf (match s.[!k + 1] with 'n' -> '\n' | c -> c);
+        k := !k + 2
+      end
+      else begin
+        Buffer.add_char buf s.[!k];
+        incr k
+      end
+    done;
+    Tstring (Buffer.contents buf)
+  end
+
+(** Lex the number that starts at [start]; a float needs a '.' or an
+    exponent right after its digits, which leaves the 'x' of shapes like
+    4x8xf32 alone. *)
+let lex_number st start =
+  let s = st.src in
+  let n = String.length s in
+  let j = digits_end s n (if s.[start] = '-' then start + 1 else start) in
+  let is_float = j < n && (s.[j] = '.' || s.[j] = 'e' || s.[j] = 'E') in
+  let j =
+    if not is_float then j
+    else if s.[j] = '.' then
+      let j = digits_end s n (j + 1) in
+      if j < n && (s.[j] = 'e' || s.[j] = 'E') then exponent_end s n j else j
+    else exponent_end s n j
+  in
+  st.pos <- j;
+  let l = String.sub s start (j - start) in
+  if is_float then
+    match float_of_string_opt l with
+    | Some f -> Tfloat f
+    | None -> lex_error st ("bad float literal '" ^ l ^ "'")
+  else
+    match int_of_string_opt l with
+    | Some v -> Tint v
+    | None ->
+        (* out-of-range literals must surface as located parse errors,
+           not the bare [Failure] of [int_of_string] *)
+        lex_error st ("integer literal '" ^ l ^ "' out of range")
+
+(** Lex the token at [st.pos] into [st.tok]. *)
+let lex st =
+  let s = st.src in
+  let n = String.length s in
+  (* skip blanks and // comments *)
+  let i = ref st.pos and blank = ref true in
+  while !blank && !i < n do
+    match String.unsafe_get s !i with
+    | ' ' | '\t' | '\n' | '\r' -> incr i
+    | '/' when !i + 1 < n && s.[!i + 1] = '/' ->
+        while !i < n && s.[!i] <> '\n' do incr i done
+    | _ -> blank := false
+  done;
+  let start = !i in
+  st.tok_start <- start;
+  st.tok <-
+    (if start >= n then begin
+       st.pos <- n;
+       Teof
+     end
+     else
+       match s.[start] with
+       | '%' -> Tpercent (lex_ident st (start + 1))
+       | '@' -> Tat (lex_ident st (start + 1))
+       | '^' -> Tcaret (lex_ident st (start + 1))
+       | '"' -> lex_string st start
+       | '0' .. '9' -> lex_number st start
+       | '-' when start + 1 < n && is_digit s.[start + 1] -> lex_number st start
+       | '-' when start + 1 < n && s.[start + 1] = '>' ->
+           st.pos <- start + 2;
+           Tarrow
+       | c when is_ident_char c -> Tid (lex_ident st start)
+       | c ->
+           st.pos <- start + 1;
+           Tpunct c)
+
+let peek st = st.tok
 
 let advance st =
-  match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
+  match st.pushed with
+  | Some (t, off) ->
+      st.pushed <- None;
+      st.tok <- t;
+      st.tok_start <- off
+  | None -> lex st
+
+(** Make [t] (starting at byte [off]) the next token, ahead of the
+    current one. *)
+let push_back st t off =
+  st.pushed <- Some (st.tok, st.tok_start);
+  st.tok <- t;
+  st.tok_start <- off
 
 let token_str = function
   | Tid s -> "id:" ^ s
@@ -174,18 +203,22 @@ let token_str = function
   | Tstring s -> "\"" ^ s ^ "\""
   | Tint i -> string_of_int i
   | Tfloat f -> string_of_float f
-  | Tpunct s -> s
+  | Tpunct c -> String.make 1 c
+  | Tarrow -> "->"
   | Teof -> "<eof>"
 
 let fail st msg =
-  let loc = peek_loc st in
+  let loc = location_of st.src st.tok_start in
   error loc "%s (at %s, line %d, column %d)" msg (token_str (peek st)) loc.line
     loc.col
 
 let expect st p =
   match peek st with
   | Tpunct q when q = p -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%s'" p)
+  | _ -> fail st (Printf.sprintf "expected '%c'" p)
+
+let expect_arrow st =
+  match peek st with Tarrow -> advance st | _ -> fail st "expected '->'"
 
 let accept st p =
   match peek st with
@@ -196,34 +229,46 @@ let accept st p =
 
 (* Types -------------------------------------------------------------- *)
 
+(** Parse [elt] repeatedly, separated by ',', while [more] holds of the
+    next token (a trailing ',' is accepted). *)
+let rec comma_list ?(acc = []) st more elt =
+  if more (peek st) then begin
+    let x = elt st in
+    if accept st ',' then comma_list ~acc:(x :: acc) st more elt
+    else List.rev (x :: acc)
+  end
+  else List.rev acc
+
+let not_rparen = function Tpunct ')' -> false | _ -> true
+let not_rbracket = function Tpunct ']' -> false | _ -> true
+let is_lbrace = function Tpunct '{' -> true | _ -> false
+let is_percent = function Tpercent _ -> true | _ -> false
+let is_id = function Tid _ -> true | _ -> false
+
 (* Shape elements inside tensor<...> print as "4x8xf32"; the tokenizer
    produces that as a single identifier, so split on 'x'. *)
 let rec parse_typ st : typ =
   match peek st with
-  | Tpunct "!" ->
+  | Tpunct '!' ->
       advance st;
       parse_bang_typ st
-  | Tpunct "(" ->
+  | Tpunct '(' ->
       (* function type: (t, t) -> (t) *)
       advance st;
-      let ins = parse_typ_list_until st ")" in
-      expect st ")";
-      expect st "->";
-      expect st "(";
-      let outs = parse_typ_list_until st ")" in
-      expect st ")";
+      let ins = parse_typ_list st in
+      expect st ')';
+      expect_arrow st;
+      expect st '(';
+      let outs = parse_typ_list st in
+      expect st ')';
       Function (ins, outs)
   | Tid id ->
       advance st;
       parse_id_typ st id
   | _ -> fail st "expected type"
 
-and parse_typ_list_until st closer =
-  if peek st = Tpunct closer then []
-  else begin
-    let t = parse_typ st in
-    if accept st "," then t :: parse_typ_list_until st closer else [ t ]
-  end
+and parse_typ_list st =
+  comma_list st not_rparen parse_typ
 
 and scalar_of_name = function
   | "f16" -> Some F16
@@ -242,27 +287,28 @@ and parse_id_typ st id =
   | None -> (
       match id with
       | "tensor" ->
-          expect st "<";
+          expect st '<';
           let shape, e = parse_shape_elem st in
-          expect st ">";
+          expect st '>';
           Tensor (shape, e)
       | "memref" ->
-          expect st "<";
+          expect st '<';
           let shape, e = parse_shape_elem st in
-          expect st ">";
+          expect st '>';
           Memref (shape, e)
       | _ -> fail st (Printf.sprintf "unknown type '%s'" id))
 
 (* parse "4x8xf32" possibly spread over tokens, or nested types after shape *)
 and parse_shape_elem st : int list * typ =
   let dims = ref [] in
+  let finish t = (List.rev !dims, t) in
   let rec go () =
     match peek st with
     | Tint d ->
         advance st;
-        (* the tokenizer splits "4x8xf32" as Tint 4, Tid "x8xf32"? No:
-           '4' then 'x8xf32' as ident since 'x' is ident char.  Handle both. *)
-        dims := !dims @ [ d ];
+        (* "4x8xf32" lexes as Tint 4 then Tid "x8xf32", since 'x' is an
+           identifier character *)
+        dims := d :: !dims;
         (match peek st with
         | Tid s when String.length s > 0 && s.[0] = 'x' ->
             advance st;
@@ -271,11 +317,11 @@ and parse_shape_elem st : int list * typ =
     | Tid s -> (
         advance st;
         match scalar_of_name s with
-        | Some t -> (!dims, t)
+        | Some t -> finish t
         | None -> parse_mixed_shape_ident st s)
-    | Tpunct "!" ->
+    | Tpunct '!' ->
         advance st;
-        (!dims, parse_bang_typ st)
+        finish (parse_bang_typ st)
     | _ -> fail st "expected shape or element type"
   and parse_x_suffix st rest =
     if rest = "" then go ()
@@ -290,7 +336,7 @@ and parse_shape_elem st : int list * typ =
       else if s.[i] >= '0' && s.[i] <= '9' then begin
         let j = ref i in
         while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-        dims := !dims @ [ int_of_string (String.sub s i (!j - i)) ];
+        dims := int_of_string (String.sub s i (!j - i)) :: !dims;
         if !j < n then
           if s.[!j] = 'x' then consume (!j + 1)
           else fail st (Printf.sprintf "bad shape element '%s'" s)
@@ -299,7 +345,7 @@ and parse_shape_elem st : int list * typ =
       else begin
         let rest = String.sub s i (n - i) in
         match scalar_of_name rest with
-        | Some t -> (!dims, t)
+        | Some t -> finish t
         | None -> fail st (Printf.sprintf "bad shape element '%s'" rest)
       end
     in
@@ -311,10 +357,10 @@ and parse_bang_typ st : typ =
   match peek st with
   | Tid id when id = "stencil.temp" || id = "stencil.field" -> (
       advance st;
-      expect st "<";
+      expect st '<';
       let bounds = parse_bounds st in
       let e = parse_typ st in
-      expect st ">";
+      expect st '>';
       match id with
       | "stencil.temp" -> Temp (bounds, e)
       | _ -> Field (bounds, e))
@@ -323,26 +369,26 @@ and parse_bang_typ st : typ =
       Color
   | Tid "csl.ptr" -> (
       advance st;
-      expect st "<";
+      expect st '<';
       let t = parse_typ st in
-      expect st ",";
+      expect st ',';
       match peek st with
       | Tid "single" ->
           advance st;
-          expect st ">";
+          expect st '>';
           Ptr (t, Ptr_single)
       | Tid "many" ->
           advance st;
-          expect st ">";
+          expect st '>';
           Ptr (t, Ptr_many)
       | _ -> fail st "expected single|many")
   | Tid "csl.dsd" -> (
       advance st;
-      expect st "<";
+      expect st '<';
       match peek st with
       | Tid k ->
           advance st;
-          expect st ">";
+          expect st '>';
           let kind =
             match k with
             | "mem1d" -> Mem1d
@@ -355,16 +401,16 @@ and parse_bang_typ st : typ =
       | _ -> fail st "expected dsd kind")
   | Tid "csl.struct" -> (
       advance st;
-      expect st "<";
+      expect st '<';
       match peek st with
       | Tid s ->
           advance st;
-          expect st ">";
+          expect st '>';
           Struct s
       | Tstring s ->
           (* quoted form for names that are not identifier tokens *)
           advance st;
-          expect st ">";
+          expect st '>';
           Struct s
       | _ -> fail st "expected struct name")
   | _ -> fail st "unknown ! type"
@@ -372,28 +418,29 @@ and parse_bang_typ st : typ =
 (* bounds: [l,u]x[l,u]x... then elem type follows *)
 and parse_bounds st : (int * int) list =
   let rec go acc =
-    if accept st "[" then begin
+    if accept st '[' then begin
       let lb = parse_int st in
-      expect st ",";
+      expect st ',';
       let ub = parse_int st in
-      expect st "]";
+      expect st ']';
+      let acc = (lb, ub) :: acc in
       (* following is ident starting with x, e.g. "x" then next bound, or
          'x' merged with following type name like "xf32" *)
       match peek st with
       | Tid s when String.length s >= 1 && s.[0] = 'x' ->
-          let l = peek_loc st in
+          let off = st.tok_start in
           advance st;
           let rest = String.sub s 1 (String.length s - 1) in
-          if rest = "" then go (acc @ [ (lb, ub) ])
+          if rest = "" then go acc
           else begin
             (* rest is the element type name (scalar or compound like
                "tensor"): push it back and end the bounds *)
-            st.toks <- (Tid rest, l) :: st.toks;
-            acc @ [ (lb, ub) ]
+            push_back st (Tid rest) off;
+            List.rev acc
           end
-      | _ -> acc @ [ (lb, ub) ]
+      | _ -> List.rev acc
     end
-    else acc
+    else List.rev acc
   in
   go []
 
@@ -405,6 +452,14 @@ and parse_int st =
   | _ -> fail st "expected integer"
 
 (* Attributes ---------------------------------------------------------- *)
+
+(** The identifiers the printer writes for non-finite floats. *)
+let float_of_id = function
+  | "inf" -> Some Float.infinity
+  | "-inf" -> Some Float.neg_infinity
+  | "nan" -> Some Float.nan
+  | "-nan" -> Some (-.Float.nan)
+  | _ -> None
 
 let rec parse_attr st : attr =
   match peek st with
@@ -419,33 +474,28 @@ let rec parse_attr st : attr =
       Bool_attr false
   | Tid "dense_i" ->
       advance st;
-      expect st "[";
-      let rec ints acc =
-        match peek st with
-        | Tint i ->
-            advance st;
-            if accept st "," then ints (acc @ [ i ]) else acc @ [ i ]
-        | _ -> acc
-      in
-      let l = ints [] in
-      expect st "]";
+      expect st '[';
+      let l = comma_list st (function Tint _ -> true | _ -> false) parse_int in
+      expect st ']';
       Dense_ints l
   | Tid "dense_f" ->
       advance st;
-      expect st "[";
-      let rec floats acc =
-        match peek st with
-        | Tfloat f ->
-            advance st;
-            if accept st "," then floats (acc @ [ f ]) else acc @ [ f ]
-        | Tint i ->
-            advance st;
-            let f = float_of_int i in
-            if accept st "," then floats (acc @ [ f ]) else acc @ [ f ]
-        | _ -> acc
+      expect st '[';
+      let dense_float = function
+        | Tfloat f -> Some f
+        | Tint i -> Some (float_of_int i)
+        | Tid id -> float_of_id id
+        | _ -> None
       in
-      let l = floats [] in
-      expect st "]";
+      let l =
+        comma_list st
+          (fun t -> dense_float t <> None)
+          (fun st ->
+            let f = Option.get (dense_float (peek st)) in
+            advance st;
+            f)
+      in
+      expect st ']';
       Dense_floats l
   | Tint i ->
       advance st;
@@ -453,47 +503,39 @@ let rec parse_attr st : attr =
   | Tfloat f ->
       advance st;
       Float_attr f
+  | Tid id when float_of_id id <> None ->
+      advance st;
+      Float_attr (Option.get (float_of_id id))
   | Tstring s ->
       advance st;
       String_attr s
   | Tat s ->
       advance st;
       Symbol_ref s
-  | Tpunct "[" ->
+  | Tpunct '[' ->
       advance st;
-      let rec elts acc =
-        if peek st = Tpunct "]" then acc
-        else begin
-          let a = parse_attr st in
-          if accept st "," then elts (acc @ [ a ]) else acc @ [ a ]
-        end
-      in
-      let l = elts [] in
-      expect st "]";
+      let l = comma_list st not_rbracket parse_attr in
+      expect st ']';
       Array_attr l
-  | Tpunct "{" ->
+  | Tpunct '{' ->
       advance st;
       let l = parse_attr_dict_body st in
-      expect st "}";
+      expect st '}';
       Dict_attr l
-  | Tpunct "!" | Tpunct "(" ->
+  | Tpunct '!' | Tpunct '(' ->
       Type_attr (parse_typ st)
   | Tid id when scalar_of_name id <> None || id = "tensor" || id = "memref" ->
       Type_attr (parse_typ st)
   | _ -> fail st "expected attribute"
 
 and parse_attr_dict_body st : (string * attr) list =
-  let rec go acc =
-    match peek st with
-    | Tid k ->
-        advance st;
-        expect st "=";
-        let v = parse_attr st in
-        let acc = acc @ [ (k, v) ] in
-        if accept st "," then go acc else acc
-    | _ -> acc
-  in
-  go []
+  comma_list st is_id (fun st ->
+      match peek st with
+      | Tid k ->
+          advance st;
+          expect st '=';
+          (k, parse_attr st)
+      | _ -> assert false)
 
 (* Operations ---------------------------------------------------------- *)
 
@@ -524,25 +566,33 @@ let hint_of_name (name : string) : string option =
         Some (String.sub name 0 i)
     | _ -> Some name
 
+let value_name st =
+  match peek st with
+  | Tpercent n ->
+      advance st;
+      n
+  | _ -> assert false
+
+let check_count st ~op_start opname what names types =
+  if List.compare_lengths names types <> 0 then begin
+    let op_loc = location_of st.src op_start in
+    fail st
+      (Printf.sprintf "op %s (line %d, column %d): %d %ss but %d %s types"
+         opname op_loc.line op_loc.col (List.length names) what
+         (List.length types) what)
+  end
+
 let rec parse_op st : op =
   (* results *)
   let result_names =
-    match peek st with
-    | Tpercent _ ->
-        let rec names acc =
-          match peek st with
-          | Tpercent n ->
-              advance st;
-              let acc = acc @ [ n ] in
-              if accept st "," then names acc else acc
-          | _ -> acc
-        in
-        let ns = names [] in
-        expect st "=";
-        ns
-    | _ -> []
+    if is_percent (peek st) then begin
+      let ns = comma_list st is_percent value_name in
+      expect st '=';
+      ns
+    end
+    else []
   in
-  let op_loc = peek_loc st in
+  let op_start = st.tok_start in
   let opname =
     match peek st with
     | Tstring s ->
@@ -550,68 +600,40 @@ let rec parse_op st : op =
         s
     | _ -> fail st "expected op name string"
   in
-  expect st "(";
-  let operand_names =
-    let rec names acc =
-      match peek st with
-      | Tpercent n ->
-          advance st;
-          let acc = acc @ [ n ] in
-          if accept st "," then names acc else acc
-      | _ -> acc
-    in
-    names []
-  in
-  expect st ")";
+  expect st '(';
+  let operand_names = comma_list st is_percent value_name in
+  expect st ')';
   (* regions *)
   let regions =
-    if accept st "(" then begin
-      let rec go acc =
-        if peek st = Tpunct "{" then begin
-          let r = parse_region st in
-          let acc = acc @ [ r ] in
-          if accept st "," then go acc else acc
-        end
-        else acc
-      in
-      let rs = go [] in
-      expect st ")";
+    if accept st '(' then begin
+      let rs = comma_list st is_lbrace parse_region in
+      expect st ')';
       rs
     end
     else []
   in
   (* attributes *)
   let attrs =
-    if accept st "{" then begin
+    if accept st '{' then begin
       let l = parse_attr_dict_body st in
-      expect st "}";
+      expect st '}';
       l
     end
     else []
   in
-  expect st ":";
-  expect st "(";
-  let in_types = parse_typ_list_until st ")" in
-  expect st ")";
-  expect st "->";
-  expect st "(";
-  let out_types = parse_typ_list_until st ")" in
-  expect st ")";
+  expect st ':';
+  expect st '(';
+  let in_types = parse_typ_list st in
+  expect st ')';
+  expect_arrow st;
+  expect st '(';
+  let out_types = parse_typ_list st in
+  expect st ')';
   (* guard the List.map2/iter2 below: a count mismatch must surface as a
      parse error naming the op and its source line, not as a bare
      [Invalid_argument "List.map2"] *)
-  if List.length in_types <> List.length operand_names then
-    fail st
-      (Printf.sprintf "op %s (line %d, column %d): %d operands but %d operand types"
-         opname op_loc.line op_loc.col
-         (List.length operand_names)
-         (List.length in_types));
-  if List.length out_types <> List.length result_names then
-    fail st
-      (Printf.sprintf "op %s (line %d, column %d): %d results but %d result types"
-         opname op_loc.line op_loc.col
-         (List.length result_names)
-         (List.length out_types));
+  check_count st ~op_start opname "operand" operand_names in_types;
+  check_count st ~op_start opname "result" result_names out_types;
   let operands = List.map2 (lookup_value st) operand_names in_types in
   let op = create_op opname ~operands ~attrs ~regions ~results:out_types in
   List.iter2
@@ -622,16 +644,14 @@ let rec parse_op st : op =
   op
 
 and parse_region st : region =
-  expect st "{";
+  expect st '{';
   let rec blocks acc =
-    if peek st = Tpunct "}" then acc
-    else begin
-      let b = parse_block st in
-      blocks (acc @ [ b ])
-    end
+    match peek st with
+    | Tcaret _ | Tpercent _ | Tstring _ -> blocks (parse_block st :: acc)
+    | _ -> List.rev acc
   in
   let bs = blocks [] in
-  expect st "}";
+  expect st '}';
   let bs = if bs = [] then [ new_block [] ] else bs in
   new_region bs
 
@@ -640,42 +660,40 @@ and parse_block st : block =
     match peek st with
     | Tcaret _ ->
         advance st;
-        expect st "(";
-        let rec go acc =
-          match peek st with
-          | Tpercent n ->
-              advance st;
-              expect st ":";
+        expect st '(';
+        let args =
+          comma_list st is_percent (fun st ->
+              let n = value_name st in
+              expect st ':';
               let t = parse_typ st in
               let v = new_value ?hint:(hint_of_name n) t in
               Hashtbl.replace st.values n v;
-              let acc = acc @ [ v ] in
-              if accept st "," then go acc else acc
-          | _ -> acc
+              v)
         in
-        let args = go [] in
-        expect st ")";
-        expect st ":";
+        expect st ')';
+        expect st ':';
         args
     | _ -> []
   in
   let rec ops acc =
     match peek st with
-    | Tpercent _ | Tstring _ ->
-        let o = parse_op st in
-        ops (acc @ [ o ])
-    | _ -> acc
+    | Tpercent _ | Tstring _ -> ops (parse_op st :: acc)
+    | _ -> List.rev acc
   in
   new_block ~args (ops [])
 
 (** Parse a single top-level operation (usually a [builtin.module]). *)
 let parse_string (s : string) : op =
-  let st = { toks = tokenize s; values = Hashtbl.create 64 } in
+  let st =
+    { src = s; pos = 0; tok = Teof; tok_start = 0; pushed = None;
+      values = Hashtbl.create 64 }
+  in
+  lex st;
   let op = parse_op st in
   (match peek st with
   | Teof -> ()
   | t ->
-      let loc = peek_loc st in
+      let loc = location_of s st.tok_start in
       error loc "trailing input: %s (line %d, column %d)" (token_str t) loc.line
         loc.col);
   op

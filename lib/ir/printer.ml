@@ -2,12 +2,12 @@
 
     The syntax mirrors MLIR's generic operation form:
     [%0, %1 = "dialect.op"(%a, %b) ({ ... }) {attr = v} : (t) -> (t)]
-    so that IR dumps read like the listings in the paper. *)
+    so that IR dumps read like the listings in the paper.  Everything is
+    written into one [Buffer.t]; indentation is explicit padding. *)
 
 open Ir
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -15,8 +15,25 @@ let escape_string s =
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+    s
+
+let add_int buf i =
+  if i >= 0 && i < 100 then begin
+    (* most shapes, bounds, offsets and value numbers *)
+    if i >= 10 then Buffer.add_char buf (Char.unsafe_chr (48 + (i / 10)));
+    Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+  end
+  else Buffer.add_string buf (string_of_int i)
+
+(** [add_sep buf f l] writes the elements of [l] with [f], separated by
+    [", "]. *)
+let rec add_sep buf f = function
+  | [] -> ()
+  | [ x ] -> f x
+  | x :: rest ->
+      f x;
+      Buffer.add_string buf ", ";
+      add_sep buf f rest
 
 (** Can [s] print unquoted as a single parser identifier token? *)
 let bare_name (s : string) : bool =
@@ -29,96 +46,161 @@ let bare_name (s : string) : bool =
          | _ -> false)
        s
 
-let rec pp_typ fmt = function
-  | F16 -> Format.pp_print_string fmt "f16"
-  | F32 -> Format.pp_print_string fmt "f32"
-  | F64 -> Format.pp_print_string fmt "f64"
-  | I1 -> Format.pp_print_string fmt "i1"
-  | I16 -> Format.pp_print_string fmt "i16"
-  | I32 -> Format.pp_print_string fmt "i32"
-  | I64 -> Format.pp_print_string fmt "i64"
-  | Index -> Format.pp_print_string fmt "index"
-  | Tensor (shape, e) ->
-      Format.fprintf fmt "tensor<%a%a>" pp_shape shape pp_typ e
-  | Memref (shape, e) ->
-      Format.fprintf fmt "memref<%a%a>" pp_shape shape pp_typ e
-  | Temp (bounds, e) ->
-      Format.fprintf fmt "!stencil.temp<%a%a>" pp_bounds bounds pp_typ e
-  | Field (bounds, e) ->
-      Format.fprintf fmt "!stencil.field<%a%a>" pp_bounds bounds pp_typ e
+let rec add_typ buf = function
+  | F16 -> Buffer.add_string buf "f16"
+  | F32 -> Buffer.add_string buf "f32"
+  | F64 -> Buffer.add_string buf "f64"
+  | I1 -> Buffer.add_string buf "i1"
+  | I16 -> Buffer.add_string buf "i16"
+  | I32 -> Buffer.add_string buf "i32"
+  | I64 -> Buffer.add_string buf "i64"
+  | Index -> Buffer.add_string buf "index"
+  | Tensor (shape, e) -> add_shaped buf "tensor<" shape e
+  | Memref (shape, e) -> add_shaped buf "memref<" shape e
+  | Temp (bounds, e) -> add_bounded buf "!stencil.temp<" bounds e
+  | Field (bounds, e) -> add_bounded buf "!stencil.field<" bounds e
   | Function (ins, outs) ->
-      Format.fprintf fmt "(%a) -> (%a)" pp_typ_list ins pp_typ_list outs
-  | Ptr (t, Ptr_single) -> Format.fprintf fmt "!csl.ptr<%a, single>" pp_typ t
-  | Ptr (t, Ptr_many) -> Format.fprintf fmt "!csl.ptr<%a, many>" pp_typ t
-  | Dsd Mem1d -> Format.pp_print_string fmt "!csl.dsd<mem1d>"
-  | Dsd Mem4d -> Format.pp_print_string fmt "!csl.dsd<mem4d>"
-  | Dsd Fabin -> Format.pp_print_string fmt "!csl.dsd<fabin>"
-  | Dsd Fabout -> Format.pp_print_string fmt "!csl.dsd<fabout>"
-  | Color -> Format.pp_print_string fmt "!csl.color"
+      Buffer.add_char buf '(';
+      add_typ_list buf ins;
+      Buffer.add_string buf ") -> (";
+      add_typ_list buf outs;
+      Buffer.add_char buf ')'
+  | Ptr (t, kind) ->
+      Buffer.add_string buf "!csl.ptr<";
+      add_typ buf t;
+      Buffer.add_string buf
+        (match kind with Ptr_single -> ", single>" | Ptr_many -> ", many>")
+  | Dsd Mem1d -> Buffer.add_string buf "!csl.dsd<mem1d>"
+  | Dsd Mem4d -> Buffer.add_string buf "!csl.dsd<mem4d>"
+  | Dsd Fabin -> Buffer.add_string buf "!csl.dsd<fabin>"
+  | Dsd Fabout -> Buffer.add_string buf "!csl.dsd<fabout>"
+  | Color -> Buffer.add_string buf "!csl.color"
   | Struct s ->
       (* import-module structs carry names like "<memcpy/memcpy>" that
          are not identifier tokens; quote those so the type re-parses *)
-      if bare_name s then Format.fprintf fmt "!csl.struct<%s>" s
-      else Format.fprintf fmt "!csl.struct<\"%s\">" (escape_string s)
+      Buffer.add_string buf "!csl.struct<";
+      if bare_name s then Buffer.add_string buf s
+      else begin
+        Buffer.add_char buf '"';
+        add_escaped buf s;
+        Buffer.add_char buf '"'
+      end;
+      Buffer.add_char buf '>'
 
-and pp_shape fmt shape =
-  List.iter (fun d -> Format.fprintf fmt "%dx" d) shape
+and add_shaped buf opener shape e =
+  Buffer.add_string buf opener;
+  List.iter
+    (fun d ->
+      add_int buf d;
+      Buffer.add_char buf 'x')
+    shape;
+  add_typ buf e;
+  Buffer.add_char buf '>'
 
-and pp_bounds fmt bounds =
-  List.iter (fun (lb, ub) -> Format.fprintf fmt "[%d,%d]x" lb ub) bounds
+and add_bounded buf opener bounds e =
+  Buffer.add_string buf opener;
+  List.iter
+    (fun (lb, ub) ->
+      Buffer.add_char buf '[';
+      add_int buf lb;
+      Buffer.add_char buf ',';
+      add_int buf ub;
+      Buffer.add_string buf "]x")
+    bounds;
+  add_typ buf e;
+  Buffer.add_char buf '>'
 
-and pp_typ_list fmt ts =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-    pp_typ fmt ts
+and add_typ_list buf ts = add_sep buf (add_typ buf) ts
 
-let typ_to_string t = Format.asprintf "%a" pp_typ t
+let typ_to_string t =
+  let buf = Buffer.create 32 in
+  add_typ buf t;
+  Buffer.contents buf
 
-let pp_float fmt f =
-  if Float.is_integer f && Float.abs f < 1e15 then Format.fprintf fmt "%.6f" f
-  else Format.fprintf fmt "%.17g" f
+(* the C formatting that [Printf]'s "%g" ends in, without interpreting
+   a format string per call *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let rec pp_attr fmt = function
-  | Unit_attr -> Format.pp_print_string fmt "unit"
-  | Bool_attr b -> Format.pp_print_bool fmt b
-  | Int_attr i -> Format.pp_print_int fmt i
-  | Float_attr f -> pp_float fmt f
-  | String_attr s -> Format.fprintf fmt "\"%s\"" (escape_string s)
-  | Type_attr t -> pp_typ fmt t
+(** Integral floats below 1e15 print as "%.6f"; everything else as
+    "%.17g", which is exact.  A "%.17g" of bare digits (an integral
+    value in [1e15, 1e17)) gets a ".0" so it re-parses as a float, not
+    an integer; infinities and NaN print as [inf], [-inf], [nan] and
+    [-nan], which the parser reads back as floats. *)
+
+let add_float buf f =
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    (* "%.6f" of an integral value: its digits and ".000000" *)
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    add_int buf (Float.to_int (Float.abs f));
+    Buffer.add_string buf ".000000"
+  end
+  else begin
+    let s = format_float "%.17g" f in
+    Buffer.add_string buf s;
+    if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then
+      Buffer.add_string buf ".0"
+  end
+
+let rec add_attr buf = function
+  | Unit_attr -> Buffer.add_string buf "unit"
+  | Bool_attr b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int_attr i -> add_int buf i
+  | Float_attr f -> add_float buf f
+  | String_attr s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
+  | Type_attr t -> add_typ buf t
   | Array_attr l ->
-      Format.fprintf fmt "[%a]"
-        (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ") pp_attr)
-        l
+      Buffer.add_char buf '[';
+      add_sep buf (add_attr buf) l;
+      Buffer.add_char buf ']'
   | Dict_attr l ->
-      Format.fprintf fmt "{%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           (fun fmt (k, v) -> Format.fprintf fmt "%s = %a" k pp_attr v))
-        l
+      Buffer.add_char buf '{';
+      add_attr_entries buf l;
+      Buffer.add_char buf '}'
   | Dense_ints l ->
-      Format.fprintf fmt "dense_i[%a]"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           Format.pp_print_int)
-        l
+      Buffer.add_string buf "dense_i[";
+      add_sep buf (add_int buf) l;
+      Buffer.add_char buf ']'
   | Dense_floats l ->
-      Format.fprintf fmt "dense_f[%a]"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           pp_float)
-        l
-  | Symbol_ref s -> Format.fprintf fmt "@%s" s
+      Buffer.add_string buf "dense_f[";
+      add_sep buf (add_float buf) l;
+      Buffer.add_char buf ']'
+  | Symbol_ref s ->
+      Buffer.add_char buf '@';
+      Buffer.add_string buf s
+
+and add_attr_entries buf l =
+  add_sep buf
+    (fun (k, v) ->
+      Buffer.add_string buf k;
+      Buffer.add_string buf " = ";
+      add_attr buf v)
+    l
+
+let attr_to_string a =
+  let buf = Buffer.create 32 in
+  add_attr buf a;
+  Buffer.contents buf
 
 (** Printing environment assigning stable names to values and blocks. *)
 type env = {
-  names : (int, string) Hashtbl.t;
+  buf : Buffer.t;
+  names : (int, int) Hashtbl.t;  (* value id -> number *)
   mutable next : int;
   block_names : (int, int) Hashtbl.t;
   mutable next_block : int;
 }
 
 let new_env () =
-  { names = Hashtbl.create 64; next = 0; block_names = Hashtbl.create 16; next_block = 0 }
+  {
+    buf = Buffer.create 4096;
+    names = Hashtbl.create 64;
+    next = 0;
+    block_names = Hashtbl.create 16;
+    next_block = 0;
+  }
 
 let block_label env (b : Ir.block) =
   match Hashtbl.find_opt env.block_names b.Ir.bid with
@@ -129,94 +211,111 @@ let block_label env (b : Ir.block) =
       Hashtbl.replace env.block_names b.Ir.bid n;
       n
 
+let hint_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+  | _ -> false
+
 (** Hints come from arbitrary pass-internal strings; printed value names
     must stay single parser tokens, so anything outside [A-Za-z0-9_] is
     mapped to '_' (and a leading digit is prefixed) — keeping printed IR
-    a print→parse→print fixpoint. *)
+    a print→parse→print fixpoint.  A clean hint is returned as is. *)
 let sanitize_hint (h : string) : string =
   let h =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_')
-      h
+    if String.for_all hint_char h then h
+    else String.map (fun c -> if hint_char c then c else '_') h
   in
   if h <> "" && h.[0] >= '0' && h.[0] <= '9' then "_" ^ h else h
 
-let value_name env v =
-  match Hashtbl.find_opt env.names v.vid with
-  | Some n -> n
-  | None ->
-      let base =
-        match v.vhint with
-        | Some h when h <> "" ->
-            Printf.sprintf "%%%s_%d" (sanitize_hint h) env.next
-        | _ -> Printf.sprintf "%%%d" env.next
-      in
-      env.next <- env.next + 1;
-      Hashtbl.replace env.names v.vid base;
-      base
+(** Write [v]'s name, numbering it on first sight. *)
+let add_value env v =
+  let n =
+    match Hashtbl.find_opt env.names v.vid with
+    | Some n -> n
+    | None ->
+        let n = env.next in
+        env.next <- n + 1;
+        Hashtbl.replace env.names v.vid n;
+        n
+  in
+  Buffer.add_char env.buf '%';
+  (match v.vhint with
+  | Some h when h <> "" ->
+      Buffer.add_string env.buf (sanitize_hint h);
+      Buffer.add_char env.buf '_'
+  | _ -> ());
+  add_int env.buf n
 
-let pp_values env fmt vs =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-    (fun fmt v -> Format.pp_print_string fmt (value_name env v))
-    fmt vs
+let add_values env vs = add_sep env.buf (add_value env) vs
+let add_types buf vs = add_sep buf (fun v -> add_typ buf v.vtyp) vs
 
-let rec pp_op env indent fmt op =
-  let pad = String.make indent ' ' in
-  Format.fprintf fmt "%s" pad;
-  (if op.results <> [] then
-     Format.fprintf fmt "%a = " (pp_values env) op.results);
-  Format.fprintf fmt "\"%s\"(%a)" op.opname (pp_values env) op.operands;
+let add_pad buf n =
+  for _ = 1 to n do
+    Buffer.add_char buf ' '
+  done
+
+let rec add_op env indent op =
+  let buf = env.buf in
+  add_pad buf indent;
+  if op.results <> [] then begin
+    add_values env op.results;
+    Buffer.add_string buf " = "
+  end;
+  Buffer.add_char buf '"';
+  Buffer.add_string buf op.opname;
+  Buffer.add_string buf "\"(";
+  add_values env op.operands;
+  Buffer.add_char buf ')';
   if op.regions <> [] then begin
-    Format.fprintf fmt " (";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Format.fprintf fmt ", ";
-        pp_region env indent fmt r)
-      op.regions;
-    Format.fprintf fmt ")"
+    Buffer.add_string buf " (";
+    add_sep buf (add_region env indent) op.regions;
+    Buffer.add_char buf ')'
   end;
   if op.attrs <> [] then begin
-    let attrs = List.sort (fun (a, _) (b, _) -> compare a b) op.attrs in
-    Format.fprintf fmt " {%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         (fun fmt (k, v) -> Format.fprintf fmt "%s = %a" k pp_attr v))
-      attrs
+    Buffer.add_string buf " {";
+    add_attr_entries buf
+      (match op.attrs with
+      | [ _ ] as l -> l
+      | l -> List.sort (fun (a, _) (b, _) -> String.compare a b) l);
+    Buffer.add_char buf '}'
   end;
-  Format.fprintf fmt " : (%a) -> (%a)" pp_typ_list
-    (List.map (fun v -> v.vtyp) op.operands)
-    pp_typ_list
-    (List.map (fun v -> v.vtyp) op.results)
+  Buffer.add_string buf " : (";
+  add_types buf op.operands;
+  Buffer.add_string buf ") -> (";
+  add_types buf op.results;
+  Buffer.add_char buf ')'
 
-and pp_region env indent fmt r =
-  Format.fprintf fmt "{\n";
-  List.iter (pp_block env (indent + 2) fmt) r.blocks;
-  Format.fprintf fmt "%s}" (String.make indent ' ')
+and add_region env indent r =
+  Buffer.add_string env.buf "{\n";
+  List.iter (add_block env (indent + 2)) r.blocks;
+  add_pad env.buf indent;
+  Buffer.add_char env.buf '}'
 
-and pp_block env indent fmt b =
-  let pad = String.make indent ' ' in
+and add_block env indent b =
+  let buf = env.buf in
   if b.bargs <> [] then begin
-    Format.fprintf fmt "%s^bb%d(" pad (block_label env b);
-    List.iteri
-      (fun i a ->
-        if i > 0 then Format.fprintf fmt ", ";
-        Format.fprintf fmt "%s : %a" (value_name env a) pp_typ a.vtyp)
+    add_pad buf indent;
+    Buffer.add_string buf "^bb";
+    add_int buf (block_label env b);
+    Buffer.add_char buf '(';
+    add_sep buf
+      (fun a ->
+        add_value env a;
+        Buffer.add_string buf " : ";
+        add_typ buf a.vtyp)
       b.bargs;
-    Format.fprintf fmt "):\n"
+    Buffer.add_string buf "):\n"
   end;
   List.iter
     (fun o ->
-      pp_op env indent fmt o;
-      Format.fprintf fmt "\n")
+      add_op env indent o;
+      Buffer.add_char buf '\n')
     b.bops
 
 let op_to_string op =
   let env = new_env () in
-  Format.asprintf "%a" (pp_op env 0) op
+  add_op env 0 op;
+  Buffer.contents env.buf
 
-let print_op ?(out = Format.std_formatter) op =
-  let env = new_env () in
-  pp_op env 0 out op;
-  Format.fprintf out "\n%!"
+let print_op op =
+  print_string (op_to_string op);
+  print_newline ()

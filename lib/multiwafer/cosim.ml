@@ -29,7 +29,6 @@
 module P = Wsc_frontends.Stencil_program
 module I = Wsc_dialects.Interp
 module Dmp = Wsc_dialects.Dmp
-module Printer = Wsc_ir.Printer
 module Pipeline = Wsc_core.Pipeline
 module Engine = Wsc_serve.Engine
 module Cache = Wsc_serve.Cache
@@ -211,8 +210,7 @@ let run ?engine ?(interconnect = Interconnect.default)
      identically: in index order the first wafer of each shape misses
      and every later one hits *)
   let compile_wafer i =
-    let src = Printer.op_to_string (P.compile subs.(i)) in
-    match (Engine.compile_source engine src).Engine.outcome with
+    match (Engine.compile_module engine (P.compile subs.(i))).Engine.outcome with
     | Ok c -> snd (Pipeline.modules_of c.Engine.lowered)
     | Error e ->
         fail "wafer (%d,%d): compile failed: %s" slices.(i).Decompose.wi

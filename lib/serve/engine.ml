@@ -117,20 +117,28 @@ let resolve_tuned (t : t) ~(count : bool) ~(opts : Pipeline.options)
            true)
       | None -> (opts, false))
 
-let parse_and_key (t : t) ~(count_tuned : bool) ~(opts : Pipeline.options)
-    (source : string) : Wsc_ir.Ir.op * string * string * Pipeline.options * bool =
-  let m = Parser.parse_string source in
+(** The module's canonical text, its cache key, and the options it
+    compiles under. *)
+let key_module (t : t) ~(count_tuned : bool) ~(opts : Pipeline.options)
+    (m : Wsc_ir.Ir.op) : string * string * Pipeline.options * bool =
   let canonical = Printer.op_to_string m in
   let opts, tuned = resolve_tuned t ~count:count_tuned ~opts canonical in
   let key =
     Fingerprint.digest_hex
       (canonical ^ "\x00" ^ Pipeline.options_to_string opts)
   in
-  (m, key, canonical, opts, tuned)
+  (key, canonical, opts, tuned)
+
+exception Empty_source
+
+let parse_source (source : string) : Wsc_ir.Ir.op =
+  if String.trim source = "" then raise Empty_source
+  else Parser.parse_string source
 
 let error_of_exn (e : exn) : error =
   match e with
   | Timed_out -> { e_kind = Timeout; e_message = "compile deadline exceeded" }
+  | Empty_source -> { e_kind = Bad_request; e_message = "empty source" }
   | Parser.Parse_error (_, msg) -> { e_kind = Parse_failure; e_message = msg }
   | Pass.Pass_failed (pass, Wsc_ir.Verifier.Verification_error msg) ->
       {
@@ -147,19 +155,18 @@ let error_of_exn (e : exn) : error =
 let key_of_source (t : t) ?options (source : string) :
     (string, error) Stdlib.result =
   let opts = Option.value options ~default:t.eng_options in
-  if String.trim source = "" then
-    Error { e_kind = Bad_request; e_message = "empty source" }
-  else
-    match parse_and_key t ~count_tuned:false ~opts source with
-    | _, key, _, _, _ -> Ok key
-    | exception e -> Error (error_of_exn e)
+  match key_module t ~count_tuned:false ~opts (parse_source source) with
+  | key, _, _, _ -> Ok key
+  | exception e -> Error (error_of_exn e)
 
 (* ------------------------------------------------------------------ *)
 (* compiling                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compile_source (t : t) ?options ?timeout_s ?submitted_at (source : string) :
-    result =
+(** One compile path for sources and modules: [input ()] yields the
+    module (parsing a source) and may raise. *)
+let compile (t : t) ?options ?timeout_s ?submitted_at
+    (input : unit -> Wsc_ir.Ir.op) : result =
   let opts = Option.value options ~default:t.eng_options in
   let timeout_s = Option.value timeout_s ~default:t.timeout_s in
   let t_start = Unix.gettimeofday () in
@@ -178,15 +185,14 @@ let compile_source (t : t) ?options ?timeout_s ?submitted_at (source : string) :
       timing = { t_submit; t_start; t_parsed; t_compiled; t_done };
     }
   in
-  if String.trim source = "" then
-    finish ~cache:None ~t_parsed:t_start ~t_compiled:t_start
-      (Error { e_kind = Bad_request; e_message = "empty source" })
-  else
-    match parse_and_key t ~count_tuned:true ~opts source with
-    | exception e ->
-        let now = Unix.gettimeofday () in
-        finish ~cache:None ~t_parsed:now ~t_compiled:now (Error (error_of_exn e))
-    | m, key, canonical, opts, tuned -> (
+  match
+    let m = input () in
+    (m, key_module t ~count_tuned:true ~opts m)
+  with
+  | exception e ->
+      let now = Unix.gettimeofday () in
+      finish ~cache:None ~t_parsed:now ~t_compiled:now (Error (error_of_exn e))
+  | m, (key, canonical, opts, tuned) -> (
         let finish ~cache ~t_parsed ~t_compiled outcome =
           finish ~cache ~tuned ~t_parsed ~t_compiled outcome
         in
@@ -272,6 +278,12 @@ let compile_source (t : t) ?options ?timeout_s ?submitted_at (source : string) :
                       in
                       release (Some c);
                       finish ~cache:(Some `Miss) ~t_parsed ~t_compiled (Ok c))))
+
+let compile_module (t : t) ?options ?timeout_s ?submitted_at (m : Wsc_ir.Ir.op) =
+  compile t ?options ?timeout_s ?submitted_at (fun () -> m)
+
+let compile_source (t : t) ?options ?timeout_s ?submitted_at (source : string) =
+  compile t ?options ?timeout_s ?submitted_at (fun () -> parse_source source)
 
 (* ------------------------------------------------------------------ *)
 (* tracing                                                             *)

@@ -95,16 +95,30 @@ val create :
   unit ->
   t
 
-(** Compile one source.  [options] overrides the engine default for this
-    request (a different configuration is a different cache key);
-    [timeout_s] likewise; [submitted_at] is the enqueue stamp for queue
-    accounting.  Thread-safe: called concurrently from worker domains. *)
+(** Compile one source: parse it, then {!compile_module}.  [options]
+    overrides the engine default for this request (a different
+    configuration is a different cache key); [timeout_s] likewise;
+    [submitted_at] is the enqueue stamp for queue accounting.
+    Thread-safe: called concurrently from worker domains. *)
 val compile_source :
   t ->
   ?options:Wsc_core.Pipeline.options ->
   ?timeout_s:float ->
   ?submitted_at:float ->
   string ->
+  result
+
+(** Compile a module without going through text: the key is the one its
+    printed source would get from {!compile_source} (the MD5 of the
+    canonical print), and so are the cached record and its CSL.  A miss
+    runs the pipeline on the module itself, which may rewrite it in
+    place: hand over a module nothing else uses. *)
+val compile_module :
+  t ->
+  ?options:Wsc_core.Pipeline.options ->
+  ?timeout_s:float ->
+  ?submitted_at:float ->
+  Wsc_ir.Ir.op ->
   result
 
 (** The cache key this engine would use for a source (parse + canonical

@@ -246,6 +246,116 @@ let test_parse_error_locations () =
   check_loc "\"t.op\"() { a = 99999999999999999999999 } : () -> ()" ~line:1;
   check_loc "%x = \"op\"() : () -> (f32)\n\"t\"(%x, %x) : (f32) -> ()" ~line:2
 
+(* Every single-fault input, with the exact message and location the
+   parser reports for it. *)
+let parse_error_table =
+  [
+    ("\"op", 1, 1, "unterminated string (line 1, column 1)");
+    ( "\"t.op\"() {a = 1e} : () -> ()",
+      1, 15, "bad float literal '1e' (line 1, column 15)" );
+    ( "\"t.op\"() {a = 99999999999999999999999} : () -> ()",
+      1, 15,
+      "integer literal '99999999999999999999999' out of range (line 1, column 15)" );
+    ( "\"op\"() : () -> (badtype)",
+      1, 24, "unknown type 'badtype' (at ), line 1, column 24)" );
+    ( "%r = \"op\"() : () -> (!csl.dsd<foo>)",
+      1, 35, "bad dsd kind (at ), line 1, column 35)" );
+    ("\"op\"(%a : (f32) -> ()", 1, 9, "expected ')' (at :, line 1, column 9)");
+    ( "// leading comment\n\"test.op\"(%a, %b) : (f32) -> ()",
+      2, 32,
+      "op test.op (line 2, column 1): 2 operands but 1 operand types (at \
+       <eof>, line 2, column 32)" );
+    ( "\"test.res\"() : () -> (f32, f32)",
+      1, 32,
+      "op test.res (line 1, column 1): 0 results but 2 result types (at \
+       <eof>, line 1, column 32)" );
+    ( "\"op\"() : () -> () extra",
+      1, 19, "trailing input: id:extra (line 1, column 19)" );
+    ("\"op\"()", 1, 7, "expected ':' (at <eof>, line 1, column 7)");
+    ( "\"t.op\"() ({\n  \"t.a\"() : () -> ()\n  \"t.b\"() : () -> (f32\n}) : () -> ()",
+      4, 1, "expected ')' (at }, line 4, column 1)" );
+    ( "%r = \"op\"() : () -> (!foo.bar)",
+      1, 23, "unknown ! type (at id:foo.bar, line 1, column 23)" );
+    ( "\"t.op\"() {a = =} : () -> ()",
+      1, 15, "expected attribute (at =, line 1, column 15)" );
+    ( "%r = \"op\"() : () -> (tensor<4x8yf32>)",
+      1, 36, "bad shape element '8yf32' (at >, line 1, column 36)" );
+    ( "%r = \"op\"() : () -> (!stencil.temp<[a,1]xf32>)",
+      1, 37, "expected integer (at id:a, line 1, column 37)" );
+    ( "%r = \"op\"() : () -> (!csl.ptr<f32, both>)",
+      1, 36, "expected single|many (at id:both, line 1, column 36)" );
+    ( "(\"op\"() : () -> ()",
+      1, 1, "expected op name string (at (, line 1, column 1)" );
+    ( "\"t.op\"() {s = \"multi\nline\", b = ?} : () -> ()",
+      2, 12, "expected attribute (at ?, line 2, column 12)" );
+    ( "\"t.op\"() {a = 1.5.5} : () -> ()",
+      1, 18, "expected '}' (at id:.5, line 1, column 18)" );
+  ]
+
+let check_parse_errors table =
+  List.iter
+    (fun (s, line, col, msg) ->
+      match Parser.parse_string s with
+      | exception Parser.Parse_error (loc, m) ->
+          check_str ("message of " ^ s) msg m;
+          check_int ("line of " ^ s) line loc.Parser.line;
+          check_int ("column of " ^ s) col loc.Parser.col
+      | exception e ->
+          Alcotest.failf "expected Parse_error for %S, got %s" s
+            (Printexc.to_string e)
+      | _ -> Alcotest.failf "expected parse error for %S" s)
+    table
+
+let test_parse_error_messages () = check_parse_errors parse_error_table
+
+(* The lexer runs on demand, so an input with several faults reports
+   the first one in text order (here a syntax fault ahead of an
+   out-of-range literal); a region holding something that starts no
+   block is refused, not looped over. *)
+let test_parse_first_fault () =
+  check_parse_errors
+    [
+      ( "\"op\"(5) {a = 99999999999999999999999} : () -> ()",
+        1, 6, "expected ')' (at 5, line 1, column 6)" );
+      ( "\"op\"() ({ 5 }) : () -> ()",
+        1, 11, "expected '}' (at 5, line 1, column 11)" );
+    ]
+
+(* MD5 of the text printed at every pass boundary (the input module,
+   then the module after each pass of the default pipeline), so any
+   change to the printed bytes shows here. *)
+let boundary_digest (programs : Wsc_frontends.Stencil_program.t list) =
+  let b = Buffer.create (1 lsl 20) in
+  let on_ir _ m = Buffer.add_string b (Printer.op_to_string m) in
+  List.iter
+    (fun p ->
+      let m = Wsc_frontends.Stencil_program.compile p in
+      on_ir "input" m;
+      ignore
+        (Wsc_core.Pipeline.compile
+           ~pass_options:{ Wsc_ir.Pass.default_options with on_ir = Some on_ir }
+           m))
+    programs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_print_digests () =
+  List.iter2
+    (fun (d : Wsc_benchmarks.Benchmarks.descr) want ->
+      check_str ("boundary prints of " ^ d.id) want
+        (boundary_digest [ d.make Wsc_benchmarks.Benchmarks.Tiny ]))
+    Wsc_benchmarks.Benchmarks.all
+    [
+      "b605b196bc82a78060110a6561787f96";
+      "1ad4adbd6b39a0469f1d0a06418d6538";
+      "4e5e3c6899420c475b67c868fea3a76d";
+      "829378dfaa042e1699cab23ac5ce8c26";
+      "4e9010ff554c8cc960c27988e0055f16";
+    ];
+  check_str "boundary prints of fuzz seed 1, indices 0-59"
+    "badbde5a77193d1358f5fa4e4bd184b4"
+    (boundary_digest
+       (List.init 60 (fun index -> Wsc_harden.Fuzz.generate ~seed:1 ~index)))
+
 let test_parse_attrs_roundtrip () =
   let attrs =
     [
@@ -433,6 +543,10 @@ let () =
           Alcotest.test_case "error locations" `Quick test_parse_error_locations;
           Alcotest.test_case "count mismatch named" `Quick
             test_parse_count_mismatch_named;
+          Alcotest.test_case "error messages" `Quick test_parse_error_messages;
+          Alcotest.test_case "first fault reported" `Quick test_parse_first_fault;
+          Alcotest.test_case "pass-boundary print digests" `Quick
+            test_print_digests;
         ] );
       ( "verifier",
         [

@@ -257,6 +257,42 @@ let test_cosim_cache_counts_deterministic () =
   checki "a hit per other wafer" (4 - distinct) a.Cache.hits;
   checki "no dedup" 0 a.Cache.dedup_hits
 
+(* the co-simulator hands each wafer's module to the engine without
+   text: its key, and the CSL it compiles to, must be those of the
+   module's printed source *)
+let test_module_key_matches_source () =
+  let module E = Wsc_serve.Engine in
+  let by_module = E.create () and by_source = E.create () in
+  let programs =
+    List.map (fun (d : B.descr) -> d.B.make B.Tiny) B.all
+    @ List.init 30 (fun index -> Wsc_harden.Fuzz.generate ~seed:1 ~index)
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun wafers ->
+          match D.plan ~wafers p with
+          | exception D.Decompose_error _ -> ()
+          | pl ->
+              List.iter
+                (fun slice ->
+                  let sub = D.subprogram pl slice in
+                  let src = Printer.op_to_string (P.compile sub) in
+                  let r = E.compile_module by_module (P.compile sub) in
+                  match (r.E.outcome, E.key_of_source by_source src) with
+                  | Ok c, Ok key ->
+                      Alcotest.(check string) "module key = source key" key c.E.key;
+                      (match (E.compile_source by_source src).E.outcome with
+                      | Ok c' -> check "same CSL" true (c.E.files = c'.E.files)
+                      | Error e -> Alcotest.fail e.E.e_message);
+                      incr checked
+                  | Error e, _ | _, Error e -> Alcotest.fail e.E.e_message)
+                pl.D.slices)
+        [ (2, 1); (2, 2) ])
+    programs;
+  check "every benchmark and some fuzz programs decompose" true (!checked > 40)
+
 let test_no_domain_spawned () =
   let before = Wsc_serve.Pool.domains_spawned () in
   let d = B.find "jacobian" in
@@ -482,6 +518,8 @@ let () =
             test_cosim_cache_dedup;
           Alcotest.test_case "compile counters are deterministic" `Quick
             test_cosim_cache_counts_deterministic;
+          Alcotest.test_case "module keys match their printed source" `Quick
+            test_module_key_matches_source;
           Alcotest.test_case "co-simulation spawns no domain" `Quick
             test_no_domain_spawned;
         ] );

@@ -168,6 +168,21 @@ let prop_typ_roundtrip =
       let parsed = Wsc_ir.Parser.parse_string text in
       (result parsed).vtyp = t)
 
+(* Floats the printer has to write exactly: arbitrary fractions,
+   integral values on both sides of the 1e15 switch from "%.6f" to
+   "%.17g", infinities and NaN. *)
+let float_gen : float QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [
+      float_range (-100.0) 100.0;
+      map float_of_int (int_range (-1000) 1000);
+      map (fun i -> Float.of_int i *. 1e13) (int_range (-100000) 100000);
+      map (fun s -> s *. Float.ldexp 1.0 60) (float_range (-1.0) 1.0);
+      oneofl [ 1e15; -1e15; 99999999999999990.0; Float.infinity;
+               Float.neg_infinity; Float.nan; -.Float.nan; -0.0 ];
+    ]
+
 let attr_gen : attr QCheck.Gen.t =
   let open QCheck.Gen in
   let leaf =
@@ -176,7 +191,8 @@ let attr_gen : attr QCheck.Gen.t =
         return Unit_attr;
         map (fun b -> Bool_attr b) bool;
         map (fun i -> Int_attr i) (int_range (-1000) 1000);
-        map (fun f -> Float_attr f) (float_range (-100.0) 100.0);
+        map (fun f -> Float_attr f) float_gen;
+        map (fun l -> Dense_floats l) (list_size (int_range 1 4) float_gen);
         map (fun s -> String_attr s)
           (string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
         map (fun l -> Dense_ints l) (list_size (int_range 1 4) (int_range (-9) 9));
@@ -243,21 +259,28 @@ let prop_attr_roundtrip =
       | parsed -> (
           match attr parsed "x" with
           | Some a2 ->
-              (* floats print with bounded precision; everything else must
-                 be structurally identical *)
-              let rec approx x y =
+              (* every float, NaN and infinities included, must come back
+                 bit for bit; everything else must be structurally
+                 identical *)
+              let same_float f g =
+                Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+              in
+              let rec exact x y =
                 match (x, y) with
-                | Float_attr f, Float_attr g -> Float.abs (f -. g) < 1e-6
+                | Float_attr f, Float_attr g -> same_float f g
+                | Dense_floats fs, Dense_floats gs ->
+                    List.length fs = List.length gs
+                    && List.for_all2 same_float fs gs
                 | Array_attr xs, Array_attr ys ->
-                    List.length xs = List.length ys && List.for_all2 approx xs ys
+                    List.length xs = List.length ys && List.for_all2 exact xs ys
                 | Dict_attr xs, Dict_attr ys ->
                     List.length xs = List.length ys
                     && List.for_all2
-                         (fun (k1, v1) (k2, v2) -> k1 = k2 && approx v1 v2)
+                         (fun (k1, v1) (k2, v2) -> k1 = k2 && exact v1 v2)
                          xs ys
                 | x, y -> x = y
               in
-              approx a a2
+              exact a a2
           | None -> false))
 
 (* ------------------------------------------------------------------ *)
