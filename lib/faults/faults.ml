@@ -1,9 +1,10 @@
 (** Fault injection for the WSE fabric simulator.
 
     The injector is a deterministic function from (campaign seed, site
-    coordinates) to fault decisions, plus the mutable bookkeeping of a
-    run (fault counters, the halted / tainted PE sets, the sends the
-    resilience layer has given up on).
+    coordinates) to fault decisions, plus the run's fault counters.  The
+    state the faults leave behind (dispatch counts, halted and tainted
+    PEs, the sends the resilience layer gave up on) lives on the
+    simulator's PEs and send records.
 
     Decisions are hashes, not draws from a mutable PRNG stream: a
     stateful generator would hand out different values depending on the
@@ -107,31 +108,11 @@ let fresh_stats () =
     recovery_cycles = 0.0;
   }
 
-type injector = {
-  cfg : config;
-  st : stats;
-  dispatches : (int * int, int ref) Hashtbl.t;  (** per-PE dispatch counts *)
-  halted : (int * int, unit) Hashtbl.t;
-  tainted : (int * int, unit) Hashtbl.t;
-  skipped : (int * int * int * int, unit) Hashtbl.t;
-  tainted_sends : (int * int * int * int, unit) Hashtbl.t;
-}
-
+type injector = { cfg : config; st : stats }
 type t = Null | Injector of injector
 
 let null = Null
-
-let create (cfg : config) : t =
-  Injector
-    {
-      cfg;
-      st = fresh_stats ();
-      dispatches = Hashtbl.create 64;
-      halted = Hashtbl.create 8;
-      tainted = Hashtbl.create 8;
-      skipped = Hashtbl.create 8;
-      tainted_sends = Hashtbl.create 8;
-    }
+let create (cfg : config) : t = Injector { cfg; st = fresh_stats () }
 
 let enabled = function Null -> false | Injector _ -> true
 
@@ -173,21 +154,6 @@ let site_corruption_noise = 7
 
 let flip (inj : injector) ~(rate : float) ~(site : int) ~(keys : int list) : bool =
   rate > 0.0 && uniform ~seed:inj.cfg.seed ~site ~keys < rate
-
-let next_dispatch (t : t) ~x ~y : int =
-  match t with
-  | Null -> 0
-  | Injector i ->
-      let r =
-        match Hashtbl.find_opt i.dispatches (x, y) with
-        | Some r -> r
-        | None ->
-            let r = ref 0 in
-            Hashtbl.replace i.dispatches (x, y) r;
-            r
-      in
-      incr r;
-      !r
 
 let stall_here (t : t) ~x ~y ~activation : bool =
   match t with
@@ -247,7 +213,7 @@ let backoff (r : resilience) ~(attempt : int) : float =
   Float.min t r.max_backoff_cycles
 
 (* ------------------------------------------------------------------ *)
-(* Protocol bookkeeping                                                *)
+(* Protocol checksum                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (** The simulated per-wavelet checksum: fold the payload's IEEE-754 bit
@@ -260,54 +226,6 @@ let checksum (a : float array) ~(off : int) ~(len : int) : int64 =
     acc := sm64 (Int64.add (Int64.logxor !acc (Int64.bits_of_float a.(i))) golden)
   done;
   !acc
-
-let record_halt (t : t) ~x ~y : unit =
-  match t with
-  | Null -> ()
-  | Injector i ->
-      if not (Hashtbl.mem i.halted (x, y)) then begin
-        Hashtbl.replace i.halted (x, y) ();
-        i.st.halts <- i.st.halts + 1
-      end
-
-let is_halted (t : t) ~x ~y : bool =
-  match t with
-  | Null -> false
-  | Injector i -> Hashtbl.mem i.halted (x, y)
-
-let halted_count = function
-  | Null -> 0
-  | Injector i -> Hashtbl.length i.halted
-
-let taint (t : t) ~x ~y : unit =
-  match t with
-  | Null -> ()
-  | Injector i -> Hashtbl.replace i.tainted (x, y) ()
-
-let is_tainted (t : t) ~x ~y : bool =
-  match t with
-  | Null -> false
-  | Injector i -> Hashtbl.mem i.tainted (x, y)
-
-let skip_send (t : t) ~apply ~seq ~x ~y : unit =
-  match t with
-  | Null -> ()
-  | Injector i -> Hashtbl.replace i.skipped (apply, seq, x, y) ()
-
-let is_skipped (t : t) ~apply ~seq ~x ~y : bool =
-  match t with
-  | Null -> false
-  | Injector i -> Hashtbl.mem i.skipped (apply, seq, x, y)
-
-let taint_send (t : t) ~apply ~seq ~x ~y : unit =
-  match t with
-  | Null -> ()
-  | Injector i -> Hashtbl.replace i.tainted_sends (apply, seq, x, y) ()
-
-let is_tainted_send (t : t) ~apply ~seq ~x ~y : bool =
-  match t with
-  | Null -> false
-  | Injector i -> Hashtbl.mem i.tainted_sends (apply, seq, x, y)
 
 (* ------------------------------------------------------------------ *)
 (* Wafer-granularity sites                                             *)

@@ -13,9 +13,16 @@
     retransmission attempt, ...) — there is no mutable PRNG stream — so
     decisions are independent of the order in which the driver visits
     PEs.  A campaign therefore replays bit-identically from its seed
-    whatever that order.  An injector belongs to one simulation
-    and is not shared between domains, so its bookkeeping takes no
-    lock; the same holds for a {!Wafer} injector, whose one user is a
+    whatever that order.
+
+    An injector holds only its config and its counters ({!stats}).  The
+    state faults leave in a run lives where it would on the wafer: each
+    simulated PE carries its dispatch count and its halted and tainted
+    flags, and a halted PE's exchange counter also moves past the
+    exchanges the resilience layer skipped; each send record carries whether its sender was tainted
+    (see [Wsc_wse.Fabric]).  An injector belongs to one simulation and
+    is not shared between domains, so its counters take no lock; the
+    same holds for a {!Wafer} injector, whose one user is a
     co-simulation stepping its wafers one at a time. *)
 
 (** Which fault mechanism a decision or an event belongs to. *)
@@ -100,13 +107,10 @@ val stats : t -> stats  (** zeroes on [Null] *)
 (** Uniform draw in [0, 1) for an explicit site key; exposed for tests. *)
 val uniform : seed:int -> site:int -> keys:int list -> float
 
-(** Next value of the per-PE dispatch counter — the activation index the
-    stall/halt decisions key on.  Per-PE task order is deterministic, so
-    the counter sequence (and hence every decision) is identical in
-    every PE visit order. *)
-val next_dispatch : t -> x:int -> y:int -> int
-
-(** Should this task dispatch stall? (site: PE + per-PE activation no.) *)
+(** Should this task dispatch stall?  Site: the PE and [activation], its
+    own count of task dispatches.  Per-PE task order is deterministic,
+    so that count, and hence every decision, is the same in every PE
+    visit order. *)
 val stall_here : t -> x:int -> y:int -> activation:int -> bool
 
 (** Should this task dispatch halt the PE permanently? *)
@@ -139,35 +143,11 @@ val corruption :
     exponential backoff bounded by [max_backoff_cycles]. *)
 val backoff : resilience -> attempt:int -> float
 
-(** {1 Protocol bookkeeping} *)
+(** {1 Protocol checksum} *)
 
 (** Per-wavelet checksum of a payload slice, as the simulated protocol
     computes it on both ends of a link. *)
 val checksum : float array -> off:int -> len:int -> int64
-
-(** Mark / query a permanently halted PE. *)
-val record_halt : t -> x:int -> y:int -> unit
-
-val is_halted : t -> x:int -> y:int -> bool
-val halted_count : t -> int
-
-(** Mark / query a PE whose readback data is invalid (it consumed
-    substituted or unrecoverable data, or data derived from such). *)
-val taint : t -> x:int -> y:int -> unit
-
-val is_tainted : t -> x:int -> y:int -> bool
-
-(** Mark / query a send the resilience layer has given up waiting for
-    (its sender halted): receivers substitute zeroes and carry on. *)
-val skip_send : t -> apply:int -> seq:int -> x:int -> y:int -> unit
-
-val is_skipped : t -> apply:int -> seq:int -> x:int -> y:int -> bool
-
-(** Mark / query a send whose payload was produced by a tainted PE, so
-    taint propagates to every receiver that reduces it. *)
-val taint_send : t -> apply:int -> seq:int -> x:int -> y:int -> unit
-
-val is_tainted_send : t -> apply:int -> seq:int -> x:int -> y:int -> bool
 
 (** {1 Wafer-granularity sites}
 

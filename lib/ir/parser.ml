@@ -660,17 +660,23 @@ and parse_block st : block =
     match peek st with
     | Tcaret _ ->
         advance st;
-        expect st '(';
+        (* the argument list is optional: [^bb1:] has none *)
         let args =
-          comma_list st is_percent (fun st ->
-              let n = value_name st in
-              expect st ':';
-              let t = parse_typ st in
-              let v = new_value ?hint:(hint_of_name n) t in
-              Hashtbl.replace st.values n v;
-              v)
+          if accept st '(' then begin
+            let args =
+              comma_list st is_percent (fun st ->
+                  let n = value_name st in
+                  expect st ':';
+                  let t = parse_typ st in
+                  let v = new_value ?hint:(hint_of_name n) t in
+                  Hashtbl.replace st.values n v;
+                  v)
+            in
+            expect st ')';
+            args
+          end
+          else []
         in
-        expect st ')';
         expect st ':';
         args
     | _ -> []

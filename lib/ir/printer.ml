@@ -286,24 +286,29 @@ let rec add_op env indent op =
 
 and add_region env indent r =
   Buffer.add_string env.buf "{\n";
-  List.iter (add_block env (indent + 2)) r.blocks;
+  List.iteri (fun i -> add_block env (indent + 2) ~entry:(i = 0)) r.blocks;
   add_pad env.buf indent;
   Buffer.add_char env.buf '}'
 
-and add_block env indent b =
+(* every block but an argument-less entry block gets a label, which is
+   what separates it from the block before *)
+and add_block env indent ~entry b =
   let buf = env.buf in
-  if b.bargs <> [] then begin
+  if b.bargs <> [] || not entry then begin
     add_pad buf indent;
     Buffer.add_string buf "^bb";
     add_int buf (block_label env b);
-    Buffer.add_char buf '(';
-    add_sep buf
-      (fun a ->
-        add_value env a;
-        Buffer.add_string buf " : ";
-        add_typ buf a.vtyp)
-      b.bargs;
-    Buffer.add_string buf "):\n"
+    if b.bargs <> [] then begin
+      Buffer.add_char buf '(';
+      add_sep buf
+        (fun a ->
+          add_value env a;
+          Buffer.add_string buf " : ";
+          add_typ buf a.vtyp)
+        b.bargs;
+      Buffer.add_char buf ')'
+    end;
+    Buffer.add_string buf ":\n"
   end;
   List.iter
     (fun o ->

@@ -487,6 +487,9 @@ type send_record = {
   mutable sr_pending : int;
       (** receivers that have not yet completed the exchange; the record
           leaves the table at zero *)
+  sr_tainted : bool;
+      (** the sender was tainted when it sent, so every receiver that
+          reduces this payload is tainted too *)
 }
 
 type waiting = {
@@ -518,9 +521,18 @@ type pe = {
   mutable task_queue : task_queue;
   mutable task_stamps : int;  (** insertion stamps handed out so far *)
   mutable waiting : waiting option;
-  seq : int array;  (** apply id -> communicate calls so far *)
+  seq : int array;
+      (** apply id -> communicate calls so far; on a halted PE, also the
+          exchanges the resilience layer degraded past *)
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
+  mutable dispatches : int;
+      (** task dispatches so far, counted with an injector: the
+          activation index the stall/halt decisions key on *)
+  mutable halted : bool;  (** permanently halted by fault injection *)
+  mutable tainted : bool;
+      (** consumed substituted or unrecoverable data, or data derived
+          from such: its readback is invalid *)
 }
 
 let queue_task (pe : pe) ~(at : float) (task : int) : unit =
@@ -560,9 +572,9 @@ type t = {
           {!Trace.null} (the default) every site is a dead branch and
           results are bit-identical to an untraced run *)
   faults : Faults.t;
-      (** fault-injection schedule and resilience bookkeeping; with
-          {!Faults.null} (the default) every injection site is a dead
-          branch, exactly like the trace sink *)
+      (** fault-injection schedule and counters; with {!Faults.null} (the
+          default) every injection site is a dead branch, exactly like
+          the trace sink *)
   code : code;  (** the program, staged once by {!create} *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
@@ -586,6 +598,9 @@ let new_pe (code : code) x y : pe =
     waiting = None;
     seq = Array.make code.applies 0;
     live_sends = 0;
+    dispatches = 0;
+    halted = false;
+    tainted = false;
     stats =
       {
         compute_cycles = 0.0;
@@ -839,7 +854,7 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
               (!at, outcome) (* undetected corruption: delivered as-is *)
             else if a >= r.Faults.max_retries then begin
               st.giveups <- st.giveups + 1;
-              Faults.taint f ~x:pe.px ~y:pe.py;
+              pe.tainted <- true;
               trace_fault sim pe ~name:"giveup" !at;
               (!at, Lost)
             end
@@ -1008,7 +1023,12 @@ let exec_func (sim : t) (pe : pe) (f : func) (args : cell array) : comm list =
     finds every record it has not consumed yet, and "sent" is simply
     table membership for the exchange it waits on.  Receivers that halt
     never drop their claims, so records they would have read stay until
-    the end of the run. *)
+    the end of the run.
+
+    A halted sender's missing sends are skipped by advancing its own
+    [seq]: every exchange below it was either sent or skipped.  A
+    receiver waits on exchange k+1 only after consuming k, so the one it
+    finds missing is exactly the sender's [seq]. *)
 
 let in_grid sim x y = x >= 0 && x < sim.width && y >= 0 && y < sim.height
 
@@ -1062,13 +1082,19 @@ let register_send (sim : t) (pe : pe) (c : comm) (seq : int) : unit =
   let key = (c.apply_id, seq, pe.px, pe.py) in
   let pending = receivers_of sim c.peers pe.px pe.py in
   if pending > 0 then begin
-    store_send sim key { sr_chunk_ready = ready; sr_data = data; sr_pending = pending };
+    (* taint propagation: data computed from substituted or unrecoverable
+       inputs invalidates every receiver that reduces this send *)
+    store_send sim key
+      { sr_chunk_ready = ready; sr_data = data; sr_pending = pending; sr_tainted = pe.tainted };
     pe.live_sends <- pe.live_sends + 1
-  end;
-  (* taint propagation: data computed from substituted or unrecoverable
-     inputs invalidates every receiver that reduces this send *)
-  if Faults.enabled sim.faults && Faults.is_tainted sim.faults ~x:pe.px ~y:pe.py
-  then Faults.taint_send sim.faults ~apply:c.apply_id ~seq ~x:pe.px ~y:pe.py
+  end
+
+(** Whether the resilience layer degraded past exchange [seq] of [apply]
+    of the PE [spe].  Asked only while the exchange's record is absent:
+    below [spe.seq] a record is absent only once its receivers have all
+    consumed it. *)
+let skipped (spe : pe) (apply : int) (seq : int) : bool =
+  spe.halted && seq < spe.seq.(apply)
 
 (** Whether the sender at offset ([dx], [dy]) has made exchange [seq]
     available: a boundary column always is; a fabric neighbour once its
@@ -1078,7 +1104,7 @@ let sender_ready (sim : t) (pe : pe) (apply : int) (seq : int) (dx : int) (dy : 
   let sx = pe.px + dx and sy = pe.py + dy in
   (not (in_grid sim sx sy))
   || Hashtbl.mem sim.sends (apply, seq, sx, sy)
-  || (Faults.enabled sim.faults && Faults.is_skipped sim.faults ~apply ~seq ~x:sx ~y:sy)
+  || skipped sim.pes.(sx).(sy) apply seq
 
 (** Check whether all senders this PE depends on have registered. *)
 let exchange_ready (sim : t) (pe : pe) (w : waiting) : bool =
@@ -1114,8 +1140,8 @@ let release_sends (sim : t) (pe : pe) (w : waiting) : unit =
 
 (** Where a receiver's column comes from. *)
 type source =
-  | Src_fabric of float array * float array
-      (** neighbour's snapshot and per-chunk injection-ready times *)
+  | Src_fabric of float array * send_record
+      (** the neighbour's record and the snapshot this slot reads *)
   | Src_halo of float array  (** host-resident boundary column *)
   | Src_skipped
       (** the sender halted and the resilience layer degraded past it:
@@ -1127,12 +1153,9 @@ let source_column (sim : t) (pe : pe) (c : comm) (seq : int) (sl : slot) : sourc
   let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
   if in_grid sim sx sy then
     match Hashtbl.find_opt sim.sends (c.apply_id, seq, sx, sy) with
-    | Some sr -> Src_fabric (sr.sr_data.(sl.sl_input), sr.sr_chunk_ready)
+    | Some sr -> Src_fabric (sr.sr_data.(sl.sl_input), sr)
     | None ->
-        if
-          Faults.enabled sim.faults
-          && Faults.is_skipped sim.faults ~apply:c.apply_id ~seq ~x:sx ~y:sy
-        then Src_skipped
+        if skipped sim.pes.(sx).(sy) c.apply_id seq then Src_skipped
         else fail "complete_exchange: sender disappeared"
   else begin
     (* boundary: Dirichlet column held host-side, always available *)
@@ -1194,7 +1217,8 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
         | Src_halo col ->
             (* host links are outside the fault model *)
             deliver col Clean
-        | Src_fabric (col, r) ->
+        | Src_fabric (col, sr) ->
+            let r = sr.sr_chunk_ready in
             let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
             let at0 = r.(k) +. float_of_int (d * m.hop_cycles) in
             let at, outcome =
@@ -1206,11 +1230,7 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
             arrival := Float.max !arrival at;
             trace_link sim ~src:sim.pes.(sx).(sy) ~dst:pe ~dir:sl.sl_dir ~chunk:k
               ~elems:cs ~ready:r.(k) ~arrival:at;
-            if
-              Faults.enabled sim.faults
-              && Faults.is_tainted_send sim.faults ~apply:c.apply_id ~seq:w.w_seq
-                   ~x:sx ~y:sy
-            then Faults.taint sim.faults ~x:pe.px ~y:pe.py;
+            if sr.sr_tainted then pe.tainted <- true;
             deliver col outcome
         | Src_skipped ->
             (* sender halted: the receiver waited out the halt timeout,
@@ -1220,7 +1240,7 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                 arrival :=
                   Float.max !arrival (w.w_registered_at +. r.Faults.halt_timeout_cycles)
             | None -> ());
-            Faults.taint sim.faults ~x:pe.px ~y:pe.py;
+            pe.tainted <- true;
             deliver [||] Lost)
       c.slots;
     (* run the chunk callback once data for this chunk has arrived *)
@@ -1283,10 +1303,17 @@ let run_tasks (sim : t) (pe : pe) : bool =
     let halted =
       Faults.enabled sim.faults
       && begin
-           let n = Faults.next_dispatch sim.faults ~x:pe.px ~y:pe.py in
+           pe.dispatches <- pe.dispatches + 1;
+           let n = pe.dispatches in
            if Faults.halt_here sim.faults ~x:pe.px ~y:pe.py ~activation:n
            then begin
-             Faults.record_halt sim.faults ~x:pe.px ~y:pe.py;
+             (* [step_pe] may dispatch again in the pass that halted the
+                PE, so a later draw can halt it a second time *)
+             if not pe.halted then begin
+               let st = Faults.stats sim.faults in
+               st.halts <- st.halts + 1;
+               pe.halted <- true
+             end;
              trace_fault sim pe ~name:"halt" pe.clock;
              true
            end
@@ -1333,11 +1360,7 @@ let at_window (sim : t) (pe : pe) : bool =
 
 (** Advance one PE as far as possible; returns true on progress. *)
 let step_pe (sim : t) (pe : pe) : bool =
-  if
-    pe.finished
-    || Faults.enabled sim.faults
-       && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py
-  then false
+  if pe.finished || pe.halted then false
   else begin
     let progressed = ref false in
     let continue_ = ref true in
@@ -1398,12 +1421,7 @@ let all_done (sim : t) : bool =
              st.probes <- st.probes + 1;
              (* a permanently halted PE will never unblock the command
                 stream; it is accounted for by the validity mask *)
-             if
-               (not pe.finished)
-               && not
-                    (Faults.enabled sim.faults
-                    && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)
-             then begin
+             if not (pe.finished || pe.halted) then begin
                done_ := false;
                raise Exit
              end)
@@ -1425,12 +1443,7 @@ let deadlock_report (sim : t) : string =
     (fun col ->
       Array.iter
         (fun pe ->
-          if
-            (not pe.finished)
-            && not
-                 (Faults.enabled sim.faults
-                 && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)
-          then
+          if not (pe.finished || pe.halted) then
             match pe.waiting with
             | Some w ->
                 incr blocked;
@@ -1468,7 +1481,11 @@ let deadlock_report (sim : t) : string =
   Buffer.add_string buf
     (Printf.sprintf "  total: %d blocked, %d idle, of %dx%d PEs" !blocked !idle
        sim.width sim.height);
-  let halted = Faults.halted_count sim.faults in
+  let halted =
+    Array.fold_left
+      (Array.fold_left (fun n pe -> if pe.halted then n + 1 else n))
+      0 sim.pes
+  in
   if halted > 0 then
     Buffer.add_string buf
       (Printf.sprintf
@@ -1490,11 +1507,8 @@ let lift_window (sim : t) : bool =
     sim.window
     && Array.exists
          (Array.exists (fun pe ->
-              (not pe.finished)
-              && pe.live_sends >= max_live_sends_per_pe
-              && not
-                   (Faults.enabled sim.faults
-                   && Faults.is_halted sim.faults ~x:pe.px ~y:pe.py)))
+              (not (pe.finished || pe.halted))
+              && pe.live_sends >= max_live_sends_per_pe))
          sim.pes
   in
   if held then sim.window <- false;
@@ -1503,8 +1517,10 @@ let lift_window (sim : t) : bool =
 (** Graceful degradation past halted PEs, run when the fabric has gone
     quiescent without finishing: every live receiver blocked on a sender
     that is permanently halted gives up after the resilience layer's
-    halt timeout — the pending send is marked skipped (receivers then
-    substitute zeroes and taint themselves at delivery).  Returns
+    halt timeout — the halted sender's [seq] moves past the pending
+    exchange (receivers then substitute zeroes and taint themselves at
+    delivery).  Another receiver of that exchange then finds it
+    skipped, so each skipped exchange counts one halt timeout.  Returns
     whether anything new was marked; the driver alternates run /
     degrade rounds until either everything finishes or degradation
     stops making progress (a true deadlock).
@@ -1522,18 +1538,17 @@ let degrade (sim : t) : bool =
           (fun col ->
             Array.iter
               (fun pe ->
-                if
-                  (not pe.finished)
-                  && not (Faults.is_halted f ~x:pe.px ~y:pe.py)
-                then
+                if not (pe.finished || pe.halted) then
                   match pe.waiting with
                   | None -> ()
                   | Some w ->
                       List.iter
                         (fun (sx, sy) ->
-                          if Faults.is_halted f ~x:sx ~y:sy then begin
-                            Faults.skip_send f ~apply:w.w_comm.apply_id
-                              ~seq:w.w_seq ~x:sx ~y:sy;
+                          let spe = sim.pes.(sx).(sy) in
+                          if spe.halted then begin
+                            (* [w_seq] is [spe]'s own [seq]: see
+                               "Communication engine" *)
+                            spe.seq.(w.w_comm.apply_id) <- w.w_seq + 1;
                             let st = Faults.stats f in
                             st.halt_timeouts <- st.halt_timeouts + 1;
                             st.recovery_cycles <-
@@ -1610,11 +1625,7 @@ let sched_stats (sim : t) : Sched.stats = sim.sched
     through a tainted neighbour's send).  All-true with the null
     injector. *)
 let validity (sim : t) : bool array array =
-  Array.init sim.width (fun x ->
-      Array.init sim.height (fun y ->
-          not
-            (Faults.is_halted sim.faults ~x ~y
-            || Faults.is_tainted sim.faults ~x ~y)))
+  Array.map (Array.map (fun pe -> not (pe.halted || pe.tainted))) sim.pes
 
 (** Wall-clock of the slowest PE, in cycles and seconds. *)
 let elapsed_cycles (sim : t) : float =

@@ -58,9 +58,18 @@ type pe = {
       (** pending task activations; see {!queue_task}, {!queued_tasks} *)
   mutable task_stamps : int;
   mutable waiting : waiting option;
-  seq : int array;  (** by apply id: the communicate calls made so far *)
+  seq : int array;
+      (** by apply id: the communicate calls made so far; on a halted
+          PE, also the exchanges the resilience layer degraded past *)
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
+  mutable dispatches : int;
+      (** task dispatches so far, counted only with an injector: the
+          activation index its stall and halt decisions key on *)
+  mutable halted : bool;  (** permanently halted by fault injection *)
+  mutable tainted : bool;
+      (** consumed substituted or unrecoverable data, directly or
+          through a tainted neighbour's send: its readback is invalid *)
 }
 
 and task_queue
@@ -81,7 +90,8 @@ type t = {
           {!Wsc_trace.Trace.null} every emission site is a dead branch
           and results are bit-identical to an untraced run *)
   faults : Wsc_faults.Faults.t;
-      (** fault-injection schedule and resilience bookkeeping; with
+      (** fault-injection schedule and counters; the halt and taint
+          state lives on each {!pe}, and a send's taint on its record; with
           {!Wsc_faults.Faults.null} (the default) every injection site
           is a dead branch, exactly like the trace sink *)
   code : code;
@@ -95,7 +105,8 @@ type t = {
 
 and send_record
 (** One registered send.  It carries a count of the receivers that
-    still have to consume it and leaves [sends] when the last one has;
+    still have to consume it, and whether its sender was tainted, and
+    leaves [sends] when the last receiver has consumed it;
     receivers that halt never consume, so their records stay until the
     end of the run. *)
 

@@ -67,30 +67,50 @@ let prop_rate0_bit_identical =
 (* campaign determinism                                                *)
 (* ------------------------------------------------------------------ *)
 
-let small_campaign ?(resilient = true) ?(kinds = [ Faults.Drop; Faults.Halt ])
-    ?(rates = [ 0.05 ]) ?(seeds = [ 1; 2 ]) () =
-  Campaign.run ~kinds ~bench:"jacobian" ~size:B.Tiny ~resilient ~rates
+let small_campaign ?iterations ?(resilient = true)
+    ?(kinds = [ Faults.Drop; Faults.Halt ]) ?(rates = [ 0.05 ]) ?(seeds = [ 1; 2 ]) () =
+  Campaign.run ?iterations ~kinds ~bench:"jacobian" ~size:B.Tiny ~resilient ~rates
     ~seeds ()
 
-(* (output, MD5) of [small_campaign ()]'s table and JSON, recorded
-   before the PE-level and wafer-level sweeps shared one skeleton *)
+(* the other kinds, a halt run long enough that one halted sender is
+   skipped over several exchanges (seed 4: 3 halts, 10 halt timeouts,
+   one per skipped exchange), and one unprotected drop cell *)
+let wide_campaign () =
+  [
+    small_campaign ~kinds:[ Faults.Corrupt; Faults.Stall; Faults.Backpressure ] ();
+    small_campaign ~iterations:6 ~kinds:[ Faults.Halt ] ~seeds:[ 1; 4 ] ();
+    small_campaign ~resilient:false ~kinds:[ Faults.Drop ] ~seeds:[ 1 ] ();
+  ]
+
+(* campaign, and MD5s of its table and JSON (each report's, concatenated):
+   [small_campaign ()] recorded before the PE-level and wafer-level sweeps
+   shared one skeleton, [wide_campaign ()] before the PE-level fault state
+   moved onto the PEs *)
 let digests =
   [
-    ("to_string", Campaign.to_string, "b9b98f54a4fc3aeda7e94b92c3805129");
-    ( "to_json",
-      (fun r -> Json.to_string (Campaign.to_json r)),
+    ( "drop+halt",
+      (fun () -> [ small_campaign () ]),
+      "b9b98f54a4fc3aeda7e94b92c3805129",
       "b6f4d90de555b001d2f96d10c05779d5" );
+    ("wide", wide_campaign, "87e0f36b8ca72d4f2d974fa70958edb7",
+      "614ff9115e5f3db1d964bbb78f7e9e55" );
   ]
 
 let test_campaign_replay_identical () =
   List.iter
-    (fun r ->
-      List.iter
-        (fun (name, render, want) ->
-          Alcotest.(check string) name want
-            (Digest.to_hex (Digest.string (render r))))
-        digests)
-    [ small_campaign (); small_campaign () ]
+    (fun (name, campaign, table, json) ->
+      let md5 render rs =
+        Digest.to_hex (Digest.string (String.concat "" (List.map render rs)))
+      in
+      (* run twice: a campaign replays byte for byte from its seeds *)
+      for _ = 1 to 2 do
+        let rs = campaign () in
+        Alcotest.(check string) (name ^ " to_string") table (md5 Campaign.to_string rs);
+        Alcotest.(check string)
+          (name ^ " to_json") json
+          (md5 (fun r -> Json.to_string (Campaign.to_json r)) rs)
+      done)
+    digests
 
 (* ------------------------------------------------------------------ *)
 (* the recovery protocol actually recovers                             *)

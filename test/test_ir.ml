@@ -156,6 +156,27 @@ let test_roundtrip_all_benchmarks () =
       check_str ("fixpoint " ^ d.id) s2 s3)
     Wsc_benchmarks.Benchmarks.all
 
+(* a block boundary survives the round trip even between blocks without
+   arguments: every block after the entry block carries a label *)
+let test_roundtrip_block_boundaries () =
+  let leaf name = create_op name ~results:[] in
+  let region =
+    new_region
+      [
+        new_block [ leaf "t.a" ];
+        new_block [ leaf "t.b"; leaf "t.c" ];
+        new_block ~args:[ new_value I32 ] [ leaf "t.d" ];
+      ]
+  in
+  let op = create_op "t.holder" ~results:[] ~regions:[ region ] in
+  let shape (o : op) =
+    List.map (fun b -> (List.length b.bargs, List.length b.bops)) (List.hd o.regions).blocks
+  in
+  let text = Printer.op_to_string op in
+  let parsed = Parser.parse_string text in
+  check "blocks, arguments and ops kept" true (shape op = shape parsed);
+  check_str "reprint" text (Printer.op_to_string parsed)
+
 let test_parse_types () =
   List.iter
     (fun t ->
@@ -537,6 +558,8 @@ let () =
           Alcotest.test_case "roundtrip simple" `Quick test_roundtrip_simple;
           Alcotest.test_case "roundtrip benchmarks" `Quick
             test_roundtrip_all_benchmarks;
+          Alcotest.test_case "block boundaries" `Quick
+            test_roundtrip_block_boundaries;
           Alcotest.test_case "types" `Quick test_parse_types;
           Alcotest.test_case "attrs" `Quick test_parse_attrs_roundtrip;
           Alcotest.test_case "errors" `Quick test_parse_errors;

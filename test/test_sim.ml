@@ -442,13 +442,27 @@ let prop_live_sends_bounded =
         [ None; Some visit_seed ];
       true)
 
+(* exchanges the resilience layer degraded past, per halted PE: its
+   [seq] counts its own sends and then every exchange skipped past it.
+   Jacobian has one apply, whose every send adds the same [elems_sent] *)
+let skipped_exchanges (sim : Fabric.t) : int list =
+  let pes = List.concat_map Array.to_list (Array.to_list sim.pes) in
+  let live = List.find (fun (pe : Fabric.pe) -> not pe.halted) pes in
+  let per_send = live.stats.elems_sent / live.seq.(0) in
+  List.filter_map
+    (fun (pe : Fabric.pe) ->
+      if pe.halted then Some (pe.seq.(0) - (pe.stats.elems_sent / per_send))
+      else None)
+    pes
+
 (* a halted PE never consumes: with resilience its neighbours degrade
    past it, and records only it would have read stay in the table until
    the end of the run.  The run must still replay bit-identically, in
    production order and in a permuted one *)
 let test_halt_replay_with_freeing () =
   let module Faults = Wsc_faults.Faults in
-  let p = (B.find "jacobian").make B.Tiny in
+  (* six timesteps, so a halted sender is skipped over several exchanges *)
+  let p = (B.find "jacobian").make_n B.Tiny 6 in
   List.iter
     (fun seed ->
       let cfg = Faults.config_for Faults.Halt ~rate:0.05 ~seed ~resilient:true in
@@ -459,12 +473,18 @@ let test_halt_replay_with_freeing () =
         ( (Fabric.elapsed_cycles h.sim, per_pe_stats h.sim, Host.read_all h),
           (Host.fault_report h, Host.validity h),
           (st.Faults.halts, st.Faults.halt_timeouts),
-          Hashtbl.length h.sim.sends )
+          Hashtbl.length h.sim.sends,
+          skipped_exchanges h.sim )
       in
       let tag = Printf.sprintf "halt seed %d" seed in
-      let re, fe, ke, left = run None in
+      let re, fe, ke, left, skips = run None in
       check (tag ^ ": the run degraded past a halted PE") true (snd ke > 0);
       check (tag ^ ": records only halted PEs would read are kept") true (left > 0);
+      Alcotest.(check int)
+        (tag ^ ": one halt timeout per skipped exchange")
+        (List.fold_left ( + ) 0 skips) (snd ke);
+      check (tag ^ ": a halted sender skipped over several exchanges") true
+        (List.exists (fun n -> n >= 2) skips);
       (* a second run replays the first exactly, and so does a permuted
          one *)
       List.iter
@@ -474,12 +494,46 @@ let test_halt_replay_with_freeing () =
             | None -> tag ^ " [replay]"
             | Some s -> Printf.sprintf "%s [visit seed %d]" tag s
           in
-          let r, f, k, _ = run visit_seed in
+          let r, f, k, _, sk = run visit_seed in
           assert_same_run name re r;
           check (name ^ ": fault report and validity identical") true (f = fe);
-          check (name ^ ": halt counters identical") true (k = ke))
+          check (name ^ ": halt counters and skips identical") true
+            (k = ke && sk = skips))
         [ None; Some visit_seed ])
     [ 1; 4 ]
+
+(* [step_pe] goes on with a PE whose exchange completed in the same pass,
+   so a PE halted at the next dispatch can draw "halt" once more before
+   the pass ends.  It is still one halt: [halts] counts halted PEs *)
+let test_halt_counted_once () =
+  let module Faults = Wsc_faults.Faults in
+  let module Trace = Wsc_trace.Trace in
+  let p = (B.find "jacobian").make B.Tiny in
+  let compiled = Core.Pipeline.compile (P.compile p) in
+  let _, program = Core.Pipeline.modules_of compiled in
+  List.iter
+    (fun seed ->
+      let cfg = Faults.config_for Faults.Halt ~rate:0.1 ~seed ~resilient:true in
+      let faults = Faults.create cfg in
+      let trace = Trace.collector () in
+      let h = Host.load ~trace ~faults Machine.wse3 program (P.init_grids p) in
+      Fabric.run_to_completion h.Host.sim;
+      let halted =
+        Array.fold_left
+          (Array.fold_left (fun n (pe : Fabric.pe) -> if pe.halted then n + 1 else n))
+          0 h.Host.sim.pes
+      in
+      let draws =
+        List.length
+          (List.filter
+             (fun (e : Trace.event) -> e.ev_cat = "fault" && e.ev_name = "halt")
+             (Trace.events trace))
+      in
+      let tag = Printf.sprintf "halt seed %d" seed in
+      check (tag ^ ": some PE drew a second halt") true (draws > halted);
+      Alcotest.(check int) (tag ^ ": halts = halted PEs") halted
+        (Faults.stats faults).halts)
+    [ 3; 7 ]
 
 (* a fault campaign cell must replay bit-identically in a permuted visit
    order: same injection decisions, same integer recovery bookkeeping,
@@ -718,6 +772,8 @@ let () =
              test_peak_live_bounded
         :: Alcotest.test_case "halted-PE replay with record freeing" `Quick
              test_halt_replay_with_freeing
+        :: Alcotest.test_case "halt counted once per PE" `Quick
+             test_halt_counted_once
         :: Alcotest.test_case "fault replay across visit orders" `Quick
              test_fault_replay
         :: Alcotest.test_case "earliest activation first" `Quick
