@@ -9,12 +9,39 @@ type t = { data : float array; off : int; len : int; stride : int }
 let of_array (a : float array) : t =
   { data = a; off = 0; len = Array.length a; stride = 1 }
 
+(* Every kernel below checks each view once on entry, then indexes its
+   [data] without a per-element bounds check.  The entry check covers
+   views that never went through [make]: the fabric builds DSDs by record
+   update ([Increment_dsd], [Set_dsd_length], [Set_dsd_base_addr]).  The
+   loops index [data] directly instead of calling [get]/[set]: built with
+   [-opaque] (dune's dev profile) those calls are not inlined, and every
+   element read through one boxes a float.  Elements go in ascending
+   order, so aliased and overlapping operands compute what a per-element
+   loop does. *)
+
+external uget : float array -> int -> float = "%array_unsafe_get"
+external uset : float array -> int -> float -> unit = "%array_unsafe_set"
+
+let out_of_range (name : string) (v : t) =
+  invalid_arg
+    (Printf.sprintf "Bufview.%s: [%d, +%d x%d) out of array of %d" name v.off v.len
+       v.stride (Array.length v.data))
+
+(* Raise unless every index a kernel touches, [v.off + i * v.stride] for
+   [i] in [0, v.len), lies inside [v.data]: the first and the last index
+   are the extremes for any stride. *)
+let check (name : string) (v : t) : unit =
+  if v.len > 0 then begin
+    let last = v.off + ((v.len - 1) * v.stride) in
+    if Int.min v.off last < 0 || Int.max v.off last >= Array.length v.data then
+      out_of_range name v
+  end
+
 let make (a : float array) ~off ~len ?(stride = 1) () : t =
-  if off < 0 || (len > 0 && off + ((len - 1) * stride) >= Array.length a) then
-    invalid_arg
-      (Printf.sprintf "Bufview: [%d, +%d x%d) out of array of %d" off len stride
-         (Array.length a));
-  { data = a; off; len; stride }
+  let v = { data = a; off; len; stride } in
+  if off < 0 then out_of_range "make" v;
+  check "make" v;
+  v
 
 let sub (v : t) ~off ~len : t =
   make v.data ~off:(v.off + (off * v.stride)) ~len ~stride:v.stride ()
@@ -22,71 +49,114 @@ let sub (v : t) ~off ~len : t =
 let get (v : t) i = v.data.(v.off + (i * v.stride))
 let set (v : t) i x = v.data.(v.off + (i * v.stride)) <- x
 
-(* The element loops below index [data] directly instead of calling
-   [get]/[set]: built with [-opaque] (dune's dev profile) those calls are
-   not inlined, and every element read through one boxes a float. *)
-
 let fill (v : t) x =
-  let d = v.data in
+  check "fill" v;
+  let d = v.data and o = v.off and s = v.stride in
   for i = 0 to v.len - 1 do
-    d.(v.off + (i * v.stride)) <- x
+    uset d (o + (i * s)) x
   done
 
 let to_array (v : t) : float array = Array.init v.len (get v)
 
 let blit ~(src : t) ~(dst : t) : unit =
   if src.len <> dst.len then invalid_arg "Bufview.blit: length mismatch";
-  let s = src.data and d = dst.data in
-  for i = 0 to src.len - 1 do
-    d.(dst.off + (i * dst.stride)) <- s.(src.off + (i * src.stride))
-  done
+  check "blit" src;
+  check "blit" dst;
+  let s = src.data and so = src.off and ss = src.stride in
+  let d = dst.data and o = dst.off and ds = dst.stride in
+  if ss = 1 && ds = 1 then
+    for i = 0 to dst.len - 1 do
+      uset d (o + i) (uget s (so + i))
+    done
+  else
+    for i = 0 to dst.len - 1 do
+      uset d (o + (i * ds)) (uget s (so + (i * ss)))
+    done
 
 type arith = Add | Sub | Mul | Div
 
-(* One loop per operator keeps the operator a primitive, so the element
-   values stay unboxed. *)
+(* The stride-1 loops, the ones compiled programs run, are one per
+   operator, which keeps the operator a primitive and the element values
+   unboxed; the general strided loop matches on the operator per
+   element. *)
 let arith_into (op : arith) (a : t) (b : t) (dst : t) : unit =
   if a.len <> dst.len || b.len <> dst.len then
     invalid_arg "Bufview.arith_into: length mismatch";
-  let ad = a.data and bd = b.data and dd = dst.data in
-  let ai i = a.off + (i * a.stride)
-  and bi i = b.off + (i * b.stride)
-  and di i = dst.off + (i * dst.stride) in
+  check "arith_into" a;
+  check "arith_into" b;
+  check "arith_into" dst;
+  let ad = a.data and ao = a.off and sa = a.stride in
+  let bd = b.data and bo = b.off and sb = b.stride in
+  let dd = dst.data and o = dst.off and sd = dst.stride in
   let n = dst.len - 1 in
-  match op with
-  | Add -> for i = 0 to n do dd.(di i) <- ad.(ai i) +. bd.(bi i) done
-  | Sub -> for i = 0 to n do dd.(di i) <- ad.(ai i) -. bd.(bi i) done
-  | Mul -> for i = 0 to n do dd.(di i) <- ad.(ai i) *. bd.(bi i) done
-  | Div -> for i = 0 to n do dd.(di i) <- ad.(ai i) /. bd.(bi i) done
+  if sa = 1 && sb = 1 && sd = 1 then
+    match op with
+    | Add -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) +. uget bd (bo + i)) done
+    | Sub -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) -. uget bd (bo + i)) done
+    | Mul -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) *. uget bd (bo + i)) done
+    | Div -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) /. uget bd (bo + i)) done
+  else
+    for i = 0 to n do
+      let x = uget ad (ao + (i * sa)) and y = uget bd (bo + (i * sb)) in
+      uset dd (o + (i * sd))
+        (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y)
+    done
 
 let arith_scalar_into (op : arith) (a : t) (k : float) (dst : t) : unit =
   if a.len <> dst.len then invalid_arg "Bufview.arith_scalar_into: length mismatch";
-  let ad = a.data and dd = dst.data in
-  let ai i = a.off + (i * a.stride) and di i = dst.off + (i * dst.stride) in
+  check "arith_scalar_into" a;
+  check "arith_scalar_into" dst;
+  let ad = a.data and ao = a.off and sa = a.stride in
+  let dd = dst.data and o = dst.off and sd = dst.stride in
   let n = dst.len - 1 in
-  match op with
-  | Add -> for i = 0 to n do dd.(di i) <- ad.(ai i) +. k done
-  | Sub -> for i = 0 to n do dd.(di i) <- ad.(ai i) -. k done
-  | Mul -> for i = 0 to n do dd.(di i) <- ad.(ai i) *. k done
-  | Div -> for i = 0 to n do dd.(di i) <- ad.(ai i) /. k done
+  if sa = 1 && sd = 1 then
+    match op with
+    | Add -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) +. k) done
+    | Sub -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) -. k) done
+    | Mul -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) *. k) done
+    | Div -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) /. k) done
+  else
+    for i = 0 to n do
+      let x = uget ad (ao + (i * sa)) in
+      uset dd (o + (i * sd))
+        (match op with Add -> x +. k | Sub -> x -. k | Mul -> x *. k | Div -> x /. k)
+    done
 
 let scalar_arith_into (op : arith) (k : float) (b : t) (dst : t) : unit =
   if b.len <> dst.len then invalid_arg "Bufview.scalar_arith_into: length mismatch";
-  let bd = b.data and dd = dst.data in
-  let bi i = b.off + (i * b.stride) and di i = dst.off + (i * dst.stride) in
+  check "scalar_arith_into" b;
+  check "scalar_arith_into" dst;
+  let bd = b.data and bo = b.off and sb = b.stride in
+  let dd = dst.data and o = dst.off and sd = dst.stride in
   let n = dst.len - 1 in
-  match op with
-  | Add -> for i = 0 to n do dd.(di i) <- k +. bd.(bi i) done
-  | Sub -> for i = 0 to n do dd.(di i) <- k -. bd.(bi i) done
-  | Mul -> for i = 0 to n do dd.(di i) <- k *. bd.(bi i) done
-  | Div -> for i = 0 to n do dd.(di i) <- k /. bd.(bi i) done
+  if sb = 1 && sd = 1 then
+    match op with
+    | Add -> for i = 0 to n do uset dd (o + i) (k +. uget bd (bo + i)) done
+    | Sub -> for i = 0 to n do uset dd (o + i) (k -. uget bd (bo + i)) done
+    | Mul -> for i = 0 to n do uset dd (o + i) (k *. uget bd (bo + i)) done
+    | Div -> for i = 0 to n do uset dd (o + i) (k /. uget bd (bo + i)) done
+  else
+    for i = 0 to n do
+      let y = uget bd (bo + (i * sb)) in
+      uset dd (o + (i * sd))
+        (match op with Add -> k +. y | Sub -> k -. y | Mul -> k *. y | Div -> k /. y)
+    done
 
 (** Fused multiply-accumulate: [dst.(i) <- a.(i) + b.(i) * s]. *)
 let fmac_into (a : t) (b : t) (s : float) (dst : t) : unit =
   if a.len <> dst.len || b.len <> dst.len then
     invalid_arg "Bufview.fmac_into: length mismatch";
-  let ad = a.data and bd = b.data and dd = dst.data in
-  for i = 0 to dst.len - 1 do
-    dd.(dst.off + (i * dst.stride)) <-
-      ad.(a.off + (i * a.stride)) +. (bd.(b.off + (i * b.stride)) *. s)
-  done
+  check "fmac_into" a;
+  check "fmac_into" b;
+  check "fmac_into" dst;
+  let ad = a.data and ao = a.off and sa = a.stride in
+  let bd = b.data and bo = b.off and sb = b.stride in
+  let dd = dst.data and o = dst.off and sd = dst.stride in
+  if sa = 1 && sb = 1 && sd = 1 then
+    for i = 0 to dst.len - 1 do
+      uset dd (o + i) (uget ad (ao + i) +. (uget bd (bo + i) *. s))
+    done
+  else
+    for i = 0 to dst.len - 1 do
+      uset dd (o + (i * sd)) (uget ad (ao + (i * sa)) +. (uget bd (bo + (i * sb)) *. s))
+    done

@@ -15,10 +15,19 @@ val sub : t -> off:int -> len:int -> t
 
 val get : t -> int -> float
 val set : t -> int -> float -> unit
-val fill : t -> float -> unit
 val to_array : t -> float array
 
-(** @raise Invalid_argument on length mismatch (all functions below). *)
+(** {1 Kernels}
+
+    [fill], [blit] and the arithmetic kernels below check every view
+    once, then run without a per-element bounds check, in ascending
+    element order.
+
+    @raise Invalid_argument before writing anything when a view reaches
+    outside its array (a view built by record update, not {!make}, can),
+    or, for the kernels after [fill], when the lengths differ. *)
+
+val fill : t -> float -> unit
 val blit : src:t -> dst:t -> unit
 
 (** The elementwise arithmetic of the DSD builtins and linalg ops. *)

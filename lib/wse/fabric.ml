@@ -1142,13 +1142,15 @@ let release_sends (sim : t) (pe : pe) (w : waiting) : unit =
 type source =
   | Src_fabric of float array * send_record
       (** the neighbour's record and the snapshot this slot reads *)
-  | Src_halo of float array  (** host-resident boundary column *)
+  | Src_halo of float array * int
+      (** host-resident boundary column, read in place from this base *)
   | Src_skipped
       (** the sender halted and the resilience layer degraded past it:
           receivers substitute zeroes and mark their data invalid *)
 
 (** The column a receiver gets for slot [sl] of a ready exchange: a
-    fabric neighbour's snapshot or the host-resident boundary column. *)
+    fabric neighbour's snapshot or the host-resident boundary column.
+    Either holds the exchange's [c_nz] elements from its base on. *)
 let source_column (sim : t) (pe : pe) (c : comm) (seq : int) (sl : slot) : source =
   let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
   if in_grid sim sx sy then
@@ -1161,9 +1163,55 @@ let source_column (sim : t) (pe : pe) (c : comm) (seq : int) (sl : slot) : sourc
     (* boundary: Dirichlet column held host-side, always available *)
     match Hashtbl.find_opt sim.halo (sx, sy) with
     | Some col ->
-        Src_halo (Array.sub col ((sl.sl_halo * sim.zfull) + c.z_base) c.c_nz)
+        (* delivery reads this range of [col] unchecked *)
+        let base = (sl.sl_halo * sim.zfull) + c.z_base in
+        if base < 0 || c.c_nz < 0 || base + c.c_nz > Array.length col then
+          invalid_arg "index out of bounds";
+        Src_halo (col, base)
     | None -> fail "no boundary column for (%d,%d)" sx sy
   end
+
+(** Write chunk [off] of a column that starts at [base] in [col] into
+    slot [sl]'s part of its receive buffer, as damaged (or lost) by the
+    link's [outcome]; with promoted coefficients, accumulate it scaled
+    by the slot's coefficient instead. *)
+let deliver (pe : pe) (c : comm) (sl : slot) (col : float array) ~(base : int)
+    ~(off : int) (outcome : delivery) : unit =
+  let cs = c.chunk_size in
+  let rcv = pe.buffers.(sl.sl_rcv) in
+  (* the clean paths check their ranges here, once: the chunk must lie
+     inside the column's [c_nz] elements, as it had to inside a copy of
+     them, and those lie inside [col] ({!source_column}); the promoted
+     loop then reads and writes unchecked *)
+  let past_column = cs > 0 && off + cs > c.c_nz in
+  if c.promoted then begin
+    let coeff = sl.sl_coeff in
+    match outcome with
+    | Lost -> () (* the missing contribution reads as zero *)
+    | Clean ->
+        if past_column || cs > Array.length rcv then invalid_arg "index out of bounds";
+        let from = base + off in
+        for z = 0 to cs - 1 do
+          Array.unsafe_set rcv z
+            (Array.unsafe_get rcv z +. (coeff *. Array.unsafe_get col (from + z)))
+        done
+    | Damaged (idx, noise) ->
+        for z = 0 to cs - 1 do
+          let v = col.(base + off + z) in
+          let v = if z = idx then v +. noise else v in
+          rcv.(z) <- rcv.(z) +. (coeff *. v)
+        done
+  end
+  else
+    let at = (sl.sl_d - 1) * cs in
+    match outcome with
+    | Lost -> Array.fill rcv at cs 0.0
+    | Clean ->
+        if past_column then invalid_arg "index out of bounds";
+        Array.blit col (base + off) rcv at cs
+    | Damaged (idx, noise) ->
+        Array.blit col (base + off) rcv at cs;
+        rcv.(at + idx) <- rcv.(at + idx) +. noise
 
 (** Deliver all chunks and run the callbacks; assumes {!exchange_ready}. *)
 let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
@@ -1177,72 +1225,45 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
     (* promoted staging buffers accumulate; clear once per chunk (with
        the one-shot reduction several directions share one buffer) *)
     if c.promoted then
-      Array.iter
-        (fun b ->
-          let rcv = pe.buffers.(b) in
-          Array.fill rcv 0 (Array.length rcv) 0.0)
-        c.rcv_bufs;
+      for i = 0 to Array.length c.rcv_bufs - 1 do
+        let rcv = pe.buffers.(c.rcv_bufs.(i)) in
+        Array.fill rcv 0 (Array.length rcv) 0.0
+      done;
     (* deliver into receive buffers *)
-    Array.iteri
-      (fun j sl ->
-        let rcv = pe.buffers.(sl.sl_rcv) in
-        let d = sl.sl_d in
-        (* write [col] into this source's slot of the receive buffer, as
-           damaged (or lost) by the link's outcome *)
-        let deliver (col : float array) (outcome : delivery) : unit =
-          if c.promoted then begin
-            let coeff = sl.sl_coeff in
-            match outcome with
-            | Lost -> () (* the missing contribution reads as zero *)
-            | Clean ->
-                for z = 0 to cs - 1 do
-                  rcv.(z) <- rcv.(z) +. (coeff *. col.(off + z))
-                done
-            | Damaged (idx, noise) ->
-                for z = 0 to cs - 1 do
-                  let v = col.(off + z) in
-                  let v = if z = idx then v +. noise else v in
-                  rcv.(z) <- rcv.(z) +. (coeff *. v)
-                done
-          end
-          else
-            match outcome with
-            | Lost -> Array.fill rcv ((d - 1) * cs) cs 0.0
-            | Clean -> Array.blit col off rcv ((d - 1) * cs) cs
-            | Damaged (idx, noise) ->
-                Array.blit col off rcv ((d - 1) * cs) cs;
-                rcv.(((d - 1) * cs) + idx) <- rcv.(((d - 1) * cs) + idx) +. noise
-        in
-        match sources.(j) with
-        | Src_halo col ->
-            (* host links are outside the fault model *)
-            deliver col Clean
-        | Src_fabric (col, sr) ->
-            let r = sr.sr_chunk_ready in
-            let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
-            let at0 = r.(k) +. float_of_int (d * m.hop_cycles) in
-            let at, outcome =
-              if Faults.enabled sim.faults then
-                link_outcome sim pe ~apply:c.apply_id ~seq:w.w_seq ~chunk:k
-                  ~input:sl.sl_input ~sx ~sy ~d ~col ~off ~cs at0
-              else (at0, Clean)
-            in
-            arrival := Float.max !arrival at;
+    for j = 0 to Array.length c.slots - 1 do
+      let sl = c.slots.(j) in
+      match sources.(j) with
+      | Src_halo (col, base) ->
+          (* host links are outside the fault model *)
+          deliver pe c sl col ~base ~off Clean
+      | Src_fabric (col, sr) ->
+          let r = sr.sr_chunk_ready in
+          let d = sl.sl_d in
+          let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
+          let at0 = r.(k) +. float_of_int (d * m.hop_cycles) in
+          let at, outcome =
+            if Faults.enabled sim.faults then
+              link_outcome sim pe ~apply:c.apply_id ~seq:w.w_seq ~chunk:k
+                ~input:sl.sl_input ~sx ~sy ~d ~col ~off ~cs at0
+            else (at0, Clean)
+          in
+          arrival := Float.max !arrival at;
+          if Trace.enabled sim.trace then
             trace_link sim ~src:sim.pes.(sx).(sy) ~dst:pe ~dir:sl.sl_dir ~chunk:k
               ~elems:cs ~ready:r.(k) ~arrival:at;
-            if sr.sr_tainted then pe.tainted <- true;
-            deliver col outcome
-        | Src_skipped ->
-            (* sender halted: the receiver waited out the halt timeout,
-               substitutes zeroes and marks itself *)
-            (match (Faults.config sim.faults).resilience with
-            | Some r ->
-                arrival :=
-                  Float.max !arrival (w.w_registered_at +. r.Faults.halt_timeout_cycles)
-            | None -> ());
-            pe.tainted <- true;
-            deliver [||] Lost)
-      c.slots;
+          if sr.sr_tainted then pe.tainted <- true;
+          deliver pe c sl col ~base:0 ~off outcome
+      | Src_skipped ->
+          (* sender halted: the receiver waited out the halt timeout,
+             substitutes zeroes and marks itself *)
+          (match (Faults.config sim.faults).resilience with
+          | Some r ->
+              arrival :=
+                Float.max !arrival (w.w_registered_at +. r.Faults.halt_timeout_cycles)
+          | None -> ());
+          pe.tainted <- true;
+          deliver pe c sl [||] ~base:0 ~off Lost
+    done;
     (* run the chunk callback once data for this chunk has arrived *)
     if !arrival > pe.clock then begin
       trace_span sim pe ~cat:"wait" ~name:"parked-on-exchange" pe.clock !arrival;
@@ -1294,9 +1315,10 @@ and start_exchange (sim : t) (pe : pe) (c : comm) : unit =
 (** Run one queued task; returns true if anything executed.  The hardware
     scheduler dispatches the earliest-activated task, not the most
     recently queued one, so pop the entry with the smallest activation
-    timestamp (ties resolve in insertion order). *)
+    timestamp (ties resolve in insertion order).  A halted PE runs
+    nothing. *)
 let run_tasks (sim : t) (pe : pe) : bool =
-  if Task_queue.is_empty pe.task_queue then false
+  if pe.halted || Task_queue.is_empty pe.task_queue then false
   else begin
     (* fault injection at the dispatch point: the hardware scheduler is
        where a stuck or dead PE stops taking work *)
@@ -1307,13 +1329,9 @@ let run_tasks (sim : t) (pe : pe) : bool =
            let n = pe.dispatches in
            if Faults.halt_here sim.faults ~x:pe.px ~y:pe.py ~activation:n
            then begin
-             (* [step_pe] may dispatch again in the pass that halted the
-                PE, so a later draw can halt it a second time *)
-             if not pe.halted then begin
-               let st = Faults.stats sim.faults in
-               st.halts <- st.halts + 1;
-               pe.halted <- true
-             end;
+             let st = Faults.stats sim.faults in
+             st.halts <- st.halts + 1;
+             pe.halted <- true;
              trace_fault sim pe ~name:"halt" pe.clock;
              true
            end
@@ -1379,7 +1397,8 @@ let step_pe (sim : t) (pe : pe) : bool =
         progressed := true;
         continue_ := true
       end;
-      if pe.finished then continue_ := false
+      (* a PE halted by [run_tasks] dispatches nothing more *)
+      if pe.finished || pe.halted then continue_ := false
     done;
     !progressed
   end

@@ -169,7 +169,8 @@ val deref : pe -> int -> float array
 
 (** Run one queued task of a PE — the entry with the earliest activation
     timestamp, as the hardware scheduler would dispatch it.  Returns
-    false when the queue is empty.  Exposed for scheduler tests. *)
+    false when the queue is empty or the PE is halted.  Exposed for
+    scheduler tests. *)
 val run_tasks : t -> pe -> bool
 
 (** Queue an activation of task [f] (a [Func] index) at cycle [at] on a

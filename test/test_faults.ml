@@ -73,7 +73,7 @@ let small_campaign ?iterations ?(resilient = true)
     ~seeds ()
 
 (* the other kinds, a halt run long enough that one halted sender is
-   skipped over several exchanges (seed 4: 3 halts, 10 halt timeouts,
+   skipped over several exchanges (seed 4: 3 halts, 13 halt timeouts,
    one per skipped exchange), and one unprotected drop cell *)
 let wide_campaign () =
   [
@@ -85,15 +85,17 @@ let wide_campaign () =
 (* campaign, and MD5s of its table and JSON (each report's, concatenated):
    [small_campaign ()] recorded before the PE-level and wafer-level sweeps
    shared one skeleton, [wide_campaign ()] before the PE-level fault state
-   moved onto the PEs *)
+   moved onto the PEs; both re-recorded when a halted PE stopped
+   dispatching in the pass that halted it, which moved only their halt
+   cells *)
 let digests =
   [
     ( "drop+halt",
       (fun () -> [ small_campaign () ]),
-      "b9b98f54a4fc3aeda7e94b92c3805129",
-      "b6f4d90de555b001d2f96d10c05779d5" );
-    ("wide", wide_campaign, "87e0f36b8ca72d4f2d974fa70958edb7",
-      "614ff9115e5f3db1d964bbb78f7e9e55" );
+      "0cc174abb87fcd4eac4b55bae4364290",
+      "e68aea206bec92b44f25ef65d3728616" );
+    ("wide", wide_campaign, "6c220f480acf84e5dcfe1d13eba2a3e6",
+      "e40c990f6e371d14427917a18b44c12b" );
   ]
 
 let test_campaign_replay_identical () =

@@ -344,9 +344,186 @@ let prop_bufview_bounds_checked =
     QCheck.(int_range 5 20)
     (fun len ->
       let a = Array.make 4 0.0 in
-      match Bufview.make a ~off:0 ~len () with
-      | exception Invalid_argument _ -> true
-      | _ -> false)
+      let rejected f = match f () with exception Invalid_argument _ -> true | _ -> false in
+      rejected (fun () -> Bufview.make a ~off:0 ~len ())
+      (* a negative stride running below the array, or starting past it *)
+      && rejected (fun () -> Bufview.make a ~off:3 ~len ~stride:(-1) ())
+      && rejected (fun () -> Bufview.make a ~off:len ~len:2 ~stride:(-len) ()))
+
+(* Every kernel against a naive per-element loop over [Bufview.get]/[set]
+   on random views: strides -2 to 3 (mostly 1), random offsets and lengths (length 0
+   included) over two backing arrays, so operands often alias or overlap;
+   [dst] is [a] itself or [b] shifted in a quarter of the cases each.
+   A third of the cases then break the views by record update, as the
+   fabric builds DSDs: every length one longer, or one view's offset
+   negative.  When some view leaves its array, the kernel must raise
+   [Invalid_argument] and leave both arrays as they were. *)
+type kernel =
+  | Fill
+  | Blit
+  | Arith of Bufview.arith
+  | Arith_scalar of Bufview.arith
+  | Scalar_arith of Bufview.arith
+  | Fmac
+
+let kernels =
+  let ops = Bufview.[ Add; Sub; Mul; Div ] in
+  [ Fill; Blit; Fmac ]
+  @ List.concat_map (fun op -> [ Arith op; Arith_scalar op; Scalar_arith op ]) ops
+
+let apply_op (op : Bufview.arith) x y =
+  match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y
+
+let run_kernel kernel ~k (a : Bufview.t) (b : Bufview.t) (dst : Bufview.t) =
+  match kernel with
+  | Fill -> Bufview.fill dst k
+  | Blit -> Bufview.blit ~src:a ~dst
+  | Arith op -> Bufview.arith_into op a b dst
+  | Arith_scalar op -> Bufview.arith_scalar_into op a k dst
+  | Scalar_arith op -> Bufview.scalar_arith_into op k b dst
+  | Fmac -> Bufview.fmac_into a b k dst
+
+let reference_kernel kernel ~k (a : Bufview.t) (b : Bufview.t) (dst : Bufview.t) =
+  let get = Bufview.get in
+  for i = 0 to dst.len - 1 do
+    Bufview.set dst i
+      (match kernel with
+      | Fill -> k
+      | Blit -> get a i
+      | Arith op -> apply_op op (get a i) (get b i)
+      | Arith_scalar op -> apply_op op (get a i) k
+      | Scalar_arith op -> apply_op op k (get b i)
+      | Fmac -> get a i +. (get b i *. k))
+  done
+
+(* whether every element of [v] lies inside its array *)
+let view_inside (v : Bufview.t) =
+  let ok = ref true in
+  for i = 0 to v.len - 1 do
+    let j = v.off + (i * v.stride) in
+    if j < 0 || j >= Array.length v.data then ok := false
+  done;
+  !ok
+
+(* a view of [len] elements over an array of [n]: (array 0 or 1, off,
+   stride) *)
+let view_gen n len =
+  let open QCheck.Gen in
+  (* stride 1, the fabric's, half the time *)
+  let fits s = (len - 1) * abs s <= n - 1 in
+  let* stride =
+    frequency
+      [ (5, return 1); (5, oneofl (List.filter fits [ -2; -1; 0; 1; 2; 3 ])) ]
+  in
+  let stride = if fits stride then stride else 0 in
+  let span = (len - 1) * abs stride in
+  let* off =
+    if len = 0 then int_range 0 n
+    else if stride >= 0 then int_range 0 (n - 1 - span)
+    else int_range span (n - 1)
+  in
+  let* arr = int_range 0 1 in
+  return (arr, off, stride)
+
+type kernel_case = {
+  kc_kernel : kernel;
+  kc_k : float;
+  kc_n : int;
+  kc_init : float array * float array;
+  kc_len : int;
+  kc_views : (int * int * int) array;  (** a, b, dst *)
+  kc_break : int;  (** 0 none, 1 every length + 1, 2 a negative offset *)
+  kc_victim : int;  (** the view whose offset turns negative *)
+}
+
+let kernel_case_gen =
+  let open QCheck.Gen in
+  let value = oneof [ float_range (-50.0) 50.0; return 0.0; return 1.0 ] in
+  let* kc_kernel = oneofl kernels in
+  let* kc_k = value in
+  let* kc_n = int_range 1 16 in
+  let* x = array_size (return kc_n) value in
+  let* y = array_size (return kc_n) value in
+  let* kc_len = int_range 0 kc_n in
+  let* a = view_gen kc_n kc_len in
+  let* b = view_gen kc_n kc_len in
+  let* dst = view_gen kc_n kc_len in
+  let* alias = int_range 0 3 in
+  let* shift = int_range (-3) 3 in
+  let dst =
+    match alias with
+    | 0 -> a
+    | 1 ->
+        (* [b] shifted, where the shifted view still fits *)
+        let arr, off, stride = b in
+        let moved = (arr, off + shift, stride) in
+        let _, o, s = moved in
+        let inside i = o + (i * s) >= 0 && o + (i * s) < kc_n in
+        if kc_len = 0 || (inside 0 && inside (kc_len - 1)) then moved else dst
+    | _ -> dst
+  in
+  let* kc_break = oneofl [ 0; 0; 0; 0; 1; 2 ] in
+  let* kc_victim = int_range 0 2 in
+  return
+    { kc_kernel; kc_k; kc_n; kc_init = (x, y); kc_len; kc_views = [| a; b; dst |];
+      kc_break; kc_victim }
+
+let print_kernel_case c =
+  let kname = function
+    | Fill -> "fill"
+    | Blit -> "blit"
+    | Fmac -> "fmac"
+    | Arith _ -> "arith"
+    | Arith_scalar _ -> "arith_scalar"
+    | Scalar_arith _ -> "scalar_arith"
+  in
+  Printf.sprintf "%s k=%g n=%d len=%d break=%d victim=%d views=%s" (kname c.kc_kernel)
+    c.kc_k c.kc_n c.kc_len c.kc_break c.kc_victim
+    (String.concat " "
+       (Array.to_list
+          (Array.map (fun (r, o, s) -> Printf.sprintf "(%d,%d,%d)" r o s) c.kc_views)))
+
+let bits_equal x y =
+  Array.for_all2 (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)) x y
+
+let prop_bufview_kernels_differential =
+  QCheck.Test.make ~name:"kernels = per-element reference" ~count:5000
+    (QCheck.make ~print:print_kernel_case kernel_case_gen)
+    (fun c ->
+      (* the same views over a fresh copy of the two arrays *)
+      let views () =
+        let x, y = c.kc_init in
+        let arrs = [| Array.copy x; Array.copy y |] in
+        let v i =
+          let arr, off, stride = c.kc_views.(i) in
+          let v = { Bufview.data = arrs.(arr); off; len = c.kc_len; stride } in
+          match c.kc_break with
+          | 1 -> { v with len = v.len + 1 }
+          | 2 when i = c.kc_victim -> { v with off = -1 - off }
+          | _ -> v
+        in
+        (arrs, v 0, v 1, v 2)
+      in
+      let arrs, a, b, dst = views () in
+      let used =
+        match c.kc_kernel with
+        | Fill -> [ dst ]
+        | Blit | Arith_scalar _ -> [ a; dst ]
+        | Scalar_arith _ -> [ b; dst ]
+        | Arith _ | Fmac -> [ a; b; dst ]
+      in
+      if List.for_all view_inside used then begin
+        let rarrs, ra, rb, rdst = views () in
+        reference_kernel c.kc_kernel ~k:c.kc_k ra rb rdst;
+        run_kernel c.kc_kernel ~k:c.kc_k a b dst;
+        bits_equal arrs.(0) rarrs.(0) && bits_equal arrs.(1) rarrs.(1)
+      end
+      else
+        match run_kernel c.kc_kernel ~k:c.kc_k a b dst with
+        | () -> false
+        | exception Invalid_argument _ ->
+            let x, y = c.kc_init in
+            bits_equal arrs.(0) x && bits_equal arrs.(1) y)
 
 let () =
   Alcotest.run "properties"
@@ -375,5 +552,6 @@ let () =
             prop_bufview_inplace_accumulate;
             prop_bufview_strided;
             prop_bufview_bounds_checked;
+            prop_bufview_kernels_differential;
           ] );
     ]

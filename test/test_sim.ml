@@ -502,9 +502,10 @@ let test_halt_replay_with_freeing () =
         [ None; Some visit_seed ])
     [ 1; 4 ]
 
-(* [step_pe] goes on with a PE whose exchange completed in the same pass,
-   so a PE halted at the next dispatch can draw "halt" once more before
-   the pass ends.  It is still one halt: [halts] counts halted PEs *)
+(* a PE halts at the dispatch that draws "halt" and dispatches nothing
+   more, not even in the pass that halted it: exactly one "halt" event
+   on each halted PE's track, none elsewhere, and [halts] counts the
+   halted PEs *)
 let test_halt_counted_once () =
   let module Faults = Wsc_faults.Faults in
   let module Trace = Wsc_trace.Trace in
@@ -512,28 +513,35 @@ let test_halt_counted_once () =
   let compiled = Core.Pipeline.compile (P.compile p) in
   let _, program = Core.Pipeline.modules_of compiled in
   List.iter
-    (fun seed ->
-      let cfg = Faults.config_for Faults.Halt ~rate:0.1 ~seed ~resilient:true in
+    (fun (rate, seed) ->
+      let cfg = Faults.config_for Faults.Halt ~rate ~seed ~resilient:true in
       let faults = Faults.create cfg in
       let trace = Trace.collector () in
       let h = Host.load ~trace ~faults Machine.wse3 program (P.init_grids p) in
-      Fabric.run_to_completion h.Host.sim;
-      let halted =
-        Array.fold_left
-          (Array.fold_left (fun n (pe : Fabric.pe) -> if pe.halted then n + 1 else n))
-          0 h.Host.sim.pes
-      in
-      let draws =
-        List.length
-          (List.filter
-             (fun (e : Trace.event) -> e.ev_cat = "fault" && e.ev_name = "halt")
-             (Trace.events trace))
-      in
-      let tag = Printf.sprintf "halt seed %d" seed in
-      check (tag ^ ": some PE drew a second halt") true (draws > halted);
-      Alcotest.(check int) (tag ^ ": halts = halted PEs") halted
-        (Faults.stats faults).halts)
-    [ 3; 7 ]
+      let sim = h.Host.sim in
+      Fabric.run_to_completion sim;
+      let tag = Printf.sprintf "halt rate %g seed %d" rate seed in
+      let events = Trace.events trace in
+      let halted = ref 0 in
+      Array.iter
+        (Array.iter (fun (pe : Fabric.pe) ->
+             let tid = (pe.py * sim.Fabric.width) + pe.px in
+             let draws =
+               List.length
+                 (List.filter
+                    (fun (e : Trace.event) ->
+                      e.ev_cat = "fault" && e.ev_name = "halt" && e.ev_tid = tid)
+                    events)
+             in
+             if pe.halted then incr halted;
+             Alcotest.(check int)
+               (Printf.sprintf "%s: halt events on PE(%d,%d)" tag pe.px pe.py)
+               (if pe.halted then 1 else 0)
+               draws))
+        sim.Fabric.pes;
+      check (tag ^ ": some PE halted") true (!halted > 0);
+      Alcotest.(check int) (tag ^ ": halts = halted PEs") !halted (Faults.stats faults).halts)
+    [ (0.1, 3); (0.1, 7); (0.3, 1); (0.3, 2); (0.3, 3) ]
 
 (* a fault campaign cell must replay bit-identically in a permuted visit
    order: same injection decisions, same integer recovery bookkeeping,
