@@ -15,9 +15,11 @@ let of_array (a : float array) : t =
    update ([Increment_dsd], [Set_dsd_length], [Set_dsd_base_addr]).  The
    loops index [data] directly instead of calling [get]/[set]: built with
    [-opaque] (dune's dev profile) those calls are not inlined, and every
-   element read through one boxes a float.  Elements go in ascending
-   order, so aliased and overlapping operands compute what a per-element
-   loop does. *)
+   element read through one boxes a float.  Each index advances by its
+   stride instead of being recomputed as [off + i * stride], which runs
+   stride-1 views as fast as a loop written for stride 1.  Elements go in
+   ascending order, so aliased and overlapping operands compute what a
+   per-element loop does. *)
 
 external uget : float array -> int -> float = "%array_unsafe_get"
 external uset : float array -> int -> float -> unit = "%array_unsafe_set"
@@ -51,9 +53,11 @@ let set (v : t) i x = v.data.(v.off + (i * v.stride)) <- x
 
 let fill (v : t) x =
   check "fill" v;
-  let d = v.data and o = v.off and s = v.stride in
-  for i = 0 to v.len - 1 do
-    uset d (o + (i * s)) x
+  let d = v.data and s = v.stride in
+  let di = ref v.off in
+  for _ = 1 to v.len do
+    uset d !di x;
+    di := !di + s
   done
 
 let to_array (v : t) : float array = Array.init v.len (get v)
@@ -62,85 +66,107 @@ let blit ~(src : t) ~(dst : t) : unit =
   if src.len <> dst.len then invalid_arg "Bufview.blit: length mismatch";
   check "blit" src;
   check "blit" dst;
-  let s = src.data and so = src.off and ss = src.stride in
-  let d = dst.data and o = dst.off and ds = dst.stride in
-  if ss = 1 && ds = 1 then
-    for i = 0 to dst.len - 1 do
-      uset d (o + i) (uget s (so + i))
-    done
-  else
-    for i = 0 to dst.len - 1 do
-      uset d (o + (i * ds)) (uget s (so + (i * ss)))
-    done
+  let s = src.data and ss = src.stride and d = dst.data and ds = dst.stride in
+  let si = ref src.off and di = ref dst.off in
+  for _ = 1 to dst.len do
+    uset d !di (uget s !si);
+    si := !si + ss;
+    di := !di + ds
+  done
 
 type arith = Add | Sub | Mul | Div
 
-(* The stride-1 loops, the ones compiled programs run, are one per
-   operator, which keeps the operator a primitive and the element values
-   unboxed; the general strided loop matches on the operator per
-   element. *)
+(* One loop per operator keeps the operator a primitive, so the element
+   values stay unboxed. *)
 let arith_into (op : arith) (a : t) (b : t) (dst : t) : unit =
   if a.len <> dst.len || b.len <> dst.len then
     invalid_arg "Bufview.arith_into: length mismatch";
   check "arith_into" a;
   check "arith_into" b;
   check "arith_into" dst;
-  let ad = a.data and ao = a.off and sa = a.stride in
-  let bd = b.data and bo = b.off and sb = b.stride in
-  let dd = dst.data and o = dst.off and sd = dst.stride in
-  let n = dst.len - 1 in
-  if sa = 1 && sb = 1 && sd = 1 then
-    match op with
-    | Add -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) +. uget bd (bo + i)) done
-    | Sub -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) -. uget bd (bo + i)) done
-    | Mul -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) *. uget bd (bo + i)) done
-    | Div -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) /. uget bd (bo + i)) done
-  else
-    for i = 0 to n do
-      let x = uget ad (ao + (i * sa)) and y = uget bd (bo + (i * sb)) in
-      uset dd (o + (i * sd))
-        (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y)
-    done
+  let ad = a.data and sa = a.stride and bd = b.data and sb = b.stride in
+  let dd = dst.data and sd = dst.stride in
+  let ai = ref a.off and bi = ref b.off and di = ref dst.off in
+  let n = dst.len in
+  match op with
+  | Add ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai +. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
+  | Sub ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai -. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
+  | Mul ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai *. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
+  | Div ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai /. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
 
 let arith_scalar_into (op : arith) (a : t) (k : float) (dst : t) : unit =
   if a.len <> dst.len then invalid_arg "Bufview.arith_scalar_into: length mismatch";
   check "arith_scalar_into" a;
   check "arith_scalar_into" dst;
-  let ad = a.data and ao = a.off and sa = a.stride in
-  let dd = dst.data and o = dst.off and sd = dst.stride in
-  let n = dst.len - 1 in
-  if sa = 1 && sd = 1 then
-    match op with
-    | Add -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) +. k) done
-    | Sub -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) -. k) done
-    | Mul -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) *. k) done
-    | Div -> for i = 0 to n do uset dd (o + i) (uget ad (ao + i) /. k) done
-  else
-    for i = 0 to n do
-      let x = uget ad (ao + (i * sa)) in
-      uset dd (o + (i * sd))
-        (match op with Add -> x +. k | Sub -> x -. k | Mul -> x *. k | Div -> x /. k)
-    done
+  let ad = a.data and sa = a.stride and dd = dst.data and sd = dst.stride in
+  let ai = ref a.off and di = ref dst.off in
+  let n = dst.len in
+  match op with
+  | Add ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai +. k);
+        ai := !ai + sa; di := !di + sd
+      done
+  | Sub ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai -. k);
+        ai := !ai + sa; di := !di + sd
+      done
+  | Mul ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai *. k);
+        ai := !ai + sa; di := !di + sd
+      done
+  | Div ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai /. k);
+        ai := !ai + sa; di := !di + sd
+      done
 
 let scalar_arith_into (op : arith) (k : float) (b : t) (dst : t) : unit =
   if b.len <> dst.len then invalid_arg "Bufview.scalar_arith_into: length mismatch";
   check "scalar_arith_into" b;
   check "scalar_arith_into" dst;
-  let bd = b.data and bo = b.off and sb = b.stride in
-  let dd = dst.data and o = dst.off and sd = dst.stride in
-  let n = dst.len - 1 in
-  if sb = 1 && sd = 1 then
-    match op with
-    | Add -> for i = 0 to n do uset dd (o + i) (k +. uget bd (bo + i)) done
-    | Sub -> for i = 0 to n do uset dd (o + i) (k -. uget bd (bo + i)) done
-    | Mul -> for i = 0 to n do uset dd (o + i) (k *. uget bd (bo + i)) done
-    | Div -> for i = 0 to n do uset dd (o + i) (k /. uget bd (bo + i)) done
-  else
-    for i = 0 to n do
-      let y = uget bd (bo + (i * sb)) in
-      uset dd (o + (i * sd))
-        (match op with Add -> k +. y | Sub -> k -. y | Mul -> k *. y | Div -> k /. y)
-    done
+  let bd = b.data and sb = b.stride and dd = dst.data and sd = dst.stride in
+  let bi = ref b.off and di = ref dst.off in
+  let n = dst.len in
+  match op with
+  | Add ->
+      for _ = 1 to n do
+        uset dd !di (k +. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
+  | Sub ->
+      for _ = 1 to n do
+        uset dd !di (k -. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
+  | Mul ->
+      for _ = 1 to n do
+        uset dd !di (k *. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
+  | Div ->
+      for _ = 1 to n do
+        uset dd !di (k /. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
 
 (** Fused multiply-accumulate: [dst.(i) <- a.(i) + b.(i) * s]. *)
 let fmac_into (a : t) (b : t) (s : float) (dst : t) : unit =
@@ -149,14 +175,12 @@ let fmac_into (a : t) (b : t) (s : float) (dst : t) : unit =
   check "fmac_into" a;
   check "fmac_into" b;
   check "fmac_into" dst;
-  let ad = a.data and ao = a.off and sa = a.stride in
-  let bd = b.data and bo = b.off and sb = b.stride in
-  let dd = dst.data and o = dst.off and sd = dst.stride in
-  if sa = 1 && sb = 1 && sd = 1 then
-    for i = 0 to dst.len - 1 do
-      uset dd (o + i) (uget ad (ao + i) +. (uget bd (bo + i) *. s))
-    done
-  else
-    for i = 0 to dst.len - 1 do
-      uset dd (o + (i * sd)) (uget ad (ao + (i * sa)) +. (uget bd (bo + (i * sb)) *. s))
-    done
+  let ad = a.data and sa = a.stride and bd = b.data and sb = b.stride in
+  let dd = dst.data and sd = dst.stride in
+  let ai = ref a.off and bi = ref b.off and di = ref dst.off in
+  for _ = 1 to dst.len do
+    uset dd !di (uget ad !ai +. (uget bd !bi *. s));
+    ai := !ai + sa;
+    bi := !bi + sb;
+    di := !di + sd
+  done

@@ -1397,8 +1397,7 @@ let step_pe (sim : t) (pe : pe) : bool =
         progressed := true;
         continue_ := true
       end;
-      (* a PE halted by [run_tasks] dispatches nothing more *)
-      if pe.finished || pe.halted then continue_ := false
+      if pe.finished then continue_ := false
     done;
     !progressed
   end
