@@ -184,3 +184,62 @@ let fmac_into (a : t) (b : t) (s : float) (dst : t) : unit =
     bi := !bi + sb;
     di := !di + sd
   done
+
+(* The promoted-coefficient reduction of one receive buffer (paper §5.7):
+   one pass writes up to four terms, so [dst] is read and written once per
+   four terms instead of once per term.  Every term's range is checked
+   before the first write.  The first pass starts each element from 0.0,
+   the later ones from [dst], so every element sums its terms in the
+   same order as a fill followed by one accumulate pass per term. *)
+let scaled_sum_into ~(coeffs : float array) ~(cols : float array array)
+    ~(starts : int array) ~(terms : int) ~(len : int) (dst : float array) : unit =
+  if
+    terms < 0
+    || terms > Array.length coeffs
+    || terms > Array.length cols
+    || terms > Array.length starts
+  then invalid_arg "Bufview.scaled_sum_into: more terms than entries";
+  if len < 0 || len > Array.length dst then
+    invalid_arg
+      (Printf.sprintf "Bufview.scaled_sum_into: length %d out of array of %d" len
+         (Array.length dst));
+  for t = 0 to terms - 1 do
+    let s = starts.(t) and n = Array.length cols.(t) in
+    if s < 0 || s + len > n then
+      invalid_arg
+        (Printf.sprintf "Bufview.scaled_sum_into: term %d [%d, +%d) out of array of %d"
+           t s len n)
+  done;
+  let t = ref 0 in
+  while !t < terms do
+    let i = !t and first = !t = 0 in
+    let k0 = coeffs.(i) and c0 = cols.(i) and s0 = starts.(i) in
+    match terms - i with
+    | 1 ->
+        for z = 0 to len - 1 do
+          let acc = if first then 0.0 else uget dst z in
+          uset dst z (acc +. (k0 *. uget c0 (s0 + z)))
+        done;
+        t := i + 1
+    | 2 | 3 ->
+        let k1 = coeffs.(i + 1) and c1 = cols.(i + 1) and s1 = starts.(i + 1) in
+        for z = 0 to len - 1 do
+          let acc = if first then 0.0 else uget dst z in
+          uset dst z ((acc +. (k0 *. uget c0 (s0 + z))) +. (k1 *. uget c1 (s1 + z)))
+        done;
+        t := i + 2
+    | _ ->
+        let k1 = coeffs.(i + 1) and c1 = cols.(i + 1) and s1 = starts.(i + 1) in
+        let k2 = coeffs.(i + 2) and c2 = cols.(i + 2) and s2 = starts.(i + 2) in
+        let k3 = coeffs.(i + 3) and c3 = cols.(i + 3) and s3 = starts.(i + 3) in
+        for z = 0 to len - 1 do
+          let acc = if first then 0.0 else uget dst z in
+          uset dst z
+            ((((acc +. (k0 *. uget c0 (s0 + z))) +. (k1 *. uget c1 (s1 + z)))
+             +. (k2 *. uget c2 (s2 + z)))
+            +. (k3 *. uget c3 (s3 + z)))
+        done;
+        t := i + 4
+  done;
+  if terms = 0 then Array.fill dst 0 (Array.length dst) 0.0
+  else Array.fill dst len (Array.length dst - len) 0.0

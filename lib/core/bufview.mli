@@ -46,3 +46,23 @@ val scalar_arith_into : arith -> float -> t -> t -> unit
 (** [fmac_into a b s dst] — [dst.(i) <- a.(i) +. b.(i) *. s], the
     semantics of CSL's [@fmacs]. *)
 val fmac_into : t -> t -> float -> t -> unit
+
+(** [scaled_sum_into ~coeffs ~cols ~starts ~terms ~len dst] — the
+    promoted-coefficient reduction into one receive buffer: for [z] in
+    [\[0, len)], [dst.(z) <- ((0.0 +. k0 *. c0.(s0 + z)) +. k1 *. c1.(s1 + z)) +. ...]
+    over the first [terms] entries of [coeffs], [cols] and [starts], in
+    that order, and [dst.(z) <- 0.0] from [len] on (the whole of [dst]
+    when [terms = 0]).  Bit-identical to filling [dst] with 0.0 and then
+    accumulating one term after the other.  Columns may alias or overlap
+    each other but not [dst].
+
+    @raise Invalid_argument before writing anything when [terms] exceeds
+    an array, [len] exceeds [dst], or a term's range leaves its column. *)
+val scaled_sum_into :
+  coeffs:float array ->
+  cols:float array array ->
+  starts:int array ->
+  terms:int ->
+  len:int ->
+  float array ->
+  unit

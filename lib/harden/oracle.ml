@@ -81,23 +81,31 @@ let bug_pass : Pass.t =
 (** Raised out of the [on_ir] hook (which propagates unwrapped). *)
 exception Roundtrip_exn of string * string * string  (** pass, msg, printed IR *)
 
-let roundtrip_hook (last : (string * string) ref) (pass : string)
-    (m : Wsc_ir.Ir.op) : unit =
-  let s1 = Printer.op_to_string m in
-  (match Parser.parse_string s1 with
-  | exception Parser.Parse_error (_, msg) ->
-      raise (Roundtrip_exn (pass, "printed IR does not parse back: " ^ msg, s1))
-  | exception e ->
-      raise
-        (Roundtrip_exn
-           (pass, "printed IR does not parse back: " ^ Printexc.to_string e, s1))
-  | m2 ->
-      let s2 = Printer.op_to_string m2 in
-      if not (String.equal s1 s2) then
-        raise (Roundtrip_exn (pass, "print->parse->print is not a fixpoint", s1)));
-  last := (pass, s1)
+(** The printed IR before the next pass, and whether it passed the
+    fixpoint check (the [stencil-compile] text it starts from has not). *)
+type last_ir = { mutable text : string; mutable checked : bool }
 
-let run_stage ~(last : (string * string) ref) (passes : Pass.t list)
+let roundtrip_hook (last : last_ir) (pass : string) (m : Wsc_ir.Ir.op) : unit =
+  let s1 = Printer.op_to_string m in
+  (* parse and print are functions of the text alone, so a pass that
+     left the checked text as it was needs no second check *)
+  if not (last.checked && String.equal s1 last.text) then begin
+    match Parser.parse_string s1 with
+    | exception Parser.Parse_error (_, msg) ->
+        raise (Roundtrip_exn (pass, "printed IR does not parse back: " ^ msg, s1))
+    | exception e ->
+        raise
+          (Roundtrip_exn
+             (pass, "printed IR does not parse back: " ^ Printexc.to_string e, s1))
+    | m2 ->
+        let s2 = Printer.op_to_string m2 in
+        if not (String.equal s1 s2) then
+          raise (Roundtrip_exn (pass, "print->parse->print is not a fixpoint", s1))
+  end;
+  last.text <- s1;
+  last.checked <- true
+
+let run_stage ~(last : last_ir) (passes : Pass.t list)
     (m : Wsc_ir.Ir.op) : Wsc_ir.Ir.op =
   let options =
     { Pass.default_options with verify_each = true; on_ir = Some (roundtrip_hook last) }
@@ -198,7 +206,7 @@ let check ?(inject_bug = false) ?(mwfaults = false)
       | exception e ->
           fail (Crash { stage = "stencil-compile"; msg = Printexc.to_string e })
       | m0 -> (
-          let last = ref ("stencil-compile", Printer.op_to_string m0) in
+          let last = { text = Printer.op_to_string m0; checked = false } in
           let o = options in
           let stage1 =
             Pipeline.frontend_passes o
@@ -207,10 +215,10 @@ let check ?(inject_bug = false) ?(mwfaults = false)
           in
           match run_stage ~last stage1 m0 with
           | exception Pass.Pass_failed (pass, exn) ->
-              fail ~ir_before:(snd !last)
+              fail ~ir_before:last.text
                 (Pass_crash { pass; msg = Printexc.to_string exn })
           | exception Roundtrip_exn (pass, msg, after) ->
-              fail ~ir_before:(snd !last) ~ir_after:after (Roundtrip { pass; msg })
+              fail ~ir_before:last.text ~ir_after:after (Roundtrip { pass; msg })
           | m1 -> (
               let grids = P.init_grids p in
               match
@@ -228,10 +236,10 @@ let check ?(inject_bug = false) ?(mwfaults = false)
                   else
                     match run_stage ~last (Pipeline.backend_passes o) m1 with
                     | exception Pass.Pass_failed (pass, exn) ->
-                        fail ~ir_before:(snd !last)
+                        fail ~ir_before:last.text
                           (Pass_crash { pass; msg = Printexc.to_string exn })
                     | exception Roundtrip_exn (pass, msg, after) ->
-                        fail ~ir_before:(snd !last) ~ir_after:after
+                        fail ~ir_before:last.text ~ir_after:after
                           (Roundtrip { pass; msg })
                     | m2 -> (
                         match

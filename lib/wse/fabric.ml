@@ -64,6 +64,7 @@ type slot = {
   sl_dx : int;
   sl_dy : int;
   sl_rcv : int;  (** receive buffer *)
+  sl_buf : int;  (** index of [sl_rcv] in the exchange's [rcv_bufs] *)
   sl_coeff : float;  (** promoted coefficient (0.0 when none applies) *)
   sl_halo : int;  (** state slot of the host-resident boundary column *)
 }
@@ -151,6 +152,14 @@ let decode_comm ~(find : kind -> string -> int) ~(halo : int array) (a : attr) :
     | _ -> []
   in
   let cs = geti "chunk_size" in
+  let dedup l =
+    List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+  in
+  let rcv_bufs = dedup (List.concat_map (fun (_, s) -> List.map snd s) inputs) in
+  let rec index_of b i = function
+    | x :: rest -> if x = b then i else index_of b (i + 1) rest
+    | [] -> assert false
+  in
   let slots =
     List.concat
       (List.mapi
@@ -168,6 +177,7 @@ let decode_comm ~(find : kind -> string -> int) ~(halo : int array) (a : attr) :
                      sl_dx = dx;
                      sl_dy = dy;
                      sl_rcv = rcv;
+                     sl_buf = index_of rcv 0 rcv_bufs;
                      sl_coeff =
                        (match
                           List.find_opt
@@ -180,9 +190,6 @@ let decode_comm ~(find : kind -> string -> int) ~(halo : int array) (a : attr) :
                    }))
              swaps)
          inputs)
-  in
-  let dedup l =
-    List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
   in
   let swaps = List.concat_map (fun (_, s) -> List.map fst s) inputs in
   let apply_id = geti "apply_id" in
@@ -199,8 +206,7 @@ let decode_comm ~(find : kind -> string -> int) ~(halo : int array) (a : attr) :
     send_ptrs = Array.of_list (List.map fst inputs);
     slots = Array.of_list slots;
     peers = Array.of_list (dedup (List.map (fun s -> (s.sl_dx, s.sl_dy)) slots));
-    rcv_bufs =
-      Array.of_list (dedup (List.concat_map (fun (_, s) -> List.map snd s) inputs));
+    rcv_bufs = Array.of_list rcv_bufs;
     total_dirs = List.length swaps;
     incoming = List.fold_left (fun a (sw : Dmp.swap_desc) -> a + (sw.depth * cs)) 0 swaps;
     self_loopback = List.length swaps * cs;
@@ -428,6 +434,14 @@ let stage_program (program : op) : code =
   let comms = ref [] in
   let funcs = Array.of_list (List.map (stage_func ~find ~halo comms) defs) in
   let comms = List.rev !comms in
+  (* the sends of an apply reuse each other's records ({!take_record}) *)
+  let shape c = (Array.length c.send_ptrs, c.c_nz, c.num_chunks) in
+  List.iter
+    (fun c ->
+      let c0 = List.find (fun c' -> c'.apply_id = c.apply_id) comms in
+      if shape c <> shape c0 then
+        fail "apply %d: communicate calls of different shapes" c.apply_id)
+    comms;
   {
     funcs;
     symbols;
@@ -481,13 +495,16 @@ let stats_diff (a : pe_stats) (b : pe_stats) : string option =
 
 let stats_equal (a : pe_stats) (b : pe_stats) : bool = stats_diff a b = None
 
+(** One registered send.  Its arrays are rewritten in place when the
+    sender reuses the record for a later send ({!take_record}), which
+    happens only once every receiver has consumed it. *)
 type send_record = {
   sr_chunk_ready : float array;  (** completion time of each chunk injection *)
   sr_data : float array array;  (** snapshot of the sent z-range, per input *)
   mutable sr_pending : int;
       (** receivers that have not yet completed the exchange; the record
           leaves the table at zero *)
-  sr_tainted : bool;
+  mutable sr_tainted : bool;
       (** the sender was tainted when it sent, so every receiver that
           reduces this payload is tainted too *)
 }
@@ -526,6 +543,9 @@ type pe = {
           exchanges the resilience layer degraded past *)
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
+  spare : send_record list array;
+      (** apply id -> this PE's records of that apply that every
+          receiver has consumed, for its later sends to reuse *)
   mutable dispatches : int;
       (** task dispatches so far, counted with an injector: the
           activation index the stall/halt decisions key on *)
@@ -556,13 +576,39 @@ end
 
 (** {1 Simulator} *)
 
+(** The terms of a promoted exchange's reduction, per receive buffer
+    (the index in the exchange's [rcv_bufs]): what {!complete_exchange}
+    gathers for a chunk and hands to {!Bufview.scaled_sum_into}.  One
+    set serves every exchange of the run, so delivery allocates
+    nothing per chunk. *)
+type terms = {
+  tm_coeffs : float array array;
+  tm_cols : float array array array;
+  tm_starts : int array array;
+  tm_count : int array;
+}
+
+(** Terms for the largest exchange among [comms]. *)
+let new_terms (comms : comm list) : terms =
+  let bufs, slots =
+    List.fold_left
+      (fun (b, n) c -> (max b (Array.length c.rcv_bufs), max n (Array.length c.slots)))
+      (0, 0) comms
+  in
+  {
+    tm_coeffs = Array.init bufs (fun _ -> Array.make slots 0.0);
+    tm_cols = Array.init bufs (fun _ -> Array.make slots [||]);
+    tm_starts = Array.init bufs (fun _ -> Array.make slots 0);
+    tm_count = Array.make bufs 0;
+  }
+
 type t = {
   machine : Machine.t;
   width : int;
   height : int;
   pes : pe array array;
-  sends : (int * int * int * int, send_record) Hashtbl.t;
-      (** (apply, seq, x, y) -> record *)
+  sends : (int, send_record) Hashtbl.t;
+      (** {!send_key} of (apply, seq, x, y) -> record *)
   halo : (int * int, float array) Hashtbl.t;
       (** host-resident boundary columns (x, y outside the PE grid) *)
   zfull : int;
@@ -576,6 +622,7 @@ type t = {
           default) every injection site is a dead branch, exactly like
           the trace sink *)
   code : code;  (** the program, staged once by {!create} *)
+  terms : terms;
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records; lifted for the rest of the run if the fabric goes
@@ -598,6 +645,7 @@ let new_pe (code : code) x y : pe =
     waiting = None;
     seq = Array.make code.applies 0;
     live_sends = 0;
+    spare = Array.make code.applies [];
     dispatches = 0;
     halted = false;
     tainted = false;
@@ -634,19 +682,21 @@ let max_live_sends_per_pe = 2
     admits every grid up to the benchmarks' Small size (100x100 PEs). *)
 let max_simulated_bytes = 1 lsl 30
 
-(** Bytes of one live send record: its column snapshots and chunk
-    times as host floats, plus the table entry, key and headers. *)
+(** Bytes of one send record, live in the send table or spare on its
+    sender: its column snapshots and chunk times as host floats, plus
+    the table entry, key and headers. *)
 let record_bytes (c : comm) : int =
   (8 * ((Array.length c.send_ptrs * c.c_nz) + c.num_chunks)) + 128
 
 (** Estimated memory of simulating [program] on [pes] PEs: buffers are
     host floats, 8 bytes per element whatever the device type, plus 128
-    bytes per buffer and 1 KiB per PE of tables and records (the five
-    benchmarks use 1.2-1.7 KiB of the 1.5-2.6 KiB this allows). *)
+    bytes per buffer, 1 KiB per PE of tables, and
+    {!max_live_sends_per_pe} records per apply, live or spare. *)
 let estimate ~(pes : int) (code : code) : int =
   let buffers = Array.fold_left (fun acc n -> acc + (8 * n) + 128) 1024 code.buffer_sizes in
-  let record = List.fold_left (fun acc c -> max acc (record_bytes c)) 0 code.comms in
-  pes * (buffers + (max_live_sends_per_pe * record))
+  let record = Array.make code.applies 0 in
+  List.iter (fun c -> record.(c.apply_id) <- record_bytes c) code.comms;
+  pes * (buffers + (max_live_sends_per_pe * Array.fold_left ( + ) 0 record))
 
 let estimate_bytes (sim : t) : int = estimate ~pes:(sim.width * sim.height) sim.code
 
@@ -703,6 +753,7 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     trace;
     faults;
     code;
+    terms = new_terms code.comms;
     window = true;
   }
 
@@ -1016,14 +1067,18 @@ let exec_func (sim : t) (pe : pe) (f : func) (args : cell array) : comm list =
 
 (** {1 Communication engine}
 
-    Send-record lifecycle: a send is filed under (apply, seq, x, y) with
-    the number of receivers that will read it from this table, and each
-    receiver drops its claim once it has completed the exchange; the
-    last one removes the record.  A blocked receiver therefore always
-    finds every record it has not consumed yet, and "sent" is simply
-    table membership for the exchange it waits on.  Receivers that halt
-    never drop their claims, so records they would have read stay until
-    the end of the run.
+    Send-record lifecycle: a send is filed under one int packing
+    (apply, seq, x, y) ({!send_key}) with the number of receivers that
+    will read it from this table, and each receiver drops its claim
+    once it has completed the exchange; the last one removes the record
+    and hands it back to its sender, whose later sends of the same
+    apply blit their snapshots into its arrays instead of allocating
+    new ones.  A
+    blocked receiver therefore always finds every record it has not
+    consumed yet, and "sent" is simply table membership for the
+    exchange it waits on.  Receivers that halt never drop their claims,
+    so records they would have read stay until the end of the run and
+    never return to their sender.
 
     A halted sender's missing sends are skipped by advancing its own
     [seq]: every exchange below it was either sent or skipped.  A
@@ -1045,28 +1100,43 @@ let receivers_of (sim : t) (peers : (int * int) array) (sx : int) (sy : int) : i
   done;
   !n
 
+(** The send table's key of exchange [seq] of [apply] sent by the PE
+    at ([x], [y]): one int, distinct for every sender and exchange. *)
+let send_key (sim : t) ~(apply : int) ~(seq : int) (x : int) (y : int) : int =
+  ((((((seq * sim.code.applies) + apply) * sim.width) + x) * sim.height) + y)
+
 (** File a record that has receivers, tracking the table's high-water
     mark. *)
-let store_send (sim : t) key (record : send_record) : unit =
+let store_send (sim : t) (key : int) (record : send_record) : unit =
   Hashtbl.replace sim.sends key record;
   let st = sim.sched in
   let live = Hashtbl.length sim.sends in
   if live > st.Sched.peak_sends_live then st.Sched.peak_sends_live <- live
 
-(** Register this PE's send for an exchange: snapshot the z range of each
-    send buffer, charge injection cost, record chunk completion times. *)
+(** A record for [pe]'s next send of [c]: a spare record of [c]'s
+    apply, whose arrays have [c]'s sizes ({!stage} gives each apply one
+    shape), or a fresh one. *)
+let take_record (pe : pe) (c : comm) : send_record =
+  match pe.spare.(c.apply_id) with
+  | r :: rest ->
+      pe.spare.(c.apply_id) <- rest;
+      r
+  | [] ->
+      {
+        sr_chunk_ready = Array.make c.num_chunks 0.0;
+        sr_data = Array.init (Array.length c.send_ptrs) (fun _ -> Array.make c.c_nz 0.0);
+        sr_pending = 0;
+        sr_tainted = false;
+      }
+
+(** Register this PE's send for an exchange: charge injection cost and,
+    when the send has in-grid receivers, file a record with a snapshot
+    of the z range of each send buffer and the chunk completion times. *)
 let register_send (sim : t) (pe : pe) (c : comm) (seq : int) : unit =
   let m = sim.machine in
-  let data =
-    Array.map (fun ptr -> Array.sub (deref pe ptr) c.z_base c.c_nz) c.send_ptrs
-  in
   let self_mul = if m.self_send then 2.0 else 1.0 in
   let chunk_cost =
     float_of_int (c.total_dirs * c.chunk_size) *. m.send_cycles_per_elem *. self_mul
-  in
-  let ready =
-    Array.init c.num_chunks (fun k ->
-        pe.clock +. (float_of_int (k + 1) *. chunk_cost))
   in
   pe.stats.send_cycles <- pe.stats.send_cycles +. (float_of_int c.num_chunks *. chunk_cost);
   pe.stats.elems_sent <-
@@ -1079,13 +1149,20 @@ let register_send (sim : t) (pe : pe) (c : comm) (seq : int) : unit =
     trace_span sim pe ~cat:"send"
       ~name:(Printf.sprintf "inject a%d#%d" c.apply_id seq)
       inject_start pe.clock;
-  let key = (c.apply_id, seq, pe.px, pe.py) in
   let pending = receivers_of sim c.peers pe.px pe.py in
   if pending > 0 then begin
+    let r = take_record pe c in
+    for i = 0 to Array.length c.send_ptrs - 1 do
+      Array.blit (deref pe c.send_ptrs.(i)) c.z_base r.sr_data.(i) 0 c.c_nz
+    done;
+    for k = 0 to c.num_chunks - 1 do
+      r.sr_chunk_ready.(k) <- inject_start +. (float_of_int (k + 1) *. chunk_cost)
+    done;
+    r.sr_pending <- pending;
     (* taint propagation: data computed from substituted or unrecoverable
        inputs invalidates every receiver that reduces this send *)
-    store_send sim key
-      { sr_chunk_ready = ready; sr_data = data; sr_pending = pending; sr_tainted = pe.tainted };
+    r.sr_tainted <- pe.tainted;
+    store_send sim (send_key sim ~apply:c.apply_id ~seq pe.px pe.py) r;
     pe.live_sends <- pe.live_sends + 1
   end
 
@@ -1103,7 +1180,7 @@ let sender_ready (sim : t) (pe : pe) (apply : int) (seq : int) (dx : int) (dy : 
     bool =
   let sx = pe.px + dx and sy = pe.py + dy in
   (not (in_grid sim sx sy))
-  || Hashtbl.mem sim.sends (apply, seq, sx, sy)
+  || Hashtbl.mem sim.sends (send_key sim ~apply ~seq sx sy)
   || skipped sim.pes.(sx).(sy) apply seq
 
 (** Check whether all senders this PE depends on have registered. *)
@@ -1118,21 +1195,23 @@ let exchange_ready (sim : t) (pe : pe) (w : waiting) : bool =
   go 0
 
 (** The PE has consumed exchange [w]: drop its claim on each in-grid
-    sender's record, removing a record once its last receiver is done. *)
+    sender's record, removing a record once its last receiver is done
+    and handing it back to its sender for reuse. *)
 let release_sends (sim : t) (pe : pe) (w : waiting) : unit =
   let peers = w.w_comm.peers and apply = w.w_comm.apply_id in
   for i = 0 to Array.length peers - 1 do
     let dx, dy = peers.(i) in
     let sx = pe.px + dx and sy = pe.py + dy in
     if in_grid sim sx sy then begin
-      let key = (apply, w.w_seq, sx, sy) in
+      let key = send_key sim ~apply ~seq:w.w_seq sx sy in
       match Hashtbl.find sim.sends key with
       | r ->
           r.sr_pending <- r.sr_pending - 1;
           if r.sr_pending = 0 then begin
             Hashtbl.remove sim.sends key;
             let spe = sim.pes.(sx).(sy) in
-            spe.live_sends <- spe.live_sends - 1
+            spe.live_sends <- spe.live_sends - 1;
+            spe.spare.(apply) <- r :: spe.spare.(apply)
           end
       | exception Not_found -> () (* a halted sender the run degraded past *)
     end
@@ -1154,7 +1233,7 @@ type source =
 let source_column (sim : t) (pe : pe) (c : comm) (seq : int) (sl : slot) : source =
   let sx = pe.px + sl.sl_dx and sy = pe.py + sl.sl_dy in
   if in_grid sim sx sy then
-    match Hashtbl.find_opt sim.sends (c.apply_id, seq, sx, sy) with
+    match Hashtbl.find_opt sim.sends (send_key sim ~apply:c.apply_id ~seq sx sy) with
     | Some sr -> Src_fabric (sr.sr_data.(sl.sl_input), sr)
     | None ->
         if skipped sim.pes.(sx).(sy) c.apply_id seq then Src_skipped
@@ -1171,38 +1250,40 @@ let source_column (sim : t) (pe : pe) (c : comm) (seq : int) (sl : slot) : sourc
     | None -> fail "no boundary column for (%d,%d)" sx sy
   end
 
-(** Write chunk [off] of a column that starts at [base] in [col] into
-    slot [sl]'s part of its receive buffer, as damaged (or lost) by the
-    link's [outcome]; with promoted coefficients, accumulate it scaled
-    by the slot's coefficient instead. *)
-let deliver (pe : pe) (c : comm) (sl : slot) (col : float array) ~(base : int)
-    ~(off : int) (outcome : delivery) : unit =
+(** Add slot [sl]'s column, read from [start] on, to the terms of its
+    receive buffer's reduction. *)
+let add_term (tm : terms) (sl : slot) (col : float array) (start : int) : unit =
+  let i = sl.sl_buf in
+  let n = tm.tm_count.(i) in
+  tm.tm_coeffs.(i).(n) <- sl.sl_coeff;
+  tm.tm_cols.(i).(n) <- col;
+  tm.tm_starts.(i).(n) <- start;
+  tm.tm_count.(i) <- n + 1
+
+(** Deliver chunk [off] of a column that starts at [base] in [col] to
+    slot [sl], as damaged (or lost) by the link's [outcome]: write it
+    into the slot's part of its receive buffer, or, with promoted
+    coefficients, add it to the terms of its receive buffer's reduction,
+    which {!complete_exchange} runs once every slot of the chunk is in. *)
+let deliver (sim : t) (pe : pe) (c : comm) (sl : slot) (col : float array)
+    ~(base : int) ~(off : int) (outcome : delivery) : unit =
   let cs = c.chunk_size in
-  let rcv = pe.buffers.(sl.sl_rcv) in
-  (* the clean paths check their ranges here, once: the chunk must lie
-     inside the column's [c_nz] elements, as it had to inside a copy of
-     them, and those lie inside [col] ({!source_column}); the promoted
-     loop then reads and writes unchecked *)
+  (* a clean chunk must lie inside the column's [c_nz] elements, as it
+     had to inside a copy of them, and those lie inside [col]
+     ({!source_column}) *)
   let past_column = cs > 0 && off + cs > c.c_nz in
-  if c.promoted then begin
-    let coeff = sl.sl_coeff in
+  if c.promoted then
     match outcome with
     | Lost -> () (* the missing contribution reads as zero *)
     | Clean ->
-        if past_column || cs > Array.length rcv then invalid_arg "index out of bounds";
-        let from = base + off in
-        for z = 0 to cs - 1 do
-          Array.unsafe_set rcv z
-            (Array.unsafe_get rcv z +. (coeff *. Array.unsafe_get col (from + z)))
-        done
+        if past_column then invalid_arg "index out of bounds";
+        add_term sim.terms sl col (base + off)
     | Damaged (idx, noise) ->
-        for z = 0 to cs - 1 do
-          let v = col.(base + off + z) in
-          let v = if z = idx then v +. noise else v in
-          rcv.(z) <- rcv.(z) +. (coeff *. v)
-        done
-  end
+        let damaged = Array.sub col (base + off) cs in
+        damaged.(idx) <- damaged.(idx) +. noise;
+        add_term sim.terms sl damaged 0
   else
+    let rcv = pe.buffers.(sl.sl_rcv) in
     let at = (sl.sl_d - 1) * cs in
     match outcome with
     | Lost -> Array.fill rcv at cs 0.0
@@ -1213,7 +1294,10 @@ let deliver (pe : pe) (c : comm) (sl : slot) (col : float array) ~(base : int)
         Array.blit col (base + off) rcv at cs;
         rcv.(at + idx) <- rcv.(at + idx) +. noise
 
-(** Deliver all chunks and run the callbacks; assumes {!exchange_ready}. *)
+(** Deliver all chunks and run the callbacks; assumes {!exchange_ready}.
+    Each chunk's outcomes, arrivals and link traces are resolved slot by
+    slot, in slot order; with promoted coefficients, one fused pass per
+    receive buffer then writes the chunk's reduction. *)
 let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
   let m = sim.machine in
   let c = w.w_comm in
@@ -1222,20 +1306,14 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
   for k = 0 to c.num_chunks - 1 do
     let off = k * cs in
     let arrival = ref w.w_registered_at in
-    (* promoted staging buffers accumulate; clear once per chunk (with
-       the one-shot reduction several directions share one buffer) *)
-    if c.promoted then
-      for i = 0 to Array.length c.rcv_bufs - 1 do
-        let rcv = pe.buffers.(c.rcv_bufs.(i)) in
-        Array.fill rcv 0 (Array.length rcv) 0.0
-      done;
+    if c.promoted then Array.fill sim.terms.tm_count 0 (Array.length c.rcv_bufs) 0;
     (* deliver into receive buffers *)
     for j = 0 to Array.length c.slots - 1 do
       let sl = c.slots.(j) in
       match sources.(j) with
       | Src_halo (col, base) ->
           (* host links are outside the fault model *)
-          deliver pe c sl col ~base ~off Clean
+          deliver sim pe c sl col ~base ~off Clean
       | Src_fabric (col, sr) ->
           let r = sr.sr_chunk_ready in
           let d = sl.sl_d in
@@ -1252,7 +1330,7 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
             trace_link sim ~src:sim.pes.(sx).(sy) ~dst:pe ~dir:sl.sl_dir ~chunk:k
               ~elems:cs ~ready:r.(k) ~arrival:at;
           if sr.sr_tainted then pe.tainted <- true;
-          deliver pe c sl col ~base:0 ~off outcome
+          deliver sim pe c sl col ~base:0 ~off outcome
       | Src_skipped ->
           (* sender halted: the receiver waited out the halt timeout,
              substitutes zeroes and marks itself *)
@@ -1262,8 +1340,19 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                 Float.max !arrival (w.w_registered_at +. r.Faults.halt_timeout_cycles)
           | None -> ());
           pe.tainted <- true;
-          deliver pe c sl [||] ~base:0 ~off Lost
+          deliver sim pe c sl [||] ~base:0 ~off Lost
     done;
+    (* the promoted reduction of each receive buffer, in slot order
+       (with the one-shot reduction several directions share one
+       buffer); a buffer left with no term reads as zeroes *)
+    if c.promoted then begin
+      let tm = sim.terms in
+      for i = 0 to Array.length c.rcv_bufs - 1 do
+        Bufview.scaled_sum_into ~coeffs:tm.tm_coeffs.(i) ~cols:tm.tm_cols.(i)
+          ~starts:tm.tm_starts.(i) ~terms:tm.tm_count.(i) ~len:cs
+          pe.buffers.(c.rcv_bufs.(i))
+      done
+    end;
     (* run the chunk callback once data for this chunk has arrived *)
     if !arrival > pe.clock then begin
       trace_span sim pe ~cat:"wait" ~name:"parked-on-exchange" pe.clock !arrival;

@@ -63,6 +63,10 @@ type pe = {
           PE, also the exchanges the resilience layer degraded past *)
   stats : pe_stats;
   mutable live_sends : int;  (** this PE's records still in the send table *)
+  spare : send_record list array;
+      (** by apply id: this PE's records of that apply that every
+          receiver has consumed; its later sends of the apply reuse their
+          arrays instead of allocating snapshots *)
   mutable dispatches : int;
       (** task dispatches so far, counted only with an injector: the
           activation index its stall and halt decisions key on *)
@@ -75,12 +79,21 @@ type pe = {
 and task_queue
 and waiting
 
+and send_record
+(** One registered send.  It carries a count of the receivers that
+    still have to consume it, and whether its sender was tainted, and
+    leaves [sends] when the last receiver has consumed it, back to its
+    sender's [spare] records; receivers that halt never consume, so
+    their records stay until the end of the run. *)
+
 type t = {
   machine : Machine.t;
   width : int;
   height : int;
   pes : pe array array;
-  sends : (int * int * int * int, send_record) Hashtbl.t;
+  sends : (int, send_record) Hashtbl.t;
+      (** live send records, each under one int that packs (apply, seq,
+          x, y) *)
   halo : (int * int, float array) Hashtbl.t;
       (** host-resident Dirichlet boundary columns *)
   zfull : int;
@@ -97,19 +110,14 @@ type t = {
   code : code;
       (** the program's symbols, initial values, functions and tasks,
           staged once by {!create} and shared read-only by every PE *)
+  terms : terms;  (** scratch of the promoted-coefficient delivery *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records (lifted if the fabric goes quiescent with PEs
           held, i.e. a receiver halted or finished without consuming) *)
 }
 
-and send_record
-(** One registered send.  It carries a count of the receivers that
-    still have to consume it, and whether its sender was tainted, and
-    leaves [sends] when the last receiver has consumed it;
-    receivers that halt never consume, so their records stay until the
-    end of the run. *)
-
+and terms
 and comm
 and code
 

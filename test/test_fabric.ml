@@ -200,7 +200,23 @@ let test_decode_errors () =
       in
       Bld.insert0 b
         (create_op "csl.member_call" ~results:[]
-           ~attrs:[ ("field", String_attr "communicate"); ("config", Dict_attr cfg) ]))
+           ~attrs:[ ("field", String_attr "communicate"); ("config", Dict_attr cfg) ]));
+  (* the sends of one apply reuse each other's records, so they share a
+     shape *)
+  check_refused "one apply, two shapes" [ "apply 0"; "shapes" ] (fun b ->
+      List.iter
+        (fun nz ->
+          let cfg =
+            [
+              ("apply_id", Int_attr 0); ("chunk_size", Int_attr 1); ("inputs", Array_attr []);
+              ("z_base", Int_attr 0); ("nz", Int_attr nz); ("num_chunks", Int_attr 1);
+              ("chunk_cb", String_attr "t"); ("done_cb", String_attr "t");
+            ]
+          in
+          Bld.insert0 b
+            (create_op "csl.member_call" ~results:[]
+               ~attrs:[ ("field", String_attr "communicate"); ("config", Dict_attr cfg) ]))
+        [ 1; 2 ])
 
 let () =
   Alcotest.run "fabric"

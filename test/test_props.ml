@@ -525,6 +525,135 @@ let prop_bufview_kernels_differential =
             let x, y = c.kc_init in
             bits_equal arrs.(0) x && bits_equal arrs.(1) y)
 
+(* The fused promoted-coefficient reduction against the delivery it
+   replaces: fill the receive buffer with 0.0, then accumulate one term
+   after the other, a lost term skipped and a damaged one read with its
+   noise.  The fused side edits the term list as the fabric does: a lost
+   term is dropped, a damaged one reads a chunk-sized copy that carries
+   the noise.  Zero to nine terms over two backing columns (so terms
+   alias and overlap), values and coefficients that include -0.0, NaN
+   and infinities, and a receive buffer longer than the chunk.  In a
+   sixth of the cases one term starts out of range: the kernel must
+   raise [Invalid_argument] before it writes. *)
+type edit = Clean | Lost | Damaged of int * float
+
+type sum_case = {
+  sc_cols : float array array;
+  sc_dst : float array;
+  sc_len : int;
+  sc_terms : (float * int * int * edit) list;  (** coeff, column, start, edit *)
+  sc_bad : int option;  (** the term moved out of range, if any *)
+}
+
+let sum_case_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (6, float_range (-50.0) 50.0);
+        (1, oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1.0 ]);
+      ]
+  in
+  let* sc_len = int_range 0 8 in
+  let* sc_cols = array_size (return 2) (array_size (int_range sc_len (sc_len + 6)) value) in
+  let* sc_dst = array_size (int_range sc_len (sc_len + 4)) value in
+  let term =
+    let* k = value in
+    let* c = int_range 0 1 in
+    let* start = int_range 0 (Array.length sc_cols.(c) - sc_len) in
+    let* edit =
+      if sc_len = 0 then return Clean
+      else
+        frequency
+          [
+            (6, return Clean);
+            (1, return Lost);
+            (1, map2 (fun i n -> Damaged (i, n)) (int_range 0 (sc_len - 1)) value);
+          ]
+    in
+    return (k, c, start, edit)
+  in
+  let* n = int_range 0 9 in
+  let* sc_terms = list_repeat n term in
+  let* bad = int_range 0 5 in
+  let* victim = int_range 0 (max 0 (n - 1)) in
+  let sc_bad = if bad = 0 && n > 0 && sc_len > 0 then Some victim else None in
+  return { sc_cols; sc_dst; sc_len; sc_terms; sc_bad }
+
+let print_sum_case c =
+  let edit = function
+    | Clean -> "clean"
+    | Lost -> "lost"
+    | Damaged (i, n) -> Printf.sprintf "damaged(%d,%h)" i n
+  in
+  Printf.sprintf "len=%d dst=%d cols=%d,%d bad=%s terms=[%s]" c.sc_len
+    (Array.length c.sc_dst) (Array.length c.sc_cols.(0)) (Array.length c.sc_cols.(1))
+    (match c.sc_bad with Some i -> string_of_int i | None -> "-")
+    (String.concat "; "
+       (List.map
+          (fun (k, col, s, e) -> Printf.sprintf "%h*c%d@%d %s" k col s (edit e))
+          c.sc_terms))
+
+let prop_scaled_sum_differential =
+  QCheck.Test.make ~name:"scaled_sum_into = fill then accumulate" ~count:5000
+    (QCheck.make ~print:print_sum_case sum_case_gen)
+    (fun c ->
+      let len = c.sc_len in
+      let cols = Array.map Array.copy c.sc_cols and dst = Array.copy c.sc_dst in
+      let run terms =
+        let arr f = Array.of_list (List.map f terms) in
+        Bufview.scaled_sum_into
+          ~coeffs:(arr (fun (k, _, _) -> k))
+          ~cols:(arr (fun (_, col, _) -> col))
+          ~starts:(arr (fun (_, _, s) -> s))
+          ~terms:(List.length terms) ~len dst
+      in
+      match c.sc_bad with
+      | Some bad -> (
+          (* the bad term starts before its column, or one element too
+             late for it *)
+          let terms =
+            List.mapi
+              (fun i (k, col, s, _) ->
+                let s =
+                  if i <> bad then s
+                  else if s = 0 then -1
+                  else Array.length cols.(col) - len + 1
+                in
+                (k, cols.(col), s))
+              c.sc_terms
+          in
+          match run terms with
+          | () -> false
+          | exception Invalid_argument _ -> bits_equal dst c.sc_dst)
+      | None ->
+          run
+            (List.filter_map
+               (fun (k, col, s, e) ->
+                 match e with
+                 | Lost -> None
+                 | Clean -> Some (k, cols.(col), s)
+                 | Damaged (i, noise) ->
+                     let d = Array.sub cols.(col) s len in
+                     d.(i) <- d.(i) +. noise;
+                     Some (k, d, 0))
+               c.sc_terms);
+          let expect = Array.make (Array.length dst) 0.0 in
+          List.iter
+            (fun (k, col, s, e) ->
+              let col = c.sc_cols.(col) in
+              for z = 0 to len - 1 do
+                match e with
+                | Lost -> ()
+                | Clean -> expect.(z) <- expect.(z) +. (k *. col.(s + z))
+                | Damaged (i, noise) ->
+                    let v = col.(s + z) in
+                    let v = if z = i then v +. noise else v in
+                    expect.(z) <- expect.(z) +. (k *. v)
+              done)
+            c.sc_terms;
+          bits_equal dst expect)
+
 let () =
   Alcotest.run "properties"
     [
@@ -553,5 +682,6 @@ let () =
             prop_bufview_strided;
             prop_bufview_bounds_checked;
             prop_bufview_kernels_differential;
+            prop_scaled_sum_differential;
           ] );
     ]

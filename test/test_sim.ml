@@ -351,15 +351,18 @@ let test_memory_guard () =
       check "message names the limit" true
         (contains msg (Printf.sprintf "limit of %d bytes" Fabric.max_simulated_bytes))
 
-(* the estimate prices what [create] allocates: on an 8x8 proxy of every
-   benchmark, at least the bytes reachable from the PEs (buffers as
-   8-byte host floats, their tables, the PE records) *)
+(* the estimate prices what the simulator allocates: on an 8x8 proxy of
+   every benchmark run for 8 timesteps, at least the bytes reachable
+   from the PEs (buffers as 8-byte host floats, their tables, the PE
+   records and the spare send records they keep for reuse) *)
 let test_memory_estimate_covers_pes () =
   List.iter
     (fun (d : B.descr) ->
-      let p = d.make_n (B.Proxy (8, 8)) 1 in
+      let p = d.make_n (B.Proxy (8, 8)) 8 in
       let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
-      let sim = Fabric.create Machine.wse3 program in
+      let h = Host.load Machine.wse3 program (P.init_grids p) in
+      let sim = h.Host.sim in
+      Fabric.run_to_completion sim;
       let reachable = 8 * Obj.reachable_words (Obj.repr sim.Fabric.pes) in
       let estimate = Fabric.estimate_bytes sim in
       if estimate < reachable then
@@ -445,6 +448,36 @@ let prop_live_sends_bounded =
 (* exchanges the resilience layer degraded past, per halted PE: its
    [seq] counts its own sends and then every exchange skipped past it.
    Jacobian has one apply, whose every send adds the same [elems_sent] *)
+(* a record its receivers have all consumed goes back to its sender,
+   whose later sends blit their snapshots into its arrays: the
+   major-heap words [run_to_completion] allocates for jacobian on 8x8
+   PEs grow by far less than one snapshot (a column of the z extent) per
+   send from 8 to 32 iterations.  The runs are deterministic, so the
+   measure is too *)
+let test_recycled_snapshots () =
+  let p n = (B.find "jacobian").make_n (B.Proxy (8, 8)) n in
+  let run n =
+    let p = p n in
+    let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
+    let h = Host.load Machine.wse3 program (P.init_grids p) in
+    let w0 = (Gc.quick_stat ()).major_words in
+    Fabric.run_to_completion h.Host.sim;
+    let words = (Gc.quick_stat ()).major_words -. w0 in
+    let sends =
+      Array.fold_left
+        (Array.fold_left (fun n (pe : Fabric.pe) -> n + Array.fold_left ( + ) 0 pe.seq))
+        0 h.sim.pes
+    in
+    (words, sends)
+  in
+  let w8, s8 = run 8 and w32, s32 = run 32 in
+  let _, _, nz = (p 8).P.extents in
+  let per_send = (w32 -. w8) /. float_of_int (s32 - s8) in
+  Printf.printf "major words: %.0f at n=8, %.0f at n=32; %.1f per extra send (z %d)\n"
+    w8 w32 per_send nz;
+  if per_send >= float_of_int nz /. 10.0 then
+    Alcotest.failf "%.1f major-heap words per extra send, a z column is %d" per_send nz
+
 let skipped_exchanges (sim : Fabric.t) : int list =
   let pes = List.concat_map Array.to_list (Array.to_list sim.pes) in
   let live = List.find (fun (pe : Fabric.pe) -> not pe.halted) pes in
@@ -778,6 +811,7 @@ let () =
              test_deadlock_after_frees
         :: Alcotest.test_case "peak live send records bounded" `Slow
              test_peak_live_bounded
+        :: Alcotest.test_case "recycled snapshots" `Quick test_recycled_snapshots
         :: Alcotest.test_case "halted-PE replay with record freeing" `Quick
              test_halt_replay_with_freeing
         :: Alcotest.test_case "halt counted once per PE" `Quick
