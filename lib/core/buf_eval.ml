@@ -9,6 +9,7 @@
 
 open Wsc_ir.Ir
 module I = Wsc_dialects.Interp
+module Bufview = Wsc_dialects.Bufview
 
 type cell =
   | Vbuf of Bufview.t

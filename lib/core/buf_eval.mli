@@ -7,7 +7,7 @@
 open Wsc_ir.Ir
 
 type cell =
-  | Vbuf of Bufview.t
+  | Vbuf of Wsc_dialects.Bufview.t
   | Vint of int
   | Vfloat of float
   | Vgrid of Wsc_dialects.Interp.grid

@@ -14,6 +14,7 @@
 
 open Wsc_ir.Ir
 module I = Wsc_dialects.Interp
+module Bufview = Wsc_dialects.Bufview
 module Stencil = Wsc_dialects.Stencil
 
 (** Offset in [g]'s data of the [cs] values from [z_off] of the z-column
@@ -42,7 +43,7 @@ let build_rcv_grids ~one_shot (cfg : Csl_stencil.apply_config) (comm_grids : I.g
   List.mapi
     (fun i (g : I.grid) ->
       let rg = I.make_grid rb (Tensor ([ cs ], F32)) in
-      let rd = rg.I.gdata in
+      let column data off = Bufview.make data ~off ~len:cs () in
       (if cfg.coeffs <> [] then begin
          (* promoted: pre-scaled reduction, per direction at the unit
             offset, or into one shared position when one-shot *)
@@ -52,11 +53,10 @@ let build_rcv_grids ~one_shot (cfg : Csl_stencil.apply_config) (comm_grids : I.g
                match chunk g dx dy with
                | Some src ->
                    let dst =
-                     if one_shot then pos 0 0 else pos (compare dx 0) (compare dy 0)
+                     column rg.I.gdata
+                       (if one_shot then pos 0 0 else pos (compare dx 0) (compare dy 0))
                    in
-                   for k = 0 to cs - 1 do
-                     rd.(dst + k) <- rd.(dst + k) +. (c *. g.I.gdata.(src + k))
-                   done
+                   Bufview.fmac_into dst (column g.I.gdata src) c dst
                | None -> ())
            cfg.coeffs
        end
@@ -66,7 +66,8 @@ let build_rcv_grids ~one_shot (cfg : Csl_stencil.apply_config) (comm_grids : I.g
            for dy = -radius to radius do
              if dx <> 0 || dy <> 0 then
                match chunk g dx dy with
-               | Some src -> Array.blit g.I.gdata src rd (pos dx dy) cs
+               | Some src ->
+                   Bufview.blit ~src:(column g.I.gdata src) ~dst:(column rg.I.gdata (pos dx dy))
                | None -> ()
            done
          done);
@@ -96,16 +97,6 @@ let setup (op : op) : setup =
     one_shot = has_attr op "one_shot";
   }
 
-(* Run [f] once per PE of the compute bounds, with its comm grids, the
-   initial accumulator and fresh output grids; returns the outputs. *)
-let per_pe (s : setup) (op : op) (vals : I.rtvalue list) (pt : int array)
-    (f : I.grid list -> float array -> I.grid list -> unit) : I.rtvalue list =
-  let comm_grids = List.filteri (fun i _ -> i < s.cfg.comm_count) vals |> List.map I.as_grid in
-  let acc_init = I.as_tensor (List.nth vals s.cfg.comm_count) in
-  let out_grids = List.map (fun _ -> I.copy_grid (List.hd comm_grids)) op.results in
-  I.iter_box s.cb pt (fun () -> f comm_grids acc_init out_grids);
-  List.map (fun g -> I.Rgrid g) out_grids
-
 (* Write a done-region column into every output grid at [pt]. *)
 let write_columns (out_grids : I.grid list) (pt : int array) (cols : float array list) : unit =
   if List.length cols <> List.length out_grids then
@@ -118,90 +109,89 @@ let write_columns (out_grids : I.grid list) (pt : int array) (cols : float array
       Array.blit col 0 g.I.gdata (I.index_at g pt [| 0; 0 |] * z) z)
     out_grids cols
 
+(* The apply, once per PE [pt] of the compute bounds: from a copy of the
+   initial accumulator, [chunk fr acc off rcv_grids] runs the receive
+   region on each chunk's views and returns the accumulator, then the
+   columns of [finish fr vals acc] go into fresh output grids. *)
+let per_pe (s : setup) (op : op) (inputs : (I.frame -> I.rtvalue) list) (pt : int array)
+    ~(chunk : I.frame -> float array -> int -> I.grid list -> float array)
+    ~(finish : I.frame -> I.rtvalue list -> float array -> float array list) :
+    I.frame -> I.rtvalue list =
+ fun fr ->
+  let vals = List.map (fun r -> r fr) inputs in
+  let comm_grids = List.filteri (fun i _ -> i < s.cfg.comm_count) vals |> List.map I.as_grid in
+  let acc_init = I.as_tensor (List.nth vals s.cfg.comm_count) in
+  let out_grids = List.map (fun _ -> I.copy_grid (List.hd comm_grids)) op.results in
+  I.iter_box s.cb pt (fun () ->
+      let acc = ref (Array.copy acc_init) in
+      for c = 0 to s.cfg.num_chunks - 1 do
+        let off = c * s.cfg.chunk_size in
+        acc :=
+          chunk fr !acc off
+            (build_rcv_grids ~one_shot:s.one_shot s.cfg comm_grids pt.(0) pt.(1)
+               ~z_halo:s.z_halo ~off ~radius:s.radius)
+      done;
+      write_columns out_grids pt (finish fr vals !acc));
+  List.map (fun g -> I.Rgrid g) out_grids
+
 (** Tensor-form evaluation (post group 2): both regions staged by the
     interpreter, accesses reading at the view centre (receive) or the PE
     (done). *)
 let stage_tensor (sc : I.scope) (op : op) : I.frame -> I.rtvalue list =
-  let s = setup op in
-  let inputs = List.map (I.read sc) op.operands in
+  let s = setup op and inputs = List.map (I.read sc) op.operands in
   let recv_block = entry_block (Csl_stencil.recv_region op) in
   let done_block = entry_block (Csl_stencil.done_region op) in
-  let centre = [| 0; 0 |] and pt = [| 0; 0 |] in
+  let pt = [| 0; 0 |] and n = s.cfg.comm_count in
   let recv_args = List.map (I.write sc) recv_block.bargs in
-  let run_recv = I.stage_block sc ~point:centre recv_block in
+  let run_recv = I.stage_block sc ~point:[| 0; 0 |] recv_block in
   let done_args = List.map (I.write sc) done_block.bargs in
   let run_done = I.stage_block sc ~point:pt done_block in
-  let n = s.cfg.comm_count in
-  fun fr ->
-    let vals = List.map (fun r -> r fr) inputs in
-    per_pe s op vals pt (fun comm_grids acc_init out_grids ->
-        let acc = ref (Array.copy acc_init) in
-        for chunk = 0 to s.cfg.num_chunks - 1 do
-          let off = chunk * s.cfg.chunk_size in
-          let rcv_grids =
-            build_rcv_grids ~one_shot:s.one_shot s.cfg comm_grids pt.(0) pt.(1)
-              ~z_halo:s.z_halo ~off ~radius:s.radius
-          in
-          List.iteri
-            (fun i set ->
-              set fr
-                (if i < n then I.Rgrid (List.nth rcv_grids i)
-                 else if i = n then I.Rint off
-                 else I.Rtensor !acc))
-            recv_args;
-          match run_recv fr with
-          | [ I.Rtensor acc' ] -> acc := acc'
-          | _ -> I.fail "csl_stencil.apply: recv region must yield the accumulator"
-        done;
-        List.iteri
-          (fun i set -> set fr (if i = n then I.Rtensor !acc else List.nth vals i))
-          done_args;
-        write_columns out_grids pt (List.map I.as_tensor (run_done fr)))
+  per_pe s op inputs pt
+    ~chunk:(fun fr acc off rcv_grids ->
+      List.iteri
+        (fun i set ->
+          set fr
+            (if i < n then I.Rgrid (List.nth rcv_grids i)
+             else if i = n then I.Rint off
+             else I.Rtensor acc))
+        recv_args;
+      match run_recv fr with
+      | [ I.Rtensor acc' ] -> acc'
+      | _ -> I.fail "csl_stencil.apply: recv region must yield the accumulator")
+    ~finish:(fun fr vals acc ->
+      List.iteri (fun i set -> set fr (if i = n then I.Rtensor acc else List.nth vals i)) done_args;
+      List.map I.as_tensor (run_done fr))
 
 (** Bufferized-form evaluation (post group 3): both regions staged by
     {!Buf_eval}. *)
 let stage_bufferized (sc : I.scope) (op : op) : I.frame -> I.rtvalue list =
-  let s = setup op in
-  let inputs = List.map (I.read sc) op.operands in
+  let s = setup op and inputs = List.map (I.read sc) op.operands in
   let recv_block = entry_block (Csl_stencil.recv_region op) in
   let done_block = entry_block (Csl_stencil.done_region op) in
   let recv = Buf_eval.stage recv_block and done_ = Buf_eval.stage done_block in
   let n_recv = List.length recv_block.bargs and n_done = List.length done_block.bargs in
-  let n = s.cfg.comm_count in
-  let centre = [| 0; 0 |] and pt = [| 0; 0 |] in
-  fun fr ->
-    let vals = List.map (fun r -> r fr) inputs in
-    per_pe s op vals pt (fun comm_grids acc_init out_grids ->
-        let acc = Array.copy acc_init in
-        for chunk = 0 to s.cfg.num_chunks - 1 do
-          let off = chunk * s.cfg.chunk_size in
-          let rcv_grids =
-            Array.of_list
-              (build_rcv_grids ~one_shot:s.one_shot s.cfg comm_grids pt.(0) pt.(1)
-                 ~z_halo:s.z_halo ~off ~radius:s.radius)
-          in
-          ignore
-            (Buf_eval.run recv ~point:centre
-               (Array.init n_recv (fun i ->
-                    if i < n then Buf_eval.Vgrid rcv_grids.(i)
-                    else if i = n then Buf_eval.Vint off
-                    else Buf_eval.Vbuf (Bufview.of_array acc))))
-        done;
-        let outs =
-          Buf_eval.run done_ ~point:pt
-            (Array.init n_done (fun i ->
-                 if i = n then Buf_eval.Vbuf (Bufview.of_array acc)
-                 else
-                   match List.nth vals i with
-                   | I.Rgrid g -> Buf_eval.Vgrid g
-                   | _ -> I.fail "csl_stencil.apply: operand %d is not a grid" i))
-        in
-        write_columns out_grids pt
-          (List.map
-             (function
-               | Buf_eval.Vbuf b -> Bufview.to_array b
-               | _ -> I.fail "csl_stencil.apply: done region must yield buffers")
-             outs))
+  let pt = [| 0; 0 |] and n = s.cfg.comm_count in
+  per_pe s op inputs pt
+    ~chunk:(fun _ acc off rcv_grids ->
+      let rcv_grids = Array.of_list rcv_grids in
+      ignore
+        (Buf_eval.run recv ~point:[| 0; 0 |]
+           (Array.init n_recv (fun i ->
+                if i < n then Buf_eval.Vgrid rcv_grids.(i)
+                else if i = n then Buf_eval.Vint off
+                else Buf_eval.Vbuf (Bufview.of_array acc))));
+      acc)
+    ~finish:(fun _ vals acc ->
+      Buf_eval.run done_ ~point:pt
+        (Array.init n_done (fun i ->
+             if i = n then Buf_eval.Vbuf (Bufview.of_array acc)
+             else
+               match List.nth vals i with
+               | I.Rgrid g -> Buf_eval.Vgrid g
+               | _ -> I.fail "csl_stencil.apply: operand %d is not a grid" i))
+      |> List.map (function
+           | Buf_eval.Vbuf b -> Bufview.to_array b
+           | _ -> I.fail "csl_stencil.apply: done region must yield buffers"))
 
 (** The stager for the csl_stencil ops; [csl_stencil.prefetch] marks a
     fetch and, in single-address-space semantics, is the identity (like

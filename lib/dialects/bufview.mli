@@ -1,9 +1,11 @@
-(** Buffer views: the runtime representation shared by the bufferized-IR
-    evaluator and the fabric simulator's DSD execution.  A view aliases a
-    (possibly strided) slice of a backing array — what a memref subview or
-    a mem1d DSD denotes on a PE. *)
+(** Buffer views: the element kernels of the sequential reference, the
+    bufferized-IR evaluator and the fabric simulator's DSD execution.  A
+    view aliases a (possibly strided) slice of a backing array — what a
+    memref subview or a mem1d DSD denotes on a PE, or one strip of a
+    reference grid's row, which the reference slides along the row by
+    moving [off] and [len]. *)
 
-type t = { data : float array; off : int; len : int; stride : int }
+type t = { data : float array; mutable off : int; mutable len : int; stride : int }
 
 val of_array : float array -> t
 

@@ -9,9 +9,9 @@
     Execution is staged: [run_func] first resolves every op of a function
     into a closure over the slots of a per-call frame (opnames, attributes
     and static bounds are read once), then runs the closures.  Scalar
-    [stencil.apply] bodies are further staged over unboxed float row
-    buffers and run one strip of an innermost (z) row at a time, each
-    access one linear offset per input grid. *)
+    [stencil.apply] bodies are further staged over {!Bufview} views and
+    run one strip of an innermost (z) row at a time, each access a view
+    into its input grid at one linear offset. *)
 
 open Wsc_ir.Ir
 
@@ -143,16 +143,30 @@ let as_tensor = function
   | Rfloat f -> [| f |]
   | _ -> fail "expected tensor"
 
-(** Elementwise float operation, rank-polymorphic. *)
-let elementwise2 (f : float -> float -> float) (a : rtvalue) (b : rtvalue) : rtvalue =
+(** Elementwise float operation, rank-polymorphic: tensors through
+    {!Bufview}'s kernels, into a fresh array or, when [in_place], into a
+    tensor [a] the caller owns. *)
+let elementwise2 ?(in_place = false) (op : Bufview.arith) (a : rtvalue) (b : rtvalue) :
+    rtvalue =
+  let v = Bufview.of_array in
+  let out x = if in_place then x else Array.make (Array.length x) 0.0 in
   match (a, b) with
-  | Rfloat x, Rfloat y -> Rfloat (f x y)
+  | Rfloat x, Rfloat y ->
+      Rfloat (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y)
+  | Rtensor x, Rtensor y when Array.length x = Array.length y ->
+      let r = out x in
+      Bufview.arith_into op (v x) (v y) (v r);
+      Rtensor r
   | Rtensor x, Rtensor y ->
-      if Array.length x <> Array.length y then
-        fail "elementwise: tensor sizes %d vs %d" (Array.length x) (Array.length y);
-      Rtensor (Array.mapi (fun i xi -> f xi y.(i)) x)
-  | Rtensor x, Rfloat y -> Rtensor (Array.map (fun xi -> f xi y) x)
-  | Rfloat x, Rtensor y -> Rtensor (Array.map (fun yi -> f x yi) y)
+      fail "elementwise: tensor sizes %d vs %d" (Array.length x) (Array.length y)
+  | Rtensor x, Rfloat k ->
+      let r = out x in
+      Bufview.arith_scalar_into op (v x) k (v r);
+      Rtensor r
+  | Rfloat k, Rtensor y ->
+      let r = Array.make (Array.length y) 0.0 in
+      Bufview.scalar_arith_into op k (v y) (v r);
+      Rtensor r
   | _ -> fail "elementwise: bad operands"
 
 (** [stencil.store]: copy the source grid's whole box into the
@@ -231,20 +245,24 @@ let apply_outputs (first_input : rtvalue option) (result_types : typ list) : gri
 
 (** {2 Scalar apply bodies} *)
 
-type fop = Fadd | Fsub | Fmul | Fdiv
-
 type finstr =
-  | Faccess of int * int * int array  (** float slot, source, offset *)
-  | Fbin of int * fop * int * int
-  | Fvar of int * fop * int array
+  | Fbin of int * Bufview.arith * int * int  (** float slot, op, operands *)
+  | Fvar of int * Bufview.arith * int array
 
+(* A scalar body runs on one strip of an innermost row at a time, as one
+   {!Bufview.t} per float slot.  A window slides along a grid's row: an
+   access's view, read in place on its source grid, and a result's, on
+   its output grid, which the instruction computing it writes directly.
+   Every other slot owns a buffer as wide as a strip. *)
 type scalar_body = {
   nf : int;  (** float slots *)
   sources : int array;  (** frame slots of the accessed grids *)
+  windows : (int * int * int array) array;
+      (** float slot, grid (the sources, then the outputs), offset *)
+  buffers : int array;  (** the float slots that own a buffer *)
   consts : (int * float) list;
   imports : (int * int) list;  (** frame slot -> float slot, read per execution *)
   instrs : finstr array;
-  rets : int array;
 }
 
 exception Not_scalar
@@ -289,13 +307,13 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
     in
     find 0 !sources
   in
-  let fop_of = function
-    | "arith.addf" | "varith.add" -> Fadd
-    | "arith.subf" -> Fsub
-    | "arith.mulf" | "varith.mul" -> Fmul
-    | _ -> Fdiv
+  let arith_of = function
+    | "arith.addf" | "varith.add" -> Bufview.Add
+    | "arith.subf" -> Bufview.Sub
+    | "arith.mulf" | "varith.mul" -> Bufview.Mul
+    | _ -> Bufview.Div
   in
-  let consts = ref [] and instrs = ref [] and rets = ref None in
+  let consts = ref [] and accesses = ref [] and instrs = ref [] and rets = ref None in
   match
     List.iter
       (fun (o : op) ->
@@ -307,15 +325,16 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
             | _ -> raise Not_scalar)
         | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" ->
             let a = operand_f (operand o 0) and b = operand_f (operand o 1) in
-            instrs := Fbin (newf (result o), fop_of o.opname, a, b) :: !instrs
+            instrs := Fbin (newf (result o), arith_of o.opname, a, b) :: !instrs
         | "varith.add" | "varith.mul" ->
             if o.operands = [] then raise Not_scalar;
             let xs = Array.of_list (List.map operand_f o.operands) in
-            instrs := Fvar (newf (result o), fop_of o.opname, xs) :: !instrs
+            instrs := Fvar (newf (result o), arith_of o.opname, xs) :: !instrs
         | "stencil.access" ->
             let off = Array.of_list (dense_ints_exn o "offset") in
             if Array.length off <> rank then raise Not_scalar;
-            instrs := Faccess (newf (result o), source (operand o 0), off) :: !instrs
+            let s = source (operand o 0) in
+            accesses := (newf (result o), s, off) :: !accesses
         | "stencil.return" -> rets := Some (Array.of_list (List.map operand_f o.operands))
         | _ -> raise Not_scalar)
       body.bops
@@ -324,54 +343,50 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
   | () -> (
       match !rets with
       | Some rets when Array.length rets = List.length o.results && rank > 0 ->
+          let nsrc = List.length !sources and zero = Array.make rank 0 in
+          let windowed = Hashtbl.create 16 in
+          List.iter (fun (d, _, _) -> Hashtbl.replace windowed d ()) !accesses;
+          let computed d =
+            List.exists (function Fbin (e, _, _, _) | Fvar (e, _, _) -> e = d) !instrs
+          in
+          (* the instruction computing a result writes it into its output;
+             any other result (an access, a constant, an import, a repeat)
+             gets a copying instruction of its own *)
+          let result j d =
+            let d =
+              if computed d && not (Hashtbl.mem windowed d) then d
+              else (instrs := Fvar (!nf, Bufview.Add, [| d |]) :: !instrs; incr nf; !nf - 1)
+            in
+            Hashtbl.replace windowed d ();
+            (d, nsrc + j, zero)
+          in
+          let results = List.mapi result (Array.to_list rets) in
           Some
             {
               nf = !nf;
               sources = Array.of_list !sources;
+              windows = Array.of_list (List.rev_append !accesses results);
+              buffers =
+                Array.of_list
+                  (List.filter (fun d -> not (Hashtbl.mem windowed d)) (List.init !nf Fun.id));
               consts = !consts;
               imports = !imports;
               instrs = Array.of_list (List.rev !instrs);
-              rets;
             }
       | _ -> None)
 
-(* Width of the strips each innermost row is cut into: every float slot
-   owns one buffer of at most [strip] points, so a body's buffers
-   (seismic: 110) do not grow with the row. *)
+(* Width of the strips each innermost row is cut into: every buffer holds
+   at most [strip] points, so a body's buffers do not grow with the row. *)
 let strip = 128
-
-(* [r.(i) <- x.(i) op y.(i)] for [i < n].  Callers pass row buffers of
-   one width and [n] no larger, so no access is out of bounds. *)
-let row_op (op : fop) : float array -> float array -> float array -> int -> unit =
-  match op with
-  | Fadd ->
-      fun r x y n ->
-        for i = 0 to n - 1 do
-          Array.unsafe_set r i (Array.unsafe_get x i +. Array.unsafe_get y i)
-        done
-  | Fsub ->
-      fun r x y n ->
-        for i = 0 to n - 1 do
-          Array.unsafe_set r i (Array.unsafe_get x i -. Array.unsafe_get y i)
-        done
-  | Fmul ->
-      fun r x y n ->
-        for i = 0 to n - 1 do
-          Array.unsafe_set r i (Array.unsafe_get x i *. Array.unsafe_get y i)
-        done
-  | Fdiv ->
-      fun r x y n ->
-        for i = 0 to n - 1 do
-          Array.unsafe_set r i (Array.unsafe_get x i /. Array.unsafe_get y i)
-        done
 
 (* Run a staged scalar body over the compute bounds [cb] into [outs],
    one strip of an innermost row at a time: each instruction runs over
-   the whole strip into its slot's buffer, every point through the same
-   float ops in the same order as a point-at-a-time loop.  The outputs
-   are fresh grids no access reads, so the visiting order cannot change
-   a value.  Returns false, having done nothing, when the frame's grids
-   or imports are not scalar; the generic path then runs instead. *)
+   the whole strip into its view, every point through the same float ops
+   in the same order as a point-at-a-time loop.  The outputs are fresh
+   grids no access reads, so neither the visiting order nor writing a
+   result in place can change a value.  Returns false, having done
+   nothing, when the frame's grids or imports are not scalar; the
+   generic path then runs instead. *)
 let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs : grid list) :
     bool =
   let rank = List.length cb in
@@ -389,68 +404,58 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
   else if box_empty cb then true
   else begin
     let srcs = Array.map Option.get srcs in
-    Array.iter (function Faccess (_, s, off) -> check_box srcs.(s) cb off | _ -> ()) b.instrs;
+    let nsrc = Array.length srcs in
+    Array.iter (fun (_, g, off) -> if g < nsrc then check_box srcs.(g) cb off) b.windows;
     let zero = Array.make rank 0 in
     List.iter (fun g -> check_box g cb zero) outs;
     let grids = Array.append srcs (Array.of_list outs) in
+    let str = Array.map (fun g -> strides g.gbounds) grids in
+    let lbs = Array.map (fun g -> Array.of_list (List.map fst g.gbounds)) grids in
     let lb_last, ub_last = List.nth cb (rank - 1) in
     let width = min strip (ub_last - lb_last) in
-    let rows = Array.init b.nf (fun _ -> Array.make width 0.0) in
-    List.iter (fun (s, f) -> Array.fill rows.(s) 0 width f) b.consts;
-    List.iter (fun (outer, s) -> Array.fill rows.(s) 0 width (as_float fr.(outer))) b.imports;
-    let str = Array.map (fun g -> strides g.gbounds) grids in
-    (* flat index in each grid of the current strip's first point *)
-    let base = Array.make (Array.length grids) 0 in
-    let lin s off =
-      let acc = ref 0 in
-      Array.iteri (fun d o -> acc := !acc + (o * str.(s).(d))) off;
-      !acc
-    in
-    let code =
-      Array.map
-        (function
-          | Faccess (d, s, off) ->
-              let data = srcs.(s).gdata and k = lin s off and r = rows.(d) in
-              fun n -> Array.blit data (base.(s) + k) r 0 n
-          | Fbin (d, op, a, b) ->
-              let f = row_op op and r = rows.(d) and x = rows.(a) and y = rows.(b) in
-              fun n -> f r x y n
-          | Fvar (d, op, xs) ->
-              let f = row_op op and r = rows.(d) and xs = Array.map (fun x -> rows.(x)) xs in
-              fun n ->
-                Array.blit xs.(0) 0 r 0 n;
-                for k = 1 to Array.length xs - 1 do
-                  f r r xs.(k) n
-                done)
-        b.instrs
-    in
-    let ncode = Array.length code and nsrc = Array.length srcs in
-    let odata = Array.of_list (List.map (fun g -> g.gdata) outs) in
-    let nout = Array.length odata and ngrids = Array.length grids in
-    let pt = Array.make rank 0 in
+    (* every entry is replaced: each view is a buffer or a window *)
+    let views = Array.make b.nf (Bufview.of_array [||]) in
+    Array.iter (fun v -> views.(v) <- Bufview.of_array (Array.make width 0.0)) b.buffers;
+    List.iter (fun (s, f) -> Bufview.fill views.(s) f) b.consts;
+    List.iter (fun (outer, s) -> Bufview.fill views.(s) (as_float fr.(outer))) b.imports;
+    Array.iter
+      (fun (v, g, _) ->
+        views.(v) <- { Bufview.data = grids.(g).gdata; off = 0; len = width; stride = 1 })
+      b.windows;
+    let nwin = Array.length b.windows and pt = Array.make rank 0 in
     iter_box
       (List.filteri (fun d _ -> d < rank - 1) cb)
       pt
       (fun () ->
+        (* each window at its row's first strip *)
         pt.(rank - 1) <- lb_last;
-        for j = 0 to ngrids - 1 do
-          let acc = ref 0 in
-          List.iteri
-            (fun d (glb, _) -> acc := !acc + ((pt.(d) - glb) * str.(j).(d)))
-            grids.(j).gbounds;
-          base.(j) <- !acc
+        for i = 0 to nwin - 1 do
+          let v, g, off = b.windows.(i) in
+          let k = ref 0 in
+          for d = 0 to rank - 1 do
+            k := !k + ((pt.(d) + off.(d) - lbs.(g).(d)) * str.(g).(d))
+          done;
+          views.(v).off <- !k
         done;
         let z = ref lb_last in
         while !z < ub_last do
           let n = min width (ub_last - !z) in
-          for k = 0 to ncode - 1 do
-            code.(k) n
+          for v = 0 to b.nf - 1 do
+            views.(v).len <- n
           done;
-          for j = 0 to nout - 1 do
-            Array.blit rows.(b.rets.(j)) 0 odata.(j) base.(nsrc + j) n
+          for k = 0 to Array.length b.instrs - 1 do
+            match b.instrs.(k) with
+            | Fbin (d, op, x, y) -> Bufview.arith_into op views.(x) views.(y) views.(d)
+            | Fvar (d, _, [| x |]) -> Bufview.blit ~src:views.(x) ~dst:views.(d)
+            | Fvar (d, op, xs) ->
+                Bufview.arith_into op views.(xs.(0)) views.(xs.(1)) views.(d);
+                for i = 2 to Array.length xs - 1 do
+                  Bufview.arith_into op views.(d) views.(xs.(i)) views.(d)
+                done
           done;
-          for j = 0 to ngrids - 1 do
-            base.(j) <- base.(j) + n
+          for i = 0 to nwin - 1 do
+            let v, _, _ = b.windows.(i) in
+            views.(v).off <- views.(v).off + n
           done;
           z := !z + n
         done);
@@ -483,21 +488,23 @@ let rec stage_block sc (b : block) : frame -> rtvalue list =
 
 and stage_op sc (o : op) : staged_op =
   let s i = slot sc (operand o i) in
-  let fbin f =
+  let fbin op =
     let a = s 0 and b = s 1 in
-    results1 sc o (fun fr -> elementwise2 f fr.(a) fr.(b))
+    results1 sc o (fun fr -> elementwise2 op fr.(a) fr.(b))
   in
   let ibin f =
     let a = s 0 and b = s 1 in
     results1 sc o (fun fr -> Rint (f (as_int fr.(a)) (as_int fr.(b))))
   in
-  let fvar f =
+  let fvar op =
     let xs = Array.of_list (List.map (slot sc) o.operands) in
     if Array.length xs = 0 then fail "%s: no operands" o.opname;
     results1 sc o (fun fr ->
+        (* from the second step on, a tensor accumulator is the fresh
+           array of the step before *)
         let acc = ref fr.(xs.(0)) in
         for i = 1 to Array.length xs - 1 do
-          acc := elementwise2 f !acc fr.(xs.(i))
+          acc := elementwise2 ~in_place:(i > 1) op !acc fr.(xs.(i))
         done;
         !acc)
   in
@@ -510,10 +517,10 @@ and stage_op sc (o : op) : staged_op =
       | Some (Int_attr i), (Index | I16 | I32 | I64) -> results1 sc o (fun _ -> Rint i)
       | Some (Int_attr i), _ -> results1 sc o (fun _ -> Rfloat (float_of_int i))
       | _ -> fail "arith.constant: bad value")
-  | "arith.addf" -> fbin ( +. )
-  | "arith.subf" -> fbin ( -. )
-  | "arith.mulf" -> fbin ( *. )
-  | "arith.divf" -> fbin ( /. )
+  | "arith.addf" -> fbin Add
+  | "arith.subf" -> fbin Sub
+  | "arith.mulf" -> fbin Mul
+  | "arith.divf" -> fbin Div
   | "arith.addi" -> ibin ( + )
   | "arith.subi" -> ibin ( - )
   | "arith.muli" -> ibin ( * )
@@ -529,8 +536,8 @@ and stage_op sc (o : op) : staged_op =
         | p -> fail "cmpi: bad predicate %s" p
       in
       ibin (fun a b -> if cmp a b then 1 else 0)
-  | "varith.add" -> fvar ( +. )
-  | "varith.mul" -> fvar ( *. )
+  | "varith.add" -> fvar Add
+  | "varith.mul" -> fvar Mul
   | "tensor.empty" ->
       let n = match (result o).vtyp with Tensor ([ n ], _) -> n | _ -> 0 in
       results1 sc o (fun _ -> Rtensor (Array.make n 0.0))

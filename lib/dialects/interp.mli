@@ -53,8 +53,9 @@ val retensorize_grid : grid -> grid
 val as_grid : rtvalue -> grid
 val as_tensor : rtvalue -> float array
 
-(** Rank-polymorphic elementwise combination. *)
-val elementwise2 : (float -> float -> float) -> rtvalue -> rtvalue -> rtvalue
+(** Rank-polymorphic elementwise arithmetic; a tensor result is a fresh
+    array or, when [in_place], the first operand's own. *)
+val elementwise2 : ?in_place:bool -> Bufview.arith -> rtvalue -> rtvalue -> rtvalue
 
 (** {1 Execution} *)
 

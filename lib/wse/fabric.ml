@@ -21,7 +21,7 @@
 
 open Wsc_ir.Ir
 module Csl = Wsc_core.Csl
-module Bufview = Wsc_core.Bufview
+module Bufview = Wsc_dialects.Bufview
 module Dmp = Wsc_dialects.Dmp
 module Trace = Wsc_trace.Trace
 module Faults = Wsc_faults.Faults

@@ -317,7 +317,7 @@ let prop_elementwise_matches_scalar =
               (list_of_size (Gen.return 5) (float_range 1.0 10.)))
     (fun (xs, ys) ->
       let a = I.Rtensor (Array.of_list xs) and b = I.Rtensor (Array.of_list ys) in
-      match I.elementwise2 ( +. ) a b with
+      match I.elementwise2 Wsc_dialects.Bufview.Add a b with
       | I.Rtensor r ->
           List.for_all2 (fun x (y, i) -> r.(i) = x +. y)
             xs

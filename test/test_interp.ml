@@ -39,6 +39,12 @@ let o = Core.Pipeline.default_options
 let frontend = Core.Pipeline.frontend_passes o
 let middle = frontend @ Core.Pipeline.middle_passes o
 
+(* the middle passes with one of the receive views' variants: raw
+   unscaled columns, or promoted terms reduced per direction *)
+let middle_with o = Core.Pipeline.frontend_passes o @ Core.Pipeline.middle_passes o
+let unpromoted = middle_with { o with promote_coefficients = false }
+let per_direction = middle_with { o with one_shot_reduction = false }
+
 (* ------------------------------------------------------------------ *)
 (* output digests                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -80,6 +86,31 @@ let test_digests () =
       Alcotest.(check string) (name "after frontend passes") dist (digest (lowered frontend p));
       Alcotest.(check string) (name "after middle passes") mid (digest (lowered middle p)))
     digests
+
+(* Recorded from the element loops the receive views used before they
+   ran on Bufview's kernels, two timesteps on a 4 x 4 PE proxy (full z):
+   (benchmark, output after the unpromoted middle passes, output after
+   the per-direction middle passes).  The unpromoted outputs equal the
+   default ones (the same sums in the same order), and so does uvkbe's
+   per-direction output (it exchanges nothing). *)
+let variant_digests =
+  [
+    ("jacobian", "7139a50634c4a21134e0f369ae3eced9", "48b7232329058e1f59e0611fd669d83a");
+    ("diffusion", "f5f6accf239db31c53a46079d7e0e61f", "d556b5e558dab9d142c7aaa2565b3bfc");
+    ("acoustic", "448920a74979f5dfd7bc016bcdcea8c1", "d4ad8872b501f12df143f1a6b929fb4a");
+    ("seismic", "ed2f18a442964bf7f4b3537d897067e6", "1199138fb41f189507f77536eedc630c");
+    ("uvkbe", "29b0513ca2e6e489344e4dfa1ab427da", "29b0513ca2e6e489344e4dfa1ab427da");
+  ]
+
+let test_variant_digests () =
+  List.iter
+    (fun (id, unpromoted_d, per_direction_d) ->
+      let p = (B.find id).B.make_n (B.Proxy (4, 4)) 2 in
+      Alcotest.(check string) (id ^ " 4x4 after unpromoted middle passes") unpromoted_d
+        (digest (lowered unpromoted p));
+      Alcotest.(check string) (id ^ " 4x4 after per-direction middle passes") per_direction_d
+        (digest (lowered per_direction p)))
+    variant_digests
 
 (* Recorded from the point-at-a-time scalar loop: the reference output
    of the fuzzer's programs (seed 1, indices 0-29), whose short and odd
@@ -205,7 +236,20 @@ let test_returned_values () =
     (fun get s (x, y, z) -> s *. get x y (z + 1));
   check_edge "one-operand varith.add" ~nz:130 ~compute:(interior 130)
     (fun bb u _ -> Bld.insert bb (Varith.add [ acc bb u [ 0; 0; -1 ] ]))
-    (fun get _ (x, y, z) -> get x y (z - 1))
+    (fun get _ (x, y, z) -> get x y (z - 1));
+  check_edge "returned access" ~nz:130 ~compute:(interior 130)
+    (fun bb u _ -> acc bb u [ 0; 1; 1 ])
+    (fun get _ (x, y, z) -> get x (y + 1) (z + 1));
+  check_edge "varith.mul of accesses" ~nz:130 ~compute:(interior 130)
+    (fun bb u _ ->
+      Bld.insert bb (Varith.mul [ acc bb u [ 0; 0; 1 ]; acc bb u [ -1; 0; 0 ]; acc bb u [ 0; 0; -1 ] ]))
+    (fun get _ (x, y, z) -> (get x y (z + 1) *. get (x - 1) y z) *. get x y (z - 1));
+  check_edge "same offset read twice" ~nz:130 ~compute:(interior 130)
+    (fun bb u _ ->
+      let a = acc bb u [ 0; 0; 1 ] in
+      let sq = Bld.insert bb (Arith.mulf a (acc bb u [ 0; 0; 1 ])) in
+      Bld.insert bb (Arith.subf sq a))
+    (fun get _ (x, y, z) -> (get x y (z + 1) *. get x y (z + 1)) -. get x y (z + 1))
 
 (* ------------------------------------------------------------------ *)
 (* access bounds                                                       *)
@@ -300,6 +344,7 @@ let () =
       ( "staged",
         [
           Alcotest.test_case "output digests" `Quick test_digests;
+          Alcotest.test_case "middle-pass variant digests" `Quick test_variant_digests;
           Alcotest.test_case "fuzz program digests" `Quick test_fuzz_digests;
           Alcotest.test_case "row extents" `Quick test_row_extents;
           Alcotest.test_case "empty compute box" `Quick test_empty_box;

@@ -6,7 +6,7 @@
 module P = Wsc_frontends.Stencil_program
 module I = Wsc_dialects.Interp
 module Core = Wsc_core
-module Bufview = Wsc_core.Bufview
+module Bufview = Wsc_dialects.Bufview
 
 
 (* ------------------------------------------------------------------ *)

@@ -9,7 +9,7 @@ module B = Wsc_benchmarks.Benchmarks
 module P = Wsc_frontends.Stencil_program
 module Machine = Wsc_wse.Machine
 module Core = Wsc_core
-module Bufview = Wsc_core.Bufview
+module Bufview = Wsc_dialects.Bufview
 module Buf_eval = Wsc_core.Buf_eval
 
 let check = Alcotest.(check bool)
