@@ -3,7 +3,8 @@
 
     A view aliases a slice of a backing array — exactly what a memref
     subview or a mem1d DSD denotes on a PE, or one strip of a reference
-    grid's row. *)
+    grid's row, which the reference slides along the row by moving [off]
+    and [len]. *)
 
 type t = { data : float array; mutable off : int; mutable len : int; stride : int }
 
@@ -17,39 +18,34 @@ let of_array (a : float array) : t =
    loops index [data] directly instead of calling [get]/[set]: built with
    [-opaque] (dune's dev profile) those calls are not inlined, and every
    element read through one boxes a float.  Each index advances by its
-   stride instead of being recomputed as [off + i * stride].  Elements go
-   in ascending order, so aliased and overlapping operands compute what a
-   per-element loop does.  A scalar operand is a view of stride 0
-   ({!broadcast}), so one loop serves views and scalars alike. *)
+   stride instead of being recomputed as [off + i * stride], which runs
+   stride-1 views as fast as a loop written for stride 1.  Elements go in
+   ascending order, so aliased and overlapping operands compute what a
+   per-element loop does. *)
 
 external uget : float array -> int -> float = "%array_unsafe_get"
 external uset : float array -> int -> float -> unit = "%array_unsafe_set"
 
-(* Raised in place, not through [invalid_arg], so that no call a kernel
-   makes before its loop returns, and its arguments stay in registers. *)
 let out_of_range (name : string) (v : t) =
-  Invalid_argument
+  invalid_arg
     (Printf.sprintf "Bufview.%s: [%d, +%d x%d) out of array of %d" name v.off v.len
        v.stride (Array.length v.data))
 
 (* Raise unless every index a kernel touches, [v.off + i * v.stride] for
    [i] in [0, v.len), lies inside [v.data]: the first and the last index
-   are the extremes for any stride. *)
+   are the extremes for any stride.  A stride-1 view inside its array
+   passes on three comparisons, the bulk of a call on a short row. *)
 let[@inline] check (name : string) (v : t) : unit =
-  if v.len > 0 then begin
+  if not (v.stride = 1 && v.off >= 0 && v.off + v.len <= Array.length v.data) && v.len > 0
+  then begin
     let last = v.off + ((v.len - 1) * v.stride) in
     if Int.min v.off last < 0 || Int.max v.off last >= Array.length v.data then
-      raise (out_of_range name v)
+      out_of_range name v
   end
-
-(* Whether [v]'s elements are consecutive and inside its array: views
-   that all are take the kernels' fast paths, with no further check. *)
-let[@inline] unit_stride (v : t) =
-  v.stride = 1 && v.off >= 0 && v.len >= 0 && v.off + v.len <= Array.length v.data
 
 let make (a : float array) ~off ~len ?(stride = 1) () : t =
   let v = { data = a; off; len; stride } in
-  if off < 0 then raise (out_of_range "make" v);
+  if off < 0 then out_of_range "make" v;
   check "make" v;
   v
 
@@ -58,109 +54,151 @@ let sub (v : t) ~off ~len : t =
 
 let get (v : t) i = v.data.(v.off + (i * v.stride))
 let set (v : t) i x = v.data.(v.off + (i * v.stride)) <- x
+
+let fill (v : t) x =
+  check "fill" v;
+  let d = v.data and s = v.stride in
+  let di = ref v.off in
+  for _ = 1 to v.len do
+    uset d !di x;
+    di := !di + s
+  done
+
 let to_array (v : t) : float array = Array.init v.len (get v)
 
-(* [len] copies of [x]: the view a scalar operand reads. *)
-let broadcast (x : float) (len : int) : t = { data = [| x |]; off = 0; len; stride = 0 }
-
-(* A copy that never reads an element it wrote before is a memmove. *)
-let copy (name : string) ~(src : t) ~(dst : t) : unit =
-  if src.len <> dst.len then
-    raise (Invalid_argument ("Bufview." ^ name ^ ": length mismatch"));
-  if
-    unit_stride src && unit_stride dst
-    && (src.data != dst.data || src.off >= dst.off || src.off + src.len <= dst.off)
-  then Array.blit src.data src.off dst.data dst.off dst.len
-  else begin
-    check name src;
-    check name dst;
-    let s = src.data and ss = src.stride and d = dst.data and ds = dst.stride in
-    let si = ref src.off and di = ref dst.off in
-    for _ = 1 to dst.len do
-      uset d !di (uget s !si);
-      si := !si + ss;
-      di := !di + ds
-    done
-  end
-
-let blit ~src ~dst = copy "blit" ~src ~dst
-let fill (v : t) x =
-  if unit_stride v then Array.fill v.data v.off v.len x
-  else copy "fill" ~src:(broadcast x v.len) ~dst:v
+let blit ~(src : t) ~(dst : t) : unit =
+  if src.len <> dst.len then invalid_arg "Bufview.blit: length mismatch";
+  check "blit" src;
+  check "blit" dst;
+  let s = src.data and ss = src.stride and d = dst.data and ds = dst.stride in
+  let si = ref src.off and di = ref dst.off in
+  for _ = 1 to dst.len do
+    uset d !di (uget s !si);
+    si := !si + ss;
+    di := !di + ds
+  done
 
 type arith = Add | Sub | Mul | Div
 
-(* [dst.(i) <- a.(i) op b.(i)].  One loop per operator keeps the operator
-   a primitive, so the element values stay unboxed.  Unit-stride sums and
-   products, the bulk of every stencil, run four elements per iteration,
-   one element after the other: on a 128-element strip that takes about
-   half the time of the steps loop. *)
-let arith (name : string) (op : arith) (a : t) (b : t) (dst : t) : unit =
-  if a.len <> dst.len || b.len <> dst.len then
-    raise (Invalid_argument ("Bufview." ^ name ^ ": length mismatch"));
-  let unit = unit_stride a && unit_stride b && unit_stride dst in
-  if not unit then begin
-    check name a;
-    check name b;
-    check name dst
-  end;
-  let ad = a.data and bd = b.data and dd = dst.data and n = dst.len in
-  let oa = a.off and ob = b.off and od = dst.off in
-  match op with
-  | Add when unit ->
-      let i = ref 0 in
-      while !i + 3 < n do
-        let ia = oa + !i and ib = ob + !i and id = od + !i in
-        uset dd id (uget ad ia +. uget bd ib);
-        uset dd (id + 1) (uget ad (ia + 1) +. uget bd (ib + 1));
-        uset dd (id + 2) (uget ad (ia + 2) +. uget bd (ib + 2));
-        uset dd (id + 3) (uget ad (ia + 3) +. uget bd (ib + 3));
-        i := !i + 4
-      done;
-      for j = !i to n - 1 do
-        uset dd (od + j) (uget ad (oa + j) +. uget bd (ob + j))
-      done
-  | Mul when unit ->
-      let i = ref 0 in
-      while !i + 3 < n do
-        let ia = oa + !i and ib = ob + !i and id = od + !i in
-        uset dd id (uget ad ia *. uget bd ib);
-        uset dd (id + 1) (uget ad (ia + 1) *. uget bd (ib + 1));
-        uset dd (id + 2) (uget ad (ia + 2) *. uget bd (ib + 2));
-        uset dd (id + 3) (uget ad (ia + 3) *. uget bd (ib + 3));
-        i := !i + 4
-      done;
-      for j = !i to n - 1 do
-        uset dd (od + j) (uget ad (oa + j) *. uget bd (ob + j))
-      done
-  | _ -> (
-      let sa = a.stride and sb = b.stride and sd = dst.stride in
-      let ai = ref oa and bi = ref ob and di = ref od in
-      match op with
-      | Add ->
-          for _ = 1 to n do
-            uset dd !di (uget ad !ai +. uget bd !bi);
-            ai := !ai + sa; bi := !bi + sb; di := !di + sd
-          done
-      | Sub ->
-          for _ = 1 to n do
-            uset dd !di (uget ad !ai -. uget bd !bi);
-            ai := !ai + sa; bi := !bi + sb; di := !di + sd
-          done
-      | Mul ->
-          for _ = 1 to n do
-            uset dd !di (uget ad !ai *. uget bd !bi);
-            ai := !ai + sa; bi := !bi + sb; di := !di + sd
-          done
-      | Div ->
-          for _ = 1 to n do
-            uset dd !di (uget ad !ai /. uget bd !bi);
-            ai := !ai + sa; bi := !bi + sb; di := !di + sd
-          done)
+(* Stride-1 sums and products, the bulk of every stencil body the
+   reference runs: four elements per iteration, still one element after
+   the other, so aliased operands compute what the stepped loop does. *)
+let unit_sum_product (mul : bool) ad oa bd ob dd od n =
+  let i = ref 0 in
+  while !i + 3 < n do
+    let ia = oa + !i and ib = ob + !i and id = od + !i in
+    if mul then begin
+      uset dd id (uget ad ia *. uget bd ib);
+      uset dd (id + 1) (uget ad (ia + 1) *. uget bd (ib + 1));
+      uset dd (id + 2) (uget ad (ia + 2) *. uget bd (ib + 2));
+      uset dd (id + 3) (uget ad (ia + 3) *. uget bd (ib + 3))
+    end
+    else begin
+      uset dd id (uget ad ia +. uget bd ib);
+      uset dd (id + 1) (uget ad (ia + 1) +. uget bd (ib + 1));
+      uset dd (id + 2) (uget ad (ia + 2) +. uget bd (ib + 2));
+      uset dd (id + 3) (uget ad (ia + 3) +. uget bd (ib + 3))
+    end;
+    i := !i + 4
+  done;
+  for j = !i to n - 1 do
+    let x = uget ad (oa + j) and y = uget bd (ob + j) in
+    uset dd (od + j) (if mul then x *. y else x +. y)
+  done
 
-let arith_into op a b dst = arith "arith_into" op a b dst
-let arith_scalar_into op a k dst = arith "arith_scalar_into" op a (broadcast k dst.len) dst
-let scalar_arith_into op k b dst = arith "scalar_arith_into" op (broadcast k dst.len) b dst
+(* One loop per operator keeps the operator a primitive, so the element
+   values stay unboxed. *)
+let arith_into (op : arith) (a : t) (b : t) (dst : t) : unit =
+  if a.len <> dst.len || b.len <> dst.len then
+    invalid_arg "Bufview.arith_into: length mismatch";
+  check "arith_into" a;
+  check "arith_into" b;
+  check "arith_into" dst;
+  let ad = a.data and sa = a.stride and bd = b.data and sb = b.stride in
+  let dd = dst.data and sd = dst.stride in
+  let ai = ref a.off and bi = ref b.off and di = ref dst.off in
+  let n = dst.len in
+  match op with
+  | (Add | Mul) when sa = 1 && sb = 1 && sd = 1 ->
+      unit_sum_product (op = Mul) ad a.off bd b.off dd dst.off n
+  | Add ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai +. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
+  | Sub ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai -. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
+  | Mul ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai *. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
+  | Div ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai /. uget bd !bi);
+        ai := !ai + sa; bi := !bi + sb; di := !di + sd
+      done
+
+let arith_scalar_into (op : arith) (a : t) (k : float) (dst : t) : unit =
+  if a.len <> dst.len then invalid_arg "Bufview.arith_scalar_into: length mismatch";
+  check "arith_scalar_into" a;
+  check "arith_scalar_into" dst;
+  let ad = a.data and sa = a.stride and dd = dst.data and sd = dst.stride in
+  let ai = ref a.off and di = ref dst.off in
+  let n = dst.len in
+  match op with
+  | Add ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai +. k);
+        ai := !ai + sa; di := !di + sd
+      done
+  | Sub ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai -. k);
+        ai := !ai + sa; di := !di + sd
+      done
+  | Mul ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai *. k);
+        ai := !ai + sa; di := !di + sd
+      done
+  | Div ->
+      for _ = 1 to n do
+        uset dd !di (uget ad !ai /. k);
+        ai := !ai + sa; di := !di + sd
+      done
+
+let scalar_arith_into (op : arith) (k : float) (b : t) (dst : t) : unit =
+  if b.len <> dst.len then invalid_arg "Bufview.scalar_arith_into: length mismatch";
+  check "scalar_arith_into" b;
+  check "scalar_arith_into" dst;
+  let bd = b.data and sb = b.stride and dd = dst.data and sd = dst.stride in
+  let bi = ref b.off and di = ref dst.off in
+  let n = dst.len in
+  match op with
+  | Add ->
+      for _ = 1 to n do
+        uset dd !di (k +. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
+  | Sub ->
+      for _ = 1 to n do
+        uset dd !di (k -. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
+  | Mul ->
+      for _ = 1 to n do
+        uset dd !di (k *. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
+  | Div ->
+      for _ = 1 to n do
+        uset dd !di (k /. uget bd !bi);
+        bi := !bi + sb; di := !di + sd
+      done
 
 (** Fused multiply-accumulate: [dst.(i) <- a.(i) + b.(i) * s]. *)
 let fmac_into (a : t) (b : t) (s : float) (dst : t) : unit =

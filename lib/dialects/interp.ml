@@ -144,29 +144,18 @@ let as_tensor = function
   | _ -> fail "expected tensor"
 
 (** Elementwise float operation, rank-polymorphic: tensors through
-    {!Bufview}'s kernels, into a fresh array or, when [in_place], into a
-    tensor [a] the caller owns. *)
-let elementwise2 ?(in_place = false) (op : Bufview.arith) (a : rtvalue) (b : rtvalue) :
-    rtvalue =
+    {!Bufview}'s kernels into a fresh array. *)
+let elementwise2 (op : Bufview.arith) (a : rtvalue) (b : rtvalue) : rtvalue =
   let v = Bufview.of_array in
-  let out x = if in_place then x else Array.make (Array.length x) 0.0 in
+  let fresh n kernel = let r = Array.make n 0.0 in kernel (v r); Rtensor r in
   match (a, b) with
   | Rfloat x, Rfloat y ->
       Rfloat (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y)
-  | Rtensor x, Rtensor y when Array.length x = Array.length y ->
-      let r = out x in
-      Bufview.arith_into op (v x) (v y) (v r);
-      Rtensor r
-  | Rtensor x, Rtensor y ->
+  | Rtensor x, Rtensor y when Array.length x <> Array.length y ->
       fail "elementwise: tensor sizes %d vs %d" (Array.length x) (Array.length y)
-  | Rtensor x, Rfloat k ->
-      let r = out x in
-      Bufview.arith_scalar_into op (v x) k (v r);
-      Rtensor r
-  | Rfloat k, Rtensor y ->
-      let r = Array.make (Array.length y) 0.0 in
-      Bufview.scalar_arith_into op k (v y) (v r);
-      Rtensor r
+  | Rtensor x, Rtensor y -> fresh (Array.length x) (Bufview.arith_into op (v x) (v y))
+  | Rtensor x, Rfloat k -> fresh (Array.length x) (Bufview.arith_scalar_into op (v x) k)
+  | Rfloat k, Rtensor y -> fresh (Array.length y) (Bufview.scalar_arith_into op k (v y))
   | _ -> fail "elementwise: bad operands"
 
 (** [stencil.store]: copy the source grid's whole box into the
@@ -245,9 +234,9 @@ let apply_outputs (first_input : rtvalue option) (result_types : typ list) : gri
 
 (** {2 Scalar apply bodies} *)
 
-type finstr =
-  | Fbin of int * Bufview.arith * int * int  (** float slot, op, operands *)
-  | Fvar of int * Bufview.arith * int array
+(* [dst <- args.(0) op args.(1) op ...], left to right, over float slots;
+   a single argument is copied *)
+type finstr = { dst : int; op : Bufview.arith; args : int array }
 
 (* A scalar body runs on one strip of an innermost row at a time, as one
    {!Bufview.t} per float slot.  A window slides along a grid's row: an
@@ -323,13 +312,11 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
             | Some (Float_attr f) -> consts := (newf (result o), f) :: !consts
             | Some (Int_attr i) -> consts := (newf (result o), float_of_int i) :: !consts
             | _ -> raise Not_scalar)
-        | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" ->
-            let a = operand_f (operand o 0) and b = operand_f (operand o 1) in
-            instrs := Fbin (newf (result o), arith_of o.opname, a, b) :: !instrs
-        | "varith.add" | "varith.mul" ->
+        | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "varith.add" | "varith.mul"
+          ->
             if o.operands = [] then raise Not_scalar;
-            let xs = Array.of_list (List.map operand_f o.operands) in
-            instrs := Fvar (newf (result o), arith_of o.opname, xs) :: !instrs
+            let args = Array.of_list (List.map operand_f o.operands) in
+            instrs := { dst = newf (result o); op = arith_of o.opname; args } :: !instrs
         | "stencil.access" ->
             let off = Array.of_list (dense_ints_exn o "offset") in
             if Array.length off <> rank then raise Not_scalar;
@@ -343,21 +330,19 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
   | () -> (
       match !rets with
       | Some rets when Array.length rets = List.length o.results && rank > 0 ->
-          let nsrc = List.length !sources and zero = Array.make rank 0 in
-          let windowed = Hashtbl.create 16 in
-          List.iter (fun (d, _, _) -> Hashtbl.replace windowed d ()) !accesses;
-          let computed d =
-            List.exists (function Fbin (e, _, _, _) | Fvar (e, _, _) -> e = d) !instrs
-          in
+          let nsrc = List.length !sources and zero = Array.make rank 0 and n0 = !nf in
+          let computed = Array.make n0 false and window = Array.make (n0 + Array.length rets) false in
+          List.iter (fun i -> computed.(i.dst) <- true) !instrs;
+          List.iter (fun (d, _, _) -> window.(d) <- true) !accesses;
           (* the instruction computing a result writes it into its output;
              any other result (an access, a constant, an import, a repeat)
              gets a copying instruction of its own *)
           let result j d =
             let d =
-              if computed d && not (Hashtbl.mem windowed d) then d
-              else (instrs := Fvar (!nf, Bufview.Add, [| d |]) :: !instrs; incr nf; !nf - 1)
+              if computed.(d) && not window.(d) then d
+              else (instrs := { dst = !nf; op = Add; args = [| d |] } :: !instrs; incr nf; !nf - 1)
             in
-            Hashtbl.replace windowed d ();
+            window.(d) <- true;
             (d, nsrc + j, zero)
           in
           let results = List.mapi result (Array.to_list rets) in
@@ -366,9 +351,7 @@ let stage_scalar_body sc (o : op) (body : block) (rank : int) : scalar_body opti
               nf = !nf;
               sources = Array.of_list !sources;
               windows = Array.of_list (List.rev_append !accesses results);
-              buffers =
-                Array.of_list
-                  (List.filter (fun d -> not (Hashtbl.mem windowed d)) (List.init !nf Fun.id));
+              buffers = Array.of_list (List.filter (fun d -> not window.(d)) (List.init !nf Fun.id));
               consts = !consts;
               imports = !imports;
               instrs = Array.of_list (List.rev !instrs);
@@ -403,14 +386,11 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
   then false
   else if box_empty cb then true
   else begin
-    let srcs = Array.map Option.get srcs in
-    let nsrc = Array.length srcs in
-    Array.iter (fun (_, g, off) -> if g < nsrc then check_box srcs.(g) cb off) b.windows;
-    let zero = Array.make rank 0 in
-    List.iter (fun g -> check_box g cb zero) outs;
-    let grids = Array.append srcs (Array.of_list outs) in
+    (* the accesses in body order, then every output at offset zero *)
+    let grids = Array.append (Array.map Option.get srcs) (Array.of_list outs) in
+    Array.iter (fun (_, g, off) -> check_box grids.(g) cb off) b.windows;
     let str = Array.map (fun g -> strides g.gbounds) grids in
-    let lbs = Array.map (fun g -> Array.of_list (List.map fst g.gbounds)) grids in
+    let lo = Array.of_list (List.map fst cb) in
     let lb_last, ub_last = List.nth cb (rank - 1) in
     let width = min strip (ub_last - lb_last) in
     (* every entry is replaced: each view is a buffer or a window *)
@@ -418,39 +398,48 @@ let run_scalar_body (b : scalar_body) (cb : (int * int) list) (fr : frame) (outs
     Array.iter (fun v -> views.(v) <- Bufview.of_array (Array.make width 0.0)) b.buffers;
     List.iter (fun (s, f) -> Bufview.fill views.(s) f) b.consts;
     List.iter (fun (outer, s) -> Bufview.fill views.(s) (as_float fr.(outer))) b.imports;
-    Array.iter
-      (fun (v, g, _) ->
-        views.(v) <- { Bufview.data = grids.(g).gdata; off = 0; len = width; stride = 1 })
-      b.windows;
-    let nwin = Array.length b.windows and pt = Array.make rank 0 in
+    (* each window's flat index at the box's first point *)
+    let first =
+      Array.map
+        (fun (v, g, off) ->
+          views.(v) <- { Bufview.data = grids.(g).gdata; off = 0; len = width; stride = 1 };
+          let k = ref 0 in
+          List.iteri
+            (fun d (glb, _) -> k := !k + ((lo.(d) + off.(d) - glb) * str.(g).(d)))
+            grids.(g).gbounds;
+          !k)
+        b.windows
+    in
+    let nwin = Array.length b.windows and len = ref width and pt = Array.make rank 0 in
     iter_box
       (List.filteri (fun d _ -> d < rank - 1) cb)
       pt
       (fun () ->
         (* each window at its row's first strip *)
-        pt.(rank - 1) <- lb_last;
         for i = 0 to nwin - 1 do
-          let v, g, off = b.windows.(i) in
-          let k = ref 0 in
-          for d = 0 to rank - 1 do
-            k := !k + ((pt.(d) + off.(d) - lbs.(g).(d)) * str.(g).(d))
+          let v, g, _ = b.windows.(i) in
+          let k = ref first.(i) in
+          for d = 0 to rank - 2 do
+            k := !k + ((pt.(d) - lo.(d)) * str.(g).(d))
           done;
           views.(v).off <- !k
         done;
         let z = ref lb_last in
         while !z < ub_last do
           let n = min width (ub_last - !z) in
-          for v = 0 to b.nf - 1 do
-            views.(v).len <- n
-          done;
+          if n <> !len then begin
+            for v = 0 to b.nf - 1 do
+              views.(v).len <- n
+            done;
+            len := n
+          end;
           for k = 0 to Array.length b.instrs - 1 do
             match b.instrs.(k) with
-            | Fbin (d, op, x, y) -> Bufview.arith_into op views.(x) views.(y) views.(d)
-            | Fvar (d, _, [| x |]) -> Bufview.blit ~src:views.(x) ~dst:views.(d)
-            | Fvar (d, op, xs) ->
-                Bufview.arith_into op views.(xs.(0)) views.(xs.(1)) views.(d);
-                for i = 2 to Array.length xs - 1 do
-                  Bufview.arith_into op views.(d) views.(xs.(i)) views.(d)
+            | { dst = d; args = [| x |]; _ } -> Bufview.blit ~src:views.(x) ~dst:views.(d)
+            | { dst = d; op; args } ->
+                Bufview.arith_into op views.(args.(0)) views.(args.(1)) views.(d);
+                for i = 2 to Array.length args - 1 do
+                  Bufview.arith_into op views.(d) views.(args.(i)) views.(d)
                 done
           done;
           for i = 0 to nwin - 1 do
@@ -499,12 +488,17 @@ and stage_op sc (o : op) : staged_op =
   let fvar op =
     let xs = Array.of_list (List.map (slot sc) o.operands) in
     if Array.length xs = 0 then fail "%s: no operands" o.opname;
+    let v = Bufview.of_array in
     results1 sc o (fun fr ->
-        (* from the second step on, a tensor accumulator is the fresh
-           array of the step before *)
+        (* from the second operand on, a tensor accumulator is a fresh
+           array of this op's own [elementwise2], so it is added into *)
         let acc = ref fr.(xs.(0)) in
         for i = 1 to Array.length xs - 1 do
-          acc := elementwise2 ~in_place:(i > 1) op !acc fr.(xs.(i))
+          match (!acc, fr.(xs.(i))) with
+          | Rtensor r, Rtensor y when i > 1 && Array.length y = Array.length r ->
+              Bufview.arith_into op (v r) (v y) (v r)
+          | Rtensor r, Rfloat k when i > 1 -> Bufview.arith_scalar_into op (v r) k (v r)
+          | a, b -> acc := elementwise2 op a b
         done;
         !acc)
   in

@@ -54,8 +54,8 @@ val as_grid : rtvalue -> grid
 val as_tensor : rtvalue -> float array
 
 (** Rank-polymorphic elementwise arithmetic; a tensor result is a fresh
-    array or, when [in_place], the first operand's own. *)
-val elementwise2 : ?in_place:bool -> Bufview.arith -> rtvalue -> rtvalue -> rtvalue
+    array. *)
+val elementwise2 : Bufview.arith -> rtvalue -> rtvalue -> rtvalue
 
 (** {1 Execution} *)
 

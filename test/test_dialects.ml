@@ -58,6 +58,30 @@ let test_varith_eval () =
   in
   check_float "varith" 5.0 r
 
+(* Tensor varith accumulates in one fresh array: from the second operand
+   on it adds in place, and no operand (a frame value) is written.  A
+   scalar operand broadcasts; the interpreter takes mixed operands even
+   though the verifier refuses them. *)
+let test_varith_tensors () =
+  let t = Tensor ([ 3 ], F32) in
+  let f =
+    Func.func ~name:"main" ~args:[ t; t ] ~results:[ t; t ] (fun b args ->
+        match args with
+        | [ x; y ] ->
+            let k = B.insert b (Arith.constant_f 2.0) in
+            let s = B.insert b (Varith.add [ x; y; k; x ]) in
+            let p = B.insert b (Varith.mul [ k; x; y ]) in
+            B.insert0 b (Func.return_ [ s; p ])
+        | _ -> assert false)
+  in
+  let x = [| 1.0; 2.0; 3.0 |] and y = [| 10.0; 20.0; 30.0 |] in
+  match I.run_func (Builtin.module_op [ f ]) ~name:"main" [ I.Rtensor x; I.Rtensor y ] with
+  | [ I.Rtensor s; I.Rtensor p ] ->
+      check "sum" true (s = [| 14.0; 26.0; 38.0 |]);
+      check "product" true (p = [| 20.0; 80.0; 180.0 |]);
+      check "operands unchanged" true (x = [| 1.0; 2.0; 3.0 |] && y = [| 10.0; 20.0; 30.0 |])
+  | _ -> Alcotest.fail "expected two tensors"
+
 let test_scf_for_eval () =
   (* sum 0..9 via float iteration value *)
   let f =
@@ -331,6 +355,7 @@ let () =
         [
           Alcotest.test_case "arith" `Quick test_arith_eval;
           Alcotest.test_case "varith" `Quick test_varith_eval;
+          Alcotest.test_case "varith on tensors" `Quick test_varith_tensors;
           Alcotest.test_case "scf.for" `Quick test_scf_for_eval;
           Alcotest.test_case "scf.if" `Quick test_scf_if_eval;
           Alcotest.test_case "func.call" `Quick test_func_call;
