@@ -59,7 +59,10 @@ let stage (blk : block) : staged =
     in
     let linalg1 op =
       let a = s 0 and d = s 1 and k = float_attr_exn o "scalar" in
-      Some (fun c _ -> Bufview.arith_scalar_into op (as_buf c.(a)) k (as_buf c.(d)))
+      Some
+        (fun c _ ->
+          let d = as_buf c.(d) in
+          Bufview.arith_into op (as_buf c.(a)) (Bufview.repeat k d.len) d)
     in
     match o.opname with
     | "memref.alloc" ->

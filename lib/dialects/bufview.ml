@@ -65,6 +65,7 @@ let fill (v : t) x =
   done
 
 let to_array (v : t) : float array = Array.init v.len (get v)
+let repeat (x : float) (len : int) : t = { data = [| x |]; off = 0; len; stride = 0 }
 
 let blit ~(src : t) ~(dst : t) : unit =
   if src.len <> dst.len then invalid_arg "Bufview.blit: length mismatch";
@@ -140,64 +141,6 @@ let arith_into (op : arith) (a : t) (b : t) (dst : t) : unit =
       for _ = 1 to n do
         uset dd !di (uget ad !ai /. uget bd !bi);
         ai := !ai + sa; bi := !bi + sb; di := !di + sd
-      done
-
-let arith_scalar_into (op : arith) (a : t) (k : float) (dst : t) : unit =
-  if a.len <> dst.len then invalid_arg "Bufview.arith_scalar_into: length mismatch";
-  check "arith_scalar_into" a;
-  check "arith_scalar_into" dst;
-  let ad = a.data and sa = a.stride and dd = dst.data and sd = dst.stride in
-  let ai = ref a.off and di = ref dst.off in
-  let n = dst.len in
-  match op with
-  | Add ->
-      for _ = 1 to n do
-        uset dd !di (uget ad !ai +. k);
-        ai := !ai + sa; di := !di + sd
-      done
-  | Sub ->
-      for _ = 1 to n do
-        uset dd !di (uget ad !ai -. k);
-        ai := !ai + sa; di := !di + sd
-      done
-  | Mul ->
-      for _ = 1 to n do
-        uset dd !di (uget ad !ai *. k);
-        ai := !ai + sa; di := !di + sd
-      done
-  | Div ->
-      for _ = 1 to n do
-        uset dd !di (uget ad !ai /. k);
-        ai := !ai + sa; di := !di + sd
-      done
-
-let scalar_arith_into (op : arith) (k : float) (b : t) (dst : t) : unit =
-  if b.len <> dst.len then invalid_arg "Bufview.scalar_arith_into: length mismatch";
-  check "scalar_arith_into" b;
-  check "scalar_arith_into" dst;
-  let bd = b.data and sb = b.stride and dd = dst.data and sd = dst.stride in
-  let bi = ref b.off and di = ref dst.off in
-  let n = dst.len in
-  match op with
-  | Add ->
-      for _ = 1 to n do
-        uset dd !di (k +. uget bd !bi);
-        bi := !bi + sb; di := !di + sd
-      done
-  | Sub ->
-      for _ = 1 to n do
-        uset dd !di (k -. uget bd !bi);
-        bi := !bi + sb; di := !di + sd
-      done
-  | Mul ->
-      for _ = 1 to n do
-        uset dd !di (k *. uget bd !bi);
-        bi := !bi + sb; di := !di + sd
-      done
-  | Div ->
-      for _ = 1 to n do
-        uset dd !di (k /. uget bd !bi);
-        bi := !bi + sb; di := !di + sd
       done
 
 (** Fused multiply-accumulate: [dst.(i) <- a.(i) + b.(i) * s]. *)

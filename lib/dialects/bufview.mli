@@ -19,6 +19,10 @@ val get : t -> int -> float
 val set : t -> int -> float -> unit
 val to_array : t -> float array
 
+(** [repeat x len] — [len] copies of [x]: a view of stride 0 over a
+    one-element array. *)
+val repeat : float -> int -> t
+
 (** {1 Kernels}
 
     [fill], [blit] and the arithmetic kernels below check every view
@@ -36,14 +40,9 @@ val blit : src:t -> dst:t -> unit
 type arith = Add | Sub | Mul | Div
 
 (** [arith_into op a b dst] — [dst.(i) <- a.(i) op b.(i)]; operands may
-    alias [dst] (accumulator reuse relies on it). *)
+    alias [dst] (accumulator reuse relies on it).  A scalar operand is a
+    view of stride 0, such as {!repeat}. *)
 val arith_into : arith -> t -> t -> t -> unit
-
-(** [arith_scalar_into op a k dst] — [dst.(i) <- a.(i) op k]. *)
-val arith_scalar_into : arith -> t -> float -> t -> unit
-
-(** [scalar_arith_into op k b dst] — [dst.(i) <- k op b.(i)]. *)
-val scalar_arith_into : arith -> float -> t -> t -> unit
 
 (** [fmac_into a b s dst] — [dst.(i) <- a.(i) +. b.(i) *. s], the
     semantics of CSL's [@fmacs]. *)

@@ -154,8 +154,12 @@ let elementwise2 (op : Bufview.arith) (a : rtvalue) (b : rtvalue) : rtvalue =
   | Rtensor x, Rtensor y when Array.length x <> Array.length y ->
       fail "elementwise: tensor sizes %d vs %d" (Array.length x) (Array.length y)
   | Rtensor x, Rtensor y -> fresh (Array.length x) (Bufview.arith_into op (v x) (v y))
-  | Rtensor x, Rfloat k -> fresh (Array.length x) (Bufview.arith_scalar_into op (v x) k)
-  | Rfloat k, Rtensor y -> fresh (Array.length y) (Bufview.scalar_arith_into op k (v y))
+  | Rtensor x, Rfloat k ->
+      let n = Array.length x in
+      fresh n (Bufview.arith_into op (v x) (Bufview.repeat k n))
+  | Rfloat k, Rtensor y ->
+      let n = Array.length y in
+      fresh n (Bufview.arith_into op (Bufview.repeat k n) (v y))
   | _ -> fail "elementwise: bad operands"
 
 (** [stencil.store]: copy the source grid's whole box into the
@@ -497,7 +501,8 @@ and stage_op sc (o : op) : staged_op =
           match (!acc, fr.(xs.(i))) with
           | Rtensor r, Rtensor y when i > 1 && Array.length y = Array.length r ->
               Bufview.arith_into op (v r) (v y) (v r)
-          | Rtensor r, Rfloat k when i > 1 -> Bufview.arith_scalar_into op (v r) k (v r)
+          | Rtensor r, Rfloat k when i > 1 ->
+              Bufview.arith_into op (v r) (Bufview.repeat k (Array.length r)) (v r)
           | a, b -> acc := elementwise2 op a b
         done;
         !acc)

@@ -623,6 +623,9 @@ type t = {
           the trace sink *)
   code : code;  (** the program, staged once by {!create} *)
   terms : terms;
+  scalar : Bufview.t;
+      (** scratch: the stride-0 view a scalar operand of a DSD op is read
+          through, so that no op allocates one *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records; lifted for the rest of the run if the fabric goes
@@ -754,6 +757,7 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     faults;
     code;
     terms = new_terms code.comms;
+    scalar = Bufview.repeat 0.0 0;
     window = true;
   }
 
@@ -966,6 +970,12 @@ let compare_ints p (a : int) (b : int) =
 (** Run staged [body] over frame [fr]; accumulates cycle cost on the PE
     and conses the communicate calls it makes onto [comms], newest
     first (the caller registers them). *)
+(* [len] copies of [k] in [sim.scalar]; valid until the next call *)
+let scalar (sim : t) (k : float) (len : int) : Bufview.t =
+  sim.scalar.data.(0) <- k;
+  sim.scalar.len <- len;
+  sim.scalar
+
 let rec exec (sim : t) (pe : pe) (fr : cell array) (body : instr array)
     (comms : comm list ref) : unit =
   let m = sim.machine in
@@ -1007,9 +1017,10 @@ let rec exec (sim : t) (pe : pe) (fr : cell array) (body : instr array)
         let dest = as_view fr.(dest) in
         (match (fr.(a), fr.(b)) with
         | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> Bufview.arith_into op a b dest
-        | (Cdsd a | Cbuf a), Cfloat k -> Bufview.arith_scalar_into op a k dest
-        | (Cdsd a | Cbuf a), Cint k -> Bufview.arith_scalar_into op a (float_of_int k) dest
-        | Cfloat k, (Cdsd b | Cbuf b) -> Bufview.scalar_arith_into op k b dest
+        | (Cdsd a | Cbuf a), Cfloat k -> Bufview.arith_into op a (scalar sim k dest.len) dest
+        | (Cdsd a | Cbuf a), Cint k ->
+            Bufview.arith_into op a (scalar sim (float_of_int k) dest.len) dest
+        | Cfloat k, (Cdsd b | Cbuf b) -> Bufview.arith_into op (scalar sim k dest.len) b dest
         | _ -> fail "%s: bad operands" name);
         builtin_cost m pe 12.0 dest.len;
         pe.stats.flops <- pe.stats.flops +. float_of_int dest.len

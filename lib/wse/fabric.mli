@@ -111,6 +111,9 @@ type t = {
       (** the program's symbols, initial values, functions and tasks,
           staged once by {!create} and shared read-only by every PE *)
   terms : terms;  (** scratch of the promoted-coefficient delivery *)
+  scalar : Wsc_dialects.Bufview.t;
+      (** scratch: the stride-0 view a scalar operand of a DSD op is read
+          through *)
   mutable window : bool;
       (** whether the scheduler holds PEs at {!max_live_sends_per_pe}
           live records (lifted if the fabric goes quiescent with PEs

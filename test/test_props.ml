@@ -379,8 +379,8 @@ let run_kernel kernel ~k (a : Bufview.t) (b : Bufview.t) (dst : Bufview.t) =
   | Fill -> Bufview.fill dst k
   | Blit -> Bufview.blit ~src:a ~dst
   | Arith op -> Bufview.arith_into op a b dst
-  | Arith_scalar op -> Bufview.arith_scalar_into op a k dst
-  | Scalar_arith op -> Bufview.scalar_arith_into op k b dst
+  | Arith_scalar op -> Bufview.arith_into op a (Bufview.repeat k dst.len) dst
+  | Scalar_arith op -> Bufview.arith_into op (Bufview.repeat k dst.len) b dst
   | Fmac -> Bufview.fmac_into a b k dst
 
 let reference_kernel kernel ~k (a : Bufview.t) (b : Bufview.t) (dst : Bufview.t) =
